@@ -19,15 +19,18 @@
 //! repro --max-retries 2       # retry panicked/timed-out points twice
 //! ```
 //!
-//! `--spec file.toml` compiles a declarative sweep spec (`core::spec`,
-//! language reference in DESIGN.md §14) into a plan and runs it in
-//! place of a hard-coded experiment. The flag repeats; it is mutually
-//! exclusive with `--exp`. Everything downstream composes unchanged:
-//! `--jobs`, the resilience flags (checkpoints key on the spec's file
+//! Every experiment is a declarative sweep spec (`core::spec`,
+//! language reference in DESIGN.md §14). `--exp name` compiles the
+//! copy of `specs/<name>.toml` embedded in the binary; `--spec
+//! file.toml` reads a spec file once and compiles it through the same
+//! constructor, so `--spec specs/fig11.toml` and `--exp fig11` are the
+//! same job. `--spec` repeats; it is mutually exclusive with `--exp`.
+//! Everything downstream composes unchanged: `--jobs`, the resilience
+//! flags (checkpoints key on the experiment name or the spec's file
 //! stem), `--trace`/`--metrics`/`--analyze`, and `--manifest` — whose
-//! entry for a spec run gains a stable `spec` object carrying the
-//! FNV-128 content hash of the spec bytes and the resolved point
-//! count. A spec that fails to parse or validate prints one
+//! entry for every experiment carries a stable `spec` object with the
+//! FNV-128 content hash of the spec bytes that ran and the resolved
+//! point count. A spec that fails to parse or validate prints one
 //! `path:line:col: message` diagnostic (with a "did you mean" hint for
 //! unknown keys) and exits 2, before anything runs.
 //!
@@ -93,15 +96,14 @@
 
 use std::time::{Duration, Instant};
 
-use columbia::experiments::{failure_report, plan, Experiment};
+use columbia::experiments::{self, failure_report, EXPERIMENTS};
 use columbia::manifest::{self, ManifestBuilder, ResilienceSummary, Volatile};
 use columbia::obs::{
     analyze, chrome_trace_with_flows, chrome_trace_with_host, host, sink, Analysis, CriticalPath,
     ANALYSIS_SCHEMA,
 };
 use columbia::par;
-use columbia::spec::{load_and_compile, spec_hash};
-use columbia::{analysis_report, PointStore, ResilienceOptions};
+use columbia::{analysis_report, PointStore, ResilienceOptions, SpecJob};
 use serde_json::Value;
 
 /// Parse `--flag <value>` out of the argument list.
@@ -133,22 +135,12 @@ fn flag_values(args: &[String], flag: &str) -> Vec<String> {
     out
 }
 
-/// One unit of work: a named sweep plan, either a hard-coded
-/// experiment or a compiled `--spec` file (which carries its content
-/// hash for the manifest).
-struct Job {
-    name: String,
-    plan: columbia::SweepPlan,
-    spec_content_hash: Option<String>,
-}
-
 /// Compile one `--spec` file into a job, or print the typed diagnostic
 /// (`path:line:col: message`, with "did you mean" hints for unknown
 /// keys) and exit 2 — same contract as any other bad command line,
 /// before anything runs.
-fn spec_job(path_str: &str) -> Job {
-    let path = std::path::Path::new(path_str);
-    let plan = load_and_compile(path).unwrap_or_else(|e| {
+fn spec_job(path_str: &str) -> SpecJob {
+    SpecJob::load(std::path::Path::new(path_str)).unwrap_or_else(|e| {
         if e.position().is_some() {
             // `SpecError` displays as `line:col: message`; prefix the
             // file so the diagnostic is jump-to-able.
@@ -157,28 +149,7 @@ fn spec_job(path_str: &str) -> Job {
             eprintln!("{e}");
         }
         std::process::exit(2);
-    });
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("{path_str}: {e}");
-        std::process::exit(2);
-    });
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path_str.to_string());
-    Job {
-        name,
-        plan,
-        spec_content_hash: Some(spec_hash(&bytes)),
-    }
-}
-
-fn exp_job(exp: Experiment) -> Job {
-    Job {
-        name: exp.name().to_string(),
-        plan: plan(exp),
-        spec_content_hash: None,
-    }
+    })
 }
 
 fn write_or_die(path: &str, contents: &str) {
@@ -194,8 +165,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
     if args.iter().any(|a| a == "--list") {
-        for e in Experiment::ALL {
-            println!("{}", e.name());
+        for (name, _) in EXPERIMENTS {
+            println!("{name}");
         }
         return;
     }
@@ -262,7 +233,7 @@ fn main() {
     }
     // Compile every spec before running anything: a typo in the third
     // spec should not cost the first two's simulation time.
-    let selected: Vec<Job> = if !spec_paths.is_empty() {
+    let selected: Vec<SpecJob> = if !spec_paths.is_empty() {
         spec_paths.iter().map(|p| spec_job(p)).collect()
     } else {
         match exp_arg {
@@ -271,15 +242,18 @@ fn main() {
                     eprintln!("--exp requires an experiment id (see --list)");
                     std::process::exit(2);
                 });
-                match Experiment::parse(name) {
-                    Some(e) => vec![exp_job(e)],
+                match experiments::job(name) {
+                    Some(job) => vec![job],
                     None => {
                         eprintln!("unknown experiment '{name}' (see --list)");
                         std::process::exit(2);
                     }
                 }
             }
-            None => Experiment::ALL.iter().copied().map(exp_job).collect(),
+            None => EXPERIMENTS
+                .iter()
+                .filter_map(|(name, _)| experiments::job(name))
+                .collect(),
         }
     };
     let collecting = trace_path.is_some() || metrics_path.is_some() || analyzing;
@@ -308,10 +282,10 @@ fn main() {
     let mut failed_points = 0usize;
     let mut manifest_sim_threads = 1usize;
     for job in selected {
-        let Job {
+        let SpecJob {
             name,
             plan: sweep_plan,
-            spec_content_hash,
+            content_hash,
         } = job;
         // Per-simulation PDES threads: CLI beats the spec's
         // `[defaults] sim_threads`, which beats serial. Set before the
@@ -374,23 +348,14 @@ fn main() {
                 .unwrap_or_else(|err| failure_report(&name, &err))
         };
         if let Some(builder) = manifest_builder.as_mut() {
-            match &spec_content_hash {
-                Some(h) => builder.record_spec_experiment(
-                    &name,
-                    fingerprint,
-                    points,
-                    &report,
-                    exp_stats.as_ref(),
-                    h,
-                ),
-                None => builder.record_experiment(
-                    &name,
-                    fingerprint,
-                    points,
-                    &report,
-                    exp_stats.as_ref(),
-                ),
-            }
+            builder.record_experiment(
+                &name,
+                fingerprint,
+                points,
+                &report,
+                exp_stats.as_ref(),
+                &content_hash,
+            );
         }
         if json {
             println!("{}", report.to_json());

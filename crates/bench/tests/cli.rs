@@ -1,6 +1,8 @@
 //! CLI-level regression tests for the `repro` and `bench-compare`
-//! binaries: stderr record ordering under degraded runs, `--analyze`
-//! determinism and schema, and the bench gate's improved section.
+//! binaries: the experiment list and `--exp` against the goldens,
+//! `--exp` and `--spec` recording the same manifest, stderr record
+//! ordering under degraded runs, `--analyze` determinism and schema,
+//! and the bench gate's improved section.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -23,6 +25,99 @@ fn repro(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("repro runs")
+}
+
+fn repo_path(rel: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel)
+}
+
+/// `repro` stdout, asserting a clean exit.
+fn repro_stdout(args: &[&str]) -> String {
+    let out = repro(args);
+    assert!(
+        out.status.success(),
+        "repro {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("stdout is UTF-8")
+}
+
+fn golden(name: &str) -> String {
+    std::fs::read_to_string(repo_path(&format!("tests/golden/{name}.txt")))
+        .expect("golden fixture readable")
+}
+
+/// `--list` prints the 18 experiments, one per line, in paper order.
+#[test]
+fn list_prints_the_experiments_in_paper_order() {
+    let listed = repro_stdout(&["--list"]);
+    let names: Vec<&str> = listed.lines().collect();
+    assert_eq!(
+        names,
+        [
+            "table1",
+            "fig5",
+            "dgemm-stream",
+            "fig6",
+            "table2",
+            "table3",
+            "stride",
+            "fig7",
+            "fig8",
+            "table4",
+            "fig9",
+            "fig10",
+            "fig11",
+            "table5",
+            "table6",
+            "degraded",
+            "trace",
+            "columbia",
+        ]
+    );
+}
+
+/// `--exp` renders the golden report, aliases included; an unknown
+/// name is a bad command line.
+#[test]
+fn exp_prints_the_golden_and_rejects_unknown_names() {
+    assert_eq!(repro_stdout(&["--exp", "table1"]), golden("table1"));
+    assert_eq!(
+        repro_stdout(&["--exp", "bt_mz", "--jobs", "2"]),
+        golden("fig9")
+    );
+    assert_eq!(repro_stdout(&["--exp", "hpcc"]), golden("dgemm-stream"));
+    let out = repro(&["--exp", "nope"]);
+    assert_eq!(out.status.code(), Some(2), "unknown experiment exits 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment 'nope'"));
+}
+
+/// `--exp table1` and `--spec specs/table1.toml` are the same job, so
+/// their manifests agree byte for byte outside the `volatile` key:
+/// name, plan fingerprint, report hash and the `spec` object.
+#[test]
+fn exp_and_spec_record_the_same_manifest() {
+    let dir = temp_dir("exp-spec-manifest");
+    let stable = |source: &[&str], file: &str| -> String {
+        let path = dir.join(file);
+        let mut args = source.to_vec();
+        args.extend(["--jobs", "1", "--manifest", path.to_str().unwrap()]);
+        assert_eq!(repro_stdout(&args), golden("table1"));
+        let mut doc = serde_json::from_str(&std::fs::read_to_string(&path).unwrap())
+            .expect("manifest parses");
+        if let Value::Object(entries) = &mut doc {
+            entries.retain(|(k, _)| k != "volatile");
+        }
+        serde_json::to_string_pretty(&doc)
+    };
+    let spec_path = repo_path("specs/table1.toml");
+    let from_exp = stable(&["--exp", "table1"], "exp.json");
+    let from_spec = stable(&["--spec", spec_path.to_str().unwrap()], "spec.json");
+    assert!(from_exp.contains("\"content_hash\""), "{from_exp}");
+    assert_eq!(from_exp, from_spec);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The machine-readable `SWEEP JSON` record must be the *first* stderr

@@ -1,27 +1,23 @@
-//! One runner per paper table and figure.
+//! The paper's evaluation as data: one embedded spec per table and
+//! figure.
 //!
-//! Every experiment regenerates the corresponding artifact as a
-//! [`Report`]; `crates/bench`'s `repro` binary prints them, and
-//! EXPERIMENTS.md records the comparison against the paper.
+//! Each of the 18 experiments is the spec file `specs/<name>.toml`,
+//! compiled into the library with `include_str!` and listed in
+//! [`EXPERIMENTS`] in paper order. [`job`] lowers the embedded text
+//! through [`SpecJob::from_text`], the constructor `repro --spec`
+//! runs on a file, so `repro --exp fig11` and
+//! `repro --spec specs/fig11.toml` build the same plan (same
+//! fingerprint, same content hash, same checkpoint keys) and render
+//! the same bytes. EXPERIMENTS.md records the comparison against the
+//! paper.
 //!
-//! Each experiment is decomposed into a [`SweepPlan`] of independent
-//! sweep points (one isolated simulation family per point) so the
-//! whole figure set can fan out across OS threads via `repro --jobs N`.
-//! Collation is deterministic — results are keyed by sweep index and
-//! reduced in canonical order — so the report from a parallel run is
-//! bit-identical to a serial one (see [`crate::sweep`]).
+//! What remains here as code are the helpers behind the spec
+//! compiler's three free-form kinds (`table1`, `trace`, `columbia`)
+//! and [`failure_report`], which renders a failed sweep as a report.
 
-use columbia_hpcc::beff::{self, Pattern};
-use columbia_hpcc::{dgemm, stream};
-use columbia_ins3d::{iteration_seconds, Ins3dConfig};
 use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia_machine::node::{NodeKind, NodeModel};
-use columbia_md::scaling::{weak_scaling_point, TABLE5_CPUS};
-use columbia_npb::{gflops_per_cpu, NpbBenchmark, NpbClass, Paradigm};
-use columbia_npbmz::bench::{run as mz_run, MzBenchmark, MzOutcome, MzRunConfig};
-use columbia_npbmz::MzClass;
 use columbia_obs::RecordingTracer;
-use columbia_overflowd::{step_times, OverflowConfig};
 use columbia_runtime::compiler::{CompilerVersion, KernelClass};
 use columbia_runtime::compute::WorkPhase;
 use columbia_runtime::exec::{execute_traced, ExecConfig, SpecOp, WorkloadSpec};
@@ -33,184 +29,109 @@ use columbia_simnet::program::{ByteRule, Peer, ProgramSet, SpmdOp};
 use columbia_simnet::{simulate_on, ConnectionLimit, ConnectionPolicy, FaultPlan, SimError};
 
 use crate::obs_report::hotspot_report;
-use crate::report::{gbs, gf, secs, Report};
-use crate::sweep::{PointOutput, ResilienceOptions, SweepOutcome, SweepPlan};
+use crate::report::{secs, Report};
+use crate::spec::SpecJob;
+use crate::sweep::{PointOutput, SweepPlan};
 
-/// Every table and figure of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Experiment {
-    /// Table 1: node characteristics.
-    Table1,
-    /// Fig. 5: in-node b_eff latency/bandwidth on the three node types.
-    Fig5,
-    /// §4.1.1 DGEMM/STREAM numbers.
-    DgemmStream,
-    /// Fig. 6: NPB per-CPU Gflop/s, MPI and OpenMP, three node types.
-    Fig6,
-    /// Table 2: INS3D 36 MLP groups × threads, 3700 vs BX2b.
-    Table2,
-    /// Table 3: OVERFLOW-D comm/exec per step, 3700 vs BX2b.
-    Table3,
-    /// §4.2: CPU-stride study (STREAM and DGEMM, stride 1/2/4).
-    Stride,
-    /// Fig. 7: pinning vs no pinning, SP-MZ class C hybrid.
-    Fig7,
-    /// Fig. 8: four compiler versions on the OpenMP NPBs.
-    Fig8,
-    /// Table 4: INS3D and OVERFLOW-D under compilers 7.1 vs 8.1.
-    Table4,
-    /// Fig. 9: BT-MZ process/thread combinations.
-    Fig9,
-    /// Fig. 10: multinode b_eff, NUMAlink4 vs InfiniBand.
-    Fig10,
-    /// Fig. 11: NPB-MZ class E across nodes and fabrics.
-    Fig11,
-    /// Table 5: MD weak scaling to 2,040 CPUs.
-    Table5,
-    /// Table 6: OVERFLOW-D across nodes, NUMAlink4 vs InfiniBand.
-    Table6,
-    /// Fault injection: graceful degradation under a seeded fault plan.
-    Degraded,
-    /// Tracing demo: a faulted multi-node run captured by the
-    /// observability layer, rendered as a per-rank hotspot table.
-    Trace,
-    /// Full-machine scaling demo: one SPMD workload over all twenty
-    /// simulated nodes — 10,240 ranks — plus the four-node 2,048-CPU
-    /// NUMAlink4 capability subsystem.
-    Columbia,
+/// `(name, text of specs/<name>.toml)`: the name picks the file, so
+/// the table cannot pair a name with another experiment's spec.
+macro_rules! embedded_spec {
+    ($name:literal) => {
+        (
+            $name,
+            include_str!(concat!("../../../specs/", $name, ".toml")),
+        )
+    };
 }
 
-impl Experiment {
-    /// All experiments in paper order.
-    pub const ALL: [Experiment; 18] = [
-        Experiment::Table1,
-        Experiment::Fig5,
-        Experiment::DgemmStream,
-        Experiment::Fig6,
-        Experiment::Table2,
-        Experiment::Table3,
-        Experiment::Stride,
-        Experiment::Fig7,
-        Experiment::Fig8,
-        Experiment::Table4,
-        Experiment::Fig9,
-        Experiment::Fig10,
-        Experiment::Fig11,
-        Experiment::Table5,
-        Experiment::Table6,
-        Experiment::Degraded,
-        Experiment::Trace,
-        Experiment::Columbia,
-    ];
+/// Every table and figure of the paper's evaluation, in paper order:
+/// the `repro --exp` name and the text of `specs/<name>.toml`.
+pub const EXPERIMENTS: [(&str, &str); 18] = [
+    embedded_spec!("table1"),
+    embedded_spec!("fig5"),
+    embedded_spec!("dgemm-stream"),
+    embedded_spec!("fig6"),
+    embedded_spec!("table2"),
+    embedded_spec!("table3"),
+    embedded_spec!("stride"),
+    embedded_spec!("fig7"),
+    embedded_spec!("fig8"),
+    embedded_spec!("table4"),
+    embedded_spec!("fig9"),
+    embedded_spec!("fig10"),
+    embedded_spec!("fig11"),
+    embedded_spec!("table5"),
+    embedded_spec!("table6"),
+    embedded_spec!("degraded"),
+    embedded_spec!("trace"),
+    embedded_spec!("columbia"),
+];
 
-    /// CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Experiment::Table1 => "table1",
-            Experiment::Fig5 => "fig5",
-            Experiment::DgemmStream => "dgemm-stream",
-            Experiment::Fig6 => "fig6",
-            Experiment::Table2 => "table2",
-            Experiment::Table3 => "table3",
-            Experiment::Stride => "stride",
-            Experiment::Fig7 => "fig7",
-            Experiment::Fig8 => "fig8",
-            Experiment::Table4 => "table4",
-            Experiment::Fig9 => "fig9",
-            Experiment::Fig10 => "fig10",
-            Experiment::Fig11 => "fig11",
-            Experiment::Table5 => "table5",
-            Experiment::Table6 => "table6",
-            Experiment::Degraded => "degraded",
-            Experiment::Trace => "trace",
-            Experiment::Columbia => "columbia",
-        }
-    }
+/// Workload-flavoured aliases for the figures people look for by
+/// benchmark name: BT-MZ process/thread combinations are Fig. 9, and
+/// the §4.1.1 DGEMM/STREAM table is the HPC Challenge slice.
+const ALIASES: [(&str, &str); 3] = [
+    ("bt_mz", "fig9"),
+    ("bt-mz", "fig9"),
+    ("hpcc", "dgemm-stream"),
+];
 
-    /// Parse a CLI name. Accepts a few benchmark-flavoured aliases for
-    /// the figures people look for by workload name.
-    pub fn parse(s: &str) -> Option<Experiment> {
-        match s {
-            // BT-MZ process/thread combinations are Fig. 9.
-            "bt_mz" | "bt-mz" => return Some(Experiment::Fig9),
-            // The §4.1.1 DGEMM/STREAM table is the HPC Challenge slice.
-            "hpcc" => return Some(Experiment::DgemmStream),
-            _ => {}
-        }
-        Experiment::ALL.iter().copied().find(|e| e.name() == s)
-    }
+/// Compile experiment `name` (a name from [`EXPERIMENTS`] or an alias)
+/// from its embedded spec. The job carries the canonical name, so an
+/// alias shares the checkpoint store of the name it stands for.
+/// `None` for an unknown name.
+pub fn job(name: &str) -> Option<SpecJob> {
+    let name = ALIASES
+        .iter()
+        .find(|(alias, _)| *alias == name)
+        .map_or(name, |(_, canonical)| *canonical);
+    let (name, text) = EXPERIMENTS.iter().find(|(n, _)| *n == name)?;
+    Some(
+        SpecJob::from_text(name, text, false)
+            .unwrap_or_else(|e| panic!("embedded specs/{name}.toml: {e}")),
+    )
 }
 
-/// Decompose one experiment into its [`SweepPlan`] of independent
-/// sweep points.
-pub fn plan(exp: Experiment) -> SweepPlan {
-    match exp {
-        Experiment::Table1 => table1_plan(),
-        Experiment::Fig5 => fig5_plan(),
-        Experiment::DgemmStream => dgemm_stream_plan(),
-        Experiment::Fig6 => fig6_plan(),
-        Experiment::Table2 => table2_plan(),
-        Experiment::Table3 => table3_plan(),
-        Experiment::Stride => stride_plan(),
-        Experiment::Fig7 => fig7_plan(),
-        Experiment::Fig8 => fig8_plan(),
-        Experiment::Table4 => table4_plan(),
-        Experiment::Fig9 => fig9_plan(),
-        Experiment::Fig10 => fig10_plan(),
-        Experiment::Fig11 => fig11_plan(),
-        Experiment::Table5 => table5_plan(),
-        Experiment::Table6 => table6_plan(),
-        Experiment::Degraded => degraded_plan(),
-        Experiment::Trace => trace_plan(),
-        Experiment::Columbia => columbia_plan(),
-    }
+fn known(name: &str) -> SpecJob {
+    job(name).unwrap_or_else(|| panic!("unknown experiment '{name}'"))
 }
 
-/// Run one experiment's sweep points across `jobs` worker threads,
-/// surfacing any simulation failure as its typed [`SimError`] (the
-/// lowest-indexed failing point, under any scheduling).
-pub fn try_run_with_jobs(exp: Experiment, jobs: usize) -> Result<Report, SimError> {
-    plan(exp).run_with_jobs(jobs)
+/// The [`SweepPlan`] of experiment `name`.
+///
+/// # Panics
+///
+/// If `name` is neither an experiment nor an alias.
+pub fn plan(name: &str) -> SweepPlan {
+    known(name).plan
 }
 
-/// Run one experiment serially, surfacing any simulation failure as
-/// its typed [`SimError`].
-pub fn try_run(exp: Experiment) -> Result<Report, SimError> {
-    try_run_with_jobs(exp, 1)
+/// Run experiment `name`'s sweep points across `jobs` worker threads;
+/// a failed simulation becomes a diagnostic report rather than a
+/// panic, so sweeps always produce output. Byte-identical for any
+/// `jobs` (the determinism property the golden harness asserts).
+///
+/// # Panics
+///
+/// If `name` is neither an experiment nor an alias.
+pub fn run_with_jobs(name: &str, jobs: usize) -> Report {
+    let SpecJob { name, plan, .. } = known(name);
+    plan.run_with_jobs(jobs)
+        .unwrap_or_else(|err| failure_report(&name, &err))
 }
 
-/// Run one experiment across `jobs` worker threads; a failed
-/// simulation becomes a diagnostic report rather than a panic, so
-/// sweeps always produce output. Bit-identical to [`run`] for any
-/// `jobs` (the determinism property the test suite asserts).
-pub fn run_with_jobs(exp: Experiment, jobs: usize) -> Report {
-    try_run_with_jobs(exp, jobs).unwrap_or_else(|err| failure_report(exp.name(), &err))
-}
-
-/// Run one experiment serially; a failed simulation becomes a
-/// diagnostic report rather than a panic, so sweeps always produce
-/// output.
-pub fn run(exp: Experiment) -> Report {
-    run_with_jobs(exp, 1)
-}
-
-/// Run one experiment under a resilience policy (panic isolation,
-/// per-point deadlines, bounded retry, checkpoint/resume) — the path
-/// behind `repro --resume/--point-deadline/--max-retries`. Checkpoint
-/// keys default to the experiment's canonical name, so a resumed run
-/// finds the entries an interrupted run of the same experiment left
-/// behind. With every point succeeding the report is byte-identical to
-/// [`run_with_jobs`]'s.
-pub fn run_resilient(exp: Experiment, jobs: usize, mut opts: ResilienceOptions) -> SweepOutcome {
-    opts.experiment
-        .get_or_insert_with(|| exp.name().to_string());
-    plan(exp).run_resilient_with_jobs(jobs, opts)
+/// Run experiment `name` serially (see [`run_with_jobs`]).
+///
+/// # Panics
+///
+/// If `name` is neither an experiment nor an alias.
+pub fn run(name: &str) -> Report {
+    run_with_jobs(name, 1)
 }
 
 /// Render a [`SimError`] as a report so failures are first-class
-/// experiment output (stuck ranks, exhausted connections, …). Public
-/// because `repro --spec` degrades a failed spec-built plan the same
-/// way (with the spec's file stem as the report id).
+/// experiment output (stuck ranks, exhausted connections, …). `repro`
+/// degrades every failed plan this way, with the job name as the
+/// report id.
 pub fn failure_report(name: &str, err: &SimError) -> Report {
     let mut r = Report::new(
         name,
@@ -225,9 +146,7 @@ pub fn failure_report(name: &str, err: &SimError) -> Report {
 }
 
 /// The Table 1 point: zipped node-characteristics rows plus the
-/// cluster-shape note. Shared by the hard-coded plan and `core::spec`'s
-/// `kind = "table1"` so both render byte-identical output by
-/// construction.
+/// cluster-shape note — `core::spec`'s `kind = "table1"`.
 pub(crate) fn table1_output() -> PointOutput {
     let mut out = PointOutput::default();
     let nodes: Vec<_> = NodeKind::ALL
@@ -250,655 +169,18 @@ pub(crate) fn table1_output() -> PointOutput {
     ))
 }
 
-fn table1_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Table 1",
-        "Characteristics of the two types of Altix nodes used in Columbia",
-        &["Characteristic", "3700", "BX2a", "BX2b"],
-    );
-    plan.point_ok(table1_output);
-    plan
-}
-
-fn fig5_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Fig. 5",
-        "b_eff bandwidth and latency on three node types (in-node)",
-        &["pattern", "node", "CPUs", "latency", "bandwidth GB/s"],
-    );
-    let cpus = [4u32, 16, 64, 256, 512];
-    for kind in NodeKind::ALL {
-        plan.point_ok(move || {
-            let sweep = beff::in_node_sweep(kind, &cpus);
-            let mut out = PointOutput::default();
-            for pattern in Pattern::ALL {
-                for &n in &cpus {
-                    let p = sweep.get(pattern, n).unwrap();
-                    out.rows.push(vec![
-                        pattern.name().to_string(),
-                        kind.name().to_string(),
-                        n.to_string(),
-                        secs(p.latency),
-                        gbs(p.bandwidth),
-                    ]);
-                }
-            }
-            out
-        });
-    }
-    plan.note("paper: random-ring latency separates the BX2 from the 3700 at high CPU counts");
-    plan
-}
-
-fn dgemm_stream_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "§4.1.1",
-        "DGEMM and STREAM on the three node types",
-        &["benchmark", "node", "per-CPU result"],
-    );
-    for kind in NodeKind::ALL {
-        plan.point_ok(move || {
-            let d = dgemm::simulate(kind, 1);
-            PointOutput::row(vec![
-                "DGEMM".into(),
-                kind.name().into(),
-                format!("{} Gflop/s", gf(d.gflops_per_cpu)),
-            ])
-        });
-    }
-    for kind in NodeKind::ALL {
-        plan.point_ok(move || {
-            let s = stream::simulate(kind, 512, 1);
-            PointOutput::row(vec![
-                "STREAM triad (dense)".into(),
-                kind.name().into(),
-                format!("{} GB/s", gbs(s.triad())),
-            ])
-        });
-    }
-    plan.note(
-        "paper: DGEMM 5.75 Gflop/s on BX2b, +6% over 3700/BX2a; STREAM ~2 GB/s dense, 3700 +1%",
-    );
-    plan
-}
-
-fn fig6_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Fig. 6",
-        "NPB class B per-CPU Gflop/s on three node types",
-        &["bench", "paradigm", "node", "CPUs", "Gflop/s per CPU"],
-    );
-    let counts = [1u32, 16, 64, 256];
-    for bench in NpbBenchmark::ALL {
-        for paradigm in Paradigm::ALL {
-            for kind in NodeKind::ALL {
-                plan.point(move || {
-                    let mut out = PointOutput::default();
-                    for &n in &counts {
-                        let g = gflops_per_cpu(
-                            bench,
-                            NpbClass::B,
-                            kind,
-                            paradigm,
-                            n,
-                            CompilerVersion::V7_1,
-                        )?;
-                        out.rows.push(vec![
-                            bench.name().into(),
-                            paradigm.name().into(),
-                            kind.name().into(),
-                            n.to_string(),
-                            gf(g),
-                        ]);
-                    }
-                    Ok(out)
-                });
-            }
-        }
-    }
-    plan.note("paper anchors: FT(MPI) ~2x on BX2 at 256; MG/BT jump ~50% on BX2b at 64; OpenMP gap up to 2x at 128 threads");
-    plan
-}
-
-fn table2_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Table 2",
-        "INS3D seconds per physical time step, 36 MLP groups",
-        &["CPUs (groups x threads)", "3700", "BX2b"],
-    );
-    // The 1x1 baseline row, then 36 groups with the paper's thread set.
-    plan.point_ok(|| {
-        let base3700 = iteration_seconds(&Ins3dConfig {
-            kind: NodeKind::Altix3700,
-            groups: 1,
-            threads: 1,
-            compiler: CompilerVersion::V7_1,
-        });
-        let base_bx2b = iteration_seconds(&Ins3dConfig {
-            kind: NodeKind::Bx2b,
-            groups: 1,
-            threads: 1,
-            compiler: CompilerVersion::V7_1,
-        });
-        PointOutput::row(vec!["1 (1x1)".into(), secs(base3700), secs(base_bx2b)])
-    });
-    for threads in [1usize, 2, 4, 8, 12, 14] {
-        plan.point_ok(move || {
-            let t3 = iteration_seconds(&Ins3dConfig::table2(NodeKind::Altix3700, threads));
-            let tb = iteration_seconds(&Ins3dConfig::table2(NodeKind::Bx2b, threads));
-            PointOutput::row(vec![
-                format!("{} (36x{})", 36 * threads, threads),
-                secs(t3),
-                secs(tb),
-            ])
-        });
-    }
-    plan.note("paper: BX2b ~50% faster; scaling good to 8 threads, decaying beyond");
-    plan
-}
-
-fn table3_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Table 3",
-        "OVERFLOW-D per-step times, 3700 vs BX2b (NUMAlink4, in-node)",
-        &["CPUs", "3700 comm", "3700 exec", "BX2b comm", "BX2b exec"],
-    );
-    for cpus in [32usize, 64, 128, 256, 508] {
-        plan.point(move || {
-            let a = step_times(&OverflowConfig::table3(NodeKind::Altix3700, cpus))?;
-            let b = step_times(&OverflowConfig::table3(NodeKind::Bx2b, cpus))?;
-            Ok(PointOutput::row(vec![
-                cpus.to_string(),
-                secs(a.comm),
-                secs(a.exec),
-                secs(b.comm),
-                secs(b.exec),
-            ]))
-        });
-    }
-    plan.note(
-        "paper: BX2b ~2x faster on average; 3700 comm/exec climbs from ~0.3 (256) past 0.5 (508)",
-    );
-    plan
-}
-
-fn stride_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "§4.2",
-        "CPU stride study: per-CPU STREAM triad and DGEMM",
-        &["benchmark", "stride", "per-CPU result"],
-    );
-    for s in [1u32, 2, 4] {
-        plan.point_ok(move || {
-            let st = stream::simulate(NodeKind::Altix3700, 128, s);
-            PointOutput::row(vec![
-                "STREAM triad".into(),
-                s.to_string(),
-                format!("{} GB/s", gbs(st.triad())),
-            ])
-        });
-    }
-    for s in [1u32, 2, 4] {
-        plan.point_ok(move || {
-            let d = dgemm::simulate(NodeKind::Altix3700, s);
-            PointOutput::row(vec![
-                "DGEMM".into(),
-                s.to_string(),
-                format!("{} Gflop/s", gf(d.gflops_per_cpu)),
-            ])
-        });
-    }
-    plan.note("paper: triad 1.9x at stride 2 (bus unshared); DGEMM moves <0.5%");
-    plan
-}
-
-fn fig7_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Fig. 7",
-        "Pinning vs no pinning, SP-MZ class C on BX2b",
-        &["CPUs", "threads/proc", "pinned s/step", "unpinned s/step"],
-    );
-    for (procs, threads) in [(64usize, 1usize), (32, 2), (16, 8), (8, 16), (4, 32)] {
-        plan.point(move || {
-            let mut cfg = MzRunConfig::new(MzBenchmark::SpMz, MzClass::C, procs, threads);
-            let tp = mz_run(&cfg)?.seconds_per_step;
-            cfg.pinning = Pinning::Unpinned;
-            let tu = mz_run(&cfg)?.seconds_per_step;
-            Ok(PointOutput::row(vec![
-                (procs * threads).to_string(),
-                threads.to_string(),
-                secs(tp),
-                secs(tu),
-            ]))
-        });
-    }
-    plan.note(
-        "paper: pinning matters most for many threads/proc; pure process mode barely affected",
-    );
-    plan
-}
-
-fn fig8_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Fig. 8",
-        "Compiler versions on the OpenMP NPBs (BX2b, class B)",
-        &["bench", "threads", "7.1", "8.0", "8.1", "9.0b"],
-    );
-    for bench in NpbBenchmark::ALL {
-        for threads in [16u32, 64] {
-            plan.point(move || {
-                let mut g = Vec::new();
-                for &v in CompilerVersion::ALL.iter() {
-                    g.push(gf(gflops_per_cpu(
-                        bench,
-                        NpbClass::B,
-                        NodeKind::Bx2b,
-                        Paradigm::OpenMp,
-                        threads,
-                        v,
-                    )?));
-                }
-                Ok(PointOutput::row(vec![
-                    bench.name().into(),
-                    threads.to_string(),
-                    g[0].clone(),
-                    g[1].clone(),
-                    g[2].clone(),
-                    g[3].clone(),
-                ]))
-            });
-        }
-    }
-    plan.note("paper: 8.0 worst in most cases; 9.0b best on FT; MG crossover at 32 threads; no overall winner");
-    plan
-}
-
-fn table4_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Table 4",
-        "INS3D and OVERFLOW-D under Intel Fortran 7.1 vs 8.1",
-        &["application", "CPUs", "7.1", "8.1"],
-    );
-    for threads in [4usize, 8] {
-        plan.point_ok(move || {
-            let t71 = iteration_seconds(&Ins3dConfig {
-                compiler: CompilerVersion::V7_1,
-                ..Ins3dConfig::table2(NodeKind::Bx2b, threads)
-            });
-            let t81 = iteration_seconds(&Ins3dConfig {
-                compiler: CompilerVersion::V8_1,
-                ..Ins3dConfig::table2(NodeKind::Bx2b, threads)
-            });
-            PointOutput::row(vec![
-                "INS3D (s/step)".into(),
-                (36 * threads).to_string(),
-                secs(t71),
-                secs(t81),
-            ])
-        });
-    }
-    for procs in [32usize, 128] {
-        plan.point(move || {
-            let mk = |compiler| -> Result<f64, SimError> {
-                Ok(step_times(&OverflowConfig {
-                    compiler,
-                    ..OverflowConfig::table3(NodeKind::Altix3700, procs)
-                })?
-                .exec)
-            };
-            Ok(PointOutput::row(vec![
-                "OVERFLOW-D (s/step)".into(),
-                procs.to_string(),
-                secs(mk(CompilerVersion::V7_1)?),
-                secs(mk(CompilerVersion::V8_1)?),
-            ]))
-        });
-    }
-    plan.note("paper: INS3D negligible difference; OVERFLOW-D 7.1 wins 20-40% under 64 CPUs, identical above");
-    plan
-}
-
-fn fig9_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Fig. 9",
-        "BT-MZ class C under process/thread combinations (BX2b)",
-        &["procs", "threads", "CPUs", "total Gflop/s"],
-    );
-    for (procs, threads) in [
-        (16usize, 1usize),
-        (64, 1),
-        (256, 1),
-        (16, 4),
-        (64, 4),
-        (16, 16),
-        (16, 2),
-        (16, 8),
-    ] {
-        if procs * threads > 512 {
-            continue;
-        }
-        plan.point(move || {
-            let out = mz_run(&MzRunConfig::new(
-                MzBenchmark::BtMz,
-                MzClass::C,
-                procs,
-                threads,
-            ))?;
-            Ok(PointOutput::row(vec![
-                procs.to_string(),
-                threads.to_string(),
-                (procs * threads).to_string(),
-                gf(out.total_gflops),
-            ]))
-        });
-    }
-    plan.note("paper: MPI scales almost linearly until load imbalance; OpenMP drops quickly beyond 2 threads");
-    plan
-}
-
-fn fig10_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Fig. 10",
-        "Multinode b_eff: NUMAlink4 vs InfiniBand (BX2b nodes)",
-        &[
-            "pattern",
-            "fabric",
-            "nodes",
-            "CPUs",
-            "latency",
-            "bandwidth GB/s",
-        ],
-    );
-    let counts = [256u32, 1024, 2048];
-    for (nodes, inter) in [
-        (2u32, InterNodeFabric::NumaLink4),
-        (4, InterNodeFabric::NumaLink4),
-        (2, InterNodeFabric::InfiniBand),
-        (4, InterNodeFabric::InfiniBand),
-    ] {
-        plan.point_ok(move || {
-            let sweep = beff::multi_node_sweep(nodes, inter, MptVersion::Beta, &counts);
-            let mut out = PointOutput::default();
-            for pattern in Pattern::ALL {
-                for &n in &counts {
-                    let p = sweep.get(pattern, n).unwrap();
-                    out.rows.push(vec![
-                        pattern.name().into(),
-                        inter.name().into(),
-                        nodes.to_string(),
-                        n.to_string(),
-                        secs(p.latency),
-                        gbs(p.bandwidth),
-                    ]);
-                }
-            }
-            out
-        });
-    }
-    plan.note("paper: NL4 clearly better; IB random ring shows severe scalability problems");
-    plan
-}
-
-fn fig11_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Fig. 11",
-        "NPB-MZ class E across nodes and fabrics",
-        &["bench", "fabric", "MPT", "procs x threads", "total Gflop/s"],
-    );
-    let combos: [(usize, usize); 3] = [(256, 1), (512, 1), (512, 2)];
-    for bench in [MzBenchmark::BtMz, MzBenchmark::SpMz] {
-        for (inter, mpt) in [
-            (InterNodeFabric::NumaLink4, MptVersion::Beta),
-            (InterNodeFabric::InfiniBand, MptVersion::Released),
-            (InterNodeFabric::InfiniBand, MptVersion::Beta),
-        ] {
-            for (procs, threads) in combos {
-                plan.point(move || {
-                    let mut cfg = MzRunConfig::new(bench, MzClass::E, procs, threads);
-                    cfg.nodes = ((procs * threads) as u32).div_ceil(512).max(2);
-                    cfg.inter = inter;
-                    cfg.mpt = mpt;
-                    let out = mz_run(&cfg)?;
-                    Ok(PointOutput::row(vec![
-                        bench.name().into(),
-                        inter.name().into(),
-                        if mpt == MptVersion::Beta {
-                            "beta"
-                        } else {
-                            "released"
-                        }
-                        .into(),
-                        format!("{procs}x{threads}"),
-                        gf(out.total_gflops),
-                    ]))
-                });
-            }
-        }
-    }
-    plan.note("paper: BT-MZ near-linear, IB ~7% worse; SP-MZ 40% slower on IB with released MPT at 256, beta closes the gap");
-    plan
-}
-
-fn table5_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Table 5",
-        "MD weak scaling, 64,000 atoms per CPU, 100 steps",
-        &["CPUs", "atoms", "s/step", "comm s/step", "efficiency"],
-    );
-    for &cpus in &TABLE5_CPUS {
-        plan.point(move || {
-            // The 1-CPU efficiency baseline is a single-rank run —
-            // cheap enough to recompute per point, keeping points
-            // independent.
-            let base = weak_scaling_point(1)?;
-            let p = weak_scaling_point(cpus)?;
-            Ok(PointOutput::row(vec![
-                cpus.to_string(),
-                p.atoms.to_string(),
-                secs(p.seconds_per_step),
-                secs(p.comm_per_step),
-                format!("{:.1}%", 100.0 * p.efficiency_vs(&base)),
-            ]))
-        });
-    }
-    plan.note("paper: almost perfect scalability to 2040 CPUs; communication insignificant");
-    plan
-}
-
-fn table6_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Table 6",
-        "OVERFLOW-D across BX2b nodes: NUMAlink4 vs InfiniBand",
-        &[
-            "nodes", "CPUs", "NL4 comm", "NL4 exec", "IB comm", "IB exec",
-        ],
-    );
-    for (nodes, procs) in [(2u32, 256usize), (2, 508), (4, 1016)] {
-        if procs > 1679 {
-            continue;
-        }
-        plan.point(move || {
-            let mk = |inter| {
-                step_times(&OverflowConfig {
-                    kind: NodeKind::Bx2b,
-                    procs,
-                    threads: 1,
-                    nodes,
-                    inter,
-                    compiler: CompilerVersion::V8_1,
-                })
-            };
-            let nl = mk(InterNodeFabric::NumaLink4)?;
-            let ib = mk(InterNodeFabric::InfiniBand)?;
-            Ok(PointOutput::row(vec![
-                nodes.to_string(),
-                procs.to_string(),
-                secs(nl.comm),
-                secs(nl.exec),
-                secs(ib.comm),
-                secs(ib.exec),
-            ]))
-        });
-    }
-    plan.note("paper: NL4 totals ~10% better; reported comm reverses (IB lower)");
-    plan
-}
-
-/// The fault-injection seed used by the `degraded` experiment: results
-/// are deterministic, so the report is reproducible run to run.
+/// The fault-injection seed the shipped `degraded` and `trace` specs
+/// pin, and the `trace` kind's default: results are deterministic, so
+/// the reports are reproducible run to run.
 pub const DEGRADED_SEED: u64 = 42;
 
-/// The `degraded` experiment's shared run shape: BT-MZ class C, 256x4
-/// hybrid filling two BX2b nodes over InfiniBand (128 processes per
-/// node), under the given fault plan.
-fn degraded_cfg(faults: FaultPlan) -> MzRunConfig {
-    let mut c = MzRunConfig::new(MzBenchmark::BtMz, MzClass::C, 256, 4);
-    c.nodes = 2;
-    c.inter = InterNodeFabric::InfiniBand;
-    c.faults = faults;
-    c
-}
-
-/// One scenario row of the degraded report. The slowdown column (index
-/// 2) is left blank — it needs the healthy baseline, so the sweep's
-/// collation fills it from the per-point `values[0]` (s/step).
-fn degraded_row(label: String, out: &MzOutcome) -> PointOutput {
-    PointOutput::row(vec![
-        label,
-        secs(out.seconds_per_step),
-        String::new(),
-        out.faults.dropped_messages.to_string(),
-        secs(out.faults.retransmit_delay),
-        out.faults.multiplexed_messages.to_string(),
-    ])
-    .with_value(out.seconds_per_step)
-}
-
-/// Graceful degradation: the shared run shape re-run under a ladder of
-/// seeded fault plans, one independent sweep point per scenario.
-fn degraded_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Degraded",
-        "BT-MZ class C, 256x4 over 2 BX2b nodes (InfiniBand) under seeded faults",
-        &[
-            "scenario",
-            "s/step",
-            "slowdown",
-            "dropped",
-            "retransmit s",
-            "muxed msgs",
-        ],
-    );
-    // Drops surface at the MPT level here, not the hardware level, so
-    // the first retransmit waits a software timeout, not IB's 100 µs.
-    fn drops(prob: f64) -> FaultPlan {
-        let mut plan = FaultPlan::with_drops(DEGRADED_SEED, prob);
-        plan.retransmit.timeout = 5.0e-3;
-        plan
-    }
-    plan.point(|| {
-        let healthy = mz_run(&degraded_cfg(FaultPlan::none()))?;
-        Ok(degraded_row("healthy".into(), &healthy))
-    });
-    for drop_prob in [0.02, 0.05, 0.10, 0.20] {
-        plan.point(move || {
-            let out = mz_run(&degraded_cfg(drops(drop_prob)))?;
-            Ok(degraded_row(
-                format!("drop {:.0}%", 100.0 * drop_prob),
-                &out,
-            ))
-        });
-    }
-    plan.point(|| {
-        let out = mz_run(&degraded_cfg(FaultPlan::none().degrade_link(
-            NodeId(0),
-            NodeId(1),
-            4.0,
-            0.25,
-        )))?;
-        Ok(degraded_row("degraded link (4x lat, 1/4 bw)".into(), &out))
-    });
-    plan.point(|| {
-        let out = mz_run(&degraded_cfg(
-            FaultPlan::none().fail_link(NodeId(0), NodeId(1)),
-        ))?;
-        Ok(degraded_row("failed link (rerouted)".into(), &out))
-    });
-    // Node 0 holds the heaviest zones (bin_pack seeds rank 0 with the
-    // largest), so slowing it drags the whole barrier-synced run.
-    plan.point(|| {
-        let out = mz_run(&degraded_cfg(FaultPlan::none().slow_node(NodeId(0), 2.0)))?;
-        Ok(degraded_row("slow node 0 (2x compute)".into(), &out))
-    });
-    // A budget half of the p^2(n-1) = 128^2 connections each node
-    // needs, with the Multiplex fallback: the run completes, paying a
-    // queuing penalty per inter-node message instead of failing.
-    const TIGHT: ConnectionLimit = ConnectionLimit {
-        cards_per_node: 1,
-        connections_per_card: 8192,
-        policy: ConnectionPolicy::Multiplex {
-            queue_penalty: DEFAULT_MULTIPLEX_QUEUE_PENALTY,
-        },
-    };
-    plan.point(|| {
-        let out = mz_run(&degraded_cfg(
-            FaultPlan::none().with_connection_limit(TIGHT),
-        ))?;
-        Ok(degraded_row(
-            "connections halved (multiplexed)".into(),
-            &out,
-        ))
-    });
-    plan.point(|| {
-        let mut out = PointOutput::default();
-        if let Err(err) = mz_run(&degraded_cfg(FaultPlan::none().with_connection_limit(
-            ConnectionLimit {
-                policy: ConnectionPolicy::Fail,
-                ..TIGHT
-            },
-        ))) {
-            out.notes
-                .push(format!("same budget under a fail-fast policy: {err}"));
-        }
-        Ok(out)
-    });
-    // The slowdown column divides every scenario's s/step by the
-    // healthy baseline (point 0) — a cross-point reduction, so it lives
-    // in the collation, not the points.
-    plan.collate_with(|report, outputs| {
-        let healthy = outputs
-            .first()
-            .and_then(|o| o.values.first())
-            .copied()
-            .unwrap_or(f64::NAN);
-        for o in &outputs {
-            for row in &o.rows {
-                let mut row = row.clone();
-                if let Some(v) = o.values.first() {
-                    row[2] = format!("{:.3}x", v / healthy);
-                }
-                report.push_row(row);
-            }
-        }
-        for o in outputs {
-            for note in o.notes {
-                report.note(note);
-            }
-        }
-    });
-    plan.note("connection budget follows the paper's section 2 formula: p^2(n-1) connections per node, 8 cards x 64K each on the real machine");
-    plan.note("drop/retransmit ladder mirrors Fig. 11's released-MPT slowdown on InfiniBand; the degraded-link row is the same mechanism as the section 4.6.4 I/O-induced anomaly");
-    plan
-}
-
-/// Observability demo: a deliberately imbalanced halo-exchange workload
-/// (16 ranks split across two BX2b nodes over InfiniBand, seeded drops)
-/// captured by a [`RecordingTracer`] and rendered as the top-N hotspot
-/// table. `repro --exp trace --trace t.json --metrics m.json` exports
-/// the same run as a Perfetto-loadable timeline and counter dump.
-/// Parameters of one traced-exchange demo run — the `trace`
-/// experiment's shape, exposed so `core::spec`'s `kind = "trace"` can
-/// drive the identical code path with spec-supplied values.
+/// Parameters of one traced-exchange demo run — `core::spec`'s
+/// `kind = "trace"`: a deliberately imbalanced halo-exchange workload
+/// (by default 16 ranks split across two BX2b nodes over InfiniBand,
+/// seeded drops) captured by a [`RecordingTracer`] and rendered as the
+/// top-N hotspot table. `repro --exp trace --trace t.json --metrics
+/// m.json` exports the same run as a Perfetto-loadable timeline and
+/// counter dump.
 #[derive(Debug, Clone)]
 pub(crate) struct TraceParams {
     /// Report id (feeds the hotspot table header).
@@ -921,10 +203,10 @@ pub(crate) struct TraceParams {
 
 impl Default for TraceParams {
     fn default() -> Self {
+        // `id` and `title` always come from the spec's `[report]`.
         TraceParams {
-            id: "Trace".into(),
-            title: "hotspots of an imbalanced 16-rank exchange over 2 nodes (InfiniBand, 5% drops)"
-                .into(),
+            id: String::new(),
+            title: String::new(),
             ranks: 16,
             nodes: 2,
             drop_prob: 0.05,
@@ -1001,19 +283,6 @@ pub(crate) fn trace_output(p: &TraceParams) -> Result<PointOutput, SimError> {
     })
 }
 
-fn trace_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Trace",
-        "hotspots of an imbalanced 16-rank exchange over 2 nodes (InfiniBand, 5% drops)",
-        &["rank", "compute", "comm", "wait", "total", "wait %"],
-    );
-    plan.point(|| trace_output(&TraceParams::default()));
-    plan.note(
-        "re-run as `repro --exp trace --trace t.json --metrics m.json` for the Perfetto timeline",
-    );
-    plan
-}
-
 /// The SPMD template both Columbia points run: ring rounds with a
 /// node-pairing exchange and a small allreduce, closed by a broadcast
 /// and a barrier. `Xor(512)` pairs whole 512-CPU nodes (node 2k with
@@ -1047,37 +316,12 @@ fn columbia_template() -> Vec<SpmdOp> {
     t
 }
 
-/// Full-machine engine-scaling demo: the whole 2004 Columbia
-/// installation — twenty 512-CPU nodes, 10,240 ranks — running one SPMD
-/// workload over InfiniBand under the §2 connection budget, plus the
-/// four-node 2,048-CPU NUMAlink4 capability subsystem. Runs on the
-/// compact [`ProgramSet`] + [`CachedFabric`] + monomorphized engine
-/// path; a run at this scale is only seconds *because* of those
-/// optimizations (see `cargo bench -p columbia-bench --bench simnet`).
-fn columbia_plan() -> SweepPlan {
-    let mut plan = SweepPlan::new(
-        "Columbia",
-        "full-machine SPMD run: all twenty nodes, 10,240 ranks",
-        &[
-            "configuration",
-            "ranks",
-            "nodes",
-            "fabric",
-            "makespan",
-            "mean comm",
-            "max comm",
-            "multiplexed msgs",
-        ],
-    );
-    plan.point(columbia_full_output);
-    plan.point(columbia_subsystem_output);
-    plan.note("workload: 3 rounds of (compute, 8 KB ring send/recv, 32 KB node-pair exchange, 64 B allreduce), then a 1 MB broadcast and a barrier, shared across ranks as one ProgramSet template");
-    plan
-}
-
 /// The full-machine Columbia point (all twenty nodes over InfiniBand
-/// under the §2 connection budget) — shared with `core::spec`'s
-/// `kind = "columbia"`.
+/// under the §2 connection budget) — `core::spec`'s
+/// `kind = "columbia"`, config `full-machine`. Runs on the compact
+/// [`ProgramSet`] + [`CachedFabric`] + monomorphized engine path; a run
+/// at this scale is only seconds *because* of those optimizations (see
+/// `cargo bench -p columbia-bench --bench simnet`).
 pub(crate) fn columbia_full_output() -> Result<PointOutput, SimError> {
     {
         let cluster = ClusterConfig::columbia();
@@ -1125,7 +369,8 @@ pub(crate) fn columbia_full_output() -> Result<PointOutput, SimError> {
 }
 
 /// The capability-subsystem Columbia point (four NUMAlink4 nodes,
-/// 2,048 ranks) — shared with `core::spec`'s `kind = "columbia"`.
+/// 2,048 ranks) — `core::spec`'s `kind = "columbia"`, config
+/// `subsystem`.
 pub(crate) fn columbia_subsystem_output() -> Result<PointOutput, SimError> {
     {
         let cluster = ClusterConfig::columbia();
@@ -1158,43 +403,44 @@ pub(crate) fn columbia_subsystem_output() -> Result<PointOutput, SimError> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
 
     #[test]
     fn names_round_trip() {
-        for e in Experiment::ALL {
-            assert_eq!(Experiment::parse(e.name()), Some(e));
+        for (name, _) in EXPERIMENTS {
+            assert_eq!(job(name).map(|j| j.name), Some(name.to_string()));
         }
-        assert_eq!(Experiment::parse("nope"), None);
+        assert!(job("nope").is_none());
     }
 
     #[test]
     fn bt_mz_aliases_fig9() {
-        assert_eq!(Experiment::parse("bt_mz"), Some(Experiment::Fig9));
-        assert_eq!(Experiment::parse("bt-mz"), Some(Experiment::Fig9));
+        assert_eq!(job("bt_mz").map(|j| j.name), Some("fig9".into()));
+        assert_eq!(job("bt-mz").map(|j| j.name), Some("fig9".into()));
     }
 
     #[test]
     fn hpcc_aliases_the_dgemm_stream_table() {
-        assert_eq!(Experiment::parse("hpcc"), Some(Experiment::DgemmStream));
+        assert_eq!(job("hpcc").map(|j| j.name), Some("dgemm-stream".into()));
     }
 
     #[test]
     fn every_plan_decomposes_into_points() {
-        for e in Experiment::ALL {
-            let p = plan(e);
-            assert!(!p.is_empty(), "{e:?} has no sweep points");
+        for (name, _) in EXPERIMENTS {
+            assert!(!plan(name).is_empty(), "{name} has no sweep points");
         }
         // The sweep-heavy experiments expose real parallelism.
         // 4 benches x 2 paradigms x 3 node kinds.
-        assert!(plan(Experiment::Fig6).len() >= 24);
-        assert!(plan(Experiment::Degraded).len() >= 10);
-        assert_eq!(plan(Experiment::Table1).len(), 1);
+        assert!(plan("fig6").len() >= 24);
+        assert!(plan("degraded").len() >= 10);
+        assert_eq!(plan("table1").len(), 1);
     }
 
     #[test]
     fn trace_report_finds_the_waiting_ranks() {
-        let r = run(Experiment::Trace);
+        let r = run("trace");
         // Top-8 of 16 ranks.
         assert_eq!(r.rows.len(), 8);
         // The compute skew makes rank 15 the laggard, so it never tops
@@ -1217,7 +463,7 @@ mod tests {
 
     #[test]
     fn table1_reproduces_node_table() {
-        let r = run(Experiment::Table1);
+        let r = run("table1");
         let text = r.to_text();
         assert!(text.contains("Itanium2 1.6 GHz/9 MB"));
         assert!(text.contains("NUMAlink3"));
@@ -1226,7 +472,7 @@ mod tests {
 
     #[test]
     fn stride_report_shows_the_1_9x_gain() {
-        let r = run(Experiment::Stride);
+        let r = run("stride");
         // Row 0 = stride 1, row 1 = stride 2 of STREAM triad.
         let dense: f64 = r.rows[0][2]
             .split_whitespace()
@@ -1246,19 +492,28 @@ mod tests {
 
     #[test]
     fn table2_runs_all_thread_counts() {
-        let r = run(Experiment::Table2);
+        let r = run("table2");
         assert_eq!(r.rows.len(), 7); // baseline + 6 thread counts
         assert!(r.rows[6][0].contains("504"));
     }
 
+    // The two sweeps below run at `--jobs 2` to keep both cores busy;
+    // a report is byte-identical at any job count.
+
     #[test]
     fn table5_shows_flat_scaling() {
-        let r = run(Experiment::Table5);
+        let r = run_with_jobs("table5", 2);
         let eff_last: f64 = r.rows.last().unwrap()[4]
             .trim_end_matches('%')
             .parse()
             .unwrap();
         assert!(eff_last > 90.0, "eff={eff_last}%");
+    }
+
+    /// The degraded report, computed once for the tests that read it.
+    fn degraded() -> &'static Report {
+        static REPORT: OnceLock<Report> = OnceLock::new();
+        REPORT.get_or_init(|| run_with_jobs("degraded", 2))
     }
 
     /// Parse the `{:.3}x` slowdown column of the degraded report.
@@ -1268,7 +523,7 @@ mod tests {
 
     #[test]
     fn degraded_inflation_is_monotone_in_drop_rate() {
-        let r = run(Experiment::Degraded);
+        let r = degraded();
         // Rows 0..=4: healthy, then drop 2/5/10/20%.
         assert_eq!(r.rows[0][0], "healthy");
         assert_eq!(slowdown(&r.rows[0]), 1.0);
@@ -1294,7 +549,7 @@ mod tests {
 
     #[test]
     fn degraded_faults_each_leave_a_mark() {
-        let r = run(Experiment::Degraded);
+        let r = degraded();
         // Every non-healthy scenario must cost time, gracefully.
         for row in &r.rows[1..] {
             assert!(slowdown(row) >= 1.0, "{}: {}", row[0], row[2]);
@@ -1332,7 +587,7 @@ mod tests {
             required: 786_432,
             available: 524_288,
         };
-        let r = failure_report(Experiment::Fig11.name(), &err);
+        let r = failure_report("fig11", &err);
         let text = r.to_text();
         assert!(text.contains("node 3"), "{text}");
         assert!(text.contains("Fault model"), "{text}");

@@ -16,10 +16,11 @@
 //! Quick start:
 //!
 //! ```
-//! use columbia::experiments::{run, Experiment};
+//! use columbia::experiments::run;
 //!
-//! // Regenerate the paper's Table 1 (node characteristics).
-//! let report = run(Experiment::Table1);
+//! // Regenerate the paper's Table 1 (node characteristics) from its
+//! // embedded spec, `specs/table1.toml`.
+//! let report = run("table1");
 //! assert!(report.to_text().contains("NUMAlink4"));
 //! ```
 //!
@@ -49,11 +50,11 @@ pub mod spec;
 pub mod store;
 pub mod sweep;
 
-pub use experiments::{run, run_with_jobs, Experiment};
+pub use experiments::{run, run_with_jobs};
 pub use manifest::{ManifestBuilder, ResilienceSummary, RunManifest, Volatile};
 pub use obs_report::{analysis_report, hotspot_report};
 pub use report::{Report, ReportError};
-pub use spec::{compile, load_and_compile, spec_hash, Spec, SpecError, SPEC_SCHEMA};
+pub use spec::{compile, spec_hash, Spec, SpecError, SpecJob, SPEC_SCHEMA};
 pub use store::{PointKey, PointStore, StoreError};
 pub use sweep::{PointError, PointOutput, ResilienceOptions, SweepOutcome, SweepPlan, SweepStats};
 

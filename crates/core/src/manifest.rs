@@ -43,33 +43,6 @@ pub fn report_hash(report: &Report) -> String {
     format!("{:032x}", h.finish())
 }
 
-/// The shared stable fields of one `experiments[]` entry.
-fn experiment_entry(
-    name: &str,
-    fingerprint: u64,
-    points: usize,
-    report: &Report,
-    stats: Option<&SweepStats>,
-) -> Value {
-    let mut e = Value::object();
-    e.set("name", Value::String(name.into()));
-    e.set(
-        "plan_fingerprint",
-        Value::String(format!("{fingerprint:016x}")),
-    );
-    e.set("points", Value::Number(points as f64));
-    e.set("report_id", Value::String(report.id.clone()));
-    e.set("report_hash", Value::String(report_hash(report)));
-    e.set(
-        "stats",
-        match stats {
-            Some(s) => s.to_value(),
-            None => Value::Null,
-        },
-    );
-    e
-}
-
 /// The resilience configuration a run executed under, as recorded in
 /// the manifest (a summary, not the live [`crate::ResilienceOptions`]
 /// — that struct owns a store handle and closures the manifest cannot
@@ -156,26 +129,13 @@ impl ManifestBuilder {
 
     /// Record one executed experiment: its plan identity (name,
     /// shape fingerprint, point count), the content hash of the report
-    /// it rendered, and — for resilient runs — its [`SweepStats`].
+    /// it rendered, for resilient runs its [`SweepStats`], and a
+    /// trailing `spec` object pinning the run to the exact spec text
+    /// that produced it — the FNV-128 content hash of the spec bytes
+    /// ([`crate::spec::spec_hash`]) and the resolved point count after
+    /// grid expansion. Everything lands in the stable portion: same
+    /// spec, same manifest, whether it ran as `--exp` or `--spec`.
     pub fn record_experiment(
-        &mut self,
-        name: &str,
-        fingerprint: u64,
-        points: usize,
-        report: &Report,
-        stats: Option<&SweepStats>,
-    ) {
-        let e = experiment_entry(name, fingerprint, points, report, stats);
-        self.experiments.push(e);
-    }
-
-    /// Record one spec-driven experiment (`repro --spec`). Identical to
-    /// [`Self::record_experiment`] plus a trailing `spec` object pinning
-    /// the run to the exact spec text that produced it: the FNV-128
-    /// content hash of the spec bytes ([`crate::spec::spec_hash`]) and
-    /// the resolved point count after grid expansion. Both live in the
-    /// stable portion — same spec, same manifest.
-    pub fn record_spec_experiment(
         &mut self,
         name: &str,
         fingerprint: u64,
@@ -184,7 +144,22 @@ impl ManifestBuilder {
         stats: Option<&SweepStats>,
         spec_content_hash: &str,
     ) {
-        let mut e = experiment_entry(name, fingerprint, points, report, stats);
+        let mut e = Value::object();
+        e.set("name", Value::String(name.into()));
+        e.set(
+            "plan_fingerprint",
+            Value::String(format!("{fingerprint:016x}")),
+        );
+        e.set("points", Value::Number(points as f64));
+        e.set("report_id", Value::String(report.id.clone()));
+        e.set("report_hash", Value::String(report_hash(report)));
+        e.set(
+            "stats",
+            match stats {
+                Some(s) => s.to_value(),
+                None => Value::Null,
+            },
+        );
         let mut s = Value::object();
         s.set("content_hash", Value::String(spec_content_hash.into()));
         s.set("points", Value::Number(points as f64));
@@ -287,7 +262,14 @@ mod tests {
             failed: 1,
             checkpoint_errors: 0,
         };
-        b.record_experiment("table9", 0xdead_beef, 3, &demo_report(), Some(&stats));
+        b.record_experiment(
+            "table9",
+            0xdead_beef,
+            3,
+            &demo_report(),
+            Some(&stats),
+            &crate::spec::spec_hash(b"demo spec"),
+        );
         b.finish(&Volatile {
             wall_time_seconds: wall,
             git_rev: git_rev(),

@@ -1,20 +1,20 @@
 //! Lower a validated [`Spec`] onto a [`SweepPlan`].
 //!
 //! Each `[[sweep]]` block expands its grid (cartesian product of the
-//! declared axes, first axis slowest — matching the hard-coded plans'
-//! loop nesting) into independent sweep points. A point binds its axis
+//! declared axes, first axis slowest, like nested loops) into
+//! independent sweep points. A point binds its axis
 //! values, evaluates derived parameters, builds one typed measurement
 //! [`Task`], and renders the block's row/note templates from the
 //! task's output bindings. All validation — parameter types, enum
 //! names, template placeholders, vector-parameter shapes — happens
 //! here at compile time, so a compiled point can only fail with the
-//! simulator's own [`SimError`], exactly like a hard-coded plan.
+//! simulator's own [`SimError`].
 //!
-//! The measurement kinds deliberately call the same crate entry points
-//! as `crate::experiments` (and, for the three free-form kinds
-//! `table1`/`trace`/`columbia`, the *same functions*), which is what
-//! makes the shipped `specs/` files byte-identical to their `--exp`
-//! counterparts.
+//! The measurement kinds call the workload crates' entry points
+//! directly; the three free-form kinds `table1`/`trace`/`columbia`
+//! call helpers in `crate::experiments`. The shipped `specs/` are the
+//! experiments: `repro --exp` compiles them from their embedded text,
+//! and `tests/golden/` pins every report byte.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1247,8 +1247,7 @@ impl Task {
             }
             Task::MdWeak { cpus } => {
                 // The 1-CPU efficiency baseline is recomputed per point,
-                // keeping points independent (same as the hard-coded
-                // Table 5 plan).
+                // keeping points independent.
                 let base = weak_scaling_point(1)?;
                 let p = weak_scaling_point(*cpus)?;
                 let mut b = BTreeMap::new();
@@ -1343,8 +1342,8 @@ fn expand_sweep(plan: &mut SweepPlan, sweep: &SweepSpec, spec: &Spec) -> Result<
         ));
     }
 
-    // Odometer over the axes, first axis slowest (the hard-coded
-    // plans' loop nesting order).
+    // Odometer over the axes, first axis slowest (nested-loop
+    // order).
     let mut idx = vec![0usize; axes.len()];
     loop {
         expand_point(plan, sweep, spec, &axes, &idx)?;
@@ -1581,8 +1580,8 @@ fn expand_point(
                 let mut po = PointOutput::default();
                 if expect_error {
                     // The measurement was expected to fail but did not:
-                    // contribute nothing (the hard-coded degraded plan's
-                    // behaviour for its fail-fast probe).
+                    // contribute nothing (the degraded experiment's
+                    // fail-fast probe).
                     return Ok(po);
                 }
                 if let Some(raw) = t.raw {

@@ -1,15 +1,13 @@
 //! `core::spec` — the declarative sweep-spec frontend.
 //!
-//! ROADMAP item 1: turn the 17+1 hard-coded experiments into "one
-//! engine plus data". A spec file (TOML subset, or JSON via the
+//! Every experiment is data: a spec file (TOML subset, or JSON via the
 //! vendored `serde_json`) declares a report shape plus a list of sweep
 //! blocks — parameter grids over node kind, fabric, compiler, pinning,
 //! fault plan, workload, class, and rank count, with cartesian
 //! products, explicit point lists, and simple derived parameters — and
 //! [`compile`] lowers it onto the existing [`crate::sweep::SweepPlan`]
 //! machinery. Everything downstream (parallel execution, resilience,
-//! checkpointing, manifests, analysis) is unchanged; `repro --spec
-//! file.toml` is just another way to construct a plan.
+//! checkpointing, manifests, analysis) is unchanged.
 //!
 //! The pipeline:
 //!
@@ -22,16 +20,16 @@
 //! edit-distance suggestion ("did you mean 'class'?"). All validation
 //! — types, enum values, template placeholders, derived expressions —
 //! happens at compile time, so a compiled plan's points can only fail
-//! with the simulator's own `SimError`, exactly like the hard-coded
-//! plans. Specs are content-addressable two ways: [`spec_hash`] is the
-//! FNV-128 of the spec bytes (recorded in run manifests), and the
-//! compiled plan's [`crate::sweep::SweepPlan::fingerprint`] identifies
-//! the plan shape.
+//! with the simulator's own `SimError`. Specs are content-addressable
+//! two ways: [`spec_hash`] is the FNV-128 of the spec bytes (recorded
+//! in run manifests), and the compiled plan's
+//! [`crate::sweep::SweepPlan::fingerprint`] identifies the plan shape.
 //!
-//! The shipped `specs/` directory holds one spec per hard-coded
-//! experiment; `tests/spec_equivalence.rs` proves each compiles to
-//! byte-identical report output. DESIGN.md §14 is the language
-//! reference.
+//! [`SpecJob`] is the one constructor both `repro` entry points use:
+//! `--spec file.toml` reads the file once, `--exp name` takes the text
+//! of `specs/<name>.toml` embedded in [`crate::experiments`], and
+//! either way the plan and the content hash come from the same bytes.
+//! DESIGN.md §14 is the language reference.
 
 mod compile;
 mod expr;
@@ -199,24 +197,52 @@ pub fn load_json_str(text: &str) -> Result<Spec, SpecError> {
     from_json(text)
 }
 
-/// Load a spec from disk; `.json` selects the JSON alternate form,
-/// anything else parses as the TOML subset.
-pub fn load_path(path: &Path) -> Result<Spec, SpecError> {
-    let text = std::fs::read_to_string(path).map_err(|e| SpecError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })?;
-    if path.extension().is_some_and(|e| e == "json") {
-        load_json_str(&text)
-    } else {
-        load_str(&text)
-    }
+/// One named, compiled spec: what `repro` runs for each `--spec` file
+/// and each `--exp` name. The plan and [`SpecJob::content_hash`] are
+/// derived from the same bytes, so a manifest can never pin spec text
+/// that did not run.
+#[derive(Debug)]
+pub struct SpecJob {
+    /// Experiment name: the `--exp` name, or a spec file's stem. Keys
+    /// the checkpoint store's subdirectory and the manifest entry.
+    pub name: String,
+    /// The compiled sweep.
+    pub plan: SweepPlan,
+    /// [`spec_hash`] of the compiled text.
+    pub content_hash: String,
 }
 
-/// Load and compile a spec file into a runnable plan in one step — the
-/// `repro --spec` entry point.
-pub fn load_and_compile(path: &Path) -> Result<SweepPlan, SpecError> {
-    compile(&load_path(path)?)
+impl SpecJob {
+    /// Compile spec `text` (the JSON alternate form when `json`, else
+    /// the TOML subset) as the experiment `name`, hashing exactly the
+    /// bytes compiled.
+    pub fn from_text(name: &str, text: &str, json: bool) -> Result<SpecJob, SpecError> {
+        let spec = if json {
+            load_json_str(text)?
+        } else {
+            load_str(text)?
+        };
+        Ok(SpecJob {
+            name: name.to_string(),
+            plan: compile(&spec)?,
+            content_hash: spec_hash(text.as_bytes()),
+        })
+    }
+
+    /// Read a spec file once and compile it, named by its file stem —
+    /// the `repro --spec` entry point. `.json` selects the JSON form.
+    pub fn load(path: &Path) -> Result<SpecJob, SpecError> {
+        let text = std::fs::read_to_string(path).map_err(|e| SpecError::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        })?;
+        let name = path.file_stem().map_or_else(
+            || path.display().to_string(),
+            |s| s.to_string_lossy().into_owned(),
+        );
+        let json = path.extension().is_some_and(|e| e == "json");
+        SpecJob::from_text(&name, &text, json)
+    }
 }
 
 #[cfg(test)]

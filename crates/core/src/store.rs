@@ -18,14 +18,14 @@
 //! ```
 //!
 //! where the plan fingerprint ([`crate::sweep::SweepPlan::fingerprint`])
-//! folds in the plan id, title, headers, and point count. Every
-//! experiment derives its machine config, SPMD program, fault plan, and
-//! seed deterministically from its id (the `DEGRADED_SEED` discipline),
-//! so `(experiment, fingerprint, index)` *is* a content address for the
-//! inputs the tentpole names — change the plan shape and the key moves,
-//! orphaning stale entries instead of serving them. The versioned
-//! domain prefix lets the format evolve without ever misreading an old
-//! entry.
+//! folds in the plan's *shape* — id, title, headers, and point count —
+//! not its parameters. Change the shape and the key moves, orphaning
+//! stale entries instead of serving them. A spec edited without
+//! changing its shape (a different class, fabric, or seed at the same
+//! point count) keeps its keys, so the store would serve the old
+//! results: run an edited spec against a fresh `--checkpoint-dir`. The
+//! versioned domain prefix lets the format evolve without ever
+//! misreading an old entry.
 //!
 //! # Durability
 //!
@@ -57,8 +57,8 @@ pub const STORE_VERSION: u64 = 1;
 /// The canonical identity of one sweep point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointKey {
-    /// Experiment id (`repro --exp` name, or the plan id for ad-hoc
-    /// sweeps).
+    /// Experiment id (`repro --exp` name or `--spec` file stem, or the
+    /// plan id for ad-hoc sweeps).
     pub experiment: String,
     /// Fingerprint of the owning plan's shape
     /// ([`crate::sweep::SweepPlan::fingerprint`]).

@@ -363,10 +363,9 @@ impl SweepPlan {
 
     /// A 64-bit fingerprint of the plan's *shape* — id, title, headers,
     /// and point count — folded into every checkpoint key. Point
-    /// closures are opaque, but every experiment derives its machine
-    /// config, program, fault plan, and seed deterministically from its
-    /// id, so a shape change is exactly when old checkpoint entries
-    /// must stop resolving.
+    /// closures are opaque, so parameters are not covered: a spec edit
+    /// that keeps the shape keeps the fingerprint (see `core::store`
+    /// on when a checkpoint directory must start fresh).
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv128::new();
         h.update(b"columbia-sweep-plan\0");

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example hpcc_suite`
 
-use columbia::experiments::{run, Experiment};
+use columbia::experiments::run;
 use columbia::kernels::stream::measure;
 use columbia::machine::memory::StreamOp;
 
@@ -19,8 +19,8 @@ fn main() {
         );
     }
     println!();
-    println!("{}", run(Experiment::DgemmStream).to_text());
-    println!("{}", run(Experiment::Stride).to_text());
-    println!("{}", run(Experiment::Fig5).to_text());
-    println!("{}", run(Experiment::Fig10).to_text());
+    println!("{}", run("dgemm-stream").to_text());
+    println!("{}", run("stride").to_text());
+    println!("{}", run("fig5").to_text());
+    println!("{}", run("fig10").to_text());
 }

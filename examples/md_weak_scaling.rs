@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example md_weak_scaling`
 
-use columbia::experiments::{run, Experiment};
+use columbia::experiments::run;
 use columbia::md::MdSystem;
 
 fn main() {
@@ -24,5 +24,5 @@ fn main() {
         ((e - e0) / e0).abs()
     );
 
-    println!("\n{}", run(Experiment::Table5).to_text());
+    println!("\n{}", run("table5").to_text());
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example node_shootout`
 
-use columbia::experiments::{run, Experiment};
+use columbia::experiments::run;
 use columbia::machine::node::NodeKind;
 use columbia::npb::{gflops_per_cpu, NpbBenchmark, NpbClass, Paradigm};
 use columbia::runtime::compiler::CompilerVersion;
@@ -36,6 +36,6 @@ fn main() {
         mg_b / mg_a
     );
 
-    println!("\n{}", run(Experiment::Fig6).to_text());
-    println!("{}", run(Experiment::Fig8).to_text());
+    println!("\n{}", run("fig6").to_text());
+    println!("{}", run("fig8").to_text());
 }

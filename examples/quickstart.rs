@@ -3,13 +3,13 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use columbia::experiments::{run, Experiment};
+use columbia::experiments::run;
 use columbia::hpcc::dgemm;
 use columbia::machine::node::NodeKind;
 
 fn main() {
     // The machine: Table 1, regenerated from the model.
-    println!("{}", run(Experiment::Table1).to_text());
+    println!("{}", run("table1").to_text());
 
     // One number everyone quotes: sustained DGEMM per CPU.
     for kind in NodeKind::ALL {

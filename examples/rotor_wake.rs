@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example rotor_wake`
 
-use columbia::experiments::{run, Experiment};
+use columbia::experiments::run;
 use columbia::overflowd::OversetPair;
 use columbia::overset::systems::rotor_wake;
 
@@ -30,6 +30,6 @@ fn main() {
         system.total_points() as f64 / 1e6
     );
 
-    println!("\n{}", run(Experiment::Table3).to_text());
-    println!("{}", run(Experiment::Table6).to_text());
+    println!("\n{}", run("table3").to_text());
+    println!("{}", run("table6").to_text());
 }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example turbopump`
 
-use columbia::experiments::{run, Experiment};
+use columbia::experiments::run;
 use columbia::ins3d::AcSolver;
 
 fn main() {
@@ -22,5 +22,5 @@ fn main() {
     );
 
     // Then the paper's Table 2 at Columbia scale.
-    println!("\n{}", run(Experiment::Table2).to_text());
+    println!("\n{}", run("table2").to_text());
 }

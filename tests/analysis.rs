@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use columbia::experiments::{run_with_jobs, Experiment};
+use columbia::experiments::run_with_jobs;
 use columbia::obs::host::{HostReport, HostSpan, HostTrack};
 use columbia::obs::{
     analyze, chrome_trace_with_host, sink, Analysis, CommProfile, Metrics, SpanEvent, SpanKind,
@@ -23,19 +23,19 @@ use serde_json::Value;
 /// here (the test harness runs threads in parallel).
 static SINK_LOCK: Mutex<()> = Mutex::new(());
 
-/// Capture every simulation `exp` runs at the given parallelism.
-fn capture(exp: Experiment, jobs: usize) -> Vec<TraceBundle> {
+/// Capture every simulation experiment `name` runs at the given
+/// parallelism.
+fn capture(name: &str, jobs: usize) -> Vec<TraceBundle> {
     sink::install();
-    let _ = run_with_jobs(exp, jobs);
+    let _ = run_with_jobs(name, jobs);
     sink::take()
 }
 
 #[test]
 fn analysis_of_a_real_experiment_is_jobs_independent() {
     let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let exp = Experiment::parse("table4").expect("table4 exists");
-    let serial = capture(exp, 1);
-    let parallel = capture(exp, 4);
+    let serial = capture("table4", 1);
+    let parallel = capture("table4", 4);
     assert!(!serial.is_empty(), "table4 records simulations");
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
@@ -49,8 +49,7 @@ fn analysis_of_a_real_experiment_is_jobs_independent() {
 #[test]
 fn critical_path_accounts_for_every_captured_makespan() {
     let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let exp = Experiment::parse("table4").expect("table4 exists");
-    for bundle in capture(exp, 2) {
+    for bundle in capture("table4", 2) {
         let a: Analysis = analyze(&bundle);
         let cp = &a.critical_path;
         assert!(!cp.truncated, "{}: walk terminated", bundle.label);

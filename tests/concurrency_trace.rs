@@ -7,7 +7,7 @@
 //! deterministic) once solo to establish the expected single-run shape,
 //! then twice concurrently.
 
-use columbia::experiments::{run, Experiment};
+use columbia::experiments::run;
 use columbia::obs::sink;
 use columbia::obs::TraceBundle;
 
@@ -15,7 +15,7 @@ use columbia::obs::TraceBundle;
 /// bundle.
 fn solo_bundle() -> TraceBundle {
     sink::install();
-    run(Experiment::Trace);
+    run("trace");
     let mut bundles = sink::take();
     assert_eq!(bundles.len(), 1, "trace experiment records one simulation");
     bundles.pop().unwrap()
@@ -31,7 +31,7 @@ fn two_threads_trace_two_disjoint_consistent_profiles() {
     sink::install();
     std::thread::scope(|scope| {
         for _ in 0..2 {
-            scope.spawn(|| run(Experiment::Trace));
+            scope.spawn(|| run("trace"));
         }
     });
     let bundles = sink::take();

@@ -1,4 +1,5 @@
-//! Golden-value regression suite.
+//! Golden-value regression suite: the harness every experiment runs
+//! through.
 //!
 //! Two layers of pinning, both deliberate-update-only (see
 //! `tests/README.md` for the workflow):
@@ -9,10 +10,22 @@
 //!    [`columbia::assert_close!`] against hand-pinned constants and a
 //!    tight relative tolerance. These catch accidental drift in
 //!    `machine::calib` or the fabric cost models.
-//! 2. **Report-text goldens** — one test per experiment comparing
-//!    `run(exp)` byte-for-byte against a fixture in `tests/golden/`.
-//!    Every simulation is seeded and collation is deterministic, so an
-//!    exact match is the correct bar.
+//! 2. **Experiment goldens** — one test per experiment. It compiles the
+//!    experiment's embedded spec (the constructor `repro --spec` runs
+//!    on a file), runs it at `--jobs 1` and at `--jobs 4`, and compares
+//!    both reports byte-for-byte against `tests/golden/<name>.txt`, so
+//!    the fixture pins the serial output and the parallel run proves
+//!    scheduling never leaks into a report. Every simulation is seeded
+//!    and collation is deterministic, so an exact match is the correct
+//!    bar. `golden_fingerprints` pins each plan's identity (fingerprint
+//!    and point count, `tests/golden/fingerprints.txt`), which
+//!    checkpoint stores and run manifests key on. The paper-shape
+//!    checks live in `core::experiments`, `integration_experiments.rs`
+//!    and `parallel_determinism.rs`.
+//!
+//! `--sim-threads` stays out of this harness: the PDES thread count is
+//! process-global, so setting it here would leak into the tests running
+//! beside it. `tests/pdes.rs` and CI's PDES gate cover it.
 //!
 //! # Updating a golden fixture
 //!
@@ -31,12 +44,13 @@
 use std::path::PathBuf;
 
 use columbia::assert_close;
-use columbia::experiments::{run, Experiment};
+use columbia::experiments::{plan, run_with_jobs, EXPERIMENTS};
 use columbia::hpcc::beff::{self, Pattern};
 use columbia::hpcc::{dgemm, stream};
 use columbia::machine::cluster::InterNodeFabric;
 use columbia::machine::node::{NodeKind, NodeModel};
 use columbia::simnet::fabric::MptVersion;
+use serde_json::Value;
 
 // ---- numeric goldens ----
 
@@ -141,20 +155,17 @@ fn golden_pingpong_latency_bandwidth_tiers() {
     assert_close!(p.bandwidth, 0.80e9, 0.01, "InfiniBand inter-node bandwidth");
 }
 
-// ---- report-text goldens ----
+// ---- experiment goldens ----
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../tests/golden/{name}.txt"))
-}
-
-/// Compare `run(exp)` against its fixture; regenerate under
-/// `UPDATE_GOLDEN=1` (which still fails the test, forcing a clean
-/// confirmation run — see the module docs).
-fn check_golden(exp: Experiment) {
-    let actual = format!("{}\n", run(exp).to_text());
-    let path = golden_path(exp.name());
+/// Compare `actual` against `tests/golden/<file>`; under
+/// `UPDATE_GOLDEN=1` rewrite the fixture instead, then fail anyway,
+/// forcing a clean confirmation run (see the module docs).
+fn check_fixture(file: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual)
+        std::fs::write(&path, actual)
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         panic!(
             "UPDATE_GOLDEN: rewrote {}; review `git diff tests/golden/`, \
@@ -174,45 +185,78 @@ fn check_golden(exp: Experiment) {
         // A unified line diff would hide whitespace churn; show both
         // sides and let the developer diff the written file instead.
         panic!(
-            "{} no longer matches tests/golden/{}.txt.\n\
+            "tests/golden/{file} no longer matches.\n\
              If the model change is intentional, run \
              `UPDATE_GOLDEN=1 cargo test --test golden_values`, review \
              `git diff tests/golden/`, and record why in EXPERIMENTS.md.\n\
-             --- golden ---\n{expected}\n--- actual ---\n{actual}",
-            exp.name(),
-            exp.name(),
+             --- golden ---\n{expected}\n--- actual ---\n{actual}"
         );
     }
 }
 
+/// Run experiment `name` at `--jobs 1` and `--jobs 4` and hold both
+/// reports to its fixture.
+fn check_golden(name: &str) {
+    let report = run_with_jobs(name, 1);
+    let serial = format!("{}\n", report.to_text());
+    let parallel = format!("{}\n", run_with_jobs(name, 4).to_text());
+    assert_eq!(
+        parallel, serial,
+        "{name}: the --jobs 4 report differs from --jobs 1"
+    );
+    check_fixture(&format!("{name}.txt"), &serial);
+    let json = serde_json::from_str(&report.to_json()).expect("report JSON parses");
+    assert_eq!(
+        json.get("id").and_then(Value::as_str),
+        Some(report.id.as_str()),
+        "{name}: the JSON form carries the report id"
+    );
+}
+
 macro_rules! golden_report {
-    ($($test:ident => $exp:expr,)+) => {
+    ($($test:ident => $name:literal,)+) => {
         $(
             #[test]
             fn $test() {
-                check_golden($exp);
+                check_golden($name);
             }
         )+
     };
 }
 
 golden_report! {
-    golden_report_table1 => Experiment::Table1,
-    golden_report_fig5 => Experiment::Fig5,
-    golden_report_dgemm_stream => Experiment::DgemmStream,
-    golden_report_fig6 => Experiment::Fig6,
-    golden_report_table2 => Experiment::Table2,
-    golden_report_table3 => Experiment::Table3,
-    golden_report_stride => Experiment::Stride,
-    golden_report_fig7 => Experiment::Fig7,
-    golden_report_fig8 => Experiment::Fig8,
-    golden_report_table4 => Experiment::Table4,
-    golden_report_fig9 => Experiment::Fig9,
-    golden_report_fig10 => Experiment::Fig10,
-    golden_report_fig11 => Experiment::Fig11,
-    golden_report_table5 => Experiment::Table5,
-    golden_report_table6 => Experiment::Table6,
-    golden_report_degraded => Experiment::Degraded,
-    golden_report_trace => Experiment::Trace,
-    golden_report_columbia => Experiment::Columbia,
+    golden_report_table1 => "table1",
+    golden_report_fig5 => "fig5",
+    golden_report_dgemm_stream => "dgemm-stream",
+    golden_report_fig6 => "fig6",
+    golden_report_table2 => "table2",
+    golden_report_table3 => "table3",
+    golden_report_stride => "stride",
+    golden_report_fig7 => "fig7",
+    golden_report_fig8 => "fig8",
+    golden_report_table4 => "table4",
+    golden_report_fig9 => "fig9",
+    golden_report_fig10 => "fig10",
+    golden_report_fig11 => "fig11",
+    golden_report_table5 => "table5",
+    golden_report_table6 => "table6",
+    golden_report_degraded => "degraded",
+    golden_report_trace => "trace",
+    golden_report_columbia => "columbia",
+}
+
+/// Every experiment's plan identity — `name fingerprint points`, one
+/// line each in paper order — as the embedded specs compile it. The
+/// checkpoint store and the run manifest both key on the fingerprint,
+/// so a moved line orphans existing `--checkpoint-dir` stores.
+#[test]
+fn golden_fingerprints() {
+    let actual: String = EXPERIMENTS
+        .iter()
+        .map(|(name, _)| {
+            let p = plan(name);
+            format!("{name} {:016x} {}\n", p.fingerprint(), p.len())
+        })
+        .collect();
+    check_fixture("fingerprints.txt", &actual);
 }

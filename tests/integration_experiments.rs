@@ -1,30 +1,26 @@
-//! Every experiment runner produces a well-formed report.
+//! The experiment table: unique names, and the experiments render
+//! well-formed, paper-shaped reports. The golden harness
+//! (`tests/golden_values.rs`) pins every report byte.
 
-use columbia::experiments::{run, Experiment};
+use columbia::experiments::{run, run_with_jobs, EXPERIMENTS};
 
 #[test]
 fn quick_experiments_render() {
-    // The fast subset — the heavyweight sweeps are exercised by the
-    // `repro` binary and the benches.
-    for exp in [
-        Experiment::Table1,
-        Experiment::DgemmStream,
-        Experiment::Stride,
-        Experiment::Fig5,
-        Experiment::Fig10,
-    ] {
-        let r = run(exp);
-        assert!(!r.rows.is_empty(), "{exp:?} produced no rows");
+    // The fast subset — the golden harness runs the heavyweight
+    // sweeps.
+    for name in ["table1", "dgemm-stream", "stride", "fig5", "fig10"] {
+        let r = run(name);
+        assert!(!r.rows.is_empty(), "{name} produced no rows");
         let text = r.to_text();
-        assert!(text.contains("=="), "{exp:?} header missing");
+        assert!(text.contains("=="), "{name} header missing");
         let json = r.to_json();
-        assert!(json.contains(&r.id), "{exp:?} JSON missing id");
+        assert!(json.contains(&r.id), "{name} JSON missing id");
     }
 }
 
 #[test]
 fn table2_shape_matches_paper() {
-    let r = run(Experiment::Table2);
+    let r = run("table2");
     // Parse the BX2b column: baseline row then thread rows.
     let parse = |s: &str| -> f64 { s.split_whitespace().next().unwrap().parse().unwrap() };
     let t1 = parse(&r.rows[1][2]); // 36x1
@@ -35,7 +31,8 @@ fn table2_shape_matches_paper() {
 
 #[test]
 fn table5_is_weak_scaling_flat() {
-    let r = run(Experiment::Table5);
+    // `--jobs 2` keeps both cores busy; the report is the same bytes.
+    let r = run_with_jobs("table5", 2);
     let first: f64 = r.rows[0][2]
         .split_whitespace()
         .next()
@@ -56,8 +53,8 @@ fn table5_is_weak_scaling_flat() {
 
 #[test]
 fn experiment_names_unique() {
-    let mut names: Vec<&str> = Experiment::ALL.iter().map(|e| e.name()).collect();
+    let mut names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     names.sort();
     names.dedup();
-    assert_eq!(names.len(), Experiment::ALL.len());
+    assert_eq!(names.len(), EXPERIMENTS.len());
 }

@@ -4,14 +4,14 @@
 //! The sink is process-global, so this binary holds exactly one test —
 //! parallel test threads in the same binary would interleave captures.
 
-use columbia::experiments::{run, Experiment};
+use columbia::experiments::run;
 use columbia::obs::sink;
 use columbia::obs::{chrome_trace, Track};
 
 #[test]
 fn trace_experiment_capture_and_chrome_export() {
     sink::install();
-    let report = run(Experiment::Trace);
+    let report = run("trace");
     let bundles = sink::take();
     assert!(report.to_text().contains("hotspots"));
     assert_eq!(bundles.len(), 1, "the demo runs exactly one simulation");

@@ -21,10 +21,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use columbia::experiments::{plan, run_resilient, run_with_jobs, Experiment};
+use columbia::experiments::{job, plan, run_with_jobs};
 use columbia::manifest::{report_hash, ManifestBuilder, ResilienceSummary, Volatile};
 use columbia::obs::{chrome_trace_with_host, host};
-use columbia::{PointStore, ResilienceOptions, RunManifest};
+use columbia::{PointStore, ResilienceOptions, RunManifest, SpecJob};
 use serde_json::Value;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -39,12 +39,19 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Build the manifest `repro --manifest` would for one plain run of
-/// `exp` on `jobs` threads.
-fn manifest_for(exp: Experiment, jobs: usize, wall: f64) -> RunManifest {
-    let report = run_with_jobs(exp, jobs);
-    let p = plan(exp);
+/// experiment `name` on `jobs` threads.
+fn manifest_for(name: &str, jobs: usize, wall: f64) -> RunManifest {
+    let report = run_with_jobs(name, jobs);
+    let job = job(name).expect("known experiment");
     let mut b = ManifestBuilder::new("repro", jobs, &ResilienceSummary::default());
-    b.record_experiment(exp.name(), p.fingerprint(), p.len(), &report, None);
+    b.record_experiment(
+        &job.name,
+        job.plan.fingerprint(),
+        job.plan.len(),
+        &report,
+        None,
+        &job.content_hash,
+    );
     b.finish(&Volatile {
         wall_time_seconds: wall,
         git_rev: columbia::manifest::git_rev(),
@@ -56,11 +63,11 @@ fn manifest_for(exp: Experiment, jobs: usize, wall: f64) -> RunManifest {
 #[test]
 fn manifests_of_identical_runs_are_byte_stable() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let a = manifest_for(Experiment::Table2, 1, 0.5);
-    let b = manifest_for(Experiment::Table2, 2, 7.5);
+    let a = manifest_for("table2", 1, 0.5);
+    let b = manifest_for("table2", 2, 7.5);
     // Different job counts are a *declared* stable field — they change
     // the stable part — so compare equal-jobs runs first.
-    let a2 = manifest_for(Experiment::Table2, 1, 99.0);
+    let a2 = manifest_for("table2", 1, 99.0);
     assert_eq!(
         a.stable_string(),
         a2.stable_string(),
@@ -77,7 +84,7 @@ fn manifests_of_identical_runs_are_byte_stable() {
         "jobs is part of the run's stable identity"
     );
     // And a different experiment moves the fingerprint + report hash.
-    let c = manifest_for(Experiment::Table1, 1, 0.5);
+    let c = manifest_for("table1", 1, 0.5);
     assert_ne!(a.stable_string(), c.stable_string());
 }
 
@@ -90,18 +97,17 @@ fn spec_manifest_entries_pin_spec_hash_and_points_in_the_stable_part() {
     .expect("shipped spec readable");
 
     let manifest_of = |spec_text: &str, wall: f64| -> RunManifest {
-        let spec = columbia::spec::load_str(spec_text).expect("spec parses");
-        let p = columbia::spec::compile(&spec).expect("spec compiles");
-        let (fingerprint, points) = (p.fingerprint(), p.len());
-        let report = p.run_with_jobs(1).expect("spec plan runs");
+        let job = SpecJob::from_text("table1", spec_text, false).expect("spec compiles");
+        let (fingerprint, points) = (job.plan.fingerprint(), job.plan.len());
+        let report = job.plan.run_with_jobs(1).expect("spec plan runs");
         let mut b = ManifestBuilder::new("repro", 1, &ResilienceSummary::default());
-        b.record_spec_experiment(
-            "table1",
+        b.record_experiment(
+            &job.name,
             fingerprint,
             points,
             &report,
             None,
-            &columbia::spec::spec_hash(spec_text.as_bytes()),
+            &job.content_hash,
         );
         b.finish(&Volatile {
             wall_time_seconds: wall,
@@ -157,9 +163,8 @@ fn spec_manifest_entries_pin_spec_hash_and_points_in_the_stable_part() {
 #[test]
 fn manifest_report_hash_matches_the_rendered_report() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let exp = Experiment::Table1;
-    let report = run_with_jobs(exp, 1);
-    let m = manifest_for(exp, 1, 0.0);
+    let report = run_with_jobs("table1", 1);
+    let m = manifest_for("table1", 1, 0.0);
     let doc = serde_json::from_str(&m.to_string_pretty()).expect("manifest parses");
     let exps = doc
         .get("experiments")
@@ -173,7 +178,7 @@ fn manifest_report_hash_matches_the_rendered_report() {
     );
     assert_eq!(
         exps[0].get("points").and_then(Value::as_f64),
-        Some(plan(exp).len() as f64)
+        Some(plan("table1").len() as f64)
     );
 }
 
@@ -181,8 +186,7 @@ fn manifest_report_hash_matches_the_rendered_report() {
 fn resilient_checkpointed_run_fills_worker_and_store_tracks() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("capture");
-    let exp = Experiment::Table2;
-    let points = plan(exp).len();
+    let points = plan("table2").len();
 
     // First run: cold store, capture on. Every point runs and saves.
     host::enable();
@@ -191,7 +195,7 @@ fn resilient_checkpointed_run_fills_worker_and_store_tracks() {
         resume: true,
         ..ResilienceOptions::default()
     };
-    let outcome = run_resilient(exp, 2, opts);
+    let outcome = plan("table2").run_resilient_with_jobs(2, opts);
     assert_eq!(outcome.stats.failed, 0);
     let report = host::take().expect("capture live");
     let job_spans = report.spans.iter().filter(|s| s.cat == "host.job").count();
@@ -222,7 +226,7 @@ fn resilient_checkpointed_run_fills_worker_and_store_tracks() {
         resume: true,
         ..ResilienceOptions::default()
     };
-    let outcome = run_resilient(exp, 2, opts);
+    let outcome = plan("table2").run_resilient_with_jobs(2, opts);
     assert_eq!(outcome.stats.resumed, points);
     let warm = host::take().expect("capture live");
     assert_eq!(warm.metrics.counter("store.hits") as usize, points);
@@ -263,6 +267,6 @@ fn resilient_checkpointed_run_fills_worker_and_store_tracks() {
 fn uncaptured_runs_leave_nothing_to_take() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     assert!(!host::is_enabled());
-    let _ = run_with_jobs(Experiment::Table1, 2);
+    let _ = run_with_jobs("table1", 2);
     assert!(host::take().is_none(), "no capture was enabled");
 }

@@ -1,28 +1,21 @@
 //! Determinism of the parallel sweep executor.
 //!
-//! The contract under test: `run_with_jobs(exp, N)` is **bit-identical**
-//! to the serial `run(exp)` for every experiment and every `N` —
-//! points may execute on any worker in any order, but collation is
-//! keyed by sweep index, so scheduling can never leak into a report.
+//! The contract under test: `run_with_jobs(N)` is **bit-identical** to
+//! the serial run for every plan and every `N` — points may execute on
+//! any worker in any order, but collation is keyed by sweep index, so
+//! scheduling can never leak into a report.
 //!
-//! Three layers:
-//!
-//! * a proptest over randomly generated synthetic sweep plans (sizes,
-//!   seeds, row shapes) across `N ∈ {1, 2, 7}`;
-//! * an exhaustive pass running every experiment at `jobs = 2` and
-//!   comparing byte-for-byte against the golden fixture in
-//!   `tests/golden/` (which the golden suite separately proves equal to
-//!   the serial output) — plus `jobs = 7` for the cheap experiments;
-//! * a row-order regression on the sweep whose points have the most
-//!   skewed durations (`degraded`), where out-of-order completion is
-//!   guaranteed in practice.
-//!
-//! CI closes the loop end-to-end by diffing the full `repro --jobs 2`
-//! output against `--jobs 1`.
+//! Here that is property-tested over randomly generated synthetic sweep
+//! plans (sizes, seeds, row shapes) across `N ∈ {1, 2, 7}`, plus
+//! oversubscribed `jobs = 7` passes over the cheap experiments and the
+//! degraded sweep, whose points finish out of order. The golden
+//! harness (`tests/golden_values.rs`) runs every experiment at
+//! `--jobs 1` and `--jobs 4` against its fixture, and CI diffs the full
+//! `repro --jobs 2` output against `--jobs 1`.
 
 use std::path::PathBuf;
 
-use columbia::experiments::{run_with_jobs, Experiment};
+use columbia::experiments::run_with_jobs;
 use columbia::{PointOutput, SweepPlan};
 use proptest::prelude::*;
 
@@ -79,9 +72,9 @@ proptest! {
     }
 }
 
-fn golden(exp: Experiment) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join(format!("../../tests/golden/{}.txt", exp.name()));
+fn golden(name: &str) -> String {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../tests/golden/{name}.txt"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden fixture {} (generate with \
@@ -91,43 +84,26 @@ fn golden(exp: Experiment) -> String {
     })
 }
 
-/// Every experiment, parallel vs the pinned serial output. The golden
-/// suite proves fixture == serial; this proves parallel == fixture;
-/// together: parallel == serial, for all 18.
-#[test]
-fn every_experiment_is_identical_at_jobs_2() {
-    for exp in Experiment::ALL {
-        let par = format!("{}\n", run_with_jobs(exp, 2).to_text());
-        assert_eq!(
-            par,
-            golden(exp),
-            "{} differs between --jobs 2 and the serial golden",
-            exp.name()
-        );
-    }
-}
-
 /// Oversubscribed pool (7 workers on this host's cores) for the cheap
 /// experiments — more workers than points for several of them, which
 /// exercises the pool's hand-off edge cases.
 #[test]
 fn cheap_experiments_are_identical_at_jobs_7() {
-    for exp in [
-        Experiment::Table1,
-        Experiment::Fig5,
-        Experiment::DgemmStream,
-        Experiment::Table2,
-        Experiment::Stride,
-        Experiment::Fig8,
-        Experiment::Fig10,
-        Experiment::Trace,
+    for name in [
+        "table1",
+        "fig5",
+        "dgemm-stream",
+        "table2",
+        "stride",
+        "fig8",
+        "fig10",
+        "trace",
     ] {
-        let par = format!("{}\n", run_with_jobs(exp, 7).to_text());
+        let par = format!("{}\n", run_with_jobs(name, 7).to_text());
         assert_eq!(
             par,
-            golden(exp),
-            "{} differs between --jobs 7 and the serial golden",
-            exp.name()
+            golden(name),
+            "{name} differs between --jobs 7 and the serial golden"
         );
     }
 }
@@ -140,7 +116,7 @@ fn cheap_experiments_are_identical_at_jobs_7() {
 /// point 0's value to derive every slowdown cell.
 #[test]
 fn degraded_rows_keep_serial_order_under_parallel_completion() {
-    let r = run_with_jobs(Experiment::Degraded, 7);
+    let r = run_with_jobs("degraded", 7);
     let scenarios: Vec<&str> = r.rows.iter().map(|row| row[0].as_str()).collect();
     assert_eq!(scenarios[0], "healthy");
     assert_eq!(
@@ -148,5 +124,5 @@ fn degraded_rows_keep_serial_order_under_parallel_completion() {
         ["drop 2%", "drop 5%", "drop 10%", "drop 20%"]
     );
     assert_eq!(r.rows[0][2], "1.000x", "healthy slowdown must be 1.000x");
-    assert_eq!(format!("{}\n", r.to_text()), golden(Experiment::Degraded));
+    assert_eq!(format!("{}\n", r.to_text()), golden("degraded"));
 }

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use columbia::experiments::{run_resilient, Experiment};
+use columbia::experiments::plan;
 use columbia::{PointError, PointOutput, PointStore, ResilienceOptions, SweepPlan, SweepStats};
 use proptest::prelude::*;
 
@@ -105,9 +105,9 @@ proptest! {
     }
 }
 
-fn golden(exp: Experiment) -> String {
+fn golden(name: &str) -> String {
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join(format!("../../tests/golden/{}.txt", exp.name()));
+        .join(format!("../../tests/golden/{name}.txt"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing golden fixture {} (generate with \
@@ -124,7 +124,6 @@ fn golden(exp: Experiment) -> String {
 /// re-run.
 #[test]
 fn killed_and_resumed_table2_matches_the_uninterrupted_golden() {
-    let exp = Experiment::Table2;
     let dir = temp_dir("table2");
     let opts = |resume| ResilienceOptions {
         store: Some(PointStore::open(dir.clone()).unwrap()),
@@ -133,9 +132,9 @@ fn killed_and_resumed_table2_matches_the_uninterrupted_golden() {
     };
 
     // Uninterrupted checkpointed run: already golden-identical.
-    let full = run_resilient(exp, 2, opts(false));
+    let full = plan("table2").run_resilient_with_jobs(2, opts(false));
     assert!(full.is_clean(), "{:?}", full.failures);
-    assert_eq!(format!("{}\n", full.report.to_text()), golden(exp));
+    assert_eq!(format!("{}\n", full.report.to_text()), golden("table2"));
     let total = full.stats.points;
     let store = PointStore::open(dir.clone()).unwrap();
     assert_eq!(store.len(), total, "every point checkpointed");
@@ -158,11 +157,11 @@ fn killed_and_resumed_table2_matches_the_uninterrupted_golden() {
         std::fs::write(survivor, &text[..text.len() / 2]).unwrap();
     }
 
-    let resumed = run_resilient(exp, 2, opts(true));
+    let resumed = plan("table2").run_resilient_with_jobs(2, opts(true));
     assert!(resumed.is_clean(), "{:?}", resumed.failures);
     assert_eq!(
         format!("{}\n", resumed.report.to_text()),
-        golden(exp),
+        golden("table2"),
         "resumed report must be byte-identical to the golden"
     );
     // The torn entry is a miss, so it re-ran alongside the deleted
@@ -176,16 +175,15 @@ fn killed_and_resumed_table2_matches_the_uninterrupted_golden() {
 /// over the repaired store serves every point from disk.
 #[test]
 fn fully_checkpointed_store_resumes_without_running_anything() {
-    let exp = Experiment::Table1;
     let dir = temp_dir("table1");
     let opts = |resume| ResilienceOptions {
         store: Some(PointStore::open(dir.clone()).unwrap()),
         resume,
         ..ResilienceOptions::default()
     };
-    let first = run_resilient(exp, 1, opts(false));
+    let first = plan("table1").run_resilient_with_jobs(1, opts(false));
     assert!(first.is_clean());
-    let again = run_resilient(exp, 1, opts(true));
+    let again = plan("table1").run_resilient_with_jobs(1, opts(true));
     assert_eq!(again.stats.resumed, again.stats.points);
     assert_eq!(first.report.to_text(), again.report.to_text());
     let _ = std::fs::remove_dir_all(&dir);

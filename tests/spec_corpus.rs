@@ -23,7 +23,7 @@
 
 use std::path::{Path, PathBuf};
 
-use columbia::spec::{compile, load_path};
+use columbia::SpecJob;
 
 fn corpus_dir(sub: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -106,9 +106,9 @@ fn valid_corpus_compiles_and_pins_plan_shapes() {
     assert_no_orphans(&dir);
     let mut updated = false;
     for spec in &files {
-        let plan = load_path(spec)
-            .and_then(|s| compile(&s))
-            .unwrap_or_else(|e| panic!("valid fixture {} rejected: {e}", spec.display()));
+        let plan = SpecJob::load(spec)
+            .unwrap_or_else(|e| panic!("valid fixture {} rejected: {e}", spec.display()))
+            .plan;
         let actual = format!(
             "fingerprint = {:016x}\npoints = {}\n",
             plan.fingerprint(),
@@ -131,12 +131,12 @@ fn invalid_corpus_is_rejected_with_pinned_diagnostics() {
     assert_no_orphans(&dir);
     let mut updated = false;
     for spec in &files {
-        let err = match load_path(spec).and_then(|s| compile(&s)) {
+        let err = match SpecJob::load(spec) {
             Err(e) => e,
-            Ok(plan) => panic!(
+            Ok(job) => panic!(
                 "invalid fixture {} compiled to a {}-point plan",
                 spec.display(),
-                plan.len()
+                job.plan.len()
             ),
         };
         assert!(

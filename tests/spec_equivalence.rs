@@ -1,29 +1,22 @@
-//! Spec-frontend equivalence suite.
+//! Spec-frontend equivalence suite: `repro --spec specs/<name>.toml`
+//! and `repro --exp <name>` are the same job.
 //!
-//! The contract of `specs/`: every shipped spec file compiles to a
-//! plan whose report is **byte-identical** to its hard-coded `--exp`
-//! counterpart, which the golden fixtures in `tests/golden/` already
-//! pin. Three layers per experiment:
+//! Every experiment exists once, as `specs/<name>.toml`. `--exp` runs
+//! the copy embedded in `core::experiments` through the constructor
+//! `--spec` runs on the file ([`SpecJob`]). Per experiment, this suite
+//! loads the file the way `--spec` does and holds it to the embedded
+//! job: the same name (so both share one checkpoint namespace), the
+//! same content hash (so both record the same manifest `spec` object)
+//! and the same plan fingerprint. A mismatch means the two entry
+//! points diverged.
 //!
-//! 1. the compiled plan's fingerprint equals the hard-coded plan's
-//!    (same id, title, headers, point count);
-//! 2. the rendered report equals the golden fixture byte-for-byte at
-//!    `--jobs 1`;
-//! 3. the rendered report is unchanged at `--jobs 4` (spec-built plans
-//!    inherit the sweep engine's scheduling determinism).
-//!
-//! There is no `UPDATE_GOLDEN` path here on purpose: these tests
-//! compare against the same fixtures as `tests/golden_values.rs`, so a
-//! deliberate model change updates the fixture once (over there) and
-//! this suite proves the spec file still tracks it. A failure here
-//! with a passing golden suite means the *spec* drifted from the
-//! hard-coded plan — fix the spec (or the spec compiler), not the
-//! fixture.
+//! Nothing runs here: `tests/golden_values.rs` runs every experiment
+//! once per job count and pins its report and plan identity.
 
 use std::path::PathBuf;
 
-use columbia::experiments::{plan, Experiment};
-use columbia::spec::load_and_compile;
+use columbia::experiments::{self, EXPERIMENTS};
+use columbia::SpecJob;
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -31,88 +24,60 @@ fn repo_path(rel: &str) -> PathBuf {
         .join(rel)
 }
 
-fn golden(name: &str) -> String {
-    let path = repo_path(&format!("tests/golden/{name}.txt"));
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()))
-}
-
-fn check(exp: Experiment) {
-    let name = exp.name();
-    let spec_path = repo_path(&format!("specs/{name}.toml"));
-    let compiled = load_and_compile(&spec_path)
+fn check(name: &str) {
+    let file = SpecJob::load(&repo_path(&format!("specs/{name}.toml")))
         .unwrap_or_else(|e| panic!("specs/{name}.toml failed to compile: {e}"));
-
-    let hard = plan(exp);
+    let embedded = experiments::job(name).expect("listed experiment");
     assert_eq!(
-        compiled.fingerprint(),
-        hard.fingerprint(),
-        "{name}: spec-built plan fingerprint diverges from the hard-coded plan \
-         (id, title, headers, or point count changed)"
-    );
-
-    let expected = golden(name);
-    let serial = format!(
-        "{}\n",
-        compiled
-            .run_with_jobs(1)
-            .unwrap_or_else(|e| panic!("specs/{name}.toml failed to run: {e}"))
-            .to_text()
+        file.name, embedded.name,
+        "--spec names the job by file stem"
     );
     assert_eq!(
-        serial, expected,
-        "specs/{name}.toml report (jobs=1) diverges from tests/golden/{name}.txt"
-    );
-
-    let parallel = format!(
-        "{}\n",
-        load_and_compile(&spec_path)
-            .unwrap()
-            .run_with_jobs(4)
-            .unwrap_or_else(|e| panic!("specs/{name}.toml failed to run at jobs=4: {e}"))
-            .to_text()
+        file.content_hash, embedded.content_hash,
+        "{name}: the embedded spec is not the text of specs/{name}.toml"
     );
     assert_eq!(
-        parallel, expected,
-        "specs/{name}.toml report (jobs=4) diverges from tests/golden/{name}.txt"
+        file.plan.fingerprint(),
+        embedded.plan.fingerprint(),
+        "{name}: --spec and --exp build differently shaped plans"
     );
 }
 
 macro_rules! equivalence {
-    ($($test:ident => $exp:ident),* $(,)?) => {
+    ($($test:ident => $name:literal),* $(,)?) => {
         $(
             #[test]
             fn $test() {
-                check(Experiment::$exp);
+                check($name);
             }
         )*
     };
 }
 
 equivalence! {
-    spec_table1 => Table1,
-    spec_fig5 => Fig5,
-    spec_dgemm_stream => DgemmStream,
-    spec_fig6 => Fig6,
-    spec_table2 => Table2,
-    spec_table3 => Table3,
-    spec_stride => Stride,
-    spec_fig7 => Fig7,
-    spec_fig8 => Fig8,
-    spec_table4 => Table4,
-    spec_fig9 => Fig9,
-    spec_fig10 => Fig10,
-    spec_fig11 => Fig11,
-    spec_table5 => Table5,
-    spec_table6 => Table6,
-    spec_degraded => Degraded,
-    spec_trace => Trace,
-    spec_columbia => Columbia,
+    spec_table1 => "table1",
+    spec_fig5 => "fig5",
+    spec_dgemm_stream => "dgemm-stream",
+    spec_fig6 => "fig6",
+    spec_table2 => "table2",
+    spec_table3 => "table3",
+    spec_stride => "stride",
+    spec_fig7 => "fig7",
+    spec_fig8 => "fig8",
+    spec_table4 => "table4",
+    spec_fig9 => "fig9",
+    spec_fig10 => "fig10",
+    spec_fig11 => "fig11",
+    spec_table5 => "table5",
+    spec_table6 => "table6",
+    spec_degraded => "degraded",
+    spec_trace => "trace",
+    spec_columbia => "columbia",
 }
 
-/// The directory and the experiment list stay in lockstep: every
-/// experiment has a spec, and every spec is an experiment's (no
-/// orphaned files accumulating untested).
+/// The directory and the name table stay in lockstep: every experiment
+/// has a spec, and every spec is an experiment's (no orphaned files
+/// accumulating untested).
 #[test]
 fn specs_directory_is_exactly_the_experiment_set() {
     let dir = repo_path("specs");
@@ -123,9 +88,9 @@ fn specs_directory_is_exactly_the_experiment_set() {
         .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
         .collect();
     found.sort();
-    let mut expected: Vec<String> = Experiment::ALL
+    let mut expected: Vec<String> = EXPERIMENTS
         .iter()
-        .map(|e| e.name().to_string())
+        .map(|(name, _)| name.to_string())
         .collect();
     expected.sort();
     assert_eq!(found, expected);
