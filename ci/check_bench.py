@@ -10,7 +10,7 @@ regressions relative to the committed baseline are the job of the
 floor.)
 
 Usage:
-    check_bench.py bench.json --require mailbox_ring_512 [more...]
+    check_bench.py bench.json --require pdes_columbia_10240 [more...]
 
 Exits nonzero if a required bench is missing from the file or any
 present known bench violates its bound. Unknown benches are reported
@@ -24,10 +24,6 @@ import sys
 # bench name -> (metric, comparison, bound). ">=" is a floor the metric
 # must clear; "<" is a ceiling it must stay under.
 CHECKS = {
-    # Mailbox index fast path vs. the reference HashMap mailbox.
-    "mailbox_ring_512": ("speedup", ">=", 1.2),
-    # Pair-class cost cache + monomorphized dispatch vs. uncached dyn.
-    "engine_ring_2048": ("speedup", ">=", 1.5),
     # Disabled host-telemetry hooks vs. a bare loop over the same jobs.
     "host_obs_overhead": ("overhead_pct", "<", 2.0),
     # Conservative PDES tier at 4 threads vs. the serial engine on the

@@ -1,16 +1,10 @@
 //! Fault-injection benches: engine overhead and makespan inflation of
-//! a faulted fabric versus the healthy baseline — plus the mailbox
-//! fast-path before/after comparison, reported as a machine-readable
-//! `BENCH JSON` line (CI greps these into the bench artifact).
+//! a faulted fabric versus the healthy baseline.
 
-use std::time::Instant;
-
-use columbia_bench::BenchRecord;
 use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia_machine::node::NodeKind;
-use columbia_simnet::engine::simulate_reference_mailbox;
 use columbia_simnet::fabric::{ClusterFabric, MptVersion};
-use columbia_simnet::{simulate_with_faults, FaultPlan, Op};
+use columbia_simnet::{simulate_on, FaultPlan, Op};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// Two BX2b nodes, `per_node` ranks each, ring exchange with compute.
@@ -48,7 +42,7 @@ fn ring_setup(per_node: usize) -> (Vec<Vec<Op>>, Vec<CpuId>, ClusterFabric) {
 
 fn bench_fault_rates(c: &mut Criterion) {
     let (programs, cpus, fabric) = ring_setup(256);
-    let healthy = simulate_with_faults(&programs, &cpus, &fabric, &FaultPlan::none())
+    let healthy = simulate_on(&programs, &cpus, &fabric, &FaultPlan::none())
         .unwrap()
         .makespan;
 
@@ -56,7 +50,7 @@ fn bench_fault_rates(c: &mut Criterion) {
     g.sample_size(10);
     for drop_pct in [0u32, 2, 5, 10, 20] {
         let plan = FaultPlan::with_drops(42, drop_pct as f64 / 100.0);
-        let out = simulate_with_faults(&programs, &cpus, &fabric, &plan).unwrap();
+        let out = simulate_on(&programs, &cpus, &fabric, &plan).unwrap();
         // The quantity under study: simulated-time inflation per rate.
         eprintln!(
             "faults/drop_{drop_pct}pct: makespan {:.3} ms, inflation {:.3}x, {} drops",
@@ -65,59 +59,9 @@ fn bench_fault_rates(c: &mut Criterion) {
             out.faults.drop_events,
         );
         g.bench_function(format!("ring_512_drop_{drop_pct}pct"), |b| {
-            b.iter(|| simulate_with_faults(&programs, &cpus, &fabric, &plan).unwrap());
+            b.iter(|| simulate_on(&programs, &cpus, &fabric, &plan).unwrap());
         });
     }
-    g.finish();
-}
-
-/// Mean wall nanoseconds per call of `f` over `iters` timed runs
-/// (after `warmup` discarded ones).
-fn time_ns(warmup: u32, iters: u32, mut f: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// The engine serial hot path, before and after the mailbox index:
-/// 512 ranks, 10 ring rounds (~15K messages pushed/popped per run).
-/// The `BENCH JSON` line records both sides and the speedup so the
-/// comparison lands in the CI bench artifact.
-fn bench_mailbox_fastpath(c: &mut Criterion) {
-    let (programs, cpus, fabric) = ring_setup(256);
-    let plan = FaultPlan::none();
-    let indexed_out = simulate_with_faults(&programs, &cpus, &fabric, &plan).unwrap();
-    let reference_out = simulate_reference_mailbox(&programs, &cpus, &fabric, &plan).unwrap();
-    assert_eq!(
-        indexed_out, reference_out,
-        "mailbox implementations must agree before they are compared"
-    );
-
-    let reference_ns = time_ns(2, 10, || {
-        simulate_reference_mailbox(&programs, &cpus, &fabric, &plan).unwrap();
-    });
-    let indexed_ns = time_ns(2, 10, || {
-        simulate_with_faults(&programs, &cpus, &fabric, &plan).unwrap();
-    });
-    BenchRecord::new("mailbox_ring_512", "speedup", true)
-        .metric("reference_ns_per_iter", reference_ns, 0)
-        .metric("indexed_ns_per_iter", indexed_ns, 0)
-        .metric("speedup", reference_ns / indexed_ns, 3)
-        .emit();
-
-    let mut g = c.benchmark_group("mailbox");
-    g.sample_size(10);
-    g.bench_function("ring_512_reference_hashmap", |b| {
-        b.iter(|| simulate_reference_mailbox(&programs, &cpus, &fabric, &plan).unwrap());
-    });
-    g.bench_function("ring_512_indexed", |b| {
-        b.iter(|| simulate_with_faults(&programs, &cpus, &fabric, &plan).unwrap());
-    });
     g.finish();
 }
 
@@ -135,16 +79,11 @@ fn bench_fault_kinds(c: &mut Criterion) {
     ];
     for (name, plan) in plans {
         g.bench_function(name, |b| {
-            b.iter(|| simulate_with_faults(&programs, &cpus, &fabric, &plan).unwrap());
+            b.iter(|| simulate_on(&programs, &cpus, &fabric, &plan).unwrap());
         });
     }
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_mailbox_fastpath,
-    bench_fault_rates,
-    bench_fault_kinds
-);
+criterion_group!(benches, bench_fault_rates, bench_fault_kinds);
 criterion_main!(benches);

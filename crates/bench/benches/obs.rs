@@ -1,10 +1,9 @@
 //! Observability overhead: the tracer hooks must be free when disabled.
 //!
-//! The engine is generic over `Tracer`, so the `NullTracer` variants
-//! here should be indistinguishable from the plain `simulate_with_faults`
-//! path (the hooks monomorphize to nothing); the acceptance bar is <2%
-//! on the 512-rank ring. The `RecordingTracer` rows measure what a full
-//! capture actually costs.
+//! The engine is generic over `Tracer`, so the untraced
+//! `ring_512_baseline` — `simulate` under the `NullTracer` — carries no
+//! instrumentation (the hooks monomorphize to nothing). The
+//! `RecordingTracer` rows measure what a full capture actually costs.
 //!
 //! The host-telemetry hooks in the sweep executor carry the same
 //! contract at job granularity: with no capture live, every hook is
@@ -21,8 +20,8 @@ use columbia_bench::BenchRecord;
 use columbia_machine::cluster::{ClusterConfig, CpuId};
 use columbia_machine::node::NodeKind;
 use columbia_simnet::fabric::ClusterFabric;
-use columbia_simnet::obs::{NullTracer, RecordingTracer};
-use columbia_simnet::{simulate_traced, simulate_with_faults, FaultPlan, Op};
+use columbia_simnet::obs::RecordingTracer;
+use columbia_simnet::{simulate, simulate_on, FaultPlan, Op};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn ring(n: usize, rounds: u64) -> Vec<Vec<Op>> {
@@ -55,15 +54,12 @@ fn bench_tracer_overhead(c: &mut Criterion) {
     let programs = ring(n, 10);
     let plan = FaultPlan::none();
     g.bench_function("ring_512_baseline", |b| {
-        b.iter(|| simulate_with_faults(&programs, &cpus, &fabric, &plan).unwrap());
-    });
-    g.bench_function("ring_512_null_tracer", |b| {
-        b.iter(|| simulate_traced(&programs, &cpus, &fabric, &plan, &mut NullTracer).unwrap());
+        b.iter(|| simulate_on(&programs, &cpus, &fabric, &plan).unwrap());
     });
     g.bench_function("ring_512_recording_tracer", |b| {
         b.iter(|| {
             let mut tracer = RecordingTracer::new();
-            simulate_traced(&programs, &cpus, &fabric, &plan, &mut tracer).unwrap()
+            simulate(&programs, &cpus, &fabric, &plan, &mut tracer, 1).unwrap()
         });
     });
     g.finish();
@@ -111,7 +107,7 @@ fn bench_host_overhead(c: &mut Criterion) {
     let plan = FaultPlan::none();
     let jobs = 8usize;
     let point = |_i: usize| {
-        simulate_with_faults(&programs, &cpus, &fabric, &plan)
+        simulate_on(&programs, &cpus, &fabric, &plan)
             .unwrap()
             .makespan
     };
@@ -162,7 +158,7 @@ fn bench_analysis_cost(c: &mut Criterion) {
     let programs = ring(n, 10);
     let plan = FaultPlan::none();
     let mut tracer = RecordingTracer::new();
-    simulate_traced(&programs, &cpus, &fabric, &plan, &mut tracer).unwrap();
+    simulate(&programs, &cpus, &fabric, &plan, &mut tracer, 1).unwrap();
     let bundle = tracer.into_bundle("analysis bench");
 
     let (capture_ns, analyze_ns) = time_pair_ns(
@@ -170,9 +166,7 @@ fn bench_analysis_cost(c: &mut Criterion) {
         30,
         || {
             let mut t = RecordingTracer::new();
-            std::hint::black_box(
-                simulate_traced(&programs, &cpus, &fabric, &plan, &mut t).unwrap(),
-            );
+            std::hint::black_box(simulate(&programs, &cpus, &fabric, &plan, &mut t, 1).unwrap());
         },
         || {
             std::hint::black_box(columbia::obs::analyze(&bundle));

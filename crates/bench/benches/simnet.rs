@@ -1,9 +1,7 @@
 //! Simulator-engine benches: raw event throughput of the
-//! discrete-event core, plus the engine-scaling before/after comparison
-//! (pair-class cost cache + monomorphized dispatch vs. the dynamic
-//! uncached path), reported as a machine-readable `BENCH JSON` line so
-//! CI can track the engine throughput trajectory and enforce the
-//! speedup floor.
+//! discrete-event core, plus the PDES scaling curve on the
+//! full-Columbia run, reported as a machine-readable `BENCH JSON` line
+//! so CI can track its trajectory and enforce the speedup floor.
 
 use std::time::Instant;
 
@@ -14,8 +12,7 @@ use columbia_simnet::fabric::{CachedFabric, ClusterFabric, MptVersion};
 use columbia_simnet::fault::DEFAULT_MULTIPLEX_QUEUE_PENALTY;
 use columbia_simnet::program::{ByteRule, Peer, ProgramSet, SpmdOp};
 use columbia_simnet::{
-    simulate, simulate_on, simulate_parallel_on, simulate_with_faults, ConnectionLimit,
-    ConnectionPolicy, FaultPlan, Op,
+    simulate_on, simulate_parallel_on, ConnectionLimit, ConnectionPolicy, FaultPlan, Op,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -44,7 +41,7 @@ fn bench_engine(c: &mut Criterion) {
                 ops
             })
             .collect();
-        b.iter(|| simulate(&programs, &cpus, &fabric).unwrap());
+        b.iter(|| simulate_on(&programs, &cpus, &fabric, &FaultPlan::none()).unwrap());
     });
     g.bench_function("alltoall_1024_ranks", |b| {
         let fabric = ClusterFabric::single_node(ClusterConfig::uniform(NodeKind::Bx2b, 2));
@@ -62,7 +59,7 @@ fn bench_engine(c: &mut Criterion) {
                 ]
             })
             .collect();
-        b.iter(|| simulate(&programs, &cpus, &fabric).unwrap());
+        b.iter(|| simulate_on(&programs, &cpus, &fabric, &FaultPlan::none()).unwrap());
     });
     g.finish();
 }
@@ -82,78 +79,6 @@ fn time_ns(warmup: u32, iters: u32, mut f: impl FnMut()) -> f64 {
         best = best.min(start.elapsed().as_nanos() as f64);
     }
     best
-}
-
-/// The engine hot loop before and after the pair-class cost cache,
-/// monomorphized dispatch, and compact SPMD programs: a 2,048-rank ring
-/// round-robined over four BX2b nodes on InfiniBand with the released
-/// MPT, so every one of the ~20K messages per run crosses nodes and —
-/// on the uncached path — re-evaluates the `powf`-laden penalty model
-/// per message through a vtable. Outcomes are asserted bit-identical
-/// before anything is timed; the `BENCH JSON` line lands in the CI
-/// bench artifact, where the smoke step enforces the ≥1.5x floor.
-fn bench_engine_scaling(c: &mut Criterion) {
-    let n = 2048usize;
-    let nodes = 4usize;
-    let fabric = ClusterFabric::new(
-        ClusterConfig::uniform(NodeKind::Bx2b, nodes as u32),
-        InterNodeFabric::InfiniBand,
-        MptVersion::Released,
-        n as u32,
-    );
-    let cached = CachedFabric::new(fabric.clone());
-    // Round-robin placement: rank r on node r mod 4, so every ring hop
-    // crosses the inter-node fabric.
-    let cpus: Vec<CpuId> = (0..n)
-        .map(|r| CpuId::new((r % nodes) as u32, (r / nodes) as u32))
-        .collect();
-    let template: Vec<SpmdOp> = (0..10)
-        .flat_map(|_| {
-            [
-                SpmdOp::Send {
-                    to: Peer::RingOffset(1),
-                    bytes: ByteRule::Uniform(8192),
-                    tag: 0,
-                },
-                SpmdOp::Recv {
-                    from: Peer::RingOffset(-1),
-                    tag: 0,
-                },
-            ]
-        })
-        .collect();
-    let set = ProgramSet::spmd(n, template);
-    let programs = set.materialize();
-    let plan = FaultPlan::none();
-
-    let reference_out = simulate_with_faults(&programs, &cpus, &fabric, &plan).unwrap();
-    let cached_out = simulate_on(&set, &cpus, &cached, &plan).unwrap();
-    assert_eq!(
-        reference_out, cached_out,
-        "cached engine path must be bit-identical before it is timed"
-    );
-
-    let reference_ns = time_ns(3, 40, || {
-        simulate_with_faults(&programs, &cpus, &fabric, &plan).unwrap();
-    });
-    let cached_ns = time_ns(3, 40, || {
-        simulate_on(&set, &cpus, &cached, &plan).unwrap();
-    });
-    BenchRecord::new("engine_ring_2048", "speedup", true)
-        .metric("reference_ns_per_iter", reference_ns, 0)
-        .metric("cached_ns_per_iter", cached_ns, 0)
-        .metric("speedup", reference_ns / cached_ns, 3)
-        .emit();
-
-    let mut g = c.benchmark_group("engine_scaling");
-    g.sample_size(10);
-    g.bench_function("ring_2048_reference_dyn_uncached", |b| {
-        b.iter(|| simulate_with_faults(&programs, &cpus, &fabric, &plan).unwrap());
-    });
-    g.bench_function("ring_2048_cached_monomorphized", |b| {
-        b.iter(|| simulate_on(&set, &cpus, &cached, &plan).unwrap());
-    });
-    g.finish();
 }
 
 /// PDES scaling curve on the full-Columbia workload: the twenty-node,
@@ -254,10 +179,5 @@ fn bench_pdes_scaling(_c: &mut Criterion) {
     rec.emit();
 }
 
-criterion_group!(
-    benches,
-    bench_engine,
-    bench_engine_scaling,
-    bench_pdes_scaling
-);
+criterion_group!(benches, bench_engine, bench_pdes_scaling);
 criterion_main!(benches);

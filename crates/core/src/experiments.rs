@@ -26,7 +26,9 @@ use columbia_runtime::placement::{Placement, PlacementStrategy};
 use columbia_simnet::fabric::{CachedFabric, ClusterFabric, MptVersion};
 use columbia_simnet::fault::DEFAULT_MULTIPLEX_QUEUE_PENALTY;
 use columbia_simnet::program::{ByteRule, Peer, ProgramSet, SpmdOp};
-use columbia_simnet::{simulate_on, ConnectionLimit, ConnectionPolicy, FaultPlan, SimError};
+use columbia_simnet::{
+    sim_threads, simulate_parallel_on, ConnectionLimit, ConnectionPolicy, FaultPlan, SimError,
+};
 
 use crate::obs_report::hotspot_report;
 use crate::report::{secs, Report};
@@ -321,7 +323,8 @@ fn columbia_template() -> Vec<SpmdOp> {
 /// `kind = "columbia"`, config `full-machine`. Runs on the compact
 /// [`ProgramSet`] + [`CachedFabric`] + monomorphized engine path; a run
 /// at this scale is only seconds *because* of those optimizations (see
-/// `cargo bench -p columbia-bench --bench simnet`).
+/// `cargo bench -p columbia-bench --bench simnet`). Both Columbia points
+/// simulate on [`sim_threads`] threads (`repro --sim-threads`).
 pub(crate) fn columbia_full_output() -> Result<PointOutput, SimError> {
     {
         let cluster = ClusterConfig::columbia();
@@ -350,7 +353,7 @@ pub(crate) fn columbia_full_output() -> Result<PointOutput, SimError> {
             ranks as u32,
         ));
         let set = ProgramSet::spmd(ranks, columbia_template());
-        let out = simulate_on(&set, &cpus, &fabric, &faults)?;
+        let out = simulate_parallel_on(&set, &cpus, &fabric, &faults, sim_threads())?;
         Ok(PointOutput::row(vec![
             "full machine".into(),
             ranks.to_string(),
@@ -387,7 +390,7 @@ pub(crate) fn columbia_subsystem_output() -> Result<PointOutput, SimError> {
             ranks as u32,
         ));
         let set = ProgramSet::spmd(ranks, columbia_template());
-        let out = simulate_on(&set, &cpus, &fabric, &FaultPlan::none())?;
+        let out = simulate_parallel_on(&set, &cpus, &fabric, &FaultPlan::none(), sim_threads())?;
         Ok(PointOutput::row(vec![
             "capability subsystem".into(),
             ranks.to_string(),
@@ -502,12 +505,17 @@ mod tests {
 
     #[test]
     fn table5_shows_flat_scaling() {
+        // `--jobs 2` keeps both cores busy; the report is the same bytes.
         let r = run_with_jobs("table5", 2);
         let eff_last: f64 = r.rows.last().unwrap()[4]
             .trim_end_matches('%')
             .parse()
             .unwrap();
         assert!(eff_last > 90.0, "eff={eff_last}%");
+        // s/step ("<value> <unit>") stays within 15% of the first row's.
+        let step = |row: &[String]| row[2].split(' ').next().unwrap().parse::<f64>().unwrap();
+        let (first, last) = (step(&r.rows[0]), step(r.rows.last().unwrap()));
+        assert!(last < 1.15 * first, "flat weak scaling: {first} → {last}");
     }
 
     /// The degraded report, computed once for the tests that read it.

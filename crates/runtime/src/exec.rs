@@ -6,12 +6,13 @@
 //! plus communication. The executor resolves every compute phase to
 //! seconds using the [`NodeComputeModel`] for the rank's node (its
 //! thread team, placement sharers, compiler, pinning), then hands the
-//! resulting [`Op`] programs to `columbia_simnet::simulate` on the
-//! configured fabric.
+//! resulting [`Op`] programs to [`simulate`] on the configured fabric,
+//! at the process-wide thread count [`columbia_simnet::sim_threads`]
+//! (`repro --sim-threads`).
 
 use columbia_machine::cluster::{ClusterConfig, InterNodeFabric, NodeId};
 use columbia_obs::{sink, NullTracer, RecordingTracer, Tracer};
-use columbia_simnet::engine::{simulate_traced_on, Op, SimOutcome};
+use columbia_simnet::engine::{simulate, Op, SimOutcome};
 use columbia_simnet::fabric::{CachedFabric, ClusterFabric, MptVersion};
 use columbia_simnet::fault::{
     ConnectionLimit, ConnectionPolicy, FaultPlan, DEFAULT_MULTIPLEX_QUEUE_PENALTY,
@@ -205,7 +206,8 @@ impl ExecConfig {
 /// Every failure mode is a typed [`SimError`]: a spec whose rank count
 /// disagrees with the placement is a [`SimError::PlacementMismatch`], a
 /// malformed workload that deadlocks comes back as
-/// [`SimError::Deadlock`] with per-rank diagnostics, and fault plans
+/// [`SimError::Deadlock`] with per-rank diagnostics, ranks that disagree
+/// on a collective as [`SimError::CollectiveMismatch`], and fault plans
 /// can surface [`SimError::ConnectionsExhausted`] or
 /// [`SimError::WatchdogTimeout`].
 pub fn execute(spec: &WorkloadSpec, cfg: &ExecConfig) -> Result<SimOutcome, SimError> {
@@ -283,18 +285,18 @@ pub fn execute_traced<T: Tracer>(
                 .collect()
         })
         .collect();
-    // Precompute the pair-class cost tables and run the monomorphized
-    // engine path; bit-identical to the dynamic, uncached path
-    // (property-tested in simnet), just without the per-message
-    // topology walk and vtable hop.
+    // Precompute the pair-class cost tables: bit-identical to the
+    // uncached fabric (property-tested in simnet), just without the
+    // per-message topology walk.
     let fabric = CachedFabric::new(cfg.fabric());
     let plan = cfg.effective_faults();
-    simulate_traced_on(
+    simulate(
         programs.as_slice(),
         &cfg.placement.rank_cpus(),
         &fabric,
         &plan,
         tracer,
+        columbia_simnet::sim_threads(),
     )
 }
 

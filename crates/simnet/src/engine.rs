@@ -13,40 +13,30 @@
 //! Failures are structured [`SimError`]s: a genuine deadlock (cycle of
 //! receives with no matching sends) is diagnosed per rank with its
 //! program counter and pending operation, a placement mismatch is
-//! rejected up front, and an event-budget watchdog guards against
-//! livelock.
+//! rejected up front, ranks that reach a collective with different ops
+//! are a [`SimError::CollectiveMismatch`], and an event-budget watchdog
+//! guards against livelock.
 //!
-//! [`simulate_with_faults`] additionally runs the program under a
-//! [`FaultPlan`]: messages may be dropped and retransmitted with
-//! exponential backoff, links degraded, CPUs slowed, and the §2
-//! InfiniBand connection limit enforced — gracefully multiplexing (a
-//! queuing penalty per inter-node message) or failing with
-//! [`SimError::ConnectionsExhausted`] depending on the plan's policy.
-//! The fault path is bit-identical to the plain path under
-//! [`FaultPlan::none`].
-//!
-//! Every clock advance is also reported to a
-//! [`Tracer`]: [`simulate_traced`] runs under
-//! any tracer, while the plain entry points use the
-//! [`NullTracer`], whose hooks are empty
-//! inlined functions — the engine is generic over the tracer, so the
-//! disabled path monomorphizes to exactly the untraced code and
-//! produces bit-identical outcomes (regression-tested below).
-//!
-//! The engine is likewise generic over the fabric and the program
-//! representation: [`simulate_on`]/[`simulate_traced_on`] accept any
-//! `F: Fabric` (so per-message cost calls inline — pair them with
-//! [`crate::fabric::CachedFabric`] for table-lookup costs) and any
-//! [`Programs`] (so SPMD workloads can share one
-//! [`crate::program::ProgramSet`] template across all ranks). The
-//! `&dyn Fabric` entry points remain, forwarding into the same code,
-//! and every path is bit-identical (regression- and property-tested).
+//! [`simulate`] is the one entry point. It runs the programs under a
+//! [`FaultPlan`] (message drops with exponential-backoff
+//! retransmission, degraded links, slow CPUs, and the §2 InfiniBand
+//! connection limit, multiplexed or failing with
+//! [`SimError::ConnectionsExhausted`]), reports every clock advance to a
+//! [`Tracer`], and takes a thread count: 1 runs the serial event loop
+//! below, more the conservative-PDES tier ([`crate::pdes`]), with
+//! bit-identical outcomes and traces. It is generic over the tracer, the
+//! fabric and the program representation, so under the [`NullTracer`]
+//! the instrumentation compiles away, per-message cost calls inline
+//! (pair the fabric with [`crate::fabric::CachedFabric`] for table
+//! lookups), and SPMD workloads share one
+//! [`crate::program::ProgramSet`] template. [`simulate_on`] and
+//! [`crate::pdes::simulate_parallel_on`] are its untraced shorthands.
 
 use std::collections::{HashMap, VecDeque};
 
 use columbia_machine::cluster::CpuId;
 use columbia_obs::{
-    CanonicalTracer, CausalEdge, EdgeKind, MessageRecord, NullTracer, SpanKind, Tracer,
+    CanonicalTracer, CausalEdge, EdgeKind, EventBuffer, MessageRecord, NullTracer, SpanKind, Tracer,
 };
 
 use crate::collectives;
@@ -54,6 +44,7 @@ use crate::error::{DeadlockReport, PendingOp, SimError};
 use crate::fabric::Fabric;
 use crate::fault::{ConnectionPolicy, FaultPlan, FaultStats, FaultyFabric};
 use crate::mailbox::{IndexedMailbox, MailboxOps};
+use crate::pdes::run_partitioned;
 use crate::program::Programs;
 
 /// Per-CPU cost of initiating a send (library call + injection), well
@@ -342,6 +333,22 @@ pub(crate) fn collective_source(op: Op, clocks: impl Iterator<Item = f64>) -> us
     src
 }
 
+/// The error for collective number `seq` once two arrivals issued
+/// different ops (each engine compares every arrival with the first):
+/// the lowest rank whose current op, `op_of(r)`, differs from rank 0's.
+pub(crate) fn collective_mismatch(n: usize, seq: usize, op_of: impl Fn(usize) -> Op) -> SimError {
+    let expected = op_of(0);
+    let rank = (1..n)
+        .find(|&r| op_of(r) != expected)
+        .expect("two arrivals issued different ops");
+    SimError::CollectiveMismatch {
+        seq,
+        rank,
+        expected,
+        found: op_of(rank),
+    }
+}
+
 /// Release rank `i` from a collective that runs `[start, start+cost]`:
 /// emit its span and causal edge, charge comm time, advance clock,
 /// collective sequence, and pc. `done == end` except under a broadcast,
@@ -376,19 +383,6 @@ pub(crate) fn apply_collective_release<T: Tracer>(
     state.clock = done;
     state.coll_seq += 1;
     state.pc += 1;
-}
-
-/// Simulate `programs` (one per rank) placed on `cpus` over `fabric`.
-///
-/// `cpus[r]` is the physical CPU of rank `r`; programs and placement
-/// must have equal length. Returns per-rank timelines or a structured
-/// [`SimError`].
-pub fn simulate(
-    programs: &[Vec<Op>],
-    cpus: &[CpuId],
-    fabric: &dyn Fabric,
-) -> Result<SimOutcome, SimError> {
-    simulate_with_faults(programs, cpus, fabric, &FaultPlan::none())
 }
 
 /// Connections node-local `procs` ranks need for full pure-MPI
@@ -441,59 +435,67 @@ pub(crate) fn connection_check(cpus: &[CpuId], plan: &FaultPlan) -> Result<(f64,
     Ok((delay, worst_ratio))
 }
 
-/// Simulate `programs` under a [`FaultPlan`].
+/// Simulate `programs` (one per rank) placed on `cpus` over `fabric`
+/// under `plan`, reporting every span of virtual time to `tracer`, on
+/// `threads` threads.
 ///
-/// Identical to [`simulate`] when the plan is [`FaultPlan::none`] —
-/// bit-for-bit, a property the test suite asserts. Faults only ever
-/// *delay* the timeline (drops, degraded links, multiplexed
-/// connections, slow CPUs); structural failures surface as [`SimError`]
-/// variants.
-pub fn simulate_with_faults(
-    programs: &[Vec<Op>],
+/// `cpus[r]` is the physical CPU of rank `r`; programs and placement
+/// must have equal length. Faults only ever *delay* the timeline;
+/// structural failures are [`SimError`]s. Tracing never perturbs the
+/// outcome. `threads <= 1` runs the serial event loop; more run the
+/// PDES tier, whose node partitions share `P` and `F` (hence `Sync`).
+pub fn simulate<T, P, F>(
+    programs: &P,
     cpus: &[CpuId],
-    base_fabric: &dyn Fabric,
-    plan: &FaultPlan,
-) -> Result<SimOutcome, SimError> {
-    simulate_traced(programs, cpus, base_fabric, plan, &mut NullTracer)
-}
-
-/// Simulate `programs` under a [`FaultPlan`], reporting every span of
-/// virtual time to `tracer`.
-///
-/// The engine is generic over the tracer: with
-/// [`NullTracer`] this is exactly
-/// [`simulate_with_faults`] (the hooks compile away); with a
-/// [`RecordingTracer`](columbia_obs::RecordingTracer) it captures
-/// per-rank timelines (compute, send, recv-wait, collective) plus
-/// network-side delay spans (retransmit backoff, multiplex queuing)
-/// and message-level metrics, without perturbing the simulation —
-/// outcomes are bit-identical either way.
-pub fn simulate_traced<T: Tracer>(
-    programs: &[Vec<Op>],
-    cpus: &[CpuId],
-    base_fabric: &dyn Fabric,
+    fabric: &F,
     plan: &FaultPlan,
     tracer: &mut T,
-) -> Result<SimOutcome, SimError> {
-    simulate_generic::<T, IndexedMailbox, [Vec<Op>], dyn Fabric>(
-        programs,
-        cpus,
-        base_fabric,
-        plan,
-        tracer,
-    )
+    threads: usize,
+) -> Result<SimOutcome, SimError>
+where
+    T: Tracer,
+    P: Programs + ?Sized + Sync,
+    F: Fabric + ?Sized + Sync,
+{
+    let n = programs.n_ranks();
+    if n != cpus.len() {
+        return Err(SimError::PlacementMismatch {
+            programs: n,
+            placements: cpus.len(),
+        });
+    }
+    if threads <= 1 {
+        return simulate_generic::<T, IndexedMailbox, P, F>(programs, cpus, fabric, plan, tracer);
+    }
+    // Partition by node: sorted distinct node ids, so the partition map
+    // is a pure function of the placement (identical at any thread
+    // count).
+    let mut nodes: Vec<u32> = cpus.iter().map(|c| c.node.0).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let n_parts = nodes.len();
+    let lookahead = fabric.min_cross_node_latency(cpus);
+    if n == 0 || n_parts <= 1 || !lookahead.is_some_and(|l| l > 0.0) {
+        // Degenerate cases (including the zero-lookahead single-window
+        // case): the serial engine is the canonical implementation.
+        return simulate_generic::<T, IndexedMailbox, P, F>(programs, cpus, fabric, plan, tracer);
+    }
+    let part_of: Vec<u32> = cpus
+        .iter()
+        .map(|c| nodes.binary_search(&c.node.0).expect("node present") as u32)
+        .collect();
+    if tracer.enabled() {
+        run_partitioned::<T, P, F, EventBuffer>(
+            programs, cpus, fabric, plan, tracer, &part_of, n_parts, threads,
+        )
+    } else {
+        run_partitioned::<T, P, F, NullTracer>(
+            programs, cpus, fabric, plan, tracer, &part_of, n_parts, threads,
+        )
+    }
 }
 
-/// Statically-dispatched simulation: generic over the program
-/// representation and the fabric type.
-///
-/// Semantically identical to [`simulate_with_faults`] (bit-identical
-/// outcomes, property-tested), but with `F` known at compile time the
-/// per-message `pt2pt_time` call in the hot loop inlines instead of
-/// going through a vtable — pair with
-/// [`CachedFabric`](crate::fabric::CachedFabric) to make it a table
-/// lookup — and a [`ProgramSet`](crate::program::ProgramSet) template
-/// keeps 10k-rank SPMD programs in O(ops) memory.
+/// [`simulate`] on the serial engine, untraced.
 pub fn simulate_on<P, F>(
     programs: &P,
     cpus: &[CpuId],
@@ -504,54 +506,7 @@ where
     P: Programs + ?Sized + Sync,
     F: Fabric + ?Sized + Sync,
 {
-    simulate_traced_on(programs, cpus, fabric, plan, &mut NullTracer)
-}
-
-/// [`simulate_on`] under an arbitrary [`Tracer`].
-///
-/// When [`crate::pdes::sim_threads`] is above 1 this dispatches to the
-/// conservative-PDES tier ([`crate::pdes::simulate_parallel_traced_on`])
-/// — bit-identical outcomes and trace streams, just computed by
-/// node-partitioned workers. `P` and `F` are `Sync` so the partitions
-/// can share them; the `&dyn Fabric` entry points above stay serial.
-pub fn simulate_traced_on<T, P, F>(
-    programs: &P,
-    cpus: &[CpuId],
-    fabric: &F,
-    plan: &FaultPlan,
-    tracer: &mut T,
-) -> Result<SimOutcome, SimError>
-where
-    T: Tracer,
-    P: Programs + ?Sized + Sync,
-    F: Fabric + ?Sized + Sync,
-{
-    let threads = crate::pdes::sim_threads();
-    if threads > 1 {
-        crate::pdes::simulate_parallel_traced_on(programs, cpus, fabric, plan, tracer, threads)
-    } else {
-        simulate_generic::<T, IndexedMailbox, P, F>(programs, cpus, fabric, plan, tracer)
-    }
-}
-
-/// [`simulate_with_faults`] on the original `HashMap`-keyed mailbox
-/// ([`crate::mailbox::ReferenceMailbox`]). Exists so the engine
-/// benchmark can measure the indexed mailbox against its predecessor
-/// end-to-end; outcomes are bit-identical (regression-tested).
-#[doc(hidden)]
-pub fn simulate_reference_mailbox(
-    programs: &[Vec<Op>],
-    cpus: &[CpuId],
-    base_fabric: &dyn Fabric,
-    plan: &FaultPlan,
-) -> Result<SimOutcome, SimError> {
-    simulate_generic::<NullTracer, crate::mailbox::ReferenceMailbox, [Vec<Op>], dyn Fabric>(
-        programs,
-        cpus,
-        base_fabric,
-        plan,
-        &mut NullTracer,
-    )
+    simulate(programs, cpus, fabric, plan, &mut NullTracer, 1)
 }
 
 pub(crate) fn simulate_generic<
@@ -584,12 +539,6 @@ fn simulate_core<T: Tracer, M: MailboxOps, P: Programs + ?Sized, F: Fabric + ?Si
     plan: &FaultPlan,
     tracer: &mut T,
 ) -> Result<SimOutcome, SimError> {
-    if programs.n_ranks() != cpus.len() {
-        return Err(SimError::PlacementMismatch {
-            programs: programs.n_ranks(),
-            placements: cpus.len(),
-        });
-    }
     let (mux_delay, oversubscription) = connection_check(cpus, plan)?;
     if tracer.enabled() {
         let rank_nodes: Vec<u32> = cpus.iter().map(|c| c.node.0).collect();
@@ -599,8 +548,7 @@ fn simulate_core<T: Tracer, M: MailboxOps, P: Programs + ?Sized, F: Fabric + ?Si
         }
     }
     // Statically typed: when `F` is a concrete fabric the cost calls
-    // below inline; the `dyn` entry points land here with `F = dyn
-    // Fabric` and behave exactly as before.
+    // below inline.
     let faulty = FaultyFabric::new(base_fabric, plan);
     let fabric = &faulty;
 
@@ -626,6 +574,9 @@ fn simulate_core<T: Tracer, M: MailboxOps, P: Programs + ?Sized, F: Fabric + ?Si
     // to deduplicate — no per-collective set, no O(p) scan.
     let mut coll_count: usize = 0;
     let mut coll_gen: Vec<usize> = vec![usize::MAX; n];
+    // The first arrival's op, and whether a later arrival issued another.
+    let mut coll_first: Option<Op> = None;
+    let mut coll_mismatch = false;
 
     // `in_queue` guards duplicates, so at most n ranks are queued; the
     // spare slot keeps a full queue strictly below capacity so the ring
@@ -739,8 +690,16 @@ fn simulate_core<T: Tracer, M: MailboxOps, P: Programs + ?Sized, F: Fabric + ?Si
                     if coll_gen[r] != seq {
                         coll_gen[r] = seq;
                         coll_count += 1;
+                        coll_mismatch |= *coll_first.get_or_insert(op) != op;
                     }
                     if coll_count == n {
+                        if coll_mismatch {
+                            return Err(collective_mismatch(n, seq, |i| {
+                                programs
+                                    .op(i, states[i].pc)
+                                    .expect("rank is at a collective")
+                            }));
+                        }
                         // Everyone is here: charge the collective. Most
                         // collectives start once the straggler arrives;
                         // a broadcast is driven by its root's clock
@@ -753,6 +712,7 @@ fn simulate_core<T: Tracer, M: MailboxOps, P: Programs + ?Sized, F: Fabric + ?Si
                         let cost = collective_cost(op, fabric, cpus);
                         let end = start + cost;
                         coll_count = 0;
+                        coll_first = None;
                         // Causal source of the release: the straggler
                         // whose arrival set `start` (lowest rank on
                         // ties), or the root for a broadcast.
@@ -842,6 +802,7 @@ mod tests {
     use super::*;
     use crate::fabric::ClusterFabric;
     use crate::fault::{ConnectionLimit, ConnectionPolicy};
+    use crate::mailbox::ReferenceMailbox;
     use columbia_machine::cluster::{ClusterConfig, InterNodeFabric, NodeId};
     use columbia_machine::node::NodeKind;
 
@@ -856,7 +817,7 @@ mod tests {
     #[test]
     fn pure_compute_runs_independently() {
         let progs = vec![vec![Op::Compute(1.0)], vec![Op::Compute(2.0)]];
-        let out = simulate(&progs, &place(2), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap();
         assert!((out.ranks[0].total - 1.0).abs() < 1e-12);
         assert!((out.ranks[1].total - 2.0).abs() < 1e-12);
         assert!((out.makespan - 2.0).abs() < 1e-12);
@@ -877,7 +838,7 @@ mod tests {
             ],
             vec![Op::Recv { from: 0, tag: 7 }],
         ];
-        let out = simulate(&progs, &place(2), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap();
         // Rank 1 must wait ≥ 1 second for the send to be issued.
         assert!(out.ranks[1].total >= 1.0);
         assert!(out.ranks[1].comm >= 1.0);
@@ -893,7 +854,7 @@ mod tests {
             }],
             vec![Op::Compute(0.5), Op::Recv { from: 0, tag: 1 }],
         ];
-        let out = simulate(&progs, &place(2), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap();
         // Message long since arrived; receiver barely waits.
         assert!(out.ranks[1].total < 0.5 + 1e-3);
     }
@@ -915,7 +876,7 @@ mod tests {
             ],
             vec![Op::Recv { from: 0, tag: 0 }, Op::Recv { from: 0, tag: 0 }],
         ];
-        let out = simulate(&progs, &place(2), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap();
         assert!(out.makespan > 0.0);
     }
 
@@ -926,7 +887,7 @@ mod tests {
             vec![Op::Compute(2.0), Op::Barrier],
             vec![Op::Barrier],
         ];
-        let out = simulate(&progs, &place(3), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(3), &fabric(), &FaultPlan::none()).unwrap();
         for r in &out.ranks {
             assert!(r.total >= 2.0);
         }
@@ -962,7 +923,7 @@ mod tests {
                 vec![ex_left, ex_right]
             });
         }
-        let out = simulate(&progs, &place(n as u32), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(n as u32), &fabric(), &FaultPlan::none()).unwrap();
         assert!(out.makespan > 0.0);
         assert!(out.ranks.iter().all(|r| r.comm > 0.0));
     }
@@ -985,7 +946,7 @@ mod tests {
                 p
             })
             .collect();
-        let out = simulate(&progs, &place(4), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(4), &fabric(), &FaultPlan::none()).unwrap();
         let cost = collectives::bcast(&fabric(), &place(4), 1 << 20);
         for r in &out.ranks {
             assert!((r.total - (2.0 + cost)).abs() < 1e-12, "{}", r.total);
@@ -1002,7 +963,7 @@ mod tests {
             vec![Op::Bcast { root: 0, bytes: 64 }],
             vec![Op::Compute(2.0), Op::Bcast { root: 0, bytes: 64 }],
         ];
-        let out = simulate(&progs, &place(2), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap();
         let cost = collectives::bcast(&fabric(), &place(2), 64);
         assert!((out.ranks[0].total - cost).abs() < 1e-12);
         assert!((out.ranks[1].total - 2.0).abs() < 1e-12);
@@ -1039,7 +1000,7 @@ mod tests {
         let cached = crate::fabric::CachedFabric::new(direct.clone());
         for plan in [FaultPlan::none(), FaultPlan::with_drops(13, 0.3)] {
             let fast = simulate_on(&set, &place(8), &cached, &plan).unwrap();
-            let slow = simulate_with_faults(&set.materialize(), &place(8), &direct, &plan).unwrap();
+            let slow = simulate_on(&set.materialize(), &place(8), &direct, &plan).unwrap();
             assert_eq!(fast, slow);
         }
     }
@@ -1054,7 +1015,9 @@ mod tests {
                     }]
                 })
                 .collect();
-            simulate(&progs, &place(16), &fabric()).unwrap().makespan
+            simulate_on(&progs, &place(16), &fabric(), &FaultPlan::none())
+                .unwrap()
+                .makespan
         };
         assert!(mk(1 << 16) > mk(1 << 8));
     }
@@ -1066,7 +1029,7 @@ mod tests {
             vec![Op::Recv { from: 1, tag: 0 }],
             vec![Op::Recv { from: 0, tag: 0 }],
         ];
-        let err = simulate(&progs, &place(2), &fabric()).unwrap_err();
+        let err = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap_err();
         assert_eq!(err.stuck_ranks(), vec![0, 1]);
         assert!(err.to_string().contains("deadlock"));
         let SimError::Deadlock(report) = err else {
@@ -1104,14 +1067,15 @@ mod tests {
             }
             progs.push(p);
         }
-        let out = simulate(&progs, &place(n as u32), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(n as u32), &fabric(), &FaultPlan::none()).unwrap();
         assert!(out.makespan >= n as f64 * stage);
         assert!(out.makespan < n as f64 * stage + 0.01);
     }
 
     #[test]
     fn mismatched_placement_is_a_typed_error() {
-        let err = simulate(&[vec![Op::Compute(1.0)]], &place(2), &fabric()).unwrap_err();
+        let progs = vec![vec![Op::Compute(1.0)]];
+        let err = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap_err();
         assert_eq!(
             err,
             SimError::PlacementMismatch {
@@ -1149,18 +1113,17 @@ mod tests {
     #[test]
     fn zero_fault_plan_is_bit_identical() {
         let progs = ring_progs(8, 65536);
-        let base = simulate(&progs, &place(8), &fabric()).unwrap();
-        let planned =
-            simulate_with_faults(&progs, &place(8), &fabric(), &FaultPlan::none()).unwrap();
-        assert_eq!(base, planned);
+        // A seeded plan that drops nothing matches the fault-free one.
+        let base = simulate_on(&progs, &place(8), &fabric(), &FaultPlan::none()).unwrap();
+        let planned = simulate_on(&progs, &place(8), &fabric(), &FaultPlan::with_drops(5, 0.0));
+        assert_eq!(base, planned.unwrap());
     }
 
     #[test]
     fn drops_inflate_makespan_monotonically() {
         let progs = ring_progs(16, 1 << 16);
         let mk = |p: f64| {
-            simulate_with_faults(&progs, &place(16), &fabric(), &FaultPlan::with_drops(11, p))
-                .unwrap()
+            simulate_on(&progs, &place(16), &fabric(), &FaultPlan::with_drops(11, p)).unwrap()
         };
         let clean = mk(0.0);
         let mut prev = clean.makespan;
@@ -1185,9 +1148,15 @@ mod tests {
         // (marker messages-to-self ride the same storage).
         let progs = mixed_progs(8);
         for plan in [FaultPlan::none(), FaultPlan::with_drops(7, 0.3)] {
-            let indexed = simulate_with_faults(&progs, &place(8), &fabric(), &plan).unwrap();
-            let reference =
-                simulate_reference_mailbox(&progs, &place(8), &fabric(), &plan).unwrap();
+            let indexed = simulate_on(&progs, &place(8), &fabric(), &plan).unwrap();
+            let reference = simulate_generic::<_, ReferenceMailbox, _, _>(
+                &progs,
+                &place(8),
+                &fabric(),
+                &plan,
+                &mut NullTracer,
+            )
+            .unwrap();
             assert_eq!(indexed, reference);
         }
     }
@@ -1195,14 +1164,14 @@ mod tests {
     #[test]
     fn same_seed_same_outcome() {
         let progs = ring_progs(12, 4096);
-        let a = simulate_with_faults(
+        let a = simulate_on(
             &progs,
             &place(12),
             &fabric(),
             &FaultPlan::with_drops(5, 0.3),
         )
         .unwrap();
-        let b = simulate_with_faults(
+        let b = simulate_on(
             &progs,
             &place(12),
             &fabric(),
@@ -1216,7 +1185,7 @@ mod tests {
     fn slow_cpu_stretches_its_compute() {
         let progs = vec![vec![Op::Compute(1.0)], vec![Op::Compute(1.0)]];
         let plan = FaultPlan::none().slow_cpu(CpuId::new(0, 1), 2.5);
-        let out = simulate_with_faults(&progs, &place(2), &fabric(), &plan).unwrap();
+        let out = simulate_on(&progs, &place(2), &fabric(), &plan).unwrap();
         assert!((out.ranks[0].total - 1.0).abs() < 1e-12);
         assert!((out.ranks[1].total - 2.5).abs() < 1e-12);
     }
@@ -1237,9 +1206,9 @@ mod tests {
             CpuId::new(1, 1),
         ];
         let progs = ring_progs(4, 1 << 20);
-        let clean = simulate_with_faults(&progs, &cpus, &f, &FaultPlan::none()).unwrap();
+        let clean = simulate_on(&progs, &cpus, &f, &FaultPlan::none()).unwrap();
         let plan = FaultPlan::none().degrade_link(NodeId(0), NodeId(1), 4.0, 0.25);
-        let slow = simulate_with_faults(&progs, &cpus, &f, &plan).unwrap();
+        let slow = simulate_on(&progs, &cpus, &f, &plan).unwrap();
         assert!(slow.makespan > clean.makespan);
     }
 
@@ -1247,7 +1216,7 @@ mod tests {
     fn watchdog_fires_on_tiny_budget() {
         let progs = ring_progs(8, 1024);
         let plan = FaultPlan::none().with_event_budget(3);
-        let err = simulate_with_faults(&progs, &place(8), &fabric(), &plan).unwrap_err();
+        let err = simulate_on(&progs, &place(8), &fabric(), &plan).unwrap_err();
         let SimError::WatchdogTimeout { events, budget } = err else {
             panic!("expected watchdog, got {err:?}");
         };
@@ -1260,7 +1229,7 @@ mod tests {
         let progs = ring_progs(8, 1024);
         // Generous budget: the run completes and reports its events.
         let plan = FaultPlan::none().with_event_budget(10_000);
-        let out = simulate_with_faults(&progs, &place(8), &fabric(), &plan).unwrap();
+        let out = simulate_on(&progs, &place(8), &fabric(), &plan).unwrap();
         assert!(out.faults.events > 0);
         assert!(out.faults.events <= 10_000);
     }
@@ -1289,7 +1258,7 @@ mod tests {
             policy: ConnectionPolicy::Fail,
         });
         let progs = ring_progs(16, 4096);
-        let err = simulate_with_faults(&progs, &cpus, &f, &plan).unwrap_err();
+        let err = simulate_on(&progs, &cpus, &f, &plan).unwrap_err();
         let SimError::ConnectionsExhausted {
             procs_on_node,
             required,
@@ -1308,7 +1277,7 @@ mod tests {
     fn connection_exhaustion_multiplexes_gracefully() {
         let (f, cpus) = two_node_fabric_and_cpus(8);
         let progs = ring_progs(16, 4096);
-        let clean = simulate_with_faults(&progs, &cpus, &f, &FaultPlan::none()).unwrap();
+        let clean = simulate_on(&progs, &cpus, &f, &FaultPlan::none()).unwrap();
         let plan = FaultPlan::none().with_connection_limit(ConnectionLimit {
             cards_per_node: 1,
             connections_per_card: 32,
@@ -1316,7 +1285,7 @@ mod tests {
                 queue_penalty: 2.0e-6,
             },
         });
-        let muxed = simulate_with_faults(&progs, &cpus, &f, &plan).unwrap();
+        let muxed = simulate_on(&progs, &cpus, &f, &plan).unwrap();
         assert!(muxed.faults.multiplexed_messages > 0);
         assert!(muxed.faults.multiplex_delay > 0.0);
         assert!(muxed.faults.oversubscription > 1.0);
@@ -1327,7 +1296,7 @@ mod tests {
 
     #[test]
     fn zero_rank_outcome_has_zero_comm_stats() {
-        let out = simulate(&[], &[], &fabric()).unwrap();
+        let out = simulate_on(&Vec::<Vec<Op>>::new(), &[], &fabric(), &FaultPlan::none()).unwrap();
         assert!(out.ranks.is_empty());
         assert_eq!(out.mean_comm(), 0.0);
         assert_eq!(out.max_comm(), 0.0);
@@ -1345,7 +1314,7 @@ mod tests {
             },
             Op::Recv { from: 0, tag: 9 },
         ]];
-        let out = simulate(&progs, &place(1), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(1), &fabric(), &FaultPlan::none()).unwrap();
         assert!(out.ranks[0].comm > 0.0);
         assert_eq!(out.mean_comm(), out.max_comm());
         assert_eq!(out.mean_comm(), out.ranks[0].comm);
@@ -1356,7 +1325,7 @@ mod tests {
         let progs: Vec<Vec<Op>> = (0..4)
             .map(|r| vec![Op::Compute(0.1 * (r + 1) as f64), Op::Compute(0.2)])
             .collect();
-        let out = simulate(&progs, &place(4), &fabric()).unwrap();
+        let out = simulate_on(&progs, &place(4), &fabric(), &FaultPlan::none()).unwrap();
         assert_eq!(out.mean_comm(), 0.0);
         assert_eq!(out.max_comm(), 0.0);
         assert!((out.makespan - 0.6).abs() < 1e-12);
@@ -1398,9 +1367,9 @@ mod tests {
     fn recording_tracer_does_not_perturb_the_outcome() {
         let progs = mixed_progs(8);
         let plan = FaultPlan::with_drops(7, 0.3);
-        let plain = simulate_with_faults(&progs, &place(8), &fabric(), &plan).unwrap();
+        let plain = simulate_on(&progs, &place(8), &fabric(), &plan).unwrap();
         let mut tracer = RecordingTracer::new();
-        let traced = simulate_traced(&progs, &place(8), &fabric(), &plan, &mut tracer).unwrap();
+        let traced = simulate(&progs, &place(8), &fabric(), &plan, &mut tracer, 1).unwrap();
         assert_eq!(plain, traced);
         assert!(!tracer.spans.is_empty());
         assert_eq!(tracer.n_ranks(), 8);
@@ -1410,12 +1379,13 @@ mod tests {
     fn cpu_spans_tile_each_rank_timeline() {
         let progs = mixed_progs(8);
         let mut tracer = RecordingTracer::new();
-        let out = simulate_traced(
+        let out = simulate(
             &progs,
             &place(8),
             &fabric(),
             &FaultPlan::none(),
             &mut tracer,
+            1,
         )
         .unwrap();
         for (r, rank) in out.ranks.iter().enumerate() {
@@ -1447,7 +1417,7 @@ mod tests {
         let progs = mixed_progs(8);
         let plan = FaultPlan::with_drops(7, 0.3);
         let mut tracer = RecordingTracer::new();
-        let out = simulate_traced(&progs, &place(8), &fabric(), &plan, &mut tracer).unwrap();
+        let out = simulate(&progs, &place(8), &fabric(), &plan, &mut tracer, 1).unwrap();
         // Placement is recorded for every rank.
         assert_eq!(tracer.rank_nodes.len(), 8);
         // Every blocking span's end is the arrival/release time of
@@ -1508,7 +1478,7 @@ mod tests {
         let progs = ring_progs(16, 1 << 16);
         let plan = FaultPlan::with_drops(11, 0.5);
         let mut tracer = RecordingTracer::new();
-        let out = simulate_traced(&progs, &place(16), &fabric(), &plan, &mut tracer).unwrap();
+        let out = simulate(&progs, &place(16), &fabric(), &plan, &mut tracer, 1).unwrap();
         assert!(out.faults.dropped_messages > 0);
         let backoffs = tracer
             .spans
@@ -1542,7 +1512,7 @@ mod tests {
         });
         let progs = ring_progs(16, 4096);
         let mut tracer = RecordingTracer::new();
-        let out = simulate_traced(&progs, &cpus, &f, &plan, &mut tracer).unwrap();
+        let out = simulate(&progs, &cpus, &f, &plan, &mut tracer, 1).unwrap();
         assert!(out.faults.multiplexed_messages > 0);
         let mux_spans = tracer
             .spans
@@ -1564,12 +1534,13 @@ mod tests {
     fn profile_attribution_matches_engine_accounting() {
         let progs = mixed_progs(8);
         let mut tracer = RecordingTracer::new();
-        let out = simulate_traced(
+        let out = simulate(
             &progs,
             &place(8),
             &fabric(),
             &FaultPlan::none(),
             &mut tracer,
+            1,
         )
         .unwrap();
         let profile = tracer.profile();
@@ -1598,7 +1569,7 @@ mod tests {
             },
         });
         let progs = ring_progs(8, 4096);
-        let out = simulate_with_faults(&progs, &cpus, &f, &plan).unwrap();
+        let out = simulate_on(&progs, &cpus, &f, &plan).unwrap();
         assert_eq!(out.faults.multiplexed_messages, 0);
         assert!(out.faults.oversubscription <= 1.0);
         assert!(out.faults.oversubscription > 0.0);

@@ -2,8 +2,9 @@
 //!
 //! Every way a simulated run can fail is a [`SimError`] variant rather
 //! than a panic, so the experiment runners can report *what* broke —
-//! which ranks are stuck on which pending operation, which node ran out
-//! of InfiniBand connections, or that the event-budget watchdog fired.
+//! which ranks are stuck on which pending operation, which rank issued
+//! a different collective, which node ran out of InfiniBand
+//! connections, or that the event-budget watchdog fired.
 
 use crate::engine::Op;
 
@@ -54,6 +55,19 @@ impl DeadlockReport {
 pub enum SimError {
     /// A cycle of receives/collectives that can never complete.
     Deadlock(DeadlockReport),
+    /// The ranks reached a collective with different ops. Like MPI,
+    /// every rank must issue the same collective sequence; both engines
+    /// report the same error at any thread count.
+    CollectiveMismatch {
+        /// Which collective (0 = each rank's first).
+        seq: usize,
+        /// The lowest rank whose op differs from rank 0's.
+        rank: usize,
+        /// Rank 0's op.
+        expected: Op,
+        /// Rank `rank`'s op.
+        found: Op,
+    },
     /// Program count and CPU placement disagree.
     PlacementMismatch {
         /// Number of rank programs supplied.
@@ -107,6 +121,16 @@ impl std::fmt::Display for SimError {
                 }
                 Ok(())
             }
+            SimError::CollectiveMismatch {
+                seq,
+                rank,
+                expected,
+                found,
+            } => write!(
+                f,
+                "collective mismatch at collective {seq}: rank {rank} issued {found:?} \
+                 but rank 0 issued {expected:?}"
+            ),
             SimError::PlacementMismatch {
                 programs,
                 placements,
@@ -167,6 +191,19 @@ mod tests {
             .to_string()
             .contains("one CPU placement per rank program"));
         assert!(err.stuck_ranks().is_empty());
+    }
+
+    #[test]
+    fn collective_mismatch_display() {
+        let err = SimError::CollectiveMismatch {
+            seq: 2,
+            rank: 5,
+            expected: Op::Barrier,
+            found: Op::AllReduce { bytes: 64 },
+        };
+        let want = "collective mismatch at collective 2: rank 5 issued \
+                    AllReduce { bytes: 64 } but rank 0 issued Barrier";
+        assert_eq!(err.to_string(), want);
     }
 
     #[test]

@@ -183,8 +183,8 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// The fault-free plan: simulations under it are bit-identical to
-    /// [`crate::engine::simulate`].
+    /// The fault-free plan: under it [`crate::engine::simulate`] injects
+    /// nothing — no drops, delays or slowdowns.
     pub fn none() -> Self {
         FaultPlan {
             seed: 0,
@@ -377,10 +377,9 @@ impl FaultStats {
 /// under a plan without link faults the wrapper is cost-transparent
 /// (multiplications by 1.0 preserve bit-identity).
 ///
-/// Generic over the inner fabric type (defaulting to `dyn Fabric` for
-/// the public dynamic entry points) so the engine's statically-typed
-/// path monomorphizes the per-message cost calls away.
-pub struct FaultyFabric<'a, F: Fabric + ?Sized = dyn Fabric> {
+/// Generic over the inner fabric type so the engine monomorphizes the
+/// per-message cost calls away.
+pub struct FaultyFabric<'a, F: Fabric + ?Sized> {
     inner: &'a F,
     plan: &'a FaultPlan,
 }

@@ -12,7 +12,7 @@
 //! * [`engine`] — a deterministic discrete-event simulator that runs
 //!   per-rank programs of [`engine::Op`]s (compute, send, recv,
 //!   exchange, collectives) to a per-rank timeline with compute/comm
-//!   attribution;
+//!   attribution, behind one entry point, [`simulate`];
 //! * [`collectives`] — closed-form cost models for barrier, allreduce,
 //!   broadcast, and all-to-all, shared by the engine;
 //! * [`program`] — compact SPMD program representations: one
@@ -30,13 +30,13 @@
 //! * [`pdes`] — a conservative parallel (PDES) tier that partitions
 //!   ranks by node and synchronizes on the fabric's minimum cross-node
 //!   latency, producing bit-identical outcomes, reports, and traces at
-//!   any thread count ([`simulate_parallel_on`], `repro
-//!   --sim-threads`).
+//!   any thread count ([`simulate`] with `threads > 1`).
 //!
-//! The engine is instrumented: [`simulate_traced`] reports every span
-//! of virtual time (compute, send, recv-wait, collective, plus
-//! network-side retransmit/multiplex delays) to a
-//! [`columbia_obs::Tracer`], at zero cost when the
+//! The engine reads no global: callers pass the thread count, and the
+//! production ones pass [`sim_threads`], which `repro --sim-threads`
+//! sets. Its tracer receives every span of virtual time (compute, send,
+//! recv-wait, collective, plus network-side retransmit/multiplex
+//! delays) through [`columbia_obs::Tracer`], at zero cost when the
 //! [`columbia_obs::NullTracer`] is used (re-exported here as [`obs`]).
 //!
 //! All randomness is seeded; a simulation is a pure function of its
@@ -54,15 +54,12 @@ pub mod pdes;
 pub mod program;
 
 pub use columbia_obs as obs;
-pub use engine::{
-    simulate, simulate_on, simulate_traced, simulate_traced_on, simulate_with_faults, Op,
-    RankResult, SimOutcome,
-};
+pub use engine::{simulate, simulate_on, Op, RankResult, SimOutcome};
 pub use error::{DeadlockReport, PendingOp, SimError};
 pub use fabric::{CachedFabric, ClusterFabric, Fabric, MptVersion};
 pub use fault::{
     ConnectionLimit, ConnectionPolicy, CpuSlowdown, FaultPlan, FaultStats, FaultyFabric, LinkFault,
     LinkState, RetransmitPolicy,
 };
-pub use pdes::{set_sim_threads, sim_threads, simulate_parallel_on, simulate_parallel_traced_on};
+pub use pdes::{set_sim_threads, sim_threads, simulate_parallel_on};
 pub use program::{ByteRule, Peer, ProgramSet, Programs, SpmdOp};

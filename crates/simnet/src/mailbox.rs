@@ -14,13 +14,14 @@
 //! comparisons — no hashing, no pointer chasing. Channels also fuse the
 //! send-sequence counter with the queue, halving the bookkeeping.
 //!
-//! The original implementation is kept as [`ReferenceMailbox`]
-//! (doc-hidden) so `cargo bench --bench faults` can measure the engine
-//! end-to-end with both and report the speedup; the engine is generic
-//! over [`MailboxOps`], and both implementations are semantically
-//! identical (equivalence is tested here and at the engine level).
+//! The engine is generic over [`MailboxOps`]. The original
+//! implementation survives only in tests, as `ReferenceMailbox`: the
+//! oracle that the index is checked against, here and at the engine
+//! level.
 
-use std::collections::{HashMap, VecDeque};
+#[cfg(test)]
+use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// The mailbox operations the engine needs. `push`/`pop` must be FIFO
 /// per `(from, to, tag)` channel (MPI ordering); `next_seq` returns a
@@ -106,6 +107,7 @@ impl MailboxOps for IndexedMailbox {
     }
 }
 
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct MsgKey {
     from: usize,
@@ -113,16 +115,17 @@ struct MsgKey {
     tag: u64,
 }
 
-/// The original `HashMap`-keyed mailbox, kept for the before/after
-/// engine benchmark (`cargo bench --bench faults`). Semantically
-/// identical to [`IndexedMailbox`]; only the lookup mechanism differs.
-#[doc(hidden)]
+/// The original `HashMap`-keyed mailbox: the test oracle for
+/// [`IndexedMailbox`]. Semantically identical; only the lookup
+/// mechanism differs.
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct ReferenceMailbox {
+pub(crate) struct ReferenceMailbox {
     queues: HashMap<MsgKey, VecDeque<f64>>,
     send_seq: HashMap<MsgKey, u64>,
 }
 
+#[cfg(test)]
 impl MailboxOps for ReferenceMailbox {
     fn with_ranks(_n: usize) -> Self {
         ReferenceMailbox::default()

@@ -1,8 +1,9 @@
 //! Conservative parallel discrete-event simulation (PDES) of a single
 //! run, bit-identical to the serial engine.
 //!
-//! PR 3 parallelized *across* sweep points; this tier parallelizes
-//! *within* one simulation. Ranks are partitioned by node (the same
+//! `--jobs` parallelizes *across* sweep points; this tier parallelizes
+//! *within* one simulation, whenever [`crate::engine::simulate`] is
+//! given more than one thread. Ranks are partitioned by node (the same
 //! node map `runtime::placement` computes — the engine reads it off
 //! `cpus[r].node`), and each partition gets its own runnable queue,
 //! rank states, and mailbox, so a partition can execute its ranks'
@@ -52,16 +53,15 @@
 //! produces (`events = budget + 1` — the serial counter's value at its
 //! first violation).
 //!
-//! **Fallbacks.** With one thread, one populated node, zero ranks, or
-//! no usable lookahead (`None` or non-positive), the serial engine *is*
-//! the implementation — the parallel entry points delegate to it, so
-//! callers can use them unconditionally.
+//! **Fallbacks.** With one populated node, zero ranks, or no usable
+//! lookahead (`None` or non-positive), the serial engine *is* the
+//! implementation, so callers can pass any thread count.
 //!
 //! Collective op consistency: like MPI, all ranks must issue the same
-//! collective sequence. The serial engine reads the op from whichever
-//! rank arrives last, the leader here reads it from rank 0; for the
-//! globally-consistent sequences every workload in this repo emits,
-//! the two are the same op.
+//! collective sequence. Each partition compares its arrivals' ops with
+//! its first arrival's, the leader compares the partitions' first ops,
+//! and a difference fails with the same [`SimError::CollectiveMismatch`]
+//! the serial engine returns.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,9 +70,9 @@ use columbia_machine::cluster::CpuId;
 use columbia_obs::{EventBuffer, NullTracer, Tracer};
 
 use crate::engine::{
-    apply_collective_release, apply_compute, charge_send, collective_cost, collective_payload,
-    collective_source, connection_check, finish_recv, half_exchange_tag, simulate_generic,
-    FaultLedger, Op, RankResult, RankState, SimOutcome,
+    apply_collective_release, apply_compute, charge_send, collective_cost, collective_mismatch,
+    collective_payload, collective_source, connection_check, finish_recv, half_exchange_tag,
+    simulate, FaultLedger, Op, RankResult, RankState, SimOutcome,
 };
 use crate::error::{DeadlockReport, PendingOp, SimError};
 use crate::fabric::Fabric;
@@ -80,10 +80,9 @@ use crate::fault::{FaultPlan, FaultStats, FaultyFabric};
 use crate::mailbox::{IndexedMailbox, MailboxOps};
 use crate::program::Programs;
 
-/// Process-global simulation thread count consulted by
-/// [`crate::engine::simulate_traced_on`] (and therefore by every
-/// statically-dispatched simulation, including the full-Columbia
-/// experiment). 1 = serial.
+/// Process-global simulation thread count (1 = serial), set by `repro
+/// --sim-threads`. The engine never reads it: `runtime::exec` and the
+/// Columbia experiment pass it to [`simulate`] as `threads`.
 static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
 
 /// Set the number of threads single-run simulations may use. Values
@@ -110,7 +109,7 @@ struct Staged {
 /// Per-partition staging sink for trace events: the real
 /// [`EventBuffer`] when tracing, the [`NullTracer`] (all hooks
 /// compile away) when not.
-trait StageSink: Tracer + Send {
+pub(crate) trait StageSink: Tracer + Send {
     fn for_ranks(n: usize) -> Self;
     fn replay_rank_to<T: Tracer + ?Sized>(&self, r: usize, out: &mut T);
 }
@@ -151,6 +150,10 @@ struct Partition<B> {
     coll_gen: Vec<usize>,
     /// Local ranks arrived at the current collective frontier.
     coll_arrived: usize,
+    /// The first local arrival's op at the frontier, and whether a later
+    /// local arrival issued a different one.
+    coll_first: Option<Op>,
+    coll_mismatch: bool,
     /// Outbound lanes, one per destination partition. The `Vec`s are
     /// arena-reused across rounds (drained and handed back with their
     /// capacity), so steady-state staging allocates nothing.
@@ -172,6 +175,8 @@ impl<B: StageSink> Partition<B> {
             in_queue: Vec::new(),
             coll_gen: Vec::new(),
             coll_arrived: 0,
+            coll_first: None,
+            coll_mismatch: false,
             outbox: (0..n_parts).map(|_| Vec::new()).collect(),
             events: 0,
             over_budget: false,
@@ -180,8 +185,8 @@ impl<B: StageSink> Partition<B> {
     }
 }
 
-/// [`crate::engine::simulate_on`] computed by `threads` node-partition
-/// workers — same result, bit for bit.
+/// [`simulate`] untraced on `threads` node-partition workers — the same
+/// result as [`crate::engine::simulate_on`], bit for bit.
 pub fn simulate_parallel_on<P, F>(
     programs: &P,
     cpus: &[CpuId],
@@ -193,61 +198,23 @@ where
     P: Programs + ?Sized + Sync,
     F: Fabric + ?Sized + Sync,
 {
-    simulate_parallel_traced_on(programs, cpus, fabric, plan, &mut NullTracer, threads)
+    simulate(programs, cpus, fabric, plan, &mut NullTracer, threads)
 }
 
-/// [`simulate_parallel_on`] under an arbitrary [`Tracer`]; the drained
-/// trace stream is byte-identical to the serial engine's.
-pub fn simulate_parallel_traced_on<T, P, F>(
-    programs: &P,
-    cpus: &[CpuId],
-    fabric: &F,
-    plan: &FaultPlan,
-    tracer: &mut T,
-    threads: usize,
-) -> Result<SimOutcome, SimError>
-where
-    T: Tracer,
-    P: Programs + ?Sized + Sync,
-    F: Fabric + ?Sized + Sync,
-{
-    let n = programs.n_ranks();
-    if n != cpus.len() {
-        return Err(SimError::PlacementMismatch {
-            programs: n,
-            placements: cpus.len(),
-        });
-    }
-    // Partition by node: sorted distinct node ids, so the partition map
-    // is a pure function of the placement (identical at any thread
-    // count).
-    let mut nodes: Vec<u32> = cpus.iter().map(|c| c.node.0).collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    let n_parts = nodes.len();
-    let lookahead = fabric.min_cross_node_latency(cpus);
-    if threads <= 1 || n == 0 || n_parts <= 1 || !lookahead.is_some_and(|l| l > 0.0) {
-        // Degenerate cases (including the zero-lookahead single-window
-        // case): the serial engine is the canonical implementation.
-        return simulate_generic::<T, IndexedMailbox, P, F>(programs, cpus, fabric, plan, tracer);
-    }
-    let part_of: Vec<u32> = cpus
-        .iter()
-        .map(|c| nodes.binary_search(&c.node.0).expect("node present") as u32)
-        .collect();
-    if tracer.enabled() {
-        run_partitioned::<T, P, F, EventBuffer>(
-            programs, cpus, fabric, plan, tracer, &part_of, n_parts, threads,
-        )
-    } else {
-        run_partitioned::<T, P, F, NullTracer>(
-            programs, cpus, fabric, plan, tracer, &part_of, n_parts, threads,
-        )
+/// Replay every rank's staged trace events into `tracer` in rank order:
+/// per-rank streams are in program order in their owner partition's
+/// buffer, so this yields the serial engine's canonical stream.
+fn replay<T: Tracer, B: StageSink>(partitions: &[Partition<B>], part_of: &[u32], tracer: &mut T) {
+    for (r, &p) in part_of.iter().enumerate() {
+        partitions[p as usize].buf.replay_rank_to(r, tracer);
     }
 }
 
+/// The window rounds of [`simulate`] at `threads > 1`, over the node
+/// partitions `part_of` assigns. The drained trace stream is
+/// byte-identical to the serial engine's.
 #[allow(clippy::too_many_arguments)]
-fn run_partitioned<T, P, F, B>(
+pub(crate) fn run_partitioned<T, P, F, B>(
     programs: &P,
     cpus: &[CpuId],
     base_fabric: &F,
@@ -330,11 +297,7 @@ where
         // path may differ from serial — outcomes and errors do not.)
         let events: u64 = partitions.iter().map(|p| p.events).sum();
         if events > event_budget || partitions.iter().any(|p| p.over_budget) {
-            for r in 0..n {
-                partitions[part_of[r] as usize]
-                    .buf
-                    .replay_rank_to(r, tracer);
-            }
+            replay(&partitions, part_of, tracer);
             return Err(SimError::WatchdogTimeout {
                 events: event_budget + 1,
                 budget: event_budget,
@@ -370,20 +333,32 @@ where
         // the collective, which is the serial release condition.
         let arrived: usize = partitions.iter().map(|p| p.coll_arrived).sum();
         if arrived == n {
-            let pc0 = partitions[part_of[0] as usize].states[local_of[0] as usize].pc;
-            let op = programs.op(0, pc0).expect("rank 0 is at a collective");
-            let clock_of = |partitions: &[Partition<B>], r: usize| {
-                partitions[part_of[r] as usize].states[local_of[r] as usize].clock
-            };
+            let state = |r: usize| &partitions[part_of[r] as usize].states[local_of[r] as usize];
+            // Every partition holds ranks, so every `coll_first` is set.
+            let op = partitions[0]
+                .coll_first
+                .expect("every rank is at the collective");
+            if partitions
+                .iter()
+                .any(|p| p.coll_mismatch || p.coll_first != Some(op))
+            {
+                replay(&partitions, part_of, tracer);
+                return Err(collective_mismatch(n, state(0).coll_seq, |r| {
+                    programs
+                        .op(r, state(r).pc)
+                        .expect("rank is at a collective")
+                }));
+            }
+            let clock_of = |r: usize| state(r).clock;
             let start = match op {
-                Op::Bcast { root, .. } => clock_of(&partitions, root),
-                _ => (0..n).map(|r| clock_of(&partitions, r)).fold(0.0, f64::max),
+                Op::Bcast { root, .. } => clock_of(root),
+                _ => (0..n).map(clock_of).fold(0.0, f64::max),
             };
             let cost = collective_cost(op, fabric, cpus);
             let end = start + cost;
             let (coll_src, coll_bytes) = if tracer.enabled() {
                 (
-                    collective_source(op, (0..n).map(|r| clock_of(&partitions, r))),
+                    collective_source(op, (0..n).map(clock_of)),
                     collective_payload(op),
                 )
             } else {
@@ -409,6 +384,8 @@ where
             }
             for part in &mut partitions {
                 part.coll_arrived = 0;
+                part.coll_first = None;
+                part.coll_mismatch = false;
             }
         }
 
@@ -420,14 +397,7 @@ where
         }
     }
 
-    // Canonical trace merge: per-rank streams are in program order in
-    // their owner partition's buffer; replaying in rank order yields
-    // the serial engine's canonical stream byte-for-byte.
-    for r in 0..n {
-        partitions[part_of[r] as usize]
-            .buf
-            .replay_rank_to(r, tracer);
-    }
+    replay(&partitions, part_of, tracer);
 
     let state_of =
         |r: usize| -> &RankState { &partitions[part_of[r] as usize].states[local_of[r] as usize] };
@@ -553,6 +523,7 @@ fn run_until_blocked<P, F, B>(
                     if part.coll_gen[li] != seq {
                         part.coll_gen[li] = seq;
                         part.coll_arrived += 1;
+                        part.coll_mismatch |= *part.coll_first.get_or_insert(op) != op;
                     }
                     // Always blocks here; the leader resolves the
                     // rendezvous at the round barrier once the arrival
@@ -737,10 +708,8 @@ mod tests {
         let plan = FaultPlan::with_drops(7, 0.2);
         let mut serial = RecordingTracer::default();
         let mut parallel = RecordingTracer::default();
-        let s = crate::engine::simulate_traced_on(&programs, &cpus, &fabric, &plan, &mut serial)
-            .unwrap();
-        let p = simulate_parallel_traced_on(&programs, &cpus, &fabric, &plan, &mut parallel, 4)
-            .unwrap();
+        let s = simulate(&programs, &cpus, &fabric, &plan, &mut serial, 1).unwrap();
+        let p = simulate(&programs, &cpus, &fabric, &plan, &mut parallel, 4).unwrap();
         assert_eq!(s.makespan.to_bits(), p.makespan.to_bits());
         assert_eq!(serial.spans, parallel.spans);
         assert_eq!(serial.edges, parallel.edges);

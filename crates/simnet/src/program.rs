@@ -10,8 +10,9 @@
 //! workloads fall back to per-rank vectors.
 //!
 //! The engine is generic over [`Programs`], so both representations
-//! (and plain `&[Vec<Op>]` at the public entry points) run through the
-//! same monomorphized hot loop.
+//! (and plain `[Vec<Op>]` slices and `Vec<Vec<Op>>`) run through the
+//! same monomorphized hot loop. Array literals are not `Programs`: pass
+//! a `Vec`.
 
 use crate::engine::Op;
 
@@ -188,8 +189,7 @@ impl ProgramSet {
         ProgramSet::PerRank(programs)
     }
 
-    /// Expand into explicit per-rank vectors (equivalence testing and
-    /// interop with the slice-based entry points).
+    /// Expand into explicit per-rank vectors (equivalence testing).
     pub fn materialize(&self) -> Vec<Vec<Op>> {
         match self {
             ProgramSet::PerRank(p) => p.clone(),

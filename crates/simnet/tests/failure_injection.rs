@@ -5,9 +5,7 @@
 use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric};
 use columbia_machine::node::NodeKind;
 use columbia_simnet::fabric::{ClusterFabric, MptVersion};
-use columbia_simnet::{
-    simulate, simulate_with_faults, ConnectionLimit, ConnectionPolicy, FaultPlan, Op, SimError,
-};
+use columbia_simnet::{simulate_on, ConnectionLimit, ConnectionPolicy, FaultPlan, Op, SimError};
 
 fn fabric() -> ClusterFabric {
     ClusterFabric::single_node(ClusterConfig::uniform(NodeKind::Bx2b, 1))
@@ -27,7 +25,7 @@ fn mismatched_tag_deadlocks_with_diagnosis() {
         }],
         vec![Op::Recv { from: 0, tag: 2 }], // wrong tag
     ];
-    let err = simulate(&progs, &place(2), &fabric()).unwrap_err();
+    let err = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap_err();
     assert_eq!(err.stuck_ranks(), vec![1]);
     // The diagnosis names the pending op and its peer.
     let SimError::Deadlock(report) = err else {
@@ -49,7 +47,7 @@ fn wrong_source_deadlocks() {
         vec![],
         vec![Op::Recv { from: 1, tag: 0 }], // message came from 0, not 1
     ];
-    let err = simulate(&progs, &place(3), &fabric()).unwrap_err();
+    let err = simulate_on(&progs, &place(3), &fabric(), &FaultPlan::none()).unwrap_err();
     assert_eq!(err.stuck_ranks(), vec![2]);
 }
 
@@ -60,7 +58,7 @@ fn missing_collective_participant_deadlocks_everyone_at_the_barrier() {
         vec![Op::Barrier],
         vec![Op::Recv { from: 0, tag: 9 }], // never reaches the barrier
     ];
-    let err = simulate(&progs, &place(3), &fabric()).unwrap_err();
+    let err = simulate_on(&progs, &place(3), &fabric(), &FaultPlan::none()).unwrap_err();
     let stuck = err.stuck_ranks();
     assert!(stuck.contains(&2));
     assert!(stuck.len() == 3, "{stuck:?}");
@@ -101,7 +99,7 @@ fn three_cycle_of_receives_is_detected() {
             },
         ],
     ];
-    let err = simulate(&progs, &place(3), &fabric()).unwrap_err();
+    let err = simulate_on(&progs, &place(3), &fabric(), &FaultPlan::none()).unwrap_err();
     assert_eq!(err.stuck_ranks(), vec![0, 1, 2]);
     // Every rank is stuck at pc 0 waiting on its upstream neighbour —
     // the cycle is visible in the diagnosis.
@@ -128,7 +126,7 @@ fn extra_unconsumed_messages_are_harmless() {
         ],
         vec![Op::Compute(0.2)],
     ];
-    let out = simulate(&progs, &place(2), &fabric()).unwrap();
+    let out = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap();
     assert!((out.makespan - 0.2).abs() < 1e-6);
 }
 
@@ -142,14 +140,14 @@ fn self_messages_round_trip() {
         },
         Op::Recv { from: 0, tag: 3 },
     ]];
-    let out = simulate(&progs, &place(1), &fabric()).unwrap();
+    let out = simulate_on(&progs, &place(1), &fabric(), &FaultPlan::none()).unwrap();
     assert!(out.makespan > 0.0);
 }
 
 #[test]
 fn placement_mismatch_is_typed_not_a_panic() {
     let progs = vec![vec![Op::Compute(1.0)]; 3];
-    let err = simulate(&progs, &place(2), &fabric()).unwrap_err();
+    let err = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap_err();
     assert_eq!(
         err,
         SimError::PlacementMismatch {
@@ -165,7 +163,7 @@ fn deadlock_display_reads_like_a_diagnosis() {
         vec![Op::Recv { from: 1, tag: 0 }],
         vec![Op::Recv { from: 0, tag: 0 }],
     ];
-    let err = simulate(&progs, &place(2), &fabric()).unwrap_err();
+    let err = simulate_on(&progs, &place(2), &fabric(), &FaultPlan::none()).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("stuck ranks: [0, 1]"), "{msg}");
     assert!(msg.contains("rank 0 at pc 0"), "{msg}");
@@ -180,7 +178,7 @@ fn deadlock_diagnosis_survives_faults() {
         vec![Op::Recv { from: 0, tag: 0 }],
     ];
     let plan = FaultPlan::with_drops(9, 0.4);
-    let err = simulate_with_faults(&progs, &place(2), &fabric(), &plan).unwrap_err();
+    let err = simulate_on(&progs, &place(2), &fabric(), &plan).unwrap_err();
     assert_eq!(err.stuck_ranks(), vec![0, 1]);
 }
 
@@ -188,7 +186,7 @@ fn deadlock_diagnosis_survives_faults() {
 fn watchdog_timeout_is_typed() {
     let progs = vec![vec![Op::Compute(1e-6); 100]; 4];
     let plan = FaultPlan::none().with_event_budget(10);
-    let err = simulate_with_faults(&progs, &place(4), &fabric(), &plan).unwrap_err();
+    let err = simulate_on(&progs, &place(4), &fabric(), &plan).unwrap_err();
     assert!(matches!(err, SimError::WatchdogTimeout { budget: 10, .. }));
     assert!(err.to_string().contains("watchdog"));
 }
@@ -220,7 +218,7 @@ fn connection_exhaustion_under_fail_policy_is_typed() {
         connections_per_card: 512,
         policy: ConnectionPolicy::Fail,
     });
-    let err = simulate_with_faults(&progs, &cpus, &f, &plan).unwrap_err();
+    let err = simulate_on(&progs, &cpus, &f, &plan).unwrap_err();
     let SimError::ConnectionsExhausted {
         required,
         available,

@@ -5,9 +5,7 @@ use columbia_machine::node::NodeKind;
 use columbia_simnet::fabric::{CachedFabric, ClusterFabric, Fabric, MptVersion};
 use columbia_simnet::obs::{RecordingTracer, Track};
 use columbia_simnet::program::{ByteRule, Peer, ProgramSet, SpmdOp};
-use columbia_simnet::{
-    simulate, simulate_on, simulate_traced, simulate_with_faults, FaultPlan, Op,
-};
+use columbia_simnet::{simulate, simulate_on, FaultPlan, Op};
 use proptest::prelude::*;
 
 fn fabric() -> ClusterFabric {
@@ -49,7 +47,7 @@ proptest! {
             .map(|ts| ts.iter().map(|&t| Op::Compute(t)).collect())
             .collect();
         let cpus: Vec<CpuId> = (0..programs.len() as u32).map(|c| CpuId::new(0, c)).collect();
-        let out = simulate(&programs, &cpus, &fabric()).unwrap();
+        let out = simulate_on(&programs, &cpus, &fabric(), &FaultPlan::none()).unwrap();
         for (r, ts) in out.ranks.iter().zip(&times) {
             let want: f64 = ts.iter().sum();
             prop_assert!((r.total - want).abs() < 1e-12);
@@ -75,7 +73,7 @@ proptest! {
             })
             .collect();
         let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
-        let out = simulate(&programs, &cpus, &fabric()).unwrap();
+        let out = simulate_on(&programs, &cpus, &fabric(), &FaultPlan::none()).unwrap();
         prop_assert!(out.makespan >= compute * n as f64); // slowest compute
         for r in &out.ranks {
             prop_assert!(r.comm >= 0.0);
@@ -92,7 +90,7 @@ proptest! {
             .map(|&t| vec![Op::Compute(t), Op::Barrier])
             .collect();
         let cpus: Vec<CpuId> = (0..programs.len() as u32).map(|c| CpuId::new(0, c)).collect();
-        let out = simulate(&programs, &cpus, &fabric()).unwrap();
+        let out = simulate_on(&programs, &cpus, &fabric(), &FaultPlan::none()).unwrap();
         let t0 = out.ranks[0].total;
         for r in &out.ranks {
             prop_assert!((r.total - t0).abs() < 1e-15);
@@ -139,9 +137,9 @@ proptest! {
         // faults must reproduce the fault-free timeline bit for bit.
         let programs = ring(n, bytes, compute);
         let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
-        let base = simulate(&programs, &cpus, &fabric()).unwrap();
+        let base = simulate_on(&programs, &cpus, &fabric(), &FaultPlan::none()).unwrap();
         let plan = FaultPlan::with_drops(seed, 0.0);
-        let faulted = simulate_with_faults(&programs, &cpus, &fabric(), &plan).unwrap();
+        let faulted = simulate_on(&programs, &cpus, &fabric(), &plan).unwrap();
         prop_assert_eq!(base, faulted);
     }
 
@@ -155,8 +153,8 @@ proptest! {
         let programs = ring(n, bytes, 1e-5);
         let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
         let plan = FaultPlan::with_drops(seed, drop_prob);
-        let a = simulate_with_faults(&programs, &cpus, &fabric(), &plan).unwrap();
-        let b = simulate_with_faults(&programs, &cpus, &fabric(), &plan).unwrap();
+        let a = simulate_on(&programs, &cpus, &fabric(), &plan).unwrap();
+        let b = simulate_on(&programs, &cpus, &fabric(), &plan).unwrap();
         prop_assert_eq!(a, b);
     }
 
@@ -173,10 +171,10 @@ proptest! {
         // grow as the fault rate rises.
         let programs = ring(n, bytes, 1e-5);
         let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
-        let lo = simulate_with_faults(
+        let lo = simulate_on(
             &programs, &cpus, &fabric(), &FaultPlan::with_drops(seed, p_lo),
         ).unwrap();
-        let hi = simulate_with_faults(
+        let hi = simulate_on(
             &programs, &cpus, &fabric(), &FaultPlan::with_drops(seed, p_lo + p_extra),
         ).unwrap();
         prop_assert!(hi.makespan >= lo.makespan);
@@ -205,9 +203,9 @@ proptest! {
         let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
         let plan = FaultPlan::with_drops(seed, drop_prob);
         let mut tracer = RecordingTracer::new();
-        let traced = simulate_traced(&programs, &cpus, &fabric(), &plan, &mut tracer).unwrap();
+        let traced = simulate(&programs, &cpus, &fabric(), &plan, &mut tracer, 1).unwrap();
         // Tracing never perturbs the simulation.
-        let plain = simulate_with_faults(&programs, &cpus, &fabric(), &plan).unwrap();
+        let plain = simulate_on(&programs, &cpus, &fabric(), &plan).unwrap();
         prop_assert_eq!(&plain, &traced);
         for (r, rank) in traced.ranks.iter().enumerate() {
             let mut cursor = 0.0f64;
@@ -237,10 +235,10 @@ proptest! {
     ) {
         let programs = ring(n, 4096, 1e-5);
         let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
-        let base = simulate(&programs, &cpus, &fabric()).unwrap();
+        let base = simulate_on(&programs, &cpus, &fabric(), &FaultPlan::none()).unwrap();
         let plan = FaultPlan::with_drops(seed, drop_prob)
             .slow_cpu(CpuId::new(0, 0), slowdown);
-        let faulted = simulate_with_faults(&programs, &cpus, &fabric(), &plan).unwrap();
+        let faulted = simulate_on(&programs, &cpus, &fabric(), &plan).unwrap();
         prop_assert!(faulted.makespan >= base.makespan);
     }
 
@@ -289,9 +287,8 @@ proptest! {
         root_pick in 0usize..24,
     ) {
         // The whole fast path at once — compact SPMD programs on a
-        // CachedFabric through the statically dispatched engine — must
-        // be bit-identical to materialized per-rank programs on the
-        // uncached fabric through dynamic dispatch, fault plans and all.
+        // CachedFabric — must be bit-identical to materialized per-rank
+        // programs on the uncached fabric, fault plans and all.
         let n = 2 * half; // even, so Xor(1) pairs every rank
         let template = vec![
             SpmdOp::Compute(compute),
@@ -319,7 +316,7 @@ proptest! {
             .collect();
         let plan = FaultPlan::with_drops(seed, drop_prob);
         let fast = simulate_on(&set, &cpus, &cached, &plan).unwrap();
-        let slow = simulate_with_faults(&set.materialize(), &cpus, &direct, &plan).unwrap();
+        let slow = simulate_on(&set.materialize(), &cpus, &direct, &plan).unwrap();
         prop_assert_eq!(fast, slow);
     }
 }

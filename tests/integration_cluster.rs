@@ -6,7 +6,7 @@ use columbia::runtime::compiler::KernelClass;
 use columbia::runtime::compute::WorkPhase;
 use columbia::runtime::exec::{execute, ExecConfig, SpecOp, WorkloadSpec};
 use columbia::simnet::fabric::{ClusterFabric, Fabric, MptVersion};
-use columbia::simnet::{simulate, Op};
+use columbia::simnet::{simulate_on, FaultPlan, Op};
 
 #[test]
 fn columbia_config_drives_the_fabric() {
@@ -39,7 +39,7 @@ fn engine_runs_a_thousand_rank_program() {
             ]
         })
         .collect();
-    let out = simulate(&programs, &cpus, &fabric).unwrap();
+    let out = simulate_on(&programs, &cpus, &fabric, &FaultPlan::none()).unwrap();
     assert_eq!(out.ranks.len(), n);
     // Everyone leaves the final collective together.
     let t0 = out.ranks[0].total;

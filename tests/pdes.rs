@@ -1,10 +1,12 @@
 //! Serial-vs-parallel identity of the conservative PDES tier.
 //!
-//! The contract under test: [`simulate_parallel_on`] (and its traced
-//! variant) is **bit-identical** to the serial engine for every
+//! The contract under test: [`simulate`] at more than one thread (and
+//! its untraced shorthand [`simulate_parallel_on`]) is
+//! **bit-identical** to the serial engine at one thread for every
 //! program set, placement, fabric, fault plan, and thread count —
 //! same `f64` clocks, same fault accounting, same trace spans and
-//! causal edges after the canonical per-rank merge, same errors.
+//! causal edges after the canonical per-rank merge, same errors. Every
+//! serial reference names `threads = 1` explicitly.
 //!
 //! Two layers:
 //!
@@ -13,7 +15,8 @@
 //!   collectives) on random heterogeneous clusters with random fault
 //!   plans, checked at sim-threads 2, 3, and 7;
 //! * directed edge cases: the zero-lookahead / single-partition
-//!   fallback, empty programs, spec-key and CLI plumbing.
+//!   fallback, empty programs, mismatched collectives, spec-key and
+//!   global thread-count plumbing.
 //!
 //! The outcome comparison is exact (`f64::to_bits`) except for
 //! `FaultStats::events`, the scheduler-event *count*: re-examinations
@@ -22,11 +25,10 @@
 
 use columbia::machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia::machine::node::NodeKind;
-use columbia::obs::RecordingTracer;
+use columbia::obs::{NullTracer, RecordingTracer};
 use columbia::simnet::fabric::{CachedFabric, ClusterFabric, Fabric, MptVersion};
 use columbia::simnet::{
-    simulate_on, simulate_parallel_on, simulate_parallel_traced_on, simulate_traced_on, FaultPlan,
-    Op, SimOutcome,
+    simulate, simulate_on, simulate_parallel_on, FaultPlan, Op, SimError, SimOutcome,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -211,17 +213,15 @@ proptest! {
             FaultPlan::none()
         };
         let mut serial_trace = RecordingTracer::default();
-        let serial = simulate_traced_on(&programs, &cpus, &fabric, &plan, &mut serial_trace)
+        let serial = simulate(&programs, &cpus, &fabric, &plan, &mut serial_trace, 1)
             .expect("generated workloads never deadlock");
         for threads in [2usize, 3, 7] {
             let parallel = simulate_parallel_on(&programs, &cpus, &fabric, &plan, threads)
                 .expect("parallel run of a deadlock-free workload");
             assert_outcomes_identical(&serial, &parallel);
             let mut parallel_trace = RecordingTracer::default();
-            let traced = simulate_parallel_traced_on(
-                &programs, &cpus, &fabric, &plan, &mut parallel_trace, threads,
-            )
-            .expect("traced parallel run");
+            let traced = simulate(&programs, &cpus, &fabric, &plan, &mut parallel_trace, threads)
+                .expect("traced parallel run");
             assert_outcomes_identical(&serial, &traced);
             prop_assert_eq!(&serial_trace.spans, &parallel_trace.spans);
             prop_assert_eq!(&serial_trace.edges, &parallel_trace.edges);
@@ -376,26 +376,93 @@ row = ["{pattern}", "{node}", "{cpus}", "{latency}", "{bandwidth}"]
     );
 }
 
-/// The global thread-count switch drives the statically-dispatched
-/// traced entry point (the one every experiment and spec run uses).
+/// Ranks that reach a collective with different ops are a typed error
+/// naming the lowest rank whose op differs from rank 0's, the same one at
+/// every thread count.
+#[test]
+fn mismatched_collectives_are_the_same_typed_error_at_every_thread_count() {
+    const BARRIER: Op = Op::Barrier;
+    const REDUCE: Op = Op::AllReduce { bytes: 64 };
+    // Ranks alternate between the two nodes: 0 and 2 on node 0, 1 and 3
+    // on node 1.
+    let (fabric, cpus) = placement(&[NodeKind::Bx2b, NodeKind::Bx2b], 2);
+    // Each case maps a rank to its collectives, and names the one that
+    // differs.
+    type Collectives = fn(usize) -> Vec<Op>;
+    let cases: [(Collectives, usize); 3] = [
+        // Rank 0 alone at a barrier, every other rank at an allreduce.
+        (|r| vec![if r == 0 { BARRIER } else { REDUCE }], 0),
+        // Each node agrees with itself; the two nodes disagree.
+        (|r| vec![if r % 2 == 0 { BARRIER } else { REDUCE }], 0),
+        // Only the second collective differs.
+        (|r| vec![BARRIER, if r == 0 { BARRIER } else { REDUCE }], 1),
+    ];
+    let plan = FaultPlan::none();
+    for (collectives, seq) in cases {
+        let programs: Vec<Vec<Op>> = (0..cpus.len())
+            .map(|r| [vec![Op::Compute(1e-5 * (1 + r) as f64)], collectives(r)].concat())
+            .collect();
+        let expected = SimError::CollectiveMismatch {
+            seq,
+            rank: 1,
+            expected: BARRIER,
+            found: REDUCE,
+        };
+        for threads in [1usize, 2, 3, 7] {
+            let got = simulate(&programs, &cpus, &fabric, &plan, &mut NullTracer, threads);
+            assert_eq!(got, Err(expected.clone()), "threads = {threads}");
+        }
+    }
+}
+
+/// The global thread count reaches the engine through
+/// `runtime::exec::execute`, its production reader: at 4 threads the
+/// run is the PDES tier's, bit-identical to the serial run.
 #[test]
 fn global_sim_threads_parallelizes_simulate_traced_on() {
+    use columbia::runtime::{
+        execute, ExecConfig, Placement, PlacementStrategy, SpecOp, WorkloadSpec,
+    };
     use columbia::simnet::{set_sim_threads, sim_threads};
-    let (fabric, cpus) = placement(&[NodeKind::Bx2b, NodeKind::Altix3700], 3);
-    let phases = [
-        Phase::Compute(2e-5),
-        Phase::Ring {
+
+    /// Puts the global back to serial however the test exits.
+    struct ResetToSerial;
+    impl Drop for ResetToSerial {
+        fn drop(&mut self) {
+            set_sim_threads(1);
+        }
+    }
+
+    // Four ranks on each of two NUMAlink4 nodes: a ring that crosses
+    // nodes, then a broadcast.
+    let cluster = ClusterConfig::uniform(NodeKind::Bx2b, 2);
+    let nodes = [NodeId(0), NodeId(1)];
+    let mut cfg = ExecConfig::single_node(cluster.clone(), nodes[0], 8, 1);
+    cfg.placement = Placement::new(&cluster, &nodes, 8, 1, PlacementStrategy::DenseCapped(4));
+    cfg.nodes = nodes.to_vec();
+    let mut spec = WorkloadSpec::with_ranks(8);
+    for (r, ops) in spec.ranks.iter_mut().enumerate() {
+        let (to, from) = ((r + 1) % 8, (r + 7) % 8);
+        ops.push(SpecOp::Send {
+            to,
             bytes: 2048,
             tag: 5,
-        },
-        Phase::Bcast { bytes: 8192 },
-    ];
-    let programs = programs_for(&phases, cpus.len(), 0);
-    let plan = FaultPlan::none();
-    let serial = simulate_on(&programs, &cpus, &fabric, &plan).unwrap();
+        });
+        ops.push(SpecOp::Recv { from, tag: 5 });
+        ops.push(SpecOp::Bcast {
+            root: 0,
+            bytes: 8192,
+        });
+    }
+
+    let _reset = ResetToSerial;
+    set_sim_threads(1);
+    let serial = execute(&spec, &cfg).unwrap();
     set_sim_threads(4);
     assert_eq!(sim_threads(), 4);
-    let via_global = simulate_on(&programs, &cpus, &fabric, &plan).unwrap();
-    set_sim_threads(1);
+    let via_global = execute(&spec, &cfg).unwrap();
     assert_outcomes_identical(&serial, &via_global);
+    // The scheduler-event count is the one statistic the engines do not
+    // share, so a different count shows that the PDES tier ran.
+    assert_ne!(serial.faults.events, via_global.faults.events);
 }
