@@ -26,7 +26,7 @@ import sys
 CHECKS = {
     # Disabled host-telemetry hooks vs. a bare loop over the same jobs.
     "host_obs_overhead": ("overhead_pct", "<", 2.0),
-    # Conservative PDES tier at 4 threads vs. the serial engine on the
+    # Conservative PDES loop at 4 threads vs. one thread on the
     # full-Columbia 10,240-rank run (bit-identical results, ≥1.8x wall).
     "pdes_columbia_10240": ("speedup4", ">=", 1.8),
 }

@@ -41,14 +41,14 @@
 //! against `--jobs 1` as a gate.
 //!
 //! `--sim-threads N` parallelizes *within* each simulation: the
-//! conservative PDES tier (`columbia_simnet::pdes`) partitions ranks
-//! by node and synchronizes on the fabric's minimum cross-node
-//! latency. Orthogonal to `--jobs` (which fans *across* sweep
-//! points): `--jobs` wins when a sweep has many points, `--sim-threads`
-//! when one simulation dominates (the 10,240-rank full-Columbia run).
-//! Results are bit-identical at any value — CI diffs `--sim-threads 4`
-//! against the serial golden. Overrides a spec's `[defaults]
-//! sim_threads` key; default 1 (serial engine).
+//! engine's conservative PDES loop (`columbia_simnet::pdes`) partitions
+//! ranks by node and runs the partitions in rounds on up to N threads.
+//! Orthogonal to `--jobs` (which fans *across* sweep points): `--jobs`
+//! wins when a sweep has many points, `--sim-threads` when one
+//! simulation dominates (the 10,240-rank full-Columbia run). Results
+//! are bit-identical at any value — CI diffs `--sim-threads 4` against
+//! the one-thread golden. Overrides a spec's `[defaults] sim_threads`
+//! key; default 1 (one partition, on the calling thread).
 //!
 //! `--trace` and `--metrics` install the global trace sink
 //! (`columbia_obs::sink`) before running the selected experiments:

@@ -97,7 +97,8 @@ pub struct Volatile {
     /// Host executor metrics ([`columbia_obs::Metrics::to_value`]) when
     /// a host capture was live, else absent.
     pub host_metrics: Option<Value>,
-    /// PDES threads each simulation ran with (1 = serial engine).
+    /// PDES threads each simulation ran with (1 = one partition, on
+    /// the calling thread).
     /// Volatile because results are bit-identical at any value — the
     /// stable portion must not depend on how the run was executed.
     pub sim_threads: usize,

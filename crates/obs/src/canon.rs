@@ -1,30 +1,28 @@
 //! Canonical (schedule-independent) ordering of trace event streams.
 //!
 //! The discrete-event engine's *outcomes* are schedule-independent, but
-//! its raw emission order is not: the serial worklist interleaves ranks
-//! in whatever order they become runnable, and a partitioned parallel
-//! engine interleaves them differently again. Consumers that fold the
-//! stream left-to-right into `f64` accumulators (histograms, per-phase
-//! sums) or export it verbatim (the Chrome trace) would see those
-//! orders, so byte-identity across engines requires a *canonical*
-//! order.
+//! its raw emission order is not: its worklist interleaves ranks in
+//! whatever order they become runnable, and that order changes with
+//! how the ranks are partitioned. Consumers that fold the stream
+//! left-to-right into `f64` accumulators (histograms, per-phase sums) or
+//! export it verbatim (the Chrome trace) would see those orders, so
+//! byte-identity across thread counts requires a *canonical* order.
 //!
-//! The canonical order is: topology and gauges first (they are emitted
-//! before any span in both engines), then every buffered event of rank
-//! 0, then rank 1, and so on. Each event has exactly one owner rank —
-//! spans belong to [`SpanEvent::rank`], messages to the sender, message
-//! edges to the source rank, and collective edges to the destination
-//! rank — chosen so that both engines produce each rank's sub-stream in
+//! The canonical order is: topology and gauges first (the engine emits
+//! them before any span), then every buffered event of rank 0, then
+//! rank 1, and so on. Each event has exactly one owner rank — spans
+//! belong to [`SpanEvent::rank`], messages to the sender, message edges
+//! to the source rank, and collective edges to the destination rank —
+//! chosen so that every partition produces each rank's sub-stream in
 //! that rank's program order. Replaying per-rank sub-streams in rank
 //! order therefore yields one global order that is a pure function of
 //! the simulation's inputs.
 //!
-//! [`EventBuffer`] is the per-owner staging structure (the parallel
-//! engine keeps one per partition and merges them rank-by-rank);
-//! [`CanonicalTracer`] wraps any downstream [`Tracer`] and applies the
-//! reordering transparently for the serial engine. When the downstream
-//! tracer is disabled nothing is buffered and every hook stays an
-//! inlined no-op, preserving the engine's zero-overhead guarantee.
+//! [`EventBuffer`] is the per-owner staging structure: the engine keeps
+//! one per partition when tracing and merges them rank by rank. When
+//! the tracer is disabled the engine stages into the `NullTracer`
+//! instead, so nothing is buffered and every hook stays an inlined
+//! no-op, preserving the engine's zero-overhead guarantee.
 
 use crate::tracer::{CausalEdge, EdgeKind, MessageRecord, SpanEvent, SpanKind, Tracer};
 
@@ -123,78 +121,10 @@ impl Tracer for EventBuffer {
     // engine forwards them to the downstream tracer directly.
 }
 
-/// A [`Tracer`] adapter that delivers events to `inner` in canonical
-/// order: topology and gauges immediately, everything else staged in an
-/// [`EventBuffer`] until [`CanonicalTracer::flush`].
-///
-/// When `inner` is disabled no buffer is allocated and all hooks are
-/// no-ops, so wrapping the `NullTracer` costs nothing.
-pub struct CanonicalTracer<'a, T: Tracer + ?Sized> {
-    inner: &'a mut T,
-    buf: Option<EventBuffer>,
-}
-
-impl<'a, T: Tracer + ?Sized> CanonicalTracer<'a, T> {
-    /// Wrap `inner` for a simulation over `n` ranks.
-    pub fn new(inner: &'a mut T, n: usize) -> Self {
-        let buf = inner.enabled().then(|| EventBuffer::new(n));
-        CanonicalTracer { inner, buf }
-    }
-
-    /// Replay everything staged so far into `inner`, in canonical
-    /// order, and clear the stage. Must be called before the simulation
-    /// result is returned (on success *and* on mid-run errors, so the
-    /// tracer still sees what happened up to the failure).
-    pub fn flush(&mut self) {
-        if let Some(buf) = &mut self.buf {
-            let buf = std::mem::take(buf);
-            buf.replay_all(self.inner);
-        }
-    }
-}
-
-impl<T: Tracer + ?Sized> Tracer for CanonicalTracer<'_, T> {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    #[inline]
-    fn span(&mut self, rank: usize, kind: SpanKind, start: f64, end: f64) {
-        if let Some(buf) = &mut self.buf {
-            buf.span(rank, kind, start, end);
-        }
-    }
-
-    #[inline]
-    fn message(&mut self, msg: &MessageRecord) {
-        if let Some(buf) = &mut self.buf {
-            buf.message(msg);
-        }
-    }
-
-    #[inline]
-    fn edge(&mut self, edge: &CausalEdge) {
-        if let Some(buf) = &mut self.buf {
-            buf.edge(edge);
-        }
-    }
-
-    #[inline]
-    fn gauge(&mut self, name: &'static str, value: f64) {
-        self.inner.gauge(name, value);
-    }
-
-    #[inline]
-    fn topology(&mut self, rank_nodes: &[u32]) {
-        self.inner.topology(rank_nodes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracer::{NullTracer, RecordingTracer};
+    use crate::tracer::RecordingTracer;
 
     fn msg(from: usize, to: usize) -> MessageRecord {
         MessageRecord {
@@ -226,18 +156,16 @@ mod tests {
     #[test]
     fn replay_orders_by_owner_rank_then_emission() {
         let mut canon = RecordingTracer::new();
-        {
-            let mut t = CanonicalTracer::new(&mut canon, 3);
-            t.topology(&[0, 0, 1]);
-            // Emitted in a scrambled scheduler order.
-            t.span(2, SpanKind::Compute, 0.0, 1.0);
-            t.span(0, SpanKind::Compute, 0.0, 2.0);
-            t.message(&msg(1, 0));
-            t.edge(&edge(EdgeKind::Message, 1, 0)); // owner: src rank 1
-            t.edge(&edge(EdgeKind::Collective, 2, 0)); // owner: dst rank 0
-            t.span(0, SpanKind::Send, 2.0, 2.1);
-            t.flush();
-        }
+        canon.topology(&[0, 0, 1]);
+        let mut t = EventBuffer::new(3);
+        // Emitted in a scrambled scheduler order.
+        t.span(2, SpanKind::Compute, 0.0, 1.0);
+        t.span(0, SpanKind::Compute, 0.0, 2.0);
+        t.message(&msg(1, 0));
+        t.edge(&edge(EdgeKind::Message, 1, 0)); // owner: src rank 1
+        t.edge(&edge(EdgeKind::Collective, 2, 0)); // owner: dst rank 0
+        t.span(0, SpanKind::Send, 2.0, 2.1);
+        t.replay_all(&mut canon);
         assert_eq!(canon.rank_nodes, vec![0, 0, 1]);
         // Rank 0's events (two spans + the collective edge) come first,
         // in emission order; then rank 1's message+edge; then rank 2.
@@ -246,16 +174,6 @@ mod tests {
         assert_eq!(canon.edges[0].kind, EdgeKind::Collective);
         assert_eq!(canon.edges[1].kind, EdgeKind::Message);
         assert_eq!(canon.metrics.counter("messages_sent"), 1);
-    }
-
-    #[test]
-    fn disabled_inner_buffers_nothing() {
-        let mut null = NullTracer;
-        let mut t = CanonicalTracer::new(&mut null, 4);
-        assert!(!t.enabled());
-        assert!(t.buf.is_none());
-        t.span(0, SpanKind::Compute, 0.0, 1.0);
-        t.flush();
     }
 
     #[test]

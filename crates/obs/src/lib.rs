@@ -57,7 +57,7 @@ pub use analysis::{
     analyze, Analysis, Breakdown, Category, CommPair, CriticalPath, Imbalance, PathSegment,
     ANALYSIS_SCHEMA,
 };
-pub use canon::{BufferedEvent, CanonicalTracer, EventBuffer};
+pub use canon::{BufferedEvent, EventBuffer};
 pub use chrome::{chrome_trace, chrome_trace_with_flows, chrome_trace_with_host};
 pub use host::{HostReport, HostSpan, HostTrack};
 pub use metrics::{Histogram, Metrics};

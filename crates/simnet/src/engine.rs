@@ -22,28 +22,30 @@
 //! retransmission, degraded links, slow CPUs, and the §2 InfiniBand
 //! connection limit, multiplexed or failing with
 //! [`SimError::ConnectionsExhausted`]), reports every clock advance to a
-//! [`Tracer`], and takes a thread count: 1 runs the serial event loop
-//! below, more the conservative-PDES tier ([`crate::pdes`]), with
-//! bit-identical outcomes and traces. It is generic over the tracer, the
-//! fabric and the program representation, so under the [`NullTracer`]
-//! the instrumentation compiles away, per-message cost calls inline
-//! (pair the fabric with [`crate::fabric::CachedFabric`] for table
-//! lookups), and SPMD workloads share one
+//! [`Tracer`], and takes a thread count. The event loop lives in
+//! [`crate::pdes`]: it runs ranks in partitions, one partition per node
+//! on more than one thread, and its outcomes and traces are
+//! bit-identical at every thread count. This module holds the entry
+//! point and the per-op helpers the loop applies. It is generic over the
+//! tracer, the fabric and the program representation, so under the
+//! [`NullTracer`] the instrumentation compiles away, per-message cost
+//! calls inline (pair the fabric with [`crate::fabric::CachedFabric`]
+//! for table lookups), and SPMD workloads share one
 //! [`crate::program::ProgramSet`] template. [`simulate_on`] and
 //! [`crate::pdes::simulate_parallel_on`] are its untraced shorthands.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use columbia_machine::cluster::CpuId;
 use columbia_obs::{
-    CanonicalTracer, CausalEdge, EdgeKind, EventBuffer, MessageRecord, NullTracer, SpanKind, Tracer,
+    CausalEdge, EdgeKind, EventBuffer, MessageRecord, NullTracer, SpanKind, Tracer,
 };
 
 use crate::collectives;
-use crate::error::{DeadlockReport, PendingOp, SimError};
+use crate::error::SimError;
 use crate::fabric::Fabric;
-use crate::fault::{ConnectionPolicy, FaultPlan, FaultStats, FaultyFabric};
-use crate::mailbox::{IndexedMailbox, MailboxOps};
+use crate::fault::{ConnectionPolicy, FaultPlan, FaultStats};
+use crate::mailbox::IndexedMailbox;
 use crate::pdes::run_partitioned;
 use crate::program::Programs;
 
@@ -129,7 +131,10 @@ impl SimOutcome {
     }
 }
 
+#[derive(Clone, Copy, Default)]
 pub(crate) struct RankState {
+    /// The global rank this state belongs to.
+    pub(crate) rank: usize,
     pub(crate) pc: usize,
     pub(crate) clock: f64,
     pub(crate) compute: f64,
@@ -138,23 +143,11 @@ pub(crate) struct RankState {
     pub(crate) coll_seq: usize,
 }
 
-impl RankState {
-    pub(crate) fn fresh() -> Self {
-        RankState {
-            pc: 0,
-            clock: 0.0,
-            compute: 0.0,
-            comm: 0.0,
-            coll_seq: 0,
-        }
-    }
-}
-
 /// Per-rank fault accounting, folded into one [`FaultStats`] in rank
 /// order at the end of a run. The `f64` sums are order-sensitive, so
 /// accumulating per sender and folding canonically makes the totals a
-/// pure function of the simulation's inputs — identical between the
-/// serial and partitioned engines regardless of scheduling.
+/// pure function of the simulation's inputs — identical under every
+/// partition map regardless of scheduling.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FaultLedger {
     pub(crate) dropped_messages: u64,
@@ -178,8 +171,7 @@ impl FaultLedger {
 /// retransmit sampling, multiplex delay, the sender's CPU overhead, and
 /// all sender-side trace events. Returns the arrival time; the caller
 /// deposits it (directly into a mailbox, or into a cross-partition
-/// lane). Shared verbatim by the serial engine's `Send`/`Exchange` arms
-/// and the PDES tier, so the two cannot drift.
+/// lane). Shared by the `Send` op and the send half of `Exchange`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn charge_send<T: Tracer, F: Fabric + ?Sized>(
     tracer: &mut T,
@@ -261,7 +253,7 @@ pub(crate) fn charge_send<T: Tracer, F: Fabric + ?Sized>(
 
 /// Apply one compute phase of `secs` (already scaled by the plan's
 /// CPU-slowdown factor): advance the clock, charge compute time, emit
-/// the span. Shared by the serial engine and the PDES tier.
+/// the span.
 pub(crate) fn apply_compute<T: Tracer>(tracer: &mut T, state: &mut RankState, r: usize, secs: f64) {
     let started = state.clock;
     state.clock += secs;
@@ -274,8 +266,7 @@ pub(crate) fn apply_compute<T: Tracer>(tracer: &mut T, state: &mut RankState, r:
 
 /// Complete a blocking receive whose matching message arrives at
 /// `arrival`: emit the wait span, charge comm time, advance the clock
-/// and pc. One helper for the `Recv` arm, the recv half of `Exchange`,
-/// and the PDES tier — previously three copies of the same block.
+/// and pc. One helper for the `Recv` op and the recv half of `Exchange`.
 pub(crate) fn finish_recv<T: Tracer>(
     tracer: &mut T,
     state: &mut RankState,
@@ -353,7 +344,7 @@ pub(crate) fn collective_mismatch(n: usize, seq: usize, op_of: impl Fn(usize) ->
 /// emit its span and causal edge, charge comm time, advance clock,
 /// collective sequence, and pc. `done == end` except under a broadcast,
 /// where a rank already past the root-driven finish keeps its own
-/// clock. Shared by the serial release loop and the PDES rendezvous.
+/// clock. Applied by the leader's collective release.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_collective_release<T: Tracer>(
     tracer: &mut T,
@@ -442,8 +433,10 @@ pub(crate) fn connection_check(cpus: &[CpuId], plan: &FaultPlan) -> Result<(f64,
 /// `cpus[r]` is the physical CPU of rank `r`; programs and placement
 /// must have equal length. Faults only ever *delay* the timeline;
 /// structural failures are [`SimError`]s. Tracing never perturbs the
-/// outcome. `threads <= 1` runs the serial event loop; more run the
-/// PDES tier, whose node partitions share `P` and `F` (hence `Sync`).
+/// outcome. At `threads <= 1`, or on a one-node placement, every rank
+/// sits in one partition and the event loop runs on the calling
+/// thread; otherwise each node is a partition, run on at most `threads`
+/// threads that share `P` and `F` (hence `Sync`).
 pub fn simulate<T, P, F>(
     programs: &P,
     cpus: &[CpuId],
@@ -464,38 +457,33 @@ where
             placements: cpus.len(),
         });
     }
-    if threads <= 1 {
-        return simulate_generic::<T, IndexedMailbox, P, F>(programs, cpus, fabric, plan, tracer);
+    // The partition map is a pure function of the placement and
+    // `threads`: one partition per node (sorted node ids) at more than
+    // one thread, else one partition (an empty node list sends every
+    // lookup to partition 0).
+    let mut nodes: Vec<u32> = Vec::new();
+    if threads > 1 {
+        nodes = cpus.iter().map(|c| c.node.0).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
     }
-    // Partition by node: sorted distinct node ids, so the partition map
-    // is a pure function of the placement (identical at any thread
-    // count).
-    let mut nodes: Vec<u32> = cpus.iter().map(|c| c.node.0).collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    let n_parts = nodes.len();
-    let lookahead = fabric.min_cross_node_latency(cpus);
-    if n == 0 || n_parts <= 1 || !lookahead.is_some_and(|l| l > 0.0) {
-        // Degenerate cases (including the zero-lookahead single-window
-        // case): the serial engine is the canonical implementation.
-        return simulate_generic::<T, IndexedMailbox, P, F>(programs, cpus, fabric, plan, tracer);
-    }
+    let n_parts = nodes.len().max(1);
     let part_of: Vec<u32> = cpus
         .iter()
-        .map(|c| nodes.binary_search(&c.node.0).expect("node present") as u32)
+        .map(|c| nodes.binary_search(&c.node.0).unwrap_or(0) as u32)
         .collect();
     if tracer.enabled() {
-        run_partitioned::<T, P, F, EventBuffer>(
+        run_partitioned::<T, IndexedMailbox, P, F, EventBuffer>(
             programs, cpus, fabric, plan, tracer, &part_of, n_parts, threads,
         )
     } else {
-        run_partitioned::<T, P, F, NullTracer>(
+        run_partitioned::<T, IndexedMailbox, P, F, NullTracer>(
             programs, cpus, fabric, plan, tracer, &part_of, n_parts, threads,
         )
     }
 }
 
-/// [`simulate`] on the serial engine, untraced.
+/// [`simulate`] on one thread, untraced.
 pub fn simulate_on<P, F>(
     programs: &P,
     cpus: &[CpuId],
@@ -507,286 +495,6 @@ where
     F: Fabric + ?Sized + Sync,
 {
     simulate(programs, cpus, fabric, plan, &mut NullTracer, 1)
-}
-
-pub(crate) fn simulate_generic<
-    T: Tracer,
-    M: MailboxOps,
-    P: Programs + ?Sized,
-    F: Fabric + ?Sized,
->(
-    programs: &P,
-    cpus: &[CpuId],
-    base_fabric: &F,
-    plan: &FaultPlan,
-    tracer: &mut T,
-) -> Result<SimOutcome, SimError> {
-    // Deliver trace events in canonical per-rank order (see
-    // `columbia_obs::canon`): the scheduler's emission interleaving is
-    // an implementation detail, and the partitioned engine must be able
-    // to reproduce the stream byte-for-byte. Flushed on every exit path
-    // past this point, so mid-run errors still surface their events.
-    let mut canon = CanonicalTracer::new(tracer, programs.n_ranks());
-    let result = simulate_core::<_, M, P, F>(programs, cpus, base_fabric, plan, &mut canon);
-    canon.flush();
-    result
-}
-
-fn simulate_core<T: Tracer, M: MailboxOps, P: Programs + ?Sized, F: Fabric + ?Sized>(
-    programs: &P,
-    cpus: &[CpuId],
-    base_fabric: &F,
-    plan: &FaultPlan,
-    tracer: &mut T,
-) -> Result<SimOutcome, SimError> {
-    let (mux_delay, oversubscription) = connection_check(cpus, plan)?;
-    if tracer.enabled() {
-        let rank_nodes: Vec<u32> = cpus.iter().map(|c| c.node.0).collect();
-        tracer.topology(&rank_nodes);
-        if plan.connection_limit.is_some() {
-            tracer.gauge("connection_occupancy", oversubscription);
-        }
-    }
-    // Statically typed: when `F` is a concrete fabric the cost calls
-    // below inline.
-    let faulty = FaultyFabric::new(base_fabric, plan);
-    let fabric = &faulty;
-
-    let n = programs.n_ranks();
-    let total_ops: usize = programs.total_ops();
-    let event_budget = plan
-        .event_budget
-        .unwrap_or_else(|| 10_000 + 64 * total_ops as u64);
-
-    let mut states: Vec<RankState> = (0..n).map(|_| RankState::fresh()).collect();
-    // Per-sender fault accounting, folded canonically at the end so the
-    // f64 sums are schedule-independent.
-    let mut ledgers: Vec<FaultLedger> = vec![FaultLedger::default(); n];
-    // In-flight messages: arrival times per (from, to, tag) channel,
-    // FIFO per channel (MPI ordering). The channel also carries the
-    // send sequence number the fault sampling keys off
-    // (schedule-independent).
-    let mut mailbox = M::with_ranks(n);
-    // Collective rendezvous. All ranks share one collective frontier
-    // (`coll_seq` only ever advances for everyone at once, below), so
-    // one arrival counter suffices; `coll_gen[r]` records the last
-    // sequence rank `r` joined, making a re-examined blocked rank O(1)
-    // to deduplicate — no per-collective set, no O(p) scan.
-    let mut coll_count: usize = 0;
-    let mut coll_gen: Vec<usize> = vec![usize::MAX; n];
-    // The first arrival's op, and whether a later arrival issued another.
-    let mut coll_first: Option<Op> = None;
-    let mut coll_mismatch = false;
-
-    // `in_queue` guards duplicates, so at most n ranks are queued; the
-    // spare slot keeps a full queue strictly below capacity so the ring
-    // buffer never reallocates during the run.
-    let mut runnable: VecDeque<usize> = VecDeque::with_capacity(n + 1);
-    runnable.extend(0..n);
-    let mut in_queue = vec![true; n];
-
-    // Posts one message: price and charge it via the shared
-    // [`charge_send`] helper, then deposit the arrival on the channel.
-    // Shared by Send and the send half of Exchange.
-    let post_send = |states: &mut Vec<RankState>,
-                     mailbox: &mut M,
-                     ledgers: &mut Vec<FaultLedger>,
-                     tracer: &mut T,
-                     r: usize,
-                     to: usize,
-                     bytes: u64,
-                     tag: u64| {
-        let seq = mailbox.next_seq(r, to, tag);
-        let arrival = charge_send(
-            tracer,
-            fabric,
-            plan,
-            cpus,
-            mux_delay,
-            &mut ledgers[r],
-            &mut states[r],
-            r,
-            to,
-            bytes,
-            tag,
-            seq,
-        );
-        mailbox.push(r, to, tag, arrival);
-    };
-
-    // Each pop executes at least one op or blocks; total ops bound the
-    // work, so this terminates — and the event budget catches any
-    // livelock regression in the scheduler itself.
-    let mut events: u64 = 0;
-    while let Some(r) = runnable.pop_front() {
-        in_queue[r] = false;
-        while let Some(op) = programs.op(r, states[r].pc) {
-            events += 1;
-            if events > event_budget {
-                return Err(SimError::WatchdogTimeout {
-                    events,
-                    budget: event_budget,
-                });
-            }
-            match op {
-                Op::Compute(secs) => {
-                    apply_compute(
-                        tracer,
-                        &mut states[r],
-                        r,
-                        secs * plan.compute_factor(cpus[r]),
-                    );
-                }
-                Op::Send { to, bytes, tag } => {
-                    post_send(
-                        &mut states,
-                        &mut mailbox,
-                        &mut ledgers,
-                        tracer,
-                        r,
-                        to,
-                        bytes,
-                        tag,
-                    );
-                    states[r].pc += 1;
-                    // The receiver may now be unblocked.
-                    if !in_queue[to] {
-                        runnable.push_back(to);
-                        in_queue[to] = true;
-                    }
-                }
-                Op::Recv { from, tag } => {
-                    match mailbox.pop(from, r, tag) {
-                        Some(arrival) => finish_recv(tracer, &mut states[r], r, arrival),
-                        None => break, // blocked: wait for the send
-                    }
-                }
-                Op::Exchange { with, bytes, tag } => {
-                    // Decompose into send + recv so the partner's
-                    // schedule is honoured. A marker message-to-self
-                    // records that our send half already went out, so a
-                    // blocked exchange does not double-send on wake-up.
-                    let (b, t, w) = (bytes, tag, with);
-                    let marker_tag = half_exchange_tag(w, t);
-                    let already_sent = mailbox.pop(r, r, marker_tag).is_some();
-                    if !already_sent {
-                        post_send(&mut states, &mut mailbox, &mut ledgers, tracer, r, w, b, t);
-                        if !in_queue[w] {
-                            runnable.push_back(w);
-                            in_queue[w] = true;
-                        }
-                    }
-                    // Wait for the partner's half.
-                    match mailbox.pop(w, r, t) {
-                        Some(arrival) => finish_recv(tracer, &mut states[r], r, arrival),
-                        None => {
-                            mailbox.push(r, r, marker_tag, 0.0);
-                            break;
-                        }
-                    }
-                }
-                Op::Barrier | Op::AllReduce { .. } | Op::AllToAll { .. } | Op::Bcast { .. } => {
-                    let seq = states[r].coll_seq;
-                    if coll_gen[r] != seq {
-                        coll_gen[r] = seq;
-                        coll_count += 1;
-                        coll_mismatch |= *coll_first.get_or_insert(op) != op;
-                    }
-                    if coll_count == n {
-                        if coll_mismatch {
-                            return Err(collective_mismatch(n, seq, |i| {
-                                programs
-                                    .op(i, states[i].pc)
-                                    .expect("rank is at a collective")
-                            }));
-                        }
-                        // Everyone is here: charge the collective. Most
-                        // collectives start once the straggler arrives;
-                        // a broadcast is driven by its root's clock
-                        // (ranks arriving after the root has fed the
-                        // tree are not charged extra wait).
-                        let start = match op {
-                            Op::Bcast { root, .. } => states[root].clock,
-                            _ => states.iter().map(|s| s.clock).fold(0.0, f64::max),
-                        };
-                        let cost = collective_cost(op, fabric, cpus);
-                        let end = start + cost;
-                        coll_count = 0;
-                        coll_first = None;
-                        // Causal source of the release: the straggler
-                        // whose arrival set `start` (lowest rank on
-                        // ties), or the root for a broadcast.
-                        let (coll_src, coll_bytes) = if tracer.enabled() {
-                            (
-                                collective_source(op, states.iter().map(|s| s.clock)),
-                                collective_payload(op),
-                            )
-                        } else {
-                            (0, 0)
-                        };
-                        for (i, s) in states.iter_mut().enumerate() {
-                            apply_collective_release(
-                                tracer, s, i, start, cost, end, coll_src, coll_bytes,
-                            );
-                            if i != r && !in_queue[i] {
-                                runnable.push_back(i);
-                                in_queue[i] = true;
-                            }
-                        }
-                        // Our own pc/coll_seq were advanced in the loop.
-                        continue;
-                    } else {
-                        break; // blocked at the collective
-                    }
-                }
-            }
-        }
-    }
-    if states
-        .iter()
-        .enumerate()
-        .any(|(r, s)| s.pc < programs.len_of(r))
-    {
-        let stuck: Vec<PendingOp> = states
-            .iter()
-            .enumerate()
-            .filter(|(r, s)| s.pc < programs.len_of(*r))
-            .map(|(r, s)| {
-                let op = programs.op(r, s.pc).expect("pc < len");
-                PendingOp {
-                    rank: r,
-                    pc: s.pc,
-                    waiting_on: op.waiting_on(),
-                    op,
-                }
-            })
-            .collect();
-        return Err(SimError::Deadlock(DeadlockReport { stuck }));
-    }
-
-    let mut stats = FaultStats {
-        oversubscription,
-        ..FaultStats::default()
-    };
-    for ledger in &ledgers {
-        ledger.fold_into(&mut stats);
-    }
-    stats.events = events;
-
-    let ranks: Vec<RankResult> = states
-        .iter()
-        .map(|s| RankResult {
-            total: s.clock,
-            compute: s.compute,
-            comm: s.comm,
-        })
-        .collect();
-    let makespan = ranks.iter().map(|r| r.total).fold(0.0, f64::max);
-    Ok(SimOutcome {
-        ranks,
-        makespan,
-        faults: stats,
-    })
 }
 
 /// Tag used by the marker message-to-self that records a half-done
@@ -1149,12 +857,15 @@ mod tests {
         let progs = mixed_progs(8);
         for plan in [FaultPlan::none(), FaultPlan::with_drops(7, 0.3)] {
             let indexed = simulate_on(&progs, &place(8), &fabric(), &plan).unwrap();
-            let reference = simulate_generic::<_, ReferenceMailbox, _, _>(
+            let reference = run_partitioned::<_, ReferenceMailbox, _, _, NullTracer>(
                 &progs,
                 &place(8),
                 &fabric(),
                 &plan,
                 &mut NullTracer,
+                &[0; 8],
+                1,
+                1,
             )
             .unwrap();
             assert_eq!(indexed, reference);

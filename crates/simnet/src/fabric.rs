@@ -77,22 +77,6 @@ pub trait Fabric {
         }
         self.bandwidth(cpus[0], cpus[cpus.len() - 1])
     }
-
-    /// A strictly positive lower bound on the one-way latency of any
-    /// cross-node message within the placement — the conservative PDES
-    /// lookahead (`crate::pdes`): no event on one node can affect
-    /// another node sooner than this after it is posted.
-    ///
-    /// `None` (the default, and the answer whenever the placement spans
-    /// fewer than two nodes or the bound would be zero) means "no usable
-    /// lookahead"; the engine then falls back to serial execution.
-    /// Implementations must never return a value above the true
-    /// minimum: a too-small bound only costs synchronization rounds, a
-    /// too-large one would break the conservative execution order.
-    fn min_cross_node_latency(&self, cpus: &[CpuId]) -> Option<f64> {
-        let _ = cpus;
-        None
-    }
 }
 
 /// The production fabric: NUMAlink inside nodes, a selectable fabric
@@ -243,22 +227,6 @@ impl Fabric for ClusterFabric {
         link * calib::NUMALINK_MPI_FRACTION / saturation
     }
 
-    fn min_cross_node_latency(&self, cpus: &[CpuId]) -> Option<f64> {
-        // Cross-node latency in this model depends only on the node
-        // pair, never on the CPU index, so CPU 0 represents each node.
-        let mut nodes: Vec<u32> = cpus.iter().map(|c| c.node.0).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let mut min = f64::INFINITY;
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                min = min.min(self.latency(CpuId::new(a, 0), CpuId::new(b, 0)));
-                min = min.min(self.latency(CpuId::new(b, 0), CpuId::new(a, 0)));
-            }
-        }
-        (min.is_finite() && min > 0.0).then_some(min)
-    }
-
     fn internode_contention(&self, flows: u32) -> f64 {
         if flows <= 1 {
             return 1.0;
@@ -403,28 +371,6 @@ impl Fabric for CachedFabric {
             self.cross(&self.cross_bw, src, dst)
         };
         hit.unwrap_or_else(|| self.inner.bandwidth(src, dst))
-    }
-
-    fn min_cross_node_latency(&self, cpus: &[CpuId]) -> Option<f64> {
-        // Serve the PDES lookahead straight from the pair-class table:
-        // the minimum off-diagonal `cross_lat` entry over the nodes the
-        // placement actually touches.
-        let n = self.nodes.len();
-        let mut present: Vec<usize> = cpus.iter().map(|c| c.node.0 as usize).collect();
-        present.sort_unstable();
-        present.dedup();
-        if present.iter().any(|&p| p >= n) {
-            return self.inner.min_cross_node_latency(cpus);
-        }
-        let mut min = f64::INFINITY;
-        for &s in &present {
-            for &d in &present {
-                if s != d {
-                    min = min.min(self.cross_lat[s * n + d]);
-                }
-            }
-        }
-        (min.is_finite() && min > 0.0).then_some(min)
     }
 
     // Collective-level models are evaluated once per collective, not

@@ -360,7 +360,12 @@ pub struct FaultStats {
     /// Worst per-node connection oversubscription ratio
     /// (`required / available`; 0 when no limit was enforced).
     pub oversubscription: f64,
-    /// Scheduler events consumed (what the watchdog meters).
+    /// Scheduler events consumed (what the watchdog meters): ops
+    /// executed plus re-examinations of blocked ops. Within a round each
+    /// partition runs only on its own state, so the count depends only
+    /// on the partition map, never on worker scheduling: it is the same
+    /// at every thread count above one, and may differ at one thread,
+    /// where every rank shares one partition.
     pub events: u64,
 }
 
@@ -416,12 +421,6 @@ impl<F: Fabric + ?Sized> Fabric for FaultyFabric<'_, F> {
 
     fn internode_contention(&self, flows: u32) -> f64 {
         self.inner.internode_contention(flows)
-    }
-
-    fn min_cross_node_latency(&self, cpus: &[CpuId]) -> Option<f64> {
-        // Link faults only multiply latencies by factors ≥ 1, so the
-        // inner fabric's lower bound stays conservative under faults.
-        self.inner.min_cross_node_latency(cpus)
     }
 
     fn alltoall_bandwidth(&self, cpus: &[CpuId]) -> f64 {

@@ -27,10 +27,10 @@
 //!   §2 InfiniBand per-card connection limit with graceful multiplexing;
 //! * [`error`] — the typed [`error::SimError`] every failure surfaces
 //!   as, including a per-rank [`error::DeadlockReport`];
-//! * [`pdes`] — a conservative parallel (PDES) tier that partitions
-//!   ranks by node and synchronizes on the fabric's minimum cross-node
-//!   latency, producing bit-identical outcomes, reports, and traces at
-//!   any thread count ([`simulate`] with `threads > 1`).
+//! * [`pdes`] — the engine's event loop: conservative parallel
+//!   (PDES) rounds over rank partitions, one per node when
+//!   [`simulate`] gets more than one thread, producing bit-identical
+//!   outcomes, reports, and traces at any thread count.
 //!
 //! The engine reads no global: callers pass the thread count, and the
 //! production ones pass [`sim_threads`], which `repro --sim-threads`

@@ -60,6 +60,7 @@ pub struct IndexedMailbox {
 }
 
 impl IndexedMailbox {
+    #[inline]
     fn chan(&mut self, from: usize, to: usize, tag: u64) -> &mut Channel {
         let chans = &mut self.by_sender[from];
         match chans.iter().position(|c| c.to == to && c.tag == tag) {
@@ -77,6 +78,7 @@ impl IndexedMailbox {
 
     /// Look up without creating (the pop path must not allocate
     /// channels for messages never sent).
+    #[inline]
     fn chan_mut(&mut self, from: usize, to: usize, tag: u64) -> Option<&mut Channel> {
         self.by_sender[from]
             .iter_mut()
@@ -91,14 +93,17 @@ impl MailboxOps for IndexedMailbox {
         }
     }
 
+    #[inline]
     fn push(&mut self, from: usize, to: usize, tag: u64, arrival: f64) {
         self.chan(from, to, tag).queue.push_back(arrival);
     }
 
+    #[inline]
     fn pop(&mut self, from: usize, to: usize, tag: u64) -> Option<f64> {
         self.chan_mut(from, to, tag)?.queue.pop_front()
     }
 
+    #[inline]
     fn next_seq(&mut self, from: usize, to: usize, tag: u64) -> u64 {
         let c = self.chan(from, to, tag);
         let seq = c.next_seq;

@@ -1,27 +1,29 @@
-//! Serial-vs-parallel identity of the conservative PDES tier.
+//! Partition-map independence of the engine's event loop, and
+//! closed-form oracles that are not the engine.
 //!
-//! The contract under test: [`simulate`] at more than one thread (and
-//! its untraced shorthand [`simulate_parallel_on`]) is
-//! **bit-identical** to the serial engine at one thread for every
-//! program set, placement, fabric, fault plan, and thread count —
-//! same `f64` clocks, same fault accounting, same trace spans and
-//! causal edges after the canonical per-rank merge, same errors. Every
-//! serial reference names `threads = 1` explicitly.
+//! The contract under test: [`simulate`] (and its untraced shorthand
+//! [`simulate_parallel_on`]) gives **bit-identical** results at every
+//! thread count — same `f64` clocks, same fault accounting, same trace
+//! spans and causal edges after the canonical per-rank merge, same
+//! errors — for every program set, placement, fabric and fault plan.
+//! One thread runs every rank in one partition, more threads one
+//! partition per node; every one-thread reference names `threads = 1`.
 //!
-//! Two layers:
+//! * A proptest over random phase-structured workloads (compute, ring
+//!   send/recv, pairwise exchange, all four collectives) on random
+//!   clusters of 1–4 nodes with 1–3 ranks each and random fault plans,
+//!   at sim-threads 2, 3, and 7 — thread counts above the partition
+//!   count and single-rank partitions included.
+//! * Closed-form oracles: ping-pong and ring makespans on a two-node
+//!   fabric equal folds of its point-to-point costs, bit for bit.
+//! * Edge cases: one-node placements, zero cross-node latency, empty
+//!   programs, mismatched collectives, spec-key and global thread-count
+//!   plumbing.
 //!
-//! * a proptest over randomly generated phase-structured workloads
-//!   (compute, ring send/recv, pairwise exchange, all four
-//!   collectives) on random heterogeneous clusters with random fault
-//!   plans, checked at sim-threads 2, 3, and 7;
-//! * directed edge cases: the zero-lookahead / single-partition
-//!   fallback, empty programs, mismatched collectives, spec-key and
-//!   global thread-count plumbing.
-//!
-//! The outcome comparison is exact (`f64::to_bits`) except for
-//! `FaultStats::events`, the scheduler-event *count*: re-examinations
-//! of blocked ops depend on worklist order, which is the one
-//! documented engine-dependent statistic. It never reaches a report.
+//! The comparison is exact (`f64::to_bits`) except for
+//! `FaultStats::events`, the scheduler-event *count*, which depends on
+//! the partition map: it is compared exactly between thread counts above
+//! one and ignored against one thread. It never reaches a report.
 
 use columbia::machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia::machine::node::NodeKind;
@@ -191,9 +193,10 @@ fn kinds_strategy() -> impl Strategy<Value = Vec<NodeKind>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole property: arbitrary workload × cluster × faults ×
-    /// thread count, serial and parallel agree bit for bit — outcomes
-    /// *and* drained traces.
+    /// The central property: arbitrary workload × cluster × faults ×
+    /// thread count, one thread and more agree bit for bit — outcomes
+    /// *and* drained traces. Above one thread the partition map is the
+    /// same, so the scheduler-event count must match exactly too.
     #[test]
     fn parallel_engine_is_bit_identical_to_serial(
         kinds in kinds_strategy(),
@@ -215,14 +218,18 @@ proptest! {
         let mut serial_trace = RecordingTracer::default();
         let serial = simulate(&programs, &cpus, &fabric, &plan, &mut serial_trace, 1)
             .expect("generated workloads never deadlock");
+        let mut events = None;
         for threads in [2usize, 3, 7] {
             let parallel = simulate_parallel_on(&programs, &cpus, &fabric, &plan, threads)
                 .expect("parallel run of a deadlock-free workload");
             assert_outcomes_identical(&serial, &parallel);
+            let events = *events.get_or_insert(parallel.faults.events);
+            prop_assert_eq!(parallel.faults.events, events, "threads = {}", threads);
             let mut parallel_trace = RecordingTracer::default();
             let traced = simulate(&programs, &cpus, &fabric, &plan, &mut parallel_trace, threads)
                 .expect("traced parallel run");
             assert_outcomes_identical(&serial, &traced);
+            prop_assert_eq!(traced.faults.events, events, "traced, threads = {}", threads);
             prop_assert_eq!(&serial_trace.spans, &parallel_trace.spans);
             prop_assert_eq!(&serial_trace.edges, &parallel_trace.edges);
             prop_assert_eq!(&serial_trace.rank_nodes, &parallel_trace.rank_nodes);
@@ -260,9 +267,9 @@ proptest! {
     }
 }
 
-/// Zero-lookahead edge case: every rank on one node means a single
-/// partition and no cross-node latency bound — the parallel entry
-/// point must degrade to the serial engine (and agree with it).
+/// Every rank on one node: the partition map has a single partition at
+/// any thread count, so the run stays on the calling thread and agrees
+/// with the one-thread run.
 #[test]
 fn single_partition_falls_back_to_serial() {
     let (fabric, cpus) = placement(&[NodeKind::Bx2b], 6);
@@ -279,19 +286,24 @@ fn single_partition_falls_back_to_serial() {
     let serial = simulate_on(&programs, &cpus, &fabric, &FaultPlan::none()).unwrap();
     let parallel = simulate_parallel_on(&programs, &cpus, &fabric, &FaultPlan::none(), 8).unwrap();
     assert_outcomes_identical(&serial, &parallel);
+    assert_eq!(serial.faults.events, parallel.faults.events);
 }
 
-/// A fabric that never quotes a cross-node bound (the trait default)
-/// must also take the serial path, whatever the placement.
+/// A fabric that quotes nothing beyond latency and bandwidth runs like
+/// any other, including one whose cross-node latency is zero: no round
+/// depends on a latency bound. Outcomes, spans and edges are identical
+/// at one, two and four threads, with and without message drops.
 #[test]
 fn fabric_without_lookahead_falls_back_to_serial() {
-    struct NoBound;
-    impl Fabric for NoBound {
+    struct TwoLevel {
+        cross: f64,
+    }
+    impl Fabric for TwoLevel {
         fn latency(&self, src: CpuId, dst: CpuId) -> f64 {
             if src.node == dst.node {
                 1e-6
             } else {
-                1e-5
+                self.cross
             }
         }
         fn bandwidth(&self, _src: CpuId, _dst: CpuId) -> f64 {
@@ -307,16 +319,100 @@ fn fabric_without_lookahead_falls_back_to_serial() {
             bytes: 1024,
             tag: 3,
         },
+        Phase::Exchange { bytes: 256, tag: 9 },
         Phase::Barrier,
     ];
     let programs = programs_for(&phases, cpus.len(), 0);
-    assert!(NoBound.min_cross_node_latency(&cpus).is_none());
-    let serial = simulate_on(&programs, &cpus, &NoBound, &FaultPlan::none()).unwrap();
-    let parallel = simulate_parallel_on(&programs, &cpus, &NoBound, &FaultPlan::none(), 4).unwrap();
-    assert_outcomes_identical(&serial, &parallel);
+    for cross in [1e-5, 0.0] {
+        let fabric = TwoLevel { cross };
+        for plan in [FaultPlan::none(), FaultPlan::with_drops(17, 0.3)] {
+            let mut one = RecordingTracer::default();
+            let serial = simulate(&programs, &cpus, &fabric, &plan, &mut one, 1).unwrap();
+            for threads in [2usize, 4] {
+                let mut many = RecordingTracer::default();
+                let parallel =
+                    simulate(&programs, &cpus, &fabric, &plan, &mut many, threads).unwrap();
+                assert_outcomes_identical(&serial, &parallel);
+                assert_eq!(one.spans, many.spans, "cross {cross}, threads {threads}");
+                assert_eq!(one.edges, many.edges, "cross {cross}, threads {threads}");
+            }
+        }
+    }
 }
 
-/// Empty program sets succeed identically (no ranks, no partitions).
+/// Closed-form oracles, not the engine: on an uncontended two-node
+/// fabric without faults, a ping-pong makespan is the fold
+/// `t = (t + c01) + c10` over its round trips, and a ring after a
+/// uniform `Compute(c)` ends at `max_r(c + c(r-1 -> r))`, where each `c`
+/// is the fabric's `pt2pt_time`. The per-send CPU overhead (0.2 us)
+/// stays below every hop, so it never reaches the critical path. Both
+/// hold bit for bit at one and two threads, over several message
+/// sizes and CPU pairs.
+#[test]
+fn ping_pong_and_ring_match_closed_form_costs() {
+    const ROUND_TRIPS: u64 = 5;
+    let fabric = ClusterFabric::new(
+        ClusterConfig::uniform(NodeKind::Bx2b, 2),
+        InterNodeFabric::InfiniBand,
+        MptVersion::Beta,
+        8,
+    );
+    let sizes = [0u64, 8, 4096, 1 << 20];
+    let pairs = [
+        (CpuId::new(0, 0), CpuId::new(1, 0)),
+        (CpuId::new(0, 3), CpuId::new(1, 200)),
+        (CpuId::new(1, 5), CpuId::new(0, 6)),
+        (CpuId::new(0, 1), CpuId::new(0, 130)),
+    ];
+    let plan = FaultPlan::none();
+    let check = |programs: &Vec<Vec<Op>>, cpus: &[CpuId], want: f64, what: &str| {
+        for threads in [1usize, 2] {
+            let out = simulate_parallel_on(programs, cpus, &fabric, &plan, threads).unwrap();
+            let got = out.makespan;
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{what}, threads {threads}: {got} vs {want}"
+            );
+        }
+    };
+    for bytes in sizes {
+        for (a, b) in pairs {
+            let (c01, c10) = (
+                fabric.pt2pt_time(a, b, bytes),
+                fabric.pt2pt_time(b, a, bytes),
+            );
+            let mut want = 0.0f64;
+            for _ in 0..ROUND_TRIPS {
+                want = (want + c01) + c10;
+            }
+            let ping = (0..ROUND_TRIPS)
+                .flat_map(|tag| [Op::Send { to: 1, bytes, tag }, Op::Recv { from: 1, tag }])
+                .collect();
+            let pong = (0..ROUND_TRIPS)
+                .flat_map(|tag| [Op::Recv { from: 0, tag }, Op::Send { to: 0, bytes, tag }])
+                .collect();
+            let what = format!("ping-pong {a:?} <-> {b:?}, {bytes} B");
+            check(&vec![ping, pong], &[a, b], want, &what);
+        }
+
+        // Ranks alternate between the nodes, so every ring hop crosses.
+        let compute = 3e-5;
+        let cpus: Vec<CpuId> = (0..6u32).map(|r| CpuId::new(r % 2, 7 * r)).collect();
+        let n = cpus.len();
+        let mut programs = programs_for(&[Phase::Ring { bytes, tag: 1 }], n, 0);
+        for ops in &mut programs {
+            ops.insert(0, Op::Compute(compute));
+        }
+        let want = (0..n)
+            .map(|r| compute + fabric.pt2pt_time(cpus[(r + n - 1) % n], cpus[r], bytes))
+            .fold(0.0, f64::max);
+        check(&programs, &cpus, want, &format!("ring, {bytes} B"));
+    }
+}
+
+/// Empty program sets succeed identically (no ranks, one empty
+/// partition).
 #[test]
 fn empty_program_set_is_identical() {
     let (fabric, _) = placement(&[NodeKind::Bx2b], 1);
@@ -417,7 +513,7 @@ fn mismatched_collectives_are_the_same_typed_error_at_every_thread_count() {
 
 /// The global thread count reaches the engine through
 /// `runtime::exec::execute`, its production reader: at 4 threads the
-/// run is the PDES tier's, bit-identical to the serial run.
+/// run is partitioned by node, bit-identical to the one-thread run.
 #[test]
 fn global_sim_threads_parallelizes_simulate_traced_on() {
     use columbia::runtime::{
@@ -462,7 +558,7 @@ fn global_sim_threads_parallelizes_simulate_traced_on() {
     assert_eq!(sim_threads(), 4);
     let via_global = execute(&spec, &cfg).unwrap();
     assert_outcomes_identical(&serial, &via_global);
-    // The scheduler-event count is the one statistic the engines do not
-    // share, so a different count shows that the PDES tier ran.
+    // The scheduler-event count depends on the partition map, so a
+    // different count shows that the run was partitioned by node.
     assert_ne!(serial.faults.events, via_global.faults.events);
 }
