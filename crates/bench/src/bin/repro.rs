@@ -84,15 +84,19 @@
 //! wall time, git revision, and host executor metrics. Identical runs
 //! produce byte-identical manifests modulo that `volatile` key.
 //!
-//! Any of `--checkpoint-dir`, `--resume`, `--point-deadline`, or
-//! `--max-retries` switches to the **resilient** executor
-//! (`SweepPlan::run_resilient`): point panics and deadline overruns
-//! degrade to diagnostic rows instead of aborting the run, completed
-//! points are checkpointed per experiment under
+//! Without resilience flags each experiment runs strictly
+//! (`SweepPlan::run_with_jobs`): its lowest-indexed failing point
+//! replaces the report with a structured diagnosis. Any of
+//! `--checkpoint-dir`, `--resume`, `--point-deadline`, or
+//! `--max-retries` switches to the **resilient** form
+//! (`SweepPlan::run_resilient_with_jobs`): point panics and deadline
+//! overruns degrade to diagnostic rows instead of aborting the run,
+//! completed points are checkpointed per experiment under
 //! `<checkpoint-dir>/<exp>/`, and `--resume` serves checkpointed
 //! points without re-running them. Resume/retry statistics go to
 //! stderr only — stdout stays byte-identical to an uninterrupted run,
 //! which is what the CI resume smoke gate diffs against the golden.
+//! Either way, `repro` exits 3 if any point ultimately failed.
 
 use std::time::{Duration, Instant};
 
@@ -343,9 +347,10 @@ fn main() {
             failed_points += s.failed;
             outcome.report
         } else {
-            sweep_plan
-                .run_with_jobs(jobs)
-                .unwrap_or_else(|err| failure_report(&name, &err))
+            sweep_plan.run_with_jobs(jobs).unwrap_or_else(|err| {
+                failed_points += 1;
+                failure_report(&name, &err)
+            })
         };
         if let Some(builder) = manifest_builder.as_mut() {
             builder.record_experiment(
@@ -454,8 +459,9 @@ fn main() {
         write_or_die(&path, &m.to_string_pretty());
     }
     if failed_points > 0 {
-        // Reports were still produced (with diagnostic rows), but the
-        // campaign is incomplete; say so in the exit code.
+        // Reports were still produced (diagnostic rows, or a failure
+        // report), but the campaign is incomplete; say so in the exit
+        // code.
         std::process::exit(3);
     }
 }

@@ -199,6 +199,45 @@ fn sweep_json_leads_stderr_even_when_manifest_records_a_degraded_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A sweep that fails without resilience flags prints its structured
+/// diagnosis and still exits 3, as a resilient run of it does.
+#[test]
+fn strict_sweep_failure_exits_3() {
+    let dir = temp_dir("strict-failure");
+    let spec = dir.join("exhausted.toml");
+    // `specs/degraded.toml`'s fail-fast connection budget, without
+    // `expect_error`: the point fails and so does the sweep.
+    std::fs::write(
+        &spec,
+        r#"schema = "columbia-spec-v1"
+
+[report]
+id = "Exhausted"
+title = "BT-MZ class C, 256x4 over 2 BX2b nodes, half the connections"
+headers = ["scenario", "s/step"]
+
+[[sweep]]
+kind = "mz"
+bench = "BT-MZ"
+class = "C"
+procs = 256
+threads = 4
+nodes = 2
+fabric = "InfiniBand"
+value = "s_step"
+row = ["fail-fast", "{s_step}"]
+faults = { connection_limit = { cards = 1, per_card = 8192, policy = "fail" } }
+"#,
+    )
+    .unwrap();
+    let out = repro(&["--spec", spec.to_str().unwrap(), "--jobs", "1"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "{stdout}");
+    assert!(stdout.contains("simulation failed — structured diagnosis"));
+    assert!(stdout.contains("InfiniBand connections exhausted"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `repro --analyze` output — the stdout report and the JSON export —
 /// is byte-identical across `--jobs` values, the document carries the
 /// `columbia-analysis-v1` schema, and every sim's critical path is

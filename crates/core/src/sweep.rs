@@ -5,8 +5,8 @@
 //! scenario) whose results are collated into a [`Report`] in a fixed,
 //! paper-given order. A [`SweepPlan`] makes that structure explicit:
 //! the report skeleton, the ordered list of [`SweepPoint`] jobs, and a
-//! collation step. [`SweepPlan::run`] executes the points on a
-//! [`ThreadPool`] — points may finish in any order, but every
+//! collation step. [`SweepPlan::run_with_jobs`] executes the points on
+//! the `columbia-par` pool — points may finish in any order, but every
 //! [`PointOutput`] is keyed by its sweep index and reduced in canonical
 //! order, so the resulting report is **bit-identical** to a serial run
 //! regardless of scheduling (property-tested, and enforced by the CI
@@ -20,10 +20,9 @@
 //!
 //! # Resilient execution
 //!
-//! [`SweepPlan::run_resilient`] is the batch-campaign variant of
-//! [`SweepPlan::run`]: instead of aborting the sweep at the first
-//! failure it runs *everything*, under a resilience policy
-//! ([`ResilienceOptions`]):
+//! [`SweepPlan::run_resilient_with_jobs`] is the batch-campaign
+//! variant: instead of aborting the sweep at the first failure it runs
+//! *everything*, under a resilience policy ([`ResilienceOptions`]):
 //!
 //! * a panicking point becomes a typed [`PointError::Panicked`] in the
 //!   outcome (the pool is never poisoned — see `columbia-par`);
@@ -39,11 +38,12 @@
 //!   summarized as `sweep.*` counters and a per-point latency
 //!   histogram in the `columbia-obs` sink when one is installed.
 //!
-//! A resilient run in which every point succeeds produces a report
-//! **byte-identical** to [`SweepPlan::run`]'s — and because collation
-//! is deterministic in sweep-index order, a run killed mid-sweep and
-//! resumed from its checkpoint directory is byte-identical to an
-//! uninterrupted one (gated by the CI resume smoke test).
+//! Both run through one body, so a resilient run in which every point
+//! succeeds produces a report **byte-identical** to the strict one's —
+//! and because collation is deterministic in sweep-index order, a run
+//! killed mid-sweep and resumed from its checkpoint directory is
+//! byte-identical to an uninterrupted one (gated by the CI resume smoke
+//! test).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +52,7 @@ use std::time::Duration;
 
 use columbia_obs::metrics::Metrics;
 use columbia_obs::sink::{self, TraceBundle};
-use columbia_par::{panic_message, JobFailure, JobStatus, RunOptions, ThreadPool};
+use columbia_par::{panic_message, JobFailure, JobStatus, RunOptions};
 use columbia_simnet::SimError;
 
 use crate::report::Report;
@@ -116,10 +116,9 @@ pub type SweepPoint = Box<dyn Fn() -> Result<PointOutput, SimError> + Send + Syn
 /// notes, in sweep order.
 pub type Collate = Box<dyn FnOnce(&mut Report, Vec<PointOutput>)>;
 
-/// Why one sweep point produced no usable output under
-/// [`SweepPlan::run_resilient`]. Ordered by sweep index in
-/// [`SweepOutcome::failures`], so the first element is the canonical
-/// lowest-indexed failure.
+/// Why one sweep point produced no usable output. Ordered by sweep
+/// index in [`SweepOutcome::failures`], so the first element is the
+/// canonical lowest-indexed failure.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PointError {
     /// The simulation itself failed (deadlock, placement mismatch, …).
@@ -204,7 +203,7 @@ impl std::fmt::Display for PointError {
 
 impl std::error::Error for PointError {}
 
-/// Policy knobs for [`SweepPlan::run_resilient`].
+/// Policy knobs for [`SweepPlan::run_resilient_with_jobs`].
 #[derive(Debug, Default)]
 pub struct ResilienceOptions {
     /// Per-attempt wall-clock deadline for one point. `None` disables
@@ -265,8 +264,9 @@ impl SweepStats {
     }
 }
 
-/// The result of [`SweepPlan::run_resilient`]: the (possibly degraded)
-/// report, the typed failures in sweep-index order, and run statistics.
+/// The result of [`SweepPlan::run_resilient_with_jobs`]: the (possibly
+/// degraded) report, the typed failures in sweep-index order, and run
+/// statistics.
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// The collated report. With failures, it carries one diagnostic
@@ -381,12 +381,13 @@ impl SweepPlan {
         h.finish() as u64
     }
 
-    /// Execute every point on `pool` and collate in canonical order.
+    /// Execute every point on `jobs` threads and collate in canonical
+    /// order.
     ///
     /// Each point runs under a [`sink::with_point`] attribution, so
     /// trace bundles deposited by worker threads drain in sweep order,
-    /// not completion order. With a 1-thread pool this is exactly the
-    /// serial path: points run in index order on the calling thread.
+    /// not completion order. With one thread this is exactly the serial
+    /// path: points run in index order on the calling thread.
     ///
     /// On failure the error of the **lowest-indexed** failing point is
     /// returned: every point at or below that index runs to
@@ -394,65 +395,39 @@ impl SweepPlan {
     /// be cancelled before starting — all in-flight workers are still
     /// joined before this returns. A panicking point completes the
     /// same settlement and is then re-raised on the calling thread.
-    pub fn run(self, pool: &ThreadPool) -> Result<Report, SimError> {
-        let epoch = sink::next_epoch();
-        let jobs: Vec<SweepPoint> = self
-            .points
-            .into_iter()
-            .enumerate()
-            .map(|(idx, f)| Box::new(move || sink::with_point(epoch, idx, &f)) as SweepPoint)
-            .collect();
-        let opts = RunOptions {
-            fail_fast: true,
-            ..RunOptions::default()
-        };
-        let statuses =
-            pool.run_governed(jobs, &opts, |r: &Result<PointOutput, SimError>| r.is_err());
-        let mut outputs = Vec::with_capacity(statuses.len());
-        for (idx, status) in statuses.into_iter().enumerate() {
-            match status {
-                JobStatus::Done(outcome) => match outcome.result {
-                    Ok(Ok(output)) => outputs.push(output),
-                    // Canonical error: scanning in index order, the
-                    // first failure *is* the lowest-indexed one.
-                    Ok(Err(sim)) => return Err(sim),
-                    Err(failure) => panic!("sweep point {idx} {failure}"),
-                },
-                // Fail-fast only skips indices above the lowest
-                // failure, and scanning returns at that failure first —
-                // reaching here means the pool broke an invariant.
-                JobStatus::Skipped | JobStatus::Lost => {
-                    panic!("sweep point {idx} was never settled")
-                }
-            }
-        }
-        Ok(build_report(
-            &self.id,
-            &self.title,
-            &self.headers,
-            self.collate,
-            self.notes,
-            outputs,
-        ))
-    }
-
-    /// [`SweepPlan::run`] on a fresh pool of `jobs` threads.
     pub fn run_with_jobs(self, jobs: usize) -> Result<Report, SimError> {
-        self.run(&ThreadPool::new(jobs))
+        let outcome = self.execute(jobs, ResilienceOptions::default(), true);
+        match outcome.failures.into_iter().next() {
+            None => Ok(outcome.report),
+            Some(PointError::Sim { error, .. }) => Err(error),
+            // The whole payload, not `describe`'s first line.
+            Some(PointError::Panicked { point, message, .. }) => {
+                panic!("sweep point {point} panicked: {message}")
+            }
+            Some(failure) => panic!("sweep {failure}"),
+        }
     }
 
     /// Execute every point under the resilience policy in `opts` and
     /// collate whatever survives — the campaign-grade path behind
     /// `repro --resume/--point-deadline/--max-retries`.
     ///
-    /// Unlike [`SweepPlan::run`] this never fails and never panics on
-    /// a point failure: every point is attempted (with deadline, retry,
-    /// and checkpoint semantics per `opts`), failed points degrade to
-    /// one diagnostic row plus one note each, and the typed failures
-    /// come back in [`SweepOutcome::failures`], ordered by sweep index.
-    /// When every point succeeds the report is byte-identical to the
-    /// strict path's.
-    pub fn run_resilient(self, pool: &ThreadPool, opts: ResilienceOptions) -> SweepOutcome {
+    /// Unlike [`SweepPlan::run_with_jobs`] this never fails and never
+    /// panics on a point failure: every point is attempted (with
+    /// deadline, retry, and checkpoint semantics per `opts`), failed
+    /// points degrade to one diagnostic row plus one note each, and the
+    /// typed failures come back in [`SweepOutcome::failures`], ordered
+    /// by sweep index. When every point succeeds the report is
+    /// byte-identical to the strict path's.
+    pub fn run_resilient_with_jobs(self, jobs: usize, opts: ResilienceOptions) -> SweepOutcome {
+        self.execute(jobs, opts, false)
+    }
+
+    /// The one sweep body. `strict` stops starting points above the
+    /// lowest failure and keeps the `sweep resilience` summary bundle
+    /// out of the trace sink, so a strict run records only its
+    /// simulations.
+    fn execute(self, jobs: usize, opts: ResilienceOptions, strict: bool) -> SweepOutcome {
         let n = self.points.len();
         let experiment = opts.experiment.unwrap_or_else(|| self.id.clone());
         let fingerprint = self.fingerprint();
@@ -461,7 +436,7 @@ impl SweepPlan {
         let mut resumed = 0usize;
 
         let epoch = sink::next_epoch();
-        let jobs: Vec<SweepPoint> = self
+        let points: Vec<SweepPoint> = self
             .points
             .into_iter()
             .enumerate()
@@ -502,11 +477,14 @@ impl SweepPlan {
             backoff_base: opts
                 .backoff_base
                 .unwrap_or(RunOptions::default().backoff_base),
-            fail_fast: false,
+            fail_fast: strict,
         };
-        let statuses = pool.run_governed(jobs, &run_opts, |r: &Result<PointOutput, SimError>| {
-            r.is_err()
-        });
+        let statuses = columbia_par::run_governed(
+            jobs,
+            points,
+            &run_opts,
+            |r: &Result<PointOutput, SimError>| r.is_err(),
+        );
 
         let mut stats = SweepStats {
             points: n,
@@ -557,7 +535,6 @@ impl SweepPlan {
         stats.checkpoint_errors = checkpoint_errors.load(Ordering::Relaxed);
 
         let mut report = if failures.is_empty() {
-            // The all-success path is the strict path: byte-identical.
             build_report(
                 &self.id,
                 &self.title,
@@ -614,7 +591,7 @@ impl SweepPlan {
             ));
         }
 
-        if sink::is_active() {
+        if !strict && sink::is_active() {
             let mut metrics = Metrics::new();
             metrics.inc("sweep.points", stats.points as u64);
             metrics.inc("sweep.resumed", stats.resumed as u64);
@@ -649,16 +626,10 @@ impl SweepPlan {
             stats,
         }
     }
-
-    /// [`SweepPlan::run_resilient`] on a fresh pool of `jobs` threads.
-    pub fn run_resilient_with_jobs(self, jobs: usize, opts: ResilienceOptions) -> SweepOutcome {
-        self.run_resilient(&ThreadPool::new(jobs), opts)
-    }
 }
 
-/// The shared collation tail: report skeleton, default or custom body,
-/// then plan notes. Both executors end here, which is what makes a
-/// clean resilient run byte-identical to the strict path.
+/// The collation tail: report skeleton, default or custom body, then
+/// plan notes.
 fn build_report(
     id: &str,
     title: &str,
@@ -783,6 +754,33 @@ mod tests {
                 panic!("expected watchdog");
             };
             assert_eq!(events, 1, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn strict_run_reraises_the_lowest_indexed_panic() {
+        for jobs in [1, 3] {
+            let ran: Vec<Arc<AtomicU32>> = (0..8).map(|_| Arc::new(AtomicU32::new(0))).collect();
+            let mut plan = SweepPlan::new("T", "panics", &["i"]);
+            for (i, ran) in ran.iter().enumerate() {
+                let ran = Arc::clone(ran);
+                plan.point_ok(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    if i == 2 || i == 6 {
+                        panic!("boom at point {i}");
+                    }
+                    PointOutput::row(vec![i.to_string()])
+                });
+            }
+            let Err(payload) = catch_unwind(AssertUnwindSafe(|| plan.run_with_jobs(jobs))) else {
+                panic!("jobs={jobs}: a panicking point must be re-raised");
+            };
+            let msg = panic_message(payload);
+            assert!(msg.contains("point 2"), "jobs={jobs}: {msg}");
+            assert!(!msg.contains("point 6"), "jobs={jobs}: {msg}");
+            for (i, ran) in ran.iter().enumerate().take(3) {
+                assert_eq!(ran.load(Ordering::SeqCst), 1, "jobs={jobs}: point {i}");
+            }
         }
     }
 

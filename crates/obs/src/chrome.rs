@@ -87,46 +87,7 @@ fn host_complete(span: &crate::host::HostSpan, pid: usize, tid: usize) -> Value 
 /// the capture epoch, so in Perfetto the executor's real occupancy
 /// reads side by side with the simulators' virtual timelines.
 pub fn chrome_trace_with_host(bundles: &[TraceBundle], host: Option<&HostReport>) -> Value {
-    let mut doc = chrome_trace(bundles);
-    let Some(host) = host else {
-        return doc;
-    };
-    let pid = bundles.len();
-    let workers = host.workers();
-    // Store track sits after the last worker lane (or at 0 when no
-    // worker ever recorded — a store-only capture still renders).
-    let store_tid = workers.last().map_or(0, |w| *w as usize + 1);
-    let mut events: Vec<Value> = Vec::new();
-    events.push(meta("process_name", pid, 0, "host executor (wall clock)"));
-    let mut store_seen = false;
-    for span in &host.spans {
-        let tid = match span.track {
-            HostTrack::Worker(w) => w as usize,
-            HostTrack::Store => {
-                store_seen = true;
-                store_tid
-            }
-        };
-        events.push(host_complete(span, pid, tid));
-    }
-    for w in &workers {
-        events.push(meta(
-            "thread_name",
-            pid,
-            *w as usize,
-            &format!("worker {w}"),
-        ));
-    }
-    if store_seen {
-        events.push(meta("thread_name", pid, store_tid, "checkpoint store"));
-    }
-    let Some(Value::Array(all)) = doc.get("traceEvents").cloned() else {
-        return doc;
-    };
-    let mut all = all;
-    all.extend(events);
-    doc.set("traceEvents", Value::Array(all));
-    doc
+    chrome_trace_with_flows(bundles, host, &[])
 }
 
 /// Render `bundles` plus host telemetry plus critical-path flow
@@ -139,59 +100,14 @@ pub fn chrome_trace_with_host(bundles: &[TraceBundle], host: Option<&HostReport>
 /// `"critical-path"`, category `"cp"`), so the path reads as arrows
 /// threading through the rank tracks. Without `paths` (or with an empty
 /// slice) the output is byte-identical to [`chrome_trace_with_host`].
+///
+/// Events are listed simulated tracks first, then host tracks, then
+/// flow arrows.
 pub fn chrome_trace_with_flows(
     bundles: &[TraceBundle],
     host: Option<&HostReport>,
     paths: &[CriticalPath],
 ) -> Value {
-    let mut doc = chrome_trace_with_host(bundles, host);
-    let mut flows: Vec<Value> = Vec::new();
-    let mut id = 0usize;
-    for (pid, path) in paths.iter().enumerate().take(bundles.len()) {
-        for hop in &path.hops {
-            if hop.src_rank == hop.dst_rank {
-                continue;
-            }
-            id += 1;
-            let mut s = Value::object();
-            s.set("ph", Value::String("s".into()));
-            s.set("id", Value::Number(id as f64));
-            s.set("name", Value::String("critical-path".into()));
-            s.set("cat", Value::String("cp".into()));
-            s.set("pid", Value::Number(pid as f64));
-            s.set("tid", Value::Number(hop.src_rank as f64));
-            s.set("ts", Value::Number(us(hop.src_time)));
-            flows.push(s);
-            let mut f = Value::object();
-            f.set("ph", Value::String("f".into()));
-            f.set("bp", Value::String("e".into()));
-            f.set("id", Value::Number(id as f64));
-            f.set("name", Value::String("critical-path".into()));
-            f.set("cat", Value::String("cp".into()));
-            f.set("pid", Value::Number(pid as f64));
-            f.set("tid", Value::Number(hop.dst_rank as f64));
-            f.set("ts", Value::Number(us(hop.dst_time)));
-            flows.push(f);
-        }
-    }
-    if flows.is_empty() {
-        return doc;
-    }
-    let Some(Value::Array(all)) = doc.get("traceEvents").cloned() else {
-        return doc;
-    };
-    let mut all = all;
-    all.extend(flows);
-    doc.set("traceEvents", Value::Array(all));
-    doc
-}
-
-/// Render `bundles` as one Chrome trace document.
-///
-/// Simulation `i` is process `i` (named by its bundle label); rank `r`
-/// is thread `r` of that process, and its network activity — if any —
-/// thread `n_ranks + r` (named "rank r (net)").
-pub fn chrome_trace(bundles: &[TraceBundle]) -> Value {
     let mut events: Vec<Value> = Vec::new();
     for (pid, bundle) in bundles.iter().enumerate() {
         let n_ranks = bundle.profile.ranks.len();
@@ -227,10 +143,77 @@ pub fn chrome_trace(bundles: &[TraceBundle]) -> Value {
             }
         }
     }
+    if let Some(host) = host {
+        let pid = bundles.len();
+        let workers = host.workers();
+        // Store track sits after the last worker lane (or at 0 when no
+        // worker ever recorded — a store-only capture still renders).
+        let store_tid = workers.last().map_or(0, |w| *w as usize + 1);
+        events.push(meta("process_name", pid, 0, "host executor (wall clock)"));
+        let mut store_seen = false;
+        for span in &host.spans {
+            let tid = match span.track {
+                HostTrack::Worker(w) => w as usize,
+                HostTrack::Store => {
+                    store_seen = true;
+                    store_tid
+                }
+            };
+            events.push(host_complete(span, pid, tid));
+        }
+        for w in &workers {
+            events.push(meta(
+                "thread_name",
+                pid,
+                *w as usize,
+                &format!("worker {w}"),
+            ));
+        }
+        if store_seen {
+            events.push(meta("thread_name", pid, store_tid, "checkpoint store"));
+        }
+    }
+    let mut id = 0usize;
+    for (pid, path) in paths.iter().enumerate().take(bundles.len()) {
+        for hop in &path.hops {
+            if hop.src_rank == hop.dst_rank {
+                continue;
+            }
+            id += 1;
+            let mut s = Value::object();
+            s.set("ph", Value::String("s".into()));
+            s.set("id", Value::Number(id as f64));
+            s.set("name", Value::String("critical-path".into()));
+            s.set("cat", Value::String("cp".into()));
+            s.set("pid", Value::Number(pid as f64));
+            s.set("tid", Value::Number(hop.src_rank as f64));
+            s.set("ts", Value::Number(us(hop.src_time)));
+            events.push(s);
+            let mut f = Value::object();
+            f.set("ph", Value::String("f".into()));
+            f.set("bp", Value::String("e".into()));
+            f.set("id", Value::Number(id as f64));
+            f.set("name", Value::String("critical-path".into()));
+            f.set("cat", Value::String("cp".into()));
+            f.set("pid", Value::Number(pid as f64));
+            f.set("tid", Value::Number(hop.dst_rank as f64));
+            f.set("ts", Value::Number(us(hop.dst_time)));
+            events.push(f);
+        }
+    }
     let mut doc = Value::object();
     doc.set("traceEvents", Value::Array(events));
     doc.set("displayTimeUnit", Value::String("ms".into()));
     doc
+}
+
+/// Render `bundles` as one Chrome trace document.
+///
+/// Simulation `i` is process `i` (named by its bundle label); rank `r`
+/// is thread `r` of that process, and its network activity — if any —
+/// thread `n_ranks + r` (named "rank r (net)").
+pub fn chrome_trace(bundles: &[TraceBundle]) -> Value {
+    chrome_trace_with_flows(bundles, None, &[])
 }
 
 #[cfg(test)]

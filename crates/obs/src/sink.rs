@@ -22,8 +22,8 @@
 //! Bundles recorded outside any sweep point keep arrival order,
 //! slotted after the points of the most recently started sweep.
 //!
-//! The resilient sweep executor (`core::sweep::run_resilient`) uses
-//! that out-of-point slot deliberately: after a sweep settles it
+//! The resilient sweep (`core::sweep::SweepPlan::run_resilient_with_jobs`)
+//! uses that out-of-point slot deliberately: after a sweep settles it
 //! deposits one summary bundle (labelled `sweep resilience: <id>`)
 //! carrying `sweep.*` counters — points, resumed, retries, panics,
 //! timeouts, failures, checkpoint write errors — and a

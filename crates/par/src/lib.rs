@@ -1,7 +1,6 @@
 //! `columbia-par` — a std-only work-stealing thread pool for
-//! embarrassingly-parallel sweep execution, with an execution-
-//! resilience layer (panic isolation, per-job deadlines, bounded
-//! retry) layered on top.
+//! embarrassingly-parallel sweep execution, with panic isolation,
+//! per-job deadlines and bounded retry built in.
 //!
 //! Every figure in the paper is a sweep: independent simulation points
 //! (CPU counts, fabrics, fault ladders) whose results are reduced in a
@@ -12,6 +11,10 @@
 //! therefore bit-identical to a serial run regardless of how the
 //! scheduler interleaves the work — the property the repo's
 //! determinism gate (`repro --jobs N` vs `--jobs 1`) enforces.
+//!
+//! [`run_governed`] is the one entry point: one worker loop, which
+//! runs every strict and every resilient sweep. With one thread (or
+//! one job) it settles the jobs in index order on the calling thread.
 //!
 //! Scheduling is work-stealing over per-worker deques: each worker owns
 //! a LIFO tail of its own deque (cache-friendly for the jobs it was
@@ -29,13 +32,13 @@
 //! pool failure:
 //!
 //! * every job runs under [`catch_unwind`] — a panic becomes a typed
-//!   [`JobFailure::Panicked`] in that job's result slot while the
+//!   [`JobFailure::Panicked`] in that job's status slot while the
 //!   worker moves on to the next job;
-//! * [`ThreadPool::run_governed`] adds per-job wall-clock deadlines
-//!   (a straggler becomes [`JobFailure::DeadlineExceeded`] and is
-//!   abandoned), bounded retry with seeded deterministic backoff, and
-//!   an optional fail-fast mode that stops *starting* jobs above the
-//!   lowest failed index while still joining every in-flight worker;
+//! * [`RunOptions`] adds per-job wall-clock deadlines (a straggler
+//!   becomes [`JobFailure::DeadlineExceeded`] and is abandoned),
+//!   bounded retry with seeded deterministic backoff, and an optional
+//!   fail-fast mode that stops *starting* jobs above the lowest failed
+//!   index while still joining every in-flight worker;
 //! * lock poisoning and channel teardown are absorbed into typed
 //!   results ([`JobStatus::Lost`], [`JobFailure::Panicked`]) instead of
 //!   aborting the pool.
@@ -138,7 +141,7 @@ impl<T> JobStatus<T> {
     }
 }
 
-/// Knobs for [`ThreadPool::run_governed`].
+/// Knobs for [`run_governed`].
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Per-attempt wall-clock deadline. `None` disables the watchdog
@@ -266,235 +269,99 @@ fn record_job_span(w: usize, idx: usize, start: Option<f64>, attempts: u32, outc
     );
 }
 
-/// A fixed-size pool description. Threads are spawned per [`ThreadPool::run`] call
-/// (scoped, so jobs may borrow from the caller), not kept hot: sweep
-/// points are coarse enough that spawn cost is noise, and holding no
-/// global state keeps the pool trivially correct under nested use.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadPool {
+/// Run every job and return one status per job **in job index order**,
+/// regardless of which worker settled which job when — the one entry
+/// point of this crate. `threads` is clamped to at least 1; threads are
+/// spawned per call (scoped), not kept hot: sweep points are coarse
+/// enough that spawn cost is noise, and holding no global state keeps
+/// the pool trivially correct under nested use.
+///
+/// Every job runs under the resilience policy in `opts`: panics are
+/// isolated per attempt, attempts may be bounded by a wall-clock
+/// deadline, failed attempts are retried up to `max_retries` times on
+/// a seeded deterministic backoff, and — when `fail_fast` is set — a
+/// failure (including a value `is_failure` rejects) stops
+/// later-indexed jobs from *starting*, while every in-flight worker is
+/// still joined before this returns.
+///
+/// Jobs must be `Fn` (not `FnOnce`) so they can be re-invoked on
+/// retry, and `'static` so a deadline overrun can be abandoned to a
+/// detached watchdog thread without borrowing from the pool's stack
+/// frame.
+pub fn run_governed<T, F>(
     threads: usize,
-}
-
-impl ThreadPool {
-    /// A pool of `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
-        ThreadPool {
-            threads: threads.max(1),
+    jobs: Vec<F>,
+    opts: &RunOptions,
+    is_failure: impl Fn(&T) -> bool + Sync,
+) -> Vec<JobStatus<T>>
+where
+    T: Send + 'static,
+    F: Fn() -> T + Send + Sync + 'static,
+{
+    let n = jobs.len();
+    let jobs: Vec<Arc<F>> = jobs.into_iter().map(Arc::new).collect();
+    // Lowest failed index so far; fail-fast skips indices above it.
+    let cancel_floor = AtomicUsize::new(usize::MAX);
+    let claim = |idx: usize, w: usize| {
+        if opts.fail_fast && idx > cancel_floor.load(Ordering::Acquire) {
+            if host::is_enabled() {
+                host::instant(
+                    HostTrack::Worker(w as u32),
+                    "host.skip",
+                    format!("skip job {idx}"),
+                    vec![("index", Value::Number(idx as f64))],
+                );
+            }
+            return JobStatus::Skipped;
         }
-    }
-
-    /// A pool sized to the machine.
-    pub fn default_size() -> Self {
-        ThreadPool::new(available_parallelism())
-    }
-
-    /// Worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run every job and return each result **in job index order**,
-    /// isolating panics: a panicking job yields `Err(JobFailure)` in
-    /// its own slot while every other job still runs to completion —
-    /// the pool is never poisoned.
-    ///
-    /// With one worker (or one job) no threads are spawned and the jobs
-    /// run in index order on the caller's thread — the serial path that
-    /// parallel runs must be bit-identical to.
-    pub fn run_caught<T, F>(&self, jobs: Vec<F>) -> Vec<Result<T, JobFailure>>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let n = jobs.len();
-        let attempt = |f: F| {
-            catch_unwind(AssertUnwindSafe(f)).map_err(|p| JobFailure::Panicked {
-                message: panic_message(p),
-            })
+        let t0 = host::clock();
+        let outcome = settle_job(&jobs[idx], idx, opts);
+        let failed = match &outcome.result {
+            Ok(t) => is_failure(t),
+            Err(_) => true,
         };
-        if self.threads == 1 || n <= 1 {
-            // Serial execution is "worker 0" on the host timeline.
-            return jobs
-                .into_iter()
-                .enumerate()
-                .map(|(idx, f)| {
-                    let t0 = host::clock();
-                    let out = attempt(f);
-                    record_job_span(0, idx, t0, 1, if out.is_ok() { "ok" } else { "panicked" });
-                    out
-                })
-                .collect();
+        let label = match &outcome.result {
+            Ok(_) if failed => "failed",
+            Ok(_) => "ok",
+            Err(JobFailure::Panicked { .. }) => "panicked",
+            Err(JobFailure::DeadlineExceeded { .. }) => "deadline",
+        };
+        record_job_span(w, idx, t0, outcome.attempts, label);
+        if failed && opts.fail_fast {
+            cancel_floor.fetch_min(idx, Ordering::AcqRel);
         }
-        let workers = self.threads.min(n);
-        // Job slots: taken exactly once, by whichever worker claims the
-        // index. Result slots are written exactly once at that index.
-        let job_slots: Vec<Mutex<Option<F>>> =
-            jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-        let result_slots: Vec<Mutex<Option<Result<T, JobFailure>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let queues = deal(n, workers);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let job_slots = &job_slots;
-                let result_slots = &result_slots;
-                scope.spawn(move || {
-                    while let Some(idx) = next_job(queues, w) {
-                        // A job index is dealt to exactly one deque, so
-                        // the take can only miss if that invariant broke;
-                        // the empty slot is then reported as `Lost` by
-                        // the collation below instead of aborting here.
-                        let Some(f) = job_slots[idx]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .take()
-                        else {
-                            continue;
-                        };
-                        let t0 = host::clock();
-                        let out = attempt(f);
-                        record_job_span(w, idx, t0, 1, if out.is_ok() { "ok" } else { "panicked" });
-                        *result_slots[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                    }
-                });
-            }
-        });
-        result_slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .unwrap_or(Err(JobFailure::Panicked {
-                        message: "result slot never filled (worker lost)".to_string(),
-                    }))
-            })
-            .collect()
+        JobStatus::Done(outcome)
+    };
+    let workers = threads.clamp(1, n.max(1));
+    if workers == 1 {
+        // The serial path every parallel run must be equivalent to:
+        // jobs settle in index order on the calling thread, which is
+        // "worker 0" on the host timeline.
+        return (0..n).map(|idx| claim(idx, 0)).collect();
     }
-
-    /// Run every job and return the results **in job index order**,
-    /// regardless of which worker finished which job when.
-    ///
-    /// Built on [`ThreadPool::run_caught`], so a panicking job no
-    /// longer poisons the pool: every other job completes first, then
-    /// the lowest-indexed panic is re-raised on the calling thread.
-    pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let mut out = Vec::new();
-        for (idx, r) in self.run_caught(jobs).into_iter().enumerate() {
-            match r {
-                Ok(t) => out.push(t),
-                Err(failure) => panic!("pool job {idx} {failure}"),
-            }
-        }
-        out
-    }
-
-    /// Map `f` over `items`, collating results in item order.
-    pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let f = &f;
-        self.run(
-            items
-                .into_iter()
-                .map(|item| move || f(item))
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Run every job under the resilience policy in `opts`: panics are
-    /// isolated per attempt, attempts may be bounded by a wall-clock
-    /// deadline, failed attempts are retried up to `max_retries` times
-    /// on a seeded deterministic backoff, and — when `fail_fast` is set
-    /// — a failure (including a value `is_failure` rejects) stops
-    /// later-indexed jobs from *starting*, while every in-flight worker
-    /// is still joined before this returns.
-    ///
-    /// Statuses come back in job index order. Jobs must be `Fn` (not
-    /// `FnOnce`) so they can be re-invoked on retry, and `'static` so a
-    /// deadline overrun can be abandoned to a detached watchdog thread
-    /// without borrowing from the pool's stack frame.
-    pub fn run_governed<T, F>(
-        &self,
-        jobs: Vec<F>,
-        opts: &RunOptions,
-        is_failure: impl Fn(&T) -> bool + Sync,
-    ) -> Vec<JobStatus<T>>
-    where
-        T: Send + 'static,
-        F: Fn() -> T + Send + Sync + 'static,
-    {
-        let n = jobs.len();
-        let jobs: Vec<Arc<F>> = jobs.into_iter().map(Arc::new).collect();
-        // Lowest failed index so far; fail-fast skips indices above it.
-        let cancel_floor = AtomicUsize::new(usize::MAX);
-        let claim = |idx: usize, w: usize| {
-            if opts.fail_fast && idx > cancel_floor.load(Ordering::Acquire) {
-                if host::is_enabled() {
-                    host::instant(
-                        HostTrack::Worker(w as u32),
-                        "host.skip",
-                        format!("skip job {idx}"),
-                        vec![("index", Value::Number(idx as f64))],
-                    );
+    let status_slots: Vec<Mutex<Option<JobStatus<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let queues = deal(n, workers);
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let queues = &queues;
+            let claim = &claim;
+            let status_slots = &status_slots;
+            scope.spawn(move || {
+                while let Some(idx) = next_job(queues, w) {
+                    let status = claim(idx, w);
+                    *status_slots[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(status);
                 }
-                return JobStatus::Skipped;
-            }
-            let t0 = host::clock();
-            let outcome = settle_job(&jobs[idx], idx, opts);
-            let failed = match &outcome.result {
-                Ok(t) => is_failure(t),
-                Err(_) => true,
-            };
-            let label = match &outcome.result {
-                Ok(_) if failed => "failed",
-                Ok(_) => "ok",
-                Err(JobFailure::Panicked { .. }) => "panicked",
-                Err(JobFailure::DeadlineExceeded { .. }) => "deadline",
-            };
-            record_job_span(w, idx, t0, outcome.attempts, label);
-            if failed && opts.fail_fast {
-                cancel_floor.fetch_min(idx, Ordering::AcqRel);
-            }
-            JobStatus::Done(outcome)
-        };
-        let workers = if n <= 1 { 1 } else { self.threads.min(n) };
-        if workers == 1 {
-            // The serial path every parallel run must be equivalent to:
-            // jobs settle in index order on the calling thread.
-            return (0..n).map(|idx| claim(idx, 0)).collect();
+            });
         }
-        let status_slots: Vec<Mutex<Option<JobStatus<T>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let queues = deal(n, workers);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let claim = &claim;
-                let status_slots = &status_slots;
-                scope.spawn(move || {
-                    while let Some(idx) = next_job(queues, w) {
-                        let status = claim(idx, w);
-                        *status_slots[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(status);
-                    }
-                });
-            }
-        });
-        status_slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .unwrap_or(JobStatus::Lost)
-            })
-            .collect()
-    }
+    });
+    status_slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .unwrap_or(JobStatus::Lost)
+        })
+        .collect()
 }
 
 /// Run one governed job to settlement: attempt (inline, or on a
@@ -606,9 +473,36 @@ mod tests {
     use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
     use std::time::Duration;
 
+    /// Each job's result in index order, from a run with default
+    /// options (without fail-fast every job settles).
+    fn results<T, F>(threads: usize, jobs: Vec<F>) -> Vec<Result<T, JobFailure>>
+    where
+        T: Send + 'static,
+        F: Fn() -> T + Send + Sync + 'static,
+    {
+        run_governed(threads, jobs, &RunOptions::default(), |_| false)
+            .into_iter()
+            .map(|status| match status {
+                JobStatus::Done(outcome) => outcome.result,
+                JobStatus::Skipped | JobStatus::Lost => panic!("job never settled"),
+            })
+            .collect()
+    }
+
+    /// [`results`] of jobs that must all succeed.
+    fn values<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
+    where
+        T: Send + std::fmt::Debug + 'static,
+        F: Fn() -> T + Send + Sync + 'static,
+    {
+        results(threads, jobs)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect()
+    }
+
     #[test]
     fn results_come_back_in_index_order() {
-        let pool = ThreadPool::new(4);
         // Early jobs sleep longest, so completion order inverts
         // submission order — collation must not care.
         let jobs: Vec<_> = (0..16u64)
@@ -619,72 +513,75 @@ mod tests {
                 }
             })
             .collect();
-        let out = pool.run(jobs);
-        assert_eq!(out, (0..16u64).map(|i| i * 10).collect::<Vec<_>>());
+        assert_eq!(
+            values(4, jobs),
+            (0..16u64).map(|i| i * 10).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn single_thread_pool_runs_serially_in_order() {
-        let pool = ThreadPool::new(1);
-        let order = Mutex::new(Vec::new());
+        let order = Arc::new(Mutex::new(Vec::new()));
         let jobs: Vec<_> = (0..8usize)
             .map(|i| {
-                let order = &order;
+                let order = Arc::clone(&order);
                 move || {
                     order.lock().unwrap().push(i);
                     i
                 }
             })
             .collect();
-        let out = pool.run(jobs);
-        assert_eq!(out, (0..8).collect::<Vec<_>>());
+        assert_eq!(values(1, jobs), (0..8).collect::<Vec<_>>());
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let count = AtomicU64::new(0);
-        let pool = ThreadPool::new(7);
+        let count = Arc::new(AtomicU64::new(0));
         let jobs: Vec<_> = (0..100)
             .map(|_| {
-                let count = &count;
+                let count = Arc::clone(&count);
                 move || count.fetch_add(1, Ordering::Relaxed)
             })
             .collect();
-        let out = pool.run(jobs);
-        assert_eq!(out.len(), 100);
+        assert_eq!(values(7, jobs).len(), 100);
         assert_eq!(count.load(Ordering::Relaxed), 100);
     }
 
     #[test]
     fn more_threads_than_jobs_is_fine() {
-        let pool = ThreadPool::new(32);
-        assert_eq!(pool.map(vec![1, 2, 3], |x| x * x), vec![1, 4, 9]);
+        let jobs: Vec<_> = [1, 2, 3].into_iter().map(|x| move || x * x).collect();
+        assert_eq!(values(32, jobs), vec![1, 4, 9]);
     }
 
     #[test]
     fn zero_jobs_and_zero_threads_degrade_gracefully() {
-        let pool = ThreadPool::new(0);
-        assert_eq!(pool.threads(), 1);
-        let out: Vec<i32> = pool.run(Vec::<fn() -> i32>::new());
-        assert!(out.is_empty());
+        assert!(values(0, Vec::<fn() -> i32>::new()).is_empty());
+        // Zero threads clamp to one worker, which still runs every job.
+        let jobs: Vec<_> = [1, 2].into_iter().map(|x| move || x).collect();
+        assert_eq!(values(0, jobs), vec![1, 2]);
     }
 
+    /// Jobs are `'static`, so captured state is shared through an `Arc`.
     #[test]
     fn map_borrows_captured_state() {
-        let base = 100u64;
-        let pool = ThreadPool::new(3);
-        let out = pool.map((0..10u64).collect(), |i| base + i);
-        assert_eq!(out[9], 109);
+        let base = Arc::new(100u64);
+        let jobs: Vec<_> = (0..10u64)
+            .map(|i| {
+                let base = Arc::clone(&base);
+                move || *base + i
+            })
+            .collect();
+        assert_eq!(values(3, jobs)[9], 109);
     }
 
     #[test]
     fn parallelism_is_real() {
         // With 4 workers, 4 sleeping jobs overlap: total wall clock is
         // well under the serial sum. (Generous bound for slow CI.)
-        let pool = ThreadPool::new(4);
         let start = std::time::Instant::now();
-        pool.run(
+        values(
+            4,
             (0..4)
                 .map(|_| || std::thread::sleep(Duration::from_millis(100)))
                 .collect::<Vec<_>>(),
@@ -694,19 +591,17 @@ mod tests {
 
     #[test]
     fn a_panicking_job_does_not_poison_the_pool() {
-        let pool = ThreadPool::new(4);
-        let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..16u64)
+        let jobs: Vec<_> = (0..16u64)
             .map(|i| {
-                Box::new(move || {
+                move || {
                     if i == 5 {
                         panic!("point {i} exploded");
                     }
                     i
-                }) as Box<dyn FnOnce() -> u64 + Send>
+                }
             })
             .collect();
-        let out = pool.run_caught(jobs);
-        for (i, r) in out.iter().enumerate() {
+        for (i, r) in results(4, jobs).iter().enumerate() {
             if i == 5 {
                 let Err(JobFailure::Panicked { message }) = r else {
                     panic!("job 5 must report its panic, got {r:?}");
@@ -718,31 +613,35 @@ mod tests {
         }
     }
 
+    /// Without fail-fast every job runs, and the lowest failing index —
+    /// the one a strict sweep reports — is job 2 under any schedule.
     #[test]
     fn run_repropagates_the_lowest_indexed_panic_after_all_jobs() {
-        let ran = AtomicU64::new(0);
-        let pool = ThreadPool::new(3);
-        let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..8u64)
+        let ran = Arc::new(AtomicU64::new(0));
+        let jobs: Vec<_> = (0..8u64)
             .map(|i| {
-                let ran = &ran;
-                Box::new(move || {
+                let ran = Arc::clone(&ran);
+                move || {
                     ran.fetch_add(1, Ordering::Relaxed);
                     if i == 2 || i == 6 {
                         panic!("boom {i}");
                     }
                     i
-                }) as Box<dyn FnOnce() -> u64 + Send>
+                }
             })
             .collect();
-        let err = catch_unwind(AssertUnwindSafe(|| pool.run(jobs))).unwrap_err();
-        let msg = panic_message(err);
-        assert!(msg.contains("pool job 2"), "lowest index wins: {msg}");
+        let out = results(3, jobs);
         assert_eq!(ran.load(Ordering::Relaxed), 8, "all jobs still ran");
+        let lowest = out.iter().position(Result::is_err);
+        assert_eq!(lowest, Some(2), "lowest index wins: {out:?}");
+        let Err(JobFailure::Panicked { message }) = &out[2] else {
+            panic!("job 2 must report its panic: {out:?}");
+        };
+        assert_eq!(message, "boom 2");
     }
 
     #[test]
     fn governed_retry_until_success_counts_attempts() {
-        let pool = ThreadPool::new(2);
         let flaky = Arc::new(AtomicU32::new(0));
         let flaky2 = Arc::clone(&flaky);
         let jobs: Vec<Box<dyn Fn() -> u32 + Send + Sync>> = vec![
@@ -760,7 +659,7 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             ..RunOptions::default()
         };
-        let out = pool.run_governed(jobs, &opts, |_| false);
+        let out = run_governed(2, jobs, &opts, |_| false);
         let JobStatus::Done(o0) = &out[0] else {
             panic!("{out:?}")
         };
@@ -775,7 +674,6 @@ mod tests {
 
     #[test]
     fn governed_retries_are_bounded() {
-        let pool = ThreadPool::new(1);
         let tries = Arc::new(AtomicU32::new(0));
         let tries2 = Arc::clone(&tries);
         let jobs: Vec<Box<dyn Fn() -> u32 + Send + Sync>> = vec![Box::new(move || {
@@ -787,7 +685,7 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             ..RunOptions::default()
         };
-        let out = pool.run_governed(jobs, &opts, |_| false);
+        let out = run_governed(1, jobs, &opts, |_| false);
         let JobStatus::Done(o) = &out[0] else {
             panic!("{out:?}")
         };
@@ -798,7 +696,6 @@ mod tests {
 
     #[test]
     fn deadline_abandons_a_hung_job_and_the_sweep_survives() {
-        let pool = ThreadPool::new(2);
         let jobs: Vec<Box<dyn Fn() -> u32 + Send + Sync>> = vec![
             Box::new(|| 1),
             Box::new(|| {
@@ -813,7 +710,7 @@ mod tests {
             ..RunOptions::default()
         };
         let start = Instant::now();
-        let out = pool.run_governed(jobs, &opts, |_| false);
+        let out = run_governed(2, jobs, &opts, |_| false);
         assert!(
             start.elapsed() < Duration::from_secs(3),
             "the hung job must not block the sweep"
@@ -828,7 +725,6 @@ mod tests {
 
     #[test]
     fn fail_fast_skips_above_the_lowest_failure_but_settles_every_slot() {
-        let pool = ThreadPool::new(1);
         // Serial claims run in index order: 0..=3 run, 3 fails, and
         // everything above the failure is skipped without running.
         let ran = Arc::new(Mutex::new(Vec::new()));
@@ -849,7 +745,7 @@ mod tests {
             fail_fast: true,
             ..RunOptions::default()
         };
-        let out = pool.run_governed(jobs, &opts, |r| r.is_err());
+        let out = run_governed(1, jobs, &opts, |r| r.is_err());
         // Every slot settled: Done or Skipped, never Lost.
         assert!(out.iter().all(|s| *s != JobStatus::Lost));
         for i in 0..=3 {
@@ -866,7 +762,6 @@ mod tests {
 
     #[test]
     fn fail_fast_with_many_workers_joins_in_flight_jobs_and_runs_lower_indices() {
-        let pool = ThreadPool::new(4);
         let ran = Arc::new(AtomicU32::new(0));
         let jobs: Vec<Box<dyn Fn() -> Result<u32, u32> + Send + Sync>> = (0..16u32)
             .map(|i| {
@@ -889,7 +784,7 @@ mod tests {
             fail_fast: true,
             ..RunOptions::default()
         };
-        let out = pool.run_governed(jobs, &opts, |r| r.is_err());
+        let out = run_governed(4, jobs, &opts, |r| r.is_err());
         // No slot is ever Lost: skipped or settled, and the scope join
         // means no worker is still writing after this returns.
         for (i, s) in out.iter().enumerate() {
@@ -931,9 +826,10 @@ mod tests {
 
     #[test]
     fn governed_zero_jobs_is_fine() {
-        let pool = ThreadPool::new(4);
         let out: Vec<JobStatus<u32>> =
-            pool.run_governed(Vec::<fn() -> u32>::new(), &RunOptions::default(), |_| false);
+            run_governed(4, Vec::<fn() -> u32>::new(), &RunOptions::default(), |_| {
+                false
+            });
         assert!(out.is_empty());
     }
 }

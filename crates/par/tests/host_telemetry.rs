@@ -9,18 +9,25 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use columbia_obs::host;
-use columbia_par::{JobStatus, RunOptions, ThreadPool};
+use columbia_par::{run_governed, JobStatus, RunOptions};
 
 /// Captures are process-global; every test serializes here.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+/// Run `jobs` with default options, returning how many settled.
+fn run<F: Fn() -> u64 + Send + Sync + 'static>(threads: usize, jobs: Vec<F>) -> usize {
+    run_governed(threads, jobs, &RunOptions::default(), |_| false)
+        .iter()
+        .filter(|s| matches!(s, JobStatus::Done(_)))
+        .count()
+}
 
 #[test]
 fn pool_runs_record_one_span_per_job() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     host::enable();
-    let pool = ThreadPool::new(4);
-    let out = pool.run((0..32u64).map(|i| move || i * 2).collect::<Vec<_>>());
-    assert_eq!(out.len(), 32);
+    let settled = run(4, (0..32u64).map(|i| move || i * 2).collect());
+    assert_eq!(settled, 32);
     let report = host::take().expect("capture live");
     let jobs = report.spans.iter().filter(|s| s.cat == "host.job").count();
     assert_eq!(jobs, 32, "one host span per job");
@@ -39,8 +46,8 @@ fn a_drained_worker_records_its_steals() {
     // deal(4, 2): worker 0 owns [0, 2], worker 1 owns [1, 3]. Worker 0
     // pops its LIFO tail (job 2) and sleeps on it; worker 1 drains its
     // own deque and must steal job 0 from worker 0's FIFO head.
-    let pool = ThreadPool::new(2);
-    pool.run(
+    run(
+        2,
         (0..4u64)
             .map(|i| {
                 move || {
@@ -50,7 +57,7 @@ fn a_drained_worker_records_its_steals() {
                     i
                 }
             })
-            .collect::<Vec<_>>(),
+            .collect(),
     );
     let report = host::take().expect("capture live");
     assert!(
@@ -76,7 +83,7 @@ fn governed_runs_attribute_attempts_retries_and_outcomes() {
         backoff_base: Duration::from_millis(1),
         ..RunOptions::default()
     };
-    let statuses = ThreadPool::new(1).run_governed(jobs, &opts, |_| false);
+    let statuses = run_governed(1, jobs, &opts, |_| false);
     assert_eq!(statuses.len(), 2);
     let report = host::take().expect("capture live");
     assert_eq!(report.metrics.counter("host.retries"), 1, "one retry");
@@ -140,7 +147,7 @@ fn fail_fast_skips_render_as_instants() {
         fail_fast: true,
         ..RunOptions::default()
     };
-    let statuses = ThreadPool::new(1).run_governed(jobs, &opts, |r| r.is_err());
+    let statuses = run_governed(1, jobs, &opts, |r| r.is_err());
     let skipped = statuses
         .iter()
         .filter(|s| matches!(s, JobStatus::Skipped))
@@ -166,9 +173,8 @@ fn fail_fast_skips_render_as_instants() {
 fn disabled_telemetry_leaves_no_trace() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     assert!(!host::is_enabled());
-    let pool = ThreadPool::new(4);
-    let out = pool.run((0..16u64).map(|i| move || i).collect::<Vec<_>>());
-    assert_eq!(out.len(), 16);
+    let settled = run(4, (0..16u64).map(|i| move || i).collect());
+    assert_eq!(settled, 16);
     assert!(host::take().is_none(), "nothing captured while disabled");
     // And a later capture starts empty — no leakage from the run above.
     host::enable();
