@@ -1,13 +1,11 @@
 #!/usr/bin/env python3
-"""Floor-check `BENCH JSON` lines captured from cargo bench output.
+"""Check `BENCH JSON` lines captured from cargo bench output.
 
 CI greps `^BENCH JSON ` lines out of the bench logs into a JSON-lines
-file and runs this script over it. Each known bench has an absolute
-bound — a floor a speedup must clear, or a ceiling an overhead must
-stay under — that never moves with the committed baseline. (Trajectory
-regressions relative to the committed baseline are the job of the
-`bench-compare` gate; this script is the machine-independent sanity
-floor.)
+file and runs this script over it. `CHECKS` is the one place that names
+each gated bench, its metric and its bound: a floor a speedup must
+clear, or a ceiling an overhead must stay under. `inject_regression.py`
+imports it to show that every bound fires.
 
 Usage:
     check_bench.py bench.json --require pdes_columbia_10240 [more...]
@@ -27,8 +25,9 @@ CHECKS = {
     # Disabled host-telemetry hooks vs. a bare loop over the same jobs.
     "host_obs_overhead": ("overhead_pct", "<", 2.0),
     # Conservative PDES loop at 4 threads vs. one thread on the
-    # full-Columbia 10,240-rank run (bit-identical results, ≥1.8x wall).
-    "pdes_columbia_10240": ("speedup4", ">=", 1.8),
+    # full-Columbia 10,240-rank run (bit-identical results). The floor
+    # is 20% under the 2.4x recorded for this run: 2.4 x 0.8 = 1.92.
+    "pdes_columbia_10240": ("speedup4", ">=", 1.92),
 }
 
 

@@ -97,7 +97,13 @@
 //! stderr only — stdout stays byte-identical to an uninterrupted run,
 //! which is what the CI resume smoke gate diffs against the golden.
 //! Either way, `repro` exits 3 if any point ultimately failed.
+//!
+//! An argument not listed above is a bad command line: `repro` names
+//! it and exits 2 before anything runs. A reader that closes stdout
+//! early (`repro --list | head -3`) ends the run with exit 0 and
+//! nothing on stderr.
 
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 use columbia::experiments::{self, failure_report, EXPERIMENTS};
@@ -107,8 +113,64 @@ use columbia::obs::{
     ANALYSIS_SCHEMA,
 };
 use columbia::par;
-use columbia::{analysis_report, PointStore, ResilienceOptions, SpecJob};
+use columbia::{analysis_report, PointStore, Report, ResilienceOptions, SpecJob};
 use serde_json::Value;
+
+/// Flags that take a value. `--analyze` takes an optional one.
+const VALUE_FLAGS: [&str; 10] = [
+    "--exp",
+    "--spec",
+    "--jobs",
+    "--sim-threads",
+    "--trace",
+    "--metrics",
+    "--manifest",
+    "--checkpoint-dir",
+    "--point-deadline",
+    "--max-retries",
+];
+
+/// Flags that take no value.
+const SWITCHES: [&str; 3] = ["--json", "--list", "--resume"];
+
+/// The first argument that is neither a known flag nor a flag's value.
+/// A value is the argument after a value flag or `--analyze`, unless it
+/// starts with `--`: no flag accepts such a value.
+fn first_unknown(args: &[String]) -> Option<&str> {
+    let mut rest = args.iter().map(String::as_str).peekable();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg) || arg == "--analyze" {
+            rest.next_if(|v| !v.starts_with("--"));
+        } else if !SWITCHES.contains(&arg) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
+/// Write one line to stdout. A reader that closed early (`repro --list
+/// | head -3`) ends the run quietly with exit 0, so a `pipefail` shell
+/// does not fail; any other write error exits 1.
+fn print_line(text: &str) {
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("failed to write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Print `report` as JSON or as text.
+fn print_report(report: &Report, json: bool) {
+    print_line(&if json {
+        report.to_json()
+    } else {
+        report.to_text()
+    });
+}
 
 /// Parse `--flag <value>` out of the argument list.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -167,10 +229,14 @@ fn write_or_die(path: &str, contents: &str) {
 fn main() {
     let run_start = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = first_unknown(&args) {
+        eprintln!("unknown argument '{arg}'");
+        std::process::exit(2);
+    }
     let json = args.iter().any(|a| a == "--json");
     if args.iter().any(|a| a == "--list") {
         for (name, _) in EXPERIMENTS {
-            println!("{name}");
+            print_line(name);
         }
         return;
     }
@@ -362,11 +428,7 @@ fn main() {
                 &content_hash,
             );
         }
-        if json {
-            println!("{}", report.to_json());
-        } else {
-            println!("{}", report.to_text());
-        }
+        print_report(&report, json);
     }
     // Drain the host capture once; the trace export and the manifest
     // both read from it.
@@ -405,11 +467,7 @@ fn main() {
                 "critical-path bottleneck attribution per captured simulation",
                 &analyses,
             );
-            if json {
-                println!("{}", report.to_json());
-            } else {
-                println!("{}", report.to_text());
-            }
+            print_report(&report, json);
             if let Some(path) = json_path {
                 let mut doc = Value::object();
                 doc.set("schema", Value::String(ANALYSIS_SCHEMA.into()));

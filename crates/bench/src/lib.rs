@@ -3,18 +3,11 @@
 //! measure the real kernels and the simulator, including the ablation
 //! studies DESIGN.md calls out.
 //!
-//! This library hosts the pieces the benches and CI share:
-//!
-//! * [`record`] — the one way a bench emits its machine-readable
-//!   result: a `BENCH JSON` stdout line (grepped into the CI bench
-//!   artifact) plus, when `BENCH_MANIFEST_DIR` is set, a schema'd
-//!   per-bench manifest file for the regression gate.
-//! * [`mod@compare`] — ingestion and trend/regression analysis over a
-//!   directory of those manifests, behind the `bench-compare` binary
-//!   CI gates on.
+//! This library hosts [`record`], the one way a bench emits its
+//! machine-readable result: a `BENCH JSON` stdout line that CI greps
+//! into its bench artifact and checks against the absolute bounds in
+//! `ci/check_bench.py`.
 
-pub mod compare;
 pub mod record;
 
-pub use compare::{compare, load_dir, BenchSample, CompareOutcome, Improvement, Regression};
 pub use record::BenchRecord;

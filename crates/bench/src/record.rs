@@ -7,39 +7,26 @@
 //! BENCH JSON {"bench":"mailbox_ring_512","reference_ns_per_iter":...,"indexed_ns_per_iter":...,"speedup":1.83}
 //! ```
 //!
-//! that CI greps into its bench artifact and floor-checks, plus —
-//! when the `BENCH_MANIFEST_DIR` environment variable names a
-//! directory — a `BENCH_<name>.json` manifest file
-//! (`columbia-bench-manifest-v1`) that the `bench-compare` regression
-//! gate ingests. Metric insertion order is preserved in both
-//! renderings, so the line format is byte-compatible with the
-//! hand-rolled templates this module replaced.
+//! that CI greps into its bench artifact and checks against the bounds
+//! in `ci/check_bench.py`, the one place that names each gated metric
+//! and its direction. Metric insertion order is preserved, so the line
+//! format is byte-compatible with the hand-rolled templates this module
+//! replaced.
 
 use serde_json::Value;
 
-/// Schema tag of one bench manifest file.
-pub const BENCH_MANIFEST_SCHEMA: &str = "columbia-bench-manifest-v1";
-
-/// One bench result: named metrics in insertion order, one of them
-/// designated *primary* — the scalar the regression gate trends.
+/// One bench result: named metrics in insertion order.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
     name: String,
-    primary: String,
-    higher_is_better: bool,
     metrics: Vec<(String, f64)>,
 }
 
 impl BenchRecord {
-    /// Start a record for bench `name` whose gated scalar is
-    /// `primary` (`higher_is_better` tells the gate which direction is
-    /// a regression). The primary metric must be added via
-    /// [`BenchRecord::metric`] like any other.
-    pub fn new(name: &str, primary: &str, higher_is_better: bool) -> Self {
+    /// Start a record for bench `name`.
+    pub fn new(name: &str) -> Self {
         BenchRecord {
             name: name.to_string(),
-            primary: primary.to_string(),
-            higher_is_better,
             metrics: Vec::new(),
         }
     }
@@ -54,19 +41,6 @@ impl BenchRecord {
         self
     }
 
-    /// The bench name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The primary metric's current value, if it was added.
-    pub fn primary_value(&self) -> Option<f64> {
-        self.metrics
-            .iter()
-            .find(|(k, _)| *k == self.primary)
-            .map(|(_, v)| *v)
-    }
-
     /// The stdout line CI greps: `BENCH JSON {...}` with the bench
     /// name first and metrics in insertion order.
     pub fn line(&self) -> String {
@@ -78,46 +52,9 @@ impl BenchRecord {
         format!("BENCH JSON {}", serde_json::to_string(&doc))
     }
 
-    /// The manifest document `bench-compare` ingests.
-    pub fn manifest_value(&self) -> Value {
-        let mut doc = Value::object();
-        doc.set("schema", Value::String(BENCH_MANIFEST_SCHEMA.into()));
-        doc.set("bench", Value::String(self.name.clone()));
-        doc.set("primary", Value::String(self.primary.clone()));
-        doc.set("higher_is_better", Value::Bool(self.higher_is_better));
-        let mut metrics = Value::object();
-        for (k, v) in &self.metrics {
-            metrics.set(k, Value::Number(*v));
-        }
-        doc.set("metrics", metrics);
-        doc
-    }
-
-    /// Canonical manifest file name for this bench.
-    pub fn manifest_file_name(&self) -> String {
-        format!("BENCH_{}.json", self.name)
-    }
-
-    /// Print the `BENCH JSON` line and, when `BENCH_MANIFEST_DIR` is
-    /// set, write the manifest file into that directory (created if
-    /// missing). Manifest write failures are reported on stderr but
-    /// never fail the bench — a read-only CI scratch dir must not turn
-    /// a measurement into an error.
+    /// Print the `BENCH JSON` line.
     pub fn emit(&self) {
         println!("{}", self.line());
-        let Ok(dir) = std::env::var("BENCH_MANIFEST_DIR") else {
-            return;
-        };
-        if dir.is_empty() {
-            return;
-        }
-        let dir = std::path::PathBuf::from(dir);
-        let path = dir.join(self.manifest_file_name());
-        let payload = serde_json::to_string_pretty(&self.manifest_value());
-        if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, payload))
-        {
-            eprintln!("bench manifest write failed ({}): {e}", path.display());
-        }
     }
 }
 
@@ -126,7 +63,7 @@ mod tests {
     use super::*;
 
     fn mailbox_record() -> BenchRecord {
-        BenchRecord::new("mailbox_ring_512", "speedup", true)
+        BenchRecord::new("mailbox_ring_512")
             .metric("reference_ns_per_iter", 123456.7, 0)
             .metric("indexed_ns_per_iter", 67890.2, 0)
             .metric("speedup", 1.8183456, 3)
@@ -157,39 +94,6 @@ mod tests {
         assert_eq!(
             doc.get("reference_ns_per_iter").and_then(Value::as_f64),
             Some(123457.0)
-        );
-    }
-
-    #[test]
-    fn manifest_carries_schema_primary_and_direction() {
-        let doc = mailbox_record().manifest_value();
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some(BENCH_MANIFEST_SCHEMA)
-        );
-        assert_eq!(doc.get("primary").and_then(Value::as_str), Some("speedup"));
-        assert!(matches!(
-            doc.get("higher_is_better"),
-            Some(Value::Bool(true))
-        ));
-        assert_eq!(
-            doc.get("metrics")
-                .and_then(|m| m.get("speedup"))
-                .and_then(Value::as_f64),
-            Some(1.818)
-        );
-        assert_eq!(
-            mailbox_record().manifest_file_name(),
-            "BENCH_mailbox_ring_512.json"
-        );
-    }
-
-    #[test]
-    fn primary_value_reads_back_the_designated_metric() {
-        assert_eq!(mailbox_record().primary_value(), Some(1.818));
-        assert_eq!(
-            BenchRecord::new("empty", "speedup", true).primary_value(),
-            None
         );
     }
 }
