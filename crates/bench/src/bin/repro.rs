@@ -382,7 +382,6 @@ fn main() {
                 store,
                 resume,
                 experiment: Some(name.clone()),
-                ..ResilienceOptions::default()
             };
             let outcome = sweep_plan.run_resilient_with_jobs(jobs, opts);
             // Stats are stderr-only: stdout must stay byte-identical

@@ -1,7 +1,6 @@
 //! Benchmark harness crate: the `repro` binary regenerates every table
-//! and figure of the paper; the Criterion benches (in `benches/`)
-//! measure the real kernels and the simulator, including the ablation
-//! studies DESIGN.md calls out.
+//! and figure of the paper; the two benches in `benches/` measure the
+//! simulator engine (`simnet`) and what observability costs (`obs`).
 //!
 //! This library hosts [`record`], the one way a bench emits its
 //! machine-readable result: a `BENCH JSON` stdout line that CI greps

@@ -18,6 +18,17 @@
 //! surface a different failure than the serial one just because a
 //! later point crashed first.
 //!
+//! Trace capture is ordered the same way. Each point runs inside a
+//! [`sink::capture`], so the bundles its simulations record travel
+//! back with its result. Once the pool settles, the sweep records
+//! them into the `columbia-obs` sink in sweep-index order, for every
+//! point whose settling attempt returned an output or a [`SimError`]
+//! (a deadlocked run still leaves its partial timeline). Panicked and
+//! abandoned attempts and resumed points record nothing, and a strict
+//! run records only the points up to and including the lowest failing
+//! one — exactly the points a one-thread run executes. So `repro
+//! --trace` exports the same bundles at any `--jobs`.
+//!
 //! # Resilient execution
 //!
 //! [`SweepPlan::run_resilient_with_jobs`] is the batch-campaign
@@ -28,7 +39,7 @@
 //!   outcome (the pool is never poisoned — see `columbia-par`);
 //! * a hung point is abandoned at its wall-clock deadline and becomes
 //!   [`PointError::DeadlineExceeded`];
-//! * failed attempts are retried up to `max_retries` times on a seeded
+//! * failed attempts are retried up to `max_retries` times on a
 //!   deterministic backoff;
 //! * with a checkpoint store attached ([`PointStore`]), every
 //!   completed point is persisted, and `resume` serves previously
@@ -110,6 +121,13 @@ impl PointOutput {
 /// only small `Copy` configuration (CPU counts, seeds, fabric enums),
 /// so the stronger bound costs nothing.
 pub type SweepPoint = Box<dyn Fn() -> Result<PointOutput, SimError> + Send + Sync>;
+
+/// One attempt at a point as the pool runs it: the point's result and
+/// the trace bundles it recorded.
+type Captured = (Result<PointOutput, SimError>, Vec<TraceBundle>);
+
+/// A [`SweepPoint`] wrapped to run inside a [`sink::capture`].
+type CapturedPoint = Box<dyn Fn() -> Captured + Send + Sync>;
 
 /// Collation hook: builds the report body from the index-ordered point
 /// outputs. The default appends every point's rows, then every point's
@@ -211,10 +229,6 @@ pub struct ResilienceOptions {
     pub deadline: Option<Duration>,
     /// Retries after a panicked or timed-out attempt (0 = one attempt).
     pub max_retries: u32,
-    /// Base unit of the exponential retry backoff.
-    pub backoff_base: Option<Duration>,
-    /// Seed for the deterministic backoff schedule.
-    pub backoff_seed: u64,
     /// Checkpoint store: every completed point is persisted here.
     pub store: Option<PointStore>,
     /// Serve previously checkpointed points from `store` instead of
@@ -384,10 +398,10 @@ impl SweepPlan {
     /// Execute every point on `jobs` threads and collate in canonical
     /// order.
     ///
-    /// Each point runs under a [`sink::with_point`] attribution, so
-    /// trace bundles deposited by worker threads drain in sweep order,
-    /// not completion order. With one thread this is exactly the serial
-    /// path: points run in index order on the calling thread.
+    /// Trace bundles the points record reach the sink in sweep order,
+    /// not completion order (see the module docs). With one thread
+    /// this is exactly the serial path: points run in index order on
+    /// the calling thread.
     ///
     /// On failure the error of the **lowest-indexed** failing point is
     /// returned: every point at or below that index runs to
@@ -424,9 +438,9 @@ impl SweepPlan {
     }
 
     /// The one sweep body. `strict` stops starting points above the
-    /// lowest failure and keeps the `sweep resilience` summary bundle
-    /// out of the trace sink, so a strict run records only its
-    /// simulations.
+    /// lowest failure, records only the traces of the points up to it,
+    /// and keeps the `sweep resilience` summary bundle out of the trace
+    /// sink, so a strict run records only its simulations.
     fn execute(self, jobs: usize, opts: ResilienceOptions, strict: bool) -> SweepOutcome {
         let n = self.points.len();
         let experiment = opts.experiment.unwrap_or_else(|| self.id.clone());
@@ -435,8 +449,7 @@ impl SweepPlan {
         let checkpoint_errors = Arc::new(AtomicU64::new(0));
         let mut resumed = 0usize;
 
-        let epoch = sink::next_epoch();
-        let points: Vec<SweepPoint> = self
+        let points: Vec<CapturedPoint> = self
             .points
             .into_iter()
             .enumerate()
@@ -450,13 +463,13 @@ impl SweepPlan {
                     if let Some(cached) = store.as_ref().and_then(|s| s.load(&key)) {
                         // Serve the checkpoint; the point never runs.
                         resumed += 1;
-                        return Box::new(move || Ok(cached.clone())) as SweepPoint;
+                        return Box::new(move || (Ok(cached.clone()), Vec::new())) as CapturedPoint;
                     }
                 }
                 let store = store.clone();
                 let checkpoint_errors = Arc::clone(&checkpoint_errors);
                 Box::new(move || {
-                    let out = sink::with_point(epoch, idx, &f);
+                    let (out, bundles) = sink::capture(&f);
                     // Checkpoint from the worker, so a kill between
                     // points loses at most the in-flight ones. A failed
                     // write only costs resumability, never the sweep.
@@ -465,26 +478,18 @@ impl SweepPlan {
                             checkpoint_errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    out
-                }) as SweepPoint
+                    (out, bundles)
+                }) as CapturedPoint
             })
             .collect();
 
         let run_opts = RunOptions {
             deadline: opts.deadline,
             max_retries: opts.max_retries,
-            backoff_seed: opts.backoff_seed,
-            backoff_base: opts
-                .backoff_base
-                .unwrap_or(RunOptions::default().backoff_base),
             fail_fast: strict,
         };
-        let statuses = columbia_par::run_governed(
-            jobs,
-            points,
-            &run_opts,
-            |r: &Result<PointOutput, SimError>| r.is_err(),
-        );
+        let statuses =
+            columbia_par::run_governed(jobs, points, &run_opts, |(r, _): &Captured| r.is_err());
 
         let mut stats = SweepStats {
             points: n,
@@ -492,18 +497,23 @@ impl SweepPlan {
             ..SweepStats::default()
         };
         let mut outputs = Vec::with_capacity(n);
+        let mut traces = Vec::with_capacity(n);
         let mut failures = Vec::new();
         let mut latencies = Vec::with_capacity(n);
         for (idx, status) in statuses.into_iter().enumerate() {
-            match status {
+            let bundles = match status {
                 JobStatus::Done(outcome) => {
                     stats.retries += u64::from(outcome.attempts.saturating_sub(1));
                     latencies.push(outcome.elapsed);
                     match outcome.result {
-                        Ok(Ok(output)) => outputs.push(output),
-                        Ok(Err(error)) => {
+                        Ok((Ok(output), bundles)) => {
+                            outputs.push(output);
+                            bundles
+                        }
+                        Ok((Err(error), bundles)) => {
                             failures.push(PointError::Sim { point: idx, error });
                             outputs.push(PointOutput::default());
+                            bundles
                         }
                         Err(JobFailure::Panicked { message }) => {
                             stats.panics += 1;
@@ -513,6 +523,7 @@ impl SweepPlan {
                                 message,
                             });
                             outputs.push(PointOutput::default());
+                            Vec::new()
                         }
                         Err(JobFailure::DeadlineExceeded { deadline }) => {
                             stats.timeouts += 1;
@@ -522,17 +533,30 @@ impl SweepPlan {
                                 deadline,
                             });
                             outputs.push(PointOutput::default());
+                            Vec::new()
                         }
                     }
                 }
                 JobStatus::Skipped | JobStatus::Lost => {
                     failures.push(PointError::Lost { point: idx });
                     outputs.push(PointOutput::default());
+                    Vec::new()
                 }
-            }
+            };
+            traces.push(bundles);
         }
         stats.failed = failures.len();
         stats.checkpoint_errors = checkpoint_errors.load(Ordering::Relaxed);
+
+        // A strict run stops at its lowest failure, so it records only
+        // the points a one-thread run would have run.
+        let traced = match failures.first() {
+            Some(failure) if strict => failure.point() + 1,
+            _ => n,
+        };
+        for bundle in traces.into_iter().take(traced).flatten() {
+            sink::record(bundle);
+        }
 
         let mut report = if failures.is_empty() {
             build_report(
@@ -611,8 +635,6 @@ impl SweepPlan {
                 metrics.gauge("sweep.point_seconds_p95", h.percentile(95.0));
                 metrics.gauge("sweep.point_seconds_p99", h.percentile(99.0));
             }
-            // Recorded outside any point attribution, so it drains
-            // after the sweep's per-point bundles.
             sink::record(TraceBundle {
                 label: format!("sweep resilience: {}", report.id),
                 metrics,
@@ -877,7 +899,6 @@ mod tests {
         });
         let opts = ResilienceOptions {
             max_retries: 3,
-            backoff_base: Some(Duration::from_millis(1)),
             ..ResilienceOptions::default()
         };
         let out = plan.run_resilient_with_jobs(1, opts);
@@ -897,7 +918,6 @@ mod tests {
         });
         let opts = ResilienceOptions {
             max_retries: 2,
-            backoff_base: Some(Duration::from_millis(1)),
             ..ResilienceOptions::default()
         };
         let out = plan.run_resilient_with_jobs(1, opts);

@@ -59,9 +59,8 @@ pub fn simulate(kind: NodeKind, cpus: u32, stride: u32) -> StreamResult {
     };
     let placement = Placement::single_node(&cluster, NodeId(0), cpus as usize, 1, strategy);
     let mem = MemoryModel::new(&node);
-    let active = placement.active_on_node(NodeId(0));
     // Mean sharer count across active CPUs decides the per-CPU rate.
-    let mean_sharers = placement.mean_bus_sharers(&cluster);
+    let mean_sharers = placement.mean_bus_sharers;
     let sharers = if mean_sharers > 1.5 { 2 } else { 1 };
     let per_cpu = [
         StreamOp::Copy,
@@ -70,7 +69,6 @@ pub fn simulate(kind: NodeKind, cpus: u32, stride: u32) -> StreamResult {
         StreamOp::Triad,
     ]
     .map(|op| (op, mem.stream_bandwidth(op, sharers)));
-    let _ = active;
     StreamResult {
         kind,
         cpus,

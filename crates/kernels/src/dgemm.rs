@@ -1,7 +1,7 @@
 //! Dense double-precision matrix multiply (the HPCC DGEMM component).
 //!
 //! Three variants: a reference naive triple loop, a cache-blocked
-//! version (the ablation benches compare the two), and a rayon-parallel
+//! version (tested against the naive one), and a rayon-parallel
 //! tiled version used for multi-worker host runs. All compute
 //! `C ← αAB + βC` on row-major square-free `m×k · k×n` operands.
 

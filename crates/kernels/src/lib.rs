@@ -8,8 +8,8 @@
 //! These are genuine implementations — they compute, are verified by
 //! the test suite, and run in parallel with rayon where the loop
 //! structure allows. The workload crates use them two ways: directly,
-//! for host-scale "real runs" (examples, correctness tests, Criterion
-//! benches), and analytically, as the source of the flop/byte counts
+//! for host-scale "real runs" (examples and correctness tests), and
+//! analytically, as the source of the flop/byte counts
 //! their simulator workload specs carry.
 //!
 //! * [`dgemm`] — dense matrix multiply: naive, cache-blocked, and

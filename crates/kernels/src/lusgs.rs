@@ -9,8 +9,7 @@
 //! mentions ("the linear solver … was reimplemented using a pipeline
 //! algorithm to enhance efficiency"). We provide both the lexicographic
 //! reference and the hyperplane form (rayon-parallel inside each
-//! plane) and test them for *bitwise* agreement; the ablation bench
-//! compares their throughput.
+//! plane) and test them for *bitwise* agreement.
 
 use rayon::prelude::*;
 

@@ -6,7 +6,7 @@
 //! velocity Verlet integrator — "the most complete form of the Verlet
 //! algorithm", giving positions and velocities at the same instant.
 //! Forces are evaluated through a cell list, with an O(N²) reference
-//! path retained for the ablation bench and cross-checks.
+//! path retained for cross-checks.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -56,7 +56,7 @@ pub fn bin_pack(zones: &[Zone], ranks: usize) -> Assignment {
     Assignment { zone_ids, load }
 }
 
-/// Round-robin baseline (the ablation bench compares against it).
+/// Round-robin baseline (the bin-packing tests compare against it).
 pub fn round_robin(zones: &[Zone], ranks: usize) -> Assignment {
     assert!(ranks >= 1);
     assert!(zones.len() >= ranks);

@@ -8,8 +8,8 @@
 //! zones, 1.3 billion aggregate points) and F (16,384 zones).
 //!
 //! * [`zones`] — zone grids and dimensions per class, even and uneven;
-//! * [`balance`] — the greedy bin-packing balancer (and a round-robin
-//!   baseline for the ablation bench) assigning zones to MPI ranks;
+//! * [`balance`] — the greedy bin-packing balancer (and the round-robin
+//!   baseline it is tested against) assigning zones to MPI ranks;
 //! * [`mod@bench`] — hybrid MPI+OpenMP workload specs, the real class-S
 //!   mini-run, and the figure runners (Fig. 7 pinning, Fig. 9
 //!   process/thread trade, Fig. 11 multinode fabrics).

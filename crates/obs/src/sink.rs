@@ -11,28 +11,19 @@
 //! the sink, runs the selected experiments, then drains it into the
 //! export files.
 //!
-//! The sink is global and mutex-protected (not thread-local) so
-//! simulations running on worker threads are captured too. A parallel
-//! sweep executor wraps each sweep point in [`with_point`], which tags
-//! every bundle recorded on that thread with its owning `(epoch,
-//! point)` key; [`take`] orders bundles by that key, so a parallel run
-//! drains in exactly the order the equivalent serial run would have —
-//! bundles are attributed to their sweep point, never interleaved, and
-//! the `sim N` labels are bit-identical regardless of scheduling.
-//! Bundles recorded outside any sweep point keep arrival order,
-//! slotted after the points of the most recently started sweep.
-//!
-//! The resilient sweep (`core::sweep::SweepPlan::run_resilient_with_jobs`)
-//! uses that out-of-point slot deliberately: after a sweep settles it
-//! deposits one summary bundle (labelled `sweep resilience: <id>`)
-//! carrying `sweep.*` counters — points, resumed, retries, panics,
-//! timeouts, failures, checkpoint write errors — and a
-//! `sweep.point_seconds` latency histogram, so `repro --metrics`
-//! exports the campaign's resilience telemetry alongside the per-
-//! simulation fabric counters, draining after that sweep's points.
+//! The sink is an append-only list: [`take`] numbers the `sim N`
+//! labels in the order bundles were recorded. It knows nothing about
+//! sweeps. A caller that runs work on several threads orders the
+//! capture itself with [`capture`]: every bundle recorded on the
+//! calling thread while the closure runs is handed back to the caller
+//! instead of reaching the list. The sweep executor
+//! (`core::sweep`) runs each point inside a capture, and after the
+//! pool settles records the points' bundles in sweep-index order,
+//! then its `sweep resilience: <id>` summary bundle. So every export
+//! is the same at any `--jobs`, failure paths included.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::metrics::Metrics;
@@ -57,29 +48,12 @@ pub struct TraceBundle {
     pub profile: CommProfile,
 }
 
-/// Canonical drain position of one recorded bundle: sweeps in start
-/// order, points in index order, simulations within a point in the
-/// order that point ran them (a point runs on exactly one thread, so
-/// that order is well-defined and schedule-independent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct SinkKey {
-    epoch: u64,
-    point: usize,
-    sim: u64,
-}
-
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Vec<(SinkKey, TraceBundle)>> = Mutex::new(Vec::new());
-/// Count of sweep epochs started (see [`next_epoch`]).
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-/// Arrival tiebreaker for bundles recorded outside any sweep point.
-static ARRIVAL: AtomicU64 = AtomicU64::new(0);
+static SINK: Mutex<Vec<TraceBundle>> = Mutex::new(Vec::new());
 
 thread_local! {
-    /// The `(epoch, point)` this thread is currently executing, if any.
-    static CTX: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
-    /// Simulations recorded so far within the current sweep point.
-    static SIM_IN_POINT: Cell<u64> = const { Cell::new(0) };
+    /// The innermost live [`capture`] on this thread, if any.
+    static CAPTURE: RefCell<Option<Vec<TraceBundle>>> = const { RefCell::new(None) };
 }
 
 /// Start collecting: clears any previous bundles and activates the
@@ -97,71 +71,54 @@ pub fn is_active() -> bool {
     ACTIVE.load(Ordering::Acquire)
 }
 
-/// Claim the next sweep epoch. A sweep executor calls this once per
-/// plan, then wraps each point in [`with_point`] under the returned
-/// epoch; epochs order whole sweeps against each other in [`take`].
-pub fn next_epoch() -> u64 {
-    EPOCH.fetch_add(1, Ordering::Relaxed) + 1
-}
-
-/// Run `f` attributed to sweep `point` of `epoch`: every bundle it
-/// records (on this thread) is keyed to that point. Nests safely — the
-/// previous attribution is restored on exit.
-pub fn with_point<R>(epoch: u64, point: usize, f: impl FnOnce() -> R) -> R {
-    let prev_ctx = CTX.with(|c| c.replace(Some((epoch, point))));
-    let prev_sim = SIM_IN_POINT.with(|c| c.replace(0));
-    struct Restore(Option<(u64, usize)>, u64);
+/// Run `f`, and return its result with every bundle passed to
+/// [`record`] on this thread while it ran, in record order. Captures
+/// nest: the outer capture is restored when `f` returns or panics, and
+/// the bundles of a panicking `f` are dropped.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceBundle>) {
+    struct Restore(Option<Vec<TraceBundle>>);
     impl Drop for Restore {
         fn drop(&mut self) {
-            CTX.with(|c| c.set(self.0));
-            SIM_IN_POINT.with(|c| c.set(self.1));
+            let outer = self.0.take();
+            CAPTURE.with(|c| *c.borrow_mut() = outer);
         }
     }
-    let _restore = Restore(prev_ctx, prev_sim);
-    f()
+    let _restore = Restore(CAPTURE.with(|c| c.replace(Some(Vec::new()))));
+    let out = f();
+    let bundles = CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default();
+    (out, bundles)
 }
 
-/// Deposit one recorded simulation. A no-op when the sink is not
-/// installed (the recording is dropped), so racing a `take` is safe.
+/// Deposit one recorded simulation: into this thread's innermost
+/// [`capture`] if one is live, else onto the sink's list. A no-op when
+/// the sink is not installed (the recording is dropped), so racing a
+/// `take` is safe.
 pub fn record(bundle: TraceBundle) {
     if !is_active() {
         return;
     }
-    let key = match CTX.with(|c| c.get()) {
-        Some((epoch, point)) => {
-            let sim = SIM_IN_POINT.with(|c| {
-                let s = c.get();
-                c.set(s + 1);
-                s
-            });
-            SinkKey { epoch, point, sim }
+    let uncaptured = CAPTURE.with(|c| match c.borrow_mut().as_mut() {
+        Some(captured) => {
+            captured.push(bundle);
+            None
         }
-        // Outside any sweep point: keep arrival order, after the points
-        // of the most recently started sweep.
-        None => SinkKey {
-            epoch: EPOCH.load(Ordering::Relaxed),
-            point: usize::MAX,
-            sim: ARRIVAL.fetch_add(1, Ordering::Relaxed),
-        },
-    };
-    let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    sink.push((key, bundle));
+        None => Some(bundle),
+    });
+    if let Some(bundle) = uncaptured {
+        SINK.lock().unwrap_or_else(|e| e.into_inner()).push(bundle);
+    }
 }
 
-/// Stop collecting and return everything captured since [`install`],
-/// in canonical order (sweep epoch, point index, per-point arrival) —
-/// deterministic however many threads recorded. Labels gain their
-/// final `sim N` prefix here, numbered in that order.
+/// Stop collecting and return everything recorded since [`install`],
+/// in record order. Labels gain their final `sim N` prefix here,
+/// numbered in that order.
 pub fn take() -> Vec<TraceBundle> {
     ACTIVE.store(false, Ordering::Release);
-    let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut entries = std::mem::take(&mut *sink);
-    drop(sink);
-    entries.sort_by_key(|(key, _)| *key);
-    entries
+    let bundles = std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner()));
+    bundles
         .into_iter()
         .enumerate()
-        .map(|(seq, (_, mut bundle))| {
+        .map(|(seq, mut bundle)| {
             bundle.label = format!("sim {seq}: {}", bundle.label);
             bundle
         })
@@ -176,27 +133,29 @@ mod tests {
     /// lifecycle serialize on this lock (test threads run in parallel).
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
+    fn labels(bundles: &[TraceBundle]) -> Vec<&str> {
+        bundles.iter().map(|b| b.label.as_str()).collect()
+    }
+
+    fn bundle(label: &str) -> TraceBundle {
+        TraceBundle {
+            label: label.into(),
+            ..TraceBundle::default()
+        }
+    }
+
     #[test]
     fn sink_lifecycle() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Exercises the global state end-to-end.
         assert!(!is_active());
-        record(TraceBundle {
-            label: "dropped".into(),
-            ..TraceBundle::default()
-        });
+        record(bundle("dropped"));
         assert!(take().is_empty());
 
         install();
         assert!(is_active());
-        record(TraceBundle {
-            label: "a".into(),
-            ..TraceBundle::default()
-        });
-        record(TraceBundle {
-            label: "b".into(),
-            ..TraceBundle::default()
-        });
+        record(bundle("a"));
+        record(bundle("b"));
         let bundles = take();
         assert!(!is_active());
         assert_eq!(bundles.len(), 2);
@@ -206,77 +165,31 @@ mod tests {
     }
 
     #[test]
-    fn sweep_points_collate_canonically_across_threads() {
+    fn capture_nests_and_restores_the_outer_capture_on_panic() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         install();
-        let epoch = next_epoch();
-        // Two "workers" record points out of index order; point 1 even
-        // records two simulations.
-        let t1 = std::thread::spawn(move || {
-            with_point(epoch, 2, || {
-                record(TraceBundle {
-                    label: "late point".into(),
-                    ..TraceBundle::default()
-                });
+        let ((), outer) = capture(|| {
+            record(bundle("outer before"));
+            let ((), inner) = capture(|| record(bundle("inner")));
+            assert_eq!(labels(&inner), ["inner"]);
+            let panicked = std::panic::catch_unwind(|| {
+                capture(|| {
+                    record(bundle("lost with the panic"));
+                    panic!("attempt failed");
+                })
             });
-        });
-        t1.join().unwrap();
-        let t0 = std::thread::spawn(move || {
-            with_point(epoch, 1, || {
-                record(TraceBundle {
-                    label: "mid point, sim A".into(),
-                    ..TraceBundle::default()
-                });
-                record(TraceBundle {
-                    label: "mid point, sim B".into(),
-                    ..TraceBundle::default()
-                });
+            assert!(panicked.is_err());
+            // A capture is per thread: another thread records globally.
+            std::thread::scope(|s| {
+                s.spawn(|| record(bundle("other thread")));
             });
+            record(bundle("outer after"));
         });
-        t0.join().unwrap();
-        with_point(epoch, 0, || {
-            record(TraceBundle {
-                label: "early point".into(),
-                ..TraceBundle::default()
-            });
-        });
-        let labels: Vec<String> = take().into_iter().map(|b| b.label).collect();
+        assert_eq!(labels(&outer), ["outer before", "outer after"]);
+        record(bundle("uncaptured"));
         assert_eq!(
-            labels,
-            vec![
-                "sim 0: early point",
-                "sim 1: mid point, sim A",
-                "sim 2: mid point, sim B",
-                "sim 3: late point",
-            ]
-        );
-    }
-
-    #[test]
-    fn with_point_restores_previous_attribution() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        install();
-        let epoch = next_epoch();
-        with_point(epoch, 5, || {
-            record(TraceBundle {
-                label: "outer before".into(),
-                ..TraceBundle::default()
-            });
-            with_point(epoch, 3, || {
-                record(TraceBundle {
-                    label: "inner".into(),
-                    ..TraceBundle::default()
-                });
-            });
-            record(TraceBundle {
-                label: "outer after".into(),
-                ..TraceBundle::default()
-            });
-        });
-        let labels: Vec<String> = take().into_iter().map(|b| b.label).collect();
-        assert_eq!(
-            labels,
-            vec!["sim 0: inner", "sim 1: outer before", "sim 2: outer after"]
+            labels(&take()),
+            ["sim 0: other thread", "sim 1: uncaptured"]
         );
     }
 }

@@ -95,8 +95,8 @@ pub fn group_blocks(system: &GridSystem, ngroups: usize) -> Grouping {
     }
 }
 
-/// Plain load-only bin packing, ignoring connectivity (baseline for
-/// the ablation bench).
+/// Plain load-only bin packing, ignoring connectivity (the baseline
+/// the connectivity-aware grouping is tested against).
 pub fn group_blocks_load_only(system: &GridSystem, ngroups: usize) -> Grouping {
     assert!(ngroups >= 1 && system.len() >= ngroups);
     let n = system.len();

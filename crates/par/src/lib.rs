@@ -36,7 +36,7 @@
 //!   worker moves on to the next job;
 //! * [`RunOptions`] adds per-job wall-clock deadlines (a straggler
 //!   becomes [`JobFailure::DeadlineExceeded`] and is abandoned),
-//!   bounded retry with seeded deterministic backoff, and an optional
+//!   bounded retry with deterministic backoff, and an optional
 //!   fail-fast mode that stops *starting* jobs above the lowest failed
 //!   index while still joining every in-flight worker;
 //! * lock poisoning and channel teardown are absorbed into typed
@@ -142,43 +142,30 @@ impl<T> JobStatus<T> {
 }
 
 /// Knobs for [`run_governed`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Per-attempt wall-clock deadline. `None` disables the watchdog
     /// (attempts run inline on the worker; nothing is ever abandoned).
     pub deadline: Option<Duration>,
-    /// Retries after a panicked or timed-out attempt (0 = one attempt).
+    /// Retries after a panicked or timed-out attempt (0 = one attempt),
+    /// each after a [`backoff_delay`].
     pub max_retries: u32,
-    /// Seed for the deterministic retry backoff schedule.
-    pub backoff_seed: u64,
-    /// Base unit of the exponential backoff (attempt `k` sleeps
-    /// `base * 2^k`, jittered deterministically from the seed).
-    pub backoff_base: Duration,
     /// When true, a failed job (panic, deadline, or a value the
     /// caller's `is_failure` predicate rejects) stops *later*-indexed
     /// jobs from starting; already-running jobs are joined normally.
     pub fail_fast: bool,
 }
 
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            deadline: None,
-            max_retries: 0,
-            backoff_seed: 0,
-            backoff_base: Duration::from_millis(10),
-            fail_fast: false,
-        }
-    }
-}
+/// Base unit of the retry backoff: retry `k` sleeps about `2^k` of it.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
 
 /// The deterministic backoff before retry `attempt` (0-based) of job
-/// `index`: exponential in the attempt, jittered to 50–150% by a
-/// splitmix64 stream of `(seed, index, attempt)`. Same inputs, same
+/// `index`: 10 ms doubled per attempt, jittered to 50–150% by a
+/// splitmix64 stream of `(index, attempt)`. Same inputs, same
 /// schedule — a resumed campaign retries on the same cadence.
-pub fn backoff_delay(seed: u64, index: usize, attempt: u32, base: Duration) -> Duration {
-    let mut z = seed
-        .wrapping_add((index as u64).wrapping_mul(0x9e3779b97f4a7c15))
+pub fn backoff_delay(index: usize, attempt: u32) -> Duration {
+    let mut z = (index as u64)
+        .wrapping_mul(0x9e3779b97f4a7c15)
         .wrapping_add((attempt as u64 + 1).wrapping_mul(0xbf58476d1ce4e5b9));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -186,7 +173,7 @@ pub fn backoff_delay(seed: u64, index: usize, attempt: u32, base: Duration) -> D
     // Jitter in [0.5, 1.5): half the lattice plus a uniform fraction.
     let jitter = 0.5 + (z >> 11) as f64 / (1u64 << 53) as f64;
     let scale = (1u32 << attempt.min(16)) as f64;
-    base.mul_f64(scale * jitter)
+    BACKOFF_BASE.mul_f64(scale * jitter)
 }
 
 /// Render a caught panic payload as a message.
@@ -279,7 +266,7 @@ fn record_job_span(w: usize, idx: usize, start: Option<f64>, attempts: u32, outc
 /// Every job runs under the resilience policy in `opts`: panics are
 /// isolated per attempt, attempts may be bounded by a wall-clock
 /// deadline, failed attempts are retried up to `max_retries` times on
-/// a seeded deterministic backoff, and — when `fail_fast` is set — a
+/// a deterministic backoff, and — when `fail_fast` is set — a
 /// failure (including a value `is_failure` rejects) stops
 /// later-indexed jobs from *starting*, while every in-flight worker is
 /// still joined before this returns.
@@ -393,8 +380,7 @@ where
             }
             Err(failure) => {
                 if attempts <= opts.max_retries {
-                    let delay =
-                        backoff_delay(opts.backoff_seed, index, attempts - 1, opts.backoff_base);
+                    let delay = backoff_delay(index, attempts - 1);
                     if host::is_enabled() {
                         host::count("host.retries", 1);
                         host::observe("host.backoff_seconds", delay.as_secs_f64());
@@ -656,7 +642,6 @@ mod tests {
         ];
         let opts = RunOptions {
             max_retries: 3,
-            backoff_base: Duration::from_millis(1),
             ..RunOptions::default()
         };
         let out = run_governed(2, jobs, &opts, |_| false);
@@ -682,7 +667,6 @@ mod tests {
         })];
         let opts = RunOptions {
             max_retries: 2,
-            backoff_base: Duration::from_millis(1),
             ..RunOptions::default()
         };
         let out = run_governed(1, jobs, &opts, |_| false);
@@ -802,21 +786,20 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_deterministic_and_grows() {
-        let base = Duration::from_millis(10);
-        let a = backoff_delay(42, 3, 0, base);
-        let b = backoff_delay(42, 3, 0, base);
-        assert_eq!(a, b, "same seed, same delay");
+        let a = backoff_delay(3, 0);
+        let b = backoff_delay(3, 0);
+        assert_eq!(a, b, "same job, same delay");
         assert_ne!(
-            backoff_delay(42, 3, 0, base),
-            backoff_delay(43, 3, 0, base),
-            "seed changes the jitter"
+            backoff_delay(3, 0),
+            backoff_delay(4, 0),
+            "index changes the jitter"
         );
         // Exponential growth dominates the jitter band.
-        assert!(backoff_delay(42, 3, 4, base) > backoff_delay(42, 3, 1, base) * 2);
+        assert!(backoff_delay(3, 4) > backoff_delay(3, 1) * 2);
         // Jitter stays within [0.5, 1.5) of the exponential step.
         for attempt in 0..6 {
-            let d = backoff_delay(7, 11, attempt, base);
-            let step = base * (1 << attempt);
+            let d = backoff_delay(11, attempt);
+            let step = BACKOFF_BASE * (1 << attempt);
             assert!(
                 d >= step / 2 && d < step + step / 2,
                 "attempt {attempt}: {d:?}"

@@ -80,7 +80,6 @@ fn governed_runs_attribute_attempts_retries_and_outcomes() {
         vec![Box::new(|| 1), Box::new(|| panic!("always fails"))];
     let opts = RunOptions {
         max_retries: 1,
-        backoff_base: Duration::from_millis(1),
         ..RunOptions::default()
     };
     let statuses = run_governed(1, jobs, &opts, |_| false);

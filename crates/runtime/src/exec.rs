@@ -173,7 +173,7 @@ impl ExecConfig {
             self.pinning,
             units,
             pool,
-            self.placement.mean_bus_sharers(&self.cluster),
+            self.placement.mean_bus_sharers,
             self.placement.boot_cpuset_overlap,
         )
     }

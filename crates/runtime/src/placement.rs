@@ -10,6 +10,8 @@
 //! * the boot cpuset — full 512-CPU runs overlap the CPUs reserved for
 //!   system software and lose 10–15% (§4.6.2); 508-CPU runs do not.
 
+use std::collections::{HashMap, HashSet};
+
 use columbia_machine::cluster::{ClusterConfig, CpuId, NodeId};
 
 /// How CPUs are assigned within each node.
@@ -36,6 +38,9 @@ pub struct Placement {
     /// Whether the run overlaps the boot cpuset (512 CPUs of a node
     /// requested, including the reserved ones).
     pub boot_cpuset_overlap: bool,
+    /// Mean number of bus sharers over all workers (1.0 = every worker
+    /// owns its bus, 2.0 = fully dense).
+    pub mean_bus_sharers: f64,
 }
 
 impl Placement {
@@ -89,7 +94,7 @@ impl Placement {
         }
         let boot_cpuset_overlap = {
             // Overlap occurs when any node is filled to its last CPU.
-            let mut per_node = std::collections::HashMap::new();
+            let mut per_node = HashMap::new();
             for row in &cpus {
                 for c in row {
                     let e = per_node.entry(c.node).or_insert(0u32);
@@ -98,11 +103,12 @@ impl Placement {
             }
             per_node.values().any(|&hi| hi >= node_cpus)
         };
-        let _ = cluster; // capacity check uses the fixed 512-CPU nodes
+        let mean_bus_sharers = mean_bus_sharers(cluster, &cpus);
         Placement {
             cpus,
             nodes: used_nodes,
             boot_cpuset_overlap,
+            mean_bus_sharers,
         }
     }
 
@@ -156,15 +162,42 @@ impl Placement {
         v.dedup();
         v
     }
+}
 
-    /// Mean number of bus sharers over all workers (1.0 = every worker
-    /// owns its bus, 2.0 = fully dense).
-    pub fn mean_bus_sharers(&self, cluster: &ClusterConfig) -> f64 {
+/// [`Placement::mean_bus_sharers`] of the workers in `cpus`, in
+/// O(workers): each active CPU shares its bus with the `k` active CPUs
+/// on it, so a bus contributes `k²` to the sum. Every term is an exact
+/// integer, so the mean has the same bits in any summation order.
+fn mean_bus_sharers(cluster: &ClusterConfig, cpus: &[Vec<CpuId>]) -> f64 {
+    let active: HashSet<CpuId> = cpus.iter().flatten().copied().collect();
+    let mut per_bus: HashMap<(NodeId, u32), u64> = HashMap::new();
+    for c in &active {
+        let bus = cluster.node_model(c.node).brick.bus_of(c.cpu);
+        *per_bus.entry((c.node, bus)).or_default() += 1;
+    }
+    let total: u64 = per_bus.values().map(|k| k * k).sum();
+    total as f64 / (active.len() as f64).max(1.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use columbia_machine::node::NodeKind;
+    use proptest::prelude::*;
+
+    fn cluster() -> ClusterConfig {
+        ClusterConfig::uniform(NodeKind::Bx2b, 4)
+    }
+
+    /// The O(W²) definition of [`Placement::mean_bus_sharers`]: for
+    /// every active CPU of every node, in order, scan the node's
+    /// active CPUs for the ones on its bus.
+    fn mean_bus_sharers_by_scan(p: &Placement, cluster: &ClusterConfig) -> f64 {
         let mut total = 0.0f64;
         let mut n = 0.0f64;
-        for node in &self.nodes {
+        for node in &p.nodes {
             let brick = cluster.node_model(*node).brick;
-            let active = self.active_on_node(*node);
+            let active = p.active_on_node(*node);
             for &c in &active {
                 total += brick.bus_sharers(c, &active) as f64;
                 n += 1.0;
@@ -172,15 +205,42 @@ impl Placement {
         }
         total / n.max(1.0)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use columbia_machine::node::NodeKind;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    fn cluster() -> ClusterConfig {
-        ClusterConfig::uniform(NodeKind::Bx2b, 4)
+        #[test]
+        fn mean_bus_sharers_matches_the_pairwise_scan(
+            kind in prop::sample::select(vec![NodeKind::Altix3700, NodeKind::Bx2a, NodeKind::Bx2b]),
+            strategy in prop::sample::select(vec![
+                PlacementStrategy::Dense,
+                PlacementStrategy::Strided(2),
+                PlacementStrategy::Strided(3),
+                PlacementStrategy::Strided(4),
+                PlacementStrategy::DenseCapped(7),
+                PlacementStrategy::DenseCapped(255),
+                PlacementStrategy::DenseCapped(508),
+            ]),
+            n_nodes in 1u32..5,
+            threads in 1usize..5,
+            draw in 0usize..1 << 20,
+        ) {
+            let slots = match strategy {
+                PlacementStrategy::Dense => 512,
+                PlacementStrategy::Strided(k) => 512 / k,
+                PlacementStrategy::DenseCapped(cap) => cap,
+            };
+            let max_ranks = (slots * n_nodes) as usize / threads;
+            prop_assume!(max_ranks >= 1);
+            let ranks = 1 + draw % max_ranks;
+            let cluster = ClusterConfig::uniform(kind, n_nodes);
+            let nodes: Vec<NodeId> = (0..n_nodes).map(NodeId).collect();
+            let p = Placement::new(&cluster, &nodes, ranks, threads, strategy);
+            prop_assert_eq!(
+                p.mean_bus_sharers.to_bits(),
+                mean_bus_sharers_by_scan(&p, &cluster).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -192,7 +252,7 @@ mod tests {
         assert_eq!(p.cpus[0][1], CpuId::new(0, 1));
         assert_eq!(p.cpus[3][1], CpuId::new(0, 7));
         assert!(!p.boot_cpuset_overlap);
-        assert!((p.mean_bus_sharers(&c) - 2.0).abs() < 1e-12);
+        assert!((p.mean_bus_sharers - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -201,7 +261,7 @@ mod tests {
         let p = Placement::single_node(&c, NodeId(0), 8, 1, PlacementStrategy::Strided(2));
         assert_eq!(p.cpus[1][0].cpu, 2);
         assert_eq!(p.cpus[7][0].cpu, 14);
-        assert!((p.mean_bus_sharers(&c) - 1.0).abs() < 1e-12);
+        assert!((p.mean_bus_sharers - 1.0).abs() < 1e-12);
     }
 
     #[test]

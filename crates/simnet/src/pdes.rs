@@ -623,7 +623,6 @@ fn post_send_partitioned<M, F, B>(
 mod tests {
     use super::*;
     use crate::fabric::{CachedFabric, ClusterFabric, MptVersion};
-    use crate::program::ProgramSet;
     use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric};
     use columbia_machine::node::NodeKind;
     use columbia_obs::RecordingTracer;
@@ -774,9 +773,11 @@ mod tests {
         let cpus = cpus_4_nodes(2);
         let n = cpus.len();
         let fabric = four_node_fabric(n as u32);
-        let set = ProgramSet::per_rank(mixed_programs(n));
-        let serial = crate::engine::simulate_on(&set, &cpus, &fabric, &FaultPlan::none()).unwrap();
-        let parallel = simulate_parallel_on(&set, &cpus, &fabric, &FaultPlan::none(), 3).unwrap();
+        let programs = mixed_programs(n);
+        let serial =
+            crate::engine::simulate_on(&programs, &cpus, &fabric, &FaultPlan::none()).unwrap();
+        let parallel =
+            simulate_parallel_on(&programs, &cpus, &fabric, &FaultPlan::none(), 3).unwrap();
         assert_eq!(serial.makespan.to_bits(), parallel.makespan.to_bits());
     }
 

@@ -7,12 +7,12 @@
 //! [`ProgramSet`] keeps one [`SpmdOp`] template and resolves each
 //! rank's [`Op`] on demand from [`Peer`]/[`ByteRule`] parameterizations,
 //! so program memory is O(ops) regardless of rank count; irregular
-//! workloads fall back to per-rank vectors.
+//! workloads pass per-rank vectors.
 //!
-//! The engine is generic over [`Programs`], so both representations
-//! (and plain `[Vec<Op>]` slices and `Vec<Vec<Op>>`) run through the
-//! same monomorphized hot loop. Array literals are not `Programs`: pass
-//! a `Vec`.
+//! The engine is generic over [`Programs`], so a `ProgramSet` and
+//! plain `[Vec<Op>]` slices and `Vec<Vec<Op>>` run through the same
+//! monomorphized hot loop. Array literals are not `Programs`: pass a
+//! `Vec`.
 
 use crate::engine::Op;
 
@@ -163,75 +163,49 @@ impl SpmdOp {
     }
 }
 
-/// A whole communicator's programs: either one shared SPMD template or
-/// explicit per-rank vectors for irregular workloads.
+/// A whole communicator running one SPMD template (O(ops) memory).
 #[derive(Debug, Clone, PartialEq)]
-pub enum ProgramSet {
-    /// Explicit per-rank programs (O(ranks × ops) memory).
-    PerRank(Vec<Vec<Op>>),
-    /// One template shared by `ranks` ranks (O(ops) memory).
-    Spmd {
-        /// Communicator width.
-        ranks: usize,
-        /// The shared instruction template.
-        template: Vec<SpmdOp>,
-    },
+pub struct ProgramSet {
+    /// Communicator width.
+    pub ranks: usize,
+    /// The shared instruction template.
+    pub template: Vec<SpmdOp>,
 }
 
 impl ProgramSet {
     /// An SPMD set: `ranks` ranks all running `template`.
     pub fn spmd(ranks: usize, template: Vec<SpmdOp>) -> Self {
-        ProgramSet::Spmd { ranks, template }
-    }
-
-    /// Explicit per-rank programs.
-    pub fn per_rank(programs: Vec<Vec<Op>>) -> Self {
-        ProgramSet::PerRank(programs)
+        ProgramSet { ranks, template }
     }
 
     /// Expand into explicit per-rank vectors (equivalence testing).
     pub fn materialize(&self) -> Vec<Vec<Op>> {
-        match self {
-            ProgramSet::PerRank(p) => p.clone(),
-            ProgramSet::Spmd { ranks, template } => (0..*ranks)
-                .map(|r| template.iter().map(|op| op.resolve(r, *ranks)).collect())
-                .collect(),
-        }
+        (0..self.ranks)
+            .map(|r| {
+                self.template
+                    .iter()
+                    .map(|op| op.resolve(r, self.ranks))
+                    .collect()
+            })
+            .collect()
     }
 }
 
 impl Programs for ProgramSet {
     fn n_ranks(&self) -> usize {
-        match self {
-            ProgramSet::PerRank(p) => p.len(),
-            ProgramSet::Spmd { ranks, .. } => *ranks,
-        }
+        self.ranks
     }
 
     fn op(&self, rank: usize, pc: usize) -> Option<Op> {
-        match self {
-            ProgramSet::PerRank(p) => p[rank].get(pc).copied(),
-            ProgramSet::Spmd { ranks, template } => {
-                template.get(pc).map(|op| op.resolve(rank, *ranks))
-            }
-        }
+        self.template.get(pc).map(|op| op.resolve(rank, self.ranks))
     }
 
-    fn len_of(&self, rank: usize) -> usize {
-        match self {
-            ProgramSet::PerRank(p) => p[rank].len(),
-            ProgramSet::Spmd { template, .. } => {
-                let _ = rank;
-                template.len()
-            }
-        }
+    fn len_of(&self, _rank: usize) -> usize {
+        self.template.len()
     }
 
     fn total_ops(&self) -> usize {
-        match self {
-            ProgramSet::PerRank(p) => p.iter().map(Vec::len).sum(),
-            ProgramSet::Spmd { ranks, template } => ranks * template.len(),
-        }
+        self.ranks * self.template.len()
     }
 }
 
@@ -297,16 +271,5 @@ mod tests {
             }
         }
         assert_eq!(set.total_ops(), 16);
-    }
-
-    #[test]
-    fn per_rank_fallback_matches_slice_impl() {
-        let progs = vec![vec![Op::Compute(0.5)], vec![Op::Barrier, Op::Compute(0.1)]];
-        let set = ProgramSet::per_rank(progs.clone());
-        assert_eq!(set.n_ranks(), 2);
-        assert_eq!(set.total_ops(), progs.as_slice().total_ops());
-        assert_eq!(set.op(1, 0), Some(Op::Barrier));
-        assert_eq!(set.op(0, 1), None);
-        assert_eq!(set.materialize(), progs);
     }
 }

@@ -206,7 +206,6 @@ fn transient_panics_are_retried_to_success() {
         1,
         ResilienceOptions {
             max_retries: 2,
-            backoff_base: Some(Duration::from_millis(1)),
             ..ResilienceOptions::default()
         },
     );
