@@ -34,11 +34,12 @@
 //! `path:line:col: message` diagnostic (with a "did you mean" hint for
 //! unknown keys) and exits 2, before anything runs.
 //!
-//! `--jobs N` runs each experiment's sweep points on an N-thread
-//! work-stealing pool (default: the machine's available parallelism;
-//! `--jobs 1` is the plain serial path). Collation is deterministic,
-//! so the output is byte-identical for every N — CI diffs `--jobs 2`
-//! against `--jobs 1` as a gate.
+//! `--jobs N` runs each experiment's sweep points on N threads, which
+//! take the points lowest index first (default: the machine's
+//! available parallelism; `--jobs 1` runs them in order on the calling
+//! thread). Collation is deterministic, so the output is
+//! byte-identical for every N — CI diffs `--jobs 2` against `--jobs 1`
+//! as a gate.
 //!
 //! `--sim-threads N` parallelizes *within* each simulation: the
 //! engine's conservative PDES loop (`columbia_simnet::pdes`) partitions
@@ -54,13 +55,15 @@
 //! (`columbia_obs::sink`) before running the selected experiments:
 //! every simulation they execute is recorded (per-rank spans, fabric
 //! counters, compute/comm/wait attribution) and exported when the run
-//! finishes. Load the trace file at <https://ui.perfetto.dev> — one
-//! process per simulation, one CPU track and one net track per rank.
-//! `--trace` additionally opens a host-telemetry capture
-//! (`columbia_obs::host`), so the export carries one extra process of
-//! **wall-clock** tracks: one lane per pool worker (job spans, steal
-//! instants) plus a checkpoint-store lane (save/load activity) —
-//! real executor occupancy next to the simulated timelines.
+//! finishes. Points of `kind = "columbia"` are the exception: they
+//! simulate without a tracer, so they record nothing. Load the trace
+//! file at <https://ui.perfetto.dev> — one process per simulation, one
+//! CPU track and one net track per rank. `--trace` additionally opens
+//! a host-telemetry capture (`columbia_obs::host`), so the export
+//! carries one extra process of **wall-clock** tracks: one lane per
+//! pool worker (job spans, fail-fast skip instants) plus a
+//! checkpoint-store lane (save/load activity) — real executor
+//! occupancy next to the simulated timelines.
 //!
 //! `--analyze` records the selected experiments like `--trace` does,
 //! then runs the simulated-time performance analyzer
@@ -98,8 +101,9 @@
 //! which is what the CI resume smoke gate diffs against the golden.
 //! Either way, `repro` exits 3 if any point ultimately failed.
 //!
-//! An argument not listed above is a bad command line: `repro` names
-//! it and exits 2 before anything runs. A reader that closes stdout
+//! An argument not listed above, a flag given twice (`--spec` may
+//! repeat) and a missing or malformed flag value are a bad command
+//! line: `repro` names it and exits 2 before anything runs. A reader that closes stdout
 //! early (`repro --list | head -3`) ends the run with exit 0 and
 //! nothing on stderr.
 
@@ -116,36 +120,123 @@ use columbia::par;
 use columbia::{analysis_report, PointStore, Report, ResilienceOptions, SpecJob};
 use serde_json::Value;
 
-/// Flags that take a value. `--analyze` takes an optional one.
-const VALUE_FLAGS: [&str; 10] = [
-    "--exp",
-    "--spec",
-    "--jobs",
-    "--sim-threads",
-    "--trace",
-    "--metrics",
-    "--manifest",
-    "--checkpoint-dir",
-    "--point-deadline",
-    "--max-retries",
-];
+/// The command line, read once by [`Cli::parse`].
+#[derive(Default)]
+struct Cli {
+    exp: Option<String>,
+    /// `--spec` is the one value flag that may repeat.
+    specs: Vec<String>,
+    jobs: Option<usize>,
+    sim_threads: Option<usize>,
+    trace: Option<String>,
+    metrics: Option<String>,
+    manifest: Option<String>,
+    /// `--analyze` takes an *optional* value: alone it prints the
+    /// analysis report, with a path it also writes the JSON document.
+    analyze: Option<Option<String>>,
+    checkpoint_dir: Option<String>,
+    point_deadline: Option<Duration>,
+    max_retries: Option<u32>,
+    json: bool,
+    list: bool,
+    resume: bool,
+}
 
-/// Flags that take no value.
-const SWITCHES: [&str; 3] = ["--json", "--list", "--resume"];
+/// Print `message` and exit 2: the command line is bad.
+fn bad_command_line(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
 
-/// The first argument that is neither a known flag nor a flag's value.
-/// A value is the argument after a value flag or `--analyze`, unless it
-/// starts with `--`: no flag accepts such a value.
-fn first_unknown(args: &[String]) -> Option<&str> {
-    let mut rest = args.iter().map(String::as_str).peekable();
-    while let Some(arg) = rest.next() {
-        if VALUE_FLAGS.contains(&arg) || arg == "--analyze" {
-            rest.next_if(|v| !v.starts_with("--"));
-        } else if !SWITCHES.contains(&arg) {
-            return Some(arg);
+/// The message for a missing or malformed value of `flag`.
+fn requirement(flag: &str) -> String {
+    let what = match flag {
+        "--exp" => "an experiment id (see --list)",
+        "--jobs" | "--sim-threads" => "a thread count >= 1",
+        "--point-deadline" => "a positive number of seconds",
+        "--max-retries" => "a non-negative integer",
+        _ => "a value",
+    };
+    format!("{flag} requires {what}")
+}
+
+impl Cli {
+    /// Read `args` once, left to right. A flag's value is the next
+    /// argument unless that starts with `--`: no flag accepts such a
+    /// value. An unknown argument, or a value flag other than `--spec`
+    /// given twice, exits 2 naming it. A missing or malformed value
+    /// exits 2 once the whole line is read, unless `--list` is among
+    /// the flags: it wins over all the others.
+    fn parse(args: impl IntoIterator<Item = String>) -> Cli {
+        let mut cli = Cli::default();
+        let mut given: Vec<String> = Vec::new();
+        let mut bad_value = None;
+        let mut rest = args.into_iter().peekable();
+        while let Some(flag) = rest.next() {
+            let value = match flag.as_str() {
+                "--json" => {
+                    cli.json = true;
+                    continue;
+                }
+                "--list" => {
+                    cli.list = true;
+                    continue;
+                }
+                "--resume" => {
+                    cli.resume = true;
+                    continue;
+                }
+                "--spec" => rest.next_if(|v| !v.starts_with("--")),
+                _ if given.contains(&flag) => {
+                    bad_command_line(&format!("{flag} given more than once"))
+                }
+                _ => {
+                    given.push(flag.clone());
+                    rest.next_if(|v| !v.starts_with("--"))
+                }
+            };
+            let parsed = match flag.as_str() {
+                "--analyze" => {
+                    cli.analyze = Some(value);
+                    true
+                }
+                "--spec" => value.map(|v| cli.specs.push(v)).is_some(),
+                "--exp" => set(&mut cli.exp, value),
+                "--trace" => set(&mut cli.trace, value),
+                "--metrics" => set(&mut cli.metrics, value),
+                "--manifest" => set(&mut cli.manifest, value),
+                "--checkpoint-dir" => set(&mut cli.checkpoint_dir, value),
+                "--jobs" => set(&mut cli.jobs, value.and_then(thread_count)),
+                "--sim-threads" => set(&mut cli.sim_threads, value.and_then(thread_count)),
+                "--point-deadline" => set(
+                    &mut cli.point_deadline,
+                    value.and_then(|v| v.parse::<f64>().ok()).and_then(|s| {
+                        (s > 0.0 && s.is_finite()).then(|| Duration::from_secs_f64(s))
+                    }),
+                ),
+                "--max-retries" => set(&mut cli.max_retries, value.and_then(|v| v.parse().ok())),
+                _ => bad_command_line(&format!("unknown argument '{flag}'")),
+            };
+            if !parsed {
+                bad_value.get_or_insert_with(|| requirement(&flag));
+            }
+        }
+        match bad_value {
+            Some(message) if !cli.list => bad_command_line(&message),
+            _ => cli,
         }
     }
-    None
+}
+
+/// Store a parsed flag value; false when there is none.
+fn set<T>(slot: &mut Option<T>, value: Option<T>) -> bool {
+    *slot = value;
+    slot.is_some()
+}
+
+/// A thread count: an integer of at least 1.
+fn thread_count(v: String) -> Option<usize> {
+    v.parse().ok().filter(|&n| n >= 1)
 }
 
 /// Write one line to stdout. A reader that closed early (`repro --list
@@ -170,35 +261,6 @@ fn print_report(report: &Report, json: bool) {
     } else {
         report.to_text()
     });
-}
-
-/// Parse `--flag <value>` out of the argument list.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parse every occurrence of `--flag <value>` (for repeatable flags).
-fn flag_values(args: &[String], flag: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => out.push(v.clone()),
-                _ => {
-                    eprintln!("{flag} requires a value");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Compile one `--spec` file into a job, or print the typed diagnostic
@@ -228,124 +290,64 @@ fn write_or_die(path: &str, contents: &str) {
 
 fn main() {
     let run_start = Instant::now();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(arg) = first_unknown(&args) {
-        eprintln!("unknown argument '{arg}'");
-        std::process::exit(2);
-    }
-    let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| a == "--list") {
+    let cli = Cli::parse(std::env::args().skip(1));
+    if cli.list {
         for (name, _) in EXPERIMENTS {
             print_line(name);
         }
         return;
     }
-    let trace_path = flag_value(&args, "--trace");
-    let metrics_path = flag_value(&args, "--metrics");
-    let manifest_path = flag_value(&args, "--manifest");
-    // `--analyze` takes an *optional* value: alone it prints the
-    // analysis report, with a path it also writes the JSON document.
-    let analyze_to: Option<Option<String>> = args
-        .iter()
-        .position(|a| a == "--analyze")
-        .map(|i| args.get(i + 1).filter(|v| !v.starts_with("--")).cloned());
-    let analyzing = analyze_to.is_some();
-    let jobs = match args.iter().position(|a| a == "--jobs") {
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(j) if j >= 1 => j,
-            _ => {
-                eprintln!("--jobs requires a thread count >= 1");
-                std::process::exit(2);
-            }
-        },
-        None => par::available_parallelism(),
-    };
-    let sim_threads_flag = match args.iter().position(|a| a == "--sim-threads") {
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(t) if t >= 1 => Some(t),
-            _ => {
-                eprintln!("--sim-threads requires a thread count >= 1");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let analyzing = cli.analyze.is_some();
+    let jobs = cli.jobs.unwrap_or_else(par::available_parallelism);
 
     // Resilience flags: any of them selects the resilient executor.
-    let checkpoint_dir = flag_value(&args, "--checkpoint-dir");
-    let resume = args.iter().any(|a| a == "--resume");
-    let point_deadline = flag_value(&args, "--point-deadline").map(|v| match v.parse::<f64>() {
-        Ok(s) if s > 0.0 && s.is_finite() => Duration::from_secs_f64(s),
-        _ => {
-            eprintln!("--point-deadline requires a positive number of seconds");
-            std::process::exit(2);
-        }
-    });
-    let max_retries = flag_value(&args, "--max-retries").map(|v| match v.parse::<u32>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("--max-retries requires a non-negative integer");
-            std::process::exit(2);
-        }
-    });
-    if resume && checkpoint_dir.is_none() {
-        eprintln!("--resume requires --checkpoint-dir (where would the checkpoints be?)");
-        std::process::exit(2);
+    if cli.resume && cli.checkpoint_dir.is_none() {
+        bad_command_line("--resume requires --checkpoint-dir (where would the checkpoints be?)");
     }
-    let resilient =
-        checkpoint_dir.is_some() || resume || point_deadline.is_some() || max_retries.is_some();
+    let resilient = cli.checkpoint_dir.is_some()
+        || cli.resume
+        || cli.point_deadline.is_some()
+        || cli.max_retries.is_some();
 
-    let spec_paths = flag_values(&args, "--spec");
-    let exp_arg = args.iter().position(|a| a == "--exp");
-    if exp_arg.is_some() && !spec_paths.is_empty() {
-        eprintln!("--exp and --spec are mutually exclusive (a spec *is* the experiment)");
-        std::process::exit(2);
+    if cli.exp.is_some() && !cli.specs.is_empty() {
+        bad_command_line("--exp and --spec are mutually exclusive (a spec *is* the experiment)");
     }
     // Compile every spec before running anything: a typo in the third
     // spec should not cost the first two's simulation time.
-    let selected: Vec<SpecJob> = if !spec_paths.is_empty() {
-        spec_paths.iter().map(|p| spec_job(p)).collect()
+    let selected: Vec<SpecJob> = if !cli.specs.is_empty() {
+        cli.specs.iter().map(|p| spec_job(p)).collect()
     } else {
-        match exp_arg {
-            Some(i) => {
-                let name = args.get(i + 1).unwrap_or_else(|| {
-                    eprintln!("--exp requires an experiment id (see --list)");
-                    std::process::exit(2);
-                });
-                match experiments::job(name) {
-                    Some(job) => vec![job],
-                    None => {
-                        eprintln!("unknown experiment '{name}' (see --list)");
-                        std::process::exit(2);
-                    }
-                }
-            }
+        match cli.exp {
+            Some(name) => match experiments::job(&name) {
+                Some(job) => vec![job],
+                None => bad_command_line(&format!("unknown experiment '{name}' (see --list)")),
+            },
             None => EXPERIMENTS
                 .iter()
                 .filter_map(|(name, _)| experiments::job(name))
                 .collect(),
         }
     };
-    let collecting = trace_path.is_some() || metrics_path.is_some() || analyzing;
+    let collecting = cli.trace.is_some() || cli.metrics.is_some() || analyzing;
     if collecting {
         sink::install();
     }
     // Host (wall-clock) telemetry rides along whenever the run's
     // execution is being recorded: the trace export gains per-worker
     // host tracks, the manifest gains executor metrics.
-    if trace_path.is_some() || manifest_path.is_some() {
+    if cli.trace.is_some() || cli.manifest.is_some() {
         host::enable();
     }
-    let mut manifest_builder = manifest_path.as_ref().map(|_| {
+    let mut manifest_builder = cli.manifest.as_ref().map(|_| {
         ManifestBuilder::new(
             "repro",
             jobs,
             &ResilienceSummary {
                 enabled: resilient,
-                resume,
-                max_retries: max_retries.unwrap_or(0),
-                deadline: point_deadline,
-                checkpoint_dir: checkpoint_dir.clone(),
+                resume: cli.resume,
+                max_retries: cli.max_retries.unwrap_or(0),
+                deadline: cli.point_deadline,
+                checkpoint_dir: cli.checkpoint_dir.clone(),
             },
         )
     });
@@ -360,7 +362,7 @@ fn main() {
         // Per-simulation PDES threads: CLI beats the spec's
         // `[defaults] sim_threads`, which beats serial. Set before the
         // job runs; the engine consults the global at dispatch.
-        let sim_threads = sim_threads_flag.or(sweep_plan.sim_threads).unwrap_or(1);
+        let sim_threads = cli.sim_threads.or(sweep_plan.sim_threads).unwrap_or(1);
         columbia::simnet::set_sim_threads(sim_threads);
         manifest_sim_threads = manifest_sim_threads.max(sim_threads);
         let fingerprint = sweep_plan.fingerprint();
@@ -369,7 +371,7 @@ fn main() {
         let report = if resilient {
             // One store subdirectory per experiment (or spec stem), so
             // different plans' entries never share a namespace on disk.
-            let store = checkpoint_dir.as_ref().map(|dir| {
+            let store = cli.checkpoint_dir.as_ref().map(|dir| {
                 let path = std::path::Path::new(dir).join(&name);
                 PointStore::open(path).unwrap_or_else(|e| {
                     eprintln!("{e}");
@@ -377,10 +379,10 @@ fn main() {
                 })
             });
             let opts = ResilienceOptions {
-                deadline: point_deadline,
-                max_retries: max_retries.unwrap_or(0),
+                deadline: cli.point_deadline,
+                max_retries: cli.max_retries.unwrap_or(0),
                 store,
-                resume,
+                resume: cli.resume,
                 experiment: Some(name.clone()),
             };
             let outcome = sweep_plan.run_resilient_with_jobs(jobs, opts);
@@ -427,7 +429,7 @@ fn main() {
                 &content_hash,
             );
         }
-        print_report(&report, json);
+        print_report(&report, cli.json);
     }
     // Drain the host capture once; the trace export and the manifest
     // both read from it.
@@ -446,7 +448,7 @@ fn main() {
         } else {
             Vec::new()
         };
-        if let Some(path) = trace_path {
+        if let Some(path) = cli.trace {
             let doc = if analyzing {
                 // Critical-path hops become Perfetto flow arrows
                 // threading through the rank tracks.
@@ -460,13 +462,13 @@ fn main() {
             };
             write_or_die(&path, &serde_json::to_string(&doc));
         }
-        if let Some(json_path) = analyze_to {
+        if let Some(json_path) = cli.analyze {
             let report = analysis_report(
                 "Analyze",
                 "critical-path bottleneck attribution per captured simulation",
                 &analyses,
             );
-            print_report(&report, json);
+            print_report(&report, cli.json);
             if let Some(path) = json_path {
                 let mut doc = Value::object();
                 doc.set("schema", Value::String(ANALYSIS_SCHEMA.into()));
@@ -486,7 +488,7 @@ fn main() {
                 write_or_die(&path, &serde_json::to_string_pretty(&doc));
             }
         }
-        if let Some(path) = metrics_path {
+        if let Some(path) = cli.metrics {
             let mut doc = Value::object();
             doc.set(
                 "sims",
@@ -506,7 +508,7 @@ fn main() {
             write_or_die(&path, &serde_json::to_string_pretty(&doc));
         }
     }
-    if let (Some(path), Some(builder)) = (manifest_path, manifest_builder) {
+    if let (Some(path), Some(builder)) = (cli.manifest, manifest_builder) {
         let m = builder.finish(&Volatile {
             wall_time_seconds: run_start.elapsed().as_secs_f64(),
             git_rev: manifest::git_rev(),

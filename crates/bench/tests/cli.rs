@@ -1,8 +1,8 @@
 //! CLI-level regression tests for the `repro` binary: the experiment
-//! list and `--exp` against the goldens, unknown arguments and a closed
-//! stdout, `--exp` and `--spec` recording the same manifest, stderr
-//! record ordering under degraded runs, and `--analyze` determinism and
-//! schema.
+//! list and `--exp` against the goldens, unknown and repeated arguments
+//! and a closed stdout, `--exp` and `--spec` recording the same
+//! manifest, stderr record ordering under degraded runs, and
+//! `--analyze` determinism and schema.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -110,6 +110,26 @@ fn unknown_arguments_exit_2_before_anything_runs() {
             stderr.contains(&format!("unknown argument '{unknown}'")),
             "{args:?}: {stderr}"
         );
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+}
+
+/// `repro` reads its command line once, so a value flag given twice is
+/// a bad command line: it exits 2 and names the flag, instead of
+/// running with the first value and never reading the second.
+#[test]
+fn a_value_flag_given_twice_exits_2() {
+    for (args, flag) in [
+        (&["--exp", "table1", "--exp", "fig5"][..], "--exp"),
+        (
+            &["--exp", "table1", "--jobs", "1", "--jobs", "0"][..],
+            "--jobs",
+        ),
+    ] {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
     }
 }

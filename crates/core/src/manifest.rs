@@ -14,12 +14,12 @@
 //!
 //! Everything nondeterministic lives under the single top-level
 //! `volatile` key: wall time, git revision, and host executor metrics
-//! (steal counts depend on scheduling). The rest of the document is
-//! **byte-stable**: two identical runs produce identical manifests
-//! once `volatile` is stripped ([`RunManifest::stable_string`]), and a
-//! golden test holds that line. Keys render in insertion order —
-//! fixed by this module, never by a hash map — so stability is
-//! structural, not accidental.
+//! (wall-clock timings of the pool and the checkpoint store). The rest
+//! of the document is **byte-stable**: two identical runs produce
+//! identical manifests once `volatile` is stripped
+//! ([`RunManifest::stable_string`]), and a golden test holds that
+//! line. Keys render in insertion order — fixed by this module, never
+//! by a hash map — so stability is structural, not accidental.
 
 use std::time::Duration;
 

@@ -165,7 +165,7 @@ pub enum PointError {
         /// The configured per-attempt deadline.
         deadline: Duration,
     },
-    /// The point's result slot was never settled — a pool invariant
+    /// No worker settled the point's result slot — a pool invariant
     /// was violated. Surfaced as data, never as a panic.
     Lost {
         /// Sweep index of the lost point.
@@ -405,10 +405,11 @@ impl SweepPlan {
     ///
     /// On failure the error of the **lowest-indexed** failing point is
     /// returned: every point at or below that index runs to
-    /// completion (so the minimum is exact), while points above it may
-    /// be cancelled before starting — all in-flight workers are still
-    /// joined before this returns. A panicking point completes the
-    /// same settlement and is then re-raised on the calling thread.
+    /// completion (so the minimum is exact), while points above it are
+    /// not started once the failure is in — points already in flight
+    /// are still joined before this returns. A panicking point
+    /// completes the same settlement and is then re-raised on the
+    /// calling thread.
     pub fn run_with_jobs(self, jobs: usize) -> Result<Report, SimError> {
         let outcome = self.execute(jobs, ResilienceOptions::default(), true);
         match outcome.failures.into_iter().next() {
@@ -537,7 +538,13 @@ impl SweepPlan {
                         }
                     }
                 }
-                JobStatus::Skipped | JobStatus::Lost => {
+                // A strict run did not start this point: a lower one
+                // failed, and that failure is the one reported.
+                JobStatus::Skipped => {
+                    outputs.push(PointOutput::default());
+                    Vec::new()
+                }
+                JobStatus::Lost => {
                     failures.push(PointError::Lost { point: idx });
                     outputs.push(PointOutput::default());
                     Vec::new()
@@ -701,6 +708,7 @@ mod tests {
     use super::*;
     use crate::store::PointStore;
     use std::sync::atomic::AtomicU32;
+    use std::sync::{Barrier, Mutex};
 
     fn demo_plan() -> SweepPlan {
         let mut plan = SweepPlan::new("T", "demo", &["i", "sq"]);
@@ -777,6 +785,40 @@ mod tests {
             };
             assert_eq!(events, 1, "jobs={jobs}");
         }
+    }
+
+    /// A strict sweep starts no point above its lowest failure. Points
+    /// 0 and 1 meet at a barrier, so the two workers hold them at once,
+    /// and both fail: each worker records its failure before it claims
+    /// another point, so points 2 to 15 never start.
+    #[test]
+    fn strict_sweep_starts_no_point_above_its_lowest_failure() {
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let pair = Arc::new(Barrier::new(2));
+        let mut plan = SweepPlan::new("T", "fail-fast", &["i"]);
+        for i in 0..16u64 {
+            let started = Arc::clone(&started);
+            let pair = Arc::clone(&pair);
+            plan.point(move || {
+                started.lock().unwrap().push(i);
+                if i < 2 {
+                    pair.wait();
+                    return Err(SimError::WatchdogTimeout {
+                        events: i,
+                        budget: 0,
+                    });
+                }
+                Ok(PointOutput::row(vec![i.to_string()]))
+            });
+        }
+        let err = plan.run_with_jobs(2).unwrap_err();
+        assert!(
+            matches!(err, SimError::WatchdogTimeout { events: 0, .. }),
+            "point 0's error: {err:?}"
+        );
+        let mut started = started.lock().unwrap().clone();
+        started.sort_unstable();
+        assert_eq!(started, [0, 1]);
     }
 
     #[test]

@@ -142,12 +142,6 @@ pub fn block_thomas(lower: &[Mat5], diag: &[Mat5], upper: &[Mat5], rhs: &mut [Ve
     }
 }
 
-/// Flops of one block-tridiagonal solve of length `n` (dominated by the
-/// 5×5 inversions and multiplies: ~1150 flops per interior point).
-pub fn line_solve_flops(n: usize) -> f64 {
-    1150.0 * n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,11 +6,12 @@
 //! Real computational kernels underlying every benchmark in the paper.
 //!
 //! These are genuine implementations — they compute, are verified by
-//! the test suite, and run in parallel with rayon where the loop
-//! structure allows. The workload crates use them two ways: directly,
-//! for host-scale "real runs" (examples and correctness tests), and
-//! analytically, as the source of the flop/byte counts
-//! their simulator workload specs carry.
+//! the test suite, and use rayon's `par_*` iterators where the loop
+//! structure allows. Under the vendored rayon stub every `par_*` call
+//! runs sequentially, so the kernels run on one thread. The workload
+//! crates use them two ways: directly, for host-scale "real runs"
+//! (examples and correctness tests), and analytically, as the source
+//! of the flop/byte counts their simulator workload specs carry.
 //!
 //! * [`dgemm`] — dense matrix multiply: naive, cache-blocked, and
 //!   rayon-parallel tiles (the HPCC DGEMM component);

@@ -82,7 +82,7 @@ fn host_complete(span: &crate::host::HostSpan, pid: usize, tid: usize) -> Value 
 /// The host capture — when present — becomes one extra process (pid
 /// `bundles.len()`, named "host executor (wall clock)"): one thread
 /// per worker lane ("worker 0", "worker 1", …) carrying job spans and
-/// steal instants, plus a "checkpoint store" thread for store
+/// fail-fast skip instants, plus a "checkpoint store" thread for store
 /// save/load activity. Host timestamps are wall-clock seconds since
 /// the capture epoch, so in Perfetto the executor's real occupancy
 /// reads side by side with the simulators' virtual timelines.
@@ -300,8 +300,8 @@ mod tests {
         });
         report.spans.push(HostSpan {
             track: HostTrack::Worker(2),
-            label: "steal".into(),
-            cat: "host.steal",
+            label: "skip job 4".into(),
+            cat: "host.skip",
             start: 0.1,
             end: 0.1,
             args: vec![],

@@ -4,11 +4,11 @@
 //!
 //! The simulator's tracer answers "where did the *virtual* seconds
 //! go?"; this module answers "where did the *wall-clock* seconds go?"
-//! — which worker lane executed which sweep point, how often workers
-//! ran dry and stole, how long checkpoint writes took, which points
-//! were retried or abandoned. The two timelines are exported side by
-//! side by [`chrome::chrome_trace_with_host`](crate::chrome), so a
-//! single Perfetto view shows real executor occupancy next to the
+//! — which worker lane executed which sweep point, how long checkpoint
+//! writes took, which points were retried, skipped or abandoned. The
+//! two timelines are exported side by side by
+//! [`chrome::chrome_trace_with_host`](crate::chrome), so a single
+//! Perfetto view shows real executor occupancy next to the
 //! simulated-time tracks.
 //!
 //! # Zero cost when disabled
@@ -18,7 +18,7 @@
 //! branch-predicts false. Nothing is timed, allocated, or locked on
 //! the disabled path; `--bench obs` measures the residue and CI holds
 //! it under 2%. Instrumented call sites are *coarse* (per sweep job,
-//! per steal, per checkpoint write — never per simulated event), so
+//! per retry, per checkpoint write — never per simulated event), so
 //! the enabled path's mutex is far from contended.
 //!
 //! # Lifecycle
@@ -51,9 +51,9 @@ pub enum HostTrack {
 pub struct HostSpan {
     /// The timeline this span renders on.
     pub track: HostTrack,
-    /// Span name shown in the trace viewer ("job 5", "steal", …).
+    /// Span name shown in the trace viewer ("job 5", "skip job 6", …).
     pub label: String,
-    /// Event category ("host.job", "host.steal", "host.store", …).
+    /// Event category ("host.job", "host.skip", "host.store", …).
     pub cat: &'static str,
     /// Start, seconds since the host epoch.
     pub start: f64,
@@ -191,8 +191,8 @@ pub fn span(
     });
 }
 
-/// Record an instantaneous event (a zero-length span): steals, cache
-/// hits — things with a moment but no extent.
+/// Record an instantaneous event (a zero-length span): fail-fast
+/// skips, cache hits — things with a moment but no extent.
 pub fn instant(
     track: HostTrack,
     cat: &'static str,
@@ -248,8 +248,8 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!is_enabled());
         assert_eq!(clock(), None);
-        count("host.steals", 1);
-        observe("host.queue_depth", 3.0);
+        count("host.retries", 1);
+        observe("host.backoff_seconds", 0.01);
         span(
             HostTrack::Worker(0),
             "host.job",
@@ -275,8 +275,8 @@ mod tests {
             t0,
             vec![("index", Value::Number(7.0))],
         );
-        instant(HostTrack::Worker(3), "host.steal", "steal".into(), vec![]);
-        count("host.steals", 2);
+        instant(HostTrack::Worker(3), "host.skip", "skip".into(), vec![]);
+        count("host.retries", 2);
         observe("store.write_seconds", 1e-3);
         let report = take().expect("capture was live");
         assert!(!is_enabled());
@@ -285,7 +285,7 @@ mod tests {
         assert_eq!(job.track, HostTrack::Worker(1));
         assert!(job.duration() >= 0.002, "span covered the sleep");
         assert_eq!(report.spans[1].duration(), 0.0, "instants are zero-length");
-        assert_eq!(report.metrics.counter("host.steals"), 2);
+        assert_eq!(report.metrics.counter("host.retries"), 2);
         assert_eq!(
             report
                 .metrics

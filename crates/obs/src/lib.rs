@@ -31,7 +31,7 @@
 //!   can capture every simulation an experiment runs without
 //!   threading a tracer through each workload crate's API.
 //! * [`host`] — host-side (wall-clock) execution telemetry: worker
-//!   lanes, steals, retries, and checkpoint-store activity, recorded
+//!   lanes, retries, skips, and checkpoint-store activity, recorded
 //!   by the sweep executor and merged into the Chrome export as its
 //!   own process so real execution reads next to simulated time.
 //!

@@ -1,6 +1,6 @@
-//! `columbia-par` — a std-only work-stealing thread pool for
-//! embarrassingly-parallel sweep execution, with panic isolation,
-//! per-job deadlines and bounded retry built in.
+//! `columbia-par` — a std-only thread pool for embarrassingly-parallel
+//! sweep execution, with panic isolation, per-job deadlines and bounded
+//! retry built in.
 //!
 //! Every figure in the paper is a sweep: independent simulation points
 //! (CPU counts, fabrics, fault ladders) whose results are reduced in a
@@ -13,16 +13,15 @@
 //! determinism gate (`repro --jobs N` vs `--jobs 1`) enforces.
 //!
 //! [`run_governed`] is the one entry point: one worker loop, which
-//! runs every strict and every resilient sweep. With one thread (or
-//! one job) it settles the jobs in index order on the calling thread.
-//!
-//! Scheduling is work-stealing over per-worker deques: each worker owns
-//! a LIFO tail of its own deque (cache-friendly for the jobs it was
-//! dealt) and steals from the FIFO head of its siblings when it runs
-//! dry, so a straggler point cannot strand the rest of the sweep behind
-//! it. There are no dependencies beyond `std` — the deques are
-//! mutex-guarded, which is plenty for sweep points that each run a
-//! whole discrete-event simulation (milliseconds to seconds per job).
+//! runs every strict and every resilient sweep. Workers claim job
+//! indices from one shared atomic cursor, lowest index first. The
+//! calling thread is worker 0 and the others are scoped threads, so a
+//! one-thread (or one-job) run spawns nothing and settles the jobs in
+//! index order. Claiming lowest first is also what makes fail-fast
+//! exact: by the time a job fails, every lower index has been claimed,
+//! and no higher index starts after the failure is seen. A sweep has at
+//! most a few dozen points of milliseconds to seconds each, all known
+//! up front, so one cursor is all the scheduling it needs.
 //!
 //! # Resilience
 //!
@@ -53,13 +52,12 @@
 //!
 //! Every worker lane reports wall-clock execution through
 //! [`columbia_obs::host`] when a capture is enabled (`repro --trace`):
-//! one span per job (index, attempts, outcome), an instant per steal,
-//! queue-depth and backoff observations, and `host.*` counters for
-//! jobs, steals, retries, panics, and deadline overruns. When no
+//! one span per job (index, attempts, outcome), an instant per
+//! fail-fast skip, backoff observations, and `host.*` counters for
+//! jobs, retries, panics, and deadline overruns. When no
 //! capture is live every hook is one relaxed atomic load — the
 //! `--bench obs` host-overhead bench holds the disabled path under 2%.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -122,12 +120,12 @@ pub struct JobOutcome<T> {
 pub enum JobStatus<T> {
     /// The job ran (possibly after retries) and settled.
     Done(JobOutcome<T>),
-    /// Fail-fast mode cancelled the job before it started: a
-    /// lower-indexed job had already failed.
+    /// Fail-fast mode did not start the job: a lower-indexed job had
+    /// already failed.
     Skipped,
-    /// The job's result slot was never filled — a pool invariant was
-    /// violated (worker lost). Surfaced as data instead of a panic so
-    /// one broken slot cannot abort a campaign.
+    /// The job's result slot was never filled: no worker settled it.
+    /// Surfaced as data instead of a panic so one broken slot cannot
+    /// abort a campaign.
     Lost,
 }
 
@@ -187,56 +185,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Deal job indices round-robin across `workers` deques so every
-/// worker starts with a local run of jobs; stealing rebalances
-/// stragglers.
-fn deal(n: usize, workers: usize) -> Vec<Mutex<VecDeque<usize>>> {
-    (0..workers)
-        .map(|w| Mutex::new((w..n).step_by(workers).collect()))
-        .collect()
-}
-
-/// Claim the next job index for worker `w`: own deque first (LIFO
-/// tail), then steal from siblings (FIFO head) — classic work stealing.
-/// `None` means every deque is drained and the remaining work is
-/// claimed: this worker is done.
-///
-/// Under a live host capture each successful claim reports: own-deque
-/// pops observe the remaining depth (`host.queue_depth`), steals bump
-/// `host.steals` and drop an instant on the thief's lane.
-fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
-    let (own, depth) = {
-        let mut q = queues[w].lock().unwrap_or_else(|e| e.into_inner());
-        (q.pop_back(), q.len())
-    };
-    if own.is_some() {
-        if host::is_enabled() {
-            host::observe("host.queue_depth", depth as f64);
-        }
-        return own;
-    }
-    for v in 1..queues.len() {
-        let victim = (w + v) % queues.len();
-        let stolen = queues[victim]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front();
-        if let Some(idx) = stolen {
-            if host::is_enabled() {
-                host::count("host.steals", 1);
-                host::instant(
-                    HostTrack::Worker(w as u32),
-                    "host.steal",
-                    format!("steal job {idx}"),
-                    vec![("victim", Value::Number(victim as f64))],
-                );
-            }
-            return Some(idx);
-        }
-    }
-    None
-}
-
 /// Record one settled job as a span on worker `w`'s host lane. A no-op
 /// when `start` is `None` — i.e. no capture was live when the job
 /// began, so nothing was timed.
@@ -258,18 +206,21 @@ fn record_job_span(w: usize, idx: usize, start: Option<f64>, attempts: u32, outc
 
 /// Run every job and return one status per job **in job index order**,
 /// regardless of which worker settled which job when — the one entry
-/// point of this crate. `threads` is clamped to at least 1; threads are
-/// spawned per call (scoped), not kept hot: sweep points are coarse
-/// enough that spawn cost is noise, and holding no global state keeps
-/// the pool trivially correct under nested use.
+/// point of this crate. `threads` is clamped to between 1 and the job
+/// count. Workers claim jobs lowest index first from one shared
+/// cursor. The calling thread is worker 0, and the others are spawned
+/// per call (scoped), not kept hot: sweep points are coarse enough
+/// that spawn cost is noise, and holding no global state keeps the
+/// pool trivially correct under nested use.
 ///
 /// Every job runs under the resilience policy in `opts`: panics are
 /// isolated per attempt, attempts may be bounded by a wall-clock
 /// deadline, failed attempts are retried up to `max_retries` times on
 /// a deterministic backoff, and — when `fail_fast` is set — a
 /// failure (including a value `is_failure` rejects) stops
-/// later-indexed jobs from *starting*, while every in-flight worker is
-/// still joined before this returns.
+/// later-indexed jobs from *starting*, while every in-flight job is
+/// still joined before this returns. Every job at or below the lowest
+/// failure has started by then, so it settles.
 ///
 /// Jobs must be `Fn` (not `FnOnce`) so they can be re-invoked on
 /// retry, and `'static` so a deadline overrun can be abandoned to a
@@ -287,9 +238,12 @@ where
 {
     let n = jobs.len();
     let jobs: Vec<Arc<F>> = jobs.into_iter().map(Arc::new).collect();
+    // The next index to hand out: jobs start lowest index first.
+    let cursor = AtomicUsize::new(0);
     // Lowest failed index so far; fail-fast skips indices above it.
     let cancel_floor = AtomicUsize::new(usize::MAX);
-    let claim = |idx: usize, w: usize| {
+    let status_slots: Vec<Mutex<Option<JobStatus<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let run_job = |idx: usize, w: usize| {
         if opts.fail_fast && idx > cancel_floor.load(Ordering::Acquire) {
             if host::is_enabled() {
                 host::instant(
@@ -319,27 +273,26 @@ where
         }
         JobStatus::Done(outcome)
     };
+    // Worker `w` claims indices until none is left. `Relaxed` suffices:
+    // the cursor publishes no data (the jobs were shared before any
+    // worker started), and the read-modify-write alone gives each index
+    // to exactly one worker.
+    let work = |w: usize| loop {
+        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = status_slots.get(idx) else {
+            break;
+        };
+        let status = run_job(idx, w);
+        *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(status);
+    };
     let workers = threads.clamp(1, n.max(1));
-    if workers == 1 {
-        // The serial path every parallel run must be equivalent to:
-        // jobs settle in index order on the calling thread, which is
-        // "worker 0" on the host timeline.
-        return (0..n).map(|idx| claim(idx, 0)).collect();
-    }
-    let status_slots: Vec<Mutex<Option<JobStatus<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let queues = deal(n, workers);
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let claim = &claim;
-            let status_slots = &status_slots;
-            scope.spawn(move || {
-                while let Some(idx) = next_job(queues, w) {
-                    let status = claim(idx, w);
-                    *status_slots[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(status);
-                }
-            });
+        for w in 1..workers {
+            let work = &work;
+            scope.spawn(move || work(w));
         }
+        // The calling thread is worker 0: a one-worker run spawns nothing.
+        work(0);
     });
     status_slots
         .into_iter()
@@ -457,6 +410,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+    use std::sync::Barrier;
     use std::time::Duration;
 
     /// Each job's result in index order, from a run with default
@@ -519,6 +473,33 @@ mod tests {
             .collect();
         assert_eq!(values(1, jobs), (0..8).collect::<Vec<_>>());
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+    }
+
+    /// Workers claim jobs lowest index first. Jobs 0 and 1 each wait
+    /// for the other at a barrier, so with two workers they must be the
+    /// first two jobs to start.
+    #[test]
+    fn workers_start_jobs_lowest_index_first() {
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let pair = Arc::new(Barrier::new(2));
+        let jobs: Vec<_> = (0..8usize)
+            .map(|i| {
+                let started = Arc::clone(&started);
+                let pair = Arc::clone(&pair);
+                move || {
+                    started.lock().unwrap().push(i);
+                    if i < 2 {
+                        pair.wait();
+                    }
+                    i
+                }
+            })
+            .collect();
+        assert_eq!(values(2, jobs), (0..8).collect::<Vec<_>>());
+        let order = started.lock().unwrap().clone();
+        let mut first_two = order[..2].to_vec();
+        first_two.sort_unstable();
+        assert_eq!(first_two, [0, 1], "start order {order:?}");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! capture opened there.
 
 use std::sync::Mutex;
-use std::time::Duration;
 
 use columbia_obs::host;
 use columbia_par::{run_governed, JobStatus, RunOptions};
@@ -33,43 +32,6 @@ fn pool_runs_record_one_span_per_job() {
     assert_eq!(jobs, 32, "one host span per job");
     assert_eq!(report.metrics.counter("host.jobs"), 32);
     assert!(!report.workers().is_empty(), "worker lanes attributed");
-    assert!(
-        report.metrics.histogram("host.queue_depth").is_some(),
-        "own-deque pops observe remaining depth"
-    );
-}
-
-#[test]
-fn a_drained_worker_records_its_steals() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    host::enable();
-    // deal(4, 2): worker 0 owns [0, 2], worker 1 owns [1, 3]. Worker 0
-    // pops its LIFO tail (job 2) and sleeps on it; worker 1 drains its
-    // own deque and must steal job 0 from worker 0's FIFO head.
-    run(
-        2,
-        (0..4u64)
-            .map(|i| {
-                move || {
-                    if i == 2 {
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                    i
-                }
-            })
-            .collect(),
-    );
-    let report = host::take().expect("capture live");
-    assert!(
-        report.metrics.counter("host.steals") >= 1,
-        "the drained worker stole from the sleeper's deque"
-    );
-    let steal = report
-        .spans
-        .iter()
-        .find(|s| s.cat == "host.steal")
-        .expect("steal instant recorded");
-    assert_eq!(steal.duration(), 0.0, "steals are instants");
 }
 
 #[test]

@@ -116,11 +116,6 @@ impl ClusterFabric {
         &self.config
     }
 
-    /// Which inter-node fabric is selected.
-    pub fn inter_node(&self) -> InterNodeFabric {
-        self.inter
-    }
-
     /// The MPT runtime version modelled.
     pub fn mpt(&self) -> MptVersion {
         self.mpt

@@ -425,6 +425,11 @@ impl<F: Fabric + ?Sized> Fabric for FaultyFabric<'_, F> {
 
     fn alltoall_bandwidth(&self, cpus: &[CpuId]) -> f64 {
         let base = self.inner.alltoall_bandwidth(cpus);
+        // Without link faults the scan below folds to 1.0, and
+        // `base * 1.0` is `base`: skip its p² pairs.
+        if !self.plan.has_link_faults() {
+            return base;
+        }
         // A degraded link throttles the collective to its worst leg.
         let worst = cpus
             .iter()

@@ -58,10 +58,11 @@
 //! most, each over a contiguous chunk of partitions, spawned per round
 //! by `std::thread::scope`. With one worker (one thread or one
 //! partition) the rounds run on the calling thread and nothing is
-//! spawned. Spawning per round is not free: on a 2-vCPU host two
-//! threads take about twice as long as one (the layer probes read
-//! `pdes.speedup2` between 0.45 and 0.55). Persistent workers would
-//! remove that cost.
+//! spawned. On a 2-vCPU host two threads take about twice as long as
+//! one (the layer probes read `pdes.speedup2` between 0.45 and 0.55).
+//! Spawning is not the cause: the 10,240-rank Columbia point takes 12
+//! rounds, so spawning costs well under 1 ms of a run of about 20 ms.
+//! The cause is open; ROADMAP item 4 tracks it.
 //!
 //! Collective op consistency: like MPI, all ranks must issue the same
 //! collective sequence. Each partition compares its arrivals' ops with

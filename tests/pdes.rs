@@ -15,7 +15,9 @@
 //!   at sim-threads 2, 3, and 7 — thread counts above the partition
 //!   count and single-rank partitions included.
 //! * Closed-form oracles: ping-pong and ring makespans on a two-node
-//!   fabric equal folds of its point-to-point costs, bit for bit.
+//!   fabric equal folds of its point-to-point costs, and a pairwise
+//!   exchange or any of the four collectives after random per-rank
+//!   compute equals its tree formula, bit for bit.
 //! * Edge cases: one-node placements, zero cross-node latency, empty
 //!   programs, mismatched collectives, spec-key and global thread-count
 //!   plumbing.
@@ -408,6 +410,111 @@ fn ping_pong_and_ring_match_closed_form_costs() {
             .map(|r| compute + fabric.pt2pt_time(cpus[(r + n - 1) % n], cpus[r], bytes))
             .fold(0.0, f64::max);
         check(&programs, &cpus, want, &format!("ring, {bytes} B"));
+    }
+}
+
+/// The engine's CPU cost of posting one send, a model constant.
+const SEND_OVERHEAD: f64 = 0.2e-6;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Closed-form oracles, not the engine, for the pairwise exchange
+    /// and the four collectives. Each of `2 * pairs` ranks on 1–3 BX2b
+    /// nodes computes for `c_r`, then issues one op of `bytes`; the
+    /// makespan must equal the op's formula, written in the engine's
+    /// order of operations, bit for bit at one and two threads:
+    ///
+    /// * exchange with `r ^ 1`: `max_r max(c_r + o, c_{r^1} + t(r^1 -> r))`,
+    ///   with `o` the per-send overhead and `t` the fabric's `pt2pt_time`
+    ///   (every hop costs more than `o`, so the makespan is an arrival);
+    /// * with `L` the largest latency and `B` the smallest bandwidth over
+    ///   the CPU pairs (first, last), (first, middle), (middle, last),
+    ///   `k = ceil(log2 p)` and `m = max_r c_r`: barrier `m + L·k`,
+    ///   allreduce `m + k·(L + bytes/B)`, broadcast from `root`
+    ///   `max(m, c_root + k·(L + bytes/B))`, and all-to-all
+    ///   `m + (L·k + (p - 1)·bytes / alltoall_bandwidth)`.
+    #[test]
+    fn exchange_and_collectives_match_closed_form_costs(
+        nodes in 1u32..4,
+        pairs in 1usize..9,
+        numalink in prop::sample::select(vec![true, false]),
+        node_of in prop::collection::vec(0u32..3, 16),
+        stride in 0u32..8,
+        shift in 0u32..16,
+        cpu_of in prop::collection::vec(0u32..32, 16),
+        compute in prop::collection::vec(0.0f64..1e-2, 16),
+        bytes in 0u64..(2 << 20) + 1,
+        root in 0usize..16,
+    ) {
+        let p = 2 * pairs;
+        let inter = if numalink {
+            InterNodeFabric::NumaLink4
+        } else {
+            InterNodeFabric::InfiniBand
+        };
+        let fabric = ClusterFabric::new(
+            ClusterConfig::uniform(NodeKind::Bx2b, nodes),
+            inter,
+            MptVersion::Beta,
+            p as u32,
+        );
+        // Each rank gets its own block of 32 CPUs: an odd stride over
+        // the 16 blocks is a permutation, so no two ranks share a CPU
+        // and rank order need not follow CPU distance.
+        let cpus: Vec<CpuId> = (0..p as u32)
+            .map(|r| {
+                let block = ((2 * stride + 1) * r + shift) % 16;
+                CpuId::new(node_of[r as usize] % nodes, 32 * block + cpu_of[r as usize])
+            })
+            .collect();
+        let c = &compute[..p];
+        let root = root % p;
+        let plan = FaultPlan::none();
+        let check = |op_of: &dyn Fn(usize) -> Op, want: f64| -> Result<(), TestCaseError> {
+            let programs: Vec<Vec<Op>> =
+                (0..p).map(|r| vec![Op::Compute(c[r]), op_of(r)]).collect();
+            for threads in [1usize, 2] {
+                let got = simulate_parallel_on(&programs, &cpus, &fabric, &plan, threads)
+                    .unwrap()
+                    .makespan;
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{:?}, threads {}: {} vs {}",
+                    op_of(0),
+                    threads,
+                    got,
+                    want
+                );
+            }
+            Ok(())
+        };
+
+        let exchange = (0..p)
+            .map(|r| {
+                let w = r ^ 1;
+                (c[r] + SEND_OVERHEAD).max(c[w] + fabric.pt2pt_time(cpus[w], cpus[r], bytes))
+            })
+            .fold(0.0, f64::max);
+        check(&|r| Op::Exchange { with: r ^ 1, bytes, tag: 0 }, exchange)?;
+
+        let middle = p / 2;
+        let (mut lat, mut bw) = (0.0f64, f64::INFINITY);
+        for (i, j) in [(0, p - 1), (0, middle), (middle, p - 1)] {
+            if i != j {
+                lat = lat.max(fabric.latency(cpus[i], cpus[j]));
+                bw = bw.min(fabric.bandwidth(cpus[i], cpus[j]));
+            }
+        }
+        let k = f64::from(usize::BITS - (p - 1).leading_zeros());
+        let m = c.iter().copied().fold(0.0, f64::max);
+        let tree = k * (lat + bytes as f64 / bw);
+        check(&|_| Op::Barrier, m + lat * k)?;
+        check(&|_| Op::AllReduce { bytes }, m + tree)?;
+        check(&|_| Op::Bcast { root, bytes }, m.max(c[root] + tree))?;
+        let alltoall = lat * k + (p - 1) as f64 * bytes as f64 / fabric.alltoall_bandwidth(&cpus);
+        check(&|_| Op::AllToAll { bytes_per_pair: bytes }, m + alltoall)?;
     }
 }
 
