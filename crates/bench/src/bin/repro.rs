@@ -107,14 +107,14 @@
 //! early (`repro --list | head -3`) ends the run with exit 0 and
 //! nothing on stderr.
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::time::{Duration, Instant};
 
 use columbia::experiments::{self, failure_report, EXPERIMENTS};
 use columbia::manifest::{self, ManifestBuilder, ResilienceSummary, Volatile};
 use columbia::obs::{
-    analyze, chrome_trace_with_flows, chrome_trace_with_host, host, sink, Analysis, CriticalPath,
-    ANALYSIS_SCHEMA,
+    analyze, host, sink, write_chrome_trace, Analysis, CriticalPath, ANALYSIS_SCHEMA,
 };
 use columbia::par;
 use columbia::{analysis_report, PointStore, Report, ResilienceOptions, SpecJob};
@@ -280,8 +280,17 @@ fn spec_job(path_str: &str) -> SpecJob {
     })
 }
 
-fn write_or_die(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
+/// Write one output file: create `path`, run `render` into a buffer on
+/// it, and flush explicitly, because a dropped `BufWriter` swallows the
+/// error of its last write. Any error prints `failed to write <path>:
+/// <error>` and exits 1; only a complete file prints `wrote <path>`.
+fn write_or_die(path: &str, render: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) {
+    let written = File::create(path).and_then(|file| {
+        let mut out = BufWriter::new(file);
+        render(&mut out)?;
+        out.flush()
+    });
+    if let Err(e) = written {
         eprintln!("failed to write {path}: {e}");
         std::process::exit(1);
     }
@@ -449,18 +458,15 @@ fn main() {
             Vec::new()
         };
         if let Some(path) = cli.trace {
-            let doc = if analyzing {
-                // Critical-path hops become Perfetto flow arrows
-                // threading through the rank tracks.
-                let paths: Vec<CriticalPath> = analyses
-                    .iter()
-                    .map(|(_, a)| a.critical_path.clone())
-                    .collect();
-                chrome_trace_with_flows(&bundles, host_report.as_ref(), &paths)
-            } else {
-                chrome_trace_with_host(&bundles, host_report.as_ref())
-            };
-            write_or_die(&path, &serde_json::to_string(&doc));
+            // Under `--analyze`, critical-path hops become Perfetto
+            // flow arrows threading through the rank tracks.
+            let paths: Vec<CriticalPath> = analyses
+                .iter()
+                .map(|(_, a)| a.critical_path.clone())
+                .collect();
+            write_or_die(&path, |out| {
+                write_chrome_trace(out, &bundles, host_report.as_ref(), &paths)
+            });
         }
         if let Some(json_path) = cli.analyze {
             let report = analysis_report(
@@ -485,7 +491,7 @@ fn main() {
                             .collect(),
                     ),
                 );
-                write_or_die(&path, &serde_json::to_string_pretty(&doc));
+                write_or_die(&path, |out| serde_json::to_writer_pretty(out, &doc));
             }
         }
         if let Some(path) = cli.metrics {
@@ -505,7 +511,7 @@ fn main() {
                         .collect(),
                 ),
             );
-            write_or_die(&path, &serde_json::to_string_pretty(&doc));
+            write_or_die(&path, |out| serde_json::to_writer_pretty(out, &doc));
         }
     }
     if let (Some(path), Some(builder)) = (cli.manifest, manifest_builder) {
@@ -515,7 +521,7 @@ fn main() {
             host_metrics: host_report.as_ref().map(|r| r.metrics.to_value()),
             sim_threads: manifest_sim_threads,
         });
-        write_or_die(&path, &m.to_string_pretty());
+        write_or_die(&path, |out| out.write_all(m.to_string_pretty().as_bytes()));
     }
     if failed_points > 0 {
         // Reports were still produced (diagnostic rows, or a failure

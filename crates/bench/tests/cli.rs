@@ -1,8 +1,8 @@
 //! CLI-level regression tests for the `repro` binary: the experiment
 //! list and `--exp` against the goldens, unknown and repeated arguments
-//! and a closed stdout, `--exp` and `--spec` recording the same
-//! manifest, stderr record ordering under degraded runs, and
-//! `--analyze` determinism and schema.
+//! and a closed stdout, an output file that cannot be written, `--exp`
+//! and `--spec` recording the same manifest, stderr record ordering
+//! under degraded runs, and `--analyze` determinism and schema.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -152,6 +152,35 @@ fn closed_stdout_ends_repro_quietly() {
         assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
         assert!(stderr.is_empty(), "{args:?}: {stderr}");
     }
+}
+
+/// An output file that cannot be written fails the run: exit 1, a
+/// `failed to write <path>: <error>` line and no `wrote <path>`. The
+/// `table1` trace (352 bytes) is smaller than the write buffer, so on
+/// `/dev/full` only the final flush writes: the error a dropped
+/// `BufWriter` would swallow must still surface.
+#[test]
+fn an_unwritable_output_file_exits_1() {
+    let dir = temp_dir("unwritable");
+    let missing = dir.join("missing/t.json");
+    let mut paths = vec![missing.to_str().unwrap()];
+    if cfg!(target_os = "linux") {
+        paths.push("/dev/full");
+    }
+    for path in paths {
+        let out = repro(&["--exp", "table1", "--jobs", "1", "--trace", path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{path}: {stderr}");
+        assert!(
+            stderr.contains(&format!("failed to write {path}: ")),
+            "{path}: {stderr}"
+        );
+        assert!(
+            !stderr.contains(&format!("wrote {path}")),
+            "{path}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--exp table1` and `--spec specs/table1.toml` are the same job, so

@@ -7,8 +7,8 @@
 //! — which worker lane executed which sweep point, how long checkpoint
 //! writes took, which points were retried, skipped or abandoned. The
 //! two timelines are exported side by side by
-//! [`chrome::chrome_trace_with_host`](crate::chrome), so a single
-//! Perfetto view shows real executor occupancy next to the
+//! [`chrome::write_chrome_trace`](crate::chrome::write_chrome_trace),
+//! so a single Perfetto view shows real executor occupancy next to the
 //! simulated-time tracks.
 //!
 //! # Zero cost when disabled
@@ -59,8 +59,8 @@ pub struct HostSpan {
     pub start: f64,
     /// End, seconds since the host epoch (>= start).
     pub end: f64,
-    /// Extra key/value detail (outcome, attempts, index), rendered
-    /// into the trace event's `args`.
+    /// Extra key/value detail (outcome, attempts, index), rendered in
+    /// order into the trace event's `args`; keys are distinct.
     pub args: Vec<(&'static str, Value)>,
 }
 

@@ -26,7 +26,9 @@
 //!   (`repro --analyze`, schema `columbia-analysis-v1`).
 //! * [`chrome`] — export a set of recorded simulations as Chrome
 //!   trace-event JSON, loadable in Perfetto (`ui.perfetto.dev`) or
-//!   `chrome://tracing`, one track per rank.
+//!   `chrome://tracing`, one track per rank. [`write_chrome_trace`]
+//!   streams the document event by event into any `io::Write`,
+//!   without building it in memory.
 //! * [`sink`] — a process-global collection point so `repro --trace`
 //!   can capture every simulation an experiment runs without
 //!   threading a tracer through each workload crate's API.
@@ -58,7 +60,7 @@ pub use analysis::{
     ANALYSIS_SCHEMA,
 };
 pub use canon::{BufferedEvent, EventBuffer};
-pub use chrome::{chrome_trace, chrome_trace_with_flows, chrome_trace_with_host};
+pub use chrome::{chrome_trace_with_flows, chrome_trace_with_host, write_chrome_trace};
 pub use host::{HostReport, HostSpan, HostTrack};
 pub use metrics::{Histogram, Metrics};
 pub use profile::{CommProfile, PhaseProfile, RankProfile};

@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use columbia::experiments::run_with_jobs;
 use columbia::obs::host::{HostReport, HostSpan, HostTrack};
 use columbia::obs::{
-    analyze, chrome_trace_with_host, sink, Analysis, CommProfile, Metrics, SpanEvent, SpanKind,
+    analyze, sink, write_chrome_trace, Analysis, CommProfile, Metrics, SpanEvent, SpanKind,
     TraceBundle,
 };
 use columbia::sweep::{PointOutput, ResilienceOptions, SweepPlan};
@@ -203,7 +203,9 @@ fn host_report() -> HostReport {
 /// event names, track layout, and field order.
 #[test]
 fn merged_chrome_trace_matches_golden() {
-    let doc = chrome_trace_with_host(&[sim_bundle()], Some(&host_report()));
+    let mut trace = Vec::new();
+    write_chrome_trace(&mut trace, &[sim_bundle()], Some(&host_report()), &[]).unwrap();
+    let doc = serde_json::from_str(std::str::from_utf8(&trace).unwrap()).unwrap();
     let actual = format!("{}\n", serde_json::to_string_pretty(&doc));
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/chrome_host.txt");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {

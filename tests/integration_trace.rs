@@ -6,7 +6,7 @@
 
 use columbia::experiments::run;
 use columbia::obs::sink;
-use columbia::obs::{chrome_trace, Track};
+use columbia::obs::{write_chrome_trace, Track};
 
 #[test]
 fn trace_experiment_capture_and_chrome_export() {
@@ -23,7 +23,9 @@ fn trace_experiment_capture_and_chrome_export() {
 
     // The export must parse back as JSON and carry one CPU track per
     // rank (tid = rank) plus named processes/threads for Perfetto.
-    let doc = serde_json::to_string(&chrome_trace(&bundles));
+    let mut doc = Vec::new();
+    write_chrome_trace(&mut doc, &bundles, None, &[]).expect("export writes");
+    let doc = String::from_utf8(doc).expect("chrome trace is UTF-8");
     let v = serde_json::from_str(&doc).expect("chrome trace is valid JSON");
     let events = v
         .get("traceEvents")

@@ -23,7 +23,7 @@ use std::sync::Mutex;
 
 use columbia::experiments::{job, plan, run_with_jobs};
 use columbia::manifest::{report_hash, ManifestBuilder, ResilienceSummary, Volatile};
-use columbia::obs::{chrome_trace_with_host, host};
+use columbia::obs::{host, write_chrome_trace};
 use columbia::{PointStore, ResilienceOptions, RunManifest, SpecJob};
 use serde_json::Value;
 
@@ -233,8 +233,9 @@ fn resilient_checkpointed_run_fills_worker_and_store_tracks() {
     assert_eq!(warm.metrics.counter("store.saves"), 0, "nothing re-saved");
 
     // The capture renders as its own process in the Chrome export.
-    let doc = chrome_trace_with_host(&[], Some(&report));
-    let text = serde_json::to_string(&doc);
+    let mut trace = Vec::new();
+    write_chrome_trace(&mut trace, &[], Some(&report), &[]).expect("export writes");
+    let text = String::from_utf8(trace).expect("trace is UTF-8");
     let parsed = serde_json::from_str(&text).expect("trace parses");
     let events = parsed
         .get("traceEvents")
