@@ -141,6 +141,9 @@ pub(crate) struct RankState {
     pub(crate) comm: f64,
     /// Sequence number of the next collective this rank will join.
     pub(crate) coll_seq: usize,
+    /// The send half of the `Exchange` at `pc` is out and its receive
+    /// half is blocked, so the retry must not send again.
+    pub(crate) half_sent: bool,
 }
 
 /// Per-rank fault accounting, folded into one [`FaultStats`] in rank
@@ -497,14 +500,6 @@ where
     simulate(programs, cpus, fabric, plan, &mut NullTracer, 1)
 }
 
-/// Tag used by the marker message-to-self that records a half-done
-/// exchange (send half out, recv half still blocked).
-pub(crate) fn half_exchange_tag(with: usize, tag: u64) -> u64 {
-    (tag ^ ((with as u64) << 32)) | HALF_EXCHANGE_BIT
-}
-
-const HALF_EXCHANGE_BIT: u64 = 1 << 63;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,10 +845,11 @@ mod tests {
 
     #[test]
     fn indexed_mailbox_matches_reference_mailbox() {
-        // The optimized per-sender channel index must be bit-identical
-        // to the original HashMap mailbox, including under faults
-        // (sequence numbers feed the drop sampling) and exchanges
-        // (marker messages-to-self ride the same storage).
+        // The flat channel table and slab must be bit-identical to the
+        // original HashMap mailbox, including under faults (sequence
+        // numbers feed the drop sampling) and exchanges. Only program
+        // messages ride the mailbox: a blocked exchange keeps
+        // `half_sent` on its rank's state.
         let progs = mixed_progs(8);
         for plan in [FaultPlan::none(), FaultPlan::with_drops(7, 0.3)] {
             let indexed = simulate_on(&progs, &place(8), &fabric(), &plan).unwrap();

@@ -58,11 +58,14 @@
 //! most, each over a contiguous chunk of partitions, spawned per round
 //! by `std::thread::scope`. With one worker (one thread or one
 //! partition) the rounds run on the calling thread and nothing is
-//! spawned. On a 2-vCPU host two threads take about twice as long as
-//! one (the layer probes read `pdes.speedup2` between 0.45 and 0.55).
-//! Spawning is not the cause: the 10,240-rank Columbia point takes 12
-//! rounds, so spawning costs well under 1 ms of a run of about 20 ms.
-//! The cause is open; ROADMAP item 4 tracks it.
+//! spawned. On a 2-vCPU host more threads are still no faster than one
+//! in the median. Over five runs of `cargo bench --bench simnet`, the
+//! 10,240-rank Columbia point took 4.3–6.9 ms on one thread;
+//! `speedup2` read 0.62–1.17 (median 0.85) and `speedup4` 0.65–1.08.
+//! Its twenty partitions take 12 rounds where one partition takes 6,
+//! do about a quarter more work in total, and add 1.7–2.1 ms of
+//! single-threaded coordination. ROADMAP item 4 tracks whether the
+//! multi-partition path stays.
 //!
 //! Collective op consistency: like MPI, all ranks must issue the same
 //! collective sequence. Each partition compares its arrivals' ops with
@@ -78,8 +81,8 @@ use columbia_obs::{EventBuffer, NullTracer, Tracer};
 
 use crate::engine::{
     apply_collective_release, apply_compute, charge_send, collective_cost, collective_mismatch,
-    collective_payload, collective_source, connection_check, finish_recv, half_exchange_tag,
-    simulate, FaultLedger, Op, RankResult, RankState, SimOutcome,
+    collective_payload, collective_source, connection_check, finish_recv, simulate, FaultLedger,
+    Op, RankResult, RankState, SimOutcome,
 };
 use crate::error::{DeadlockReport, PendingOp, SimError};
 use crate::fabric::Fabric;
@@ -522,23 +525,23 @@ fn run_until_blocked<M, P, F, B>(
                 },
                 Op::Exchange { with, bytes, tag } => {
                     // Decompose into send + recv so the partner's
-                    // schedule is honoured. A marker message-to-self
-                    // records that our send half already went out, so a
-                    // blocked exchange does not double-send on wake-up.
-                    let (b, t, w) = (bytes, tag, with);
-                    let marker_tag = half_exchange_tag(w, t);
-                    let already_sent = part.mailbox.pop(r, r, marker_tag).is_some();
-                    if !already_sent {
+                    // schedule is honoured. `half_sent` records that the
+                    // send half already went out, so a blocked exchange
+                    // does not double-send on wake-up.
+                    if !part.states[li].half_sent {
                         post_send_partitioned(
-                            part, fabric, plan, cpus, slot_of, mux_delay, own, li, r, w, b, t,
+                            part, fabric, plan, cpus, slot_of, mux_delay, own, li, r, with, bytes,
+                            tag,
                         );
                     }
-                    match part.mailbox.pop(w, r, t) {
+                    let state = &mut part.states[li];
+                    match part.mailbox.pop(with, r, tag) {
                         Some(arrival) => {
-                            finish_recv(&mut part.buf, &mut part.states[li], r, arrival)
+                            state.half_sent = false;
+                            finish_recv(&mut part.buf, state, r, arrival);
                         }
                         None => {
-                            part.mailbox.push(r, r, marker_tag, 0.0);
+                            state.half_sent = true;
                             break;
                         }
                     }

@@ -15,12 +15,14 @@
 //!   at sim-threads 2, 3, and 7 — thread counts above the partition
 //!   count and single-rank partitions included.
 //! * Closed-form oracles: ping-pong and ring makespans on a two-node
-//!   fabric equal folds of its point-to-point costs, and a pairwise
+//!   fabric equal folds of its point-to-point costs, a pairwise
 //!   exchange or any of the four collectives after random per-rank
-//!   compute equals its tree formula, bit for bit.
+//!   compute equals its tree formula, and a burst of up to 300 queued
+//!   sends equals a fold that carries the per-send overhead, bit for
+//!   bit.
 //! * Edge cases: one-node placements, zero cross-node latency, empty
-//!   programs, mismatched collectives, spec-key and global thread-count
-//!   plumbing.
+//!   programs, mismatched collectives, a self-send on any tag during a
+//!   half-done exchange, spec-key and global thread-count plumbing.
 //!
 //! The comparison is exact (`f64::to_bits`) except for
 //! `FaultStats::events`, the scheduler-event *count*, which depends on
@@ -515,6 +517,135 @@ proptest! {
         check(&|_| Op::Bcast { root, bytes }, m.max(c[root] + tree))?;
         let alltoall = lat * k + (p - 1) as f64 * bytes as f64 / fabric.alltoall_bandwidth(&cpus);
         check(&|_| Op::AllToAll { bytes_per_pair: bytes }, m + alltoall)?;
+    }
+}
+
+/// Closed-form oracle for a deep FIFO queue, in which the per-send
+/// overhead reaches the makespan. Rank 0 posts `k` sends of
+/// non-increasing sizes `b_i` to rank 1 on one tag; rank 1 computes for
+/// `c`, then runs `k` × (`Recv`, `Compute(d)`). With `o` the per-send
+/// overhead, `p_0 = 0` and `p_{i+1} = p_i + o` (rank 0's clock, summed
+/// as the engine sums it), and `t_i` the fabric's `pt2pt_time` for
+/// `b_i`, the makespan is
+/// `max(p_k, fold(c, |x, i| x.max(p_i + t_i) + d))`, bit for bit at one
+/// and two threads, for in-node and cross-node pairs and `k` up to 300.
+/// Every send is queued before rank 1 receives, so its receives pop a
+/// queue `k` deep, and the later `p_i` carry `i` overheads.
+#[test]
+fn a_deep_send_burst_matches_its_closed_form_fold() {
+    let fabric = ClusterFabric::new(
+        ClusterConfig::uniform(NodeKind::Bx2b, 2),
+        InterNodeFabric::InfiniBand,
+        MptVersion::Beta,
+        4,
+    );
+    let pairs = [
+        [CpuId::new(0, 0), CpuId::new(0, 1)],
+        [CpuId::new(0, 3), CpuId::new(0, 200)],
+        [CpuId::new(0, 0), CpuId::new(1, 0)],
+        [CpuId::new(1, 5), CpuId::new(0, 6)],
+    ];
+    // Sizes falling by 64 B a step, so that each arrival lands later than
+    // the one before by about `o`, or halving, so that the first one
+    // dominates.
+    let sizes: [fn(u64, u64) -> u64; 2] = [|k, i| 64 * (k - i), |_, i| (1 << 20) >> i.min(20)];
+    let timings = [(0.0, 0.0), (0.0, 1e-7), (2e-5, 1e-6)];
+    let plan = FaultPlan::none();
+    let mut overhead_bound = 0;
+    for k in [1u64, 7, 300] {
+        for cpus in pairs {
+            for size in sizes {
+                for (c, d) in timings {
+                    let bytes: Vec<u64> = (0..k).map(|i| size(k, i)).collect();
+                    let sender: Vec<Op> = bytes
+                        .iter()
+                        .map(|&bytes| Op::Send {
+                            to: 1,
+                            bytes,
+                            tag: 3,
+                        })
+                        .collect();
+                    let mut receiver = vec![Op::Compute(c)];
+                    for _ in 0..k {
+                        receiver.extend([Op::Recv { from: 0, tag: 3 }, Op::Compute(d)]);
+                    }
+                    let fold = |o: f64| {
+                        let (mut p, mut x) = (0.0f64, c);
+                        for &b in &bytes {
+                            x = x.max(p + fabric.pt2pt_time(cpus[0], cpus[1], b)) + d;
+                            p += o;
+                        }
+                        p.max(x)
+                    };
+                    let programs = vec![sender, receiver];
+                    let want = fold(SEND_OVERHEAD);
+                    if want != fold(0.0) {
+                        overhead_bound += 1;
+                    }
+                    for threads in [1usize, 2] {
+                        let got = simulate_parallel_on(&programs, &cpus, &fabric, &plan, threads)
+                            .unwrap()
+                            .makespan;
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "k {k}, {cpus:?}, c {c}, d {d}, threads {threads}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        overhead_bound > 0,
+        "no case puts the send overhead on the critical path"
+    );
+}
+
+/// A rank's own message can carry any tag, including one with bit 63
+/// set, and must never be taken for a half-done exchange. Rank 0 sends
+/// itself a message, blocks in an exchange with a late rank 1, then
+/// receives its own message. The run must succeed and equal, bit for
+/// bit, the run whose self-send uses an unremarkable tag.
+#[test]
+fn a_self_send_never_aliases_a_half_done_exchange() {
+    let (fabric, cpus) = placement(&[NodeKind::Bx2b, NodeKind::Bx2b], 1);
+    let programs = |tag: u64| {
+        vec![
+            vec![
+                Op::Send {
+                    to: 0,
+                    bytes: 8,
+                    tag,
+                },
+                Op::Exchange {
+                    with: 1,
+                    bytes: 64,
+                    tag: 5,
+                },
+                Op::Recv { from: 0, tag },
+            ],
+            vec![
+                Op::Compute(1e-3),
+                Op::Exchange {
+                    with: 0,
+                    bytes: 64,
+                    tag: 5,
+                },
+            ],
+        ]
+    };
+    let aliasing = (5 ^ (1 << 32)) | (1 << 63);
+    for threads in [1usize, 2] {
+        let run =
+            |tag| simulate_parallel_on(&programs(tag), &cpus, &fabric, &FaultPlan::none(), threads);
+        let plain = run(7).expect("the plain program completes");
+        let aliased = run(aliasing);
+        assert_eq!(
+            format!("{aliased:?}"),
+            format!("{:?}", Ok::<_, SimError>(plain)),
+            "threads {threads}"
+        );
     }
 }
 
