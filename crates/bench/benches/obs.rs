@@ -3,7 +3,7 @@
 //! The engine is generic over `Tracer`, so the untraced
 //! `ring_512_baseline` — `simulate` under the `NullTracer` — carries no
 //! instrumentation (the hooks monomorphize to nothing). The
-//! `RecordingTracer` rows measure what a full capture actually costs.
+//! `RecordingTracer` row measures what a full capture actually costs.
 //!
 //! The host-telemetry hooks in the sweep executor carry the same
 //! contract at job granularity: with no capture live, every hook is
@@ -11,19 +11,21 @@
 //! loop every sweep runs (`run_governed`) against a bare serial loop
 //! over the same jobs and emits the median per-round difference as
 //! `host_obs_overhead`; CI's bench check holds `overhead_pct` under 2.
+//!
+//! A plain main (`harness = false`): `cargo bench --bench obs` runs all
+//! three benches.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use columbia::obs::host;
 use columbia::par::{run_governed, RunOptions};
+use columbia_bench::timing::{median, print_row, time_rounds_ns};
 use columbia_bench::BenchRecord;
 use columbia_machine::cluster::{ClusterConfig, CpuId};
 use columbia_machine::node::NodeKind;
 use columbia_simnet::fabric::ClusterFabric;
 use columbia_simnet::obs::RecordingTracer;
 use columbia_simnet::{simulate, simulate_on, FaultPlan, Op};
-use criterion::{criterion_group, criterion_main, Criterion};
 
 fn ring(n: usize, rounds: u64) -> Vec<Vec<Op>> {
     (0..n)
@@ -46,62 +48,21 @@ fn ring(n: usize, rounds: u64) -> Vec<Vec<Op>> {
         .collect()
 }
 
-fn bench_tracer_overhead(c: &mut Criterion) {
-    let mut g = c.benchmark_group("obs");
-    g.sample_size(10);
+/// A 512-rank, 10-round ring untraced and under the
+/// `RecordingTracer`: informational rows.
+fn bench_tracer_overhead() {
     let fabric = ClusterFabric::single_node(ClusterConfig::uniform(NodeKind::Bx2b, 1));
     let n = 512usize;
     let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
     let programs = ring(n, 10);
     let plan = FaultPlan::none();
-    g.bench_function("ring_512_baseline", |b| {
-        b.iter(|| simulate_on(&programs, &cpus, &fabric, &plan).unwrap());
+    print_row("obs/ring_512_baseline", 10, || {
+        simulate_on(&programs, &cpus, &fabric, &plan).unwrap();
     });
-    g.bench_function("ring_512_recording_tracer", |b| {
-        b.iter(|| {
-            let mut tracer = RecordingTracer::new();
-            simulate(&programs, &cpus, &fabric, &plan, &mut tracer, 1).unwrap()
-        });
+    print_row("obs/ring_512_recording_tracer", 10, || {
+        let mut tracer = RecordingTracer::new();
+        simulate(&programs, &cpus, &fabric, &plan, &mut tracer, 1).unwrap();
     });
-    g.finish();
-}
-
-/// Wall nanoseconds of one call of `a` and one of `b` in each of
-/// `rounds` rounds, measured **interleaved** (a, b, a, b, …) after
-/// `warmup` discarded rounds. Interleaving cancels the drift that
-/// poisons back-to-back comparisons (frequency ramp-up, allocator and
-/// cache warm-up land on whichever side runs second).
-fn time_rounds_ns(
-    warmup: u32,
-    rounds: u32,
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> Vec<(f64, f64)> {
-    for _ in 0..warmup {
-        a();
-        b();
-    }
-    (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            a();
-            let a_ns = start.elapsed().as_nanos() as f64;
-            let start = Instant::now();
-            b();
-            (a_ns, start.elapsed().as_nanos() as f64)
-        })
-        .collect()
-}
-
-/// The median of `values`.
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(f64::total_cmp);
-    let mid = values.len() / 2;
-    if values.len().is_multiple_of(2) {
-        (values[mid - 1] + values[mid]) / 2.0
-    } else {
-        values[mid]
-    }
 }
 
 /// The sweep executor's host-telemetry hooks with no capture live,
@@ -116,7 +77,7 @@ fn median(mut values: Vec<f64>) -> f64 {
 /// of a round, and the median passes over the rounds it hits, while a
 /// difference of per-side minimums moves by more than the 2% bound
 /// between runs of one binary on a 2-vCPU host.
-fn bench_host_overhead(c: &mut Criterion) {
+fn bench_host_overhead() {
     assert!(
         !host::is_enabled(),
         "overhead is measured with telemetry disabled"
@@ -160,16 +121,6 @@ fn bench_host_overhead(c: &mut Criterion) {
         .metric("pool_ns_per_iter", pool_ns, 0)
         .metric("overhead_pct", overhead_pct, 2)
         .emit();
-
-    let mut g = c.benchmark_group("host");
-    g.sample_size(10);
-    g.bench_function("ring_64_x8_direct", |b| {
-        b.iter(|| (0..jobs).map(|_| point()).collect::<Vec<_>>());
-    });
-    g.bench_function("ring_64_x8_pool_telemetry_off", |b| {
-        b.iter(pool_run);
-    });
-    g.finish();
 }
 
 /// What the analyzer itself costs, relative to the capture it consumes:
@@ -179,7 +130,7 @@ fn bench_host_overhead(c: &mut Criterion) {
 /// capture-relative ratio — informational (`ci/check_bench.py` sets it
 /// no bound), since the analyzer runs offline on already-captured data
 /// and never sits on the untraced engine path.
-fn bench_analysis_cost(c: &mut Criterion) {
+fn bench_analysis_cost() {
     let fabric = ClusterFabric::single_node(ClusterConfig::uniform(NodeKind::Bx2b, 1));
     let n = 512usize;
     let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
@@ -209,19 +160,10 @@ fn bench_analysis_cost(c: &mut Criterion) {
         .metric("analyze_ns_per_iter", analyze_ns, 0)
         .metric("analyze_vs_capture_ratio", analyze_ns / capture_ns, 4)
         .emit();
-
-    let mut g = c.benchmark_group("analysis");
-    g.sample_size(10);
-    g.bench_function("ring_512_analyze", |b| {
-        b.iter(|| columbia::obs::analyze(&bundle));
-    });
-    g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_tracer_overhead,
-    bench_host_overhead,
-    bench_analysis_cost
-);
-criterion_main!(benches);
+fn main() {
+    bench_tracer_overhead();
+    bench_host_overhead();
+    bench_analysis_cost();
+}

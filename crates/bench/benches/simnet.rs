@@ -1,10 +1,10 @@
 //! Simulator-engine benches: raw event throughput of the
 //! discrete-event core, plus the PDES scaling curve on the
 //! full-Columbia run, reported as a machine-readable `BENCH JSON` line
-//! so CI can enforce the speedup floor.
+//! so CI can enforce the speedup floor. A plain main (`harness =
+//! false`): `cargo bench --bench simnet`.
 
-use std::time::Instant;
-
+use columbia_bench::timing::{print_row, time_ns};
 use columbia_bench::BenchRecord;
 use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia_machine::node::NodeKind;
@@ -14,71 +14,29 @@ use columbia_simnet::program::{ByteRule, Peer, ProgramSet, SpmdOp};
 use columbia_simnet::{
     simulate_on, simulate_parallel_on, ConnectionLimit, ConnectionPolicy, FaultPlan, Op,
 };
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn bench_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine");
-    g.sample_size(10);
-    g.bench_function("ring_512_ranks_10_rounds", |b| {
-        let fabric = ClusterFabric::single_node(ClusterConfig::uniform(NodeKind::Bx2b, 1));
-        let n = 512usize;
-        let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
-        let programs: Vec<Vec<Op>> = (0..n)
-            .map(|r| {
-                let mut ops = Vec::new();
-                for round in 0..10u64 {
-                    ops.push(Op::Compute(1e-4));
-                    ops.push(Op::Send {
-                        to: (r + 1) % n,
-                        bytes: 8192,
-                        tag: round,
-                    });
-                    ops.push(Op::Recv {
-                        from: (r + n - 1) % n,
-                        tag: round,
-                    });
-                }
-                ops
-            })
-            .collect();
-        b.iter(|| simulate_on(&programs, &cpus, &fabric, &FaultPlan::none()).unwrap());
+/// All-to-all over 1,024 ranks on two BX2b nodes: the engine's
+/// collective path. An informational row; the 512-rank ring row lives
+/// in the `obs` bench, beside its traced twin.
+fn bench_engine() {
+    let fabric = ClusterFabric::single_node(ClusterConfig::uniform(NodeKind::Bx2b, 2));
+    let n = 1024usize;
+    let cpus: Vec<CpuId> = (0..n)
+        .map(|i| CpuId::new((i / 512) as u32, (i % 512) as u32))
+        .collect();
+    let programs: Vec<Vec<Op>> = (0..n)
+        .map(|_| {
+            vec![
+                Op::Compute(1e-3),
+                Op::AllToAll {
+                    bytes_per_pair: 1024,
+                },
+            ]
+        })
+        .collect();
+    print_row("engine/alltoall_1024_ranks", 10, || {
+        simulate_on(&programs, &cpus, &fabric, &FaultPlan::none()).unwrap();
     });
-    g.bench_function("alltoall_1024_ranks", |b| {
-        let fabric = ClusterFabric::single_node(ClusterConfig::uniform(NodeKind::Bx2b, 2));
-        let n = 1024usize;
-        let cpus: Vec<CpuId> = (0..n)
-            .map(|i| CpuId::new((i / 512) as u32, (i % 512) as u32))
-            .collect();
-        let programs: Vec<Vec<Op>> = (0..n)
-            .map(|_| {
-                vec![
-                    Op::Compute(1e-3),
-                    Op::AllToAll {
-                        bytes_per_pair: 1024,
-                    },
-                ]
-            })
-            .collect();
-        b.iter(|| simulate_on(&programs, &cpus, &fabric, &FaultPlan::none()).unwrap());
-    });
-    g.finish();
-}
-
-/// Minimum wall nanoseconds of a single call of `f` over `iters` timed
-/// runs (after `warmup` discarded ones). Scheduling noise only ever
-/// slows a run, so the per-iteration minimum is a far more stable
-/// estimator than the mean for the speedup ratio the CI floor gates on.
-fn time_ns(warmup: u32, iters: u32, mut f: impl FnMut()) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best
 }
 
 /// PDES scaling curve on the full-Columbia workload: the twenty-node,
@@ -92,7 +50,7 @@ fn time_ns(warmup: u32, iters: u32, mut f: impl FnMut()) -> f64 {
 /// numbers are honest (the spawn-per-round scope just runs partitions
 /// on the cores it has) — which is exactly why the floor lives in CI,
 /// not here.
-fn bench_pdes_scaling(_c: &mut Criterion) {
+fn bench_pdes_scaling() {
     let cluster = ClusterConfig::columbia();
     let ranks = cluster.total_cpus() as usize;
     let cpus: Vec<CpuId> = (0..cluster.nodes.len() as u32)
@@ -179,5 +137,7 @@ fn bench_pdes_scaling(_c: &mut Criterion) {
     rec.emit();
 }
 
-criterion_group!(benches, bench_engine, bench_pdes_scaling);
-criterion_main!(benches);
+fn main() {
+    bench_engine();
+    bench_pdes_scaling();
+}

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 /// A structurally invalid [`Report`] mutation, from the strict
 /// [`Report::try_push_row`] API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +28,7 @@ impl fmt::Display for ReportError {
 impl std::error::Error for ReportError {}
 
 /// A rendered experiment result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Which paper artifact this regenerates ("Table 2", "Fig. 5", …).
     pub id: String,

@@ -49,8 +49,8 @@ pub fn simulate(kind: NodeKind, stride: u32) -> DgemmResult {
     }
 }
 
-/// Real host-scale DGEMM: multiply `n×n` matrices with the parallel
-/// blocked kernel and report achieved Gflop/s.
+/// Real host-scale DGEMM: multiply `n×n` matrices with the banded
+/// blocked kernel on one thread and report achieved Gflop/s.
 pub fn run_real(n: usize) -> DgemmResult {
     let a = vec![1.0e-3; n * n];
     let b = vec![2.0e-3; n * n];

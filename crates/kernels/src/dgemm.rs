@@ -1,11 +1,10 @@
 //! Dense double-precision matrix multiply (the HPCC DGEMM component).
 //!
 //! Three variants: a reference naive triple loop, a cache-blocked
-//! version (tested against the naive one), and a rayon-parallel
-//! tiled version used for multi-worker host runs. All compute
-//! `C ← αAB + βC` on row-major square-free `m×k · k×n` operands.
-
-use rayon::prelude::*;
+//! version (tested against the naive one), and a banded version that
+//! runs the blocked multiply over independent row bands of `C`. All
+//! three run on the calling thread and compute `C ← αAB + βC` on
+//! row-major square-free `m×k · k×n` operands.
 
 /// Cache block edge, sized so three blocks of doubles stay inside a
 /// 256 KB L2-like cache.
@@ -75,7 +74,9 @@ pub fn dgemm_blocked(
     }
 }
 
-/// Rayon-parallel blocked multiply: row bands of `c` are independent.
+/// Blocked multiply over row bands of `c`, one band after another on
+/// the calling thread. The bands are independent, so this is the split
+/// a multi-threaded DGEMM would hand out.
 pub fn dgemm_parallel(
     m: usize,
     n: usize,
@@ -87,7 +88,7 @@ pub fn dgemm_parallel(
     c: &mut [f64],
 ) {
     check_dims(m, n, k, a, b, c);
-    c.par_chunks_mut(n.max(1) * BLOCK)
+    c.chunks_mut(n.max(1) * BLOCK)
         .enumerate()
         .for_each(|(band, cband)| {
             let i0 = band * BLOCK;

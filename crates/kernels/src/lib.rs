@@ -6,15 +6,14 @@
 //! Real computational kernels underlying every benchmark in the paper.
 //!
 //! These are genuine implementations — they compute, are verified by
-//! the test suite, and use rayon's `par_*` iterators where the loop
-//! structure allows. Under the vendored rayon stub every `par_*` call
-//! runs sequentially, so the kernels run on one thread. The workload
-//! crates use them two ways: directly, for host-scale "real runs"
+//! the test suite, and run on one thread: the host DGEMM and STREAM
+//! rates they measure are single-core rates. The workload crates use
+//! them two ways: directly, for host-scale "real runs"
 //! (examples and correctness tests), and analytically, as the source
 //! of the flop/byte counts their simulator workload specs carry.
 //!
 //! * [`dgemm`] — dense matrix multiply: naive, cache-blocked, and
-//!   rayon-parallel tiles (the HPCC DGEMM component);
+//!   blocked over independent row bands (the HPCC DGEMM component);
 //! * [`stream`] — the four STREAM vector operations;
 //! * [`complex`] — a minimal complex type for the FFT;
 //! * [`fft`] — iterative radix-2 complex FFT and a pencil-decomposed

@@ -8,10 +8,9 @@
 //! are mutually independent — the pipeline reimplementation the paper
 //! mentions ("the linear solver … was reimplemented using a pipeline
 //! algorithm to enhance efficiency"). We provide both the lexicographic
-//! reference and the hyperplane form (rayon-parallel inside each
-//! plane) and test them for *bitwise* agreement.
-
-use rayon::prelude::*;
+//! reference and the hyperplane form (each plane's points are
+//! independent, though this crate updates them on one thread) and test
+//! them for *bitwise* agreement.
 
 use crate::grid::Grid3;
 
@@ -87,8 +86,9 @@ pub fn backward_sweep_lex(u: &mut Grid3, rhs: &Grid3, c: LuSgsCoeffs) {
     }
 }
 
-/// Forward sweep by hyperplanes `i+j+k = h`, each plane processed in
-/// parallel — the pipelined form. Bitwise identical to
+/// Forward sweep by hyperplanes `i+j+k = h`, each plane's updates
+/// computed from the grid before any is written — the pipelined form.
+/// Bitwise identical to
 /// [`forward_sweep_lex`]: a point's lower neighbours live on plane
 /// `h−1` (already final) and its upper neighbours on `h+1` (still
 /// old), exactly as in the lexicographic order.
@@ -99,7 +99,7 @@ pub fn forward_sweep_hyperplane(u: &mut Grid3, rhs: &Grid3, c: LuSgsCoeffs) {
     };
     for plane in &planes {
         let updates: Vec<(usize, f64)> = plane
-            .par_iter()
+            .iter()
             .map(|&(i, j, k)| {
                 let acc = rhs.get(i, j, k) + c.off * neighbour_sum(u, i, j, k);
                 (u.idx(i, j, k), acc / c.diag)

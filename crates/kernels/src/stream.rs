@@ -1,12 +1,11 @@
 //! The STREAM kernels (copy, scale, add, triad).
 //!
-//! Real vector operations, usable both single-threaded and via rayon,
-//! with a small timing harness returning achieved bytes/second — the
-//! host-side twin of the simulated HPCC STREAM component.
+//! Real vector operations on one thread, with a small timing harness
+//! returning achieved bytes/second — the host-side twin of the
+//! simulated HPCC STREAM component. The rates it measures are
+//! single-core rates.
 
 use std::time::Instant;
-
-use rayon::prelude::*;
 
 use columbia_machine::memory::StreamOp;
 
@@ -40,7 +39,8 @@ pub fn run_op(op: StreamOp, a: &mut [f64], b: &mut [f64], c: &mut [f64], s: f64)
     }
 }
 
-/// Rayon-parallel variant of [`run_op`].
+/// [`run_op`] as one zipped element-wise pass per operation, the form a
+/// data-parallel split would take; it runs on the calling thread.
 pub fn run_op_parallel(op: StreamOp, a: &mut [f64], b: &mut [f64], c: &mut [f64], s: f64) {
     let n = a.len();
     assert!(
@@ -49,23 +49,19 @@ pub fn run_op_parallel(op: StreamOp, a: &mut [f64], b: &mut [f64], c: &mut [f64]
     );
     match op {
         StreamOp::Copy => {
-            c.par_iter_mut()
-                .zip(a.par_iter())
-                .for_each(|(cv, av)| *cv = *av);
+            c.iter_mut().zip(a.iter()).for_each(|(cv, av)| *cv = *av);
         }
         StreamOp::Scale => {
-            b.par_iter_mut()
-                .zip(c.par_iter())
-                .for_each(|(bv, cv)| *bv = s * cv);
+            b.iter_mut().zip(c.iter()).for_each(|(bv, cv)| *bv = s * cv);
         }
         StreamOp::Add => {
-            c.par_iter_mut()
-                .zip(a.par_iter().zip(b.par_iter()))
+            c.iter_mut()
+                .zip(a.iter().zip(b.iter()))
                 .for_each(|(cv, (av, bv))| *cv = av + bv);
         }
         StreamOp::Triad => {
-            a.par_iter_mut()
-                .zip(b.par_iter().zip(c.par_iter()))
+            a.iter_mut()
+                .zip(b.iter().zip(c.iter()))
                 .for_each(|(av, (bv, cv))| *av = bv + s * cv);
         }
     }

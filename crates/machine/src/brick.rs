@@ -14,10 +14,8 @@
 //! same bus see ~2 GB/s each, and running on every second CPU restores
 //! the single-process figure (1.9x triad improvement).
 
-use serde::{Deserialize, Serialize};
-
 /// Packaging parameters of one C-Brick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CBrick {
     /// CPUs packaged per brick: 4 on the 3700, 8 on the BX2.
     pub cpus_per_brick: u32,

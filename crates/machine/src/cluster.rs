@@ -12,17 +12,15 @@
 //! `floor(sqrt(cards × connections / (n−1)))` processes per node — the
 //! reason runs on four or more nodes must be hybrid MPI+OpenMP.
 
-use serde::{Deserialize, Serialize};
-
 use crate::calib;
 use crate::node::{NodeKind, NodeModel};
 
 /// Identifies one Altix node (box) in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// Identifies one CPU globally: node + dense in-node index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CpuId {
     /// Which Altix node the CPU lives in.
     pub node: NodeId,
@@ -41,7 +39,7 @@ impl CpuId {
 }
 
 /// The inter-node fabric a multi-node run communicates over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterNodeFabric {
     /// NUMAlink4 coupling (only the four-BX2b capability subsystem).
     NumaLink4,
@@ -66,7 +64,7 @@ impl std::fmt::Display for InterNodeFabric {
 }
 
 /// Static description of the whole supercluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Node flavour of each of the boxes, indexed by [`NodeId`].
     pub nodes: Vec<NodeKind>,

@@ -14,15 +14,13 @@
 //!    protocol costs [`calib::NUMA_REMOTE_PENALTY`]× a local one, which
 //!    is what thread pinning protects against.
 
-use serde::{Deserialize, Serialize};
-
 use crate::brick::CBrick;
 use crate::calib;
 use crate::node::{NodeKind, NodeModel};
 use crate::processor::CacheLevel;
 
 /// STREAM kernel selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamOp {
     /// `c[i] = a[i]`
     Copy,

@@ -10,15 +10,13 @@
 //! | packaging | 4 CPU/brick, 32/rack | 8 CPU/brick, 64/rack | 8 CPU/brick, 64/rack |
 //! | peak | 3.07 Tflop/s | 3.07 Tflop/s | 3.28 Tflop/s |
 
-use serde::{Deserialize, Serialize};
-
 use crate::brick::CBrick;
 use crate::calib;
 use crate::processor::ProcessorModel;
 use crate::topology::NumaLinkGen;
 
 /// The three Altix node flavours present in Columbia.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// Original Altix 3700: 1.5 GHz/6 MB CPUs on NUMAlink3.
     Altix3700,
@@ -50,7 +48,7 @@ impl std::fmt::Display for NodeKind {
 }
 
 /// Full model of one 512-CPU Altix node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeModel {
     /// Which flavour this node is.
     pub kind: NodeKind,

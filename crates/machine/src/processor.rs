@@ -9,12 +9,10 @@
 //! 128-entry FP register file mitigates the resulting load/spill
 //! pressure.
 
-use serde::{Deserialize, Serialize};
-
 use crate::GFLOP;
 
 /// Sizes of the three on-chip data caches, in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheHierarchy {
     /// L1 data cache (32 KB). Integer data only: the Itanium2 bypasses
     /// L1 for floating-point loads and stores.
@@ -59,7 +57,7 @@ impl CacheHierarchy {
 }
 
 /// The cache level that services a working set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CacheLevel {
     /// L1 data cache (integer data only on Itanium2).
     L1,
@@ -72,7 +70,7 @@ pub enum CacheLevel {
 }
 
 /// Performance model of one Itanium2 CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessorModel {
     /// Core clock in GHz (1.5 or 1.6 on Columbia).
     pub clock_ghz: f64,

@@ -14,8 +14,6 @@
 //! internal SHUB pair (1 hop); otherwise the path climbs to the lowest
 //! common ancestor router and back down (2 hops per level).
 
-use serde::{Deserialize, Serialize};
-
 use crate::brick::CBrick;
 use crate::calib;
 
@@ -23,7 +21,7 @@ use crate::calib;
 pub const ROUTER_RADIX: u32 = 8;
 
 /// NUMAlink interconnect generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NumaLinkGen {
     /// NUMAlink3: 3.2 GB/s per brick (Altix 3700).
     NumaLink3,

@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Interaction cutoff radius (the paper uses 5.0).
 pub const CUTOFF: f64 = 5.0;
@@ -152,7 +151,8 @@ impl MdSystem {
     }
 
     /// Cell-list force evaluation (the production path); returns
-    /// potential energy. Parallelized over atoms with rayon.
+    /// potential energy. Each atom's force is summed on its own from its
+    /// 27 neighbouring cells, one atom after another on one thread.
     pub fn compute_forces_cells(&mut self) -> f64 {
         let n = self.len();
         let rc2 = CUTOFF * CUTOFF;
@@ -183,7 +183,6 @@ impl MdSystem {
         let pos = &self.pos;
         let box_len = self.box_len;
         let results: Vec<(V3, f64)> = (0..n)
-            .into_par_iter()
             .map(|i| {
                 let mut f = [0.0f64; 3];
                 let mut pot = 0.0;

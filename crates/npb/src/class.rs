@@ -5,10 +5,8 @@
 //! runs. (The multi-zone E/F classes the paper introduces live in
 //! `columbia-npbmz`.)
 
-use serde::{Deserialize, Serialize};
-
 /// An NPB problem class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NpbClass {
     /// Sample size — seconds on one CPU; used by the test suite's real
     /// runs.

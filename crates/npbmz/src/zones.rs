@@ -5,10 +5,8 @@
 //! the x-direction so the largest zone is ~20× the smallest — the
 //! load-balance stressor.
 
-use serde::{Deserialize, Serialize};
-
 /// Multi-zone problem classes, including the two the paper introduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MzClass {
     /// Sample.
     S,
@@ -97,7 +95,7 @@ impl std::fmt::Display for MzClass {
 }
 
 /// One zone of the decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Zone {
     /// Zone index in row-major (x, y) order.
     pub id: usize,

@@ -1,9 +1,7 @@
 //! Grid blocks and whole grid systems.
 
-use serde::{Deserialize, Serialize};
-
 /// Axis-aligned bounding box in physical space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bbox {
     /// Minimum corner.
     pub min: [f64; 3],
@@ -31,7 +29,7 @@ impl Bbox {
 }
 
 /// One grid component of an overset system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Block {
     /// Block id.
     pub id: usize,
@@ -80,7 +78,7 @@ impl Block {
 }
 
 /// A complete overset grid system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridSystem {
     /// All blocks.
     pub blocks: Vec<Block>,

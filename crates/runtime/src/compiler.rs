@@ -15,10 +15,8 @@
 //! different loop shapes differently, with thread-count-dependent
 //! crossovers) is preserved.
 
-use serde::{Deserialize, Serialize};
-
 /// An installed Intel compiler version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompilerVersion {
     /// 7.1(.042) — the system default.
     V7_1,
@@ -58,7 +56,7 @@ impl std::fmt::Display for CompilerVersion {
 
 /// The loop shapes that dominate each workload — what the code
 /// generator actually differentiates on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
     /// Sparse matrix-vector products and irregular gathers (NPB CG).
     ConjugateGradient,

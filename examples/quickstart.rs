@@ -25,7 +25,7 @@ fn main() {
     // And a real computation on this host for comparison.
     let real = dgemm::run_real(256);
     println!(
-        "DGEMM on this host (256x256 blocked, rayon): {:.2} Gflop/s",
+        "DGEMM on this host (256x256 blocked, one thread): {:.2} Gflop/s",
         real.gflops_per_cpu
     );
 }
