@@ -1,8 +1,9 @@
 //! CLI-level regression tests for the `repro` binary: the experiment
 //! list and `--exp` against the goldens, unknown and repeated arguments
-//! and a closed stdout, an output file that cannot be written, `--exp`
-//! and `--spec` recording the same manifest, stderr record ordering
-//! under degraded runs, and `--analyze` determinism and schema.
+//! and a closed stdout, an output file that cannot be written, an
+//! out-of-range spec value, `--exp` and `--spec` recording the same
+//! manifest, stderr record ordering under degraded runs, and
+//! `--analyze` determinism and schema.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -286,6 +287,25 @@ fn sweep_json_leads_stderr_even_when_manifest_records_a_degraded_run() {
             >= 1.0
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A count an overset workload would assert on is a spec error: an
+/// OVERFLOW-D point with more processes than the rotor-wake system has
+/// blocks exits 2 with a positioned diagnostic before anything runs,
+/// where it used to panic inside the point and exit 101.
+#[test]
+fn an_out_of_range_overset_count_exits_2_at_its_key() {
+    let spec = repo_path("tests/spec_corpus/invalid/overflow-procs-range.toml");
+    let spec = spec.to_str().expect("UTF-8 path");
+    let out = repro(&["--spec", spec, "--jobs", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("{spec}:13:15: 'procs' must be at most 1679")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }
 
 /// A sweep that fails without resilience flags prints its structured

@@ -20,6 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use columbia_hpcc::beff::{self, Pattern};
 use columbia_hpcc::{dgemm, stream};
+use columbia_ins3d::perf::MAX_CPUS;
 use columbia_ins3d::{iteration_seconds, Ins3dConfig};
 use columbia_machine::cluster::{InterNodeFabric, NodeId};
 use columbia_machine::node::NodeKind;
@@ -28,6 +29,7 @@ use columbia_npb::{gflops_per_cpu, NpbBenchmark, NpbClass, Paradigm};
 use columbia_npbmz::bench::{run as mz_run, MzBenchmark, MzRunConfig};
 use columbia_npbmz::MzClass;
 use columbia_overflowd::{step_times, OverflowConfig};
+use columbia_overset::systems::{ROTOR_BLOCKS, TURBOPUMP_BLOCKS};
 use columbia_runtime::compiler::CompilerVersion;
 use columbia_runtime::pinning::Pinning;
 use columbia_simnet::fabric::MptVersion;
@@ -349,6 +351,36 @@ impl<'a> ParamCtx<'a> {
             }
             None => Ok(None),
         }
+    }
+
+    /// A count: an integer of at least 1 and, when `cap` is
+    /// `Some((max, why))`, at most `max`, with `why` in the error. The
+    /// workload entry points assert these bounds; checking them here
+    /// rejects the spec before anything runs.
+    fn take_count(
+        &mut self,
+        key: &str,
+        cap: Option<(usize, &str)>,
+    ) -> Result<Option<usize>, SpecError> {
+        let Some(n) = self.get(key) else {
+            return Ok(None);
+        };
+        let v = self.int_of(n, &format!("'{key}'"))?;
+        if v < 1 {
+            return Err(invalid(
+                n.span,
+                format!("'{key}' must be at least 1, got {v}"),
+            ));
+        }
+        if let Some((max, why)) = cap {
+            if v as u64 > max as u64 {
+                return Err(invalid(
+                    n.span,
+                    format!("'{key}' must be at most {max} ({why}), got {v}"),
+                ));
+            }
+        }
+        Ok(Some(v as usize))
     }
 
     fn take_usize(&mut self, key: &str) -> Result<Option<usize>, SpecError> {
@@ -1717,9 +1749,15 @@ fn build_task(
                 ctx.take_enum_vec("node", node_kind, (NodeKind::Bx2b, "BX2b"))?;
             let (compilers, compiler_vec) =
                 ctx.take_enum_vec("compiler", compiler, (CompilerVersion::V7_1, "7.1"))?;
-            let groups = ctx.take_usize("groups")?.unwrap_or(36);
+            let groups = ctx
+                .take_count(
+                    "groups",
+                    Some((TURBOPUMP_BLOCKS, "the turbopump system's block count")),
+                )?
+                .unwrap_or(36);
+            let fit = format!("so that {groups} groups × 'threads' fit in one {MAX_CPUS}-CPU node");
             let threads = ctx
-                .take_usize("threads")?
+                .take_count("threads", Some((MAX_CPUS / groups, &fit)))?
                 .ok_or_else(|| ctx.missing("threads"))?;
             Ok((
                 Task::Ins3d {
@@ -1741,10 +1779,15 @@ fn build_task(
             let (compilers, compiler_vec) =
                 ctx.take_enum_vec("compiler", compiler, (CompilerVersion::V8_1, "8.1"))?;
             let procs = ctx
-                .take_usize("procs")?
+                .take_count(
+                    "procs",
+                    Some((ROTOR_BLOCKS, "the rotor-wake system's block count")),
+                )?
                 .ok_or_else(|| ctx.missing("procs"))?;
-            let threads = ctx.take_usize("threads")?.unwrap_or(1);
-            let nodes = ctx.take_u32("nodes")?.unwrap_or(1);
+            let threads = ctx.take_count("threads", None)?.unwrap_or(1);
+            let nodes = ctx
+                .take_count("nodes", Some((u32::MAX as usize, "a 32-bit count")))?
+                .map_or(1, |n| n as u32);
             Ok((
                 Task::Overflow {
                     kinds,
@@ -1956,6 +1999,65 @@ stride = [1, 2]
         let report = plan.run_with_jobs(1).unwrap();
         assert_eq!(report.rows[0][1], "64");
         assert_eq!(report.rows[1][1], "128");
+    }
+
+    /// The counts the overset workloads assert on are checked on either
+    /// side of each bound, and an out-of-range one is an error at its
+    /// own key, which each case writes last.
+    #[test]
+    fn overset_counts_are_checked_at_their_key() {
+        let cases = [
+            (
+                "overflow",
+                "procs = 0",
+                Some("'procs' must be at least 1, got 0"),
+            ),
+            (
+                "overflow",
+                "procs = 1680",
+                Some("'procs' must be at most 1679"),
+            ),
+            ("overflow", "procs = 1679", None),
+            (
+                "overflow",
+                "procs = 8\nthreads = 0",
+                Some("'threads' must be at least 1"),
+            ),
+            (
+                "overflow",
+                "procs = 8\nnodes = 0",
+                Some("'nodes' must be at least 1"),
+            ),
+            (
+                "ins3d",
+                "threads = 1\ngroups = 268",
+                Some("'groups' must be at most 267"),
+            ),
+            ("ins3d", "groups = 267\nthreads = 1", None),
+            ("ins3d", "threads = 0", Some("'threads' must be at least 1")),
+            (
+                "ins3d",
+                "groups = 2\nthreads = 257",
+                Some("'threads' must be at most 256"),
+            ),
+            ("ins3d", "groups = 2\nthreads = 256", None),
+        ];
+        for (kind, params, want) in cases {
+            let text = format!(
+                "schema = \"columbia-spec-v1\"\n\n[report]\nid = \"X\"\ntitle = \"x\"\n\
+                 headers = [\"CPUs\"]\n\n[[sweep]]\nkind = \"{kind}\"\nrow = [\"{{cpus}}\"]\n\
+                 {params}\n"
+            );
+            let compiled = compile(&load_str(&text).unwrap());
+            match (compiled, want) {
+                (Ok(_), None) => {}
+                (Err(SpecError::Invalid { line, message, .. }), Some(want)) => {
+                    assert!(message.starts_with(want), "{kind} {params:?}: {message}");
+                    assert_eq!(line as usize, text.lines().count(), "{kind} {params:?}");
+                }
+                (got, _) => panic!("{kind} {params:?}: {got:?}"),
+            }
+        }
     }
 
     #[test]

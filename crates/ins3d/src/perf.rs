@@ -40,6 +40,10 @@ pub const HOT_BYTES_PER_POINT: f64 = 30.0;
 /// beyond 8 threads).
 pub const SERIAL_FRACTION: f64 = 0.25;
 
+/// Most CPUs one run may use: MLP's groups share one node's memory
+/// arena, so a run fits inside one 512-CPU Altix node.
+pub const MAX_CPUS: usize = 512;
+
 /// One Table 2 configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Ins3dConfig {
@@ -74,7 +78,10 @@ impl Ins3dConfig {
 /// one inducer rotation).
 pub fn iteration_seconds(cfg: &Ins3dConfig) -> f64 {
     assert!(cfg.groups >= 1 && cfg.threads >= 1);
-    assert!(cfg.total_cpus() <= 512, "INS3D runs inside one Altix node");
+    assert!(
+        cfg.total_cpus() <= MAX_CPUS,
+        "INS3D runs inside one Altix node"
+    );
     let system = turbopump(1.0);
     let node = NodeModel::new(cfg.kind);
     // Zone-to-group balance (or the whole system for one group).
@@ -106,7 +113,7 @@ pub fn iteration_seconds(cfg: &Ins3dConfig) -> f64 {
     // fringe into the shared arena and reads its neighbours'.
     let mlp = MlpModel::new(node);
     let fringe_bytes: u64 = system
-        .blocks
+        .blocks()
         .iter()
         .map(|b| b.fringe_points() * 4 * 8)
         .sum::<u64>()

@@ -17,6 +17,8 @@
 //!   *reported* comm is slightly lower on IB (card offload shifts the
 //!   wait out of the MPI timers — the paper's paradoxical reversal).
 
+use std::sync::LazyLock;
+
 use columbia_machine::cluster::{ClusterConfig, InterNodeFabric, NodeId};
 use columbia_machine::node::NodeKind;
 use columbia_overset::systems::rotor_wake;
@@ -50,6 +52,12 @@ pub const BOUNDARY_BYTES_PER_FRINGE_POINT: f64 = 40.0;
 /// connectivity updates, and the §4.6.4 I/O activity. Scales inversely
 /// with clock/cache like the rest of the serial code.
 pub const STEP_SERIAL_SECONDS_3700: f64 = 0.30;
+
+/// The full-scale rotor-wake system, built and connected once per
+/// process and shared by every [`step_times`] call. It is a constant:
+/// immutable and deterministic, not run configuration or captured
+/// telemetry, which stay out of statics.
+pub static ROTOR_WAKE: LazyLock<GridSystem> = LazyLock::new(|| rotor_wake(1.0));
 
 /// One run configuration.
 #[derive(Debug, Clone, Copy)]
@@ -106,7 +114,7 @@ impl StepTimes {
 
 fn spec_for(system: &GridSystem, cfg: &OverflowConfig) -> WorkloadSpec {
     let grouping = group_blocks(system, cfg.procs);
-    let total_fringe: u64 = system.blocks.iter().map(|b| b.fringe_points()).sum();
+    let total_fringe: u64 = system.blocks().iter().map(|b| b.fringe_points()).sum();
     let boundary_total = total_fringe as f64 * BOUNDARY_BYTES_PER_FRINGE_POINT;
     let bytes_per_pair = ((boundary_total / (cfg.procs * cfg.procs.max(2)) as f64) as u64).max(64);
     // The serial per-step cost, expressed as flops so clock, cache and
@@ -141,7 +149,7 @@ fn spec_for(system: &GridSystem, cfg: &OverflowConfig) -> WorkloadSpec {
 /// [`SimError`] a failed run diagnoses itself with.
 pub fn step_times(cfg: &OverflowConfig) -> Result<StepTimes, SimError> {
     assert!(cfg.procs >= 1 && cfg.threads >= 1 && cfg.nodes >= 1);
-    let system = rotor_wake(1.0);
+    let system = &*ROTOR_WAKE;
     assert!(
         cfg.procs <= system.len(),
         "more MPI processes than blocks cannot be grouped"
@@ -163,7 +171,7 @@ pub fn step_times(cfg: &OverflowConfig) -> Result<StepTimes, SimError> {
         PlacementStrategy::DenseCapped(cap)
     };
     let placement = Placement::new(&cluster, &nodes, cfg.procs, cfg.threads, strategy);
-    let spec = spec_for(&system, cfg);
+    let spec = spec_for(system, cfg);
     let exec_cfg = ExecConfig {
         cluster,
         nodes,

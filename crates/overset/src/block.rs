@@ -77,14 +77,43 @@ impl Block {
     }
 }
 
-/// A complete overset grid system.
+/// A complete overset grid system: its blocks and each block's overlap
+/// neighbours, found once when the system is built.
 #[derive(Debug, Clone)]
 pub struct GridSystem {
-    /// All blocks.
-    pub blocks: Vec<Block>,
+    blocks: Vec<Block>,
+    /// `neighbours[b]` lists, ascending, the blocks whose boxes overlap
+    /// block `b`'s.
+    neighbours: Vec<Vec<usize>>,
 }
 
 impl GridSystem {
+    /// Connect `blocks`: test every pair of boxes for overlap, `i`
+    /// ascending and then `j > i`, and record each overlapping pair in
+    /// both blocks' lists, which leaves every list ascending.
+    pub fn new(blocks: Vec<Block>) -> Self {
+        let mut neighbours = vec![Vec::new(); blocks.len()];
+        for (i, a) in blocks.iter().enumerate() {
+            for (j, b) in blocks.iter().enumerate().skip(i + 1) {
+                if a.bbox.overlaps(&b.bbox) {
+                    neighbours[i].push(j);
+                    neighbours[j].push(i);
+                }
+            }
+        }
+        GridSystem { blocks, neighbours }
+    }
+
+    /// All blocks.
+    pub fn blocks(&self) -> &[Block] {
+        &self.blocks
+    }
+
+    /// The blocks whose boxes overlap block `b`'s, ascending.
+    pub fn neighbours(&self, b: usize) -> &[usize] {
+        &self.neighbours[b]
+    }
+
     /// Total grid points.
     pub fn total_points(&self) -> u64 {
         self.blocks.iter().map(Block::points).sum()
@@ -101,23 +130,23 @@ impl GridSystem {
     }
 
     /// Pairs of blocks whose bounding boxes overlap — the candidate
-    /// connectivity set.
+    /// connectivity set — in `(i, j)` order with `i < j`.
     pub fn overlapping_pairs(&self) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for i in 0..self.blocks.len() {
-            for j in i + 1..self.blocks.len() {
-                if self.blocks[i].bbox.overlaps(&self.blocks[j].bbox) {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        pairs
+        (0..self.len())
+            .flat_map(|i| {
+                self.neighbours(i)
+                    .iter()
+                    .filter(move |&&j| j > i)
+                    .map(move |&j| (i, j))
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::systems;
 
     fn block(id: usize, min: [f64; 3], max: [f64; 3], dims: (usize, usize, usize)) -> Block {
         Block {
@@ -168,14 +197,48 @@ mod tests {
 
     #[test]
     fn overlapping_pairs_found() {
-        let sys = GridSystem {
-            blocks: vec![
-                block(0, [0.0; 3], [1.0; 3], (8, 8, 8)),
-                block(1, [0.9, 0.0, 0.0], [1.9, 1.0, 1.0], (8, 8, 8)),
-                block(2, [5.0; 3], [6.0; 3], (8, 8, 8)),
-            ],
-        };
+        let sys = GridSystem::new(vec![
+            block(0, [0.0; 3], [1.0; 3], (8, 8, 8)),
+            block(1, [0.9, 0.0, 0.0], [1.9, 1.0, 1.0], (8, 8, 8)),
+            block(2, [5.0; 3], [6.0; 3], (8, 8, 8)),
+        ]);
         assert_eq!(sys.overlapping_pairs(), vec![(0, 1)]);
         assert_eq!(sys.total_points(), 3 * 512);
+    }
+
+    #[test]
+    fn touching_boxes_are_neighbours_and_the_paper_systems_are_pinned() {
+        // Closed intervals: a shared face, edge or corner is an overlap,
+        // and one ULP of clearance is not.
+        let sys = GridSystem::new(vec![
+            block(0, [0.0; 3], [1.0; 3], (4, 4, 4)),
+            block(1, [1.0, 0.0, 0.0], [2.0, 1.0, 1.0], (4, 4, 4)),
+            block(2, [1.0, 1.0, 0.0], [2.0, 2.0, 1.0], (4, 4, 4)),
+            block(3, [1.0; 3], [2.0; 3], (4, 4, 4)),
+            block(4, [1.0f64.next_up(), 0.0, 0.0], [2.0, 1.0, 1.0], (4, 4, 4)),
+            block(5, [0.0, 0.0, 1.0f64.next_up()], [1.0, 1.0, 2.0], (4, 4, 4)),
+        ]);
+        assert_eq!(sys.neighbours(0), [1, 2, 3]);
+        assert_eq!(sys.neighbours(4), [1, 2, 3]);
+
+        // The full-scale systems: pair counts from the pairwise scan, and
+        // lists that are ascending and symmetric.
+        let rotor = systems::rotor_wake(1.0);
+        let pump = systems::turbopump(1.0);
+        assert_eq!(rotor.overlapping_pairs().len(), 16_954);
+        assert_eq!(pump.overlapping_pairs().len(), 1_058);
+        for sys in [&rotor, &pump] {
+            for b in 0..sys.len() {
+                let list = sys.neighbours(b);
+                assert!(list.windows(2).all(|w| w[0] < w[1]), "block {b}: {list:?}");
+                assert!(!list.contains(&b), "block {b} lists itself");
+                for &nb in list {
+                    assert!(sys.neighbours(nb).binary_search(&b).is_ok(), "{b}-{nb}");
+                }
+            }
+        }
+        // Scale changes the grid dimensions, never the boxes.
+        let small = systems::rotor_wake(0.03);
+        assert!((0..rotor.len()).all(|b| small.neighbours(b) == rotor.neighbours(b)));
     }
 }

@@ -35,9 +35,11 @@ impl Grouping {
 }
 
 /// Group `system` into `ngroups` groups: blocks sorted largest first;
-/// each goes to the *connected* group with the lightest load if one
-/// has room (below the running mean + the block), otherwise to the
-/// globally lightest group.
+/// each goes to the lightest *connected* group (one already holding a
+/// block that overlaps it) whose load plus the block stays within
+/// 1.25 × the mean load `total / ngroups`, otherwise to the globally
+/// lightest group. Ties go to the group found first, in the block's
+/// neighbour order or in group order.
 pub fn group_blocks(system: &GridSystem, ngroups: usize) -> Grouping {
     assert!(ngroups >= 1);
     assert!(
@@ -45,27 +47,21 @@ pub fn group_blocks(system: &GridSystem, ngroups: usize) -> Grouping {
         "cannot form {ngroups} groups from {} blocks",
         system.len()
     );
-    // Adjacency from bounding-box overlap.
     let n = system.len();
-    let mut adj = vec![Vec::new(); n];
-    for (i, j) in system.overlapping_pairs() {
-        adj[i].push(j);
-        adj[j].push(i);
-    }
     let total: u64 = system.total_points();
     let target = total as f64 / ngroups as f64;
 
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&b| std::cmp::Reverse(system.blocks[b].points()));
+    order.sort_by_key(|&b| std::cmp::Reverse(system.blocks()[b].points()));
 
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); ngroups];
     let mut load = vec![0u64; ngroups];
     let mut owner = vec![usize::MAX; n];
     for &b in &order {
-        let pts = system.blocks[b].points();
+        let pts = system.blocks()[b].points();
         // Candidate groups already holding a neighbour of b.
         let mut best_connected: Option<usize> = None;
-        for &nb in &adj[b] {
+        for &nb in system.neighbours(b) {
             if owner[nb] != usize::MAX {
                 let g = owner[nb];
                 if load[g] as f64 + pts as f64 <= 1.25 * target
@@ -81,17 +77,10 @@ pub fn group_blocks(system: &GridSystem, ngroups: usize) -> Grouping {
         groups[g].push(b);
     }
 
-    // Internalized connectivity.
-    let pairs = system.overlapping_pairs();
-    let internal = pairs.iter().filter(|(i, j)| owner[*i] == owner[*j]).count();
     Grouping {
         groups,
         load,
-        internalized_fraction: if pairs.is_empty() {
-            1.0
-        } else {
-            internal as f64 / pairs.len() as f64
-        },
+        internalized_fraction: internalized_fraction(system, &owner),
     }
 }
 
@@ -101,26 +90,38 @@ pub fn group_blocks_load_only(system: &GridSystem, ngroups: usize) -> Grouping {
     assert!(ngroups >= 1 && system.len() >= ngroups);
     let n = system.len();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&b| std::cmp::Reverse(system.blocks[b].points()));
+    order.sort_by_key(|&b| std::cmp::Reverse(system.blocks()[b].points()));
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); ngroups];
     let mut load = vec![0u64; ngroups];
     let mut owner = vec![usize::MAX; n];
     for &b in &order {
         let g = (0..ngroups).min_by_key(|&g| load[g]).unwrap();
         owner[b] = g;
-        load[g] += system.blocks[b].points();
+        load[g] += system.blocks()[b].points();
         groups[g].push(b);
     }
-    let pairs = system.overlapping_pairs();
-    let internal = pairs.iter().filter(|(i, j)| owner[*i] == owner[*j]).count();
     Grouping {
         groups,
         load,
-        internalized_fraction: if pairs.is_empty() {
-            1.0
-        } else {
-            internal as f64 / pairs.len() as f64
-        },
+        internalized_fraction: internalized_fraction(system, &owner),
+    }
+}
+
+/// Fraction of overlapping block pairs whose two blocks `owner` puts in
+/// one group (1 when no blocks overlap), counted from the stored
+/// neighbour lists in one pass.
+fn internalized_fraction(system: &GridSystem, owner: &[usize]) -> f64 {
+    let (mut pairs, mut internal) = (0usize, 0usize);
+    for (b, &g) in owner.iter().enumerate() {
+        for &nb in system.neighbours(b).iter().filter(|&&nb| nb > b) {
+            pairs += 1;
+            internal += usize::from(owner[nb] == g);
+        }
+    }
+    if pairs == 0 {
+        1.0
+    } else {
+        internal as f64 / pairs as f64
     }
 }
 

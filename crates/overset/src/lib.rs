@@ -7,9 +7,11 @@
 //! from grouping grids onto processes with a bin-packing algorithm
 //! that first checks for overlap (§3.5).
 //!
-//! * [`block`] — grid blocks with bounding boxes and point counts;
-//! * [`connect`] — overlap detection, donor search, and trilinear
-//!   interpolation weights for fringe points;
+//! * [`block`] — grid blocks with bounding boxes and point counts, and
+//!   grid systems: [`GridSystem::new`] finds each block's overlapping
+//!   neighbours once, when the system is built;
+//! * [`connect`] — donor search and trilinear interpolation weights for
+//!   fringe points;
 //! * [`group`] — the connectivity-aware bin-packing grouper;
 //! * [`systems`] — deterministic generators for the two grid systems
 //!   the paper uses: the 267-block / 66-million-point turbopump

@@ -77,7 +77,7 @@ pub fn turbopump(scale: f64) -> GridSystem {
             },
         });
     }
-    GridSystem { blocks }
+    GridSystem::new(blocks)
 }
 
 /// The rotor-wake system: 79 large near-body blocks around the hub and
@@ -132,7 +132,7 @@ pub fn rotor_wake(scale: f64) -> GridSystem {
             }
         }
     }
-    GridSystem { blocks }
+    GridSystem::new(blocks)
 }
 
 #[cfg(test)]
@@ -167,7 +167,7 @@ mod tests {
     fn systems_are_deterministic() {
         let a = rotor_wake(0.1);
         let b = rotor_wake(0.1);
-        assert_eq!(a.blocks, b.blocks);
+        assert_eq!(a.blocks(), b.blocks());
     }
 
     #[test]
@@ -189,8 +189,8 @@ mod tests {
     #[test]
     fn rotor_block_sizes_vary() {
         let sys = rotor_wake(1.0);
-        let min = sys.blocks.iter().map(Block::points).min().unwrap();
-        let max = sys.blocks.iter().map(Block::points).max().unwrap();
+        let min = sys.blocks().iter().map(Block::points).min().unwrap();
+        let max = sys.blocks().iter().map(Block::points).max().unwrap();
         assert!(max > 3 * min, "sizes should vary: {min}..{max}");
     }
 }

@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example rotor_wake`
 
 use columbia::experiments::run;
+use columbia::overflowd::perf::ROTOR_WAKE;
 use columbia::overflowd::OversetPair;
-use columbia::overset::systems::rotor_wake;
 
 fn main() {
     // Real overset mechanics: two overlapping blocks converge together.
@@ -22,8 +22,8 @@ fn main() {
         pair.boundary_mismatch()
     );
 
-    // The grid system the paper ran.
-    let system = rotor_wake(1.0);
+    // The grid system the paper ran, which the tables below share.
+    let system = &*ROTOR_WAKE;
     println!(
         "rotor system: {} blocks, {:.1}M points",
         system.len(),
