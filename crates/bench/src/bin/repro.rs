@@ -42,14 +42,18 @@
 //! as a gate.
 //!
 //! `--sim-threads N` parallelizes *within* each simulation: the
-//! engine's conservative PDES loop (`columbia_simnet::pdes`) partitions
-//! ranks by node and runs the partitions in rounds on up to N threads.
-//! Orthogonal to `--jobs` (which fans *across* sweep points): `--jobs`
-//! wins when a sweep has many points, `--sim-threads` when one
-//! simulation dominates (the 10,240-rank full-Columbia run). Results
-//! are bit-identical at any value — CI diffs `--sim-threads 4` against
-//! the one-thread golden. Overrides a spec's `[defaults] sim_threads`
-//! key; default 1 (one partition, on the calling thread).
+//! engine's conservative PDES loop (`columbia_simnet::pdes`) splits the
+//! ranks into one partition per worker, in whole-node blocks
+//! (`min(N, nodes)` partitions), and runs them in rounds; the calling
+//! thread runs one partition and each other one gets a helper thread
+//! for the whole simulation. Orthogonal to `--jobs` (which fans
+//! *across* sweep points): `--jobs` wins when a sweep has many points,
+//! `--sim-threads` when one simulation dominates (the 10,240-rank
+//! full-Columbia run). On a 2-vCPU host two threads simulate that point
+//! about 1.4x faster than one. Results are bit-identical at any value —
+//! CI diffs `--sim-threads 3` and `4` against the one-thread golden.
+//! Overrides a spec's `[defaults] sim_threads` key; default 1 (one
+//! partition, on the calling thread).
 //!
 //! `--trace` and `--metrics` install the global trace sink
 //! (`columbia_obs::sink`) before running the selected experiments:

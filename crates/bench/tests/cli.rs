@@ -308,6 +308,27 @@ fn an_out_of_range_overset_count_exits_2_at_its_key() {
     assert!(out.stdout.is_empty());
 }
 
+/// An OVERFLOW-D point whose processes do not fit its nodes under the
+/// placement policy (at most 508 CPUs per node unless the count is a
+/// multiple of 512) is a spec error: it exits 2 at its `procs` value,
+/// where it used to panic inside `Placement::new` and exit 101.
+#[test]
+fn an_overflow_point_that_overfills_its_nodes_exits_2_at_procs() {
+    let spec = repo_path("tests/spec_corpus/invalid/overflow-placement.toml");
+    let spec = spec.to_str().expect("UTF-8 path");
+    let out = repro(&["--spec", spec, "--jobs", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!(
+            "{spec}:13:15: 'procs' × 'threads' must fit 1 node(s)"
+        )),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
 /// A sweep that fails without resilience flags prints its structured
 /// diagnosis and still exits 3, as a resilient run of it does.
 #[test]

@@ -28,7 +28,7 @@ use columbia_md::scaling::weak_scaling_point;
 use columbia_npb::{gflops_per_cpu, NpbBenchmark, NpbClass, Paradigm};
 use columbia_npbmz::bench::{run as mz_run, MzBenchmark, MzRunConfig};
 use columbia_npbmz::MzClass;
-use columbia_overflowd::{step_times, OverflowConfig};
+use columbia_overflowd::{placement_strategy as overflow_placement, step_times, OverflowConfig};
 use columbia_overset::systems::{ROTOR_BLOCKS, TURBOPUMP_BLOCKS};
 use columbia_runtime::compiler::CompilerVersion;
 use columbia_runtime::pinning::Pinning;
@@ -1778,6 +1778,7 @@ fn build_task(
                 ctx.take_enum_vec("fabric", fabric, (InterNodeFabric::NumaLink4, "NUMAlink4"))?;
             let (compilers, compiler_vec) =
                 ctx.take_enum_vec("compiler", compiler, (CompilerVersion::V8_1, "8.1"))?;
+            let procs_span = ctx.get("procs").map(|n| n.span).unwrap_or_default();
             let procs = ctx
                 .take_count(
                     "procs",
@@ -1788,6 +1789,19 @@ fn build_task(
             let nodes = ctx
                 .take_count("nodes", Some((u32::MAX as usize, "a 32-bit count")))?
                 .map_or(1, |n| n as u32);
+            let cpus = procs.saturating_mul(threads);
+            for &(kind, _) in &kinds {
+                if let Err(per_node) = overflow_placement(kind, cpus, nodes) {
+                    return Err(invalid(
+                        procs_span,
+                        format!(
+                            "'procs' × 'threads' must fit {nodes} node(s) at {per_node} CPUs \
+                             per node (the boot cpuset stays free unless the CPU count is a \
+                             multiple of 512), got {cpus} CPUs"
+                        ),
+                    ));
+                }
+            }
             Ok((
                 Task::Overflow {
                     kinds,
@@ -2003,7 +2017,9 @@ stride = [1, 2]
 
     /// The counts the overset workloads assert on are checked on either
     /// side of each bound, and an out-of-range one is an error at its
-    /// own key, which each case writes last.
+    /// own key, which each case writes last. An OVERFLOW-D point must
+    /// also fit its nodes under `step_times`'s placement: a whole
+    /// rotor-wake system of 1,679 processes needs four nodes.
     #[test]
     fn overset_counts_are_checked_at_their_key() {
         let cases = [
@@ -2017,7 +2033,19 @@ stride = [1, 2]
                 "procs = 1680",
                 Some("'procs' must be at most 1679"),
             ),
-            ("overflow", "procs = 1679", None),
+            ("overflow", "nodes = 4\nprocs = 1679", None),
+            (
+                "overflow",
+                "procs = 1016",
+                Some("'procs' × 'threads' must fit 1 node(s) at 508 CPUs per node"),
+            ),
+            ("overflow", "procs = 512", None),
+            (
+                "overflow",
+                "threads = 2\nprocs = 255",
+                Some("'procs' × 'threads' must fit 1 node(s) at 508 CPUs per node"),
+            ),
+            ("overflow", "threads = 2\nprocs = 254", None),
             (
                 "overflow",
                 "procs = 8\nthreads = 0",

@@ -92,6 +92,13 @@ impl<W: Write> Events<W> {
     /// A metadata event: `name` is `process_name` or `thread_name`,
     /// `arg` the name it gives.
     fn meta(&mut self, name: &str, pid: usize, tid: usize, arg: &str) -> io::Result<()> {
+        self.open_meta(name, pid, tid, arg)?;
+        self.close()
+    }
+
+    /// Open a metadata event and write its fields; the caller may add
+    /// more, then closes it.
+    fn open_meta(&mut self, name: &str, pid: usize, tid: usize, arg: &str) -> io::Result<()> {
         self.open()?;
         self.str("ph", "M")?;
         self.str("name", name)?;
@@ -100,8 +107,7 @@ impl<W: Write> Events<W> {
         self.key("args")?;
         self.out.write_all(b"{\"name\":")?;
         write_str(&mut self.out, arg)?;
-        self.out.write_all(b"}")?;
-        self.close()
+        self.out.write_all(b"}")
     }
 
     /// Open a complete (`"ph": "X"`) event and write the fields every
@@ -139,7 +145,11 @@ impl<W: Write> Events<W> {
 ///   `bundles.len()`, "host executor (wall clock)"): one thread per
 ///   worker lane ("worker 0", "worker 1", …) carrying job spans and
 ///   fail-fast skip instants, plus a "checkpoint store" thread after
-///   the last worker for store activity. Host timestamps are
+///   the last worker for store activity, then one "partition p" thread
+///   per PDES partition lane that recorded rounds, placed after the
+///   store thread. Its spans and its `thread_name` event carry category
+///   `host.pdes`, so dropping `host.*` categories removes every trace
+///   of a partition lane. Host timestamps are
 ///   wall-clock seconds since the capture epoch, so in Perfetto the
 ///   executor's real occupancy reads side by side with the
 ///   simulators' virtual timelines. A span's `args` keys are written
@@ -218,11 +228,35 @@ pub fn write_chrome_trace(
             }
             ev.close()?;
         }
+        // Partition lanes follow the store lane.
+        let partition_tid = |p: u32| store_tid + 1 + p as usize;
+        for span in &host.partitions {
+            let tid = partition_tid(span.partition);
+            ev.complete(
+                &span.label,
+                "host.pdes",
+                span.start,
+                span.duration(),
+                pid,
+                tid,
+            )?;
+            let (key, count) = span.count;
+            ev.args(&[(key, Value::Number(count as f64))])?;
+            ev.close()?;
+        }
         for w in &workers {
             ev.meta("thread_name", pid, *w as usize, &format!("worker {w}"))?;
         }
         if store_seen {
             ev.meta("thread_name", pid, store_tid, "checkpoint store")?;
+        }
+        // A partition lane's name carries its spans' category too, so a
+        // filter on `host.*` categories drops every trace of the lanes.
+        for p in host.partition_lanes() {
+            let name = format!("partition {p}");
+            ev.open_meta("thread_name", pid, partition_tid(p), &name)?;
+            ev.str("cat", "host.pdes")?;
+            ev.close()?;
         }
     }
     let mut id = 0usize;
@@ -290,7 +324,7 @@ pub fn chrome_trace_with_flows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::HostSpan;
+    use crate::host::{HostSpan, PartitionSpan};
     use crate::metrics::Metrics;
     use crate::profile::CommProfile;
     use crate::tracer::{CausalEdge, EdgeKind, SpanEvent, SpanKind};
@@ -371,6 +405,13 @@ mod tests {
             end: 0.21,
             args: vec![],
         });
+        report.partitions.push(PartitionSpan {
+            partition: 1,
+            label: "round 0".into(),
+            start: 0.3,
+            end: 0.31,
+            count: ("events", 42),
+        });
         report
     }
 
@@ -419,13 +460,43 @@ mod tests {
             .filter(|e| e.get("name").and_then(Value::as_str) == Some("thread_name"))
             .filter_map(|e| e.get("args")?.get("name")?.as_str())
             .collect();
-        assert_eq!(names, vec!["worker 0", "worker 2", "checkpoint store"]);
+        assert_eq!(
+            names,
+            vec!["worker 0", "worker 2", "checkpoint store", "partition 1"]
+        );
         // The store track lands after the last worker lane (tid 3).
         let save = host_events
             .iter()
             .find(|e| e.get("name").and_then(Value::as_str) == Some("save"))
             .unwrap();
         assert_eq!(save.get("tid").and_then(Value::as_f64), Some(3.0));
+        // Partition lanes follow the store lane: partition 1 is tid 5.
+        let round = host_events
+            .iter()
+            .find(|e| e.get("name").and_then(Value::as_str) == Some("round 0"))
+            .unwrap();
+        assert_eq!(round.get("tid").and_then(Value::as_f64), Some(5.0));
+        assert_eq!(round.get("cat").and_then(Value::as_str), Some("host.pdes"));
+        assert_eq!(
+            round
+                .get("args")
+                .and_then(|a| a.get("events"))
+                .and_then(Value::as_f64),
+            Some(42.0)
+        );
+        // Its lane's name carries the category too, so a `host.*` filter
+        // drops it with the spans.
+        let lane = host_events
+            .iter()
+            .find(|e| {
+                e.get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Value::as_str)
+                    == Some("partition 1")
+            })
+            .unwrap();
+        assert_eq!(lane.get("tid").and_then(Value::as_f64), Some(5.0));
+        assert_eq!(lane.get("cat").and_then(Value::as_str), Some("host.pdes"));
         // Job args survive the export.
         let job = host_events
             .iter()
@@ -593,6 +664,21 @@ mod tests {
         e
     }
 
+    fn partition_complete(span: &PartitionSpan, pid: usize, tid: usize) -> Value {
+        let mut e = Value::object();
+        e.set("name", Value::String(span.label.clone()));
+        e.set("cat", Value::String("host.pdes".into()));
+        e.set("ph", Value::String("X".into()));
+        e.set("ts", Value::Number(us(span.start)));
+        e.set("dur", Value::Number(us(span.duration())));
+        e.set("pid", Value::Number(pid as f64));
+        e.set("tid", Value::Number(tid as f64));
+        let mut args = Value::object();
+        args.set(span.count.0, Value::Number(span.count.1 as f64));
+        e.set("args", args);
+        e
+    }
+
     fn oracle(bundles: &[TraceBundle], host: Option<&HostReport>, paths: &[CriticalPath]) -> Value {
         let mut events: Vec<Value> = Vec::new();
         for (pid, bundle) in bundles.iter().enumerate() {
@@ -645,6 +731,10 @@ mod tests {
                 };
                 events.push(host_complete(span, pid, tid));
             }
+            let partition_tid = |p: u32| store_tid + 1 + p as usize;
+            for span in &host.partitions {
+                events.push(partition_complete(span, pid, partition_tid(span.partition)));
+            }
             for w in &workers {
                 events.push(meta(
                     "thread_name",
@@ -655,6 +745,16 @@ mod tests {
             }
             if store_seen {
                 events.push(meta("thread_name", pid, store_tid, "checkpoint store"));
+            }
+            for p in host.partition_lanes() {
+                let mut e = meta(
+                    "thread_name",
+                    pid,
+                    partition_tid(p),
+                    &format!("partition {p}"),
+                );
+                e.set("cat", Value::String("host.pdes".into()));
+                events.push(e);
             }
         }
         let mut id = 0usize;
@@ -782,6 +882,18 @@ mod tests {
                             start,
                             end: start + seconds(rng),
                             args: host_args(rng),
+                        }
+                    })
+                    .collect(),
+                partitions: (0..rng.next_u64() % 5)
+                    .map(|_| {
+                        let start = seconds(rng);
+                        PartitionSpan {
+                            partition: (rng.next_u64() % 3) as u32,
+                            label: pick(rng, &LABELS).into(),
+                            start,
+                            end: start + seconds(rng),
+                            count: (pick(rng, &["events", "messages"]), rng.next_u64() % 5000),
                         }
                     })
                     .collect(),

@@ -5,7 +5,8 @@
 //! The simulator's tracer answers "where did the *virtual* seconds
 //! go?"; this module answers "where did the *wall-clock* seconds go?"
 //! — which worker lane executed which sweep point, how long checkpoint
-//! writes took, which points were retried, skipped or abandoned. The
+//! writes took, which points were retried, skipped or abandoned, and
+//! how long each PDES round of a partitioned simulation took. The
 //! two timelines are exported side by side by
 //! [`chrome::write_chrome_trace`](crate::chrome::write_chrome_trace),
 //! so a single Perfetto view shows real executor occupancy next to the
@@ -18,8 +19,8 @@
 //! branch-predicts false. Nothing is timed, allocated, or locked on
 //! the disabled path; `--bench obs` measures the residue and CI holds
 //! it under 2%. Instrumented call sites are *coarse* (per sweep job,
-//! per retry, per checkpoint write — never per simulated event), so
-//! the enabled path's mutex is far from contended.
+//! per retry, per checkpoint write, per PDES round — never per
+//! simulated event), so the enabled path's mutex is far from contended.
 //!
 //! # Lifecycle
 //!
@@ -29,14 +30,18 @@
 //! report without any plumbing through the pool's API.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use serde_json::Value;
 
 use crate::metrics::Metrics;
 
-/// Which host timeline a span belongs to.
+/// Which executor timeline a [`HostSpan`] belongs to.
+///
+/// PDES partition lanes are not tracks: their spans are
+/// [`PartitionSpan`]s in [`HostReport::partitions`], so a match over
+/// `HostTrack` covers the executor and the store and nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HostTrack {
     /// One executor worker lane (thread `w` of the pool).
@@ -71,11 +76,41 @@ impl HostSpan {
     }
 }
 
+/// One wall-clock span on a PDES partition lane, rendered with category
+/// `host.pdes`: a partition's round of scheduler events ("round k",
+/// arg `events`) or, on lane 0, the leader phase after round k ("leader
+/// k", arg `messages`: the cross-partition messages it delivered).
+///
+/// Lanes are keyed by partition index, not by simulation, so
+/// simulations running concurrently under `--jobs > 1` share lanes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartitionSpan {
+    /// The partition index: the lane this span renders on.
+    pub partition: u32,
+    /// "round k" or "leader k".
+    pub label: String,
+    /// Start, seconds since the host epoch.
+    pub start: f64,
+    /// End, seconds since the host epoch (>= start).
+    pub end: f64,
+    /// The span's one named count, rendered as its `args`.
+    pub count: (&'static str, u64),
+}
+
+impl PartitionSpan {
+    /// Span length in seconds.
+    pub fn duration(&self) -> f64 {
+        self.end - self.start
+    }
+}
+
 /// Everything one capture window recorded.
 #[derive(Debug, Clone, Default)]
 pub struct HostReport {
-    /// Wall-clock spans, in emission order.
+    /// Executor and store spans, in emission order.
     pub spans: Vec<HostSpan>,
+    /// PDES partition-lane spans, in emission order.
+    pub partitions: Vec<PartitionSpan>,
     /// Host counters and histograms (`host.*`, `store.*`).
     pub metrics: Metrics,
 }
@@ -95,6 +130,14 @@ impl HostReport {
         ids.dedup();
         ids
     }
+
+    /// Partition lanes that recorded at least one span, ascending.
+    pub fn partition_lanes(&self) -> Vec<u32> {
+        let mut ids: Vec<u32> = self.partitions.iter().map(|s| s.partition).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
 }
 
 struct HostState {
@@ -107,6 +150,7 @@ static STATE: Mutex<HostState> = Mutex::new(HostState {
     epoch: None,
     report: HostReport {
         spans: Vec::new(),
+        partitions: Vec::new(),
         metrics: Metrics::EMPTY,
     },
 });
@@ -157,11 +201,19 @@ pub fn take() -> Option<HostReport> {
 /// ```
 #[inline]
 pub fn clock() -> Option<f64> {
+    now().map(|(_, t)| t)
+}
+
+/// The locked capture and the seconds since its epoch, or `None` when
+/// telemetry is disabled.
+#[inline]
+fn now() -> Option<(MutexGuard<'static, HostState>, f64)> {
     if !is_enabled() {
         return None;
     }
     let state = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    state.epoch.map(|e| e.elapsed().as_secs_f64())
+    let t = state.epoch?.elapsed().as_secs_f64();
+    Some((state, t))
 }
 
 /// Record a span that started at `start` (a [`clock`] stamp) and ends
@@ -175,19 +227,28 @@ pub fn span(
     start: f64,
     args: Vec<(&'static str, Value)>,
 ) {
-    if !is_enabled() {
-        return;
-    }
-    let mut state = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(epoch) = state.epoch else { return };
-    let end = epoch.elapsed().as_secs_f64().max(start);
+    let Some((mut state, t)) = now() else { return };
     state.report.spans.push(HostSpan {
         track,
         label,
         cat,
         start,
-        end,
+        end: t.max(start),
         args,
+    });
+}
+
+/// Record a span on PDES partition lane `partition` that started at
+/// `start` (a [`clock`] stamp) and ends now, with its one named
+/// `count` (see [`PartitionSpan`]). A no-op when telemetry is disabled.
+pub fn partition_span(partition: u32, label: String, start: f64, count: (&'static str, u64)) {
+    let Some((mut state, t)) = now() else { return };
+    state.report.partitions.push(PartitionSpan {
+        partition,
+        label,
+        start,
+        end: t.max(start),
+        count,
     });
 }
 
@@ -199,12 +260,7 @@ pub fn instant(
     label: String,
     args: Vec<(&'static str, Value)>,
 ) {
-    if !is_enabled() {
-        return;
-    }
-    let mut state = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(epoch) = state.epoch else { return };
-    let t = epoch.elapsed().as_secs_f64();
+    let Some((mut state, t)) = now() else { return };
     state.report.spans.push(HostSpan {
         track,
         label,
@@ -258,6 +314,7 @@ mod tests {
             vec![],
         );
         instant(HostTrack::Store, "host.store", "hit".into(), vec![]);
+        partition_span(1, "round 0".into(), 0.0, ("events", 3));
         assert!(take().is_none(), "nothing was enabled, nothing to take");
     }
 
@@ -276,6 +333,8 @@ mod tests {
             vec![("index", Value::Number(7.0))],
         );
         instant(HostTrack::Worker(3), "host.skip", "skip".into(), vec![]);
+        partition_span(2, "round 0".into(), t0, ("events", 12));
+        partition_span(0, "leader 0".into(), t0, ("messages", 1));
         count("host.retries", 2);
         observe("store.write_seconds", 1e-3);
         let report = take().expect("capture was live");
@@ -294,6 +353,10 @@ mod tests {
             Some(1)
         );
         assert_eq!(report.workers(), vec![1, 3]);
+        assert_eq!(report.partitions.len(), 2, "partition lanes are kept apart");
+        assert_eq!(report.partitions[0].count, ("events", 12));
+        assert!(report.partitions[0].duration() >= 0.002);
+        assert_eq!(report.partition_lanes(), vec![0, 2]);
         assert!(take().is_none(), "a capture drains exactly once");
     }
 

@@ -61,7 +61,7 @@ pub use analysis::{
 };
 pub use canon::{BufferedEvent, EventBuffer};
 pub use chrome::{chrome_trace_with_flows, chrome_trace_with_host, write_chrome_trace};
-pub use host::{HostReport, HostSpan, HostTrack};
+pub use host::{HostReport, HostSpan, HostTrack, PartitionSpan};
 pub use metrics::{Histogram, Metrics};
 pub use profile::{CommProfile, PhaseProfile, RankProfile};
 pub use sink::TraceBundle;

@@ -17,5 +17,5 @@
 pub mod perf;
 pub mod solver;
 
-pub use perf::{step_times, OverflowConfig, StepTimes};
+pub use perf::{placement_strategy, step_times, OverflowConfig, StepTimes};
 pub use solver::OversetPair;

@@ -20,7 +20,7 @@
 use std::sync::LazyLock;
 
 use columbia_machine::cluster::{ClusterConfig, InterNodeFabric, NodeId};
-use columbia_machine::node::NodeKind;
+use columbia_machine::node::{NodeKind, NodeModel};
 use columbia_overset::systems::rotor_wake;
 use columbia_overset::{group_blocks, GridSystem};
 use columbia_runtime::compiler::{CompilerVersion, KernelClass};
@@ -145,6 +145,33 @@ fn spec_for(system: &GridSystem, cfg: &OverflowConfig) -> WorkloadSpec {
     spec
 }
 
+/// How [`step_times`] places `cpus` CPUs (processes × threads) on
+/// `nodes` nodes of `kind`: packed densely and spread evenly over the
+/// nodes (the paper's Table 6 layout), at most 508 per node so the boot
+/// cpuset stays free, unless `cpus` is a multiple of 512, which takes
+/// whole nodes. `Err(per_node)` when the CPUs do not fit the nodes at
+/// the `per_node` CPUs each that this allows.
+pub fn placement_strategy(
+    kind: NodeKind,
+    cpus: usize,
+    nodes: u32,
+) -> Result<PlacementStrategy, u32> {
+    let (strategy, cap) = if cpus.is_multiple_of(512) {
+        (PlacementStrategy::Dense, 512)
+    } else {
+        let spread = (cpus as u64)
+            .div_ceil(u64::from(nodes.max(1)))
+            .clamp(1, 508) as u32;
+        (PlacementStrategy::DenseCapped(spread), spread)
+    };
+    let per_node = cap.min(NodeModel::new(kind).cpus);
+    if cpus as u64 <= u64::from(per_node) * u64::from(nodes) {
+        Ok(strategy)
+    } else {
+        Err(per_node)
+    }
+}
+
 /// Simulate one configuration, returning per-step times or the typed
 /// [`SimError`] a failed run diagnoses itself with.
 pub fn step_times(cfg: &OverflowConfig) -> Result<StepTimes, SimError> {
@@ -154,22 +181,16 @@ pub fn step_times(cfg: &OverflowConfig) -> Result<StepTimes, SimError> {
         cfg.procs <= system.len(),
         "more MPI processes than blocks cannot be grouped"
     );
+    let strategy =
+        placement_strategy(cfg.kind, cfg.total_cpus(), cfg.nodes).unwrap_or_else(|per_node| {
+            panic!(
+                "{} CPUs do not fit {} nodes at {per_node} CPUs per node",
+                cfg.total_cpus(),
+                cfg.nodes
+            )
+        });
     let cluster = ClusterConfig::uniform(cfg.kind, cfg.nodes);
     let nodes: Vec<NodeId> = (0..cfg.nodes).map(NodeId).collect();
-    // Multi-node runs spread processes evenly across the nodes (the
-    // paper's Table 6 layout); single-node runs pack densely, staying
-    // under the boot cpuset unless the full 512 are requested.
-    let spread = (cfg.total_cpus() as u32).div_ceil(cfg.nodes);
-    let cap = if cfg.total_cpus().is_multiple_of(512) {
-        512
-    } else {
-        spread.clamp(1, 508)
-    };
-    let strategy = if cap == 512 {
-        PlacementStrategy::Dense
-    } else {
-        PlacementStrategy::DenseCapped(cap)
-    };
     let placement = Placement::new(&cluster, &nodes, cfg.procs, cfg.threads, strategy);
     let spec = spec_for(system, cfg);
     let exec_cfg = ExecConfig {
@@ -347,5 +368,19 @@ mod tests {
     #[should_panic(expected = "more MPI processes than blocks")]
     fn procs_capped_by_block_count() {
         let _ = step_times(&OverflowConfig::table3(NodeKind::Bx2b, 1700));
+    }
+
+    #[test]
+    fn placement_leaves_the_boot_cpuset_free_unless_whole_nodes_are_asked() {
+        use PlacementStrategy::{Dense, DenseCapped};
+        let kind = NodeKind::Bx2b;
+        assert_eq!(placement_strategy(kind, 508, 1), Ok(DenseCapped(508)));
+        assert_eq!(placement_strategy(kind, 509, 1), Err(508));
+        assert_eq!(placement_strategy(kind, 512, 1), Ok(Dense));
+        assert_eq!(placement_strategy(kind, 1016, 1), Err(508));
+        assert_eq!(placement_strategy(kind, 1016, 2), Ok(DenseCapped(508)));
+        assert_eq!(placement_strategy(kind, 1024, 1), Err(512));
+        assert_eq!(placement_strategy(kind, 1024, 2), Ok(Dense));
+        assert_eq!(placement_strategy(kind, 384, 3), Ok(DenseCapped(128)));
     }
 }

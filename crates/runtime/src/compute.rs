@@ -223,6 +223,7 @@ impl NodeComputeModel {
 mod tests {
     use super::*;
     use columbia_machine::node::NodeKind;
+    use proptest::prelude::*;
 
     fn bx2b() -> NodeModel {
         NodeModel::new(NodeKind::Bx2b)
@@ -395,5 +396,83 @@ mod tests {
     #[should_panic(expected = "threads >= 1")]
     fn zero_threads_rejected() {
         NodeComputeModel::baseline(bx2b(), 1).seconds(&cpu_phase(), 0);
+    }
+
+    const KERNELS: [KernelClass; 8] = [
+        KernelClass::ConjugateGradient,
+        KernelClass::Fourier,
+        KernelClass::Multigrid,
+        KernelClass::BlockSolver,
+        KernelClass::LineRelaxation,
+        KernelClass::LuSgs,
+        KernelClass::Streaming,
+        KernelClass::ParticleForce,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Closed-form oracles, not the model: a pinned phase with no
+        /// cross-brick traffic costs its roofline at one thread,
+        /// `t1 = max(flops / (peak·eff·cf·cache), bytes / (bw·cf))`, and
+        /// Amdahl's law plus the fork-join cost for a team of `T`,
+        /// `s·t1 + (1 − s)·max(t_comp, t_mem) / T + fork_join·ceil(log2 T)`.
+        /// `peak` is the processor's, `cache` the memory model's
+        /// speed-up for the working set, `bw` the STREAM triad bandwidth
+        /// interpolated between one and two bus sharers times `cache`,
+        /// and `cf` the compiler's factor: each read off `machine`
+        /// parameters, not recomputed by the model under test.
+        #[test]
+        fn seconds_match_the_roofline_and_amdahl(
+            kind in prop::sample::select(vec![NodeKind::Altix3700, NodeKind::Bx2a, NodeKind::Bx2b]),
+            compiler in prop::sample::select(CompilerVersion::ALL.to_vec()),
+            kernel in prop::sample::select(KERNELS.to_vec()),
+            flops in 1.0e6f64..1.0e12,
+            mem_bytes in 1.0e6f64..1.0e12,
+            working_set_log2 in 10u32..30,
+            efficiency in 0.01f64..1.0,
+            serial_fraction in 0.0f64..0.5,
+            sharers in 1.0f64..2.0,
+            units in 1u32..600,
+            threads in 1u32..65,
+        ) {
+            let node = NodeModel::new(kind);
+            let model =
+                NodeComputeModel::new(node, compiler, Pinning::Pinned, units, units, sharers, false);
+            let working_set = 1u64 << working_set_log2;
+            let phase = WorkPhase::new(flops, mem_bytes, working_set, efficiency, kernel)
+                .with_serial_fraction(serial_fraction);
+
+            let mem = MemoryModel::new(&node);
+            let cache = mem.cache_speedup(&node, working_set);
+            let (one, two) = (
+                mem.stream_bandwidth(StreamOp::Triad, 1),
+                mem.stream_bandwidth(StreamOp::Triad, 2),
+            );
+            let bw = (one + (two - one) * (sharers - 1.0)) * cache;
+            let cf = compiler.factor(kernel, units);
+            let t_comp = flops / (node.processor.peak_flops() * efficiency * cf * cache);
+            let t_mem = mem_bytes / (bw * cf);
+            let t1 = t_comp.max(t_mem);
+            let want = if threads == 1 {
+                t1
+            } else {
+                let team = f64::from(threads);
+                serial_fraction * t1
+                    + (1.0 - serial_fraction) * t_comp.max(t_mem) / team
+                    + calib::OMP_FORK_JOIN_BASE * team.log2().ceil()
+            };
+            let got = model.seconds(&phase, threads);
+            prop_assert!(
+                (got - want).abs() <= 1e-12 * want,
+                "{:?} {:?} {:?}, {} threads: model {} vs closed form {}",
+                kind,
+                compiler,
+                kernel,
+                threads,
+                got,
+                want
+            );
+        }
     }
 }

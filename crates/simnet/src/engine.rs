@@ -23,10 +23,10 @@
 //! connection limit, multiplexed or failing with
 //! [`SimError::ConnectionsExhausted`]), reports every clock advance to a
 //! [`Tracer`], and takes a thread count. The event loop lives in
-//! [`crate::pdes`]: it runs ranks in partitions, one partition per node
-//! on more than one thread, and its outcomes and traces are
-//! bit-identical at every thread count. This module holds the entry
-//! point and the per-op helpers the loop applies. It is generic over the
+//! [`crate::pdes`]: it runs ranks in one partition per worker, in
+//! whole-node blocks, and its outcomes and traces are bit-identical at
+//! every thread count. This module holds the entry point and the
+//! per-op helpers the loop applies. It is generic over the
 //! tracer, the fabric and the program representation, so under the
 //! [`NullTracer`] the instrumentation compiles away, per-message cost
 //! calls inline (pair the fabric with [`crate::fabric::CachedFabric`]
@@ -436,10 +436,15 @@ pub(crate) fn connection_check(cpus: &[CpuId], plan: &FaultPlan) -> Result<(f64,
 /// `cpus[r]` is the physical CPU of rank `r`; programs and placement
 /// must have equal length. Faults only ever *delay* the timeline;
 /// structural failures are [`SimError`]s. Tracing never perturbs the
-/// outcome. At `threads <= 1`, or on a one-node placement, every rank
-/// sits in one partition and the event loop runs on the calling
-/// thread; otherwise each node is a partition, run on at most `threads`
-/// threads that share `P` and `F` (hence `Sync`).
+/// outcome. The ranks run in one partition per worker, in whole-node
+/// blocks: `k = min(threads, distinct nodes)` partitions, each a
+/// contiguous run of whole nodes in ascending node-id order. At
+/// `threads <= 1`, or on a one-node placement, that is one partition,
+/// and the event loop runs on the calling thread without spawning or
+/// waiting. Otherwise the calling thread runs partition 0 and each
+/// other partition gets one helper thread for the whole run; the
+/// threads share `P` and `F` (hence `Sync`). See [`crate::pdes`] for
+/// the rounds and the measured speed-up.
 pub fn simulate<T, P, F>(
     programs: &P,
     cpus: &[CpuId],
@@ -461,27 +466,33 @@ where
         });
     }
     // The partition map is a pure function of the placement and
-    // `threads`: one partition per node (sorted node ids) at more than
-    // one thread, else one partition (an empty node list sends every
-    // lookup to partition 0).
+    // `threads`: over the `N` distinct node ids, sorted, node `i` goes to
+    // partition `i·k/N` with `k = min(threads, N)`. One thread or one
+    // node puts every rank in partition 0.
     let mut nodes: Vec<u32> = Vec::new();
     if threads > 1 {
         nodes = cpus.iter().map(|c| c.node.0).collect();
         nodes.sort_unstable();
         nodes.dedup();
     }
-    let n_parts = nodes.len().max(1);
-    let part_of: Vec<u32> = cpus
-        .iter()
-        .map(|c| nodes.binary_search(&c.node.0).unwrap_or(0) as u32)
-        .collect();
+    let n_parts = threads.clamp(1, nodes.len().max(1));
+    let part_of: Vec<u32> = if n_parts == 1 {
+        vec![0; n]
+    } else {
+        cpus.iter()
+            .map(|c| {
+                let i = nodes.binary_search(&c.node.0).unwrap_or(0);
+                (i * n_parts / nodes.len()) as u32
+            })
+            .collect()
+    };
     if tracer.enabled() {
         run_partitioned::<T, IndexedMailbox, P, F, EventBuffer>(
-            programs, cpus, fabric, plan, tracer, &part_of, n_parts, threads,
+            programs, cpus, fabric, plan, tracer, &part_of, n_parts,
         )
     } else {
         run_partitioned::<T, IndexedMailbox, P, F, NullTracer>(
-            programs, cpus, fabric, plan, tracer, &part_of, n_parts, threads,
+            programs, cpus, fabric, plan, tracer, &part_of, n_parts,
         )
     }
 }
@@ -860,7 +871,6 @@ mod tests {
                 &plan,
                 &mut NullTracer,
                 &[0; 8],
-                1,
                 1,
             )
             .unwrap();

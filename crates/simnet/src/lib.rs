@@ -28,9 +28,9 @@
 //! * [`error`] — the typed [`error::SimError`] every failure surfaces
 //!   as, including a per-rank [`error::DeadlockReport`];
 //! * [`pdes`] — the engine's event loop: conservative parallel
-//!   (PDES) rounds over rank partitions, one per node when
-//!   [`simulate`] gets more than one thread, producing bit-identical
-//!   outcomes, reports, and traces at any thread count.
+//!   (PDES) rounds over rank partitions, one per worker in whole-node
+//!   blocks when [`simulate`] gets more than one thread, producing
+//!   bit-identical outcomes, reports, and traces at any thread count.
 //!
 //! The engine reads no global: callers pass the thread count, and the
 //! production ones pass [`sim_threads`], which `repro --sim-threads`

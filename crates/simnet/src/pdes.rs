@@ -3,12 +3,16 @@
 //!
 //! `--jobs` parallelizes *across* sweep points; this loop can also
 //! parallelize *within* one simulation. [`crate::engine::simulate`]
-//! hands it a partition map: at one thread, or on a one-node placement,
-//! a single partition holds every rank; otherwise there is one
-//! partition per node (the same node map `runtime::placement` computes —
-//! the engine reads it off `cpus[r].node`). Each partition gets its own
-//! runnable queue, rank states, and mailbox, so a partition can execute
-//! its ranks' programs without touching any other partition's state.
+//! hands it a partition map with one partition per worker, in whole-node
+//! blocks: on `threads` workers over `N` distinct nodes (read off
+//! `cpus[r].node`, the node map `runtime::placement` computes) there are
+//! `k = min(threads, N)` partitions, and node `i` in ascending node-id
+//! order goes to partition `i·k/N`. At one thread, or on a one-node
+//! placement, a single partition holds every rank. Each partition gets
+//! its own runnable queue, rank states, and mailbox, so a partition can
+//! execute its ranks' programs without touching any other partition's
+//! state. Whole-node blocks keep node-local traffic, and node pairs
+//! that exchange with their neighbour node, inside one partition.
 //!
 //! **Rounds.** Within a round every partition runs its ranks until each
 //! is finished or blocked: on a receive whose channel is empty, or at a
@@ -47,25 +51,48 @@
 //! The one schedule-dependent quantity is the scheduler-event *count*
 //! (`FaultStats::events`, re-examinations of blocked ops). Within a
 //! round each partition runs only on its own state, so the count
-//! depends only on the partition map: it is the same at every thread
-//! count above one, and may differ from the one-partition count. It is
-//! reported for observability, never printed in reports. If the summed
-//! count crosses the watchdog budget, the run fails with
-//! `events = budget + 1` — a single partition's counter at its first
-//! violation — whatever the partition map.
+//! depends only on the partition map, and the map depends on `threads`
+//! up to the node count. The count is therefore the same at a fixed
+//! thread count, traced or not, and across thread counts that give the
+//! same map (every count at or above the node count); two counts above
+//! one can differ (2 and 3 on four nodes), and any may differ from the
+//! one-partition count. It is reported for observability, never
+//! printed in reports. If the summed count crosses the watchdog budget,
+//! the run fails with `events = budget + 1` — a single partition's
+//! counter at its first violation — whatever the partition map.
 //!
-//! **Threads.** A round runs its partitions on `threads` workers at
-//! most, each over a contiguous chunk of partitions, spawned per round
-//! by `std::thread::scope`. With one worker (one thread or one
-//! partition) the rounds run on the calling thread and nothing is
-//! spawned. On a 2-vCPU host more threads are still no faster than one
-//! in the median. Over five runs of `cargo bench --bench simnet`, the
-//! 10,240-rank Columbia point took 4.3–6.9 ms on one thread;
-//! `speedup2` read 0.62–1.17 (median 0.85) and `speedup4` 0.65–1.08.
-//! Its twenty partitions take 12 rounds where one partition takes 6,
-//! do about a quarter more work in total, and add 1.7–2.1 ms of
-//! single-threaded coordination. ROADMAP item 4 tracks whether the
-//! multi-partition path stays.
+//! **Threads.** Each partition has one worker. The calling thread runs
+//! partition 0 and the leader phase; each other partition gets one
+//! helper thread, spawned once per simulation inside
+//! `std::thread::scope`. The leader starts a round by bumping a round
+//! counter, and each helper bumps a finished counter when its round
+//! ends; a waiter spins `SPIN_BEFORE_PARK` (2,000) times, then parks, and
+//! every signaller unparks after its store. Each partition sits in its
+//! own `Mutex`: its worker locks it for a round and the leader locks
+//! them all between rounds, so no lock is ever contended. A panic in
+//! any partition propagates out of `simulate`: a helper counts a
+//! panicked round as finished, and the leader then panics, releases
+//! the helpers and lets the scope re-raise. With one partition nothing
+//! is spawned and nothing waits.
+//!
+//! **Measured** on a 2-vCPU host over twenty runs of `cargo bench
+//! --bench simnet`, each alternated with a run of the previous design
+//! (one partition per node, workers spawned per round): `speedup2` of
+//! the 10,240-rank Columbia point read 0.71–1.90 (median 1.44) where the
+//! previous design read 0.53–1.39 (median 0.88). Interleaved in one
+//! process, two threads took 0.78–0.96 of one thread's time. On two
+//! workers the twenty nodes form two blocks of ten, so a simulation
+//! takes 9 rounds instead of 12, sends 6 cross-partition messages
+//! instead of 30,780, and creates one thread instead of 24.
+//!
+//! **Host telemetry.** While `columbia_obs::host` capture is on, each
+//! worker of a multi-partition run records one `host.pdes` span per
+//! round ("round k", arg `events`: the round's scheduler events) on its
+//! partition's lane, and the leader one "leader k" span per leader
+//! phase on lane 0 (arg `messages`: the cross-partition messages it
+//! delivered). With capture off this costs one `host::is_enabled` load
+//! per partition per round, and nothing per event. A one-partition run
+//! records nothing.
 //!
 //! Collective op consistency: like MPI, all ranks must issue the same
 //! collective sequence. Each partition compares its arrivals' ops with
@@ -74,10 +101,13 @@
 //! same error for every partition map.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::{self, Thread};
 
 use columbia_machine::cluster::CpuId;
-use columbia_obs::{EventBuffer, NullTracer, Tracer};
+use columbia_obs::{host, EventBuffer, NullTracer, Tracer};
 
 use crate::engine::{
     apply_collective_release, apply_compute, charge_send, collective_cost, collective_mismatch,
@@ -105,6 +135,13 @@ pub fn set_sim_threads(n: usize) {
 pub fn sim_threads() -> usize {
     SIM_THREADS.load(Ordering::Relaxed)
 }
+
+/// Spin iterations a waiting worker makes before it parks: about 43 µs
+/// on the 2-vCPU reference host. Of the bounds 200, 2,000 and 20,000,
+/// only this one beat spawning a scope per round both on idle cores and
+/// with eight threads on two vCPUs, where a longer spin starves the
+/// peer it waits for.
+const SPIN_BEFORE_PARK: u32 = 2_000;
 
 /// One staged cross-partition message, parked in a per-partition-pair
 /// lane until the round barrier drains it.
@@ -197,8 +234,32 @@ impl<B: StageSink, M: MailboxOps> Partition<B, M> {
     }
 }
 
-/// [`simulate`] untraced on `threads` node-partition workers — the same
-/// result as [`crate::engine::simulate_on`], bit for bit.
+/// What every worker reads and none writes during a run.
+struct World<'a, P: ?Sized, F: Fabric + ?Sized> {
+    programs: &'a P,
+    cpus: &'a [CpuId],
+    fabric: FaultyFabric<'a, F>,
+    plan: &'a FaultPlan,
+    /// Each rank's (partition, local index), looked up together.
+    slot_of: Vec<(u32, u32)>,
+    mux_delay: f64,
+    event_budget: u64,
+    /// More than one partition: rounds are recorded on partition lanes.
+    lanes: bool,
+}
+
+/// Why the rounds stopped.
+enum Stop {
+    /// No rank is runnable: every rank finished, or the rest deadlocked.
+    Quiescent,
+    /// The summed scheduler-event count crossed the budget.
+    Watchdog,
+    /// Ranks reached one collective with different ops.
+    Mismatch,
+}
+
+/// [`simulate`] untraced on `threads` workers — the same result as
+/// [`crate::engine::simulate_on`], bit for bit.
 pub fn simulate_parallel_on<P, F>(
     programs: &P,
     cpus: &[CpuId],
@@ -213,24 +274,40 @@ where
     simulate(programs, cpus, fabric, plan, &mut NullTracer, threads)
 }
 
+/// A partition's lock. Only a worker that panicked mid-round poisons
+/// one, and the leader stops before it locks again.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("a panicked round ends the run before its partition is locked again")
+}
+
+/// Rank `r`'s state, read from its owner partition.
+fn state_of<G, B, M>(parts: &[G], slot_of: &[(u32, u32)], r: usize) -> RankState
+where
+    G: Deref<Target = Partition<B, M>>,
+{
+    let (p, li) = slot_of[r];
+    parts[p as usize].states[li as usize]
+}
+
 /// Replay every rank's staged trace events into `tracer` in rank order:
 /// per-rank streams are in program order in their owner partition's
 /// buffer, so this yields the canonical stream for any partition map.
-fn replay<T: Tracer, B, M>(partitions: &[Partition<B, M>], part_of: &[u32], tracer: &mut T)
-where
-    B: StageSink,
-{
+fn replay<T: Tracer, B: StageSink, M>(
+    parts: &[&mut Partition<B, M>],
+    part_of: &[u32],
+    tracer: &mut T,
+) {
     if tracer.enabled() {
         for (r, &p) in part_of.iter().enumerate() {
-            partitions[p as usize].buf.replay_rank_to(r, tracer);
+            parts[p as usize].buf.replay_rank_to(r, tracer);
         }
     }
 }
 
-/// The rounds of [`simulate`] over the partitions `part_of` assigns,
-/// on at most `threads` workers. The drained trace stream is the same
-/// for every partition map.
-#[allow(clippy::too_many_arguments)]
+/// The rounds of [`simulate`] over the `n_parts` partitions `part_of`
+/// assigns, one worker each. The drained trace stream is the same for
+/// every partition map.
 pub(crate) fn run_partitioned<T, M, P, F, B>(
     programs: &P,
     cpus: &[CpuId],
@@ -239,7 +316,6 @@ pub(crate) fn run_partitioned<T, M, P, F, B>(
     tracer: &mut T,
     part_of: &[u32],
     n_parts: usize,
-    threads: usize,
 ) -> Result<SimOutcome, SimError>
 where
     T: Tracer,
@@ -257,16 +333,10 @@ where
             tracer.gauge("connection_occupancy", oversubscription);
         }
     }
-    let faulty = FaultyFabric::new(base_fabric, plan);
-    let fabric = &faulty;
-    let event_budget = plan
-        .event_budget
-        .unwrap_or_else(|| 10_000 + 64 * programs.total_ops() as u64);
 
     let mut members: Vec<Vec<RankState>> = (0..n_parts)
         .map(|_| Vec::with_capacity(n / n_parts))
         .collect();
-    // Each rank's (partition, local index), looked up together.
     let mut slot_of: Vec<(u32, u32)> = Vec::with_capacity(n);
     for (rank, &p) in part_of.iter().enumerate() {
         let states = &mut members[p as usize];
@@ -276,159 +346,87 @@ where
             ..RankState::default()
         });
     }
-    let mut partitions: Vec<Partition<B, M>> = members
+    let mut partitions: Vec<Mutex<Partition<B, M>>> = members
         .into_iter()
-        .map(|states| Partition::new(states, n, n_parts))
+        .map(|states| Mutex::new(Partition::new(states, n, n_parts)))
         .collect();
-    let slot_of = &slot_of[..];
-    let state_of = |partitions: &[Partition<B, M>], r: usize| -> RankState {
-        let (p, li) = slot_of[r];
-        partitions[p as usize].states[li as usize]
+    let world = World {
+        programs,
+        cpus,
+        fabric: FaultyFabric::new(base_fabric, plan),
+        plan,
+        slot_of,
+        mux_delay,
+        event_budget: plan
+            .event_budget
+            .unwrap_or_else(|| 10_000 + 64 * programs.total_ops() as u64),
+        lanes: n_parts > 1,
+    };
+    let traced = tracer.enabled();
+
+    let stop = if n_parts == 1 {
+        lead(&partitions, &world, None, traced)
+    } else {
+        let handoff = Handoff {
+            started: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+            quit: AtomicBool::new(false),
+            panicked: AtomicBool::new(false),
+            leader: thread::current(),
+        };
+        thread::scope(|scope| {
+            let helpers = (1..n_parts)
+                .map(|own| {
+                    let (part, world, handoff) = (&partitions[own], &world, &handoff);
+                    let helper = scope.spawn(move || help(part, own as u32, world, handoff));
+                    helper.thread().clone()
+                })
+                .collect();
+            let crew = Crew {
+                handoff: &handoff,
+                helpers,
+            };
+            lead(&partitions, &world, Some(&crew), traced)
+        })
     };
 
-    // Rounds: run every partition until it is blocked, then a
-    // single-threaded leader phase drains lanes, resolves collectives,
-    // and decides progress.
-    let workers = threads.clamp(1, n_parts);
-    let chunk = n_parts.div_ceil(workers);
-    let run_chunk = |first: usize, parts: &mut [Partition<B, M>]| {
-        for (k, part) in parts.iter_mut().enumerate() {
-            run_until_blocked(
-                part,
-                (first + k) as u32,
-                programs,
-                cpus,
-                fabric,
-                plan,
-                slot_of,
-                mux_delay,
-                event_budget,
-            );
-        }
-    };
-    loop {
-        if workers == 1 {
-            run_chunk(0, &mut partitions);
-        } else {
-            std::thread::scope(|scope| {
-                for (c, parts) in partitions.chunks_mut(chunk).enumerate() {
-                    scope.spawn(move || run_chunk(c * chunk, parts));
-                }
-            });
-        }
-
-        // Watchdog: a lone partition stops at `events = budget + 1`;
-        // report that whenever the summed count crosses the budget, so
-        // the error is the same for every partition map (the trace
-        // prefix on this path is not).
-        let events: u64 = partitions.iter().map(|p| p.events).sum();
-        if events > event_budget || partitions.iter().any(|p| p.over_budget) {
-            replay(&partitions, part_of, tracer);
+    let parts: Vec<&mut Partition<B, M>> = partitions
+        .iter_mut()
+        .map(|m| {
+            m.get_mut()
+                .expect("the scope re-raises a panicked round before this")
+        })
+        .collect();
+    let slot_of = &world.slot_of[..];
+    match stop {
+        Stop::Quiescent => {}
+        Stop::Watchdog => {
+            // A lone partition stops at `events = budget + 1`; report
+            // that whenever the summed count crosses the budget, so the
+            // error is the same for every partition map (the trace
+            // prefix on this path is not).
+            replay(&parts, part_of, tracer);
             return Err(SimError::WatchdogTimeout {
-                events: event_budget + 1,
-                budget: event_budget,
+                events: world.event_budget + 1,
+                budget: world.event_budget,
             });
         }
-
-        // Drain cross-partition lanes in canonical (sender-partition,
-        // slot) order. Every channel has a single sender, so this
-        // preserves per-channel FIFO = sender program order.
-        for src in 0..n_parts {
-            for dst in 0..n_parts {
-                if src == dst {
-                    continue;
-                }
-                let mut lane = std::mem::take(&mut partitions[src].outbox[dst]);
-                let dst_part = &mut partitions[dst];
-                for m in lane.drain(..) {
-                    dst_part.mailbox.push(m.from, m.to, m.tag, m.arrival);
-                    let li = slot_of[m.to].1 as usize;
-                    if !dst_part.in_queue[li] {
-                        dst_part.runnable.push_back(li);
-                        dst_part.in_queue[li] = true;
-                    }
-                }
-                // Hand the (empty) lane back with its capacity intact.
-                partitions[src].outbox[dst] = lane;
-            }
-        }
-
-        // Collective rendezvous: the partition-local O(1) arrival
-        // counters sum to `n` exactly when every rank sits at the
-        // collective.
-        let arrived: usize = partitions.iter().map(|p| p.coll_arrived).sum();
-        if n > 0 && arrived == n {
-            // Every partition holds ranks, so every `coll_first` is set.
-            let op = partitions[0]
-                .coll_first
-                .expect("every rank is at the collective");
-            if partitions
-                .iter()
-                .any(|p| p.coll_mismatch || p.coll_first != Some(op))
-            {
-                replay(&partitions, part_of, tracer);
-                let seq = state_of(&partitions, 0).coll_seq;
-                return Err(collective_mismatch(n, seq, |r| {
-                    programs
-                        .op(r, state_of(&partitions, r).pc)
-                        .expect("rank is at a collective")
-                }));
-            }
-            let start = match op {
-                Op::Bcast { root, .. } => state_of(&partitions, root).clock,
-                _ => partitions
-                    .iter()
-                    .flat_map(|p| &p.states)
-                    .map(|s| s.clock)
-                    .fold(0.0, f64::max),
-            };
-            let cost = collective_cost(op, fabric, cpus);
-            let end = start + cost;
-            let (coll_src, coll_bytes) = if tracer.enabled() {
-                (
-                    collective_source(op, (0..n).map(|r| state_of(&partitions, r).clock)),
-                    collective_payload(op),
-                )
-            } else {
-                (0, 0)
-            };
-            for part in &mut partitions {
-                for (li, state) in part.states.iter_mut().enumerate() {
-                    let r = state.rank;
-                    apply_collective_release(
-                        &mut part.buf,
-                        state,
-                        r,
-                        start,
-                        cost,
-                        end,
-                        coll_src,
-                        coll_bytes,
-                    );
-                    if !part.in_queue[li] {
-                        part.runnable.push_back(li);
-                        part.in_queue[li] = true;
-                    }
-                }
-                part.coll_arrived = 0;
-                part.coll_first = None;
-                part.coll_mismatch = false;
-            }
-        }
-
-        if partitions.iter().all(|p| p.runnable.is_empty()) {
-            // Quiescent with nothing drained and no collective ready:
-            // the maximal fixpoint — either everyone finished or this is
-            // a genuine deadlock.
-            break;
+        Stop::Mismatch => {
+            replay(&parts, part_of, tracer);
+            let seq = state_of(&parts, slot_of, 0).coll_seq;
+            return Err(collective_mismatch(n, seq, |r| {
+                programs
+                    .op(r, state_of(&parts, slot_of, r).pc)
+                    .expect("rank is at a collective")
+            }));
         }
     }
 
-    replay(&partitions, part_of, tracer);
+    replay(&parts, part_of, tracer);
 
     let mut ranks = vec![RankResult::default(); n];
     let mut stuck: Vec<PendingOp> = Vec::new();
-    for part in &partitions {
+    for part in &parts {
         for s in &part.states {
             let r = s.rank;
             ranks[r] = RankResult {
@@ -456,9 +454,9 @@ where
         ..FaultStats::default()
     };
     for &(p, li) in slot_of {
-        partitions[p as usize].ledgers[li as usize].fold_into(&mut stats);
+        parts[p as usize].ledgers[li as usize].fold_into(&mut stats);
     }
-    stats.events = partitions.iter().map(|p| p.events).sum();
+    stats.events = parts.iter().map(|p| p.events).sum();
 
     let makespan = ranks.iter().map(|r| r.total).fold(0.0, f64::max);
     Ok(SimOutcome {
@@ -468,27 +466,304 @@ where
     })
 }
 
+/// The round hand-off between the leader, which runs partition 0 on the
+/// calling thread, and the helpers that run the others. Each counter is
+/// stored with `Release` and read with `Acquire` by the other side; the
+/// partitions themselves pass between threads through their `Mutex`es.
+struct Handoff {
+    /// Rounds the leader has started.
+    started: AtomicUsize,
+    /// Rounds the helpers have finished, summed over helpers.
+    finished: AtomicUsize,
+    /// The run is over: helpers return instead of waiting for a round.
+    quit: AtomicBool,
+    /// A helper's partition panicked during its round.
+    panicked: AtomicBool,
+    leader: Thread,
+}
+
+/// Spin, then park, until `ready()` holds. Every store that can make it
+/// hold is followed by an `unpark` of the waiter, so a park never
+/// sleeps through its wake-up; a spurious wake-up just re-checks.
+fn wait_until(ready: impl Fn() -> bool) {
+    let mut spins = 0;
+    while !ready() {
+        if spins < SPIN_BEFORE_PARK {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            thread::park();
+        }
+    }
+}
+
+/// The leader's side of the hand-off.
+struct Crew<'a> {
+    handoff: &'a Handoff,
+    helpers: Vec<Thread>,
+}
+
+impl Crew<'_> {
+    /// Start round `round` on every helper.
+    fn start(&self, round: usize) {
+        self.handoff.started.store(round + 1, Ordering::Release);
+        for helper in &self.helpers {
+            helper.unpark();
+        }
+    }
+
+    /// Wait until every helper has finished round `round`. A helper that
+    /// panicked counts as finished; the leader then panics too, and the
+    /// scope re-raises once every helper has returned.
+    fn finish(&self, round: usize) {
+        let all = (round + 1) * self.helpers.len();
+        wait_until(|| self.handoff.finished.load(Ordering::Acquire) == all);
+        assert!(
+            !self.handoff.panicked.load(Ordering::Acquire),
+            "a PDES partition panicked"
+        );
+    }
+}
+
+impl Drop for Crew<'_> {
+    /// Release the helpers however the leader stops, a panic included:
+    /// the scope joins them before it returns.
+    fn drop(&mut self) {
+        self.handoff.quit.store(true, Ordering::Release);
+        for helper in &self.helpers {
+            helper.unpark();
+        }
+    }
+}
+
+/// Counts a helper's round as finished when dropped, even when its
+/// partition panicked, so the leader never waits for a round that will
+/// not end.
+struct Finish<'a>(&'a Handoff);
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.panicked.store(true, Ordering::Release);
+        }
+        self.0.finished.fetch_add(1, Ordering::Release);
+        self.0.leader.unpark();
+    }
+}
+
+/// A helper thread: run partition `own` once per round the leader
+/// starts, until the leader quits.
+fn help<B, M, P, F>(
+    part: &Mutex<Partition<B, M>>,
+    own: u32,
+    world: &World<'_, P, F>,
+    handoff: &Handoff,
+) where
+    B: StageSink,
+    M: MailboxOps,
+    P: Programs + ?Sized,
+    F: Fabric + ?Sized,
+{
+    for round in 0.. {
+        wait_until(|| {
+            handoff.quit.load(Ordering::Acquire) || handoff.started.load(Ordering::Acquire) > round
+        });
+        if handoff.quit.load(Ordering::Acquire) {
+            return;
+        }
+        // Dropped after the lock, which lives for one statement: the
+        // partition is unlocked before the leader hears that the round
+        // is over, also when the round panics.
+        let _finish = Finish(handoff);
+        run_round(&mut lock(part), own, round, world);
+    }
+}
+
+/// The calling thread's side of a run: partition 0's rounds, each
+/// followed by the leader phase, until the rounds stop. `crew` is the
+/// helpers running the other partitions, if any.
+fn lead<B, M, P, F>(
+    partitions: &[Mutex<Partition<B, M>>],
+    world: &World<'_, P, F>,
+    crew: Option<&Crew<'_>>,
+    traced: bool,
+) -> Stop
+where
+    B: StageSink,
+    M: MailboxOps,
+    P: Programs + ?Sized,
+    F: Fabric + ?Sized,
+{
+    let mut parts = Vec::with_capacity(partitions.len());
+    let mut round = 0;
+    loop {
+        if let Some(crew) = crew {
+            crew.start(round);
+        }
+        run_round(&mut lock(&partitions[0]), 0, round, world);
+        if let Some(crew) = crew {
+            crew.finish(round);
+        }
+        let t0 = if world.lanes { host::clock() } else { None };
+        parts.extend(partitions.iter().map(lock));
+        let (stop, messages) = leader_phase(&mut parts, world, traced);
+        parts.clear();
+        if let Some(t0) = t0 {
+            host::partition_span(0, format!("leader {round}"), t0, ("messages", messages));
+        }
+        if let Some(stop) = stop {
+            return stop;
+        }
+        round += 1;
+    }
+}
+
+/// Run partition `own`'s round `round` and, in a multi-partition run
+/// under host capture, record it on the partition's lane.
+fn run_round<B, M, P, F>(
+    part: &mut Partition<B, M>,
+    own: u32,
+    round: usize,
+    world: &World<'_, P, F>,
+) where
+    B: StageSink,
+    M: MailboxOps,
+    P: Programs + ?Sized,
+    F: Fabric + ?Sized,
+{
+    let t0 = if world.lanes { host::clock() } else { None };
+    let before = part.events;
+    run_until_blocked(part, own, world);
+    if let Some(t0) = t0 {
+        let events = part.events - before;
+        host::partition_span(own, format!("round {round}"), t0, ("events", events));
+    }
+}
+
+/// The leader phase between rounds, over every partition: the watchdog,
+/// the canonical lane drain, the collective release and the quiescence
+/// test. Returns why the rounds stop, if they do, and how many
+/// cross-partition messages it delivered.
+fn leader_phase<G, B, M, P, F>(
+    parts: &mut [G],
+    world: &World<'_, P, F>,
+    traced: bool,
+) -> (Option<Stop>, u64)
+where
+    G: DerefMut<Target = Partition<B, M>>,
+    B: StageSink,
+    M: MailboxOps,
+    P: Programs + ?Sized,
+    F: Fabric + ?Sized,
+{
+    let n = world.cpus.len();
+    let slot_of = &world.slot_of[..];
+    let events: u64 = parts.iter().map(|p| p.events).sum();
+    if events > world.event_budget || parts.iter().any(|p| p.over_budget) {
+        return (Some(Stop::Watchdog), 0);
+    }
+
+    // Drain cross-partition lanes in canonical (sender-partition, slot)
+    // order. Every channel has a single sender, so this preserves
+    // per-channel FIFO = sender program order.
+    let mut messages = 0;
+    for src in 0..parts.len() {
+        for dst in 0..parts.len() {
+            if src == dst {
+                continue;
+            }
+            let mut lane = std::mem::take(&mut parts[src].outbox[dst]);
+            messages += lane.len() as u64;
+            let dst_part = &mut *parts[dst];
+            for m in lane.drain(..) {
+                dst_part.mailbox.push(m.from, m.to, m.tag, m.arrival);
+                let li = slot_of[m.to].1 as usize;
+                if !dst_part.in_queue[li] {
+                    dst_part.runnable.push_back(li);
+                    dst_part.in_queue[li] = true;
+                }
+            }
+            // Hand the (empty) lane back with its capacity intact.
+            parts[src].outbox[dst] = lane;
+        }
+    }
+
+    // Collective rendezvous: the partition-local O(1) arrival counters
+    // sum to `n` exactly when every rank sits at the collective.
+    let arrived: usize = parts.iter().map(|p| p.coll_arrived).sum();
+    if n > 0 && arrived == n {
+        // Every partition holds ranks, so every `coll_first` is set.
+        let op = parts[0]
+            .coll_first
+            .expect("every rank is at the collective");
+        if parts
+            .iter()
+            .any(|p| p.coll_mismatch || p.coll_first != Some(op))
+        {
+            return (Some(Stop::Mismatch), messages);
+        }
+        let start = match op {
+            Op::Bcast { root, .. } => state_of(parts, slot_of, root).clock,
+            _ => parts
+                .iter()
+                .flat_map(|p| &p.states)
+                .map(|s| s.clock)
+                .fold(0.0, f64::max),
+        };
+        let cost = collective_cost(op, &world.fabric, world.cpus);
+        let end = start + cost;
+        let (coll_src, coll_bytes) = if traced {
+            (
+                collective_source(op, (0..n).map(|r| state_of(parts, slot_of, r).clock)),
+                collective_payload(op),
+            )
+        } else {
+            (0, 0)
+        };
+        for part in parts.iter_mut() {
+            let part = &mut **part;
+            for (li, state) in part.states.iter_mut().enumerate() {
+                let r = state.rank;
+                apply_collective_release(
+                    &mut part.buf,
+                    state,
+                    r,
+                    start,
+                    cost,
+                    end,
+                    coll_src,
+                    coll_bytes,
+                );
+                if !part.in_queue[li] {
+                    part.runnable.push_back(li);
+                    part.in_queue[li] = true;
+                }
+            }
+            part.coll_arrived = 0;
+            part.coll_first = None;
+            part.coll_mismatch = false;
+        }
+    }
+
+    // Quiescent with nothing drained and no collective ready: the
+    // maximal fixpoint — either everyone finished or this is a genuine
+    // deadlock.
+    let quiescent = parts.iter().all(|p| p.runnable.is_empty());
+    (quiescent.then_some(Stop::Quiescent), messages)
+}
+
 /// Run partition `own`'s worklist until every local rank is blocked on
 /// remote input (an empty channel or a collective) or finished — the
 /// worker half of a round.
-#[allow(clippy::too_many_arguments)]
 #[inline]
-fn run_until_blocked<M, P, F, B>(
-    part: &mut Partition<B, M>,
-    own: u32,
-    programs: &P,
-    cpus: &[CpuId],
-    fabric: &FaultyFabric<'_, F>,
-    plan: &FaultPlan,
-    slot_of: &[(u32, u32)],
-    mux_delay: f64,
-    event_budget: u64,
-) where
+fn run_until_blocked<M, P, F, B>(part: &mut Partition<B, M>, own: u32, world: &World<'_, P, F>)
+where
     M: MailboxOps,
     P: Programs + ?Sized,
     F: Fabric + ?Sized,
     B: StageSink,
 {
+    let (programs, cpus, plan) = (world.programs, world.cpus, world.plan);
     // Each pop executes at least one op or blocks; total ops bound the
     // work, and the event budget catches any livelock regression in
     // the scheduler itself. The counter lives in a local on this hot
@@ -499,7 +774,7 @@ fn run_until_blocked<M, P, F, B>(
         let r = part.states[li].rank;
         while let Some(op) = programs.op(r, part.states[li].pc) {
             events += 1;
-            if events > event_budget {
+            if events > world.event_budget {
                 part.events = events;
                 part.over_budget = true;
                 return;
@@ -514,9 +789,7 @@ fn run_until_blocked<M, P, F, B>(
                     );
                 }
                 Op::Send { to, bytes, tag } => {
-                    post_send_partitioned(
-                        part, fabric, plan, cpus, slot_of, mux_delay, own, li, r, to, bytes, tag,
-                    );
+                    post_send_partitioned(part, world, own, li, r, to, bytes, tag);
                     part.states[li].pc += 1;
                 }
                 Op::Recv { from, tag } => match part.mailbox.pop(from, r, tag) {
@@ -529,10 +802,7 @@ fn run_until_blocked<M, P, F, B>(
                     // send half already went out, so a blocked exchange
                     // does not double-send on wake-up.
                     if !part.states[li].half_sent {
-                        post_send_partitioned(
-                            part, fabric, plan, cpus, slot_of, mux_delay, own, li, r, with, bytes,
-                            tag,
-                        );
+                        post_send_partitioned(part, world, own, li, r, with, bytes, tag);
                     }
                     let state = &mut part.states[li];
                     match part.mailbox.pop(with, r, tag) {
@@ -572,13 +842,9 @@ fn run_until_blocked<M, P, F, B>(
 /// `(from, to, tag, seq)` identities under every partition map.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn post_send_partitioned<M, F, B>(
+fn post_send_partitioned<M, P, F, B>(
     part: &mut Partition<B, M>,
-    fabric: &FaultyFabric<'_, F>,
-    plan: &FaultPlan,
-    cpus: &[CpuId],
-    slot_of: &[(u32, u32)],
-    mux_delay: f64,
+    world: &World<'_, P, F>,
     own: u32,
     li: usize,
     r: usize,
@@ -587,16 +853,17 @@ fn post_send_partitioned<M, F, B>(
     tag: u64,
 ) where
     M: MailboxOps,
+    P: ?Sized,
     F: Fabric + ?Sized,
     B: StageSink,
 {
     let seq = part.mailbox.next_seq(r, to, tag);
     let arrival = charge_send(
         &mut part.buf,
-        fabric,
-        plan,
-        cpus,
-        mux_delay,
+        &world.fabric,
+        world.plan,
+        world.cpus,
+        world.mux_delay,
         &mut part.ledgers[li],
         &mut part.states[li],
         r,
@@ -605,7 +872,7 @@ fn post_send_partitioned<M, F, B>(
         tag,
         seq,
     );
-    let (p, lt) = slot_of[to];
+    let (p, lt) = world.slot_of[to];
     if p == own {
         part.mailbox.push(r, to, tag, arrival);
         let lt = lt as usize;

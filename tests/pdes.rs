@@ -6,8 +6,9 @@
 //! thread count — same `f64` clocks, same fault accounting, same trace
 //! spans and causal edges after the canonical per-rank merge, same
 //! errors — for every program set, placement, fabric and fault plan.
-//! One thread runs every rank in one partition, more threads one
-//! partition per node; every one-thread reference names `threads = 1`.
+//! One thread runs every rank in one partition; `threads` threads run
+//! `min(threads, nodes)` partitions of whole nodes, one worker each.
+//! Every one-thread reference names `threads = 1`.
 //!
 //! * A proptest over random phase-structured workloads (compute, ring
 //!   send/recv, pairwise exchange, all four collectives) on random
@@ -17,27 +18,34 @@
 //! * Closed-form oracles: ping-pong and ring makespans on a two-node
 //!   fabric equal folds of its point-to-point costs, a pairwise
 //!   exchange or any of the four collectives after random per-rank
-//!   compute equals its tree formula, and a burst of up to 300 queued
-//!   sends equals a fold that carries the per-send overhead, bit for
-//!   bit.
+//!   compute equals its tree formula (also on a placement where only
+//!   the (middle, last) latency probe is the worst), and a burst of up
+//!   to 300 queued sends equals a fold that carries the per-send
+//!   overhead, bit for bit.
 //! * Edge cases: one-node placements, zero cross-node latency, empty
 //!   programs, mismatched collectives, a self-send on any tag during a
-//!   half-done exchange, spec-key and global thread-count plumbing.
+//!   half-done exchange, a panic inside a helper's partition, spec-key
+//!   and global thread-count plumbing.
 //!
 //! The comparison is exact (`f64::to_bits`) except for
 //! `FaultStats::events`, the scheduler-event *count*, which depends on
-//! the partition map: it is compared exactly between thread counts above
-//! one and ignored against one thread. It never reaches a report.
+//! the partition map: it is compared exactly between traced and
+//! untraced runs at one thread count and across thread counts at or
+//! above the node count (they share one map), and ignored otherwise.
+//! It never reaches a report.
 
 use columbia::machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia::machine::node::NodeKind;
 use columbia::obs::{NullTracer, RecordingTracer};
 use columbia::simnet::fabric::{CachedFabric, ClusterFabric, Fabric, MptVersion};
 use columbia::simnet::{
-    simulate, simulate_on, simulate_parallel_on, FaultPlan, Op, SimError, SimOutcome,
+    simulate, simulate_on, simulate_parallel_on, FaultPlan, Op, Programs, SimError, SimOutcome,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
+use std::panic::AssertUnwindSafe;
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// One per-phase instruction shared (in shape) by every rank, so the
 /// generated collective sequences are globally consistent — the same
@@ -199,8 +207,11 @@ proptest! {
 
     /// The central property: arbitrary workload × cluster × faults ×
     /// thread count, one thread and more agree bit for bit — outcomes
-    /// *and* drained traces. Above one thread the partition map is the
-    /// same, so the scheduler-event count must match exactly too.
+    /// *and* drained traces. The scheduler-event count follows the
+    /// partition map: it must match exactly between the traced and the
+    /// untraced run at each thread count, and across the thread counts
+    /// at or above the node count, which all give one partition per
+    /// node.
     #[test]
     fn parallel_engine_is_bit_identical_to_serial(
         kinds in kinds_strategy(),
@@ -222,18 +233,25 @@ proptest! {
         let mut serial_trace = RecordingTracer::default();
         let serial = simulate(&programs, &cpus, &fabric, &plan, &mut serial_trace, 1)
             .expect("generated workloads never deadlock");
-        let mut events = None;
+        let mut per_node_events = None;
         for threads in [2usize, 3, 7] {
             let parallel = simulate_parallel_on(&programs, &cpus, &fabric, &plan, threads)
                 .expect("parallel run of a deadlock-free workload");
             assert_outcomes_identical(&serial, &parallel);
-            let events = *events.get_or_insert(parallel.faults.events);
-            prop_assert_eq!(parallel.faults.events, events, "threads = {}", threads);
+            if threads >= kinds.len() {
+                let events = *per_node_events.get_or_insert(parallel.faults.events);
+                prop_assert_eq!(parallel.faults.events, events, "threads = {}", threads);
+            }
             let mut parallel_trace = RecordingTracer::default();
             let traced = simulate(&programs, &cpus, &fabric, &plan, &mut parallel_trace, threads)
                 .expect("traced parallel run");
             assert_outcomes_identical(&serial, &traced);
-            prop_assert_eq!(traced.faults.events, events, "traced, threads = {}", threads);
+            prop_assert_eq!(
+                traced.faults.events,
+                parallel.faults.events,
+                "traced, threads = {}",
+                threads
+            );
             prop_assert_eq!(&serial_trace.spans, &parallel_trace.spans);
             prop_assert_eq!(&serial_trace.edges, &parallel_trace.edges);
             prop_assert_eq!(&serial_trace.rank_nodes, &parallel_trace.rank_nodes);
@@ -436,6 +454,11 @@ proptest! {
     ///   allreduce `m + k·(L + bytes/B)`, broadcast from `root`
     ///   `max(m, c_root + k·(L + bytes/B))`, and all-to-all
     ///   `m + (L·k + (p - 1)·bytes / alltoall_bandwidth)`.
+    ///
+    /// From four ranks on, the same ranks also run on three InfiniBand
+    /// nodes with rank 0 in the middle and ranks p/2 and p - 1 at the
+    /// ends, where the (middle, last) pair alone sets `L`: an engine
+    /// that skips that probe fails there.
     #[test]
     fn exchange_and_collectives_match_closed_form_costs(
         nodes in 1u32..4,
@@ -472,52 +495,106 @@ proptest! {
             .collect();
         let c = &compute[..p];
         let root = root % p;
-        let plan = FaultPlan::none();
-        let check = |op_of: &dyn Fn(usize) -> Op, want: f64| -> Result<(), TestCaseError> {
-            let programs: Vec<Vec<Op>> =
-                (0..p).map(|r| vec![Op::Compute(c[r]), op_of(r)]).collect();
-            for threads in [1usize, 2] {
-                let got = simulate_parallel_on(&programs, &cpus, &fabric, &plan, threads)
-                    .unwrap()
-                    .makespan;
-                prop_assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{:?}, threads {}: {} vs {}",
-                    op_of(0),
-                    threads,
-                    got,
-                    want
-                );
-            }
-            Ok(())
-        };
+        collective_oracle(&fabric, &cpus, c, bytes, root)?;
 
-        let exchange = (0..p)
-            .map(|r| {
-                let w = r ^ 1;
-                (c[r] + SEND_OVERHEAD).max(c[w] + fabric.pt2pt_time(cpus[w], cpus[r], bytes))
-            })
-            .fold(0.0, f64::max);
-        check(&|r| Op::Exchange { with: r ^ 1, bytes, tag: 0 }, exchange)?;
-
-        let middle = p / 2;
-        let (mut lat, mut bw) = (0.0f64, f64::INFINITY);
-        for (i, j) in [(0, p - 1), (0, middle), (middle, p - 1)] {
-            if i != j {
-                lat = lat.max(fabric.latency(cpus[i], cpus[j]));
-                bw = bw.min(fabric.bandwidth(cpus[i], cpus[j]));
-            }
+        // The same ranks on a three-node InfiniBand fabric, with rank 0
+        // on the middle node and ranks p/2 and p - 1 on the two end
+        // nodes: InfiniBand latency grows with node distance, so only
+        // the (middle, last) probe spans the diameter.
+        if p >= 4 {
+            let ends = ClusterFabric::new(
+                ClusterConfig::uniform(NodeKind::Bx2b, 3),
+                InterNodeFabric::InfiniBand,
+                MptVersion::Beta,
+                p as u32,
+            );
+            let placed: Vec<CpuId> = cpus
+                .iter()
+                .enumerate()
+                .map(|(r, cpu)| {
+                    let node = match r {
+                        0 => 1,
+                        r if r == p / 2 => 0,
+                        r if r == p - 1 => 2,
+                        r => node_of[r] % 3,
+                    };
+                    CpuId::new(node, cpu.cpu)
+                })
+                .collect();
+            let probe = |i: usize, j: usize| ends.latency(placed[i], placed[j]);
+            prop_assert!(probe(p / 2, p - 1) > probe(0, p - 1).max(probe(0, p / 2)));
+            collective_oracle(&ends, &placed, c, bytes, root)?;
         }
-        let k = f64::from(usize::BITS - (p - 1).leading_zeros());
-        let m = c.iter().copied().fold(0.0, f64::max);
-        let tree = k * (lat + bytes as f64 / bw);
-        check(&|_| Op::Barrier, m + lat * k)?;
-        check(&|_| Op::AllReduce { bytes }, m + tree)?;
-        check(&|_| Op::Bcast { root, bytes }, m.max(c[root] + tree))?;
-        let alltoall = lat * k + (p - 1) as f64 * bytes as f64 / fabric.alltoall_bandwidth(&cpus);
-        check(&|_| Op::AllToAll { bytes_per_pair: bytes }, m + alltoall)?;
     }
+}
+
+/// The exchange and collective makespans on one placement against
+/// their formulas (see `exchange_and_collectives_match_closed_form_costs`),
+/// at one and two threads.
+fn collective_oracle(
+    fabric: &ClusterFabric,
+    cpus: &[CpuId],
+    c: &[f64],
+    bytes: u64,
+    root: usize,
+) -> Result<(), TestCaseError> {
+    let p = cpus.len();
+    let plan = FaultPlan::none();
+    let check = |op_of: &dyn Fn(usize) -> Op, want: f64| -> Result<(), TestCaseError> {
+        let programs: Vec<Vec<Op>> = (0..p).map(|r| vec![Op::Compute(c[r]), op_of(r)]).collect();
+        for threads in [1usize, 2] {
+            let got = simulate_parallel_on(&programs, cpus, fabric, &plan, threads)
+                .unwrap()
+                .makespan;
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{:?}, threads {}: {} vs {}",
+                op_of(0),
+                threads,
+                got,
+                want
+            );
+        }
+        Ok(())
+    };
+
+    let exchange = (0..p)
+        .map(|r| {
+            let w = r ^ 1;
+            (c[r] + SEND_OVERHEAD).max(c[w] + fabric.pt2pt_time(cpus[w], cpus[r], bytes))
+        })
+        .fold(0.0, f64::max);
+    check(
+        &|r| Op::Exchange {
+            with: r ^ 1,
+            bytes,
+            tag: 0,
+        },
+        exchange,
+    )?;
+
+    let middle = p / 2;
+    let (mut lat, mut bw) = (0.0f64, f64::INFINITY);
+    for (i, j) in [(0, p - 1), (0, middle), (middle, p - 1)] {
+        if i != j {
+            lat = lat.max(fabric.latency(cpus[i], cpus[j]));
+            bw = bw.min(fabric.bandwidth(cpus[i], cpus[j]));
+        }
+    }
+    let k = f64::from(usize::BITS - (p - 1).leading_zeros());
+    let m = c.iter().copied().fold(0.0, f64::max);
+    let tree = k * (lat + bytes as f64 / bw);
+    check(&|_| Op::Barrier, m + lat * k)?;
+    check(&|_| Op::AllReduce { bytes }, m + tree)?;
+    check(&|_| Op::Bcast { root, bytes }, m.max(c[root] + tree))?;
+    let alltoall = lat * k + (p - 1) as f64 * bytes as f64 / fabric.alltoall_bandwidth(cpus);
+    check(
+        &|_| Op::AllToAll {
+            bytes_per_pair: bytes,
+        },
+        m + alltoall,
+    )
 }
 
 /// Closed-form oracle for a deep FIFO queue, in which the per-send
@@ -646,6 +723,53 @@ fn a_self_send_never_aliases_a_half_done_exchange() {
             format!("{:?}", Ok::<_, SimError>(plain)),
             "threads {threads}"
         );
+    }
+}
+
+/// A panic inside any partition propagates out of `simulate` at two
+/// threads, whether it hits a helper's partition (the last node) or
+/// the leader's own (the first): no side is left waiting for a round
+/// that will not end. Each run happens on its own thread and the test
+/// waits with a timeout, so a hang fails the test instead of stalling
+/// the suite.
+#[test]
+fn a_panic_in_any_partition_propagates_out_of_simulate() {
+    /// Every rank computes once, except `victim`, whose first op panics.
+    struct PanicsAt {
+        n: usize,
+        victim: usize,
+    }
+    impl Programs for PanicsAt {
+        fn n_ranks(&self) -> usize {
+            self.n
+        }
+        fn op(&self, rank: usize, pc: usize) -> Option<Op> {
+            assert_ne!(rank, self.victim, "rank {rank}'s program panics");
+            (pc == 0).then_some(Op::Compute(1e-6))
+        }
+        fn len_of(&self, _rank: usize) -> usize {
+            1
+        }
+    }
+    // Ranks interleave over the two nodes, so rank n - 1 sits on node 1
+    // (partition 1, a helper's) and rank 0 on node 0 (the leader's).
+    for victim in [3, 0] {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let (fabric, cpus) = placement(&[NodeKind::Bx2b, NodeKind::Bx2b], 2);
+            let programs = PanicsAt {
+                n: cpus.len(),
+                victim,
+            };
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                simulate_parallel_on(&programs, &cpus, &fabric, &FaultPlan::none(), 2)
+            }));
+            tx.send(run.is_err()).ok();
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("simulate hung after rank {victim} panicked"));
+        assert!(panicked, "rank {victim}'s panic reached the caller");
     }
 }
 
