@@ -2,10 +2,11 @@
 //! (`columbia_obs::analysis`) over real experiment captures, plus the
 //! golden pin of the merged (sim + host) Chrome trace export.
 //!
-//! The chrome-trace golden lives at `tests/golden/chrome_host.txt`;
-//! regenerate it with `UPDATE_GOLDEN=1 cargo test --test analysis`
-//! (which fails the run, forcing a clean confirmation pass — same
-//! workflow as `golden_values`).
+//! The chrome-trace goldens live at `tests/golden/chrome_host.txt` and
+//! `tests/golden/trace_export.json`; regenerate them with
+//! `UPDATE_GOLDEN=1 cargo test --test analysis` (which fails the run,
+//! forcing a clean confirmation pass — same workflow as
+//! `golden_values`).
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -13,8 +14,8 @@ use std::sync::Mutex;
 use columbia::experiments::run_with_jobs;
 use columbia::obs::host::{HostReport, HostSpan, HostTrack};
 use columbia::obs::{
-    analyze, sink, write_chrome_trace, Analysis, CommProfile, Metrics, SpanEvent, SpanKind,
-    TraceBundle,
+    analyze, sink, write_chrome_trace, Analysis, CommProfile, CriticalPath, Metrics, SpanEvent,
+    SpanKind, TraceBundle,
 };
 use columbia::sweep::{PointOutput, ResilienceOptions, SweepPlan};
 use serde_json::Value;
@@ -197,19 +198,15 @@ fn host_report() -> HostReport {
     r
 }
 
-/// Golden pin of the merged (simulated-time + host wall-clock) Chrome
-/// trace: the exact serialized JSON is deliberate-update-only, because
-/// downstream tooling (Perfetto configs, trace diff scripts) keys on
-/// event names, track layout, and field order.
-#[test]
-fn merged_chrome_trace_matches_golden() {
-    let mut trace = Vec::new();
-    write_chrome_trace(&mut trace, &[sim_bundle()], Some(&host_report()), &[]).unwrap();
-    let doc = serde_json::from_str(std::str::from_utf8(&trace).unwrap()).unwrap();
-    let actual = format!("{}\n", serde_json::to_string_pretty(&doc));
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/chrome_host.txt");
+/// Compare `actual` against `tests/golden/<file>`; under
+/// `UPDATE_GOLDEN=1` rewrite the fixture instead, then fail anyway,
+/// forcing a clean confirmation run (see the module docs).
+fn check_fixture(file: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual)
+        std::fs::write(&path, actual)
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         panic!(
             "UPDATE_GOLDEN: rewrote {}; review `git diff tests/golden/` \
@@ -224,9 +221,61 @@ fn merged_chrome_trace_matches_golden() {
             path.display()
         )
     });
-    assert_eq!(
-        expected, actual,
-        "merged chrome trace drifted from tests/golden/chrome_host.txt \
-         (regenerate deliberately with UPDATE_GOLDEN=1)"
+    // Report the first differing byte, not two multi-kilobyte strings.
+    if let Some(at) = expected
+        .bytes()
+        .zip(actual.bytes())
+        .position(|(a, b)| a != b)
+        .or_else(|| (expected.len() != actual.len()).then(|| expected.len().min(actual.len())))
+    {
+        let context = |s: &str| {
+            let bytes = &s.as_bytes()[at.saturating_sub(60)..(at + 60).min(s.len())];
+            String::from_utf8_lossy(bytes).into_owned()
+        };
+        panic!(
+            "tests/golden/{file} drifted at byte {at} \
+             (regenerate deliberately with UPDATE_GOLDEN=1)\n\
+             --- golden ---\n{}\n--- actual ---\n{}",
+            context(&expected),
+            context(actual)
+        );
+    }
+}
+
+/// Golden pin of the merged (simulated-time + host wall-clock) Chrome
+/// trace: the exact serialized JSON is deliberate-update-only, because
+/// downstream tooling (Perfetto configs, trace diff scripts) keys on
+/// event names, track layout, and field order.
+#[test]
+fn merged_chrome_trace_matches_golden() {
+    let mut trace = Vec::new();
+    write_chrome_trace(&mut trace, &[sim_bundle()], Some(&host_report()), &[]).unwrap();
+    let doc = serde_json::from_str(std::str::from_utf8(&trace).unwrap()).unwrap();
+    check_fixture(
+        "chrome_host.txt",
+        &format!("{}\n", serde_json::to_string_pretty(&doc)),
     );
+}
+
+/// Golden pin of the raw export bytes of a real capture: the shipped
+/// `trace` experiment (16 ranks on 2 nodes, seeded drops) with its
+/// critical-path flows and no host report. Its timestamps are
+/// simulated microseconds, most of them non-integral, so this is the
+/// fixture that fails when the export prints any number with other
+/// digits; `chrome_host.txt` holds only integral numbers and is
+/// compared after a parse.
+#[test]
+fn trace_experiment_export_matches_golden_byte_for_byte() {
+    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let bundles = capture("trace", 1);
+    assert_eq!(bundles.len(), 1, "the demo runs exactly one simulation");
+    let paths: Vec<CriticalPath> = bundles.iter().map(|b| analyze(b).critical_path).collect();
+    let mut trace = Vec::new();
+    write_chrome_trace(&mut trace, &bundles, None, &paths).unwrap();
+    let trace = String::from_utf8(trace).expect("the export is UTF-8");
+    assert!(
+        trace.contains("\"ph\":\"s\"") && trace.contains("\"cat\":\"net\""),
+        "the capture carries flow arrows and retransmit spans"
+    );
+    check_fixture("trace_export.json", &trace);
 }
