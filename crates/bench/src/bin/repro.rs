@@ -82,7 +82,8 @@
 //! `--trace`, the timeline gains Perfetto flow arrows threading the
 //! critical path through the rank tracks. The analysis is a pure
 //! function of the deterministic capture, so its output is
-//! byte-identical for every `--jobs` value.
+//! byte-identical for every `--jobs` value; the captured simulations
+//! are analyzed on the `--jobs` workers, one job each.
 //!
 //! `--manifest` writes the canonical machine-readable record of the
 //! run (`columbia-run-manifest-v1`): experiments with plan
@@ -113,14 +114,15 @@
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use columbia::experiments::{self, failure_report, EXPERIMENTS};
 use columbia::manifest::{self, ManifestBuilder, ResilienceSummary, Volatile};
 use columbia::obs::{
-    analyze, host, sink, write_chrome_trace, Analysis, CriticalPath, ANALYSIS_SCHEMA,
+    analyze, host, sink, write_chrome_trace, Analysis, CriticalPath, TraceBundle, ANALYSIS_SCHEMA,
 };
-use columbia::par;
+use columbia::par::{self, JobOutcome, JobStatus, RunOptions};
 use columbia::{analysis_report, PointStore, Report, ResilienceOptions, SpecJob};
 use serde_json::Value;
 
@@ -288,9 +290,13 @@ fn spec_job(path_str: &str) -> SpecJob {
 /// it, and flush explicitly, because a dropped `BufWriter` swallows the
 /// error of its last write. Any error prints `failed to write <path>:
 /// <error>` and exits 1; only a complete file prints `wrote <path>`.
+///
+/// The buffer is 64 KiB, not `BufWriter`'s 8 KiB, so a multi-megabyte
+/// trace takes an eighth of the `write` calls; a larger one saved
+/// little more and would add to peak memory.
 fn write_or_die(path: &str, render: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) {
     let written = File::create(path).and_then(|file| {
-        let mut out = BufWriter::new(file);
+        let mut out = BufWriter::with_capacity(64 << 10, file);
         render(&mut out)?;
         out.flush()
     });
@@ -299,6 +305,36 @@ fn write_or_die(path: &str, render: impl FnOnce(&mut BufWriter<File>) -> io::Res
         std::process::exit(1);
     }
     eprintln!("wrote {path}");
+}
+
+/// Analyze every captured simulation on `jobs` workers of the sweep
+/// pool, one job per bundle, and return the analyses in bundle order.
+/// `analyze` is a pure function of its bundle, so the result is the
+/// same at every `jobs`. A panicked analysis is a bug, and re-raised.
+fn analyze_all(bundles: &Arc<Vec<TraceBundle>>, jobs: usize) -> Vec<(String, Analysis)> {
+    let work = (0..bundles.len())
+        .map(|i| {
+            let bundles = Arc::clone(bundles);
+            move || analyze(&bundles[i])
+        })
+        .collect();
+    par::run_governed(jobs, work, &RunOptions::default(), |_| false)
+        .into_iter()
+        .zip(bundles.iter())
+        .map(|(status, bundle)| match status {
+            JobStatus::Done(JobOutcome {
+                result: Ok(analysis),
+                ..
+            }) => (bundle.label.clone(), analysis),
+            JobStatus::Done(JobOutcome {
+                result: Err(failure),
+                ..
+            }) => panic!("analysis of {} {failure}", bundle.label),
+            JobStatus::Skipped | JobStatus::Lost => {
+                panic!("analysis of {} never ran", bundle.label)
+            }
+        })
+        .collect()
 }
 
 fn main() {
@@ -448,16 +484,14 @@ fn main() {
     // both read from it.
     let host_report = host::take();
     if collecting {
-        let bundles = sink::take();
+        let bundles = Arc::new(sink::take());
         eprintln!("captured {} simulation(s)", bundles.len());
         // The analyzer is a pure function of the canonically-ordered
         // bundles, so everything derived below is identical for every
-        // `--jobs` value.
-        let analyses: Vec<(String, Analysis)> = if analyzing {
-            bundles
-                .iter()
-                .map(|b| (b.label.clone(), analyze(b)))
-                .collect()
+        // `--jobs` value. Host capture has stopped, so its jobs record
+        // no spans.
+        let analyses = if analyzing {
+            analyze_all(&bundles, jobs)
         } else {
             Vec::new()
         };

@@ -12,7 +12,11 @@
 //! straight into an [`std::io::Write`] through `serde_json`'s scalar
 //! writers, in a fixed event and field order, so no document tree and
 //! no whole-file string is ever built: `repro --trace` hands it a
-//! buffered file.
+//! buffered file. Simulated spans are nearly all of a trace's events,
+//! and each is written as one static prefix per span kind (its name,
+//! category, phase and the `ts` key) followed by its four numbers
+//! behind pre-quoted keys; host spans, metadata and flow events, whose
+//! names are dynamic or few, go through the field writers.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -23,11 +27,26 @@ use serde_json::{write_number, write_str, Value};
 use crate::analysis::CriticalPath;
 use crate::host::{HostReport, HostTrack};
 use crate::sink::TraceBundle;
-use crate::tracer::Track;
+use crate::tracer::{SpanKind, Track};
 
 /// Seconds → trace-event microseconds.
 fn us(t: f64) -> f64 {
     t * 1e6
+}
+
+/// What a simulated span's complete event holds after its opening
+/// brace, up to its `ts` value. Span-kind names and categories are
+/// static ASCII that `write_str` passes through unescaped (tested), so
+/// these are the bytes [`Events::complete`] would write for them.
+fn span_prefix(kind: SpanKind) -> &'static [u8] {
+    match kind {
+        SpanKind::Compute => br#""name":"compute","cat":"cpu","ph":"X","ts":"#,
+        SpanKind::Send => br#""name":"send","cat":"cpu","ph":"X","ts":"#,
+        SpanKind::RecvWait => br#""name":"recv-wait","cat":"cpu","ph":"X","ts":"#,
+        SpanKind::Collective => br#""name":"collective","cat":"cpu","ph":"X","ts":"#,
+        SpanKind::RetransmitBackoff => br#""name":"retransmit-backoff","cat":"net","ph":"X","ts":"#,
+        SpanKind::MultiplexQueue => br#""name":"multiplex-queue","cat":"net","ph":"X","ts":"#,
+    }
 }
 
 /// The document's `traceEvents` list, written one compact JSON object
@@ -131,6 +150,30 @@ impl<W: Write> Events<W> {
         self.num("pid", pid as f64)?;
         self.num("tid", tid as f64)
     }
+
+    /// A simulated span's whole complete event: the same fields as
+    /// [`Events::complete`], in the same order, written as its kind's
+    /// static prefix and four numbers. Nothing follows them, so the
+    /// field count is not kept.
+    fn span(
+        &mut self,
+        kind: SpanKind,
+        start: f64,
+        duration: f64,
+        pid: usize,
+        tid: usize,
+    ) -> io::Result<()> {
+        self.open()?;
+        self.out.write_all(span_prefix(kind))?;
+        write_number(&mut self.out, us(start))?;
+        self.out.write_all(b",\"dur\":")?;
+        write_number(&mut self.out, us(duration))?;
+        self.out.write_all(b",\"pid\":")?;
+        write_number(&mut self.out, pid as f64)?;
+        self.out.write_all(b",\"tid\":")?;
+        write_number(&mut self.out, tid as f64)?;
+        self.close()
+    }
 }
 
 /// Stream `bundles`, an optional host-telemetry capture and
@@ -182,18 +225,17 @@ pub fn write_chrome_trace(
         let mut rank_seen = vec![false; n_ranks];
         let mut net_seen = vec![false; n_ranks];
         for span in &bundle.spans {
-            let (tid, cat) = match span.kind.track() {
+            let tid = match span.kind.track() {
                 Track::Cpu => {
                     rank_seen[span.rank] = true;
-                    (span.rank, "cpu")
+                    span.rank
                 }
                 Track::Net => {
                     net_seen[span.rank] = true;
-                    (n_ranks + span.rank, "net")
+                    n_ranks + span.rank
                 }
             };
-            ev.complete(span.kind.name(), cat, span.start, span.duration(), pid, tid)?;
-            ev.close()?;
+            ev.span(span.kind, span.start, span.duration(), pid, tid)?;
         }
         for (r, seen) in rank_seen.iter().enumerate() {
             if *seen {
@@ -607,6 +649,37 @@ mod tests {
                 .map(Vec::len),
             Some(0)
         );
+    }
+
+    /// Each span kind's static prefix is what the field writers write
+    /// for its name, category and phase, and none of those needs
+    /// escaping.
+    #[test]
+    fn span_prefixes_are_the_field_writers_bytes() {
+        for kind in SpanKind::ALL {
+            let cat = match kind.track() {
+                Track::Cpu => "cpu",
+                Track::Net => "net",
+            };
+            for text in [kind.name(), cat] {
+                let mut quoted = Vec::new();
+                write_str(&mut quoted, text).unwrap();
+                assert_eq!(
+                    quoted,
+                    format!("\"{text}\"").into_bytes(),
+                    "{text} is escaped"
+                );
+            }
+            let mut ev = Events {
+                out: Vec::new(),
+                events: 1,
+                fields: 0,
+            };
+            ev.complete(kind.name(), cat, 0.0, 0.0, 0, 0).unwrap();
+            let fields = String::from_utf8(ev.out).unwrap();
+            let prefix = std::str::from_utf8(span_prefix(kind)).unwrap();
+            assert!(fields.starts_with(&format!(",{{{prefix}0,")), "{fields}");
+        }
     }
 
     // The reference the streaming writer must match byte for byte: the
