@@ -241,15 +241,14 @@ impl Fabric for ClusterFabric {
     }
 }
 
-/// Per-node cost tables indexed by router hop count.
+/// Per-node `(latency, bandwidth)` table indexed by router hop count.
 #[derive(Debug, Clone)]
 struct NodeCostCache {
     topo: NodeTopology,
     /// Indexed by hop count; entries at hop values no pair of this
     /// node's CPUs can produce are `NaN` sentinels (never hit for valid
     /// CPU indices — the query path falls back to direct evaluation).
-    lat_by_hops: Vec<f64>,
-    bw_by_hops: Vec<f64>,
+    by_hops: Vec<(f64, f64)>,
 }
 
 /// A memoized view of a [`ClusterFabric`] serving per-message costs
@@ -261,61 +260,53 @@ struct NodeCostCache {
 /// across nodes it depends only on the node pair, never on the CPU
 /// indices. `CachedFabric` classifies once at construction — per-node
 /// latency/bandwidth tables evaluated at the
-/// [`NodeTopology::hop_classes`] representatives, plus dense node-pair
-/// tables for cross-node traffic — so the per-message `pt2pt_time` in
-/// the engine's hot loop becomes a table lookup instead of a topology
-/// walk (and, on InfiniBand, a `powf`). Every entry is produced by
-/// evaluating the wrapped fabric itself, so the cache is *bitwise*
-/// identical to direct evaluation (property-tested).
+/// [`NodeTopology::hop_classes`] representatives, plus a dense
+/// node-pair table for cross-node traffic — so the per-message
+/// `pt2pt_time` in the engine's hot loop classifies the pair once (one
+/// hop count inside a node, one node-pair index across nodes) and
+/// reads latency and bandwidth from one entry, instead of walking the
+/// topology twice (and, on InfiniBand, calling `powf`). Every entry is
+/// produced by evaluating the wrapped fabric itself, and `pt2pt_time`
+/// keeps the default's `latency + bytes / bandwidth`, so the cache is
+/// *bitwise* identical to direct evaluation (property-tested).
 #[derive(Debug, Clone)]
 pub struct CachedFabric {
     inner: ClusterFabric,
     nodes: Vec<NodeCostCache>,
-    /// `latency(node s → node d)` at index `s * n + d` (diagonal unused).
-    cross_lat: Vec<f64>,
-    cross_bw: Vec<f64>,
+    /// `(latency, bandwidth)` of node `s → d` at index `s * n + d`
+    /// (diagonal unused).
+    cross: Vec<(f64, f64)>,
 }
 
 impl CachedFabric {
     /// Precompute the pair-class tables for `inner`.
     pub fn new(inner: ClusterFabric) -> Self {
         let n = inner.config().nodes.len();
+        let cost = |a: CpuId, b: CpuId| (inner.latency(a, b), inner.bandwidth(a, b));
         let mut nodes = Vec::with_capacity(n);
         for node in 0..n as u32 {
             let model = inner.config().node_model(NodeId(node));
             let topo = NodeTopology::new(model.brick);
             let classes = topo.hop_classes(model.cpus);
             let max_hops = classes.last().map_or(0, |&(h, _)| h) as usize;
-            let mut lat_by_hops = vec![f64::NAN; max_hops + 1];
-            let mut bw_by_hops = vec![f64::NAN; max_hops + 1];
+            let mut by_hops = vec![(f64::NAN, f64::NAN); max_hops + 1];
             for &(h, rep) in &classes {
-                let (a, b) = (CpuId::new(node, 0), CpuId::new(node, rep));
-                lat_by_hops[h as usize] = inner.latency(a, b);
-                bw_by_hops[h as usize] = inner.bandwidth(a, b);
+                by_hops[h as usize] = cost(CpuId::new(node, 0), CpuId::new(node, rep));
             }
-            nodes.push(NodeCostCache {
-                topo,
-                lat_by_hops,
-                bw_by_hops,
-            });
+            nodes.push(NodeCostCache { topo, by_hops });
         }
-        let mut cross_lat = vec![0.0; n * n];
-        let mut cross_bw = vec![0.0; n * n];
+        let mut cross = vec![(0.0, 0.0); n * n];
         for s in 0..n {
             for d in 0..n {
-                if s == d {
-                    continue;
+                if s != d {
+                    cross[s * n + d] = cost(CpuId::new(s as u32, 0), CpuId::new(d as u32, 0));
                 }
-                let (a, b) = (CpuId::new(s as u32, 0), CpuId::new(d as u32, 0));
-                cross_lat[s * n + d] = inner.latency(a, b);
-                cross_bw[s * n + d] = inner.bandwidth(a, b);
             }
         }
         CachedFabric {
             inner,
             nodes,
-            cross_lat,
-            cross_bw,
+            cross,
         }
     }
 
@@ -324,48 +315,45 @@ impl CachedFabric {
         &self.inner
     }
 
-    fn cross(&self, table: &[f64], src: CpuId, dst: CpuId) -> Option<f64> {
+    /// `(latency, bandwidth)` of `src → dst` from the tables, or `None`
+    /// on a node or hop count they do not cover.
+    fn costs(&self, src: CpuId, dst: CpuId) -> Option<(f64, f64)> {
         let n = self.nodes.len();
         let (s, d) = (src.node.0 as usize, dst.node.0 as usize);
-        if s < n && d < n {
-            Some(table[s * n + d])
+        let cost = if s == d {
+            let cache = self.nodes.get(s)?;
+            *cache
+                .by_hops
+                .get(cache.topo.hops(src.cpu, dst.cpu) as usize)?
+        } else if s < n && d < n {
+            self.cross[s * n + d]
         } else {
-            None
-        }
-    }
-
-    fn in_node(
-        &self,
-        by_hops: fn(&NodeCostCache) -> &[f64],
-        src: CpuId,
-        dst: CpuId,
-    ) -> Option<f64> {
-        let cache = self.nodes.get(src.node.0 as usize)?;
-        let h = cache.topo.hops(src.cpu, dst.cpu) as usize;
-        match by_hops(cache).get(h) {
-            Some(&v) if !v.is_nan() => Some(v),
-            _ => None,
-        }
+            return None;
+        };
+        (!cost.0.is_nan()).then_some(cost)
     }
 }
 
 impl Fabric for CachedFabric {
     fn latency(&self, src: CpuId, dst: CpuId) -> f64 {
-        let hit = if src.node == dst.node {
-            self.in_node(|c| &c.lat_by_hops, src, dst)
-        } else {
-            self.cross(&self.cross_lat, src, dst)
-        };
-        hit.unwrap_or_else(|| self.inner.latency(src, dst))
+        match self.costs(src, dst) {
+            Some((lat, _)) => lat,
+            None => self.inner.latency(src, dst),
+        }
     }
 
     fn bandwidth(&self, src: CpuId, dst: CpuId) -> f64 {
-        let hit = if src.node == dst.node {
-            self.in_node(|c| &c.bw_by_hops, src, dst)
-        } else {
-            self.cross(&self.cross_bw, src, dst)
-        };
-        hit.unwrap_or_else(|| self.inner.bandwidth(src, dst))
+        match self.costs(src, dst) {
+            Some((_, bw)) => bw,
+            None => self.inner.bandwidth(src, dst),
+        }
+    }
+
+    fn pt2pt_time(&self, src: CpuId, dst: CpuId, bytes: u64) -> f64 {
+        match self.costs(src, dst) {
+            Some((lat, bw)) => lat + bytes as f64 / bw,
+            None => self.inner.pt2pt_time(src, dst, bytes),
+        }
     }
 
     // Collective-level models are evaluated once per collective, not
@@ -505,8 +493,18 @@ mod tests {
             for mpt in [MptVersion::Beta, MptVersion::Released] {
                 let direct = ClusterFabric::new(ClusterConfig::columbia(), inter, mpt, 10_240);
                 let cached = CachedFabric::new(direct.clone());
-                for (s, d) in [(0u32, 1u32), (0, 12), (11, 19), (15, 18), (19, 0)] {
-                    for (a, b) in [(0u32, 0u32), (17, 300), (511, 511)] {
+                // Cross-node pairs, and in-node pairs on a 3700 (node
+                // 0) and a BX2b (node 19).
+                for (s, d) in [
+                    (0u32, 1u32),
+                    (0, 12),
+                    (11, 19),
+                    (15, 18),
+                    (19, 0),
+                    (0, 0),
+                    (19, 19),
+                ] {
+                    for (a, b) in [(0u32, 0u32), (17, 300), (511, 511), (2, 9)] {
                         let (x, y) = (cpu(s, a), cpu(d, b));
                         assert_eq!(
                             direct.latency(x, y).to_bits(),
@@ -518,6 +516,13 @@ mod tests {
                             cached.bandwidth(x, y).to_bits(),
                             "bw nodes {s}->{d}"
                         );
+                        for bytes in [0u64, 1, 64, 8192, 1 << 20, 123_456_789] {
+                            assert_eq!(
+                                direct.pt2pt_time(x, y, bytes).to_bits(),
+                                cached.pt2pt_time(x, y, bytes).to_bits(),
+                                "pt2pt nodes {s}->{d}, {bytes} bytes"
+                            );
+                        }
                     }
                 }
                 assert_eq!(

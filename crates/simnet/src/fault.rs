@@ -419,6 +419,15 @@ impl<F: Fabric + ?Sized> Fabric for FaultyFabric<'_, F> {
         }
     }
 
+    fn pt2pt_time(&self, src: CpuId, dst: CpuId, bytes: u64) -> f64 {
+        // Without link faults `latency` and `bandwidth` are the inner
+        // fabric's: let it price the message with its own lookup.
+        if !self.plan.has_link_faults() {
+            return self.inner.pt2pt_time(src, dst, bytes);
+        }
+        self.latency(src, dst) + bytes as f64 / self.bandwidth(src, dst)
+    }
+
     fn internode_contention(&self, flows: u32) -> f64 {
         self.inner.internode_contention(flows)
     }
@@ -445,8 +454,7 @@ impl<F: Fabric + ?Sized> Fabric for FaultyFabric<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::ClusterFabric;
-    use crate::fabric::MptVersion;
+    use crate::fabric::{CachedFabric, ClusterFabric, MptVersion};
     use columbia_machine::cluster::{ClusterConfig, InterNodeFabric};
     use columbia_machine::node::NodeKind;
 
@@ -531,6 +539,35 @@ mod tests {
         assert_eq!(faulty.latency(b, a), faulty.latency(a, b));
         assert_eq!(faulty.latency(a, c), inner.latency(a, c));
         assert_eq!(faulty.bandwidth(a, a), inner.bandwidth(a, a));
+    }
+
+    /// `pt2pt_time` is `latency + bytes / bandwidth` of the faulty view
+    /// to the bit, over a cached fabric, with and without a degraded
+    /// link: in a node, on the degraded link and on a healthy one.
+    #[test]
+    fn faulty_pt2pt_time_composes_the_faulty_costs() {
+        let cfg = ClusterConfig::uniform(NodeKind::Bx2b, 3);
+        let inner = CachedFabric::new(ClusterFabric::new(
+            cfg,
+            InterNodeFabric::InfiniBand,
+            MptVersion::Released,
+            1536,
+        ));
+        let healthy = FaultPlan::none();
+        let degraded = FaultPlan::none().degrade_link(NodeId(0), NodeId(1), 3.0, 0.5);
+        let (a, b, c) = (CpuId::new(0, 5), CpuId::new(1, 300), CpuId::new(2, 0));
+        for plan in [&healthy, &degraded] {
+            let faulty = FaultyFabric::new(&inner, plan);
+            for (x, y) in [(a, CpuId::new(0, 200)), (a, b), (b, a), (a, c)] {
+                for bytes in [0u64, 8, 8192, 1 << 20] {
+                    let composed = faulty.latency(x, y) + bytes as f64 / faulty.bandwidth(x, y);
+                    assert_eq!(faulty.pt2pt_time(x, y, bytes).to_bits(), composed.to_bits());
+                }
+            }
+        }
+        let faulty = FaultyFabric::new(&inner, &degraded);
+        assert!(faulty.pt2pt_time(a, b, 8192) > inner.pt2pt_time(a, b, 8192));
+        assert_eq!(faulty.pt2pt_time(a, c, 8192), inner.pt2pt_time(a, c, 8192));
     }
 
     #[test]
