@@ -47,7 +47,9 @@ use columbia::assert_close;
 use columbia::experiments::{plan, run_with_jobs, EXPERIMENTS};
 use columbia::hpcc::beff::{self, Pattern};
 use columbia::hpcc::{dgemm, stream};
+use columbia::machine::calib;
 use columbia::machine::cluster::InterNodeFabric;
+use columbia::machine::memory::StreamOp;
 use columbia::machine::node::{NodeKind, NodeModel};
 use columbia::simnet::fabric::MptVersion;
 use serde_json::Value;
@@ -128,6 +130,101 @@ fn golden_stream_triad_gbs() {
         0.01,
         "STREAM triad 3700 stride 2"
     );
+}
+
+/// The body rows of `tests/golden/<file>`: each row's cells, which the
+/// report pads with at least two spaces and which hold single spaces at
+/// most.
+fn golden_rows(file: &str) -> Vec<Vec<String>> {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(file);
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    text.lines()
+        .skip_while(|line| !line.starts_with("---"))
+        .skip(1)
+        .take_while(|line| !line.is_empty() && !line.starts_with("note:"))
+        .map(|line| {
+            line.split("  ")
+                .map(str::trim)
+                .filter(|cell| !cell.is_empty())
+                .map(String::from)
+                .collect()
+        })
+        .collect()
+}
+
+/// An oracle that is not the simulator: every row of the `dgemm-stream`
+/// and `stride` goldens against closed forms built from `machine`
+/// parameters, compared at the report's printed precision. The goldens
+/// are parsed; nothing is simulated.
+///
+/// * DGEMM per CPU: peak × `DGEMM_EFFICIENCY`, times the documented
+///   1.003 ripple above stride 1.
+/// * STREAM triad per CPU: `BUS_BANDWIDTH × STREAM_SINGLE_FRACTION` for
+///   a CPU alone on its bus, `BUS_BANDWIDTH / sharers` when it shares
+///   the bus, then × the triad's calibration factor and × the 3700's
+///   edge on a 3700. Dense placement fills each bus (`cpus_per_bus`); a
+///   stride of 2 or more leaves one CPU per bus.
+#[test]
+fn dgemm_and_stream_rows_match_their_closed_forms() {
+    let dgemm = |kind: NodeKind, stride: u32| {
+        let ripple = if stride > 1 { 1.003 } else { 1.0 };
+        let peak = NodeModel::new(kind).processor.peak_gflops();
+        format!("{:.3} Gflop/s", peak * calib::DGEMM_EFFICIENCY * ripple)
+    };
+    let triad = |kind: NodeKind, stride: u32| {
+        let sharers = if stride >= 2 {
+            1
+        } else {
+            NodeModel::new(kind).brick.cpus_per_bus
+        };
+        let bus = if sharers == 1 {
+            calib::BUS_BANDWIDTH * calib::STREAM_SINGLE_FRACTION
+        } else {
+            calib::BUS_BANDWIDTH / f64::from(sharers)
+        };
+        let edge = if kind == NodeKind::Altix3700 {
+            calib::STREAM_3700_EDGE
+        } else {
+            1.0
+        };
+        let bytes_per_s = bus * StreamOp::Triad.calib_factor() * edge;
+        format!("{:.2} GB/s", bytes_per_s / 1e9)
+    };
+    let mut checked = 0;
+    for row in golden_rows("dgemm-stream.txt") {
+        let [bench, node, value] = &row[..] else {
+            panic!("dgemm-stream row {row:?}");
+        };
+        let kind = NodeKind::ALL
+            .into_iter()
+            .find(|k| k.name() == node)
+            .unwrap_or_else(|| panic!("node {node}"));
+        let want = match bench.as_str() {
+            "DGEMM" => dgemm(kind, 1),
+            "STREAM triad (dense)" => triad(kind, 1),
+            _ => panic!("dgemm-stream row {row:?}"),
+        };
+        assert_eq!(value, &want, "dgemm-stream: {bench} on {node}");
+        checked += 1;
+    }
+    // `specs/stride.toml` runs every stride row on a 3700.
+    for row in golden_rows("stride.txt") {
+        let [bench, stride, value] = &row[..] else {
+            panic!("stride row {row:?}");
+        };
+        let stride: u32 = stride.parse().expect("stride column");
+        let want = match bench.as_str() {
+            "DGEMM" => dgemm(NodeKind::Altix3700, stride),
+            "STREAM triad" => triad(NodeKind::Altix3700, stride),
+            _ => panic!("stride row {row:?}"),
+        };
+        assert_eq!(value, &want, "stride: {bench} at stride {stride}");
+        checked += 1;
+    }
+    assert_eq!(checked, 12, "six rows in each golden");
 }
 
 #[test]
