@@ -241,14 +241,15 @@ impl Fabric for ClusterFabric {
     }
 }
 
-/// Per-node `(latency, bandwidth)` table indexed by router hop count.
+/// Per-node cost tables indexed by router hop count.
 #[derive(Debug, Clone)]
 struct NodeCostCache {
     topo: NodeTopology,
     /// Indexed by hop count; entries at hop values no pair of this
     /// node's CPUs can produce are `NaN` sentinels (never hit for valid
     /// CPU indices — the query path falls back to direct evaluation).
-    by_hops: Vec<(f64, f64)>,
+    lat_by_hops: Vec<f64>,
+    bw_by_hops: Vec<f64>,
 }
 
 /// A memoized view of a [`ClusterFabric`] serving per-message costs
@@ -260,12 +261,12 @@ struct NodeCostCache {
 /// across nodes it depends only on the node pair, never on the CPU
 /// indices. `CachedFabric` classifies once at construction — per-node
 /// latency/bandwidth tables evaluated at the
-/// [`NodeTopology::hop_classes`] representatives, plus a dense
-/// node-pair table for cross-node traffic — so the per-message
-/// `pt2pt_time` in the engine's hot loop classifies the pair once (one
-/// hop count inside a node, one node-pair index across nodes) and
-/// reads latency and bandwidth from one entry, instead of walking the
-/// topology twice (and, on InfiniBand, calling `powf`). Every entry is
+/// [`NodeTopology::hop_classes`] representatives, plus dense node-pair
+/// tables for cross-node traffic — so the per-message `pt2pt_time` in
+/// the engine's hot loop classifies the pair once (one hop count inside
+/// a node, one node-pair index across nodes) and reads latency and
+/// bandwidth at that index, instead of walking the topology twice
+/// (and, on InfiniBand, calling `powf`). Every entry is
 /// produced by evaluating the wrapped fabric itself, and `pt2pt_time`
 /// keeps the default's `latency + bytes / bandwidth`, so the cache is
 /// *bitwise* identical to direct evaluation (property-tested).
@@ -273,40 +274,51 @@ struct NodeCostCache {
 pub struct CachedFabric {
     inner: ClusterFabric,
     nodes: Vec<NodeCostCache>,
-    /// `(latency, bandwidth)` of node `s → d` at index `s * n + d`
-    /// (diagonal unused).
-    cross: Vec<(f64, f64)>,
+    /// `latency(node s → node d)` at index `s * n + d` (diagonal unused).
+    cross_lat: Vec<f64>,
+    cross_bw: Vec<f64>,
 }
 
 impl CachedFabric {
     /// Precompute the pair-class tables for `inner`.
     pub fn new(inner: ClusterFabric) -> Self {
         let n = inner.config().nodes.len();
-        let cost = |a: CpuId, b: CpuId| (inner.latency(a, b), inner.bandwidth(a, b));
         let mut nodes = Vec::with_capacity(n);
         for node in 0..n as u32 {
             let model = inner.config().node_model(NodeId(node));
             let topo = NodeTopology::new(model.brick);
             let classes = topo.hop_classes(model.cpus);
             let max_hops = classes.last().map_or(0, |&(h, _)| h) as usize;
-            let mut by_hops = vec![(f64::NAN, f64::NAN); max_hops + 1];
+            let mut lat_by_hops = vec![f64::NAN; max_hops + 1];
+            let mut bw_by_hops = vec![f64::NAN; max_hops + 1];
             for &(h, rep) in &classes {
-                by_hops[h as usize] = cost(CpuId::new(node, 0), CpuId::new(node, rep));
+                let (a, b) = (CpuId::new(node, 0), CpuId::new(node, rep));
+                lat_by_hops[h as usize] = inner.latency(a, b);
+                bw_by_hops[h as usize] = inner.bandwidth(a, b);
             }
-            nodes.push(NodeCostCache { topo, by_hops });
+            nodes.push(NodeCostCache {
+                topo,
+                lat_by_hops,
+                bw_by_hops,
+            });
         }
-        let mut cross = vec![(0.0, 0.0); n * n];
+        let mut cross_lat = vec![0.0; n * n];
+        let mut cross_bw = vec![0.0; n * n];
         for s in 0..n {
             for d in 0..n {
-                if s != d {
-                    cross[s * n + d] = cost(CpuId::new(s as u32, 0), CpuId::new(d as u32, 0));
+                if s == d {
+                    continue;
                 }
+                let (a, b) = (CpuId::new(s as u32, 0), CpuId::new(d as u32, 0));
+                cross_lat[s * n + d] = inner.latency(a, b);
+                cross_bw[s * n + d] = inner.bandwidth(a, b);
             }
         }
         CachedFabric {
             inner,
             nodes,
-            cross,
+            cross_lat,
+            cross_bw,
         }
     }
 
@@ -322,11 +334,10 @@ impl CachedFabric {
         let (s, d) = (src.node.0 as usize, dst.node.0 as usize);
         let cost = if s == d {
             let cache = self.nodes.get(s)?;
-            *cache
-                .by_hops
-                .get(cache.topo.hops(src.cpu, dst.cpu) as usize)?
+            let h = cache.topo.hops(src.cpu, dst.cpu) as usize;
+            (*cache.lat_by_hops.get(h)?, cache.bw_by_hops[h])
         } else if s < n && d < n {
-            self.cross[s * n + d]
+            (self.cross_lat[s * n + d], self.cross_bw[s * n + d])
         } else {
             return None;
         };
