@@ -266,10 +266,10 @@ struct NodeCostCache {
 /// the engine's hot loop classifies the pair once (one hop count inside
 /// a node, one node-pair index across nodes) and reads latency and
 /// bandwidth at that index, instead of walking the topology twice
-/// (and, on InfiniBand, calling `powf`). Every entry is
-/// produced by evaluating the wrapped fabric itself, and `pt2pt_time`
-/// keeps the default's `latency + bytes / bandwidth`, so the cache is
-/// *bitwise* identical to direct evaluation (property-tested).
+/// (and, on InfiniBand, calling `powf`). Every entry is produced by
+/// evaluating the wrapped fabric itself, and `pt2pt_time` keeps the
+/// default's `latency + bytes / bandwidth`, so the cache is *bitwise*
+/// identical to direct evaluation (property-tested).
 #[derive(Debug, Clone)]
 pub struct CachedFabric {
     inner: ClusterFabric,
