@@ -6,10 +6,10 @@
 //! `RecordingTracer` row measures what a full capture actually costs.
 //!
 //! The host-telemetry hooks in the sweep executor carry the same
-//! contract at job granularity: with no capture live, every hook is
-//! one relaxed atomic load. `bench_host_overhead` measures the worker
-//! loop every sweep runs (`run_governed`) against a bare serial loop
-//! over the same jobs and emits the median per-round difference as
+//! contract at job granularity: with no capture in the pool's options,
+//! every hook is one `None` check. `bench_host_overhead` measures the
+//! worker loop every sweep runs (`run_governed`) against a bare serial
+//! loop over the same jobs and emits the median per-round difference as
 //! `host_obs_overhead`; CI's bench check holds `overhead_pct` under 2.
 //!
 //! A plain main (`harness = false`): `cargo bench --bench obs` runs all
@@ -17,14 +17,13 @@
 
 use std::sync::Arc;
 
-use columbia::obs::host;
 use columbia::par::{run_governed, RunOptions};
 use columbia_bench::timing::{median, print_row, time_rounds_ns};
 use columbia_bench::BenchRecord;
 use columbia_machine::cluster::{ClusterConfig, CpuId};
 use columbia_machine::node::NodeKind;
 use columbia_simnet::fabric::ClusterFabric;
-use columbia_simnet::obs::RecordingTracer;
+use columbia_simnet::obs::{RecordingTracer, RunContext};
 use columbia_simnet::{simulate, simulate_on, FaultPlan, Op};
 
 fn ring(n: usize, rounds: u64) -> Vec<Vec<Op>> {
@@ -61,11 +60,19 @@ fn bench_tracer_overhead() {
     });
     print_row("obs/ring_512_recording_tracer", 10, || {
         let mut tracer = RecordingTracer::new();
-        simulate(&programs, &cpus, &fabric, &plan, &mut tracer, 1).unwrap();
+        simulate(
+            &programs,
+            &cpus,
+            &fabric,
+            &plan,
+            &mut tracer,
+            &RunContext::new(1),
+        )
+        .unwrap();
     });
 }
 
-/// The sweep executor's host-telemetry hooks with no capture live,
+/// The sweep executor's host-telemetry hooks with no capture,
 /// against a bare loop over the same jobs: 8 sweep-point-sized
 /// simulations (a 64-rank ring) per iteration, run through the
 /// instrumented worker loop at one thread vs. called directly. The
@@ -78,10 +85,6 @@ fn bench_tracer_overhead() {
 /// difference of per-side minimums moves by more than the 2% bound
 /// between runs of one binary on a 2-vCPU host.
 fn bench_host_overhead() {
-    assert!(
-        !host::is_enabled(),
-        "overhead is measured with telemetry disabled"
-    );
     let fabric = ClusterFabric::single_node(ClusterConfig::uniform(NodeKind::Bx2b, 1));
     let n = 64usize;
     let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
@@ -94,6 +97,10 @@ fn bench_host_overhead() {
         simulate_on(programs, cpus, fabric, plan).unwrap().makespan
     };
     let opts = RunOptions::default();
+    assert!(
+        opts.host.is_none(),
+        "overhead is measured with telemetry disabled"
+    );
     let pool_run = || run_governed(1, vec![point.clone(); jobs], &opts, |_| false);
 
     let rounds = time_rounds_ns(
@@ -137,7 +144,15 @@ fn bench_analysis_cost() {
     let programs = ring(n, 10);
     let plan = FaultPlan::none();
     let mut tracer = RecordingTracer::new();
-    simulate(&programs, &cpus, &fabric, &plan, &mut tracer, 1).unwrap();
+    simulate(
+        &programs,
+        &cpus,
+        &fabric,
+        &plan,
+        &mut tracer,
+        &RunContext::new(1),
+    )
+    .unwrap();
     let bundle = tracer.into_bundle("analysis bench");
 
     let rounds = time_rounds_ns(
@@ -145,7 +160,17 @@ fn bench_analysis_cost() {
         30,
         || {
             let mut t = RecordingTracer::new();
-            std::hint::black_box(simulate(&programs, &cpus, &fabric, &plan, &mut t, 1).unwrap());
+            std::hint::black_box(
+                simulate(
+                    &programs,
+                    &cpus,
+                    &fabric,
+                    &plan,
+                    &mut t,
+                    &RunContext::new(1),
+                )
+                .unwrap(),
+            );
         },
         || {
             std::hint::black_box(columbia::obs::analyze(&bundle));

@@ -55,19 +55,22 @@
 //! Overrides a spec's `[defaults] sim_threads` key; default 1 (one
 //! partition, on the calling thread).
 //!
-//! `--trace` and `--metrics` install the global trace sink
-//! (`columbia_obs::sink`) before running the selected experiments:
-//! every simulation they execute is recorded (per-rank spans, fabric
-//! counters, compute/comm/wait attribution) and exported when the run
-//! finishes. Points of `kind = "columbia"` are the exception: they
-//! simulate without a tracer, so they record nothing. Load the trace
-//! file at <https://ui.perfetto.dev> — one process per simulation, one
-//! CPU track and one net track per rank. `--trace` additionally opens
-//! a host-telemetry capture (`columbia_obs::host`), so the export
-//! carries one extra process of **wall-clock** tracks: one lane per
-//! pool worker (job spans, fail-fast skip instants) plus a
-//! checkpoint-store lane (save/load activity) — real executor
-//! occupancy next to the simulated timelines.
+//! `repro` builds one run context (`columbia_obs::RunContext`) from its
+//! command line and passes it to every experiment, each job getting a
+//! copy at its own `--sim-threads`. `--trace` and `--metrics` give the
+//! context a trace list: every simulation the selected experiments
+//! execute is recorded (per-rank spans, fabric counters,
+//! compute/comm/wait attribution) and exported when the run finishes.
+//! Points of `kind = "columbia"` are the exception: they simulate
+//! without a tracer, so they record nothing. Load the trace file at
+//! <https://ui.perfetto.dev> — one process per simulation, one CPU
+//! track and one net track per rank. `--trace` additionally gives the
+//! context a host-telemetry capture (`columbia_obs::host`), so the
+//! export carries one extra process of **wall-clock** tracks: one lane
+//! per pool worker (job spans, fail-fast skip instants), a
+//! checkpoint-store lane (save/load activity) and, at `--sim-threads`
+//! 2 or more, one lane per PDES partition — real executor occupancy
+//! next to the simulated timelines.
 //!
 //! `--analyze` records the selected experiments like `--trace` does,
 //! then runs the simulated-time performance analyzer
@@ -93,11 +96,11 @@
 //! produce byte-identical manifests modulo that `volatile` key.
 //!
 //! Without resilience flags each experiment runs strictly
-//! (`SweepPlan::run_with_jobs`): its lowest-indexed failing point
+//! (`SweepPlan::run`): its lowest-indexed failing point
 //! replaces the report with a structured diagnosis. Any of
 //! `--checkpoint-dir`, `--resume`, `--point-deadline`, or
 //! `--max-retries` switches to the **resilient** form
-//! (`SweepPlan::run_resilient_with_jobs`): point panics and deadline
+//! (`SweepPlan::run_resilient`): point panics and deadline
 //! overruns degrade to diagnostic rows instead of aborting the run,
 //! completed points are checkpointed per experiment under
 //! `<checkpoint-dir>/<exp>/`, and `--resume` serves checkpointed
@@ -120,7 +123,7 @@ use std::time::{Duration, Instant};
 use columbia::experiments::{self, failure_report, EXPERIMENTS};
 use columbia::manifest::{self, ManifestBuilder, ResilienceSummary, Volatile};
 use columbia::obs::{
-    analyze, host, sink, write_chrome_trace, Analysis, CriticalPath, TraceBundle, ANALYSIS_SCHEMA,
+    analyze, write_chrome_trace, Analysis, CriticalPath, RunContext, TraceBundle, ANALYSIS_SCHEMA,
 };
 use columbia::par::{self, JobOutcome, JobStatus, RunOptions};
 use columbia::{analysis_report, PointStore, Report, ResilienceOptions, SpecJob};
@@ -378,14 +381,15 @@ fn main() {
         }
     };
     let collecting = cli.trace.is_some() || cli.metrics.is_some() || analyzing;
+    let mut ctx = RunContext::new(1);
     if collecting {
-        sink::install();
+        ctx = ctx.with_traces();
     }
     // Host (wall-clock) telemetry rides along whenever the run's
     // execution is being recorded: the trace export gains per-worker
     // host tracks, the manifest gains executor metrics.
     if cli.trace.is_some() || cli.manifest.is_some() {
-        host::enable();
+        ctx = ctx.with_host_capture();
     }
     let mut manifest_builder = cli.manifest.as_ref().map(|_| {
         ManifestBuilder::new(
@@ -409,10 +413,9 @@ fn main() {
             content_hash,
         } = job;
         // Per-simulation PDES threads: CLI beats the spec's
-        // `[defaults] sim_threads`, which beats serial. Set before the
-        // job runs; the engine consults the global at dispatch.
+        // `[defaults] sim_threads`, which beats serial.
         let sim_threads = cli.sim_threads.or(sweep_plan.sim_threads).unwrap_or(1);
-        columbia::simnet::set_sim_threads(sim_threads);
+        let job_ctx = ctx.with_sim_threads(sim_threads);
         manifest_sim_threads = manifest_sim_threads.max(sim_threads);
         let fingerprint = sweep_plan.fingerprint();
         let points = sweep_plan.len();
@@ -434,7 +437,7 @@ fn main() {
                 resume: cli.resume,
                 experiment: Some(name.clone()),
             };
-            let outcome = sweep_plan.run_resilient_with_jobs(jobs, opts);
+            let outcome = sweep_plan.run_resilient(&job_ctx, jobs, opts);
             // Stats are stderr-only: stdout must stay byte-identical
             // to a plain run so resume can be diffed against goldens.
             let s = outcome.stats;
@@ -463,7 +466,7 @@ fn main() {
             failed_points += s.failed;
             outcome.report
         } else {
-            sweep_plan.run_with_jobs(jobs).unwrap_or_else(|err| {
+            sweep_plan.run(&job_ctx, jobs).unwrap_or_else(|err| {
                 failed_points += 1;
                 failure_report(&name, &err)
             })
@@ -482,14 +485,14 @@ fn main() {
     }
     // Drain the host capture once; the trace export and the manifest
     // both read from it.
-    let host_report = host::take();
+    let host_report = ctx.take_host_report();
     if collecting {
-        let bundles = Arc::new(sink::take());
+        let bundles = Arc::new(ctx.take_traces());
         eprintln!("captured {} simulation(s)", bundles.len());
         // The analyzer is a pure function of the canonically-ordered
         // bundles, so everything derived below is identical for every
-        // `--jobs` value. Host capture has stopped, so its jobs record
-        // no spans.
+        // `--jobs` value. Its jobs run without a host capture, so they
+        // record no spans.
         let analyses = if analyzing {
             analyze_all(&bundles, jobs)
         } else {

@@ -17,7 +17,7 @@
 
 use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia_machine::node::{NodeKind, NodeModel};
-use columbia_obs::RecordingTracer;
+use columbia_obs::{NullTracer, RecordingTracer, RunContext};
 use columbia_runtime::compiler::{CompilerVersion, KernelClass};
 use columbia_runtime::compute::WorkPhase;
 use columbia_runtime::exec::{execute_traced, ExecConfig, SpecOp, WorkloadSpec};
@@ -26,9 +26,7 @@ use columbia_runtime::placement::{Placement, PlacementStrategy};
 use columbia_simnet::fabric::{CachedFabric, ClusterFabric, MptVersion};
 use columbia_simnet::fault::DEFAULT_MULTIPLEX_QUEUE_PENALTY;
 use columbia_simnet::program::{ByteRule, Peer, ProgramSet, SpmdOp};
-use columbia_simnet::{
-    sim_threads, simulate_parallel_on, ConnectionLimit, ConnectionPolicy, FaultPlan, SimError,
-};
+use columbia_simnet::{simulate, ConnectionLimit, ConnectionPolicy, FaultPlan, SimError};
 
 use crate::obs_report::hotspot_report;
 use crate::report::{secs, Report};
@@ -107,17 +105,18 @@ pub fn plan(name: &str) -> SweepPlan {
     known(name).plan
 }
 
-/// Run experiment `name`'s sweep points across `jobs` worker threads;
-/// a failed simulation becomes a diagnostic report rather than a
-/// panic, so sweeps always produce output. Byte-identical for any
-/// `jobs` (the determinism property the golden harness asserts).
+/// Run experiment `name`'s sweep points across `jobs` worker threads,
+/// simulating on one thread and recording nothing; a failed simulation
+/// becomes a diagnostic report rather than a panic, so sweeps always
+/// produce output. Byte-identical for any `jobs` (the determinism
+/// property the golden harness asserts).
 ///
 /// # Panics
 ///
 /// If `name` is neither an experiment nor an alias.
 pub fn run_with_jobs(name: &str, jobs: usize) -> Report {
     let SpecJob { name, plan, .. } = known(name);
-    plan.run_with_jobs(jobs)
+    plan.run(&RunContext::new(1), jobs)
         .unwrap_or_else(|err| failure_report(&name, &err))
 }
 
@@ -219,9 +218,10 @@ impl Default for TraceParams {
     }
 }
 
-/// One traced-exchange point: build the skewed workload, run it under a
-/// [`RecordingTracer`], and render the top-N hotspot table.
-pub(crate) fn trace_output(p: &TraceParams) -> Result<PointOutput, SimError> {
+/// One traced-exchange point: build the skewed workload, run it in `ctx`
+/// under a [`RecordingTracer`], record the run into `ctx`, and render
+/// the top-N hotspot table.
+pub(crate) fn trace_output(ctx: &RunContext, p: &TraceParams) -> Result<PointOutput, SimError> {
     let n = p.ranks;
     let cluster = ClusterConfig::uniform(NodeKind::Bx2b, p.nodes);
     let nodes: Vec<NodeId> = (0..p.nodes).map(NodeId).collect();
@@ -266,13 +266,14 @@ pub(crate) fn trace_output(p: &TraceParams) -> Result<PointOutput, SimError> {
         faults,
     };
     let mut tracer = RecordingTracer::new();
-    execute_traced(&spec, &cfg, &mut tracer)?;
+    execute_traced(ctx, &spec, &cfg, &mut tracer)?;
     let profile = tracer.profile();
     let metrics = tracer.metrics.clone();
-    // This experiment drives its own tracer (bypassing `execute`'s
-    // sink check), so deposit the bundle for `--trace` exports itself.
-    if columbia_obs::sink::is_active() {
-        columbia_obs::sink::record(tracer.into_bundle(format!(
+    // The hotspot table needs the tracer whether or not `ctx` records,
+    // so this point records its run itself rather than through
+    // `execute_in`.
+    if ctx.records() {
+        ctx.record(tracer.into_bundle(format!(
             "trace demo: {} ranks over {} nodes (IB)",
             p.ranks, p.nodes
         )));
@@ -324,8 +325,9 @@ fn columbia_template() -> Vec<SpmdOp> {
 /// [`ProgramSet`] + [`CachedFabric`] + monomorphized engine path; a run
 /// at this scale is only seconds *because* of those optimizations (see
 /// `cargo bench -p columbia-bench --bench simnet`). Both Columbia points
-/// simulate on [`sim_threads`] threads (`repro --sim-threads`).
-pub(crate) fn columbia_full_output() -> Result<PointOutput, SimError> {
+/// simulate untraced at `ctx`'s thread count (`repro --sim-threads`),
+/// recording their PDES rounds into its host capture.
+pub(crate) fn columbia_full_output(ctx: &RunContext) -> Result<PointOutput, SimError> {
     {
         let cluster = ClusterConfig::columbia();
         let ranks = cluster.total_cpus() as usize;
@@ -353,7 +355,7 @@ pub(crate) fn columbia_full_output() -> Result<PointOutput, SimError> {
             ranks as u32,
         ));
         let set = ProgramSet::spmd(ranks, columbia_template());
-        let out = simulate_parallel_on(&set, &cpus, &fabric, &faults, sim_threads())?;
+        let out = simulate(&set, &cpus, &fabric, &faults, &mut NullTracer, ctx)?;
         Ok(PointOutput::row(vec![
             "full machine".into(),
             ranks.to_string(),
@@ -374,7 +376,7 @@ pub(crate) fn columbia_full_output() -> Result<PointOutput, SimError> {
 /// The capability-subsystem Columbia point (four NUMAlink4 nodes,
 /// 2,048 ranks) — `core::spec`'s `kind = "columbia"`, config
 /// `subsystem`.
-pub(crate) fn columbia_subsystem_output() -> Result<PointOutput, SimError> {
+pub(crate) fn columbia_subsystem_output(ctx: &RunContext) -> Result<PointOutput, SimError> {
     {
         let cluster = ClusterConfig::columbia();
         let sub = cluster.numalink4_subsystem.clone();
@@ -390,7 +392,8 @@ pub(crate) fn columbia_subsystem_output() -> Result<PointOutput, SimError> {
             ranks as u32,
         ));
         let set = ProgramSet::spmd(ranks, columbia_template());
-        let out = simulate_parallel_on(&set, &cpus, &fabric, &FaultPlan::none(), sim_threads())?;
+        let faults = FaultPlan::none();
+        let out = simulate(&set, &cpus, &fabric, &faults, &mut NullTracer, ctx)?;
         Ok(PointOutput::row(vec![
             "capability subsystem".into(),
             ranks.to_string(),

@@ -24,10 +24,11 @@ use columbia_ins3d::perf::MAX_CPUS;
 use columbia_ins3d::{iteration_seconds, Ins3dConfig};
 use columbia_machine::cluster::{InterNodeFabric, NodeId};
 use columbia_machine::node::NodeKind;
-use columbia_md::scaling::weak_scaling_point;
+use columbia_md::scaling::weak_scaling_point_in;
 use columbia_npb::{gflops_per_cpu, NpbBenchmark, NpbClass, Paradigm};
 use columbia_npbmz::bench::{run as mz_run, MzBenchmark, MzRunConfig};
 use columbia_npbmz::MzClass;
+use columbia_obs::RunContext;
 use columbia_overflowd::{placement_strategy as overflow_placement, step_times, OverflowConfig};
 use columbia_overset::systems::{ROTOR_BLOCKS, TURBOPUMP_BLOCKS};
 use columbia_runtime::compiler::CompilerVersion;
@@ -1035,16 +1036,16 @@ impl Task {
         }
     }
 
-    fn run(&self) -> Result<TaskOut, SimError> {
+    fn run(&self, ctx: &RunContext) -> Result<TaskOut, SimError> {
         let mut out = TaskOut::default();
         match self {
             Task::Table1 => out.raw = Some(table1_output()),
-            Task::Trace(p) => out.raw = Some(trace_output(p)?),
+            Task::Trace(p) => out.raw = Some(trace_output(ctx, p)?),
             Task::Columbia { full } => {
                 out.raw = Some(if *full {
-                    columbia_full_output()?
+                    columbia_full_output(ctx)?
                 } else {
-                    columbia_subsystem_output()?
+                    columbia_subsystem_output(ctx)?
                 })
             }
             Task::BeffInNode { kind, cpus } => {
@@ -1120,7 +1121,7 @@ impl Task {
                     b.insert("node".into(), kind.name().to_string());
                     b.insert("cpus".into(), n.to_string());
                     for (v, sfx) in compilers {
-                        let g = gflops_per_cpu(*bench, *class, *kind, *paradigm, n, *v)?;
+                        let g = gflops_per_cpu(ctx, *bench, *class, *kind, *paradigm, n, *v)?;
                         let key = if *compiler_vec {
                             format!("gflops.{sfx}")
                         } else {
@@ -1183,14 +1184,15 @@ impl Task {
                 for (k, ks) in kinds {
                     for (fb, fs) in fabrics {
                         for (c, cs) in compilers {
-                            let t = step_times(&OverflowConfig {
+                            let cfg = OverflowConfig {
                                 kind: *k,
                                 procs: *procs,
                                 threads: *threads,
                                 nodes: *nodes,
                                 inter: *fb,
                                 compiler: *c,
-                            })?;
+                            };
+                            let t = step_times(ctx, &cfg)?;
                             let sfx = if *kind_vec {
                                 Some(*ks)
                             } else if *fabric_vec {
@@ -1255,7 +1257,7 @@ impl Task {
                     cfg.mpt = *mpt;
                     cfg.pinning = *p;
                     cfg.faults = faults.clone();
-                    let r = mz_run(&cfg)?;
+                    let r = mz_run(ctx, &cfg)?;
                     let key = |base: &str| {
                         if *pinning_vec {
                             format!("{base}.{ps}")
@@ -1280,8 +1282,8 @@ impl Task {
             Task::MdWeak { cpus } => {
                 // The 1-CPU efficiency baseline is recomputed per point,
                 // keeping points independent.
-                let base = weak_scaling_point(1)?;
-                let p = weak_scaling_point(*cpus)?;
+                let base = weak_scaling_point_in(ctx, 1)?;
+                let p = weak_scaling_point_in(ctx, *cpus)?;
                 let mut b = BTreeMap::new();
                 b.insert("cpus".into(), cpus.to_string());
                 b.insert("atoms".into(), p.atoms.to_string());
@@ -1606,8 +1608,8 @@ fn expand_point(
 
     let row_templates = row_templates.map(|(t, _)| t);
     let point_disp = disp;
-    plan.point(move || {
-        match task.run() {
+    plan.point(move |ctx| {
+        match task.run(ctx) {
             Ok(t) => {
                 let mut po = PointOutput::default();
                 if expect_error {

@@ -44,8 +44,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use columbia_obs::host::{self, HostTrack};
+use columbia_obs::host::{HostCapture, HostTrack};
 use serde_json::Value;
 
 use crate::sweep::PointOutput;
@@ -153,6 +154,9 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub struct PointStore {
     dir: PathBuf,
+    /// The host capture saves and loads are recorded into; the sweep
+    /// that runs the store attaches its run's capture.
+    host: Option<Arc<HostCapture>>,
 }
 
 impl PointStore {
@@ -164,7 +168,12 @@ impl PointStore {
             path: dir.clone(),
             source,
         })?;
-        Ok(PointStore { dir })
+        Ok(PointStore { dir, host: None })
+    }
+
+    /// This store, recording its saves and loads into `host`.
+    pub fn with_host(self, host: Option<Arc<HostCapture>>) -> Self {
+        PointStore { host, ..self }
     }
 
     /// The store's root directory.
@@ -174,11 +183,11 @@ impl PointStore {
 
     /// Persist one completed point atomically (temp file + rename).
     ///
-    /// Under a live host capture the write+rename is timed as a span on
-    /// the store lane, observed into `store.write_seconds`, and counted
-    /// as `store.saves` (or `store.save_errors` on failure).
+    /// Under a host capture the write+rename is timed as a span on the
+    /// store lane, observed into `store.write_seconds`, and counted as
+    /// `store.saves` (or `store.save_errors` on failure).
     pub fn save(&self, key: &PointKey, output: &PointOutput) -> Result<(), StoreError> {
-        let t0 = host::clock();
+        let t0 = self.host.as_ref().map(|h| h.clock());
         let final_path = self.dir.join(key.file_name());
         let tmp_path = self.dir.join(format!(
             "{}.tmp.{}.{}",
@@ -201,17 +210,13 @@ impl PointStore {
                     source,
                 })
             });
-        if let Some(t0) = t0 {
-            let ok = result.is_ok();
-            host::count(
-                if ok {
-                    "store.saves"
-                } else {
-                    "store.save_errors"
-                },
-                1,
-            );
-            host::span(
+        if let (Some(host), Some(t0)) = (&self.host, t0) {
+            let (counter, outcome) = match &result {
+                Ok(()) => ("store.saves", "ok"),
+                Err(_) => ("store.save_errors", "error"),
+            };
+            host.count(counter, 1);
+            host.span(
                 HostTrack::Store,
                 "host.store",
                 format!("save point {}", key.index),
@@ -219,17 +224,12 @@ impl PointStore {
                 vec![
                     ("index", Value::Number(key.index as f64)),
                     ("bytes", Value::Number(bytes as f64)),
-                    (
-                        "outcome",
-                        Value::String(if ok { "ok" } else { "error" }.into()),
-                    ),
+                    ("outcome", Value::String(outcome.into())),
                 ],
             );
             // The span's end already measured the write+rename; reuse
             // the same clock for the latency histogram.
-            if let Some(t1) = host::clock() {
-                host::observe("store.write_seconds", (t1 - t0).max(0.0));
-            }
+            host.observe("store.write_seconds", (host.clock() - t0).max(0.0));
         }
         result
     }
@@ -238,7 +238,7 @@ impl PointStore {
     /// corrupt, or version-mismatched entries are misses (`None`): the
     /// caller re-runs the point and overwrites the entry.
     ///
-    /// Under a live host capture each probe lands on the store lane as
+    /// Under a host capture each probe lands on the store lane as
     /// an instant and one of `store.hits` (valid entry),
     /// `store.misses` (no readable file), or `store.corrupt` (file
     /// read, decode refused).
@@ -246,21 +246,14 @@ impl PointStore {
         let path = self.dir.join(key.file_name());
         let read = std::fs::read_to_string(path);
         let decoded = read.as_deref().ok().and_then(decode_point);
-        if host::is_enabled() {
-            let outcome = match (&read, &decoded) {
-                (Ok(_), Some(_)) => "hit",
-                (Ok(_), None) => "corrupt",
-                (Err(_), _) => "miss",
+        if let Some(host) = &self.host {
+            let (outcome, counter) = match (&read, &decoded) {
+                (Ok(_), Some(_)) => ("hit", "store.hits"),
+                (Ok(_), None) => ("corrupt", "store.corrupt"),
+                (Err(_), _) => ("miss", "store.misses"),
             };
-            host::count(
-                match outcome {
-                    "hit" => "store.hits",
-                    "corrupt" => "store.corrupt",
-                    _ => "store.misses",
-                },
-                1,
-            );
-            host::instant(
+            host.count(counter, 1);
+            host.instant(
                 HostTrack::Store,
                 "host.store",
                 format!("load point {}: {outcome}", key.index),

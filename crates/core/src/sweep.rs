@@ -5,8 +5,9 @@
 //! scenario) whose results are collated into a [`Report`] in a fixed,
 //! paper-given order. A [`SweepPlan`] makes that structure explicit:
 //! the report skeleton, the ordered list of [`SweepPoint`] jobs, and a
-//! collation step. [`SweepPlan::run_with_jobs`] executes the points on
-//! the `columbia-par` pool — points may finish in any order, but every
+//! collation step. [`SweepPlan::run`] executes the points on the
+//! `columbia-par` pool, in the caller's [`RunContext`] — points may
+//! finish in any order, but every
 //! [`PointOutput`] is keyed by its sweep index and reduced in canonical
 //! order, so the resulting report is **bit-identical** to a serial run
 //! regardless of scheduling (property-tested, and enforced by the CI
@@ -18,21 +19,21 @@
 //! surface a different failure than the serial one just because a
 //! later point crashed first.
 //!
-//! Trace capture is ordered the same way. Each point runs inside a
-//! [`sink::capture`], so the bundles its simulations record travel
-//! back with its result. Once the pool settles, the sweep records
-//! them into the `columbia-obs` sink in sweep-index order, for every
-//! point whose settling attempt returned an output or a [`SimError`]
-//! (a deadlocked run still leaves its partial timeline). Panicked and
-//! abandoned attempts and resumed points record nothing, and a strict
-//! run records only the points up to and including the lowest failing
-//! one — exactly the points a one-thread run executes. So `repro
-//! --trace` exports the same bundles at any `--jobs`.
+//! Trace recording is ordered the same way. Each attempt at a point
+//! runs in a [`RunContext::child`] of the sweep's context — the same
+//! thread count and host capture, and a trace list of its own — so the
+//! bundles its simulations record travel back with its result. Once the
+//! pool settles, the sweep records them into its context in sweep-index
+//! order, for every point whose settling attempt returned an output or
+//! a [`SimError`] (a deadlocked run still leaves its partial timeline).
+//! Panicked and abandoned attempts and resumed points record nothing,
+//! and a strict run records only the points up to and including the
+//! lowest failing one — exactly the points a one-thread run executes.
+//! So `repro --trace` exports the same bundles at any `--jobs`.
 //!
 //! # Resilient execution
 //!
-//! [`SweepPlan::run_resilient_with_jobs`] is the batch-campaign
-//! variant: instead of aborting the sweep at the first failure it runs
+//! [`SweepPlan::run_resilient`] is the batch-campaign variant: instead of aborting the sweep at the first failure it runs
 //! *everything*, under a resilience policy ([`ResilienceOptions`]):
 //!
 //! * a panicking point becomes a typed [`PointError::Panicked`] in the
@@ -47,7 +48,7 @@
 //! * failures degrade the report to diagnostic rows (one per failed
 //!   point) instead of discarding the sweep, and the whole episode is
 //!   summarized as `sweep.*` counters and a per-point latency
-//!   histogram in the `columbia-obs` sink when one is installed.
+//!   histogram in a `sweep resilience` bundle when the context records.
 //!
 //! Both run through one body, so a resilient run in which every point
 //! succeeds produces a report **byte-identical** to the strict one's —
@@ -62,7 +63,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use columbia_obs::metrics::Metrics;
-use columbia_obs::sink::{self, TraceBundle};
+use columbia_obs::{RunContext, TraceBundle};
 use columbia_par::{panic_message, JobFailure, JobStatus, RunOptions};
 use columbia_simnet::SimError;
 
@@ -113,20 +114,22 @@ impl PointOutput {
 }
 
 /// One independent sweep job: runs an isolated simulation (or a small
-/// family of them) and returns its contribution to the report.
+/// family of them) in the given context and returns its contribution
+/// to the report.
 ///
 /// Points are `Fn` (not `FnOnce`) so the resilient executor can retry
 /// them, and `Sync` so a deadline watchdog can re-invoke them from a
 /// supervised thread. In practice every experiment's points capture
 /// only small `Copy` configuration (CPU counts, seeds, fabric enums),
 /// so the stronger bound costs nothing.
-pub type SweepPoint = Box<dyn Fn() -> Result<PointOutput, SimError> + Send + Sync>;
+pub type SweepPoint = Box<dyn Fn(&RunContext) -> Result<PointOutput, SimError> + Send + Sync>;
 
 /// One attempt at a point as the pool runs it: the point's result and
 /// the trace bundles it recorded.
 type Captured = (Result<PointOutput, SimError>, Vec<TraceBundle>);
 
-/// A [`SweepPoint`] wrapped to run inside a [`sink::capture`].
+/// A [`SweepPoint`] as the pool runs it: each call is one attempt, in
+/// its own child context.
 type CapturedPoint = Box<dyn Fn() -> Captured + Send + Sync>;
 
 /// Collation hook: builds the report body from the index-ordered point
@@ -221,7 +224,7 @@ impl std::fmt::Display for PointError {
 
 impl std::error::Error for PointError {}
 
-/// Policy knobs for [`SweepPlan::run_resilient_with_jobs`].
+/// Policy knobs for [`SweepPlan::run_resilient`].
 #[derive(Debug, Default)]
 pub struct ResilienceOptions {
     /// Per-attempt wall-clock deadline for one point. `None` disables
@@ -278,7 +281,7 @@ impl SweepStats {
     }
 }
 
-/// The result of [`SweepPlan::run_resilient_with_jobs`]: the (possibly
+/// The result of [`SweepPlan::run_resilient`]: the (possibly
 /// degraded) report, the typed failures in sweep-index order, and run
 /// statistics.
 #[derive(Debug)]
@@ -342,15 +345,18 @@ impl SweepPlan {
     /// Append one sweep point. Index order is the collation order.
     pub fn point(
         &mut self,
-        f: impl Fn() -> Result<PointOutput, SimError> + Send + Sync + 'static,
+        f: impl Fn(&RunContext) -> Result<PointOutput, SimError> + Send + Sync + 'static,
     ) -> &mut Self {
         self.points.push(Box::new(f));
         self
     }
 
     /// Append an infallible sweep point.
-    pub fn point_ok(&mut self, f: impl Fn() -> PointOutput + Send + Sync + 'static) -> &mut Self {
-        self.point(move || Ok(f()))
+    pub fn point_ok(
+        &mut self,
+        f: impl Fn(&RunContext) -> PointOutput + Send + Sync + 'static,
+    ) -> &mut Self {
+        self.point(move |ctx| Ok(f(ctx)))
     }
 
     /// Append a plan-level note (rendered after every point's notes).
@@ -395,13 +401,13 @@ impl SweepPlan {
         h.finish() as u64
     }
 
-    /// Execute every point on `jobs` threads and collate in canonical
-    /// order.
+    /// Execute every point in `ctx` on `jobs` threads and collate in
+    /// canonical order.
     ///
-    /// Trace bundles the points record reach the sink in sweep order,
-    /// not completion order (see the module docs). With one thread
-    /// this is exactly the serial path: points run in index order on
-    /// the calling thread.
+    /// Trace bundles the points record reach `ctx` in sweep order, not
+    /// completion order (see the module docs). With one thread this is
+    /// exactly the serial path: points run in index order on the
+    /// calling thread.
     ///
     /// On failure the error of the **lowest-indexed** failing point is
     /// returned: every point at or below that index runs to
@@ -410,8 +416,8 @@ impl SweepPlan {
     /// are still joined before this returns. A panicking point
     /// completes the same settlement and is then re-raised on the
     /// calling thread.
-    pub fn run_with_jobs(self, jobs: usize) -> Result<Report, SimError> {
-        let outcome = self.execute(jobs, ResilienceOptions::default(), true);
+    pub fn run(self, ctx: &RunContext, jobs: usize) -> Result<Report, SimError> {
+        let outcome = self.execute(ctx, jobs, ResilienceOptions::default(), true);
         match outcome.failures.into_iter().next() {
             None => Ok(outcome.report),
             Some(PointError::Sim { error, .. }) => Err(error),
@@ -423,30 +429,55 @@ impl SweepPlan {
         }
     }
 
-    /// Execute every point under the resilience policy in `opts` and
-    /// collate whatever survives — the campaign-grade path behind
-    /// `repro --resume/--point-deadline/--max-retries`.
+    /// [`SweepPlan::run`] in the process-default context. Kept only for
+    /// `benchmark/probes` until ROADMAP item 3, step 3.
+    pub fn run_with_jobs(self, jobs: usize) -> Result<Report, SimError> {
+        self.run(&RunContext::process_default(), jobs)
+    }
+
+    /// Execute every point in `ctx` under the resilience policy in
+    /// `opts` and collate whatever survives — the campaign-grade path
+    /// behind `repro --resume/--point-deadline/--max-retries`. A store
+    /// in `opts` records into `ctx`'s host capture.
     ///
-    /// Unlike [`SweepPlan::run_with_jobs`] this never fails and never
+    /// Unlike [`SweepPlan::run`] this never fails and never
     /// panics on a point failure: every point is attempted (with
     /// deadline, retry, and checkpoint semantics per `opts`), failed
     /// points degrade to one diagnostic row plus one note each, and the
     /// typed failures come back in [`SweepOutcome::failures`], ordered
     /// by sweep index. When every point succeeds the report is
     /// byte-identical to the strict path's.
+    pub fn run_resilient(
+        self,
+        ctx: &RunContext,
+        jobs: usize,
+        opts: ResilienceOptions,
+    ) -> SweepOutcome {
+        self.execute(ctx, jobs, opts, false)
+    }
+
+    /// [`SweepPlan::run_resilient`] in the process-default context.
+    /// Kept only for `benchmark/probes` until ROADMAP item 3, step 3.
     pub fn run_resilient_with_jobs(self, jobs: usize, opts: ResilienceOptions) -> SweepOutcome {
-        self.execute(jobs, opts, false)
+        self.run_resilient(&RunContext::process_default(), jobs, opts)
     }
 
     /// The one sweep body. `strict` stops starting points above the
     /// lowest failure, records only the traces of the points up to it,
-    /// and keeps the `sweep resilience` summary bundle out of the trace
-    /// sink, so a strict run records only its simulations.
-    fn execute(self, jobs: usize, opts: ResilienceOptions, strict: bool) -> SweepOutcome {
+    /// and keeps the `sweep resilience` summary bundle out of `ctx`, so
+    /// a strict run records only its simulations.
+    fn execute(
+        self,
+        ctx: &RunContext,
+        jobs: usize,
+        opts: ResilienceOptions,
+        strict: bool,
+    ) -> SweepOutcome {
         let n = self.points.len();
         let experiment = opts.experiment.unwrap_or_else(|| self.id.clone());
         let fingerprint = self.fingerprint();
-        let store = opts.store.map(Arc::new);
+        let host = ctx.host().cloned();
+        let store = opts.store.map(|s| Arc::new(s.with_host(host.clone())));
         let checkpoint_errors = Arc::new(AtomicU64::new(0));
         let mut resumed = 0usize;
 
@@ -467,10 +498,11 @@ impl SweepPlan {
                         return Box::new(move || (Ok(cached.clone()), Vec::new())) as CapturedPoint;
                     }
                 }
-                let store = store.clone();
+                let (store, ctx) = (store.clone(), ctx.clone());
                 let checkpoint_errors = Arc::clone(&checkpoint_errors);
                 Box::new(move || {
-                    let (out, bundles) = sink::capture(&f);
+                    let attempt = ctx.child();
+                    let out = f(&attempt);
                     // Checkpoint from the worker, so a kill between
                     // points loses at most the in-flight ones. A failed
                     // write only costs resumability, never the sweep.
@@ -479,7 +511,7 @@ impl SweepPlan {
                             checkpoint_errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    (out, bundles)
+                    (out, attempt.into_bundles())
                 }) as CapturedPoint
             })
             .collect();
@@ -488,6 +520,7 @@ impl SweepPlan {
             deadline: opts.deadline,
             max_retries: opts.max_retries,
             fail_fast: strict,
+            host,
         };
         let statuses =
             columbia_par::run_governed(jobs, points, &run_opts, |(r, _): &Captured| r.is_err());
@@ -562,7 +595,7 @@ impl SweepPlan {
             _ => n,
         };
         for bundle in traces.into_iter().take(traced).flatten() {
-            sink::record(bundle);
+            ctx.record(bundle);
         }
 
         let mut report = if failures.is_empty() {
@@ -622,7 +655,7 @@ impl SweepPlan {
             ));
         }
 
-        if !strict && sink::is_active() {
+        if !strict && ctx.records() {
             let mut metrics = Metrics::new();
             metrics.inc("sweep.points", stats.points as u64);
             metrics.inc("sweep.resumed", stats.resumed as u64);
@@ -642,7 +675,7 @@ impl SweepPlan {
                 metrics.gauge("sweep.point_seconds_p95", h.percentile(95.0));
                 metrics.gauge("sweep.point_seconds_p99", h.percentile(99.0));
             }
-            sink::record(TraceBundle {
+            ctx.record(TraceBundle {
                 label: format!("sweep resilience: {}", report.id),
                 metrics,
                 ..TraceBundle::default()
@@ -713,7 +746,7 @@ mod tests {
     fn demo_plan() -> SweepPlan {
         let mut plan = SweepPlan::new("T", "demo", &["i", "sq"]);
         for i in 0..10u64 {
-            plan.point_ok(move || {
+            plan.point_ok(move |_| {
                 PointOutput::row(vec![i.to_string(), (i * i).to_string()]).with_value(i as f64)
             });
         }
@@ -747,7 +780,7 @@ mod tests {
         // leak insertion order into the report.
         let mut plan = SweepPlan::new("T", "ooo", &["i"]);
         for i in 0..8u64 {
-            plan.point_ok(move || {
+            plan.point_ok(move |_| {
                 std::thread::sleep(std::time::Duration::from_millis(2 * (8 - i)));
                 PointOutput::row(vec![i.to_string()])
             });
@@ -763,15 +796,15 @@ mod tests {
             let mut plan = SweepPlan::new("T", "err", &["x"]);
             // Point 2 fails fast, point 1 fails slow — the canonical
             // error is point 1's, under any scheduling.
-            plan.point_ok(|| PointOutput::row(vec!["ok".into()]));
-            plan.point(|| {
+            plan.point_ok(|_| PointOutput::row(vec!["ok".into()]));
+            plan.point(|_| {
                 std::thread::sleep(std::time::Duration::from_millis(30));
                 Err(SimError::WatchdogTimeout {
                     events: 1,
                     budget: 1,
                 })
             });
-            plan.point(|| {
+            plan.point(|_| {
                 Err(SimError::WatchdogTimeout {
                     events: 2,
                     budget: 2,
@@ -799,7 +832,7 @@ mod tests {
         for i in 0..16u64 {
             let started = Arc::clone(&started);
             let pair = Arc::clone(&pair);
-            plan.point(move || {
+            plan.point(move |_| {
                 started.lock().unwrap().push(i);
                 if i < 2 {
                     pair.wait();
@@ -828,7 +861,7 @@ mod tests {
             let mut plan = SweepPlan::new("T", "panics", &["i"]);
             for (i, ran) in ran.iter().enumerate() {
                 let ran = Arc::clone(ran);
-                plan.point_ok(move || {
+                plan.point_ok(move |_| {
                     ran.fetch_add(1, Ordering::SeqCst);
                     if i == 2 || i == 6 {
                         panic!("boom at point {i}");
@@ -867,8 +900,8 @@ mod tests {
     #[test]
     fn point_notes_follow_rows_then_plan_notes() {
         let mut plan = SweepPlan::new("T", "notes", &["x"]);
-        plan.point_ok(|| PointOutput::row(vec!["a".into()]).with_note("from point 0"));
-        plan.point_ok(|| PointOutput::row(vec!["b".into()]).with_note("from point 1"));
+        plan.point_ok(|_| PointOutput::row(vec!["a".into()]).with_note("from point 0"));
+        plan.point_ok(|_| PointOutput::row(vec!["b".into()]).with_note("from point 1"));
         plan.note("plan-level");
         let r = plan.run_with_jobs(2).unwrap();
         assert_eq!(r.notes, vec!["from point 0", "from point 1", "plan-level"]);
@@ -891,9 +924,9 @@ mod tests {
     #[test]
     fn panicking_point_degrades_to_a_diagnostic_row() {
         let mut plan = SweepPlan::new("T", "panicky", &["i", "v"]);
-        plan.point_ok(|| PointOutput::row(vec!["0".into(), "ok".into()]));
-        plan.point_ok(|| panic!("boom at point 1"));
-        plan.point_ok(|| PointOutput::row(vec!["2".into(), "ok".into()]));
+        plan.point_ok(|_| PointOutput::row(vec!["0".into(), "ok".into()]));
+        plan.point_ok(|_| panic!("boom at point 1"));
+        plan.point_ok(|_| PointOutput::row(vec!["2".into(), "ok".into()]));
         let out = plan.run_resilient_with_jobs(2, ResilienceOptions::default());
         assert_eq!(out.stats.failed, 1);
         assert_eq!(out.stats.panics, 1);
@@ -911,8 +944,8 @@ mod tests {
     #[test]
     fn sim_error_degrades_instead_of_aborting() {
         let mut plan = SweepPlan::new("T", "simerr", &["x"]);
-        plan.point_ok(|| PointOutput::row(vec!["fine".into()]));
-        plan.point(|| {
+        plan.point_ok(|_| PointOutput::row(vec!["fine".into()]));
+        plan.point(|_| {
             Err(SimError::WatchdogTimeout {
                 events: 9,
                 budget: 3,
@@ -933,7 +966,7 @@ mod tests {
         let hits = Arc::new(AtomicU32::new(0));
         let mut plan = SweepPlan::new("T", "flaky", &["x"]);
         let h = Arc::clone(&hits);
-        plan.point_ok(move || {
+        plan.point_ok(move |_| {
             if h.fetch_add(1, Ordering::SeqCst) < 2 {
                 panic!("transient");
             }
@@ -954,7 +987,7 @@ mod tests {
         let hits = Arc::new(AtomicU32::new(0));
         let mut plan = SweepPlan::new("T", "hopeless", &["x"]);
         let h = Arc::clone(&hits);
-        plan.point_ok(move || -> PointOutput {
+        plan.point_ok(move |_| -> PointOutput {
             h.fetch_add(1, Ordering::SeqCst);
             panic!("always")
         });
@@ -974,8 +1007,8 @@ mod tests {
     #[test]
     fn deadline_abandons_a_hung_point() {
         let mut plan = SweepPlan::new("T", "hung", &["x"]);
-        plan.point_ok(|| PointOutput::row(vec!["quick".into()]));
-        plan.point_ok(|| {
+        plan.point_ok(|_| PointOutput::row(vec!["quick".into()]));
+        plan.point_ok(|_| {
             std::thread::sleep(Duration::from_secs(30));
             PointOutput::row(vec!["never".into()])
         });
@@ -1002,8 +1035,8 @@ mod tests {
         // The collator indexes into every point's values — a failed
         // point's empty placeholder would panic it.
         let mut plan = SweepPlan::new("T", "fragile", &["i", "rel"]);
-        plan.point_ok(|| PointOutput::row(vec!["0".into(), "x".into()]).with_value(2.0));
-        plan.point_ok(|| panic!("no value from me"));
+        plan.point_ok(|_| PointOutput::row(vec!["0".into(), "x".into()]).with_value(2.0));
+        plan.point_ok(|_| panic!("no value from me"));
         plan.collate_with(|report, outputs| {
             for o in &outputs {
                 report.push_row(vec!["r".into(), format!("{:.1}", o.values[0])]);
@@ -1023,7 +1056,7 @@ mod tests {
             let mut plan = SweepPlan::new("T", "ckpt", &["i"]);
             for i in 0..6u64 {
                 let runs = Arc::clone(runs);
-                plan.point_ok(move || {
+                plan.point_ok(move |_| {
                     runs.fetch_add(1, Ordering::SeqCst);
                     PointOutput::row(vec![i.to_string()]).with_value(i as f64 * 0.1)
                 });
@@ -1076,7 +1109,7 @@ mod tests {
         let base = demo_plan().fingerprint();
         assert_eq!(base, demo_plan().fingerprint(), "stable across builds");
         let mut other = demo_plan();
-        other.point_ok(PointOutput::default);
+        other.point_ok(|_| PointOutput::default());
         assert_ne!(base, other.fingerprint(), "point count matters");
         let renamed = SweepPlan::new("T2", "demo", &["i", "sq"]);
         assert_ne!(base, renamed.fingerprint(), "id matters");

@@ -16,5 +16,5 @@
 pub mod scaling;
 pub mod system;
 
-pub use scaling::{weak_scaling_point, WeakScalingPoint, ATOMS_PER_CPU};
+pub use scaling::{weak_scaling_point, weak_scaling_point_in, WeakScalingPoint, ATOMS_PER_CPU};
 pub use system::MdSystem;

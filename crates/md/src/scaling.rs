@@ -15,8 +15,9 @@ use columbia_machine::node::NodeKind;
 use columbia_npb::mg::push_halo;
 use columbia_runtime::compiler::KernelClass;
 use columbia_runtime::compute::WorkPhase;
-use columbia_runtime::exec::{execute, ExecConfig, SpecOp, WorkloadSpec};
+use columbia_runtime::exec::{execute_in, ExecConfig, SpecOp, WorkloadSpec};
 use columbia_runtime::placement::{Placement, PlacementStrategy};
+use columbia_simnet::obs::RunContext;
 use columbia_simnet::{FaultPlan, SimError};
 
 use crate::system::neighbours_per_atom;
@@ -57,10 +58,17 @@ pub fn flops_per_atom() -> f64 {
     45.0 * neighbours_per_atom(DENSITY) / 2.0 + 60.0
 }
 
-/// Simulate one weak-scaling point on `cpus` processors spread over as
-/// many BX2b nodes as needed (NUMAlink4, as Table 5's caption says).
-/// A failed simulation surfaces as its typed [`SimError`] diagnosis.
+/// [`weak_scaling_point_in`] the process-default context. Kept only for
+/// `benchmark/probes` until ROADMAP item 3, step 3.
 pub fn weak_scaling_point(cpus: u32) -> Result<WeakScalingPoint, SimError> {
+    weak_scaling_point_in(&RunContext::process_default(), cpus)
+}
+
+/// Simulate one weak-scaling point in `ctx` on `cpus` processors spread
+/// over as many BX2b nodes as needed (NUMAlink4, as Table 5's caption
+/// says). A failed simulation surfaces as its typed [`SimError`]
+/// diagnosis.
+pub fn weak_scaling_point_in(ctx: &RunContext, cpus: u32) -> Result<WeakScalingPoint, SimError> {
     assert!(cpus >= 1);
     // Production runs steer clear of the boot cpuset: at most 508
     // CPUs per node (§4.6.2). Full-node 512-CPU requests still pack
@@ -126,7 +134,7 @@ pub fn weak_scaling_point(cpus: u32) -> Result<WeakScalingPoint, SimError> {
         pinning: columbia_runtime::pinning::Pinning::Pinned,
         faults: FaultPlan::none(),
     };
-    let out = execute(&spec, &cfg)?;
+    let out = execute_in(ctx, &spec, &cfg)?;
     Ok(WeakScalingPoint {
         cpus,
         atoms: ATOMS_PER_CPU * cpus as u64,
@@ -145,7 +153,7 @@ mod tests {
 
     /// Healthy-machine shorthand: these sweeps must never fail.
     fn weak_scaling_point(cpus: u32) -> WeakScalingPoint {
-        super::weak_scaling_point(cpus).unwrap()
+        super::weak_scaling_point_in(&RunContext::new(1), cpus).unwrap()
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use columbia_machine::cluster::{ClusterConfig, NodeId};
 use columbia_machine::node::NodeKind;
 use columbia_runtime::compiler::CompilerVersion;
-use columbia_runtime::exec::{execute, ExecConfig, SpecOp, WorkloadSpec};
+use columbia_runtime::exec::{execute_in, ExecConfig, SpecOp, WorkloadSpec};
+use columbia_simnet::obs::RunContext;
 use columbia_simnet::SimError;
 
 use crate::class::NpbClass;
@@ -96,11 +97,12 @@ impl Paradigm {
 /// per-iteration rates, so a short, representative run suffices).
 const SIM_ITERS: u32 = 2;
 
-/// Simulated per-CPU Gflop/s for one configuration — one point of
-/// Fig. 6 (with `compiler = 7.1`) or Fig. 8 (varying `compiler`).
-/// A failed simulation (deadlock, watchdog, …) surfaces as the
-/// [`SimError`] rather than a panic.
+/// Simulated per-CPU Gflop/s for one configuration, run in `ctx` — one
+/// point of Fig. 6 (with `compiler = 7.1`) or Fig. 8 (varying
+/// `compiler`). A failed simulation (deadlock, watchdog, …) surfaces as
+/// the [`SimError`] rather than a panic.
 pub fn gflops_per_cpu(
+    ctx: &RunContext,
     bench: NpbBenchmark,
     class: NpbClass,
     kind: NodeKind,
@@ -127,7 +129,7 @@ pub fn gflops_per_cpu(
         }
     };
     cfg.compiler = compiler;
-    let out = execute(&spec, &cfg)?;
+    let out = execute_in(ctx, &spec, &cfg)?;
     let flops = prof.flops_per_iter * SIM_ITERS as f64;
     Ok(flops / out.makespan / cpus as f64 / 1.0e9)
 }
@@ -147,7 +149,8 @@ mod tests {
         cpus: u32,
         compiler: CompilerVersion,
     ) -> f64 {
-        super::gflops_per_cpu(bench, class, kind, paradigm, cpus, compiler).unwrap()
+        let ctx = RunContext::new(1);
+        super::gflops_per_cpu(&ctx, bench, class, kind, paradigm, cpus, compiler).unwrap()
     }
 
     #[test]

@@ -12,10 +12,11 @@ use columbia_machine::node::NodeKind;
 use columbia_npb::mg::push_halo;
 use columbia_runtime::compiler::{CompilerVersion, KernelClass};
 use columbia_runtime::compute::WorkPhase;
-use columbia_runtime::exec::{execute, ExecConfig, SpecOp, WorkloadSpec};
+use columbia_runtime::exec::{execute_in, ExecConfig, SpecOp, WorkloadSpec};
 use columbia_runtime::pinning::Pinning;
 use columbia_runtime::placement::{Placement, PlacementStrategy};
 use columbia_simnet::fabric::MptVersion;
+use columbia_simnet::obs::RunContext;
 use columbia_simnet::{FaultPlan, FaultStats, SimError};
 
 use crate::balance::{bin_pack, Assignment};
@@ -187,9 +188,9 @@ pub fn build_spec(cfg: &MzRunConfig) -> (WorkloadSpec, Assignment) {
     (spec, assign)
 }
 
-/// Execute one configuration on the simulator, or surface the run's
-/// typed [`SimError`] diagnosis.
-pub fn run(cfg: &MzRunConfig) -> Result<MzOutcome, SimError> {
+/// Execute one configuration on the simulator in `ctx`, or surface the
+/// run's typed [`SimError`] diagnosis.
+pub fn run(ctx: &RunContext, cfg: &MzRunConfig) -> Result<MzOutcome, SimError> {
     let cluster = ClusterConfig::uniform(cfg.kind, cfg.nodes);
     let nodes: Vec<NodeId> = (0..cfg.nodes).map(NodeId).collect();
     let placement = Placement::new(
@@ -210,7 +211,7 @@ pub fn run(cfg: &MzRunConfig) -> Result<MzOutcome, SimError> {
         pinning: cfg.pinning,
         faults: cfg.faults.clone(),
     };
-    let out = execute(&spec, &exec_cfg)?;
+    let out = execute_in(ctx, &spec, &exec_cfg)?;
     // The §4.6.2 released-MPT InfiniBand anomaly. The paper could not
     // explain it mechanistically ("we are actively working with SGI
     // engineers to find the true cause"), so we carry it as an
@@ -348,7 +349,7 @@ mod tests {
 
     /// Healthy-machine shorthand: these figure sweeps must never fail.
     fn run(cfg: &MzRunConfig) -> MzOutcome {
-        super::run(cfg).unwrap()
+        super::run(&RunContext::new(1), cfg).unwrap()
     }
 
     #[test]

@@ -12,29 +12,36 @@
 //! so a single Perfetto view shows real executor occupancy next to the
 //! simulated-time tracks.
 //!
+//! # Capture
+//!
+//! A [`HostCapture`] is one run's capture window: the host clock's
+//! epoch and the [`HostReport`] recorded since. It is a value, carried
+//! by the run's [`RunContext`] to its three recorders: the sweep pool
+//! (`par::run_governed`, through its options), the checkpoint store
+//! (attached by the sweep) and the PDES loop (`simnet::simulate`).
+//! [`HostCapture::take`] closes the window and returns the report;
+//! hooks called after that record nothing.
+//!
 //! # Zero cost when disabled
 //!
-//! Host telemetry is off by default and every recording hook begins
-//! with [`is_enabled`] — a single relaxed atomic load that
-//! branch-predicts false. Nothing is timed, allocated, or locked on
-//! the disabled path; `--bench obs` measures the residue and CI holds
-//! it under 2%. Instrumented call sites are *coarse* (per sweep job,
-//! per retry, per checkpoint write, per PDES round — never per
-//! simulated event), so the enabled path's mutex is far from contended.
+//! Host telemetry is off unless a run carries a capture, and every
+//! recording call site holds an `Option<&HostCapture>`: with telemetry
+//! off it pays one `None` check. Nothing is timed, allocated, or locked
+//! on that path; `--bench obs` measures the residue and CI holds it
+//! under 2%. Instrumented call sites are *coarse* (per sweep job, per
+//! retry, per checkpoint write, per PDES round — never per simulated
+//! event), so the capture's mutex is far from contended.
 //!
-//! # Lifecycle
-//!
-//! [`enable`] clears any previous capture and starts the host clock;
-//! [`take`] stops recording and returns the [`HostReport`]. The state
-//! is process-global (like [`sink`](crate::sink)) so worker threads
-//! report without any plumbing through the pool's API.
+//! [`enable`], [`take`] and [`clock`] are one-line shims onto the
+//! process-default context, kept only for `benchmark/probes` until
+//! ROADMAP item 3, step 3.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde_json::Value;
 
+use crate::context::RunContext;
 use crate::metrics::Metrics;
 
 /// Which executor timeline a [`HostSpan`] belongs to.
@@ -51,7 +58,7 @@ pub enum HostTrack {
 }
 
 /// One wall-clock span on a host track. Times are seconds since the
-/// host clock's epoch (the moment of [`enable`]).
+/// capture's epoch (the moment it was made).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostSpan {
     /// The timeline this span renders on.
@@ -140,205 +147,209 @@ impl HostReport {
     }
 }
 
-struct HostState {
-    epoch: Option<Instant>,
-    report: HostReport,
+/// One capture window: the host clock's epoch and everything recorded
+/// since. Shared by reference (`Arc`) between the recorders of one run.
+#[derive(Debug)]
+pub struct HostCapture {
+    epoch: Instant,
+    /// `None` once taken: later hooks record nothing.
+    report: Mutex<Option<HostReport>>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<HostState> = Mutex::new(HostState {
-    epoch: None,
-    report: HostReport {
-        spans: Vec::new(),
-        partitions: Vec::new(),
-        metrics: Metrics::EMPTY,
-    },
-});
-
-/// Whether host telemetry is recording. The only cost instrumented
-/// code pays when telemetry is off.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Start (or restart) a capture window: clears any previous spans and
-/// metrics and re-bases the host clock at *now*.
-pub fn enable() {
-    let mut state = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    state.epoch = Some(Instant::now());
-    state.report = HostReport::default();
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Stop recording and return the capture. `None` if telemetry was
-/// never enabled (or was already taken).
-pub fn take() -> Option<HostReport> {
-    if !ENABLED.swap(false, Ordering::AcqRel) {
-        return None;
+impl Default for HostCapture {
+    /// Open a capture window, its clock starting now.
+    fn default() -> Self {
+        HostCapture {
+            epoch: Instant::now(),
+            report: Mutex::new(Some(HostReport::default())),
+        }
     }
-    let mut state = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    state.epoch = None;
-    Some(std::mem::take(&mut state.report))
 }
 
-/// Seconds since the capture epoch — the timestamp for a span about to
-/// start. `None` when telemetry is disabled, so call sites can skip
-/// all further work:
+impl HostCapture {
+    /// Seconds since the epoch — the timestamp for a span about to
+    /// start:
+    ///
+    /// ```
+    /// let host = columbia_obs::host::HostCapture::default();
+    /// let t0 = host.clock();
+    /// // … the real work …
+    /// host.span(
+    ///     columbia_obs::host::HostTrack::Worker(0),
+    ///     "host.job",
+    ///     "job 3".into(),
+    ///     t0,
+    ///     vec![],
+    /// );
+    /// assert_eq!(host.take().map(|r| r.spans.len()), Some(1));
+    /// ```
+    #[inline]
+    pub fn clock(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
+    }
+
+    /// Run `f` on the open report and the seconds since the epoch; a
+    /// no-op once the capture has been taken.
+    fn record(&self, f: impl FnOnce(&mut HostReport, f64)) {
+        let mut report = self.report.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(report) = report.as_mut() {
+            f(report, self.clock());
+        }
+    }
+
+    /// Record a span that started at `start` (a [`HostCapture::clock`]
+    /// stamp) and ends now.
+    pub fn span(
+        &self,
+        track: HostTrack,
+        cat: &'static str,
+        label: String,
+        start: f64,
+        args: Vec<(&'static str, Value)>,
+    ) {
+        self.record(|r, t| {
+            r.spans.push(HostSpan {
+                track,
+                label,
+                cat,
+                start,
+                end: t.max(start),
+                args,
+            })
+        });
+    }
+
+    /// Record a span on PDES partition lane `lane` that started at
+    /// `start` and ends now, with its one named `count` (see
+    /// [`PartitionSpan`]).
+    pub fn partition_span(&self, lane: u32, label: String, start: f64, count: (&'static str, u64)) {
+        self.record(|r, t| {
+            r.partitions.push(PartitionSpan {
+                partition: lane,
+                label,
+                start,
+                end: t.max(start),
+                count,
+            })
+        });
+    }
+
+    /// Record an instantaneous event (a zero-length span): fail-fast
+    /// skips, cache hits — things with a moment but no extent.
+    pub fn instant(
+        &self,
+        track: HostTrack,
+        cat: &'static str,
+        label: String,
+        args: Vec<(&'static str, Value)>,
+    ) {
+        self.record(|r, t| {
+            r.spans.push(HostSpan {
+                track,
+                label,
+                cat,
+                start: t,
+                end: t,
+                args,
+            })
+        });
+    }
+
+    /// Increment host counter `name` by `by`.
+    pub fn count(&self, name: &'static str, by: u64) {
+        self.record(|r, _| r.metrics.inc(name, by));
+    }
+
+    /// Record an observation into host histogram `name`.
+    pub fn observe(&self, name: &'static str, v: f64) {
+        self.record(|r, _| r.metrics.observe(name, v));
+    }
+
+    /// Close the window and return what it recorded; `None` if it was
+    /// already taken.
+    pub fn take(&self) -> Option<HostReport> {
+        self.report.lock().unwrap_or_else(|e| e.into_inner()).take()
+    }
+}
+
+/// Give the process-default context a fresh capture. Kept only for
+/// `benchmark/probes` until ROADMAP item 3, step 3.
+pub fn enable() {
+    RunContext::update_process_default(|ctx| ctx.host = Some(Arc::default()));
+}
+
+/// Remove the process-default context's capture and return what it
+/// recorded; `None` if there was none. Kept only for `benchmark/probes`
+/// until ROADMAP item 3, step 3.
+pub fn take() -> Option<HostReport> {
+    RunContext::update_process_default(|ctx| ctx.host.take())?.take()
+}
+
+/// The process-default capture's clock, `None` without a capture. Kept
+/// only for `benchmark/probes` until ROADMAP item 3, step 3.
 ///
 /// ```
-/// let t0 = columbia_obs::host::clock(); // None: telemetry off
-/// // … the real work …
-/// if let Some(t0) = t0 {
-///     columbia_obs::host::span(
-///         columbia_obs::host::HostTrack::Worker(0),
-///         "host.job",
-///         "job 3".into(),
-///         t0,
-///         vec![],
-///     );
-/// }
+/// use columbia_obs::host;
+///
+/// assert_eq!(host::clock(), None); // no capture: nothing to time
+/// host::enable();
+/// assert!(host::clock().is_some_and(|t| t >= 0.0));
+/// assert!(host::take().is_some());
 /// ```
-#[inline]
 pub fn clock() -> Option<f64> {
-    now().map(|(_, t)| t)
-}
-
-/// The locked capture and the seconds since its epoch, or `None` when
-/// telemetry is disabled.
-#[inline]
-fn now() -> Option<(MutexGuard<'static, HostState>, f64)> {
-    if !is_enabled() {
-        return None;
-    }
-    let state = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let t = state.epoch?.elapsed().as_secs_f64();
-    Some((state, t))
-}
-
-/// Record a span that started at `start` (a [`clock`] stamp) and ends
-/// now. A no-op when telemetry is disabled — a capture can be torn
-/// down while a worker is mid-span without losing anything but that
-/// span.
-pub fn span(
-    track: HostTrack,
-    cat: &'static str,
-    label: String,
-    start: f64,
-    args: Vec<(&'static str, Value)>,
-) {
-    let Some((mut state, t)) = now() else { return };
-    state.report.spans.push(HostSpan {
-        track,
-        label,
-        cat,
-        start,
-        end: t.max(start),
-        args,
-    });
-}
-
-/// Record a span on PDES partition lane `partition` that started at
-/// `start` (a [`clock`] stamp) and ends now, with its one named
-/// `count` (see [`PartitionSpan`]). A no-op when telemetry is disabled.
-pub fn partition_span(partition: u32, label: String, start: f64, count: (&'static str, u64)) {
-    let Some((mut state, t)) = now() else { return };
-    state.report.partitions.push(PartitionSpan {
-        partition,
-        label,
-        start,
-        end: t.max(start),
-        count,
-    });
-}
-
-/// Record an instantaneous event (a zero-length span): fail-fast
-/// skips, cache hits — things with a moment but no extent.
-pub fn instant(
-    track: HostTrack,
-    cat: &'static str,
-    label: String,
-    args: Vec<(&'static str, Value)>,
-) {
-    let Some((mut state, t)) = now() else { return };
-    state.report.spans.push(HostSpan {
-        track,
-        label,
-        cat,
-        start: t,
-        end: t,
-        args,
-    });
-}
-
-/// Increment host counter `name` by `by`.
-#[inline]
-pub fn count(name: &'static str, by: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut state = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    state.report.metrics.inc(name, by);
-}
-
-/// Record an observation into host histogram `name`.
-#[inline]
-pub fn observe(name: &'static str, v: f64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut state = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    state.report.metrics.observe(name, v);
+    RunContext::process_default().host().map(|h| h.clock())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The capture window is process-global; tests that drive it
-    /// serialize here (test threads run in parallel).
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disabled_hooks_are_no_ops() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(!is_enabled());
-        assert_eq!(clock(), None);
-        count("host.retries", 1);
-        observe("host.backoff_seconds", 0.01);
-        span(
+        // Telemetry is off in a context without a capture, and a taken
+        // capture ignores its hooks.
+        let ctx = RunContext::new(1);
+        assert!(ctx.host().is_none());
+        assert_eq!(ctx.host().map(|h| h.clock()), None);
+        let closed = HostCapture::default();
+        assert!(closed.take().is_some());
+        closed.count("host.retries", 1);
+        closed.observe("host.backoff_seconds", 0.01);
+        closed.span(
             HostTrack::Worker(0),
             "host.job",
             "job 0".into(),
             0.0,
             vec![],
         );
-        instant(HostTrack::Store, "host.store", "hit".into(), vec![]);
-        partition_span(1, "round 0".into(), 0.0, ("events", 3));
-        assert!(take().is_none(), "nothing was enabled, nothing to take");
+        closed.instant(HostTrack::Store, "host.store", "hit".into(), vec![]);
+        closed.partition_span(1, "round 0".into(), 0.0, ("events", 3));
+        assert!(closed.take().is_none(), "a taken capture stays closed");
+        assert!(
+            ctx.take_host_report().is_none(),
+            "nothing was enabled, nothing to take"
+        );
     }
 
     #[test]
     fn capture_lifecycle_records_and_drains() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        enable();
-        assert!(is_enabled());
-        let t0 = clock().expect("clock runs while enabled");
+        let ctx = RunContext::new(1).with_host_capture();
+        let host = ctx.host().expect("the context carries a capture");
+        let t0 = host.clock();
         std::thread::sleep(std::time::Duration::from_millis(2));
-        span(
+        host.span(
             HostTrack::Worker(1),
             "host.job",
             "job 7".into(),
             t0,
             vec![("index", Value::Number(7.0))],
         );
-        instant(HostTrack::Worker(3), "host.skip", "skip".into(), vec![]);
-        partition_span(2, "round 0".into(), t0, ("events", 12));
-        partition_span(0, "leader 0".into(), t0, ("messages", 1));
-        count("host.retries", 2);
-        observe("store.write_seconds", 1e-3);
-        let report = take().expect("capture was live");
-        assert!(!is_enabled());
+        host.instant(HostTrack::Worker(3), "host.skip", "skip".into(), vec![]);
+        host.partition_span(2, "round 0".into(), t0, ("events", 12));
+        host.partition_span(0, "leader 0".into(), t0, ("messages", 1));
+        host.count("host.retries", 2);
+        host.observe("store.write_seconds", 1e-3);
+        let report = ctx.take_host_report().expect("capture was live");
         assert_eq!(report.spans.len(), 2);
         let job = &report.spans[0];
         assert_eq!(job.track, HostTrack::Worker(1));
@@ -357,42 +368,52 @@ mod tests {
         assert_eq!(report.partitions[0].count, ("events", 12));
         assert!(report.partitions[0].duration() >= 0.002);
         assert_eq!(report.partition_lanes(), vec![0, 2]);
-        assert!(take().is_none(), "a capture drains exactly once");
+        assert!(
+            ctx.take_host_report().is_none(),
+            "a capture drains exactly once"
+        );
     }
 
+    /// The shims' one test: `enable` replaces the process default's
+    /// capture, and `take` drains it.
     #[test]
     fn enable_clears_the_previous_capture() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let count = |name, by| {
+            let ctx = RunContext::process_default();
+            ctx.host().expect("enabled").count(name, by);
+        };
         enable();
+        assert!(clock().is_some());
         count("host.jobs", 5);
         enable();
         let report = take().expect("second window live");
         assert_eq!(report.metrics.counter("host.jobs"), 0, "window restarted");
+        assert!(take().is_none() && clock().is_none(), "taken once");
     }
 
     #[test]
     fn spans_recorded_from_worker_threads_land_in_one_report() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        enable();
+        let host = Arc::new(HostCapture::default());
         let handles: Vec<_> = (0..4u32)
             .map(|w| {
+                let host = Arc::clone(&host);
                 std::thread::spawn(move || {
-                    let t0 = clock().expect("enabled");
-                    span(
+                    let t0 = host.clock();
+                    host.span(
                         HostTrack::Worker(w),
                         "host.job",
                         format!("job {w}"),
                         t0,
                         vec![],
                     );
-                    count("host.jobs", 1);
+                    host.count("host.jobs", 1);
                 })
             })
             .collect();
         for h in handles {
             h.join().expect("worker");
         }
-        let report = take().expect("live");
+        let report = host.take().expect("live");
         assert_eq!(report.spans.len(), 4);
         assert_eq!(report.metrics.counter("host.jobs"), 4);
         assert_eq!(report.workers(), vec![0, 1, 2, 3]);

@@ -29,26 +29,31 @@
 //!   `chrome://tracing`, one track per rank. [`write_chrome_trace`]
 //!   streams the document event by event into any `io::Write`,
 //!   without building it in memory.
-//! * [`sink`] — a process-global collection point so `repro --trace`
-//!   can capture every simulation an experiment runs without
-//!   threading a tracer through each workload crate's API.
+//! * [`context`] — [`RunContext`], one run's configuration as a value:
+//!   the simulation thread count, the trace list `repro --trace`
+//!   records every simulation into, and the host capture. It is passed
+//!   explicitly from `repro` down to every simulation.
+//! * [`sink`] — [`TraceBundle`], everything recorded about one
+//!   simulation.
 //! * [`host`] — host-side (wall-clock) execution telemetry: worker
-//!   lanes, retries, skips, and checkpoint-store activity, recorded
-//!   by the sweep executor and merged into the Chrome export as its
-//!   own process so real execution reads next to simulated time.
+//!   lanes, retries, skips, checkpoint-store activity and PDES rounds,
+//!   recorded into a [`HostCapture`] and merged into the Chrome export
+//!   as its own process so real execution reads next to simulated
+//!   time.
 //!
 //! Overhead guarantees: with [`NullTracer`] every hook is an inlined
 //! empty function behind an `enabled()` check that constant-folds to
 //! `false`, so the instrumented engine produces bit-identical
 //! [`SimOutcome`]s (asserted by regression tests in `columbia-simnet`)
-//! at unmeasurable cost. The global sink costs one relaxed atomic load
-//! per *simulation* (not per event) when disabled.
+//! at unmeasurable cost. A context that records nothing costs one `None`
+//! check per *simulation* (not per event).
 //!
 //! [`SimOutcome`]: https://docs.rs/columbia-simnet
 
 pub mod analysis;
 pub mod canon;
 pub mod chrome;
+pub mod context;
 pub mod host;
 pub mod metrics;
 pub mod profile;
@@ -61,7 +66,8 @@ pub use analysis::{
 };
 pub use canon::{BufferedEvent, EventBuffer};
 pub use chrome::{chrome_trace_with_flows, chrome_trace_with_host, write_chrome_trace};
-pub use host::{HostReport, HostSpan, HostTrack, PartitionSpan};
+pub use context::RunContext;
+pub use host::{HostCapture, HostReport, HostSpan, HostTrack, PartitionSpan};
 pub use metrics::{Histogram, Metrics};
 pub use profile::{CommProfile, PhaseProfile, RankProfile};
 pub use sink::TraceBundle;

@@ -211,15 +211,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// A const-constructible empty registry, for static initializers
-    /// (the process-global host-telemetry state in [`crate::host`]).
-    pub const EMPTY: Metrics = Metrics {
-        counters: BTreeMap::new(),
-        gauges: BTreeMap::new(),
-        histograms: BTreeMap::new(),
-        link_bytes: BTreeMap::new(),
-    };
-
     /// Fresh, empty registry.
     pub fn new() -> Self {
         Self::default()

@@ -25,10 +25,11 @@ use columbia_overset::systems::rotor_wake;
 use columbia_overset::{group_blocks, GridSystem};
 use columbia_runtime::compiler::{CompilerVersion, KernelClass};
 use columbia_runtime::compute::WorkPhase;
-use columbia_runtime::exec::{execute, ExecConfig, SpecOp, WorkloadSpec};
+use columbia_runtime::exec::{execute_in, ExecConfig, SpecOp, WorkloadSpec};
 use columbia_runtime::pinning::Pinning;
 use columbia_runtime::placement::{Placement, PlacementStrategy};
 use columbia_simnet::fabric::MptVersion;
+use columbia_simnet::obs::RunContext;
 use columbia_simnet::{FaultPlan, SimError};
 
 /// Flops per point per step (RHS + pipelined LU-SGS sweeps).
@@ -172,9 +173,9 @@ pub fn placement_strategy(
     }
 }
 
-/// Simulate one configuration, returning per-step times or the typed
-/// [`SimError`] a failed run diagnoses itself with.
-pub fn step_times(cfg: &OverflowConfig) -> Result<StepTimes, SimError> {
+/// Simulate one configuration in `ctx`, returning per-step times or the
+/// typed [`SimError`] a failed run diagnoses itself with.
+pub fn step_times(ctx: &RunContext, cfg: &OverflowConfig) -> Result<StepTimes, SimError> {
     assert!(cfg.procs >= 1 && cfg.threads >= 1 && cfg.nodes >= 1);
     let system = &*ROTOR_WAKE;
     assert!(
@@ -203,7 +204,7 @@ pub fn step_times(cfg: &OverflowConfig) -> Result<StepTimes, SimError> {
         pinning: Pinning::Pinned,
         faults: FaultPlan::none(),
     };
-    let out = execute(&spec, &exec_cfg)?;
+    let out = execute_in(ctx, &spec, &exec_cfg)?;
     const SIM_STEPS: f64 = 2.0;
     let mut comm = out.mean_comm() / SIM_STEPS;
     let exec = out.makespan / SIM_STEPS;
@@ -222,7 +223,7 @@ mod tests {
 
     /// Healthy-machine shorthand: these table sweeps must never fail.
     fn step_times(cfg: &OverflowConfig) -> StepTimes {
-        super::step_times(cfg).unwrap()
+        super::step_times(&RunContext::new(1), cfg).unwrap()
     }
 
     fn t3(kind: NodeKind, cpus: usize) -> StepTimes {

@@ -50,20 +50,20 @@
 //!
 //! # Host telemetry
 //!
-//! Every worker lane reports wall-clock execution through
-//! [`columbia_obs::host`] when a capture is enabled (`repro --trace`):
-//! one span per job (index, attempts, outcome), an instant per
-//! fail-fast skip, backoff observations, and `host.*` counters for
-//! jobs, retries, panics, and deadline overruns. When no
-//! capture is live every hook is one relaxed atomic load — the
-//! `--bench obs` host-overhead bench holds the disabled path under 2%.
+//! Every worker lane reports wall-clock execution into
+//! [`RunOptions::host`] when the caller passes a capture (`repro
+//! --trace`): one span per job (index, attempts, outcome), an instant
+//! per fail-fast skip, backoff observations, and `host.*` counters for
+//! jobs, retries, panics, and deadline overruns. Without a capture
+//! every hook is one `None` check — the `--bench obs` host-overhead
+//! bench holds that path under 2%.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use columbia_obs::host::{self, HostTrack};
+use columbia_obs::host::{HostCapture, HostTrack};
 use serde_json::Value;
 
 /// Number of worker threads the platform comfortably supports; the
@@ -152,6 +152,8 @@ pub struct RunOptions {
     /// caller's `is_failure` predicate rejects) stops *later*-indexed
     /// jobs from starting; already-running jobs are joined normally.
     pub fail_fast: bool,
+    /// The host capture the workers record into (`None`: telemetry off).
+    pub host: Option<Arc<HostCapture>>,
 }
 
 /// Base unit of the retry backoff: retry `k` sleeps about `2^k` of it.
@@ -183,25 +185,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Record one settled job as a span on worker `w`'s host lane. A no-op
-/// when `start` is `None` — i.e. no capture was live when the job
-/// began, so nothing was timed.
-fn record_job_span(w: usize, idx: usize, start: Option<f64>, attempts: u32, outcome: &str) {
-    let Some(start) = start else { return };
-    host::count("host.jobs", 1);
-    host::span(
-        HostTrack::Worker(w as u32),
-        "host.job",
-        format!("job {idx}"),
-        start,
-        vec![
-            ("index", Value::Number(idx as f64)),
-            ("attempts", Value::Number(f64::from(attempts))),
-            ("outcome", Value::String(outcome.to_string())),
-        ],
-    );
 }
 
 /// Run every job and return one status per job **in job index order**,
@@ -245,8 +228,8 @@ where
     let status_slots: Vec<Mutex<Option<JobStatus<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let run_job = |idx: usize, w: usize| {
         if opts.fail_fast && idx > cancel_floor.load(Ordering::Acquire) {
-            if host::is_enabled() {
-                host::instant(
+            if let Some(host) = &opts.host {
+                host.instant(
                     HostTrack::Worker(w as u32),
                     "host.skip",
                     format!("skip job {idx}"),
@@ -255,7 +238,7 @@ where
             }
             return JobStatus::Skipped;
         }
-        let t0 = host::clock();
+        let t0 = opts.host.as_ref().map(|h| h.clock());
         let outcome = settle_job(&jobs[idx], idx, opts);
         let failed = match &outcome.result {
             Ok(t) => is_failure(t),
@@ -267,7 +250,21 @@ where
             Err(JobFailure::Panicked { .. }) => "panicked",
             Err(JobFailure::DeadlineExceeded { .. }) => "deadline",
         };
-        record_job_span(w, idx, t0, outcome.attempts, label);
+        // One span per settled job on worker `w`'s lane.
+        if let (Some(host), Some(t0)) = (&opts.host, t0) {
+            host.count("host.jobs", 1);
+            host.span(
+                HostTrack::Worker(w as u32),
+                "host.job",
+                format!("job {idx}"),
+                t0,
+                vec![
+                    ("index", Value::Number(idx as f64)),
+                    ("attempts", Value::Number(f64::from(outcome.attempts))),
+                    ("outcome", Value::String(label.to_string())),
+                ],
+            );
+        }
         if failed && opts.fail_fast {
             cancel_floor.fetch_min(idx, Ordering::AcqRel);
         }
@@ -334,20 +331,21 @@ where
             Err(failure) => {
                 if attempts <= opts.max_retries {
                     let delay = backoff_delay(index, attempts - 1);
-                    if host::is_enabled() {
-                        host::count("host.retries", 1);
-                        host::observe("host.backoff_seconds", delay.as_secs_f64());
+                    if let Some(host) = &opts.host {
+                        host.count("host.retries", 1);
+                        host.observe("host.backoff_seconds", delay.as_secs_f64());
                     }
                     std::thread::sleep(delay);
                     continue;
                 }
-                if host::is_enabled() {
-                    match &failure {
-                        JobFailure::Panicked { .. } => host::count("host.panics", 1),
-                        JobFailure::DeadlineExceeded { .. } => {
-                            host::count("host.deadline_exceeded", 1)
-                        }
-                    }
+                if let Some(host) = &opts.host {
+                    host.count(
+                        match &failure {
+                            JobFailure::Panicked { .. } => "host.panics",
+                            JobFailure::DeadlineExceeded { .. } => "host.deadline_exceeded",
+                        },
+                        1,
+                    );
                 }
                 return JobOutcome {
                     result: Err(failure),

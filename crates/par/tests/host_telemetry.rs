@@ -1,21 +1,26 @@
-//! Host-telemetry capture through real pool runs.
-//!
-//! Lives in its own integration binary (own process) because the host
-//! capture window is process-global: the pool runs in `columbia-par`'s
-//! unit tests execute concurrently and would bleed spans into any
-//! capture opened there.
+//! Host-telemetry capture through real pool runs: each run records
+//! into the capture its options carry, and nothing else.
 
-use std::sync::Mutex;
+use std::sync::Arc;
 
-use columbia_obs::host;
+use columbia_obs::host::HostCapture;
 use columbia_par::{run_governed, JobStatus, RunOptions};
 
-/// Captures are process-global; every test serializes here.
-static TEST_LOCK: Mutex<()> = Mutex::new(());
+/// Options that record into `host`.
+fn recording(host: &Arc<HostCapture>) -> RunOptions {
+    RunOptions {
+        host: Some(Arc::clone(host)),
+        ..RunOptions::default()
+    }
+}
 
-/// Run `jobs` with default options, returning how many settled.
-fn run<F: Fn() -> u64 + Send + Sync + 'static>(threads: usize, jobs: Vec<F>) -> usize {
-    run_governed(threads, jobs, &RunOptions::default(), |_| false)
+/// Run `jobs` under `opts`, returning how many settled.
+fn run<F: Fn() -> u64 + Send + Sync + 'static>(
+    threads: usize,
+    jobs: Vec<F>,
+    opts: &RunOptions,
+) -> usize {
+    run_governed(threads, jobs, opts, |_| false)
         .iter()
         .filter(|s| matches!(s, JobStatus::Done(_)))
         .count()
@@ -23,11 +28,14 @@ fn run<F: Fn() -> u64 + Send + Sync + 'static>(threads: usize, jobs: Vec<F>) -> 
 
 #[test]
 fn pool_runs_record_one_span_per_job() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    host::enable();
-    let settled = run(4, (0..32u64).map(|i| move || i * 2).collect());
+    let host = Arc::new(HostCapture::default());
+    let settled = run(
+        4,
+        (0..32u64).map(|i| move || i * 2).collect(),
+        &recording(&host),
+    );
     assert_eq!(settled, 32);
-    let report = host::take().expect("capture live");
+    let report = host.take().expect("capture live");
     let jobs = report.spans.iter().filter(|s| s.cat == "host.job").count();
     assert_eq!(jobs, 32, "one host span per job");
     assert_eq!(report.metrics.counter("host.jobs"), 32);
@@ -36,17 +44,16 @@ fn pool_runs_record_one_span_per_job() {
 
 #[test]
 fn governed_runs_attribute_attempts_retries_and_outcomes() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    host::enable();
+    let host = Arc::new(HostCapture::default());
     let jobs: Vec<Box<dyn Fn() -> u32 + Send + Sync>> =
         vec![Box::new(|| 1), Box::new(|| panic!("always fails"))];
     let opts = RunOptions {
         max_retries: 1,
-        ..RunOptions::default()
+        ..recording(&host)
     };
     let statuses = run_governed(1, jobs, &opts, |_| false);
     assert_eq!(statuses.len(), 2);
-    let report = host::take().expect("capture live");
+    let report = host.take().expect("capture live");
     assert_eq!(report.metrics.counter("host.retries"), 1, "one retry");
     assert_eq!(report.metrics.counter("host.panics"), 1, "final failure");
     assert!(
@@ -96,8 +103,7 @@ fn governed_runs_attribute_attempts_retries_and_outcomes() {
 
 #[test]
 fn fail_fast_skips_render_as_instants() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    host::enable();
+    let host = Arc::new(HostCapture::default());
     let jobs: Vec<Box<dyn Fn() -> Result<u32, u32> + Send + Sync>> = (0..6u32)
         .map(|i| {
             Box::new(move || if i == 1 { Err(i) } else { Ok(i) })
@@ -106,7 +112,7 @@ fn fail_fast_skips_render_as_instants() {
         .collect();
     let opts = RunOptions {
         fail_fast: true,
-        ..RunOptions::default()
+        ..recording(&host)
     };
     let statuses = run_governed(1, jobs, &opts, |r| r.is_err());
     let skipped = statuses
@@ -114,7 +120,7 @@ fn fail_fast_skips_render_as_instants() {
         .filter(|s| matches!(s, JobStatus::Skipped))
         .count();
     assert_eq!(skipped, 4, "jobs above the failure were skipped");
-    let report = host::take().expect("capture live");
+    let report = host.take().expect("capture live");
     let skip_instants = report.spans.iter().filter(|s| s.cat == "host.skip").count();
     assert_eq!(skip_instants, 4, "one instant per skipped job");
     // The rejected-value job reads "failed", not "ok".
@@ -132,14 +138,14 @@ fn fail_fast_skips_render_as_instants() {
 
 #[test]
 fn disabled_telemetry_leaves_no_trace() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    assert!(!host::is_enabled());
-    let settled = run(4, (0..16u64).map(|i| move || i).collect());
+    let opts = RunOptions::default();
+    assert!(opts.host.is_none(), "telemetry is off by default");
+    // A capture open during the run, but not handed to it.
+    let host = Arc::new(HostCapture::default());
+    let settled = run(4, (0..16u64).map(|i| move || i).collect(), &opts);
     assert_eq!(settled, 16);
-    assert!(host::take().is_none(), "nothing captured while disabled");
-    // And a later capture starts empty — no leakage from the run above.
-    host::enable();
-    let report = host::take().expect("fresh window");
+    // It stays empty — no leakage from the run above.
+    let report = host.take().expect("fresh window");
     assert_eq!(report.spans.len(), 0);
     assert_eq!(report.metrics.counter("host.jobs"), 0);
 }

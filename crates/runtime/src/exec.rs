@@ -7,11 +7,12 @@
 //! seconds using the [`NodeComputeModel`] for the rank's node (its
 //! thread team, placement sharers, compiler, pinning), then hands the
 //! resulting [`Op`] programs to [`simulate`] on the configured fabric,
-//! at the process-wide thread count [`columbia_simnet::sim_threads`]
-//! (`repro --sim-threads`).
+//! in the caller's [`RunContext`]: at its simulation thread count
+//! (`repro --sim-threads`), recorded into its trace list when it has
+//! one (`repro --trace`).
 
 use columbia_machine::cluster::{ClusterConfig, InterNodeFabric, NodeId};
-use columbia_obs::{sink, NullTracer, RecordingTracer, Tracer};
+use columbia_obs::{NullTracer, RecordingTracer, RunContext, Tracer};
 use columbia_simnet::engine::{simulate, Op, SimOutcome};
 use columbia_simnet::fabric::{CachedFabric, ClusterFabric, MptVersion};
 use columbia_simnet::fault::{
@@ -201,7 +202,7 @@ impl ExecConfig {
     }
 }
 
-/// Execute `spec` under `cfg`, returning per-rank timelines.
+/// Execute `spec` under `cfg` in `ctx`, returning per-rank timelines.
 ///
 /// Every failure mode is a typed [`SimError`]: a spec whose rank count
 /// disagrees with the placement is a [`SimError::PlacementMismatch`], a
@@ -210,34 +211,46 @@ impl ExecConfig {
 /// on a collective as [`SimError::CollectiveMismatch`], and fault plans
 /// can surface [`SimError::ConnectionsExhausted`] or
 /// [`SimError::WatchdogTimeout`].
-pub fn execute(spec: &WorkloadSpec, cfg: &ExecConfig) -> Result<SimOutcome, SimError> {
-    if !sink::is_active() {
-        return execute_traced(spec, cfg, &mut NullTracer);
+pub fn execute_in(
+    ctx: &RunContext,
+    spec: &WorkloadSpec,
+    cfg: &ExecConfig,
+) -> Result<SimOutcome, SimError> {
+    if !ctx.records() {
+        return execute_traced(ctx, spec, cfg, &mut NullTracer);
     }
-    // A collector is installed (`repro --trace/--metrics`): record the
-    // run and deposit the bundle — even on error, so a deadlocked or
-    // watchdog-killed run still leaves its partial timeline behind.
+    // The run records (`repro --trace/--metrics`): record this
+    // simulation — even on error, so a deadlocked or watchdog-killed
+    // run still leaves its partial timeline behind.
     let mut tracer = RecordingTracer::new();
-    let result = execute_traced(spec, cfg, &mut tracer);
+    let result = execute_traced(ctx, spec, cfg, &mut tracer);
     let label = format!(
         "{} ranks x {} threads on {} node(s)",
         cfg.placement.ranks(),
         cfg.placement.threads(),
         cfg.nodes.len()
     );
-    sink::record(tracer.into_bundle(label));
+    ctx.record(tracer.into_bundle(label));
     result
 }
 
-/// Execute `spec` under `cfg`, reporting every span of virtual time to
-/// `tracer`.
+/// [`execute_in`] the process-default context. Kept only for
+/// `benchmark/probes` until ROADMAP item 3, step 3.
+pub fn execute(spec: &WorkloadSpec, cfg: &ExecConfig) -> Result<SimOutcome, SimError> {
+    execute_in(&RunContext::process_default(), spec, cfg)
+}
+
+/// Execute `spec` under `cfg` at `ctx`'s thread count, reporting every
+/// span of virtual time to `tracer`.
 ///
-/// This is [`execute`] with the observer made explicit: pass
-/// [`NullTracer`] for the zero-overhead path (what `execute` does when
-/// no trace sink is installed) or a [`RecordingTracer`] to capture
+/// This is [`execute_in`] with the observer made explicit: pass
+/// [`NullTracer`] for the zero-overhead path (what `execute_in` does
+/// when `ctx` does not record) or a [`RecordingTracer`] to capture
 /// per-rank timelines, fabric counters, and a
-/// [`CommProfile`](columbia_obs::CommProfile).
+/// [`CommProfile`](columbia_obs::CommProfile). Nothing is recorded
+/// into `ctx`'s trace list.
 pub fn execute_traced<T: Tracer>(
+    ctx: &RunContext,
     spec: &WorkloadSpec,
     cfg: &ExecConfig,
     tracer: &mut T,
@@ -296,7 +309,7 @@ pub fn execute_traced<T: Tracer>(
         &fabric,
         &plan,
         tracer,
-        columbia_simnet::sim_threads(),
+        ctx,
     )
 }
 
@@ -305,6 +318,11 @@ mod tests {
     use super::*;
     use crate::compiler::KernelClass;
     use columbia_machine::node::NodeKind;
+
+    /// [`execute_in`] an idle one-thread context.
+    fn execute(spec: &WorkloadSpec, cfg: &ExecConfig) -> Result<SimOutcome, SimError> {
+        execute_in(&RunContext::new(1), spec, cfg)
+    }
 
     fn phase() -> WorkPhase {
         WorkPhase::new(1.0e9, 1.0e8, 1 << 20, 0.2, KernelClass::BlockSolver)

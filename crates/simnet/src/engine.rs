@@ -38,7 +38,7 @@ use std::collections::HashMap;
 
 use columbia_machine::cluster::CpuId;
 use columbia_obs::{
-    CausalEdge, EdgeKind, EventBuffer, MessageRecord, NullTracer, SpanKind, Tracer,
+    CausalEdge, EdgeKind, EventBuffer, MessageRecord, NullTracer, RunContext, SpanKind, Tracer,
 };
 
 use crate::collectives;
@@ -431,7 +431,8 @@ pub(crate) fn connection_check(cpus: &[CpuId], plan: &FaultPlan) -> Result<(f64,
 
 /// Simulate `programs` (one per rank) placed on `cpus` over `fabric`
 /// under `plan`, reporting every span of virtual time to `tracer`, on
-/// `threads` threads.
+/// `ctx`'s `threads = ctx.sim_threads()` threads. A multi-partition run
+/// records its rounds into `ctx`'s host capture, if it has one.
 ///
 /// `cpus[r]` is the physical CPU of rank `r`; programs and placement
 /// must have equal length. Faults only ever *delay* the timeline;
@@ -451,7 +452,7 @@ pub fn simulate<T, P, F>(
     fabric: &F,
     plan: &FaultPlan,
     tracer: &mut T,
-    threads: usize,
+    ctx: &RunContext,
 ) -> Result<SimOutcome, SimError>
 where
     T: Tracer,
@@ -470,12 +471,12 @@ where
     // partition `i·k/N` with `k = min(threads, N)`. One thread or one
     // node puts every rank in partition 0.
     let mut nodes: Vec<u32> = Vec::new();
-    if threads > 1 {
+    if ctx.sim_threads() > 1 {
         nodes = cpus.iter().map(|c| c.node.0).collect();
         nodes.sort_unstable();
         nodes.dedup();
     }
-    let n_parts = threads.clamp(1, nodes.len().max(1));
+    let n_parts = ctx.sim_threads().clamp(1, nodes.len().max(1));
     let part_of: Vec<u32> = if n_parts == 1 {
         vec![0; n]
     } else {
@@ -486,13 +487,14 @@ where
             })
             .collect()
     };
+    let host = ctx.host();
     if tracer.enabled() {
         run_partitioned::<T, IndexedMailbox, P, F, EventBuffer>(
-            programs, cpus, fabric, plan, tracer, &part_of, n_parts,
+            programs, cpus, fabric, plan, tracer, &part_of, host,
         )
     } else {
         run_partitioned::<T, IndexedMailbox, P, F, NullTracer>(
-            programs, cpus, fabric, plan, tracer, &part_of, n_parts,
+            programs, cpus, fabric, plan, tracer, &part_of, host,
         )
     }
 }
@@ -508,7 +510,7 @@ where
     P: Programs + ?Sized + Sync,
     F: Fabric + ?Sized + Sync,
 {
-    simulate(programs, cpus, fabric, plan, &mut NullTracer, 1)
+    crate::pdes::simulate_parallel_on(programs, cpus, fabric, plan, 1)
 }
 
 #[cfg(test)]
@@ -871,7 +873,7 @@ mod tests {
                 &plan,
                 &mut NullTracer,
                 &[0; 8],
-                1,
+                None,
             )
             .unwrap();
             assert_eq!(indexed, reference);
@@ -1086,7 +1088,15 @@ mod tests {
         let plan = FaultPlan::with_drops(7, 0.3);
         let plain = simulate_on(&progs, &place(8), &fabric(), &plan).unwrap();
         let mut tracer = RecordingTracer::new();
-        let traced = simulate(&progs, &place(8), &fabric(), &plan, &mut tracer, 1).unwrap();
+        let traced = simulate(
+            &progs,
+            &place(8),
+            &fabric(),
+            &plan,
+            &mut tracer,
+            &RunContext::new(1),
+        )
+        .unwrap();
         assert_eq!(plain, traced);
         assert!(!tracer.spans.is_empty());
         assert_eq!(tracer.n_ranks(), 8);
@@ -1102,7 +1112,7 @@ mod tests {
             &fabric(),
             &FaultPlan::none(),
             &mut tracer,
-            1,
+            &RunContext::new(1),
         )
         .unwrap();
         for (r, rank) in out.ranks.iter().enumerate() {
@@ -1134,7 +1144,15 @@ mod tests {
         let progs = mixed_progs(8);
         let plan = FaultPlan::with_drops(7, 0.3);
         let mut tracer = RecordingTracer::new();
-        let out = simulate(&progs, &place(8), &fabric(), &plan, &mut tracer, 1).unwrap();
+        let out = simulate(
+            &progs,
+            &place(8),
+            &fabric(),
+            &plan,
+            &mut tracer,
+            &RunContext::new(1),
+        )
+        .unwrap();
         // Placement is recorded for every rank.
         assert_eq!(tracer.rank_nodes.len(), 8);
         // Every blocking span's end is the arrival/release time of
@@ -1195,7 +1213,15 @@ mod tests {
         let progs = ring_progs(16, 1 << 16);
         let plan = FaultPlan::with_drops(11, 0.5);
         let mut tracer = RecordingTracer::new();
-        let out = simulate(&progs, &place(16), &fabric(), &plan, &mut tracer, 1).unwrap();
+        let out = simulate(
+            &progs,
+            &place(16),
+            &fabric(),
+            &plan,
+            &mut tracer,
+            &RunContext::new(1),
+        )
+        .unwrap();
         assert!(out.faults.dropped_messages > 0);
         let backoffs = tracer
             .spans
@@ -1229,7 +1255,7 @@ mod tests {
         });
         let progs = ring_progs(16, 4096);
         let mut tracer = RecordingTracer::new();
-        let out = simulate(&progs, &cpus, &f, &plan, &mut tracer, 1).unwrap();
+        let out = simulate(&progs, &cpus, &f, &plan, &mut tracer, &RunContext::new(1)).unwrap();
         assert!(out.faults.multiplexed_messages > 0);
         let mux_spans = tracer
             .spans
@@ -1257,7 +1283,7 @@ mod tests {
             &fabric(),
             &FaultPlan::none(),
             &mut tracer,
-            1,
+            &RunContext::new(1),
         )
         .unwrap();
         let profile = tracer.profile();

@@ -32,9 +32,10 @@
 //!   blocks when [`simulate`] gets more than one thread, producing
 //!   bit-identical outcomes, reports, and traces at any thread count.
 //!
-//! The engine reads no global: callers pass the thread count, and the
-//! production ones pass [`sim_threads`], which `repro --sim-threads`
-//! sets. Its tracer receives every span of virtual time (compute, send,
+//! The engine reads no global: callers pass a
+//! [`RunContext`](columbia_obs::RunContext) carrying the thread count
+//! (`repro --sim-threads`) and the host capture a partitioned run
+//! records its rounds into. Its tracer receives every span of virtual time (compute, send,
 //! recv-wait, collective, plus network-side retransmit/multiplex
 //! delays) through [`columbia_obs::Tracer`], at zero cost when the
 //! [`columbia_obs::NullTracer`] is used (re-exported here as [`obs`]).

@@ -85,13 +85,13 @@
 //! takes 9 rounds instead of 12, sends 6 cross-partition messages
 //! instead of 30,780, and creates one thread instead of 24.
 //!
-//! **Host telemetry.** While `columbia_obs::host` capture is on, each
-//! worker of a multi-partition run records one `host.pdes` span per
-//! round ("round k", arg `events`: the round's scheduler events) on its
-//! partition's lane, and the leader one "leader k" span per leader
+//! **Host telemetry.** When the run context carries a host capture,
+//! each worker of a multi-partition run records one `host.pdes` span
+//! per round ("round k", arg `events`: the round's scheduler events) on
+//! its partition's lane, and the leader one "leader k" span per leader
 //! phase on lane 0 (arg `messages`: the cross-partition messages it
-//! delivered). With capture off this costs one `host::is_enabled` load
-//! per partition per round, and nothing per event. A one-partition run
+//! delivered). Without a capture this costs one `None` check per
+//! partition per round, and nothing per event. A one-partition run
 //! records nothing.
 //!
 //! Collective op consistency: like MPI, all ranks must issue the same
@@ -103,11 +103,11 @@
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, Thread};
 
 use columbia_machine::cluster::CpuId;
-use columbia_obs::{host, EventBuffer, NullTracer, Tracer};
+use columbia_obs::{EventBuffer, HostCapture, NullTracer, RunContext, Tracer};
 
 use crate::engine::{
     apply_collective_release, apply_compute, charge_send, collective_cost, collective_mismatch,
@@ -120,20 +120,18 @@ use crate::fault::{FaultPlan, FaultStats, FaultyFabric};
 use crate::mailbox::MailboxOps;
 use crate::program::Programs;
 
-/// Process-global simulation thread count (1 = serial), set by `repro
-/// --sim-threads`. The engine never reads it: `runtime::exec` and the
-/// Columbia experiment pass it to [`simulate`] as `threads`.
-static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Set the number of threads single-run simulations may use. Values
-/// below 1 are clamped to 1 (serial).
+/// Set the process-default context's simulation thread count (values
+/// below 1 are clamped to 1). Kept only for `benchmark/probes` until
+/// ROADMAP item 3, step 3.
 pub fn set_sim_threads(n: usize) {
-    SIM_THREADS.store(n.max(1), Ordering::Relaxed);
+    RunContext::update_process_default(|ctx| *ctx = ctx.with_sim_threads(n));
 }
 
-/// The current single-run simulation thread count.
+/// The process-default context's simulation thread count, as
+/// [`set_sim_threads`] left it. Kept only beside that shim until
+/// ROADMAP item 3, step 3.
 pub fn sim_threads() -> usize {
-    SIM_THREADS.load(Ordering::Relaxed)
+    RunContext::process_default().sim_threads()
 }
 
 /// Spin iterations a waiting worker makes before it parks: about 43 µs
@@ -244,8 +242,9 @@ struct World<'a, P: ?Sized, F: Fabric + ?Sized> {
     slot_of: Vec<(u32, u32)>,
     mux_delay: f64,
     event_budget: u64,
-    /// More than one partition: rounds are recorded on partition lanes.
-    lanes: bool,
+    /// The host capture rounds are recorded into, in a multi-partition
+    /// run: one lane per partition.
+    lanes: Option<&'a HostCapture>,
 }
 
 /// Why the rounds stopped.
@@ -271,7 +270,8 @@ where
     P: Programs + ?Sized + Sync,
     F: Fabric + ?Sized + Sync,
 {
-    simulate(programs, cpus, fabric, plan, &mut NullTracer, threads)
+    let ctx = RunContext::new(threads);
+    simulate(programs, cpus, fabric, plan, &mut NullTracer, &ctx)
 }
 
 /// A partition's lock. Only a worker that panicked mid-round poisons
@@ -305,9 +305,10 @@ fn replay<T: Tracer, B: StageSink, M>(
     }
 }
 
-/// The rounds of [`simulate`] over the `n_parts` partitions `part_of`
-/// assigns, one worker each. The drained trace stream is the same for
-/// every partition map.
+/// The rounds of [`simulate`] over the partitions `part_of` assigns
+/// (numbered from 0 without gaps), one worker each; a multi-partition
+/// run records its rounds into `host` if given. The drained trace
+/// stream is the same for every partition map.
 pub(crate) fn run_partitioned<T, M, P, F, B>(
     programs: &P,
     cpus: &[CpuId],
@@ -315,7 +316,7 @@ pub(crate) fn run_partitioned<T, M, P, F, B>(
     plan: &FaultPlan,
     tracer: &mut T,
     part_of: &[u32],
-    n_parts: usize,
+    host: Option<&Arc<HostCapture>>,
 ) -> Result<SimOutcome, SimError>
 where
     T: Tracer,
@@ -325,6 +326,7 @@ where
     B: StageSink,
 {
     let n = cpus.len();
+    let n_parts = part_of.iter().max().map_or(1, |&p| p as usize + 1);
     let (mux_delay, oversubscription) = connection_check(cpus, plan)?;
     if tracer.enabled() {
         let rank_nodes: Vec<u32> = cpus.iter().map(|c| c.node.0).collect();
@@ -360,7 +362,7 @@ where
         event_budget: plan
             .event_budget
             .unwrap_or_else(|| 10_000 + 64 * programs.total_ops() as u64),
-        lanes: n_parts > 1,
+        lanes: host.filter(|_| n_parts > 1).map(|h| &**h),
     };
     let traced = tracer.enabled();
 
@@ -604,12 +606,12 @@ where
         if let Some(crew) = crew {
             crew.finish(round);
         }
-        let t0 = if world.lanes { host::clock() } else { None };
+        let lane = world.lanes.map(|h| (h, h.clock()));
         parts.extend(partitions.iter().map(lock));
         let (stop, messages) = leader_phase(&mut parts, world, traced);
         parts.clear();
-        if let Some(t0) = t0 {
-            host::partition_span(0, format!("leader {round}"), t0, ("messages", messages));
+        if let Some((host, t0)) = lane {
+            host.partition_span(0, format!("leader {round}"), t0, ("messages", messages));
         }
         if let Some(stop) = stop {
             return stop;
@@ -631,12 +633,12 @@ fn run_round<B, M, P, F>(
     P: Programs + ?Sized,
     F: Fabric + ?Sized,
 {
-    let t0 = if world.lanes { host::clock() } else { None };
+    let lane = world.lanes.map(|h| (h, h.clock()));
     let before = part.events;
     run_until_blocked(part, own, world);
-    if let Some(t0) = t0 {
+    if let Some((host, t0)) = lane {
         let events = part.events - before;
-        host::partition_span(own, format!("round {round}"), t0, ("events", events));
+        host.partition_span(own, format!("round {round}"), t0, ("events", events));
     }
 }
 
@@ -996,8 +998,24 @@ mod tests {
         let plan = FaultPlan::with_drops(7, 0.2);
         let mut serial = RecordingTracer::default();
         let mut parallel = RecordingTracer::default();
-        let s = simulate(&programs, &cpus, &fabric, &plan, &mut serial, 1).unwrap();
-        let p = simulate(&programs, &cpus, &fabric, &plan, &mut parallel, 4).unwrap();
+        let s = simulate(
+            &programs,
+            &cpus,
+            &fabric,
+            &plan,
+            &mut serial,
+            &RunContext::new(1),
+        )
+        .unwrap();
+        let p = simulate(
+            &programs,
+            &cpus,
+            &fabric,
+            &plan,
+            &mut parallel,
+            &RunContext::new(4),
+        )
+        .unwrap();
         assert_eq!(s.makespan.to_bits(), p.makespan.to_bits());
         assert_eq!(serial.spans, parallel.spans);
         assert_eq!(serial.edges, parallel.edges);

@@ -13,7 +13,7 @@ use std::cell::Cell;
 
 use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia_simnet::fault::DEFAULT_MULTIPLEX_QUEUE_PENALTY;
-use columbia_simnet::obs::NullTracer;
+use columbia_simnet::obs::{NullTracer, RunContext};
 use columbia_simnet::{
     simulate, ByteRule, CachedFabric, ClusterFabric, ConnectionLimit, ConnectionPolicy, FaultPlan,
     MptVersion, Peer, ProgramSet, SpmdOp,
@@ -121,7 +121,14 @@ fn a_full_machine_simulation_allocates_under_a_thousand_times() {
     let programs = ProgramSet::spmd(cpus.len(), columbia_template());
 
     COUNTING.with(|on| on.set(true));
-    let out = simulate(&programs, &cpus, &fabric, &plan, &mut NullTracer, 1);
+    let out = simulate(
+        &programs,
+        &cpus,
+        &fabric,
+        &plan,
+        &mut NullTracer,
+        &RunContext::new(1),
+    );
     COUNTING.with(|on| on.set(false));
     let allocations = ALLOCATIONS.with(Cell::get);
 

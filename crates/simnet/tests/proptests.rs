@@ -3,7 +3,7 @@
 use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric};
 use columbia_machine::node::NodeKind;
 use columbia_simnet::fabric::{CachedFabric, ClusterFabric, Fabric, MptVersion};
-use columbia_simnet::obs::{RecordingTracer, Track};
+use columbia_simnet::obs::{RecordingTracer, RunContext, Track};
 use columbia_simnet::program::{ByteRule, Peer, ProgramSet, SpmdOp};
 use columbia_simnet::{simulate, simulate_on, FaultPlan, Op};
 use proptest::prelude::*;
@@ -203,7 +203,7 @@ proptest! {
         let cpus: Vec<CpuId> = (0..n as u32).map(|c| CpuId::new(0, c)).collect();
         let plan = FaultPlan::with_drops(seed, drop_prob);
         let mut tracer = RecordingTracer::new();
-        let traced = simulate(&programs, &cpus, &fabric(), &plan, &mut tracer, 1).unwrap();
+        let traced = simulate(&programs, &cpus, &fabric(), &plan, &mut tracer, &RunContext::new(1)).unwrap();
         // Tracing never perturbs the simulation.
         let plain = simulate_on(&programs, &cpus, &fabric(), &plan).unwrap();
         prop_assert_eq!(&plain, &traced);

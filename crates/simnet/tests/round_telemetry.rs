@@ -1,12 +1,9 @@
 //! PDES rounds on the host-telemetry partition lanes.
-//!
-//! A test binary of its own, with one test: the host capture window is
-//! process-global, so no other simulation may run while it is open.
 
 use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric};
 use columbia_machine::node::NodeKind;
-use columbia_simnet::obs::host::{self, HostReport, PartitionSpan};
-use columbia_simnet::{simulate_parallel_on, ClusterFabric, FaultPlan, MptVersion, Op};
+use columbia_simnet::obs::{HostReport, NullTracer, PartitionSpan, RunContext};
+use columbia_simnet::{simulate, ClusterFabric, FaultPlan, MptVersion, Op};
 
 /// Run `programs` under a fresh host capture and return what it recorded.
 fn captured(programs: &[Vec<Op>], cpus: &[CpuId], threads: usize) -> (u64, HostReport) {
@@ -17,9 +14,16 @@ fn captured(programs: &[Vec<Op>], cpus: &[CpuId], threads: usize) -> (u64, HostR
         MptVersion::Beta,
         cpus.len() as u32,
     );
-    host::enable();
-    let out = simulate_parallel_on(programs, cpus, &fabric, &FaultPlan::none(), threads);
-    let report = host::take().expect("the capture was live");
+    let ctx = RunContext::new(threads).with_host_capture();
+    let out = simulate(
+        programs,
+        cpus,
+        &fabric,
+        &FaultPlan::none(),
+        &mut NullTracer,
+        &ctx,
+    );
+    let report = ctx.take_host_report().expect("the capture was live");
     (out.expect("the ring runs").faults.events, report)
 }
 

@@ -6,12 +6,14 @@
 use columbia::experiments::run;
 use columbia::machine::node::NodeKind;
 use columbia::npb::{gflops_per_cpu, NpbBenchmark, NpbClass, Paradigm};
+use columbia::obs::RunContext;
 use columbia::runtime::compiler::CompilerVersion;
 
 fn main() {
     // A healthy machine: any simulation failure here is a bug.
     let sweep = |bench, kind, cpus| {
         gflops_per_cpu(
+            &RunContext::new(1),
             bench,
             NpbClass::B,
             kind,

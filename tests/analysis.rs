@@ -9,32 +9,26 @@
 //! `golden_values`).
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
-use columbia::experiments::run_with_jobs;
+use columbia::experiments::plan;
 use columbia::obs::host::{HostReport, HostSpan, HostTrack};
 use columbia::obs::{
-    analyze, sink, write_chrome_trace, Analysis, CommProfile, CriticalPath, Metrics, SpanEvent,
-    SpanKind, TraceBundle,
+    analyze, write_chrome_trace, Analysis, CommProfile, CriticalPath, Metrics, RunContext,
+    SpanEvent, SpanKind, TraceBundle,
 };
 use columbia::sweep::{PointOutput, ResilienceOptions, SweepPlan};
 use serde_json::Value;
 
-/// The trace sink is process-global; tests that install it serialize
-/// here (the test harness runs threads in parallel).
-static SINK_LOCK: Mutex<()> = Mutex::new(());
-
 /// Capture every simulation experiment `name` runs at the given
-/// parallelism.
+/// parallelism, in a recording context of its own.
 fn capture(name: &str, jobs: usize) -> Vec<TraceBundle> {
-    sink::install();
-    let _ = run_with_jobs(name, jobs);
-    sink::take()
+    let ctx = RunContext::new(1).with_traces();
+    let _ = plan(name).run(&ctx, jobs);
+    ctx.take_traces()
 }
 
 #[test]
 fn analysis_of_a_real_experiment_is_jobs_independent() {
-    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let serial = capture("table4", 1);
     let parallel = capture("table4", 4);
     assert!(!serial.is_empty(), "table4 records simulations");
@@ -49,7 +43,6 @@ fn analysis_of_a_real_experiment_is_jobs_independent() {
 
 #[test]
 fn critical_path_accounts_for_every_captured_makespan() {
-    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for bundle in capture("table4", 2) {
         let a: Analysis = analyze(&bundle);
         let cp = &a.critical_path;
@@ -89,20 +82,19 @@ fn critical_path_accounts_for_every_captured_makespan() {
 /// `Histogram::percentile`, not just raw decade buckets.
 #[test]
 fn sweep_resilience_summary_carries_latency_percentile_gauges() {
-    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    sink::install();
+    let ctx = RunContext::new(1).with_traces();
     let mut plan = SweepPlan::new("percentiles", "resilience summary", &["x"]);
     for i in 0..8u64 {
-        plan.point_ok(move || {
+        plan.point_ok(move |_| {
             // Spread of real (tiny) wall-clock work so the histogram
             // has a distribution to summarize.
             std::thread::sleep(std::time::Duration::from_micros(50 * (i + 1)));
             PointOutput::default()
         });
     }
-    let outcome = plan.run_resilient_with_jobs(2, ResilienceOptions::default());
+    let outcome = plan.run_resilient(&ctx, 2, ResilienceOptions::default());
     assert_eq!(outcome.stats.failed, 0);
-    let bundles = sink::take();
+    let bundles = ctx.take_traces();
     let summary = bundles
         .iter()
         .find(|b| b.label.contains("sweep resilience:"))
@@ -266,7 +258,6 @@ fn merged_chrome_trace_matches_golden() {
 /// compared after a parse.
 #[test]
 fn trace_experiment_export_matches_golden_byte_for_byte() {
-    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let bundles = capture("trace", 1);
     assert_eq!(bundles.len(), 1, "the demo runs exactly one simulation");
     let paths: Vec<CriticalPath> = bundles.iter().map(|b| analyze(b).critical_path).collect();

@@ -1,22 +1,21 @@
-//! Thread-safety of the process-global trace sink.
+//! Thread-safety of a shared trace list.
 //!
-//! Two simulations traced from two threads must produce two
-//! *disjoint*, internally consistent bundles — no interleaved spans, no
-//! shared counters — and drain in a deterministic order. The probe runs
-//! the `trace` experiment (16 ranks, seeded faults, fully
-//! deterministic) once solo to establish the expected single-run shape,
-//! then twice concurrently.
+//! Two simulations traced from two threads into one shared context
+//! must produce two *disjoint*, internally consistent bundles — no
+//! interleaved spans, no shared counters — and drain in a deterministic
+//! order. The probe runs the `trace` experiment (16 ranks, seeded
+//! faults, fully deterministic) once solo to establish the expected
+//! single-run shape, then twice concurrently.
 
-use columbia::experiments::run;
-use columbia::obs::sink;
-use columbia::obs::TraceBundle;
+use columbia::experiments::plan;
+use columbia::obs::{RunContext, TraceBundle};
 
-/// Run the trace experiment under an installed sink and return its one
+/// Run the trace experiment in a recording context and return its one
 /// bundle.
 fn solo_bundle() -> TraceBundle {
-    sink::install();
-    run("trace");
-    let mut bundles = sink::take();
+    let ctx = RunContext::new(1).with_traces();
+    plan("trace").run(&ctx, 1).expect("the demo runs");
+    let mut bundles = ctx.take_traces();
     assert_eq!(bundles.len(), 1, "trace experiment records one simulation");
     bundles.pop().unwrap()
 }
@@ -28,13 +27,13 @@ fn two_threads_trace_two_disjoint_consistent_profiles() {
     assert!(solo.profile.makespan > 0.0);
     assert!(!solo.spans.is_empty());
 
-    sink::install();
+    let ctx = RunContext::new(1).with_traces();
     std::thread::scope(|scope| {
         for _ in 0..2 {
-            scope.spawn(|| run("trace"));
+            scope.spawn(|| plan("trace").run(&ctx, 1).expect("the demo runs"));
         }
     });
-    let bundles = sink::take();
+    let bundles = ctx.take_traces();
     assert_eq!(bundles.len(), 2, "one bundle per concurrent simulation");
 
     for (i, b) in bundles.iter().enumerate() {

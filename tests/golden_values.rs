@@ -23,9 +23,8 @@
 //!    checks live in `core::experiments`, `integration_experiments.rs`
 //!    and `parallel_determinism.rs`.
 //!
-//! `--sim-threads` stays out of this harness: the PDES thread count is
-//! process-global, so setting it here would leak into the tests running
-//! beside it. `tests/pdes.rs` and CI's PDES gate cover it.
+//! `--sim-threads` stays out of this harness: `tests/pdes.rs`,
+//! `tests/run_context.rs` and CI's PDES gate cover it.
 //!
 //! # Updating a golden fixture
 //!

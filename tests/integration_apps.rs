@@ -3,6 +3,7 @@
 
 use columbia::ins3d::{iteration_seconds, AcSolver, Ins3dConfig};
 use columbia::machine::node::NodeKind;
+use columbia::obs::RunContext;
 use columbia::overflowd::{step_times, OverflowConfig, OversetPair};
 use columbia::overset::group_blocks;
 use columbia::overset::systems::{rotor_wake, turbopump};
@@ -27,8 +28,16 @@ fn turbopump_grouping_feeds_ins3d_timings() {
 fn rotor_grouping_feeds_overflowd_timings() {
     let sys = rotor_wake(1.0);
     assert_eq!(sys.len(), 1679);
-    let a = step_times(&OverflowConfig::table3(NodeKind::Bx2b, 64)).unwrap();
-    let b = step_times(&OverflowConfig::table3(NodeKind::Bx2b, 256)).unwrap();
+    let a = step_times(
+        &RunContext::new(1),
+        &OverflowConfig::table3(NodeKind::Bx2b, 64),
+    )
+    .unwrap();
+    let b = step_times(
+        &RunContext::new(1),
+        &OverflowConfig::table3(NodeKind::Bx2b, 256),
+    )
+    .unwrap();
     assert!(b.exec < a.exec, "more CPUs must help at these counts");
 }
 
@@ -55,12 +64,18 @@ fn real_solvers_converge_together() {
 fn both_apps_prefer_the_bx2b() {
     let ins_ratio = iteration_seconds(&Ins3dConfig::table2(NodeKind::Altix3700, 4))
         / iteration_seconds(&Ins3dConfig::table2(NodeKind::Bx2b, 4));
-    let ovf_ratio = step_times(&OverflowConfig::table3(NodeKind::Altix3700, 128))
+    let ovf_ratio = step_times(
+        &RunContext::new(1),
+        &OverflowConfig::table3(NodeKind::Altix3700, 128),
+    )
+    .unwrap()
+    .exec
+        / step_times(
+            &RunContext::new(1),
+            &OverflowConfig::table3(NodeKind::Bx2b, 128),
+        )
         .unwrap()
-        .exec
-        / step_times(&OverflowConfig::table3(NodeKind::Bx2b, 128))
-            .unwrap()
-            .exec;
+        .exec;
     assert!(ins_ratio > 1.2, "INS3D: {ins_ratio}");
     assert!(ovf_ratio > 1.3, "OVERFLOW-D: {ovf_ratio}");
 }

@@ -1,18 +1,14 @@
-//! End-to-end observability: the trace sink captures an experiment's
-//! simulations and the Chrome export is well-formed.
-//!
-//! The sink is process-global, so this binary holds exactly one test —
-//! parallel test threads in the same binary would interleave captures.
+//! End-to-end observability: a recording context captures an
+//! experiment's simulations and the Chrome export is well-formed.
 
-use columbia::experiments::run;
-use columbia::obs::sink;
-use columbia::obs::{write_chrome_trace, Track};
+use columbia::experiments::plan;
+use columbia::obs::{write_chrome_trace, RunContext, Track};
 
 #[test]
 fn trace_experiment_capture_and_chrome_export() {
-    sink::install();
-    let report = run("trace");
-    let bundles = sink::take();
+    let ctx = RunContext::new(1).with_traces();
+    let report = plan("trace").run(&ctx, 1).expect("the demo runs");
+    let bundles = ctx.take_traces();
     assert!(report.to_text().contains("hotspots"));
     assert_eq!(bundles.len(), 1, "the demo runs exactly one simulation");
     let b = &bundles[0];

@@ -11,23 +11,16 @@
 //!   checkpoint-store hit/save counters, and the Chrome export renders
 //!   them as a dedicated "host executor (wall clock)" process next to
 //!   the simulated-time tracks.
-//! * **Zero residue** — with no capture enabled the same run leaves
-//!   nothing behind to take.
-//!
-//! The host capture window is process-global, so every test that
-//! touches it serializes on one lock (this integration binary is its
-//! own process — the unit-test binaries cannot interfere).
+//! * **Zero residue** — with no capture in its context the same run
+//!   leaves nothing behind to take.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use columbia::experiments::{job, plan, run_with_jobs};
 use columbia::manifest::{report_hash, ManifestBuilder, ResilienceSummary, Volatile};
-use columbia::obs::{host, write_chrome_trace};
+use columbia::obs::{write_chrome_trace, RunContext};
 use columbia::{PointStore, ResilienceOptions, RunManifest, SpecJob};
 use serde_json::Value;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -62,7 +55,6 @@ fn manifest_for(name: &str, jobs: usize, wall: f64) -> RunManifest {
 
 #[test]
 fn manifests_of_identical_runs_are_byte_stable() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let a = manifest_for("table2", 1, 0.5);
     let b = manifest_for("table2", 2, 7.5);
     // Different job counts are a *declared* stable field — they change
@@ -90,7 +82,6 @@ fn manifests_of_identical_runs_are_byte_stable() {
 
 #[test]
 fn spec_manifest_entries_pin_spec_hash_and_points_in_the_stable_part() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let text = std::fs::read_to_string(
         std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../specs/table1.toml"),
     )
@@ -99,7 +90,10 @@ fn spec_manifest_entries_pin_spec_hash_and_points_in_the_stable_part() {
     let manifest_of = |spec_text: &str, wall: f64| -> RunManifest {
         let job = SpecJob::from_text("table1", spec_text, false).expect("spec compiles");
         let (fingerprint, points) = (job.plan.fingerprint(), job.plan.len());
-        let report = job.plan.run_with_jobs(1).expect("spec plan runs");
+        let report = job
+            .plan
+            .run(&RunContext::new(1), 1)
+            .expect("spec plan runs");
         let mut b = ManifestBuilder::new("repro", 1, &ResilienceSummary::default());
         b.record_experiment(
             &job.name,
@@ -162,7 +156,6 @@ fn spec_manifest_entries_pin_spec_hash_and_points_in_the_stable_part() {
 
 #[test]
 fn manifest_report_hash_matches_the_rendered_report() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let report = run_with_jobs("table1", 1);
     let m = manifest_for("table1", 1, 0.0);
     let doc = serde_json::from_str(&m.to_string_pretty()).expect("manifest parses");
@@ -184,20 +177,19 @@ fn manifest_report_hash_matches_the_rendered_report() {
 
 #[test]
 fn resilient_checkpointed_run_fills_worker_and_store_tracks() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("capture");
     let points = plan("table2").len();
 
     // First run: cold store, capture on. Every point runs and saves.
-    host::enable();
+    let ctx = RunContext::new(1).with_host_capture();
     let opts = ResilienceOptions {
         store: Some(PointStore::open(&dir).expect("store opens")),
         resume: true,
         ..ResilienceOptions::default()
     };
-    let outcome = plan("table2").run_resilient_with_jobs(2, opts);
+    let outcome = plan("table2").run_resilient(&ctx, 2, opts);
     assert_eq!(outcome.stats.failed, 0);
-    let report = host::take().expect("capture live");
+    let report = ctx.take_host_report().expect("capture live");
     let job_spans = report.spans.iter().filter(|s| s.cat == "host.job").count();
     assert_eq!(job_spans, points, "one worker-lane span per sweep point");
     assert_eq!(report.metrics.counter("host.jobs") as usize, points);
@@ -220,15 +212,15 @@ fn resilient_checkpointed_run_fills_worker_and_store_tracks() {
     );
 
     // Second run: warm store. Every probe hits; nothing re-runs.
-    host::enable();
+    let ctx = RunContext::new(1).with_host_capture();
     let opts = ResilienceOptions {
         store: Some(PointStore::open(&dir).expect("store reopens")),
         resume: true,
         ..ResilienceOptions::default()
     };
-    let outcome = plan("table2").run_resilient_with_jobs(2, opts);
+    let outcome = plan("table2").run_resilient(&ctx, 2, opts);
     assert_eq!(outcome.stats.resumed, points);
-    let warm = host::take().expect("capture live");
+    let warm = ctx.take_host_report().expect("capture live");
     assert_eq!(warm.metrics.counter("store.hits") as usize, points);
     assert_eq!(warm.metrics.counter("store.saves"), 0, "nothing re-saved");
 
@@ -266,8 +258,8 @@ fn resilient_checkpointed_run_fills_worker_and_store_tracks() {
 
 #[test]
 fn uncaptured_runs_leave_nothing_to_take() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    assert!(!host::is_enabled());
-    let _ = run_with_jobs("table1", 2);
-    assert!(host::take().is_none(), "no capture was enabled");
+    let ctx = RunContext::new(1);
+    assert!(ctx.host().is_none());
+    let _ = plan("table1").run(&ctx, 2);
+    assert!(ctx.take_host_report().is_none(), "no capture was enabled");
 }

@@ -32,7 +32,7 @@ fn synthetic_plan(seed: u64, n_points: usize, rows_per_point: usize) -> SweepPla
     }
     let mut plan = SweepPlan::new("prop", "synthetic sweep", &["point", "row", "value"]);
     for i in 0..n_points {
-        plan.point_ok(move || {
+        plan.point_ok(move |_| {
             let mut state = seed ^ (i as u64) << 17;
             let mut out = PointOutput::default();
             for row in 0..rows_per_point {

@@ -24,8 +24,9 @@
 //!   overhead, bit for bit.
 //! * Edge cases: one-node placements, zero cross-node latency, empty
 //!   programs, mismatched collectives, a self-send on any tag during a
-//!   half-done exchange, a panic inside a helper's partition, spec-key
-//!   and global thread-count plumbing.
+//!   half-done exchange, a panic inside a helper's partition, the
+//!   spec key, and the process-default thread count the probe shims
+//!   set.
 //!
 //! The comparison is exact (`f64::to_bits`) except for
 //! `FaultStats::events`, the scheduler-event *count*, which depends on
@@ -36,7 +37,7 @@
 
 use columbia::machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia::machine::node::NodeKind;
-use columbia::obs::{NullTracer, RecordingTracer};
+use columbia::obs::{NullTracer, RecordingTracer, RunContext};
 use columbia::simnet::fabric::{CachedFabric, ClusterFabric, Fabric, MptVersion};
 use columbia::simnet::{
     simulate, simulate_on, simulate_parallel_on, FaultPlan, Op, Programs, SimError, SimOutcome,
@@ -231,7 +232,7 @@ proptest! {
             FaultPlan::none()
         };
         let mut serial_trace = RecordingTracer::default();
-        let serial = simulate(&programs, &cpus, &fabric, &plan, &mut serial_trace, 1)
+        let serial = simulate(&programs, &cpus, &fabric, &plan, &mut serial_trace, &RunContext::new(1))
             .expect("generated workloads never deadlock");
         let mut per_node_events = None;
         for threads in [2usize, 3, 7] {
@@ -243,7 +244,7 @@ proptest! {
                 prop_assert_eq!(parallel.faults.events, events, "threads = {}", threads);
             }
             let mut parallel_trace = RecordingTracer::default();
-            let traced = simulate(&programs, &cpus, &fabric, &plan, &mut parallel_trace, threads)
+            let traced = simulate(&programs, &cpus, &fabric, &plan, &mut parallel_trace, &RunContext::new(threads))
                 .expect("traced parallel run");
             assert_outcomes_identical(&serial, &traced);
             prop_assert_eq!(
@@ -349,11 +350,26 @@ fn fabric_without_lookahead_falls_back_to_serial() {
         let fabric = TwoLevel { cross };
         for plan in [FaultPlan::none(), FaultPlan::with_drops(17, 0.3)] {
             let mut one = RecordingTracer::default();
-            let serial = simulate(&programs, &cpus, &fabric, &plan, &mut one, 1).unwrap();
+            let serial = simulate(
+                &programs,
+                &cpus,
+                &fabric,
+                &plan,
+                &mut one,
+                &RunContext::new(1),
+            )
+            .unwrap();
             for threads in [2usize, 4] {
                 let mut many = RecordingTracer::default();
-                let parallel =
-                    simulate(&programs, &cpus, &fabric, &plan, &mut many, threads).unwrap();
+                let parallel = simulate(
+                    &programs,
+                    &cpus,
+                    &fabric,
+                    &plan,
+                    &mut many,
+                    &RunContext::new(threads),
+                )
+                .unwrap();
                 assert_outcomes_identical(&serial, &parallel);
                 assert_eq!(one.spans, many.spans, "cross {cross}, threads {threads}");
                 assert_eq!(one.edges, many.edges, "cross {cross}, threads {threads}");
@@ -867,15 +883,23 @@ fn mismatched_collectives_are_the_same_typed_error_at_every_thread_count() {
             found: REDUCE,
         };
         for threads in [1usize, 2, 3, 7] {
-            let got = simulate(&programs, &cpus, &fabric, &plan, &mut NullTracer, threads);
+            let got = simulate(
+                &programs,
+                &cpus,
+                &fabric,
+                &plan,
+                &mut NullTracer,
+                &RunContext::new(threads),
+            );
             assert_eq!(got, Err(expected.clone()), "threads = {threads}");
         }
     }
 }
 
-/// The global thread count reaches the engine through
-/// `runtime::exec::execute`, its production reader: at 4 threads the
-/// run is partitioned by node, bit-identical to the one-thread run.
+/// The process-default thread count that `set_sim_threads` sets reaches
+/// the engine through the `runtime::execute` shim (both kept for the
+/// benchmark probes): at 4 threads the run is partitioned by node,
+/// bit-identical to the one-thread run.
 #[test]
 fn global_sim_threads_parallelizes_simulate_traced_on() {
     use columbia::runtime::{

@@ -41,7 +41,7 @@ fn plan_with_panics(n: usize, panicking: &BTreeSet<usize>) -> SweepPlan {
     let mut plan = SweepPlan::new("P", "panic isolation", &["point", "status"]);
     for i in 0..n {
         let boom = panicking.contains(&i);
-        plan.point_ok(move || {
+        plan.point_ok(move |_| {
             if boom {
                 panic!("injected failure at point {i}");
             }
@@ -196,7 +196,7 @@ fn transient_panics_are_retried_to_success() {
     let attempts = Arc::new(AtomicU32::new(0));
     let mut plan = SweepPlan::new("R", "retry", &["x"]);
     let a = Arc::clone(&attempts);
-    plan.point_ok(move || {
+    plan.point_ok(move |_| {
         if a.fetch_add(1, Ordering::SeqCst) < 2 {
             panic!("flaky");
         }
@@ -226,12 +226,12 @@ fn transient_panics_are_retried_to_success() {
 #[test]
 fn hung_point_is_cancelled_at_the_deadline() {
     let mut plan = SweepPlan::new("D", "deadline", &["x"]);
-    plan.point_ok(|| PointOutput::row(vec!["fast".into()]));
-    plan.point_ok(|| {
+    plan.point_ok(|_| PointOutput::row(vec!["fast".into()]));
+    plan.point_ok(|_| {
         std::thread::sleep(Duration::from_secs(60));
         PointOutput::row(vec!["unreachable".into()])
     });
-    plan.point_ok(|| PointOutput::row(vec!["also fast".into()]));
+    plan.point_ok(|_| PointOutput::row(vec!["also fast".into()]));
     let start = std::time::Instant::now();
     let out = plan.run_resilient_with_jobs(
         2,
