@@ -308,6 +308,26 @@ fn an_out_of_range_overset_count_exits_2_at_its_key() {
     assert!(out.stdout.is_empty());
 }
 
+/// A multi-zone point with more processes than its class has zones
+/// exits 2 at its `procs` value before anything runs, where it used to
+/// panic inside the zone bin-packing and exit 101.
+#[test]
+fn more_mz_processes_than_zones_exits_2_at_procs() {
+    let spec = repo_path("tests/spec_corpus/invalid/mz-procs-zones.toml");
+    let spec = spec.to_str().expect("UTF-8 path");
+    let out = repro(&["--spec", spec, "--jobs", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!(
+            "{spec}:16:14: 'procs' must be at most 16 (class A's zone count)"
+        )),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
 /// An OVERFLOW-D point whose processes do not fit its nodes under the
 /// placement policy (at most 508 CPUs per node unless the count is a
 /// multiple of 512) is a spec error: it exits 2 at its `procs` value,

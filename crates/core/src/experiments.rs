@@ -11,9 +11,10 @@
 //! the same bytes. EXPERIMENTS.md records the comparison against the
 //! paper.
 //!
-//! What remains here as code are the helpers behind the spec
-//! compiler's three free-form kinds (`table1`, `trace`, `columbia`)
-//! and [`failure_report`], which renders a failed sweep as a report.
+//! What remains here as code are the point helpers that three entries
+//! of the spec compiler's kind table call (`table1`, `trace` and
+//! `columbia`, the kinds that render their own rows) and
+//! [`failure_report`], which renders a failed sweep as a report.
 
 use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia_machine::node::{NodeKind, NodeModel};
@@ -184,10 +185,6 @@ pub const DEGRADED_SEED: u64 = 42;
 /// counter dump.
 #[derive(Debug, Clone)]
 pub(crate) struct TraceParams {
-    /// Report id (feeds the hotspot table header).
-    pub id: String,
-    /// Report title.
-    pub title: String,
     /// SPMD ranks.
     pub ranks: usize,
     /// Node count (BX2b, InfiniBand between them).
@@ -202,12 +199,15 @@ pub(crate) struct TraceParams {
     pub top: usize,
 }
 
+impl TraceParams {
+    /// Fewest ranks the workload is defined on: the compute skew
+    /// divides by `ranks - 1`.
+    pub(crate) const MIN_RANKS: usize = 2;
+}
+
 impl Default for TraceParams {
     fn default() -> Self {
-        // `id` and `title` always come from the spec's `[report]`.
         TraceParams {
-            id: String::new(),
-            title: String::new(),
             ranks: 16,
             nodes: 2,
             drop_prob: 0.05,
@@ -278,7 +278,8 @@ pub(crate) fn trace_output(ctx: &RunContext, p: &TraceParams) -> Result<PointOut
             p.ranks, p.nodes
         )));
     }
-    let r = hotspot_report(&p.id, &p.title, &profile, &metrics, p.top);
+    // Only the rows and notes are kept: the spec's `[report]` names the table.
+    let r = hotspot_report("", "", &profile, &metrics, p.top);
     Ok(PointOutput {
         rows: r.rows,
         notes: r.notes,
@@ -286,7 +287,7 @@ pub(crate) fn trace_output(ctx: &RunContext, p: &TraceParams) -> Result<PointOut
     })
 }
 
-/// The SPMD template both Columbia points run: ring rounds with a
+/// The SPMD template every Columbia point runs: ring rounds with a
 /// node-pairing exchange and a small allreduce, closed by a broadcast
 /// and a barrier. `Xor(512)` pairs whole 512-CPU nodes (node 2k with
 /// node 2k+1), so the exchange traffic crosses the inter-node fabric on
@@ -319,92 +320,70 @@ fn columbia_template() -> Vec<SpmdOp> {
     t
 }
 
-/// The full-machine Columbia point (all twenty nodes over InfiniBand
-/// under the §2 connection budget) — `core::spec`'s
-/// `kind = "columbia"`, config `full-machine`. Runs on the compact
-/// [`ProgramSet`] + [`CachedFabric`] + monomorphized engine path; a run
-/// at this scale is only seconds *because* of those optimizations (see
-/// `cargo bench -p columbia-bench --bench simnet`). Both Columbia points
-/// simulate untraced at `ctx`'s thread count (`repro --sim-threads`),
-/// recording their PDES rounds into its host capture.
-pub(crate) fn columbia_full_output(ctx: &RunContext) -> Result<PointOutput, SimError> {
-    {
-        let cluster = ClusterConfig::columbia();
-        let ranks = cluster.total_cpus() as usize;
-        let cpus: Vec<CpuId> = (0..cluster.nodes.len() as u32)
-            .flat_map(|node| {
-                let per = cluster.node_model(NodeId(node)).cpus;
-                (0..per).map(move |c| CpuId::new(node, c))
-            })
-            .collect();
-        // Pure MPI at 512 procs/node over 19 peers wants p²(n−1) ≈ 5.0M
-        // InfiniBand connections against the 8 × 64K budget, so MPT
-        // multiplexes every cross-node message — the machine's real
-        // §2 behavior at full scale.
-        let faults = FaultPlan::none().with_connection_limit(ConnectionLimit {
+/// One Columbia point — `core::spec`'s `kind = "columbia"`: the full
+/// machine (all twenty nodes over InfiniBand under the §2 connection
+/// budget) when `full`, else the capability subsystem (its four
+/// NUMAlink4 nodes), every CPU one rank. Runs on the compact
+/// [`ProgramSet`] + [`CachedFabric`] + monomorphized engine path; a
+/// full-machine run is only seconds *because* of those optimizations
+/// (see `cargo bench -p columbia-bench --bench simnet`). It simulates
+/// untraced at `ctx`'s thread count (`repro --sim-threads`), recording
+/// its PDES rounds into its host capture.
+pub(crate) fn columbia_output(ctx: &RunContext, full: bool) -> Result<PointOutput, SimError> {
+    let cluster = ClusterConfig::columbia();
+    let (label, nodes, inter) = if full {
+        let all = (0..cluster.nodes.len() as u32).map(NodeId).collect();
+        ("full machine", all, InterNodeFabric::InfiniBand)
+    } else {
+        let sub = cluster.numalink4_subsystem.clone();
+        ("capability subsystem", sub, InterNodeFabric::NumaLink4)
+    };
+    let cpus: Vec<CpuId> = nodes
+        .iter()
+        .flat_map(|&node| (0..cluster.node_model(node).cpus).map(move |c| CpuId::new(node.0, c)))
+        .collect();
+    let ranks = cpus.len();
+    // Pure MPI at 512 procs/node over 19 peers wants p²(n−1) ≈ 5.0M
+    // InfiniBand connections against the 8 × 64K budget, so MPT
+    // multiplexes every cross-node message — the machine's real §2
+    // behavior at full scale.
+    let faults = if full {
+        FaultPlan::none().with_connection_limit(ConnectionLimit {
             cards_per_node: cluster.ib_cards_per_node,
             connections_per_card: cluster.ib_connections_per_card,
             policy: ConnectionPolicy::Multiplex {
                 queue_penalty: DEFAULT_MULTIPLEX_QUEUE_PENALTY,
             },
-        });
-        let fabric = CachedFabric::new(ClusterFabric::new(
-            cluster,
-            InterNodeFabric::InfiniBand,
-            MptVersion::Beta,
-            ranks as u32,
-        ));
-        let set = ProgramSet::spmd(ranks, columbia_template());
-        let out = simulate(&set, &cpus, &fabric, &faults, &mut NullTracer, ctx)?;
-        Ok(PointOutput::row(vec![
-            "full machine".into(),
-            ranks.to_string(),
-            "20".into(),
-            "InfiniBand".into(),
-            secs(out.makespan),
-            secs(out.mean_comm()),
-            secs(out.max_comm()),
-            out.faults.multiplexed_messages.to_string(),
-        ])
-        .with_note(format!(
+        })
+    } else {
+        FaultPlan::none()
+    };
+    let fabric = CachedFabric::new(ClusterFabric::new(
+        cluster,
+        inter,
+        MptVersion::Beta,
+        ranks as u32,
+    ));
+    let set = ProgramSet::spmd(ranks, columbia_template());
+    let out = simulate(&set, &cpus, &fabric, &faults, &mut NullTracer, ctx)?;
+    let point = PointOutput::row(vec![
+        label.into(),
+        ranks.to_string(),
+        nodes.len().to_string(),
+        inter.name().into(),
+        secs(out.makespan),
+        secs(out.mean_comm()),
+        secs(out.max_comm()),
+        out.faults.multiplexed_messages.to_string(),
+    ]);
+    Ok(if full {
+        point.with_note(format!(
             "full machine: section 2's p^2(n-1) formula oversubscribes the connection budget {:.1}x at 512 procs/node over 19 peers, so every cross-node message pays the multiplex queue penalty",
             out.faults.oversubscription
-        )))
-    }
-}
-
-/// The capability-subsystem Columbia point (four NUMAlink4 nodes,
-/// 2,048 ranks) — `core::spec`'s `kind = "columbia"`, config
-/// `subsystem`.
-pub(crate) fn columbia_subsystem_output(ctx: &RunContext) -> Result<PointOutput, SimError> {
-    {
-        let cluster = ClusterConfig::columbia();
-        let sub = cluster.numalink4_subsystem.clone();
-        let ranks = sub.len() * 512;
-        let cpus: Vec<CpuId> = sub
-            .iter()
-            .flat_map(|&node| (0..512).map(move |c| CpuId::new(node.0, c)))
-            .collect();
-        let fabric = CachedFabric::new(ClusterFabric::new(
-            cluster,
-            InterNodeFabric::NumaLink4,
-            MptVersion::Beta,
-            ranks as u32,
-        ));
-        let set = ProgramSet::spmd(ranks, columbia_template());
-        let faults = FaultPlan::none();
-        let out = simulate(&set, &cpus, &fabric, &faults, &mut NullTracer, ctx)?;
-        Ok(PointOutput::row(vec![
-            "capability subsystem".into(),
-            ranks.to_string(),
-            sub.len().to_string(),
-            "NUMAlink4".into(),
-            secs(out.makespan),
-            secs(out.mean_comm()),
-            secs(out.max_comm()),
-            out.faults.multiplexed_messages.to_string(),
-        ]))
-    }
+        ))
+    } else {
+        point
+    })
 }
 
 #[cfg(test)]

@@ -1,32 +1,5 @@
 //! Report tables: the common output format of every experiment.
 
-use std::fmt;
-
-/// A structurally invalid [`Report`] mutation, from the strict
-/// [`Report::try_push_row`] API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReportError {
-    /// Row cell count differs from the header count.
-    RowWidth {
-        /// Cells supplied.
-        got: usize,
-        /// Cells expected (one per header).
-        want: usize,
-    },
-}
-
-impl fmt::Display for ReportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReportError::RowWidth { got, want } => {
-                write!(f, "row width {got} does not match {want} header(s)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReportError {}
-
 /// A rendered experiment result.
 #[derive(Debug, Clone)]
 pub struct Report {
@@ -59,30 +32,18 @@ impl Report {
     /// A wrong-width row is a bug in the experiment that produced it,
     /// but a half-rendered report is more useful than a crashed run, so
     /// this truncates (or pads with `""`) the row to the header width
-    /// and records a diagnostic note instead of panicking. Use
-    /// [`Report::try_push_row`] to reject the mismatch explicitly.
+    /// and records a diagnostic note instead of panicking.
     pub fn push_row(&mut self, mut cells: Vec<String>) {
-        if cells.len() != self.headers.len() {
-            let e = ReportError::RowWidth {
-                got: cells.len(),
-                want: self.headers.len(),
-            };
-            self.note(format!("malformed row ({e}): {}", cells.join(" | ")));
-            cells.resize(self.headers.len(), String::new());
+        let want = self.headers.len();
+        if cells.len() != want {
+            self.note(format!(
+                "malformed row (row width {} does not match {want} header(s)): {}",
+                cells.len(),
+                cells.join(" | ")
+            ));
+            cells.resize(want, String::new());
         }
         self.rows.push(cells);
-    }
-
-    /// Append one row, rejecting a width mismatch with a typed error.
-    pub fn try_push_row(&mut self, cells: Vec<String>) -> Result<(), ReportError> {
-        if cells.len() != self.headers.len() {
-            return Err(ReportError::RowWidth {
-                got: cells.len(),
-                want: self.headers.len(),
-            });
-        }
-        self.rows.push(cells);
-        Ok(())
     }
 
     /// Append a note.
@@ -221,15 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_row_rejected_by_strict_api() {
-        let mut r = Report::new("T", "t", &["a", "b"]);
-        let err = r.try_push_row(vec!["only-one".into()]).unwrap_err();
-        assert_eq!(err, ReportError::RowWidth { got: 1, want: 2 });
-        assert!(r.rows.is_empty());
-        assert!(err.to_string().contains("row width 1"));
-    }
-
-    #[test]
     fn mismatched_row_degrades_gracefully() {
         let mut r = Report::new("T", "t", &["a", "b"]);
         r.push_row(vec!["short".into()]);
@@ -237,8 +189,13 @@ mod tests {
         // Both rows land, normalised to the header width, and each
         // mismatch leaves a diagnostic note.
         assert_eq!(r.rows, vec![vec!["short", ""], vec!["x", "y"]]);
-        assert_eq!(r.notes.len(), 2);
-        assert!(r.notes[0].contains("malformed row"));
+        assert_eq!(
+            r.notes,
+            [
+                "malformed row (row width 1 does not match 2 header(s)): short",
+                "malformed row (row width 3 does not match 2 header(s)): x | y | extra",
+            ]
+        );
         // The degraded report still renders.
         assert!(r.to_text().contains("short"));
     }

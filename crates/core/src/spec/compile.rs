@@ -2,29 +2,35 @@
 //!
 //! Each `[[sweep]]` block expands its grid (cartesian product of the
 //! declared axes, first axis slowest, like nested loops) into
-//! independent sweep points. A point binds its axis
-//! values, evaluates derived parameters, builds one typed measurement
-//! [`Task`], and renders the block's row/note templates from the
-//! task's output bindings. All validation — parameter types, enum
-//! names, template placeholders, vector-parameter shapes — happens
+//! independent sweep points. A point binds its axis values and
+//! evaluates derived parameters. Its block's measurement kind, one
+//! entry of [`KIND_TABLE`], then reads and checks the kind's parameters
+//! and returns a [`Measure`]: the names its rows bind, the numeric
+//! outputs `value` may name, and the closure that measures. Row and
+//! note templates resolve every placeholder to one of those names or to
+//! a parameter binding. All validation — parameter types and counts,
+//! enum names, template placeholders, vector-parameter shapes — happens
 //! here at compile time, so a compiled point can only fail with the
 //! simulator's own [`SimError`].
 //!
 //! The measurement kinds call the workload crates' entry points
-//! directly; the three free-form kinds `table1`/`trace`/`columbia`
-//! call helpers in `crate::experiments`. The shipped `specs/` are the
+//! directly and read the bounds those entry points assert from the same
+//! crates; the three free-form kinds `table1`/`trace`/`columbia` call
+//! helpers in `crate::experiments`. The shipped `specs/` are the
 //! experiments: `repro --exp` compiles them from their embedded text,
 //! and `tests/golden/` pins every report byte.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 
-use columbia_hpcc::beff::{self, Pattern};
+use columbia_hpcc::beff::{self, BeffSweep, Pattern};
 use columbia_hpcc::{dgemm, stream};
-use columbia_ins3d::perf::MAX_CPUS;
+use columbia_ins3d::perf::MAX_CPUS as INS3D_MAX_CPUS;
 use columbia_ins3d::{iteration_seconds, Ins3dConfig};
 use columbia_machine::cluster::{InterNodeFabric, NodeId};
 use columbia_machine::node::NodeKind;
 use columbia_md::scaling::weak_scaling_point_in;
+use columbia_npb::perf::MAX_CPUS as NPB_MAX_CPUS;
 use columbia_npb::{gflops_per_cpu, NpbBenchmark, NpbClass, Paradigm};
 use columbia_npbmz::bench::{run as mz_run, MzBenchmark, MzRunConfig};
 use columbia_npbmz::MzClass;
@@ -33,42 +39,26 @@ use columbia_overflowd::{placement_strategy as overflow_placement, step_times, O
 use columbia_overset::systems::{ROTOR_BLOCKS, TURBOPUMP_BLOCKS};
 use columbia_runtime::compiler::CompilerVersion;
 use columbia_runtime::pinning::Pinning;
+use columbia_runtime::placement::NODE_CPUS;
 use columbia_simnet::fabric::MptVersion;
 use columbia_simnet::fault::DEFAULT_MULTIPLEX_QUEUE_PENALTY;
+use columbia_simnet::patterns::MIN_PROCS;
 use columbia_simnet::{ConnectionLimit, ConnectionPolicy, FaultPlan, SimError};
 
 use super::expr;
 use super::model::{as_int, as_str, as_table, Fields, Spec, SweepSpec};
 use super::toml::{Node, Span, Table, Value};
 use super::{suggest, SpecError};
-use crate::experiments::{
-    columbia_full_output, columbia_subsystem_output, table1_output, trace_output, TraceParams,
-};
+use crate::experiments::{columbia_output, table1_output, trace_output, TraceParams};
 use crate::report::{gbs, gf, secs};
-use crate::sweep::{PointOutput, SweepPlan};
+use crate::sweep::{PointOutput, SweepPlan, SweepPoint};
 
 /// Ceiling on points one spec may expand to — a guard against
 /// accidental (or fuzzed) combinatorial explosions.
 const MAX_POINTS: usize = 100_000;
 
-/// All measurement kinds, for unknown-kind suggestions.
-const KINDS: [&str; 12] = [
-    "table1",
-    "beff-in-node",
-    "beff-multi",
-    "dgemm",
-    "stream",
-    "npb",
-    "ins3d",
-    "overflow",
-    "mz",
-    "md-weak",
-    "trace",
-    "columbia",
-];
-
-/// Parameters every kind accepts.
-const GENERIC_PARAMS: [&str; 5] = ["row", "note", "value", "label", "expect_error"];
+/// The bound on a count a workload takes as a `u32`.
+const U32_COUNT: (usize, &str) = (u32::MAX as usize, "a 32-bit count");
 
 fn invalid(span: Span, message: impl Into<String>) -> SpecError {
     SpecError::Invalid {
@@ -78,13 +68,30 @@ fn invalid(span: Span, message: impl Into<String>) -> SpecError {
     }
 }
 
+/// `what` (a quoted key) exceeds `max`, the bound `why` explains.
+fn above(span: Span, what: &str, max: impl Display, why: &str, got: impl Display) -> SpecError {
+    invalid(
+        span,
+        format!("{what} must be at most {max} ({why}), got {got}"),
+    )
+}
+
+/// Names for a diagnostic: comma-separated, or `none`.
+fn listing(names: &[&str]) -> String {
+    if names.is_empty() {
+        "none".to_string()
+    } else {
+        names.join(", ")
+    }
+}
+
 /// Compile a validated spec into a runnable plan.
 pub fn compile(spec: &Spec) -> Result<SweepPlan, SpecError> {
     let headers: Vec<&str> = spec.report.headers.iter().map(String::as_str).collect();
     let mut plan = SweepPlan::new(&spec.report.id, &spec.report.title, &headers);
     plan.sim_threads = spec.sim_threads;
     for sweep in &spec.sweeps {
-        expand_sweep(&mut plan, sweep, spec)?;
+        expand_sweep(&mut plan, sweep, headers.len())?;
     }
     if plan.is_empty() {
         return Err(invalid(
@@ -133,118 +140,543 @@ pub fn compile(spec: &Spec) -> Result<SweepPlan, SpecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Templates
+// Measurement kinds
 
-/// A parsed `"text {name} text"` template.
-#[derive(Debug, Clone)]
-struct Template {
-    segs: Vec<Seg>,
+/// One measurement kind of the spec language.
+struct Kind {
+    /// The name a `[[sweep]]` block's `kind` selects it by.
+    name: &'static str,
+    /// Reads and checks the kind's parameters from one point's context.
+    compile: fn(&mut ParamCtx<'_>) -> Result<Measure, SpecError>,
 }
 
-#[derive(Debug, Clone)]
-enum Seg {
-    Lit(String),
-    Var(String),
+/// What one point of a kind measures.
+struct Measure {
+    /// The names each row of `run`'s output binds, in order, for the
+    /// block's `row` template; `None` when `run` returns finished report
+    /// rows and notes, and the block takes no `row`.
+    outputs: Option<Vec<String>>,
+    /// The numeric outputs `value` may name, in the order of `run`'s
+    /// values.
+    numeric: Vec<&'static str>,
+    /// Runs the measurement.
+    run: SweepPoint,
 }
 
-impl Template {
-    fn parse(text: &str, span: Span) -> Result<Template, SpecError> {
-        let mut segs = Vec::new();
-        let mut lit = String::new();
-        let mut chars = text.chars().peekable();
-        while let Some(c) = chars.next() {
-            match c {
-                '{' if chars.peek() == Some(&'{') => {
-                    chars.next();
-                    lit.push('{');
-                }
-                '}' if chars.peek() == Some(&'}') => {
-                    chars.next();
-                    lit.push('}');
-                }
-                '{' => {
-                    if !lit.is_empty() {
-                        segs.push(Seg::Lit(std::mem::take(&mut lit)));
+impl Measure {
+    /// A measurement that renders its own rows and notes.
+    fn raw(
+        run: impl Fn(&RunContext) -> Result<PointOutput, SimError> + Send + Sync + 'static,
+    ) -> Self {
+        Measure {
+            outputs: None,
+            numeric: Vec::new(),
+            run: Box::new(run),
+        }
+    }
+}
+
+/// Every measurement kind, in the order diagnostics list them.
+const KIND_TABLE: [Kind; 12] = [
+    Kind {
+        name: "table1",
+        compile: |_| Ok(Measure::raw(|_| Ok(table1_output()))),
+    },
+    Kind {
+        name: "beff-in-node",
+        compile: |p| {
+            let (node, node_name) = p.enum_param("node", node_kind, None)?;
+            let cpus = p.count_list("cpus", MIN_PROCS, U32_COUNT)?;
+            let fixed = [node_name.to_string()];
+            let names = ["pattern", "node", "cpus", "latency", "bandwidth"];
+            Ok(p.measure(&names, &[], &[], move |_| {
+                Ok(beff_rows(&beff::in_node_sweep(node, &cpus), &cpus, &fixed))
+            }))
+        },
+    },
+    Kind {
+        name: "beff-multi",
+        compile: |p| {
+            let nodes = p.count("nodes", 1, Some(U32_COUNT), None)? as u32;
+            let (inter, fabric_name) = p.enum_param("fabric", fabric, None)?;
+            let (mptv, _) = p.enum_param("mpt", mpt, Some("beta"))?;
+            let cpus = p.count_list("cpus", MIN_PROCS, U32_COUNT)?;
+            let fixed = [fabric_name.to_string(), nodes.to_string()];
+            let names = ["pattern", "fabric", "nodes", "cpus", "latency", "bandwidth"];
+            Ok(p.measure(&names, &[], &[], move |_| {
+                let sweep = beff::multi_node_sweep(nodes, inter, mptv, &cpus);
+                Ok(beff_rows(&sweep, &cpus, &fixed))
+            }))
+        },
+    },
+    Kind {
+        name: "dgemm",
+        compile: |p| {
+            let (node, node_name) = p.enum_param("node", node_kind, None)?;
+            let stride = p
+                .take_unsigned("stride", u32::MAX.into())?
+                .map_or(1, |v| v as u32);
+            let names = ["node", "stride", "gflops"];
+            Ok(p.measure(&names, &[], &["gflops"], move |_| {
+                let g = dgemm::simulate(node, stride).gflops_per_cpu;
+                let row = vec![node_name.to_string(), stride.to_string(), gf(g)];
+                Ok(PointOutput::row(row).with_value(g))
+            }))
+        },
+    },
+    Kind {
+        name: "stream",
+        compile: |p| {
+            let (node, node_name) = p.enum_param("node", node_kind, None)?;
+            let cpus_span = p.span_of("cpus");
+            let cpus = p.count("cpus", 1, None, None)?;
+            let node_cpus = NODE_CPUS as usize;
+            let stride = p.count("stride", 1, Some((node_cpus, "a node's CPUs")), Some(1))?;
+            if cpus > node_cpus / stride {
+                let why = format!("the CPUs of one node at stride {stride}");
+                return Err(above(cpus_span, "'cpus'", node_cpus / stride, &why, cpus));
+            }
+            let (cpus, stride) = (cpus as u32, stride as u32);
+            let names = ["node", "stride", "cpus", "triad"];
+            Ok(p.measure(&names, &[], &["triad"], move |_| {
+                let t = stream::simulate(node, cpus, stride).triad();
+                let row = vec![
+                    node_name.to_string(),
+                    stride.to_string(),
+                    cpus.to_string(),
+                    gbs(t),
+                ];
+                Ok(PointOutput::row(row).with_value(t))
+            }))
+        },
+    },
+    Kind {
+        name: "npb",
+        compile: |p| {
+            let (bench, _) = p.enum_param("bench", npb_bench, None)?;
+            let (class, _) = p.enum_param("class", npb_class, None)?;
+            let (node, _) = p.enum_param("node", node_kind, None)?;
+            let (par, _) = p.enum_param("paradigm", paradigm, None)?;
+            let cpus = p.count_list("cpus", 1, (NPB_MAX_CPUS as usize, "one node's CPUs"))?;
+            let compilers = p.enum_list("compiler", compiler, "7.1")?;
+            let names = ["bench", "paradigm", "node", "cpus"];
+            Ok(p.measure(&names, &["gflops"], &[], move |ctx| {
+                let mut rows = Vec::new();
+                for &n in &cpus {
+                    let mut row = vec![
+                        bench.name().to_string(),
+                        par.name().to_string(),
+                        node.name().to_string(),
+                        n.to_string(),
+                    ];
+                    for &(v, _) in &compilers {
+                        row.push(gf(gflops_per_cpu(ctx, bench, class, node, par, n, v)?));
                     }
-                    let mut name = String::new();
-                    loop {
-                        match chars.next() {
-                            Some('}') => break,
-                            Some(c)
-                                if c.is_ascii_alphanumeric()
-                                    || c == '_'
-                                    || c == '.'
-                                    || c == '-' =>
-                            {
-                                name.push(c)
-                            }
-                            Some(c) => {
-                                return Err(invalid(
-                                    span,
-                                    format!(
-                                        "bad character '{c}' in template placeholder \
-                                         (names use A-Z a-z 0-9 _ . -)"
-                                    ),
-                                ))
-                            }
-                            None => {
-                                return Err(invalid(
-                                    span,
-                                    format!("unclosed '{{' in template \"{text}\""),
-                                ))
-                            }
+                    rows.push(row);
+                }
+                Ok(PointOutput::rows(rows))
+            }))
+        },
+    },
+    Kind {
+        name: "ins3d",
+        compile: |p| {
+            let kinds = p.enum_list("node", node_kind, "BX2b")?;
+            let compilers = p.enum_list("compiler", compiler, "7.1")?;
+            let blocks = (TURBOPUMP_BLOCKS, "the turbopump system's block count");
+            let groups = p.count("groups", 1, Some(blocks), Some(36))?;
+            let fit =
+                format!("so that {groups} groups × 'threads' fit in one {INS3D_MAX_CPUS}-CPU node");
+            let threads = p.count("threads", 1, Some((INS3D_MAX_CPUS / groups, &fit)), None)?;
+            let names = ["groups", "threads", "cpus"];
+            Ok(p.measure(&names, &["s_step"], &["s_step"], move |_| {
+                let cpus = groups * threads;
+                let mut row = vec![groups.to_string(), threads.to_string(), cpus.to_string()];
+                let mut values = Vec::new();
+                for &(kind, _) in &kinds {
+                    for &(compiler, _) in &compilers {
+                        let s = iteration_seconds(&Ins3dConfig {
+                            kind,
+                            groups,
+                            threads,
+                            compiler,
+                        });
+                        row.push(secs(s));
+                        values.push(s);
+                    }
+                }
+                Ok(PointOutput {
+                    values,
+                    ..PointOutput::row(row)
+                })
+            }))
+        },
+    },
+    Kind {
+        name: "overflow",
+        compile: |p| {
+            let kinds = p.enum_list("node", node_kind, "BX2b")?;
+            let fabrics = p.enum_list("fabric", fabric, "NUMAlink4")?;
+            let compilers = p.enum_list("compiler", compiler, "8.1")?;
+            let procs_span = p.span_of("procs");
+            let blocks = (ROTOR_BLOCKS, "the rotor-wake system's block count");
+            let procs = p.count("procs", 1, Some(blocks), None)?;
+            let threads = p.count("threads", 1, None, Some(1))?;
+            let nodes = p.count("nodes", 1, Some(U32_COUNT), Some(1))? as u32;
+            let cpus = procs.saturating_mul(threads);
+            for &(kind, _) in &kinds {
+                if let Err(per_node) = overflow_placement(kind, cpus, nodes) {
+                    return Err(invalid(
+                        procs_span,
+                        format!(
+                            "'procs' × 'threads' must fit {nodes} node(s) at {per_node} CPUs \
+                             per node (the boot cpuset stays free unless the CPU count is a \
+                             multiple of 512), got {cpus} CPUs"
+                        ),
+                    ));
+                }
+            }
+            let names = ["procs", "threads", "nodes", "cpus"];
+            let per = ["comm", "exec"];
+            Ok(p.measure(&names, &per, &per, move |ctx| {
+                let mut row = vec![
+                    procs.to_string(),
+                    threads.to_string(),
+                    nodes.to_string(),
+                    cpus.to_string(),
+                ];
+                let mut values = Vec::new();
+                for &(kind, _) in &kinds {
+                    for &(inter, _) in &fabrics {
+                        for &(compiler, _) in &compilers {
+                            let cfg = OverflowConfig {
+                                kind,
+                                procs,
+                                threads,
+                                nodes,
+                                inter,
+                                compiler,
+                            };
+                            let t = step_times(ctx, &cfg)?;
+                            row.extend([secs(t.comm), secs(t.exec)]);
+                            values.extend([t.comm, t.exec]);
                         }
                     }
-                    if name.is_empty() {
-                        return Err(invalid(span, "empty placeholder '{}' in template"));
-                    }
-                    segs.push(Seg::Var(name));
                 }
-                c => lit.push(c),
+                Ok(PointOutput {
+                    values,
+                    ..PointOutput::row(row)
+                })
+            }))
+        },
+    },
+    Kind {
+        name: "mz",
+        compile: |p| {
+            let (bench, _) = p.enum_param("bench", mz_bench, None)?;
+            let (class, class_name) = p.enum_param("class", mz_class, None)?;
+            let procs_span = p.span_of("procs");
+            let zones = format!("class {class_name}'s zone count");
+            let procs = p.count("procs", 1, Some((class.zone_count(), &zones)), None)?;
+            let threads = p.count("threads", 1, None, None)?;
+            let (kind, node_name) = p.enum_param("node", node_kind, Some("BX2b"))?;
+            let nodes = p.count("nodes", 1, Some(U32_COUNT), Some(1))? as u32;
+            let cpus = procs.saturating_mul(threads);
+            if cpus as u64 > u64::from(NODE_CPUS) * u64::from(nodes) {
+                return Err(invalid(
+                    procs_span,
+                    format!(
+                        "'procs' × 'threads' must fit {nodes} node(s) at {NODE_CPUS} CPUs \
+                         per node, got {cpus} CPUs"
+                    ),
+                ));
             }
-        }
-        if !lit.is_empty() {
-            segs.push(Seg::Lit(lit));
-        }
-        Ok(Template { segs })
-    }
-
-    fn vars(&self) -> impl Iterator<Item = &str> {
-        self.segs.iter().filter_map(|s| match s {
-            Seg::Var(v) => Some(v.as_str()),
-            Seg::Lit(_) => None,
-        })
-    }
-
-    /// Render against `bindings`; a name that is (unexpectedly) absent
-    /// at runtime renders as its literal `{name}` rather than
-    /// panicking.
-    fn render(&self, bindings: &BTreeMap<String, String>) -> String {
-        let mut out = String::new();
-        for seg in &self.segs {
-            match seg {
-                Seg::Lit(l) => out.push_str(l),
-                Seg::Var(v) => match bindings.get(v) {
-                    Some(s) => out.push_str(s),
-                    None => {
-                        out.push('{');
-                        out.push_str(v);
-                        out.push('}');
+            let (inter, fabric_name) = p.enum_param("fabric", fabric, Some("NUMAlink4"))?;
+            let (mptv, mpt_name) = p.enum_param("mpt", mpt, Some("beta"))?;
+            let pinnings = p.enum_list("pinning", pinning, "pinned")?;
+            let faults = match p.get("faults") {
+                Some(n) => build_faults(p, as_table(n, "'faults'")?)?,
+                None => FaultPlan::none(),
+            };
+            let base = MzRunConfig {
+                kind,
+                nodes,
+                inter,
+                mpt: mptv,
+                faults,
+                ..MzRunConfig::new(bench, class, procs, threads)
+            };
+            let fixed = vec![
+                bench.name().to_string(),
+                fabric_name.to_string(),
+                mpt_name.to_string(),
+                node_name.to_string(),
+                procs.to_string(),
+                threads.to_string(),
+                cpus.to_string(),
+                nodes.to_string(),
+            ];
+            let names = [
+                "bench", "fabric", "mpt", "node", "procs", "threads", "cpus", "nodes",
+            ];
+            let per = [
+                "s_step",
+                "total_gflops",
+                "gflops_per_cpu",
+                "dropped",
+                "retransmit_s",
+                "muxed",
+            ];
+            Ok(p.measure(
+                &names,
+                &per,
+                &["s_step", "total_gflops", "gflops_per_cpu"],
+                move |ctx| {
+                    let mut row = fixed.clone();
+                    let mut values = Vec::new();
+                    for &(pinning, _) in &pinnings {
+                        let cfg = MzRunConfig {
+                            pinning,
+                            ..base.clone()
+                        };
+                        let r = mz_run(ctx, &cfg)?;
+                        row.extend([
+                            secs(r.seconds_per_step),
+                            gf(r.total_gflops),
+                            gf(r.gflops_per_cpu),
+                            r.faults.dropped_messages.to_string(),
+                            secs(r.faults.retransmit_delay),
+                            r.faults.multiplexed_messages.to_string(),
+                        ]);
+                        values.extend([r.seconds_per_step, r.total_gflops, r.gflops_per_cpu]);
                     }
+                    Ok(PointOutput {
+                        values,
+                        ..PointOutput::row(row)
+                    })
                 },
+            ))
+        },
+    },
+    Kind {
+        name: "md-weak",
+        compile: |p| {
+            let cpus = p.count("cpus", 1, Some(U32_COUNT), None)? as u32;
+            let names = ["cpus", "atoms", "s_step", "comm_step", "efficiency"];
+            let numeric = ["s_step", "comm_step", "atoms"];
+            Ok(p.measure(&names, &[], &numeric, move |ctx| {
+                // The 1-CPU efficiency baseline is recomputed per point,
+                // keeping points independent.
+                let base = weak_scaling_point_in(ctx, 1)?;
+                let w = weak_scaling_point_in(ctx, cpus)?;
+                let row = vec![
+                    cpus.to_string(),
+                    w.atoms.to_string(),
+                    secs(w.seconds_per_step),
+                    secs(w.comm_per_step),
+                    format!("{:.1}%", 100.0 * w.efficiency_vs(&base)),
+                ];
+                Ok(PointOutput {
+                    values: vec![w.seconds_per_step, w.comm_per_step, w.atoms as f64],
+                    ..PointOutput::row(row)
+                })
+            }))
+        },
+    },
+    Kind {
+        name: "trace",
+        compile: |p| {
+            let d = TraceParams::default();
+            let ranks_span = p.span_of("ranks");
+            let ranks = p.count("ranks", TraceParams::MIN_RANKS, None, Some(d.ranks))?;
+            let nodes = p.count("nodes", 1, Some(U32_COUNT), Some(d.nodes as usize))?;
+            let max = NODE_CPUS as usize * nodes;
+            if ranks > max {
+                let why = format!("{NODE_CPUS} ranks per node on {nodes} node(s)");
+                return Err(above(ranks_span, "'ranks'", max, &why, ranks));
+            }
+            let drop_prob = match p.get("drop_prob") {
+                Some(n) => p.drop_prob_of(n)?,
+                None => d.drop_prob,
+            };
+            let params = TraceParams {
+                ranks,
+                nodes: nodes as u32,
+                drop_prob,
+                seed: p
+                    .take_unsigned("seed", i64::MAX)?
+                    .map_or(d.seed, |v| v as u64),
+                iters: p
+                    .take_unsigned("iters", u32::MAX.into())?
+                    .map_or(d.iters, |v| v as u32),
+                top: p
+                    .take_unsigned("top", i64::MAX)?
+                    .map_or(d.top, |v| v as usize),
+            };
+            Ok(Measure::raw(move |ctx| trace_output(ctx, &params)))
+        },
+    },
+    Kind {
+        name: "columbia",
+        compile: |p| {
+            let (full, _) = p.enum_param("config", columbia_config, None)?;
+            Ok(Measure::raw(move |ctx| columbia_output(ctx, full)))
+        },
+    },
+];
+
+/// b_eff rows: for each pattern and CPU count the sweep measured, the
+/// pattern, `fixed`, the count, latency and bandwidth.
+fn beff_rows(sweep: &BeffSweep, cpus: &[u32], fixed: &[String]) -> PointOutput {
+    let mut rows = Vec::new();
+    for pattern in Pattern::ALL {
+        for &n in cpus {
+            if let Some(p) = sweep.get(pattern, n) {
+                let mut row = vec![pattern.name().to_string()];
+                row.extend_from_slice(fixed);
+                row.extend([n.to_string(), secs(p.latency), gbs(p.bandwidth)]);
+                rows.push(row);
             }
         }
-        out
     }
+    PointOutput::rows(rows)
+}
+
+// ---------------------------------------------------------------------------
+// Templates
+
+/// One piece of a `"text {name} text"` template: literal text, or a
+/// placeholder — its name as parsed, its [`Slot`] once resolved.
+#[derive(Debug, Clone)]
+enum Seg<P> {
+    Lit(String),
+    Var(P),
+}
+
+/// Where a resolved placeholder reads its text.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// The point's parameter binding of this index.
+    Param(usize),
+    /// The rendered row's output of this index.
+    Output(usize),
+}
+
+/// A template whose placeholders are resolved.
+type Template = Vec<Seg<Slot>>;
+
+/// Split template text into literal text and placeholder names.
+fn parse_template(text: &str, span: Span) -> Result<Vec<Seg<String>>, SpecError> {
+    let mut segs = Vec::new();
+    let mut lit = String::new();
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        match c {
+            '{' if chars.peek() == Some(&'{') => {
+                chars.next();
+                lit.push('{');
+            }
+            '}' if chars.peek() == Some(&'}') => {
+                chars.next();
+                lit.push('}');
+            }
+            '{' => {
+                if !lit.is_empty() {
+                    segs.push(Seg::Lit(std::mem::take(&mut lit)));
+                }
+                let mut name = String::new();
+                loop {
+                    match chars.next() {
+                        Some('}') => break,
+                        Some(c)
+                            if c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '-' =>
+                        {
+                            name.push(c)
+                        }
+                        Some(c) => {
+                            return Err(invalid(
+                                span,
+                                format!(
+                                    "bad character '{c}' in template placeholder \
+                                     (names use A-Z a-z 0-9 _ . -)"
+                                ),
+                            ))
+                        }
+                        None => {
+                            return Err(invalid(
+                                span,
+                                format!("unclosed '{{' in template \"{text}\""),
+                            ))
+                        }
+                    }
+                }
+                if name.is_empty() {
+                    return Err(invalid(span, "empty placeholder '{}' in template"));
+                }
+                segs.push(Seg::Var(name));
+            }
+            c => lit.push(c),
+        }
+    }
+    if !lit.is_empty() {
+        segs.push(Seg::Lit(lit));
+    }
+    Ok(segs)
+}
+
+/// Resolve each placeholder of the `what` template `parsed` to a slot:
+/// a name among `outputs` shadows the same name among `params`. A name
+/// in neither is an error at `span` that lists what is available.
+fn resolve(
+    parsed: &[Seg<String>],
+    what: &str,
+    span: Span,
+    params: &[String],
+    outputs: &[String],
+) -> Result<Template, SpecError> {
+    let slot = |name: &String| {
+        let output = outputs.iter().position(|o| o == name).map(Slot::Output);
+        output.or_else(|| params.iter().position(|p| p == name).map(Slot::Param))
+    };
+    parsed
+        .iter()
+        .map(|seg| match seg {
+            Seg::Lit(l) => Ok(Seg::Lit(l.clone())),
+            Seg::Var(name) => slot(name).map(Seg::Var).ok_or_else(|| {
+                let available: BTreeSet<&str> =
+                    params.iter().chain(outputs).map(String::as_str).collect();
+                let available: Vec<&str> = available.into_iter().collect();
+                let hint = suggest(name, &available)
+                    .map(|s| format!(" (did you mean '{s}'?)"))
+                    .unwrap_or_default();
+                invalid(
+                    span,
+                    format!(
+                        "unknown placeholder '{{{name}}}' in {what} template (available: {}){hint}",
+                        listing(&available)
+                    ),
+                )
+            }),
+        })
+        .collect()
+}
+
+/// Render a resolved template from a point's parameter bindings and one
+/// row's outputs.
+fn render(template: &Template, params: &[String], outputs: &[String]) -> String {
+    let mut out = String::new();
+    for seg in template {
+        out.push_str(match seg {
+            Seg::Lit(l) => l,
+            Seg::Var(Slot::Param(i)) => &params[*i],
+            Seg::Var(Slot::Output(i)) => &outputs[*i],
+        });
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Per-point parameter context
-
-/// A vector-capable enum parameter's resolved values — `(parsed,
-/// canonical name)` pairs — and whether the spec wrote it as a list
-/// (which turns on suffixed output bindings).
-type EnumVec<T> = (Vec<(T, &'static str)>, bool);
 
 /// One point's view of a sweep block's parameters: the block entries
 /// overlaid by this point's axis bindings and derived values, plus the
@@ -253,9 +685,12 @@ struct ParamCtx<'a> {
     sweep: &'a SweepSpec,
     overlay: &'a BTreeMap<String, Node>,
     env: &'a BTreeMap<String, f64>,
-    consumed: Vec<String>,
-    /// Vector-valued parameter names seen so far (at most one allowed).
-    vectors: Vec<&'static str>,
+    /// The block's entries, and every key asked of them: the keys the
+    /// block may set.
+    fields: Fields<'a>,
+    /// The list-valued enum parameter, if any (at most one): its key,
+    /// and its elements' canonical names.
+    vector: Option<(&'static str, Vec<&'static str>)>,
 }
 
 impl<'a> ParamCtx<'a> {
@@ -268,28 +703,20 @@ impl<'a> ParamCtx<'a> {
             sweep,
             overlay,
             env,
-            consumed: Vec::new(),
-            vectors: Vec::new(),
+            fields: Fields::new(&sweep.params),
+            vector: None,
         }
     }
 
-    fn get(&mut self, key: &str) -> Option<&'a Node> {
-        self.consumed.push(key.to_string());
-        if let Some(n) = self.overlay.get(key) {
-            return Some(n);
-        }
-        self.sweep
-            .params
-            .iter()
-            .find(|e| e.key == key)
-            .map(|e| &e.node)
+    fn get(&mut self, key: &'static str) -> Option<&'a Node> {
+        let block = self.fields.take(key);
+        self.overlay.get(key).or(block)
     }
 
-    fn context(&self) -> String {
-        format!(
-            "[[sweep]] block {} (kind '{}')",
-            self.sweep.index, self.sweep.kind
-        )
+    /// Where `key`'s value sits, for a check that needs later
+    /// parameters too.
+    fn span_of(&mut self, key: &'static str) -> Span {
+        self.get(key).map(|n| n.span).unwrap_or_default()
     }
 
     fn missing(&self, key: &str) -> SpecError {
@@ -331,14 +758,19 @@ impl<'a> ParamCtx<'a> {
         Ok(v as i64)
     }
 
-    fn take_f64(&mut self, key: &str) -> Result<Option<f64>, SpecError> {
-        match self.get(key) {
-            Some(n) => Ok(Some(self.num_of(n)?)),
-            None => Ok(None),
+    /// A message-drop probability, in `[0, 1)`.
+    fn drop_prob_of(&self, node: &Node) -> Result<f64, SpecError> {
+        let p = self.num_of(node)?;
+        if !(0.0..1.0).contains(&p) {
+            return Err(invalid(
+                node.span,
+                format!("'drop_prob' must be in [0, 1), got {p}"),
+            ));
         }
+        Ok(p)
     }
 
-    fn take_unsigned(&mut self, key: &str, max: i64) -> Result<Option<i64>, SpecError> {
+    fn take_unsigned(&mut self, key: &'static str, max: i64) -> Result<Option<i64>, SpecError> {
         match self.get(key) {
             Some(n) => {
                 let v = self.int_of(n, &format!("'{key}'"))?;
@@ -354,58 +786,76 @@ impl<'a> ParamCtx<'a> {
         }
     }
 
-    /// A count: an integer of at least 1 and, when `cap` is
+    /// A count: an integer of at least `min` and, when `cap` is
     /// `Some((max, why))`, at most `max`, with `why` in the error. The
     /// workload entry points assert these bounds; checking them here
-    /// rejects the spec before anything runs.
-    fn take_count(
-        &mut self,
-        key: &str,
+    /// rejects the spec at the value before anything runs.
+    fn count_of(
+        &self,
+        node: &Node,
+        what: &str,
+        min: usize,
         cap: Option<(usize, &str)>,
-    ) -> Result<Option<usize>, SpecError> {
-        let Some(n) = self.get(key) else {
-            return Ok(None);
-        };
-        let v = self.int_of(n, &format!("'{key}'"))?;
-        if v < 1 {
+    ) -> Result<usize, SpecError> {
+        let v = self.int_of(node, what)?;
+        if v < min as i64 {
             return Err(invalid(
-                n.span,
-                format!("'{key}' must be at least 1, got {v}"),
+                node.span,
+                format!("{what} must be at least {min}, got {v}"),
             ));
         }
-        if let Some((max, why)) = cap {
-            if v as u64 > max as u64 {
-                return Err(invalid(
-                    n.span,
-                    format!("'{key}' must be at most {max} ({why}), got {v}"),
-                ));
-            }
+        match cap {
+            Some((max, why)) if v as u64 > max as u64 => Err(above(node.span, what, max, why, v)),
+            _ => Ok(v as usize),
         }
-        Ok(Some(v as usize))
     }
 
-    fn take_usize(&mut self, key: &str) -> Result<Option<usize>, SpecError> {
-        Ok(self.take_unsigned(key, i64::MAX)?.map(|v| v as usize))
+    /// The count `key` (see [`ParamCtx::count_of`]), or `default` when
+    /// absent; required when there is no default.
+    fn count(
+        &mut self,
+        key: &'static str,
+        min: usize,
+        cap: Option<(usize, &str)>,
+        default: Option<usize>,
+    ) -> Result<usize, SpecError> {
+        match (self.get(key), default) {
+            (Some(n), _) => self.count_of(n, &format!("'{key}'"), min, cap),
+            (None, Some(d)) => Ok(d),
+            (None, None) => Err(self.missing(key)),
+        }
     }
 
-    fn take_u32(&mut self, key: &str) -> Result<Option<u32>, SpecError> {
-        Ok(self
-            .take_unsigned(key, i64::from(u32::MAX))?
-            .map(|v| v as u32))
+    /// A required list of `u32` counts, each checked as by
+    /// [`ParamCtx::count_of`]; a scalar is a one-element list.
+    fn count_list(
+        &mut self,
+        key: &'static str,
+        min: usize,
+        cap: (usize, &str),
+    ) -> Result<Vec<u32>, SpecError> {
+        let n = self.get(key).ok_or_else(|| self.missing(key))?;
+        let (items, what) = match &n.value {
+            Value::Array(items) if items.is_empty() => {
+                return Err(invalid(n.span, format!("'{key}' must not be empty")))
+            }
+            Value::Array(items) => (items.as_slice(), format!("'{key}' entry")),
+            _ => (std::slice::from_ref(n), format!("'{key}'")),
+        };
+        items
+            .iter()
+            .map(|item| Ok(self.count_of(item, &what, min, Some(cap))? as u32))
+            .collect()
     }
 
-    fn take_u64(&mut self, key: &str) -> Result<Option<u64>, SpecError> {
-        Ok(self.take_unsigned(key, i64::MAX)?.map(|v| v as u64))
-    }
-
-    fn take_str(&mut self, key: &str) -> Result<Option<(String, Span)>, SpecError> {
+    fn take_str(&mut self, key: &'static str) -> Result<Option<(String, Span)>, SpecError> {
         match self.get(key) {
             Some(n) => Ok(Some((as_str(n, &format!("'{key}'"))?.to_string(), n.span))),
             None => Ok(None),
         }
     }
 
-    fn take_bool(&mut self, key: &str) -> Result<Option<bool>, SpecError> {
+    fn take_bool(&mut self, key: &'static str) -> Result<Option<bool>, SpecError> {
         match self.get(key) {
             Some(n) => match &n.value {
                 Value::Bool(b) => Ok(Some(*b)),
@@ -418,116 +868,110 @@ impl<'a> ParamCtx<'a> {
         }
     }
 
-    /// A list of u32s: scalar promotes to a one-element list.
-    fn take_u32_list(&mut self, key: &str) -> Result<Option<Vec<u32>>, SpecError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(n) => match &n.value {
-                Value::Array(items) => {
-                    let mut out = Vec::new();
-                    for item in items {
-                        let v = self.int_of(item, &format!("'{key}' entry"))?;
-                        if !(0..=i64::from(u32::MAX)).contains(&v) {
-                            return Err(invalid(
-                                item.span,
-                                format!("'{key}' entry out of range: {v}"),
-                            ));
-                        }
-                        out.push(v as u32);
-                    }
-                    if out.is_empty() {
-                        return Err(invalid(n.span, format!("'{key}' must not be empty")));
-                    }
-                    Ok(Some(out))
-                }
-                _ => {
-                    let v = self.int_of(n, &format!("'{key}'"))?;
-                    if !(0..=i64::from(u32::MAX)).contains(&v) {
-                        return Err(invalid(n.span, format!("'{key}' out of range: {v}")));
-                    }
-                    Ok(Some(vec![v as u32]))
-                }
-            },
-        }
-    }
-
-    /// A vector-capable enum parameter: a string is a scalar, an array
-    /// of strings is a vector (producing suffixed output bindings). At
-    /// most one parameter per kind may be a vector.
-    fn take_enum_vec<T: Copy>(
+    /// An enum parameter and its canonical name: `default` (spec text)
+    /// when absent, required when there is no default.
+    fn enum_param<T>(
         &mut self,
         key: &'static str,
-        parse: impl Fn(&str, Span) -> Result<(T, &'static str), SpecError>,
-        default: (T, &'static str),
-    ) -> Result<EnumVec<T>, SpecError> {
-        match self.get(key) {
-            None => Ok((vec![default], false)),
-            Some(n) => match &n.value {
-                Value::Str(s) => Ok((vec![parse(s, n.span)?], false)),
-                Value::Array(items) => {
-                    let mut out = Vec::new();
-                    for item in items {
-                        let s = as_str(item, &format!("'{key}' entry"))?;
-                        out.push(parse(s, item.span)?);
-                    }
-                    if out.is_empty() {
-                        return Err(invalid(n.span, format!("'{key}' must not be empty")));
-                    }
-                    if !self.vectors.is_empty() {
-                        return Err(invalid(
-                            n.span,
-                            format!(
-                                "only one parameter may be a list; '{}' already is",
-                                self.vectors[0]
-                            ),
-                        ));
-                    }
-                    self.vectors.push(key);
-                    Ok((out, true))
-                }
-                v => Err(invalid(
-                    n.span,
-                    format!(
-                        "'{key}' must be a string or array of strings, found {}",
-                        v.type_name()
-                    ),
-                )),
-            },
+        parse: Parser<T>,
+        default: Option<&str>,
+    ) -> Result<(T, &'static str), SpecError> {
+        match (self.get(key), default) {
+            (Some(n), _) => parse(as_str(n, &format!("'{key}'"))?, n.span),
+            (None, Some(d)) => parse(d, Span::NONE),
+            (None, None) => Err(self.missing(key)),
         }
     }
 
-    fn take_enum<T: Copy>(
+    /// A vector-capable enum parameter: a string is one element, an
+    /// array of strings a vector, whose elements suffix the kind's
+    /// per-element outputs. At most one parameter per block may be a
+    /// vector.
+    fn enum_list<T>(
         &mut self,
         key: &'static str,
-        parse: impl Fn(&str, Span) -> Result<(T, &'static str), SpecError>,
-    ) -> Result<Option<T>, SpecError> {
-        match self.take_str(key)? {
-            Some((s, span)) => Ok(Some(parse(&s, span)?.0)),
-            None => Ok(None),
-        }
-    }
-
-    /// Error on block parameters no stage consumed.
-    fn finish(&self, kind_params: &[&str]) -> Result<(), SpecError> {
-        for e in &self.sweep.params {
-            if !self.consumed.iter().any(|c| c == &e.key) {
-                let mut allowed: Vec<&str> = GENERIC_PARAMS.to_vec();
-                allowed.extend_from_slice(kind_params);
-                return Err(SpecError::UnknownKey {
-                    line: e.key_span.line,
-                    col: e.key_span.col,
-                    key: e.key.clone(),
-                    context: self.context(),
-                    suggestion: suggest(&e.key, &allowed),
-                });
+        parse: Parser<T>,
+        default: &str,
+    ) -> Result<Vec<(T, &'static str)>, SpecError> {
+        let Some(n) = self.get(key) else {
+            return Ok(vec![parse(default, Span::NONE)?]);
+        };
+        match &n.value {
+            Value::Str(s) => Ok(vec![parse(s, n.span)?]),
+            Value::Array(items) => {
+                let mut out = Vec::new();
+                for item in items {
+                    out.push(parse(as_str(item, &format!("'{key}' entry"))?, item.span)?);
+                }
+                if out.is_empty() {
+                    return Err(invalid(n.span, format!("'{key}' must not be empty")));
+                }
+                if let Some((first, _)) = &self.vector {
+                    return Err(invalid(
+                        n.span,
+                        format!("only one parameter may be a list; '{first}' already is"),
+                    ));
+                }
+                self.vector = Some((key, out.iter().map(|&(_, name)| name).collect()));
+                Ok(out)
             }
+            v => Err(invalid(
+                n.span,
+                format!(
+                    "'{key}' must be a string or array of strings, found {}",
+                    v.type_name()
+                ),
+            )),
         }
-        Ok(())
+    }
+
+    /// A measurement whose rows bind `names`, then `per` once for each
+    /// element of the block's vector parameter, suffixed `.element`, or
+    /// once unsuffixed when there is none. `value` may name `numeric`
+    /// only without a vector, when the point measures once.
+    fn measure(
+        &self,
+        names: &[&str],
+        per: &[&str],
+        numeric: &[&'static str],
+        run: impl Fn(&RunContext) -> Result<PointOutput, SimError> + Send + Sync + 'static,
+    ) -> Measure {
+        let mut outputs: Vec<String> = names.iter().map(|s| s.to_string()).collect();
+        let numeric = match &self.vector {
+            Some((_, elements)) => {
+                for e in elements {
+                    outputs.extend(per.iter().map(|base| format!("{base}.{e}")));
+                }
+                Vec::new()
+            }
+            None => {
+                outputs.extend(per.iter().map(|base| base.to_string()));
+                numeric.to_vec()
+            }
+        };
+        Measure {
+            outputs: Some(outputs),
+            numeric,
+            run: Box::new(run),
+        }
+    }
+
+    /// Error on a block parameter nothing asked for, suggesting the
+    /// closest key something did.
+    fn finish(self) -> Result<(), SpecError> {
+        let context = format!(
+            "[[sweep]] block {} (kind '{}')",
+            self.sweep.index, self.sweep.kind
+        );
+        self.fields.finish(&context)
     }
 }
 
 // ---------------------------------------------------------------------------
 // Enum parsers (lenient on case, canonical on output)
+
+/// Parses an enum parameter's text into its value and canonical name.
+type Parser<T> = fn(&str, Span) -> Result<(T, &'static str), SpecError>;
 
 fn bad_enum(span: Span, what: &str, got: &str, options: &[&str]) -> SpecError {
     let suggestion = suggest(got, options)
@@ -542,23 +986,40 @@ fn bad_enum(span: Span, what: &str, got: &str, options: &[&str]) -> SpecError {
     )
 }
 
+/// The value whose canonical name in `named` is `s`, ignoring ASCII
+/// case.
+fn pick<T: Copy>(
+    named: &[(T, &'static str)],
+    what: &str,
+    s: &str,
+    span: Span,
+) -> Result<(T, &'static str), SpecError> {
+    match named.iter().find(|(_, name)| name.eq_ignore_ascii_case(s)) {
+        Some(&found) => Ok(found),
+        None => {
+            let names: Vec<&str> = named.iter().map(|&(_, name)| name).collect();
+            Err(bad_enum(span, what, s, &names))
+        }
+    }
+}
+
 fn node_kind(s: &str, span: Span) -> Result<(NodeKind, &'static str), SpecError> {
-    let k = match s.to_ascii_lowercase().as_str() {
-        "3700" | "altix3700" => NodeKind::Altix3700,
-        "bx2a" => NodeKind::Bx2a,
-        "bx2b" => NodeKind::Bx2b,
-        _ => return Err(bad_enum(span, "node kind", s, &["3700", "BX2a", "BX2b"])),
+    let s = if s.eq_ignore_ascii_case("altix3700") {
+        "3700"
+    } else {
+        s
     };
-    Ok((k, k.name()))
+    pick(&NodeKind::ALL.map(|k| (k, k.name())), "node kind", s, span)
 }
 
 fn fabric(s: &str, span: Span) -> Result<(InterNodeFabric, &'static str), SpecError> {
-    let f = match s.to_ascii_lowercase().as_str() {
-        "numalink4" | "nl4" => InterNodeFabric::NumaLink4,
-        "infiniband" | "ib" => InterNodeFabric::InfiniBand,
-        _ => return Err(bad_enum(span, "fabric", s, &["NUMAlink4", "InfiniBand"])),
+    let s = match s.to_ascii_lowercase().as_str() {
+        "nl4" => "NUMAlink4",
+        "ib" => "InfiniBand",
+        _ => s,
     };
-    Ok((f, f.name()))
+    let all = [InterNodeFabric::NumaLink4, InterNodeFabric::InfiniBand];
+    pick(&all.map(|f| (f, f.name())), "fabric", s, span)
 }
 
 fn compiler(s: &str, span: Span) -> Result<(CompilerVersion, &'static str), SpecError> {
@@ -572,32 +1033,20 @@ fn compiler(s: &str, span: Span) -> Result<(CompilerVersion, &'static str), Spec
 }
 
 fn paradigm(s: &str, span: Span) -> Result<(Paradigm, &'static str), SpecError> {
-    let p = match s.to_ascii_lowercase().as_str() {
-        "mpi" => Paradigm::Mpi,
-        "openmp" => Paradigm::OpenMp,
-        _ => return Err(bad_enum(span, "paradigm", s, &["MPI", "OpenMP"])),
-    };
-    Ok((p, p.name()))
+    pick(&Paradigm::ALL.map(|p| (p, p.name())), "paradigm", s, span)
 }
 
 fn npb_bench(s: &str, span: Span) -> Result<(NpbBenchmark, &'static str), SpecError> {
-    for b in NpbBenchmark::ALL {
-        if b.name().eq_ignore_ascii_case(s) {
-            return Ok((b, b.name()));
-        }
-    }
-    let names: Vec<&str> = NpbBenchmark::ALL.iter().map(|b| b.name()).collect();
-    Err(bad_enum(span, "NPB benchmark", s, &names))
+    pick(
+        &NpbBenchmark::ALL.map(|b| (b, b.name())),
+        "NPB benchmark",
+        s,
+        span,
+    )
 }
 
 fn npb_class(s: &str, span: Span) -> Result<(NpbClass, &'static str), SpecError> {
-    for c in NpbClass::ALL {
-        if c.name().eq_ignore_ascii_case(s) {
-            return Ok((c, c.name()));
-        }
-    }
-    let names: Vec<&str> = NpbClass::ALL.iter().map(|c| c.name()).collect();
-    Err(bad_enum(span, "NPB class", s, &names))
+    pick(&NpbClass::ALL.map(|c| (c, c.name())), "NPB class", s, span)
 }
 
 fn mz_bench(s: &str, span: Span) -> Result<(MzBenchmark, &'static str), SpecError> {
@@ -618,90 +1067,51 @@ fn mz_bench(s: &str, span: Span) -> Result<(MzBenchmark, &'static str), SpecErro
 }
 
 fn mz_class(s: &str, span: Span) -> Result<(MzClass, &'static str), SpecError> {
-    let (c, name) = match s.to_ascii_uppercase().as_str() {
-        "S" => (MzClass::S, "S"),
-        "W" => (MzClass::W, "W"),
-        "A" => (MzClass::A, "A"),
-        "B" => (MzClass::B, "B"),
-        "C" => (MzClass::C, "C"),
-        "D" => (MzClass::D, "D"),
-        "E" => (MzClass::E, "E"),
-        "F" => (MzClass::F, "F"),
-        _ => {
-            return Err(bad_enum(
-                span,
-                "multi-zone class",
-                s,
-                &["S", "W", "A", "B", "C", "D", "E", "F"],
-            ))
-        }
-    };
-    Ok((c, name))
+    pick(
+        &MzClass::ALL.map(|c| (c, c.name())),
+        "multi-zone class",
+        s,
+        span,
+    )
 }
 
 fn mpt(s: &str, span: Span) -> Result<(MptVersion, &'static str), SpecError> {
-    let v = match s.to_ascii_lowercase().as_str() {
-        "beta" => MptVersion::Beta,
-        "released" => MptVersion::Released,
-        _ => return Err(bad_enum(span, "MPT version", s, &["beta", "released"])),
-    };
-    Ok((
-        v,
-        if v == MptVersion::Beta {
-            "beta"
-        } else {
-            "released"
-        },
-    ))
+    let named = [
+        (MptVersion::Beta, "beta"),
+        (MptVersion::Released, "released"),
+    ];
+    pick(&named, "MPT version", s, span)
 }
 
 fn pinning(s: &str, span: Span) -> Result<(Pinning, &'static str), SpecError> {
-    let p = match s.to_ascii_lowercase().as_str() {
-        "pinned" => Pinning::Pinned,
-        "unpinned" => Pinning::Unpinned,
-        _ => return Err(bad_enum(span, "pinning", s, &["pinned", "unpinned"])),
-    };
-    Ok((
-        p,
-        if p == Pinning::Pinned {
-            "pinned"
-        } else {
-            "unpinned"
-        },
-    ))
+    let named = [(Pinning::Pinned, "pinned"), (Pinning::Unpinned, "unpinned")];
+    pick(&named, "pinning", s, span)
+}
+
+fn columbia_config(s: &str, span: Span) -> Result<(bool, &'static str), SpecError> {
+    match s {
+        "full-machine" => Ok((true, "full-machine")),
+        "subsystem" => Ok((false, "subsystem")),
+        _ => Err(bad_enum(
+            span,
+            "columbia configuration",
+            s,
+            &["full-machine", "subsystem"],
+        )),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Fault plans from data
 
-const FAULT_KEYS: [&str; 10] = [
-    "seed",
-    "drop_prob",
-    "retransmit_timeout",
-    "retransmit_backoff",
-    "retransmit_max_retries",
-    "degrade_link",
-    "fail_link",
-    "slow_node",
-    "connection_limit",
-    "event_budget",
-];
-
 fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecError> {
-    let mut f = Fields::new(table);
+    let mut f = Fields::new(&table.entries);
     let mut plan = FaultPlan::none();
     if let Some(n) = f.take("seed") {
         plan.seed = as_int(n, "'seed'")?.max(0) as u64;
     }
     if let Some(n) = f.take("drop_prob") {
-        let p = ctx.num_of(n)?;
-        if !(0.0..1.0).contains(&p) {
-            return Err(invalid(
-                n.span,
-                format!("'drop_prob' must be in [0, 1), got {p}"),
-            ));
-        }
-        plan.drop_prob = p;
+        plan.drop_prob = ctx.drop_prob_of(n)?;
     }
     if let Some(n) = f.take("retransmit_timeout") {
         plan.retransmit.timeout = ctx.num_of(n)?;
@@ -714,7 +1124,7 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
     }
     if let Some(n) = f.take("degrade_link") {
         let t = as_table(n, "'degrade_link'")?;
-        let mut g = Fields::new(t);
+        let mut g = Fields::new(&t.entries);
         let a = link_end(&mut g, n.span, "a")?;
         let b = link_end(&mut g, n.span, "b")?;
         let lat = g
@@ -727,35 +1137,32 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
             .map(|x| ctx.num_of(x))
             .transpose()?
             .unwrap_or(1.0);
-        g.finish(
-            "'degrade_link'",
-            &["a", "b", "latency_factor", "bandwidth_factor"],
-        )?;
+        g.finish("'degrade_link'")?;
         plan = plan.degrade_link(a, b, lat, bw);
     }
     if let Some(n) = f.take("fail_link") {
         let t = as_table(n, "'fail_link'")?;
-        let mut g = Fields::new(t);
+        let mut g = Fields::new(&t.entries);
         let a = link_end(&mut g, n.span, "a")?;
         let b = link_end(&mut g, n.span, "b")?;
-        g.finish("'fail_link'", &["a", "b"])?;
+        g.finish("'fail_link'")?;
         plan = plan.fail_link(a, b);
     }
     if let Some(n) = f.take("slow_node") {
         let t = as_table(n, "'slow_node'")?;
-        let mut g = Fields::new(t);
+        let mut g = Fields::new(&t.entries);
         let node = link_end(&mut g, n.span, "node")?;
         let factor = g
             .take("factor")
             .map(|x| ctx.num_of(x))
             .transpose()?
             .unwrap_or(1.0);
-        g.finish("'slow_node'", &["node", "factor"])?;
+        g.finish("'slow_node'")?;
         plan = plan.slow_node(node, factor);
     }
     if let Some(n) = f.take("connection_limit") {
         let t = as_table(n, "'connection_limit'")?;
-        let mut g = Fields::new(t);
+        let mut g = Fields::new(&t.entries);
         let missing = |k: &str| invalid(n.span, format!("'connection_limit' requires '{k}'"));
         let cards = as_int(g.take("cards").ok_or_else(|| missing("cards"))?, "'cards'")?;
         let per_card = as_int(
@@ -784,10 +1191,7 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
                 ))
             }
         };
-        g.finish(
-            "'connection_limit'",
-            &["cards", "per_card", "policy", "queue_penalty"],
-        )?;
+        g.finish("'connection_limit'")?;
         plan = plan.with_connection_limit(ConnectionLimit {
             cards_per_node: cards as u32,
             connections_per_card: per_card as u64,
@@ -797,7 +1201,7 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
     if let Some(n) = f.take("event_budget") {
         plan.event_budget = Some(as_int(n, "'event_budget'")?.max(0) as u64);
     }
-    f.finish("[sweep] 'faults'", &FAULT_KEYS)?;
+    f.finish("[sweep] 'faults'")?;
     Ok(plan)
 }
 
@@ -816,500 +1220,13 @@ fn link_end(g: &mut Fields<'_>, span: Span, key: &'static str) -> Result<NodeId,
 }
 
 // ---------------------------------------------------------------------------
-// Measurement tasks
-
-/// One typed, fully-resolved measurement — everything a sweep point
-/// needs at run time. Cheap to clone into the point closure.
-#[derive(Debug, Clone)]
-enum Task {
-    Table1,
-    BeffInNode {
-        kind: NodeKind,
-        cpus: Vec<u32>,
-    },
-    BeffMulti {
-        nodes: u32,
-        inter: InterNodeFabric,
-        mpt: MptVersion,
-        cpus: Vec<u32>,
-    },
-    Dgemm {
-        kind: NodeKind,
-        stride: u32,
-    },
-    Stream {
-        kind: NodeKind,
-        cpus: u32,
-        stride: u32,
-    },
-    Npb {
-        bench: NpbBenchmark,
-        class: NpbClass,
-        kind: NodeKind,
-        paradigm: Paradigm,
-        cpus: Vec<u32>,
-        compilers: Vec<(CompilerVersion, &'static str)>,
-        compiler_vec: bool,
-    },
-    Ins3d {
-        kinds: Vec<(NodeKind, &'static str)>,
-        kind_vec: bool,
-        compilers: Vec<(CompilerVersion, &'static str)>,
-        compiler_vec: bool,
-        groups: usize,
-        threads: usize,
-    },
-    Overflow {
-        kinds: Vec<(NodeKind, &'static str)>,
-        kind_vec: bool,
-        fabrics: Vec<(InterNodeFabric, &'static str)>,
-        fabric_vec: bool,
-        compilers: Vec<(CompilerVersion, &'static str)>,
-        compiler_vec: bool,
-        procs: usize,
-        threads: usize,
-        nodes: u32,
-    },
-    Mz {
-        bench: MzBenchmark,
-        class: MzClass,
-        procs: usize,
-        threads: usize,
-        kind: NodeKind,
-        nodes: u32,
-        inter: InterNodeFabric,
-        mpt: MptVersion,
-        pinnings: Vec<(Pinning, &'static str)>,
-        pinning_vec: bool,
-        faults: FaultPlan,
-    },
-    MdWeak {
-        cpus: u32,
-    },
-    Trace(TraceParams),
-    Columbia {
-        full: bool,
-    },
-}
-
-/// What a task produced: templated row bindings plus numeric outputs,
-/// or (for the free-form kinds) raw report rows and notes.
-#[derive(Debug, Default)]
-struct TaskOut {
-    rows: Vec<BTreeMap<String, String>>,
-    nums: BTreeMap<String, f64>,
-    raw: Option<PointOutput>,
-}
-
-impl Task {
-    /// Kinds whose rows come from the measurement itself, not a `row`
-    /// template.
-    fn is_raw(&self) -> bool {
-        matches!(self, Task::Table1 | Task::Trace(_) | Task::Columbia { .. })
-    }
-
-    /// Display bindings this task makes available to templates.
-    fn binding_names(&self) -> Vec<String> {
-        fn suffixed<T>(base: &[&str], vec: &[(T, &'static str)], on: bool) -> Vec<String> {
-            if on {
-                base.iter()
-                    .flat_map(|b| vec.iter().map(move |(_, s)| format!("{b}.{s}")))
-                    .collect()
-            } else {
-                base.iter().map(|b| b.to_string()).collect()
-            }
-        }
-        match self {
-            Task::Table1 | Task::Trace(_) | Task::Columbia { .. } => Vec::new(),
-            Task::BeffInNode { .. } => ["pattern", "node", "cpus", "latency", "bandwidth"]
-                .map(String::from)
-                .to_vec(),
-            Task::BeffMulti { .. } => {
-                ["pattern", "fabric", "nodes", "cpus", "latency", "bandwidth"]
-                    .map(String::from)
-                    .to_vec()
-            }
-            Task::Dgemm { .. } => ["node", "stride", "gflops"].map(String::from).to_vec(),
-            Task::Stream { .. } => ["node", "stride", "cpus", "triad"]
-                .map(String::from)
-                .to_vec(),
-            Task::Npb {
-                compilers,
-                compiler_vec,
-                ..
-            } => {
-                let mut n = ["bench", "paradigm", "node", "cpus"]
-                    .map(String::from)
-                    .to_vec();
-                n.extend(suffixed(&["gflops"], compilers, *compiler_vec));
-                n
-            }
-            Task::Ins3d {
-                kinds,
-                kind_vec,
-                compilers,
-                compiler_vec,
-                ..
-            } => {
-                let mut n = ["groups", "threads", "cpus"].map(String::from).to_vec();
-                if *kind_vec {
-                    n.extend(suffixed(&["s_step"], kinds, true));
-                } else {
-                    n.extend(suffixed(&["s_step"], compilers, *compiler_vec));
-                }
-                n
-            }
-            Task::Overflow {
-                kinds,
-                kind_vec,
-                fabrics,
-                fabric_vec,
-                compilers,
-                compiler_vec,
-                ..
-            } => {
-                let mut n = ["procs", "threads", "nodes", "cpus"]
-                    .map(String::from)
-                    .to_vec();
-                let base = ["comm", "exec"];
-                if *kind_vec {
-                    n.extend(suffixed(&base, kinds, true));
-                } else if *fabric_vec {
-                    n.extend(suffixed(&base, fabrics, true));
-                } else {
-                    n.extend(suffixed(&base, compilers, *compiler_vec));
-                }
-                n
-            }
-            Task::Mz {
-                pinnings,
-                pinning_vec,
-                ..
-            } => {
-                let mut n = [
-                    "bench", "fabric", "mpt", "node", "procs", "threads", "cpus", "nodes",
-                ]
-                .map(String::from)
-                .to_vec();
-                n.extend(suffixed(
-                    &[
-                        "s_step",
-                        "total_gflops",
-                        "gflops_per_cpu",
-                        "dropped",
-                        "retransmit_s",
-                        "muxed",
-                    ],
-                    pinnings,
-                    *pinning_vec,
-                ));
-                n
-            }
-            Task::MdWeak { .. } => ["cpus", "atoms", "s_step", "comm_step", "efficiency"]
-                .map(String::from)
-                .to_vec(),
-        }
-    }
-
-    /// Numeric outputs a block's `value` may name (single-measurement
-    /// kinds only).
-    fn numeric_names(&self) -> Vec<&'static str> {
-        match self {
-            Task::Dgemm { .. } => vec!["gflops"],
-            Task::Stream { .. } => vec!["triad"],
-            Task::Ins3d {
-                kind_vec: false,
-                compiler_vec: false,
-                ..
-            } => vec!["s_step"],
-            Task::Overflow {
-                kind_vec: false,
-                fabric_vec: false,
-                compiler_vec: false,
-                ..
-            } => vec!["comm", "exec"],
-            Task::Mz {
-                pinning_vec: false, ..
-            } => vec!["s_step", "total_gflops", "gflops_per_cpu"],
-            Task::MdWeak { .. } => vec!["s_step", "comm_step", "atoms"],
-            _ => Vec::new(),
-        }
-    }
-
-    fn run(&self, ctx: &RunContext) -> Result<TaskOut, SimError> {
-        let mut out = TaskOut::default();
-        match self {
-            Task::Table1 => out.raw = Some(table1_output()),
-            Task::Trace(p) => out.raw = Some(trace_output(ctx, p)?),
-            Task::Columbia { full } => {
-                out.raw = Some(if *full {
-                    columbia_full_output(ctx)?
-                } else {
-                    columbia_subsystem_output(ctx)?
-                })
-            }
-            Task::BeffInNode { kind, cpus } => {
-                let sweep = beff::in_node_sweep(*kind, cpus);
-                for pattern in Pattern::ALL {
-                    for &n in cpus {
-                        if let Some(p) = sweep.get(pattern, n) {
-                            let mut b = BTreeMap::new();
-                            b.insert("pattern".into(), pattern.name().to_string());
-                            b.insert("node".into(), kind.name().to_string());
-                            b.insert("cpus".into(), n.to_string());
-                            b.insert("latency".into(), secs(p.latency));
-                            b.insert("bandwidth".into(), gbs(p.bandwidth));
-                            out.rows.push(b);
-                        }
-                    }
-                }
-            }
-            Task::BeffMulti {
-                nodes,
-                inter,
-                mpt,
-                cpus,
-            } => {
-                let sweep = beff::multi_node_sweep(*nodes, *inter, *mpt, cpus);
-                for pattern in Pattern::ALL {
-                    for &n in cpus {
-                        if let Some(p) = sweep.get(pattern, n) {
-                            let mut b = BTreeMap::new();
-                            b.insert("pattern".into(), pattern.name().to_string());
-                            b.insert("fabric".into(), inter.name().to_string());
-                            b.insert("nodes".into(), nodes.to_string());
-                            b.insert("cpus".into(), n.to_string());
-                            b.insert("latency".into(), secs(p.latency));
-                            b.insert("bandwidth".into(), gbs(p.bandwidth));
-                            out.rows.push(b);
-                        }
-                    }
-                }
-            }
-            Task::Dgemm { kind, stride } => {
-                let d = dgemm::simulate(*kind, *stride);
-                let mut b = BTreeMap::new();
-                b.insert("node".into(), kind.name().to_string());
-                b.insert("stride".into(), stride.to_string());
-                b.insert("gflops".into(), gf(d.gflops_per_cpu));
-                out.nums.insert("gflops".into(), d.gflops_per_cpu);
-                out.rows.push(b);
-            }
-            Task::Stream { kind, cpus, stride } => {
-                let s = stream::simulate(*kind, *cpus, *stride);
-                let mut b = BTreeMap::new();
-                b.insert("node".into(), kind.name().to_string());
-                b.insert("stride".into(), stride.to_string());
-                b.insert("cpus".into(), cpus.to_string());
-                b.insert("triad".into(), gbs(s.triad()));
-                out.nums.insert("triad".into(), s.triad());
-                out.rows.push(b);
-            }
-            Task::Npb {
-                bench,
-                class,
-                kind,
-                paradigm,
-                cpus,
-                compilers,
-                compiler_vec,
-            } => {
-                for &n in cpus {
-                    let mut b = BTreeMap::new();
-                    b.insert("bench".into(), bench.name().to_string());
-                    b.insert("paradigm".into(), paradigm.name().to_string());
-                    b.insert("node".into(), kind.name().to_string());
-                    b.insert("cpus".into(), n.to_string());
-                    for (v, sfx) in compilers {
-                        let g = gflops_per_cpu(ctx, *bench, *class, *kind, *paradigm, n, *v)?;
-                        let key = if *compiler_vec {
-                            format!("gflops.{sfx}")
-                        } else {
-                            "gflops".into()
-                        };
-                        b.insert(key, gf(g));
-                    }
-                    out.rows.push(b);
-                }
-            }
-            Task::Ins3d {
-                kinds,
-                kind_vec,
-                compilers,
-                compiler_vec,
-                groups,
-                threads,
-            } => {
-                let mut b = BTreeMap::new();
-                b.insert("groups".into(), groups.to_string());
-                b.insert("threads".into(), threads.to_string());
-                b.insert("cpus".into(), (groups * threads).to_string());
-                for (k, ks) in kinds {
-                    for (c, cs) in compilers {
-                        let s = iteration_seconds(&Ins3dConfig {
-                            kind: *k,
-                            groups: *groups,
-                            threads: *threads,
-                            compiler: *c,
-                        });
-                        let key = if *kind_vec {
-                            format!("s_step.{ks}")
-                        } else if *compiler_vec {
-                            format!("s_step.{cs}")
-                        } else {
-                            out.nums.insert("s_step".into(), s);
-                            "s_step".into()
-                        };
-                        b.insert(key, secs(s));
-                    }
-                }
-                out.rows.push(b);
-            }
-            Task::Overflow {
-                kinds,
-                kind_vec,
-                fabrics,
-                fabric_vec,
-                compilers,
-                compiler_vec,
-                procs,
-                threads,
-                nodes,
-            } => {
-                let mut b = BTreeMap::new();
-                b.insert("procs".into(), procs.to_string());
-                b.insert("threads".into(), threads.to_string());
-                b.insert("nodes".into(), nodes.to_string());
-                b.insert("cpus".into(), (procs * threads).to_string());
-                for (k, ks) in kinds {
-                    for (fb, fs) in fabrics {
-                        for (c, cs) in compilers {
-                            let cfg = OverflowConfig {
-                                kind: *k,
-                                procs: *procs,
-                                threads: *threads,
-                                nodes: *nodes,
-                                inter: *fb,
-                                compiler: *c,
-                            };
-                            let t = step_times(ctx, &cfg)?;
-                            let sfx = if *kind_vec {
-                                Some(*ks)
-                            } else if *fabric_vec {
-                                Some(*fs)
-                            } else if *compiler_vec {
-                                Some(*cs)
-                            } else {
-                                None
-                            };
-                            match sfx {
-                                Some(sfx) => {
-                                    b.insert(format!("comm.{sfx}"), secs(t.comm));
-                                    b.insert(format!("exec.{sfx}"), secs(t.exec));
-                                }
-                                None => {
-                                    b.insert("comm".into(), secs(t.comm));
-                                    b.insert("exec".into(), secs(t.exec));
-                                    out.nums.insert("comm".into(), t.comm);
-                                    out.nums.insert("exec".into(), t.exec);
-                                }
-                            }
-                        }
-                    }
-                }
-                out.rows.push(b);
-            }
-            Task::Mz {
-                bench,
-                class,
-                procs,
-                threads,
-                kind,
-                nodes,
-                inter,
-                mpt,
-                pinnings,
-                pinning_vec,
-                faults,
-            } => {
-                let mut b = BTreeMap::new();
-                b.insert("bench".into(), bench.name().to_string());
-                b.insert("fabric".into(), inter.name().to_string());
-                b.insert(
-                    "mpt".into(),
-                    if *mpt == MptVersion::Beta {
-                        "beta"
-                    } else {
-                        "released"
-                    }
-                    .to_string(),
-                );
-                b.insert("node".into(), kind.name().to_string());
-                b.insert("procs".into(), procs.to_string());
-                b.insert("threads".into(), threads.to_string());
-                b.insert("cpus".into(), (procs * threads).to_string());
-                b.insert("nodes".into(), nodes.to_string());
-                for (p, ps) in pinnings {
-                    let mut cfg = MzRunConfig::new(*bench, *class, *procs, *threads);
-                    cfg.kind = *kind;
-                    cfg.nodes = *nodes;
-                    cfg.inter = *inter;
-                    cfg.mpt = *mpt;
-                    cfg.pinning = *p;
-                    cfg.faults = faults.clone();
-                    let r = mz_run(ctx, &cfg)?;
-                    let key = |base: &str| {
-                        if *pinning_vec {
-                            format!("{base}.{ps}")
-                        } else {
-                            base.to_string()
-                        }
-                    };
-                    b.insert(key("s_step"), secs(r.seconds_per_step));
-                    b.insert(key("total_gflops"), gf(r.total_gflops));
-                    b.insert(key("gflops_per_cpu"), gf(r.gflops_per_cpu));
-                    b.insert(key("dropped"), r.faults.dropped_messages.to_string());
-                    b.insert(key("retransmit_s"), secs(r.faults.retransmit_delay));
-                    b.insert(key("muxed"), r.faults.multiplexed_messages.to_string());
-                    if !*pinning_vec {
-                        out.nums.insert("s_step".into(), r.seconds_per_step);
-                        out.nums.insert("total_gflops".into(), r.total_gflops);
-                        out.nums.insert("gflops_per_cpu".into(), r.gflops_per_cpu);
-                    }
-                }
-                out.rows.push(b);
-            }
-            Task::MdWeak { cpus } => {
-                // The 1-CPU efficiency baseline is recomputed per point,
-                // keeping points independent.
-                let base = weak_scaling_point_in(ctx, 1)?;
-                let p = weak_scaling_point_in(ctx, *cpus)?;
-                let mut b = BTreeMap::new();
-                b.insert("cpus".into(), cpus.to_string());
-                b.insert("atoms".into(), p.atoms.to_string());
-                b.insert("s_step".into(), secs(p.seconds_per_step));
-                b.insert("comm_step".into(), secs(p.comm_per_step));
-                b.insert(
-                    "efficiency".into(),
-                    format!("{:.1}%", 100.0 * p.efficiency_vs(&base)),
-                );
-                out.nums.insert("s_step".into(), p.seconds_per_step);
-                out.nums.insert("comm_step".into(), p.comm_per_step);
-                out.nums.insert("atoms".into(), p.atoms as f64);
-                out.rows.push(b);
-            }
-        }
-        Ok(out)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Sweep expansion
 
 /// Expand one `[[sweep]]` block into plan points.
-fn expand_sweep(plan: &mut SweepPlan, sweep: &SweepSpec, spec: &Spec) -> Result<(), SpecError> {
-    if !KINDS.contains(&sweep.kind.as_str()) {
-        let suggestion = suggest(&sweep.kind, &KINDS)
+fn expand_sweep(plan: &mut SweepPlan, sweep: &SweepSpec, columns: usize) -> Result<(), SpecError> {
+    let Some(kind) = KIND_TABLE.iter().find(|k| k.name == sweep.kind) else {
+        let names: Vec<&str> = KIND_TABLE.iter().map(|k| k.name).collect();
+        let suggestion = suggest(&sweep.kind, &names)
             .map(|s| format!(" (did you mean '{s}'?)"))
             .unwrap_or_default();
         return Err(invalid(
@@ -1317,10 +1234,10 @@ fn expand_sweep(plan: &mut SweepPlan, sweep: &SweepSpec, spec: &Spec) -> Result<
             format!(
                 "unknown kind '{}' (available: {}){suggestion}",
                 sweep.kind,
-                KINDS.join(", ")
+                names.join(", ")
             ),
         ));
-    }
+    };
 
     // Grid axes: each element binds either the axis name (scalar) or
     // each key of an inline table (tuple point).
@@ -1380,7 +1297,7 @@ fn expand_sweep(plan: &mut SweepPlan, sweep: &SweepSpec, spec: &Spec) -> Result<
     // order).
     let mut idx = vec![0usize; axes.len()];
     loop {
-        expand_point(plan, sweep, spec, &axes, &idx)?;
+        expand_point(plan, sweep, kind, columns, &axes, &idx)?;
         let mut k = axes.len();
         loop {
             if k == 0 {
@@ -1408,7 +1325,8 @@ fn fmt_num(v: f64) -> String {
 fn expand_point(
     plan: &mut SweepPlan,
     sweep: &SweepSpec,
-    spec: &Spec,
+    kind: &Kind,
+    columns: usize,
     axes: &[Vec<Vec<(String, Node)>>],
     idx: &[usize],
 ) -> Result<(), SpecError> {
@@ -1470,18 +1388,26 @@ fn expand_point(
         );
     }
 
-    let mut ctx = ParamCtx::new(sweep, &overlay, &env);
+    let mut p = ParamCtx::new(sweep, &overlay, &env);
 
     // Generic parameters.
-    let row_templates: Option<(Vec<Template>, Span)> = match ctx.get("row") {
+    let row = match p.get("row") {
         Some(n) => match &n.value {
             Value::Array(items) => {
-                let mut ts = Vec::new();
+                let mut cells = Vec::new();
                 for item in items {
-                    let s = as_str(item, "'row' cell")?;
-                    ts.push(Template::parse(s, item.span)?);
+                    cells.push(parse_template(as_str(item, "'row' cell")?, item.span)?);
                 }
-                Some((ts, n.span))
+                if cells.len() != columns {
+                    return Err(invalid(
+                        n.span,
+                        format!(
+                            "'row' has {} cells but the report has {columns} columns",
+                            cells.len()
+                        ),
+                    ));
+                }
+                Some((cells, n.span))
             }
             v => {
                 return Err(invalid(
@@ -1495,443 +1421,108 @@ fn expand_point(
         },
         None => None,
     };
-    if let Some((ts, span)) = &row_templates {
-        if ts.len() != spec.report.headers.len() {
-            return Err(invalid(
-                *span,
-                format!(
-                    "'row' has {} cells but the report has {} columns",
-                    ts.len(),
-                    spec.report.headers.len()
-                ),
-            ));
-        }
-    }
-    let note_template = match ctx.take_str("note")? {
-        Some((s, span)) => Some(Template::parse(&s, span)?),
+    let note = match p.take_str("note")? {
+        Some((s, span)) => Some((parse_template(&s, span)?, span)),
         None => None,
     };
-    let value_name = ctx.take_str("value")?;
-    let expect_error = ctx.take_bool("expect_error")?.unwrap_or(false);
-    if let Some((label, _)) = ctx.take_str("label")? {
+    let value = p.take_str("value")?;
+    let expect_error = p.take_bool("expect_error")?.unwrap_or(false);
+    if let Some((label, _)) = p.take_str("label")? {
         disp.insert("label".into(), label);
     }
 
     // The measurement.
-    let (task, kind_params) = build_task(&mut ctx, spec)?;
-    ctx.finish(kind_params)?;
+    let measure = (kind.compile)(&mut p)?;
+    p.finish()?;
 
-    // Compile-time validation of templates and value names.
-    let mut available: BTreeSet<String> = task.binding_names().into_iter().collect();
-    available.extend(disp.keys().cloned());
-    let avail_list = || {
-        available
-            .iter()
-            .map(String::as_str)
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    if task.is_raw() {
-        if let Some((_, span)) = &row_templates {
+    // Resolve templates and `value` against what the point binds: a row
+    // renders from the parameter bindings and its outputs; a note from
+    // the parameter bindings, and from `{error}` when the point is
+    // expected to fail, since only a failure renders it then.
+    let (names, params): (Vec<String>, Vec<String>) = disp.into_iter().unzip();
+    let row_templates = match (&measure.outputs, row) {
+        (Some(outputs), Some((cells, span))) => Some(
+            cells
+                .iter()
+                .map(|c| resolve(c, "row", span, &names, outputs))
+                .collect::<Result<Vec<_>, _>>()?,
+        ),
+        (Some(_), None) => {
             return Err(invalid(
-                *span,
-                format!(
-                    "kind '{}' emits its own rows; 'row' is not allowed",
-                    sweep.kind
-                ),
-            ));
-        }
-    } else {
-        let (templates, row_span) = row_templates.as_ref().ok_or_else(|| {
-            invalid(
                 sweep.kind_span,
                 format!(
                     "kind '{}' requires a 'row' template (block {})",
                     sweep.kind, sweep.index
                 ),
-            )
-        })?;
-        for t in templates {
-            for v in t.vars() {
-                if !available.contains(v) {
-                    let cands: Vec<&str> = available.iter().map(String::as_str).collect();
-                    let hint = suggest(v, &cands)
-                        .map(|s| format!(" (did you mean '{s}'?)"))
-                        .unwrap_or_default();
-                    return Err(invalid(
-                        *row_span,
-                        format!(
-                            "unknown placeholder '{{{v}}}' in row template \
-                             (available: {}){hint}",
-                            avail_list()
-                        ),
-                    ));
-                }
-            }
+            ))
         }
-    }
-    if let Some(t) = &note_template {
-        for v in t.vars() {
-            if v != "error" && !available.contains(v) {
-                return Err(invalid(
-                    sweep.kind_span,
-                    format!(
-                        "unknown placeholder '{{{v}}}' in note template (available: error, {})",
-                        avail_list()
-                    ),
-                ));
-            }
+        (None, Some((_, span))) => {
+            return Err(invalid(
+                span,
+                format!(
+                    "kind '{}' emits its own rows; 'row' is not allowed",
+                    sweep.kind
+                ),
+            ))
         }
-    }
-    let value_name = match value_name {
+        (None, None) => None,
+    };
+    let error = if expect_error {
+        vec!["error".to_string()]
+    } else {
+        Vec::new()
+    };
+    let note_template = match note {
+        Some((t, span)) => Some(resolve(&t, "note", span, &names, &error)?),
+        None => None,
+    };
+    let value_slot = match value {
         Some((name, span)) => {
-            let nums = task.numeric_names();
-            if !nums.contains(&name.as_str()) {
-                return Err(invalid(
+            let slot = measure.numeric.iter().position(|n| *n == name);
+            Some(slot.ok_or_else(|| {
+                invalid(
                     span,
                     format!(
                         "'value' names unknown numeric output '{name}' for kind '{}' \
                          (available: {})",
                         sweep.kind,
-                        if nums.is_empty() {
-                            "none".to_string()
-                        } else {
-                            nums.join(", ")
-                        }
+                        listing(&measure.numeric)
                     ),
-                ));
-            }
-            Some(name)
+                )
+            })?)
         }
         None => None,
     };
 
-    let row_templates = row_templates.map(|(t, _)| t);
-    let point_disp = disp;
-    plan.point(move |ctx| {
-        match task.run(ctx) {
-            Ok(t) => {
-                let mut po = PointOutput::default();
-                if expect_error {
-                    // The measurement was expected to fail but did not:
-                    // contribute nothing (the degraded experiment's
-                    // fail-fast probe).
-                    return Ok(po);
-                }
-                if let Some(raw) = t.raw {
-                    po.rows = raw.rows;
-                    po.notes = raw.notes;
-                    po.values = raw.values;
-                } else if let Some(templates) = &row_templates {
-                    for rb in &t.rows {
-                        let mut merged = point_disp.clone();
-                        merged.extend(rb.iter().map(|(k, v)| (k.clone(), v.clone())));
-                        po.rows
-                            .push(templates.iter().map(|c| c.render(&merged)).collect());
-                    }
-                }
-                if let Some(nt) = &note_template {
-                    po.notes.push(nt.render(&point_disp));
-                }
-                if let Some(name) = &value_name {
-                    if let Some(v) = t.nums.get(name) {
-                        po.values.push(*v);
-                    }
-                }
-                Ok(po)
+    let run = measure.run;
+    plan.point(move |ctx| match run(ctx) {
+        // The measurement was expected to fail but did not: contribute
+        // nothing (the degraded experiment's fail-fast probe).
+        Ok(_) if expect_error => Ok(PointOutput::default()),
+        Ok(mut out) => {
+            if let Some(templates) = &row_templates {
+                let render_row = |r: &Vec<String>| {
+                    let cells = templates.iter().map(|t| render(t, &params, r));
+                    cells.collect()
+                };
+                out.rows = out.rows.iter().map(render_row).collect();
+                out.values = value_slot.map(|i| out.values[i]).into_iter().collect();
             }
-            Err(err) if expect_error => {
-                let mut po = PointOutput::default();
-                if let Some(nt) = &note_template {
-                    let mut b = point_disp.clone();
-                    b.insert("error".into(), err.to_string());
-                    po.notes.push(nt.render(&b));
-                }
-                Ok(po)
+            if let Some(t) = &note_template {
+                out.notes.push(render(t, &params, &[]));
             }
-            Err(err) => Err(err),
+            Ok(out)
         }
+        Err(err) if expect_error => {
+            let mut out = PointOutput::default();
+            if let Some(t) = &note_template {
+                out.notes.push(render(t, &params, &[err.to_string()]));
+            }
+            Ok(out)
+        }
+        Err(err) => Err(err),
     });
     Ok(())
-}
-
-/// Build the typed task for one point, consuming kind parameters from
-/// the context. Returns the task plus the kind's parameter list (for
-/// unknown-key suggestions).
-fn build_task(
-    ctx: &mut ParamCtx<'_>,
-    spec: &Spec,
-) -> Result<(Task, &'static [&'static str]), SpecError> {
-    let kind = ctx.sweep.kind.clone();
-    match kind.as_str() {
-        "table1" => Ok((Task::Table1, &[])),
-        "beff-in-node" => {
-            let node = ctx
-                .take_enum("node", node_kind)?
-                .ok_or_else(|| ctx.missing("node"))?;
-            let cpus = ctx
-                .take_u32_list("cpus")?
-                .ok_or_else(|| ctx.missing("cpus"))?;
-            Ok((Task::BeffInNode { kind: node, cpus }, &["node", "cpus"]))
-        }
-        "beff-multi" => {
-            let nodes = ctx.take_u32("nodes")?.ok_or_else(|| ctx.missing("nodes"))?;
-            let inter = ctx
-                .take_enum("fabric", fabric)?
-                .ok_or_else(|| ctx.missing("fabric"))?;
-            let mptv = ctx.take_enum("mpt", mpt)?.unwrap_or(MptVersion::Beta);
-            let cpus = ctx
-                .take_u32_list("cpus")?
-                .ok_or_else(|| ctx.missing("cpus"))?;
-            Ok((
-                Task::BeffMulti {
-                    nodes,
-                    inter,
-                    mpt: mptv,
-                    cpus,
-                },
-                &["nodes", "fabric", "mpt", "cpus"],
-            ))
-        }
-        "dgemm" => {
-            let node = ctx
-                .take_enum("node", node_kind)?
-                .ok_or_else(|| ctx.missing("node"))?;
-            let stride = ctx.take_u32("stride")?.unwrap_or(1);
-            Ok((Task::Dgemm { kind: node, stride }, &["node", "stride"]))
-        }
-        "stream" => {
-            let node = ctx
-                .take_enum("node", node_kind)?
-                .ok_or_else(|| ctx.missing("node"))?;
-            let cpus = ctx.take_u32("cpus")?.ok_or_else(|| ctx.missing("cpus"))?;
-            let stride = ctx.take_u32("stride")?.unwrap_or(1);
-            Ok((
-                Task::Stream {
-                    kind: node,
-                    cpus,
-                    stride,
-                },
-                &["node", "cpus", "stride"],
-            ))
-        }
-        "npb" => {
-            let bench = ctx
-                .take_enum("bench", npb_bench)?
-                .ok_or_else(|| ctx.missing("bench"))?;
-            let class = ctx
-                .take_enum("class", npb_class)?
-                .ok_or_else(|| ctx.missing("class"))?;
-            let node = ctx
-                .take_enum("node", node_kind)?
-                .ok_or_else(|| ctx.missing("node"))?;
-            let par = ctx
-                .take_enum("paradigm", paradigm)?
-                .ok_or_else(|| ctx.missing("paradigm"))?;
-            let cpus = ctx
-                .take_u32_list("cpus")?
-                .ok_or_else(|| ctx.missing("cpus"))?;
-            let (compilers, compiler_vec) =
-                ctx.take_enum_vec("compiler", compiler, (CompilerVersion::V7_1, "7.1"))?;
-            Ok((
-                Task::Npb {
-                    bench,
-                    class,
-                    kind: node,
-                    paradigm: par,
-                    cpus,
-                    compilers,
-                    compiler_vec,
-                },
-                &["bench", "class", "node", "paradigm", "cpus", "compiler"],
-            ))
-        }
-        "ins3d" => {
-            let (kinds, kind_vec) =
-                ctx.take_enum_vec("node", node_kind, (NodeKind::Bx2b, "BX2b"))?;
-            let (compilers, compiler_vec) =
-                ctx.take_enum_vec("compiler", compiler, (CompilerVersion::V7_1, "7.1"))?;
-            let groups = ctx
-                .take_count(
-                    "groups",
-                    Some((TURBOPUMP_BLOCKS, "the turbopump system's block count")),
-                )?
-                .unwrap_or(36);
-            let fit = format!("so that {groups} groups × 'threads' fit in one {MAX_CPUS}-CPU node");
-            let threads = ctx
-                .take_count("threads", Some((MAX_CPUS / groups, &fit)))?
-                .ok_or_else(|| ctx.missing("threads"))?;
-            Ok((
-                Task::Ins3d {
-                    kinds,
-                    kind_vec,
-                    compilers,
-                    compiler_vec,
-                    groups,
-                    threads,
-                },
-                &["node", "compiler", "groups", "threads"],
-            ))
-        }
-        "overflow" => {
-            let (kinds, kind_vec) =
-                ctx.take_enum_vec("node", node_kind, (NodeKind::Bx2b, "BX2b"))?;
-            let (fabrics, fabric_vec) =
-                ctx.take_enum_vec("fabric", fabric, (InterNodeFabric::NumaLink4, "NUMAlink4"))?;
-            let (compilers, compiler_vec) =
-                ctx.take_enum_vec("compiler", compiler, (CompilerVersion::V8_1, "8.1"))?;
-            let procs_span = ctx.get("procs").map(|n| n.span).unwrap_or_default();
-            let procs = ctx
-                .take_count(
-                    "procs",
-                    Some((ROTOR_BLOCKS, "the rotor-wake system's block count")),
-                )?
-                .ok_or_else(|| ctx.missing("procs"))?;
-            let threads = ctx.take_count("threads", None)?.unwrap_or(1);
-            let nodes = ctx
-                .take_count("nodes", Some((u32::MAX as usize, "a 32-bit count")))?
-                .map_or(1, |n| n as u32);
-            let cpus = procs.saturating_mul(threads);
-            for &(kind, _) in &kinds {
-                if let Err(per_node) = overflow_placement(kind, cpus, nodes) {
-                    return Err(invalid(
-                        procs_span,
-                        format!(
-                            "'procs' × 'threads' must fit {nodes} node(s) at {per_node} CPUs \
-                             per node (the boot cpuset stays free unless the CPU count is a \
-                             multiple of 512), got {cpus} CPUs"
-                        ),
-                    ));
-                }
-            }
-            Ok((
-                Task::Overflow {
-                    kinds,
-                    kind_vec,
-                    fabrics,
-                    fabric_vec,
-                    compilers,
-                    compiler_vec,
-                    procs,
-                    threads,
-                    nodes,
-                },
-                &["node", "fabric", "compiler", "procs", "threads", "nodes"],
-            ))
-        }
-        "mz" => {
-            let bench = ctx
-                .take_enum("bench", mz_bench)?
-                .ok_or_else(|| ctx.missing("bench"))?;
-            let class = ctx
-                .take_enum("class", mz_class)?
-                .ok_or_else(|| ctx.missing("class"))?;
-            let procs = ctx
-                .take_usize("procs")?
-                .ok_or_else(|| ctx.missing("procs"))?;
-            let threads = ctx
-                .take_usize("threads")?
-                .ok_or_else(|| ctx.missing("threads"))?;
-            let node = ctx.take_enum("node", node_kind)?.unwrap_or(NodeKind::Bx2b);
-            let nodes = ctx.take_u32("nodes")?.unwrap_or(1);
-            let inter = ctx
-                .take_enum("fabric", fabric)?
-                .unwrap_or(InterNodeFabric::NumaLink4);
-            let mptv = ctx.take_enum("mpt", mpt)?.unwrap_or(MptVersion::Beta);
-            let (pinnings, pinning_vec) =
-                ctx.take_enum_vec("pinning", pinning, (Pinning::Pinned, "pinned"))?;
-            let faults = match ctx.get("faults") {
-                Some(n) => {
-                    let t = as_table(n, "'faults'")?.clone();
-                    build_faults(ctx, &t)?
-                }
-                None => FaultPlan::none(),
-            };
-            Ok((
-                Task::Mz {
-                    bench,
-                    class,
-                    procs,
-                    threads,
-                    kind: node,
-                    nodes,
-                    inter,
-                    mpt: mptv,
-                    pinnings,
-                    pinning_vec,
-                    faults,
-                },
-                &[
-                    "bench", "class", "procs", "threads", "node", "nodes", "fabric", "mpt",
-                    "pinning", "faults",
-                ],
-            ))
-        }
-        "md-weak" => {
-            let cpus = ctx.take_u32("cpus")?.ok_or_else(|| ctx.missing("cpus"))?;
-            Ok((Task::MdWeak { cpus }, &["cpus"]))
-        }
-        "trace" => {
-            let mut p = TraceParams {
-                id: spec.report.id.clone(),
-                title: spec.report.title.clone(),
-                ..TraceParams::default()
-            };
-            if let Some(v) = ctx.take_usize("ranks")? {
-                if v < 2 {
-                    return Err(ctx.missing("ranks (must be >= 2)"));
-                }
-                p.ranks = v;
-            }
-            if let Some(v) = ctx.take_u32("nodes")? {
-                if v == 0 {
-                    return Err(ctx.missing("nodes (must be >= 1)"));
-                }
-                p.nodes = v;
-            }
-            if let Some(v) = ctx.take_f64("drop_prob")? {
-                p.drop_prob = v;
-            }
-            if let Some(v) = ctx.take_u64("seed")? {
-                p.seed = v;
-            }
-            if let Some(v) = ctx.take_u32("iters")? {
-                p.iters = v;
-            }
-            if let Some(v) = ctx.take_usize("top")? {
-                p.top = v;
-            }
-            if !(0.0..1.0).contains(&p.drop_prob) {
-                return Err(invalid(
-                    ctx.sweep.kind_span,
-                    format!("'drop_prob' must be in [0, 1), got {}", p.drop_prob),
-                ));
-            }
-            Ok((
-                Task::Trace(p),
-                &["ranks", "nodes", "drop_prob", "seed", "iters", "top"],
-            ))
-        }
-        "columbia" => {
-            let (config, span) = ctx
-                .take_str("config")?
-                .ok_or_else(|| ctx.missing("config"))?;
-            let full = match config.as_str() {
-                "full-machine" => true,
-                "subsystem" => false,
-                other => {
-                    return Err(bad_enum(
-                        span,
-                        "columbia configuration",
-                        other,
-                        &["full-machine", "subsystem"],
-                    ))
-                }
-            };
-            Ok((Task::Columbia { full }, &["config"]))
-        }
-        other => unreachable!("kind '{other}' was validated against KINDS"),
-    }
 }
 
 #[cfg(test)]
@@ -1986,6 +1577,27 @@ node = ["3700", "BX2a", "BX2b"]
             "{err}"
         );
         assert!(err.to_string().contains("did you mean 'gflops'"), "{err}");
+    }
+
+    /// A note renders from the point's parameter bindings, and from
+    /// `{error}` only when the point is expected to fail; anything else
+    /// is an error at the note.
+    #[test]
+    fn note_templates_name_only_what_they_render_from() {
+        let with = |extra: &str| {
+            let text = DGEMM_SPEC.replace("Gflop/s\"]\n", &format!("Gflop/s\"]\n{extra}\n"));
+            compile(&load_str(&text).unwrap()).map(|_| ())
+        };
+        assert_eq!(with("note = \"on {node}\""), Ok(()));
+        assert_eq!(
+            with("expect_error = true\nnote = \"on {node}: {error}\""),
+            Ok(())
+        );
+        for note in ["note = \"{gflops}\"", "note = \"{error}\""] {
+            let err = with(note).unwrap_err().to_string();
+            assert!(err.starts_with("12:8: unknown placeholder"), "{err}");
+            assert!(err.contains("in note template (available: node)"), "{err}");
+        }
     }
 
     #[test]
@@ -2072,11 +1684,130 @@ stride = [1, 2]
             ),
             ("ins3d", "groups = 2\nthreads = 256", None),
         ];
-        for (kind, params, want) in cases {
+        check_counts(&cases);
+    }
+
+    /// Every other count a workload asserts on is checked on either side
+    /// of its bound, at the value, which each case writes last.
+    #[test]
+    fn every_kind_checks_its_counts_at_the_value() {
+        let cases = [
+            (
+                "mz",
+                "threads = 1\nprocs = 0",
+                Some("'procs' must be at least 1, got 0"),
+            ),
+            (
+                "mz",
+                "procs = 1\nthreads = 0",
+                Some("'threads' must be at least 1"),
+            ),
+            (
+                "mz",
+                "procs = 1\nthreads = 1\nnodes = 0",
+                Some("'nodes' must be at least 1"),
+            ),
+            (
+                "mz",
+                "threads = 1\nprocs = 17",
+                Some("'procs' must be at most 16 (class A's zone count), got 17"),
+            ),
+            ("mz", "threads = 1\nprocs = 16", None),
+            (
+                "mz",
+                "threads = 33\nprocs = 16",
+                Some("'procs' × 'threads' must fit 1 node(s) at 512 CPUs per node"),
+            ),
+            ("mz", "threads = 32\nprocs = 16", None),
+            ("mz", "threads = 64\nnodes = 2\nprocs = 16", None),
+            (
+                "npb",
+                "cpus = [4, 0]",
+                Some("'cpus' entry must be at least 1"),
+            ),
+            ("npb", "cpus = 513", Some("'cpus' must be at most 512")),
+            ("npb", "cpus = [1, 512]", None),
+            ("md-weak", "cpus = 0", Some("'cpus' must be at least 1")),
+            ("md-weak", "cpus = 1", None),
+            ("stream", "cpus = 0", Some("'cpus' must be at least 1")),
+            (
+                "stream",
+                "cpus = 1\nstride = 0",
+                Some("'stride' must be at least 1"),
+            ),
+            (
+                "stream",
+                "cpus = 1\nstride = 513",
+                Some("'stride' must be at most 512"),
+            ),
+            ("stream", "cpus = 513", Some("'cpus' must be at most 512")),
+            ("stream", "cpus = 512", None),
+            (
+                "stream",
+                "stride = 2\ncpus = 257",
+                Some("'cpus' must be at most 256"),
+            ),
+            ("stream", "stride = 2\ncpus = 256", None),
+            (
+                "beff-in-node",
+                "cpus = [4, 1]",
+                Some("'cpus' entry must be at least 2"),
+            ),
+            ("beff-in-node", "cpus = [2]", None),
+            (
+                "beff-multi",
+                "cpus = [4]\nnodes = 0",
+                Some("'nodes' must be at least 1"),
+            ),
+            (
+                "beff-multi",
+                "nodes = 2\ncpus = 1",
+                Some("'cpus' must be at least 2"),
+            ),
+            ("beff-multi", "nodes = 2\ncpus = [2]", None),
+            (
+                "trace",
+                "ranks = 1",
+                Some("'ranks' must be at least 2, got 1"),
+            ),
+            ("trace", "nodes = 0", Some("'nodes' must be at least 1")),
+            (
+                "trace",
+                "nodes = 1\nranks = 513",
+                Some("'ranks' must be at most 512"),
+            ),
+            ("trace", "nodes = 1\nranks = 512", None),
+            (
+                "trace",
+                "ranks = 4\ndrop_prob = 1.0",
+                Some("'drop_prob' must be in [0, 1)"),
+            ),
+            ("trace", "ranks = 2", None),
+        ];
+        check_counts(&cases);
+    }
+
+    /// Compile a one-block spec of `kind` (with the other parameters it
+    /// requires) per case and expect either a plan (`None`) or an error
+    /// on the case's last line whose message starts with the given text.
+    fn check_counts(cases: &[(&str, &str, Option<&str>)]) {
+        for &(kind, params, want) in cases {
+            let required = match kind {
+                "mz" => "bench = \"BT-MZ\"\nclass = \"A\"\n",
+                "npb" => "bench = \"MG\"\nclass = \"A\"\nnode = \"BX2b\"\nparadigm = \"MPI\"\n",
+                "stream" | "beff-in-node" => "node = \"BX2b\"\n",
+                "beff-multi" => "fabric = \"IB\"\n",
+                _ => "",
+            };
+            // `trace` emits its own rows.
+            let row = if kind == "trace" {
+                ""
+            } else {
+                "row = [\"{cpus}\"]\n"
+            };
             let text = format!(
                 "schema = \"columbia-spec-v1\"\n\n[report]\nid = \"X\"\ntitle = \"x\"\n\
-                 headers = [\"CPUs\"]\n\n[[sweep]]\nkind = \"{kind}\"\nrow = [\"{{cpus}}\"]\n\
-                 {params}\n"
+                 headers = [\"CPUs\"]\n\n[[sweep]]\nkind = \"{kind}\"\n{required}{row}{params}\n"
             );
             let compiled = compile(&load_str(&text).unwrap());
             match (compiled, want) {

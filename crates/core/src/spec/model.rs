@@ -107,38 +107,39 @@ pub struct CollateSpec {
     pub span: Span,
 }
 
-/// Tracks which keys of a table a decode stage consumed, so leftovers
-/// become [`SpecError::UnknownKey`] with a suggestion.
+/// Tracks the keys a decode stage asks a table's entries for, so that
+/// an entry it never asked for becomes [`SpecError::UnknownKey`], with
+/// a suggestion from the keys it did ask for.
 pub(crate) struct Fields<'a> {
-    table: &'a Table,
-    used: Vec<&'a str>,
+    entries: &'a [Entry],
+    asked: Vec<&'static str>,
 }
 
 impl<'a> Fields<'a> {
-    pub(crate) fn new(table: &'a Table) -> Self {
+    pub(crate) fn new(entries: &'a [Entry]) -> Self {
         Fields {
-            table,
-            used: Vec::new(),
+            entries,
+            asked: Vec::new(),
         }
     }
 
+    /// The value of `key`, if present; asked for either way.
     pub(crate) fn take(&mut self, key: &'static str) -> Option<&'a Node> {
-        let node = self.table.get(key)?;
-        self.used.push(key);
-        Some(node)
+        self.asked.push(key);
+        self.entries.iter().find(|e| e.key == key).map(|e| &e.node)
     }
 
-    /// Error on the first unconsumed key, suggesting the closest of
-    /// `allowed`.
-    pub(crate) fn finish(self, context: &str, allowed: &[&str]) -> Result<(), SpecError> {
-        for e in &self.table.entries {
-            if !self.used.contains(&e.key.as_str()) {
+    /// Error on the first entry never asked for, suggesting the closest
+    /// key that was, the earliest asked on a tie.
+    pub(crate) fn finish(self, context: &str) -> Result<(), SpecError> {
+        for e in self.entries {
+            if !self.asked.contains(&e.key.as_str()) {
                 return Err(SpecError::UnknownKey {
                     line: e.key_span.line,
                     col: e.key_span.col,
                     key: e.key.clone(),
                     context: context.to_string(),
-                    suggestion: super::suggest(&e.key, allowed),
+                    suggestion: super::suggest(&e.key, &self.asked),
                 });
             }
         }
@@ -202,7 +203,7 @@ fn as_str_array(node: &Node, what: &str) -> Result<Vec<String>, SpecError> {
 
 /// Decode a parsed document into a [`Spec`].
 pub fn decode(root: &Table) -> Result<Spec, SpecError> {
-    let mut fields = Fields::new(root);
+    let mut fields = Fields::new(&root.entries);
 
     let schema = fields
         .take("schema")
@@ -291,10 +292,7 @@ pub fn decode(root: &Table) -> Result<Spec, SpecError> {
         None => None,
     };
 
-    fields.finish(
-        "the top level",
-        &["schema", "report", "defaults", "sweep", "collate"],
-    )?;
+    fields.finish("the top level")?;
 
     Ok(Spec {
         report,
@@ -305,7 +303,7 @@ pub fn decode(root: &Table) -> Result<Spec, SpecError> {
 }
 
 fn decode_report(t: &Table) -> Result<ReportSpec, SpecError> {
-    let mut f = Fields::new(t);
+    let mut f = Fields::new(&t.entries);
     let missing = |what: &str| {
         invalid(
             Span { line: 1, col: 1 },
@@ -323,7 +321,7 @@ fn decode_report(t: &Table) -> Result<ReportSpec, SpecError> {
         Some(n) => as_str_array(n, "'notes'")?,
         None => Vec::new(),
     };
-    f.finish("[report]", &["id", "title", "headers", "notes"])?;
+    f.finish("[report]")?;
     Ok(ReportSpec {
         id,
         title,
@@ -432,7 +430,7 @@ fn decode_sweep(
 }
 
 fn decode_collate(t: &Table, span: Span) -> Result<CollateSpec, SpecError> {
-    let mut f = Fields::new(t);
+    let mut f = Fields::new(&t.entries);
     let mode_node = f
         .take("mode")
         .ok_or_else(|| invalid(span, "[collate] is missing required key 'mode'"))?;
@@ -464,7 +462,7 @@ fn decode_collate(t: &Table, span: Span) -> Result<CollateSpec, SpecError> {
         Some(n) => as_str(n, "'suffix'")?.to_string(),
         None => String::new(),
     };
-    f.finish("[collate]", &["mode", "column", "decimals", "suffix"])?;
+    f.finish("[collate]")?;
     Ok(CollateSpec {
         mode,
         column: column as usize,

@@ -93,6 +93,9 @@ impl Paradigm {
     }
 }
 
+/// Most CPUs one configuration runs on: every run fits one node.
+pub const MAX_CPUS: u32 = 512;
+
 /// Iterations actually simulated per sweep point (results are
 /// per-iteration rates, so a short, representative run suffices).
 const SIM_ITERS: u32 = 2;
@@ -110,7 +113,7 @@ pub fn gflops_per_cpu(
     cpus: u32,
     compiler: CompilerVersion,
 ) -> Result<f64, SimError> {
-    assert!((1..=512).contains(&cpus));
+    assert!((1..=MAX_CPUS).contains(&cpus));
     let cluster = ClusterConfig::uniform(kind, 1);
     let prof = bench.profile(class);
     let (spec, mut cfg) = match paradigm {

@@ -14,6 +14,9 @@ use std::collections::{HashMap, HashSet};
 
 use columbia_machine::cluster::{ClusterConfig, CpuId, NodeId};
 
+/// CPUs a placement fills on each node: every Altix node has 512.
+pub const NODE_CPUS: u32 = 512;
+
 /// How CPUs are assigned within each node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementStrategy {
@@ -58,18 +61,20 @@ impl Placement {
     ) -> Self {
         assert!(ranks >= 1 && threads >= 1);
         let (stride, cap) = match strategy {
-            PlacementStrategy::Dense => (1, 512),
+            PlacementStrategy::Dense => (1, NODE_CPUS),
             PlacementStrategy::Strided(k) => {
                 assert!(k >= 1, "stride must be positive");
-                (k, 512)
+                (k, NODE_CPUS)
             }
             PlacementStrategy::DenseCapped(cap) => {
-                assert!((1..=512).contains(&cap), "cap must be in 1..=512");
+                assert!(
+                    (1..=NODE_CPUS).contains(&cap),
+                    "cap must be in 1..={NODE_CPUS}"
+                );
                 (1, cap)
             }
         };
-        let node_cpus = 512u32;
-        let slots_per_node = (node_cpus / stride).min(cap);
+        let slots_per_node = (NODE_CPUS / stride).min(cap);
         let workers = (ranks * threads) as u32;
         assert!(
             workers <= slots_per_node * nodes.len() as u32,
@@ -101,7 +106,7 @@ impl Placement {
                     *e = (*e).max(c.cpu + 1);
                 }
             }
-            per_node.values().any(|&hi| hi >= node_cpus)
+            per_node.values().any(|&hi| hi >= NODE_CPUS)
         };
         let mean_bus_sharers = mean_bus_sharers(cluster, &cpus);
         Placement {

@@ -29,6 +29,9 @@ pub const LATENCY_MSG_BYTES: u64 = 8;
 /// to amortize latency on every Columbia fabric).
 pub const BANDWIDTH_MSG_BYTES: u64 = 2 * 1024 * 1024;
 
+/// Fewest processes a ping-pong or ring pattern is defined on.
+pub const MIN_PROCS: usize = 2;
+
 /// Outcome of one pattern measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternResult {
@@ -45,7 +48,7 @@ pub struct PatternResult {
 /// pairs exactly the way the paper's "average" row does.
 pub fn ping_pong(fabric: &dyn Fabric, cpus: &[CpuId]) -> PatternResult {
     let p = cpus.len();
-    assert!(p >= 2, "ping-pong needs at least two processes");
+    assert!(p >= MIN_PROCS, "ping-pong needs at least two processes");
     let mut lat_sum = 0.0;
     let mut bw_sum = 0.0;
     let pairs = p / 2;
@@ -69,7 +72,7 @@ pub fn ping_pong(fabric: &dyn Fabric, cpus: &[CpuId]) -> PatternResult {
 /// contention factor applied to edges that cross nodes.
 fn ring(fabric: &dyn Fabric, order: &[CpuId]) -> PatternResult {
     let p = order.len();
-    assert!(p >= 2, "a ring needs at least two processes");
+    assert!(p >= MIN_PROCS, "a ring needs at least two processes");
     let mut worst_lat: f64 = 0.0;
     let mut worst_edge_time: f64 = 0.0;
     let crossings = order

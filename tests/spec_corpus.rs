@@ -1,8 +1,8 @@
 //! Spec-language conformance corpus.
 //!
-//! `tests/spec_corpus/valid/` holds small specs that must compile;
-//! each pins its compiled plan's shape (`fingerprint`, `points`) in a
-//! `.golden` sidecar. `tests/spec_corpus/invalid/` holds specs that
+//! `tests/spec_corpus/valid/` holds small specs that must compile and
+//! run; each pins its compiled plan's shape (`fingerprint`, `points`)
+//! in a `.golden` sidecar. `tests/spec_corpus/invalid/` holds specs that
 //! must be *rejected*; each pins the exact [`SpecError`] rendering —
 //! line, column, message, and typo suggestion — in its sidecar. The
 //! corpus is the executable definition of the language: a parser or
@@ -21,8 +21,10 @@
 //!
 //! [`SpecError`]: columbia::SpecError
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
+use columbia::obs::RunContext;
 use columbia::SpecJob;
 
 fn corpus_dir(sub: &str) -> PathBuf {
@@ -117,6 +119,23 @@ fn valid_corpus_compiles_and_pins_plan_shapes() {
         updated |= check_sidecar(spec, &actual);
     }
     fail_if_updated(updated);
+}
+
+/// Compiling is not enough: a count that slips past the compiler's
+/// checks only panics once its point runs. Every valid fixture runs at
+/// one job without a simulation error or a panic.
+#[test]
+fn every_valid_fixture_runs() {
+    for spec in spec_files(&corpus_dir("valid")) {
+        let plan = SpecJob::load(&spec)
+            .unwrap_or_else(|e| panic!("valid fixture {} rejected: {e}", spec.display()))
+            .plan;
+        match catch_unwind(AssertUnwindSafe(|| plan.run(&RunContext::new(1), 1))) {
+            Ok(Ok(_)) => {}
+            Ok(Err(e)) => panic!("valid fixture {} failed: {e}", spec.display()),
+            Err(_) => panic!("valid fixture {} panicked", spec.display()),
+        }
+    }
 }
 
 #[test]
