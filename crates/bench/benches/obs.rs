@@ -3,7 +3,8 @@
 //! The engine is generic over `Tracer`, so the untraced
 //! `ring_512_baseline` — `simulate` under the `NullTracer` — carries no
 //! instrumentation (the hooks monomorphize to nothing). The
-//! `RecordingTracer` row measures what a full capture actually costs.
+//! `RecordingTracer` row measures what a full capture actually costs:
+//! the traced run and the bundle `into_bundle` lays out and folds.
 //!
 //! The host-telemetry hooks in the sweep executor carry the same
 //! contract at job granularity: with no capture in the pool's options,
@@ -69,6 +70,7 @@ fn bench_tracer_overhead() {
             &RunContext::new(1),
         )
         .unwrap();
+        std::hint::black_box(tracer.into_bundle("ring"));
     });
 }
 
@@ -171,6 +173,7 @@ fn bench_analysis_cost() {
                 )
                 .unwrap(),
             );
+            std::hint::black_box(t.into_bundle("ring"));
         },
         || {
             std::hint::black_box(columbia::obs::analyze(&bundle));

@@ -3,7 +3,8 @@
 //! and a closed stdout, an output file that cannot be written, an
 //! out-of-range spec value, `--exp` and `--spec` recording the same
 //! manifest, stderr record ordering under degraded runs, and
-//! `--analyze` determinism and schema.
+//! `--analyze` determinism (across `--jobs` and under
+//! `--checkpoint-dir`) and schema.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -395,16 +396,18 @@ faults = { connection_limit = { cards = 1, per_card = 8192, policy = "fail" } }
 #[test]
 fn analyze_is_deterministic_and_schema_complete() {
     let dir = temp_dir("analyze");
-    let run = |jobs: &str, file: &str| -> (Vec<u8>, Value) {
+    let run = |jobs: &str, file: &str, extra: &[&str]| -> (Vec<u8>, Value) {
         let path = dir.join(file);
-        let out = repro(&[
+        let mut args = vec![
             "--exp",
             "table4",
             "--jobs",
             jobs,
             "--analyze",
             path.to_str().unwrap(),
-        ]);
+        ];
+        args.extend_from_slice(extra);
+        let out = repro(&args);
         assert!(
             out.status.success(),
             "{}",
@@ -414,13 +417,29 @@ fn analyze_is_deterministic_and_schema_complete() {
             .expect("analysis JSON parses");
         (out.stdout, doc)
     };
-    let (stdout1, doc1) = run("1", "a1.json");
-    let (stdout4, doc4) = run("4", "a4.json");
+    let (stdout1, doc1) = run("1", "a1.json", &[]);
+    let (stdout4, doc4) = run("4", "a4.json", &[]);
     assert_eq!(stdout1, stdout4, "stdout is jobs-independent");
     assert_eq!(
         serde_json::to_string(&doc1),
         serde_json::to_string(&doc4),
         "analysis export is jobs-independent"
+    );
+    // A resilience flag analyzes the same simulations.
+    let store = dir.join("store");
+    let (stdout_ck, doc_ck) = run(
+        "1",
+        "ack.json",
+        &["--checkpoint-dir", store.to_str().unwrap()],
+    );
+    assert_eq!(
+        stdout1, stdout_ck,
+        "stdout is the same under --checkpoint-dir"
+    );
+    assert_eq!(
+        serde_json::to_string(&doc1),
+        serde_json::to_string(&doc_ck),
+        "analysis export is the same under --checkpoint-dir"
     );
     assert_eq!(
         doc1.get("schema").and_then(Value::as_str),

@@ -267,19 +267,16 @@ pub(crate) fn trace_output(ctx: &RunContext, p: &TraceParams) -> Result<PointOut
     };
     let mut tracer = RecordingTracer::new();
     execute_traced(ctx, &spec, &cfg, &mut tracer)?;
-    let profile = tracer.profile();
-    let metrics = tracer.metrics.clone();
-    // The hotspot table needs the tracer whether or not `ctx` records,
+    // The hotspot table needs the bundle whether or not `ctx` records,
     // so this point records its run itself rather than through
     // `execute_in`.
-    if ctx.records() {
-        ctx.record(tracer.into_bundle(format!(
-            "trace demo: {} ranks over {} nodes (IB)",
-            p.ranks, p.nodes
-        )));
-    }
+    let bundle = tracer.into_bundle(format!(
+        "trace demo: {} ranks over {} nodes (IB)",
+        p.ranks, p.nodes
+    ));
     // Only the rows and notes are kept: the spec's `[report]` names the table.
-    let r = hotspot_report("", "", &profile, &metrics, p.top);
+    let r = hotspot_report("", "", &bundle.profile, &bundle.metrics, p.top);
+    ctx.record(bundle);
     Ok(PointOutput {
         rows: r.rows,
         notes: r.notes,

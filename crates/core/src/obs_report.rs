@@ -170,7 +170,7 @@ mod tests {
     fn hotspots_lead_with_the_most_waiting_rank() {
         let mut m = Metrics::default();
         m.inc("messages_sent", 1);
-        m.add("bytes_sent", 1024);
+        m.inc("bytes_sent", 1024);
         let r = hotspot_report("Trace", "demo", &profile(), &m, 10);
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0][0], "1"); // rank 1 waited 3s, rank 0 none

@@ -30,6 +30,7 @@ use columbia_ins3d::{iteration_seconds, Ins3dConfig};
 use columbia_machine::cluster::{InterNodeFabric, NodeId};
 use columbia_machine::node::NodeKind;
 use columbia_md::scaling::weak_scaling_point_in;
+use columbia_npb::cg::mpi_ranks_pair as cg_mpi_ranks_pair;
 use columbia_npb::perf::MAX_CPUS as NPB_MAX_CPUS;
 use columbia_npb::{gflops_per_cpu, NpbBenchmark, NpbClass, Paradigm};
 use columbia_npbmz::bench::{run as mz_run, MzBenchmark, MzRunConfig};
@@ -74,6 +75,15 @@ fn above(span: Span, what: &str, max: impl Display, why: &str, got: impl Display
         span,
         format!("{what} must be at most {max} ({why}), got {got}"),
     )
+}
+
+/// The entries of the list parameter `key` (a scalar is a one-entry
+/// list), and how a diagnostic names one.
+fn entries<'n>(n: &'n Node, key: &str) -> (&'n [Node], String) {
+    match &n.value {
+        Value::Array(items) => (items.as_slice(), format!("'{key}' entry")),
+        _ => (std::slice::from_ref(n), format!("'{key}'")),
+    }
 }
 
 /// Names for a diagnostic: comma-separated, or `none`.
@@ -258,6 +268,9 @@ const KIND_TABLE: [Kind; 12] = [
             let (node, _) = p.enum_param("node", node_kind, None)?;
             let (par, _) = p.enum_param("paradigm", paradigm, None)?;
             let cpus = p.count_list("cpus", 1, (NPB_MAX_CPUS as usize, "one node's CPUs"))?;
+            if bench == NpbBenchmark::Cg && par == Paradigm::Mpi {
+                p.require_each("cpus", "1 or even (CG pairs MPI ranks)", cg_mpi_ranks_pair)?;
+            }
             let compilers = p.enum_list("compiler", compiler, "7.1")?;
             let names = ["bench", "paradigm", "node", "cpus"];
             Ok(p.measure(&names, &["gflops"], &[], move |ctx| {
@@ -835,17 +848,39 @@ impl<'a> ParamCtx<'a> {
         cap: (usize, &str),
     ) -> Result<Vec<u32>, SpecError> {
         let n = self.get(key).ok_or_else(|| self.missing(key))?;
-        let (items, what) = match &n.value {
-            Value::Array(items) if items.is_empty() => {
-                return Err(invalid(n.span, format!("'{key}' must not be empty")))
-            }
-            Value::Array(items) => (items.as_slice(), format!("'{key}' entry")),
-            _ => (std::slice::from_ref(n), format!("'{key}'")),
-        };
+        if matches!(&n.value, Value::Array(items) if items.is_empty()) {
+            return Err(invalid(n.span, format!("'{key}' must not be empty")));
+        }
+        let (items, what) = entries(n, key);
         items
             .iter()
             .map(|item| Ok(self.count_of(item, &what, min, Some(cap))? as u32))
             .collect()
+    }
+
+    /// Reject the first entry of the count list `key`, read by
+    /// [`ParamCtx::count_list`], that breaks `rule`, at that entry;
+    /// `must` says what the rule asks for.
+    fn require_each(
+        &mut self,
+        key: &'static str,
+        must: &str,
+        rule: impl Fn(usize) -> bool,
+    ) -> Result<(), SpecError> {
+        let Some(n) = self.get(key) else {
+            return Ok(());
+        };
+        let (items, what) = entries(n, key);
+        for item in items {
+            let v = self.int_of(item, &what)?;
+            if !rule(v as usize) {
+                return Err(invalid(
+                    item.span,
+                    format!("{what} must be {must}, got {v}"),
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn take_str(&mut self, key: &'static str) -> Result<Option<(String, Span)>, SpecError> {
@@ -1722,11 +1757,22 @@ stride = [1, 2]
             ("mz", "threads = 64\nnodes = 2\nprocs = 16", None),
             (
                 "npb",
-                "cpus = [4, 0]",
+                "bench = \"MG\"\ncpus = [4, 0]",
                 Some("'cpus' entry must be at least 1"),
             ),
-            ("npb", "cpus = 513", Some("'cpus' must be at most 512")),
-            ("npb", "cpus = [1, 512]", None),
+            (
+                "npb",
+                "bench = \"MG\"\ncpus = 513",
+                Some("'cpus' must be at most 512"),
+            ),
+            ("npb", "bench = \"MG\"\ncpus = [1, 512]", None),
+            ("npb", "bench = \"MG\"\ncpus = 3", None),
+            (
+                "npb",
+                "bench = \"CG\"\ncpus = [2, 3]",
+                Some("'cpus' entry must be 1 or even (CG pairs MPI ranks), got 3"),
+            ),
+            ("npb", "bench = \"CG\"\ncpus = [1, 2, 512]", None),
             ("md-weak", "cpus = 0", Some("'cpus' must be at least 1")),
             ("md-weak", "cpus = 1", None),
             ("stream", "cpus = 0", Some("'cpus' must be at least 1")),
@@ -1794,7 +1840,7 @@ stride = [1, 2]
         for &(kind, params, want) in cases {
             let required = match kind {
                 "mz" => "bench = \"BT-MZ\"\nclass = \"A\"\n",
-                "npb" => "bench = \"MG\"\nclass = \"A\"\nnode = \"BX2b\"\nparadigm = \"MPI\"\n",
+                "npb" => "class = \"A\"\nnode = \"BX2b\"\nparadigm = \"MPI\"\n",
                 "stream" | "beff-in-node" => "node = \"BX2b\"\n",
                 "beff-multi" => "fabric = \"IB\"\n",
                 _ => "",

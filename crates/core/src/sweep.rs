@@ -47,8 +47,7 @@
 //!   checkpointed points without re-running them;
 //! * failures degrade the report to diagnostic rows (one per failed
 //!   point) instead of discarding the sweep, and the whole episode is
-//!   summarized as `sweep.*` counters and a per-point latency
-//!   histogram in a `sweep resilience` bundle when the context records.
+//!   summarized in [`SweepStats`].
 //!
 //! Both run through one body, so a resilient run in which every point
 //! succeeds produces a report **byte-identical** to the strict one's —
@@ -62,7 +61,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use columbia_obs::metrics::Metrics;
 use columbia_obs::{RunContext, TraceBundle};
 use columbia_par::{panic_message, JobFailure, JobStatus, RunOptions};
 use columbia_simnet::SimError;
@@ -463,9 +461,8 @@ impl SweepPlan {
     }
 
     /// The one sweep body. `strict` stops starting points above the
-    /// lowest failure, records only the traces of the points up to it,
-    /// and keeps the `sweep resilience` summary bundle out of `ctx`, so
-    /// a strict run records only its simulations.
+    /// lowest failure and records only the traces of the points up to
+    /// it.
     fn execute(
         self,
         ctx: &RunContext,
@@ -533,12 +530,10 @@ impl SweepPlan {
         let mut outputs = Vec::with_capacity(n);
         let mut traces = Vec::with_capacity(n);
         let mut failures = Vec::new();
-        let mut latencies = Vec::with_capacity(n);
         for (idx, status) in statuses.into_iter().enumerate() {
             let bundles = match status {
                 JobStatus::Done(outcome) => {
                     stats.retries += u64::from(outcome.attempts.saturating_sub(1));
-                    latencies.push(outcome.elapsed);
                     match outcome.result {
                         Ok((Ok(output), bundles)) => {
                             outputs.push(output);
@@ -653,33 +648,6 @@ impl SweepPlan {
                 failure.point(),
                 failure.describe()
             ));
-        }
-
-        if !strict && ctx.records() {
-            let mut metrics = Metrics::new();
-            metrics.inc("sweep.points", stats.points as u64);
-            metrics.inc("sweep.resumed", stats.resumed as u64);
-            metrics.inc("sweep.retries", stats.retries);
-            metrics.inc("sweep.panics", stats.panics);
-            metrics.inc("sweep.timeouts", stats.timeouts);
-            metrics.inc("sweep.failed", stats.failed as u64);
-            metrics.inc("sweep.checkpoint_errors", stats.checkpoint_errors);
-            for elapsed in &latencies {
-                metrics.observe("sweep.point_seconds", elapsed.as_secs_f64());
-            }
-            // Headline latency percentiles, so consumers read the
-            // distribution without re-deriving it from the buckets.
-            if let Some(h) = metrics.histogram("sweep.point_seconds") {
-                let h = h.clone();
-                metrics.gauge("sweep.point_seconds_p50", h.percentile(50.0));
-                metrics.gauge("sweep.point_seconds_p95", h.percentile(95.0));
-                metrics.gauge("sweep.point_seconds_p99", h.percentile(99.0));
-            }
-            ctx.record(TraceBundle {
-                label: format!("sweep resilience: {}", report.id),
-                metrics,
-                ..TraceBundle::default()
-            });
         }
 
         SweepOutcome {

@@ -48,11 +48,22 @@ pub fn profile(class: NpbClass) -> BenchmarkProfile {
     }
 }
 
+/// Whether CG runs under MPI on `np` ranks: its transpose exchange
+/// pairs rank `r` with `(r + np/2) % np`, which pairs every rank only
+/// when `np` is even; a lone rank exchanges with nobody.
+pub fn mpi_ranks_pair(np: usize) -> bool {
+    np == 1 || np.is_multiple_of(2)
+}
+
 /// MPI spec: `iters` outer steps on `np` ranks. Per inner iteration:
 /// the partitioned matvec work, a transpose exchange with the opposite
 /// rank of the processor grid, and the two dot-product allreduces.
+/// `np` must be at least 1 and pass [`mpi_ranks_pair`].
 pub fn spec_mpi(class: NpbClass, np: usize, iters: u32) -> WorkloadSpec {
-    assert!(np >= 1);
+    assert!(
+        np >= 1 && mpi_ranks_pair(np),
+        "CG cannot pair {np} MPI ranks"
+    );
     let prof = profile(class);
     let (n, _, _, _) = size(class);
     let mut spec = WorkloadSpec::with_ranks(np);
@@ -160,6 +171,18 @@ mod tests {
             .count();
         assert_eq!(works, INNER_ITERS as usize);
         assert_eq!(reduces, 2 * INNER_ITERS as usize);
+    }
+
+    #[test]
+    fn only_one_or_an_even_count_of_ranks_pairs() {
+        let pairs: Vec<usize> = (1..=8).filter(|&np| mpi_ranks_pair(np)).collect();
+        assert_eq!(pairs, [1, 2, 4, 6, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "CG cannot pair 3 MPI ranks")]
+    fn an_odd_rank_count_is_refused() {
+        spec_mpi(NpbClass::S, 3, 1);
     }
 
     #[test]

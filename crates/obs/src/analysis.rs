@@ -772,9 +772,8 @@ mod tests {
 
     #[test]
     fn metrics_only_bundle_is_harmless() {
-        // The sweep-resilience summary bundle has metrics but no spans.
         let b = TraceBundle {
-            label: "sweep resilience: X".into(),
+            label: "no spans".into(),
             profile: CommProfile::from_spans(&[], 0),
             ..TraceBundle::default()
         };

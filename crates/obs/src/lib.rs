@@ -8,8 +8,11 @@
 //! * [`tracer`] — a zero-cost-when-disabled [`Tracer`] trait the
 //!   discrete-event engine emits span events through. [`NullTracer`]
 //!   compiles to nothing (the engine is generic over the tracer, so
-//!   the null impl monomorphizes away); [`RecordingTracer`] captures
-//!   per-rank timelines and aggregates [`Metrics`] as it goes.
+//!   the null impl monomorphizes away); [`RecordingTracer`] keeps each
+//!   event in a list of its owner rank, and is the one place that
+//!   decides the *canonical order* (rank by rank, each rank in program
+//!   order) a [`TraceBundle`] is laid out and its [`Metrics`] folded
+//!   in, whatever partition map the engine ran.
 //! * [`metrics`] — a registry of named counters, gauges, and
 //!   log-bucketed latency [`Histogram`]s: messages sent, dropped, and
 //!   retransmitted, bytes per inter-node link, per-rank wait time,
@@ -51,7 +54,6 @@
 //! [`SimOutcome`]: https://docs.rs/columbia-simnet
 
 pub mod analysis;
-pub mod canon;
 pub mod chrome;
 pub mod context;
 pub mod host;
@@ -64,7 +66,6 @@ pub use analysis::{
     analyze, Analysis, Breakdown, Category, CommPair, CriticalPath, Imbalance, PathSegment,
     ANALYSIS_SCHEMA,
 };
-pub use canon::{BufferedEvent, EventBuffer};
 pub use chrome::{chrome_trace_with_flows, chrome_trace_with_host, write_chrome_trace};
 pub use context::RunContext;
 pub use host::{HostCapture, HostReport, HostSpan, HostTrack, PartitionSpan};

@@ -221,11 +221,6 @@ impl Metrics {
         *self.counters.entry(name).or_insert(0) += by;
     }
 
-    /// Alias of [`Metrics::inc`] reading better for byte totals.
-    pub fn add(&mut self, name: &'static str, by: u64) {
-        self.inc(name, by);
-    }
-
     /// Current value of counter `name` (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)

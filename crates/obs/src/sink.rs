@@ -16,19 +16,23 @@ use crate::metrics::Metrics;
 use crate::profile::CommProfile;
 use crate::tracer::{CausalEdge, SpanEvent};
 
-/// Everything recorded about one simulation.
-#[derive(Debug, Clone, Default)]
+/// Everything recorded about one simulation, in the canonical order
+/// [`RecordingTracer`](crate::RecordingTracer) lays it out.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceBundle {
     /// Human label ("bt-mz 256x4", "sim 3", …).
     pub label: String,
-    /// The span stream, in emission order.
+    /// The spans of rank 0, then of rank 1, and so on; each rank's in
+    /// program order.
     pub spans: Vec<SpanEvent>,
-    /// The causal happens-before edges, in emission order.
+    /// The causal happens-before edges, grouped by owner rank in rank
+    /// order (a message edge belongs to its sender, a collective edge
+    /// to its receiver); each rank's in program order.
     pub edges: Vec<CausalEdge>,
     /// Node of each rank (`rank_nodes[r]` is rank `r`'s node), empty
     /// for bundles without a recorded placement.
     pub rank_nodes: Vec<u32>,
-    /// Aggregated counters/histograms.
+    /// Aggregated counters/histograms, folded in the order above.
     pub metrics: Metrics,
     /// The compute/comm/wait attribution.
     pub profile: CommProfile,

@@ -4,10 +4,13 @@
 //! advance of every rank is reported as a [`SpanEvent`]. The
 //! [`NullTracer`] makes all hooks empty inlined functions, so the
 //! traced engine monomorphizes to exactly the untraced one. The
-//! [`RecordingTracer`] stores spans and folds message activity into a
-//! [`Metrics`] registry on the fly.
+//! [`RecordingTracer`] keeps each event in a list of its owner rank
+//! and decides the canonical order a [`TraceBundle`] is laid out and
+//! folded in.
 
 use crate::metrics::Metrics;
+use crate::profile::CommProfile;
+use crate::sink::TraceBundle;
 
 /// What a span of virtual time was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,10 +184,15 @@ pub struct CausalEdge {
 
 /// Instrumentation hooks the simulation engine calls.
 ///
-/// All hooks default to no-ops; implementations override what they
-/// need. Callers may guard expensive argument construction with
-/// [`Tracer::enabled`], which constant-folds for the [`NullTracer`].
-pub trait Tracer {
+/// The event hooks default to no-ops and [`Tracer::enabled`] to `true`;
+/// implementations override what they need. Callers may guard
+/// expensive argument construction with [`Tracer::enabled`], which
+/// constant-folds for the [`NullTracer`]. The engine runs its ranks in
+/// partitions, each recording into a [`Tracer::partition`] recorder of
+/// the caller's type, and hands every rank's events to the caller's
+/// recorder with [`Tracer::take_rank`] when the run stops; partitions
+/// may run on helper threads, hence `Send`.
+pub trait Tracer: Send {
     /// Whether this tracer records anything at all.
     #[inline]
     fn enabled(&self) -> bool {
@@ -221,6 +229,13 @@ pub trait Tracer {
     fn topology(&mut self, rank_nodes: &[u32]) {
         let _ = rank_nodes;
     }
+
+    /// An empty recorder of this type for one partition of a run.
+    fn partition(&self) -> Self;
+
+    /// Move every event `part` recorded for `rank` to the end of this
+    /// recorder's events for `rank`.
+    fn take_rank(&mut self, part: &mut Self, rank: usize);
 }
 
 /// The disabled tracer: every hook is an empty inlined function, so a
@@ -248,24 +263,57 @@ impl Tracer for NullTracer {
 
     #[inline(always)]
     fn topology(&mut self, _: &[u32]) {}
+
+    #[inline(always)]
+    fn partition(&self) -> Self {
+        NullTracer
+    }
+
+    #[inline(always)]
+    fn take_rank(&mut self, _: &mut Self, _: usize) {}
 }
 
-/// Captures the full event stream of a simulation.
+/// Captures the full event stream of a simulation, in canonical order.
 ///
-/// Spans are kept verbatim (in emission order, which is monotone per
-/// rank); message activity is folded into a [`Metrics`] registry as it
-/// arrives, so memory stays proportional to the program size.
+/// The engine's outcomes do not depend on scheduling, but the order in
+/// which it reports events does: its worklist interleaves ranks as they
+/// become runnable, and that changes with the partition map. So each
+/// event is kept in a list of its *owner* rank, in the order it
+/// arrives: a span belongs to its rank, a message and a message edge
+/// to the sender, and a collective edge to the receiver. Every
+/// partition reports each rank's events in that rank's program order,
+/// so the lists do not depend on the partition map, and
+/// [`RecordingTracer::into_bundle`] lays them out rank by rank and
+/// folds them into [`Metrics`] and a [`CommProfile`] in that order —
+/// the *canonical* order, which is why every trace byte is the same at
+/// any thread count. Topology and gauges arrive directly, before any
+/// event. A recorder holds one simulation: a second run's events would
+/// join the first's rank by rank.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingTracer {
-    /// Every span, in emission order.
-    pub spans: Vec<SpanEvent>,
-    /// Every causal edge, in emission order.
-    pub edges: Vec<CausalEdge>,
-    /// Node of each rank, as reported by [`Tracer::topology`].
-    pub rank_nodes: Vec<u32>,
-    /// Aggregated counters and histograms.
-    pub metrics: Metrics,
-    n_ranks: usize,
+    /// Each rank's events, indexed by owner rank.
+    ranks: Vec<RankEvents>,
+    rank_nodes: Vec<u32>,
+    /// The gauges; the event metrics are folded by `into_bundle`.
+    metrics: Metrics,
+}
+
+/// The events one rank owns, each list in arrival order.
+#[derive(Debug, Clone, Default)]
+struct RankEvents {
+    spans: Vec<SpanEvent>,
+    messages: Vec<MessageRecord>,
+    edges: Vec<CausalEdge>,
+}
+
+/// Move `from`'s items to the end of `to`, without a copy when `to` is
+/// empty, as it is for every rank the engine hands over.
+fn move_onto<E>(to: &mut Vec<E>, from: &mut Vec<E>) {
+    if to.is_empty() {
+        std::mem::swap(to, from);
+    } else {
+        to.append(from);
+    }
 }
 
 impl RecordingTracer {
@@ -274,30 +322,56 @@ impl RecordingTracer {
         Self::default()
     }
 
-    /// Number of ranks seen so far (max rank + 1).
-    pub fn n_ranks(&self) -> usize {
-        self.n_ranks
+    /// The lists of `owner`, growing the table so that it also covers
+    /// `other`, the event's other rank: a bundle covers every rank an
+    /// event names.
+    fn lists(&mut self, owner: usize, other: usize) -> &mut RankEvents {
+        let covered = owner.max(other) + 1;
+        if self.ranks.len() < covered {
+            self.ranks.resize_with(covered, RankEvents::default);
+        }
+        &mut self.ranks[owner]
     }
 
-    /// Spans of one rank, in emission (= time) order.
-    pub fn rank_spans(&self, rank: usize) -> impl Iterator<Item = &SpanEvent> {
-        self.spans.iter().filter(move |s| s.rank == rank)
-    }
-
-    /// Build the compute/comm/wait attribution from the recorded spans.
-    pub fn profile(&self) -> crate::profile::CommProfile {
-        crate::profile::CommProfile::from_spans(&self.spans, self.n_ranks)
-    }
-
-    /// Package the recording as a [`TraceBundle`](crate::TraceBundle).
-    pub fn into_bundle(self, label: impl Into<String>) -> crate::TraceBundle {
-        let profile = self.profile();
-        crate::TraceBundle {
+    /// Package the recording as a [`TraceBundle`] in canonical order:
+    /// the spans and edges of rank 0, then of rank 1, and so on, with
+    /// the metrics folded in that order too.
+    pub fn into_bundle(self, label: impl Into<String>) -> TraceBundle {
+        let n_ranks = self.ranks.len().max(self.rank_nodes.len());
+        let mut metrics = self.metrics;
+        let mut spans = Vec::with_capacity(self.ranks.iter().map(|r| r.spans.len()).sum());
+        let mut edges = Vec::with_capacity(self.ranks.iter().map(|r| r.edges.len()).sum());
+        for rank in self.ranks {
+            for s in &rank.spans {
+                match s.kind {
+                    SpanKind::RecvWait => metrics.observe("recv_wait_seconds", s.duration()),
+                    SpanKind::Collective => metrics.observe("collective_seconds", s.duration()),
+                    _ => {}
+                }
+            }
+            for msg in &rank.messages {
+                metrics.inc("messages_sent", 1);
+                metrics.inc("bytes_sent", msg.bytes);
+                if msg.drops > 0 {
+                    metrics.inc("messages_dropped", 1);
+                    metrics.inc("retransmits", msg.drops as u64);
+                }
+                if msg.multiplex_delay > 0.0 {
+                    metrics.inc("messages_multiplexed", 1);
+                }
+                metrics.link_bytes(msg.from_node, msg.to_node, msg.bytes);
+                metrics.observe("message_latency_seconds", msg.latency());
+            }
+            spans.extend(rank.spans);
+            edges.extend(rank.edges);
+        }
+        let profile = CommProfile::from_spans(&spans, n_ranks);
+        TraceBundle {
             label: label.into(),
-            spans: self.spans,
-            edges: self.edges,
+            spans,
+            edges,
             rank_nodes: self.rank_nodes,
-            metrics: self.metrics,
+            metrics,
             profile,
         }
     }
@@ -305,13 +379,7 @@ impl RecordingTracer {
 
 impl Tracer for RecordingTracer {
     fn span(&mut self, rank: usize, kind: SpanKind, start: f64, end: f64) {
-        self.n_ranks = self.n_ranks.max(rank + 1);
-        if kind == SpanKind::RecvWait {
-            self.metrics.observe("recv_wait_seconds", end - start);
-        } else if kind == SpanKind::Collective {
-            self.metrics.observe("collective_seconds", end - start);
-        }
-        self.spans.push(SpanEvent {
+        self.lists(rank, rank).spans.push(SpanEvent {
             rank,
             kind,
             start,
@@ -320,19 +388,7 @@ impl Tracer for RecordingTracer {
     }
 
     fn message(&mut self, msg: &MessageRecord) {
-        self.n_ranks = self.n_ranks.max(msg.from_rank.max(msg.to_rank) + 1);
-        let m = &mut self.metrics;
-        m.inc("messages_sent", 1);
-        m.add("bytes_sent", msg.bytes);
-        if msg.drops > 0 {
-            m.inc("messages_dropped", 1);
-            m.add("retransmits", msg.drops as u64);
-        }
-        if msg.multiplex_delay > 0.0 {
-            m.inc("messages_multiplexed", 1);
-        }
-        m.link_bytes(msg.from_node, msg.to_node, msg.bytes);
-        m.observe("message_latency_seconds", msg.latency());
+        self.lists(msg.from_rank, msg.to_rank).messages.push(*msg);
     }
 
     fn gauge(&mut self, name: &'static str, value: f64) {
@@ -340,46 +396,29 @@ impl Tracer for RecordingTracer {
     }
 
     fn edge(&mut self, edge: &CausalEdge) {
-        self.n_ranks = self.n_ranks.max(edge.src_rank.max(edge.dst_rank) + 1);
-        self.edges.push(*edge);
+        let (owner, other) = match edge.kind {
+            EdgeKind::Message => (edge.src_rank, edge.dst_rank),
+            EdgeKind::Collective => (edge.dst_rank, edge.src_rank),
+        };
+        self.lists(owner, other).edges.push(*edge);
     }
 
     fn topology(&mut self, rank_nodes: &[u32]) {
         self.rank_nodes = rank_nodes.to_vec();
-        self.n_ranks = self.n_ranks.max(rank_nodes.len());
-    }
-}
-
-/// Forwarding impl so engine entry points can take `&mut T`.
-impl<T: Tracer + ?Sized> Tracer for &mut T {
-    #[inline]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
     }
 
-    #[inline]
-    fn span(&mut self, rank: usize, kind: SpanKind, start: f64, end: f64) {
-        (**self).span(rank, kind, start, end)
+    fn partition(&self) -> Self {
+        RecordingTracer::new()
     }
 
-    #[inline]
-    fn message(&mut self, msg: &MessageRecord) {
-        (**self).message(msg)
-    }
-
-    #[inline]
-    fn gauge(&mut self, name: &'static str, value: f64) {
-        (**self).gauge(name, value)
-    }
-
-    #[inline]
-    fn edge(&mut self, edge: &CausalEdge) {
-        (**self).edge(edge)
-    }
-
-    #[inline]
-    fn topology(&mut self, rank_nodes: &[u32]) {
-        (**self).topology(rank_nodes)
+    fn take_rank(&mut self, part: &mut Self, rank: usize) {
+        let Some(from) = part.ranks.get_mut(rank) else {
+            return;
+        };
+        let to = self.lists(rank, rank);
+        move_onto(&mut to.spans, &mut from.spans);
+        move_onto(&mut to.messages, &mut from.messages);
+        move_onto(&mut to.edges, &mut from.edges);
     }
 }
 
@@ -387,13 +426,36 @@ impl<T: Tracer + ?Sized> Tracer for &mut T {
 mod tests {
     use super::*;
 
+    fn msg(from: usize, to: usize) -> MessageRecord {
+        MessageRecord {
+            from_rank: from,
+            to_rank: to,
+            from_node: 0,
+            to_node: 0,
+            bytes: 8,
+            wire_time: 1e-6,
+            drops: 0,
+            retransmit_delay: 0.0,
+            multiplex_delay: 0.0,
+        }
+    }
+
+    fn edge(kind: EdgeKind, src: usize, dst: usize) -> CausalEdge {
+        CausalEdge {
+            kind,
+            src_rank: src,
+            src_time: 0.0,
+            dst_rank: dst,
+            dst_time: 1e-6,
+            bytes: 8,
+            wire_time: 1e-6,
+            fault_delay: 0.0,
+        }
+    }
+
     #[test]
     fn null_tracer_is_disabled() {
         assert!(!NullTracer.enabled());
-        // And stays inert through the forwarding impl.
-        let mut t = NullTracer;
-        let fwd = &mut t;
-        assert!(!fwd.enabled());
     }
 
     #[test]
@@ -412,13 +474,14 @@ mod tests {
             retransmit_delay: 3e-4,
             multiplex_delay: 0.0,
         });
-        assert_eq!(t.spans.len(), 2);
-        assert_eq!(t.n_ranks(), 2);
-        assert_eq!(t.metrics.counter("messages_sent"), 1);
-        assert_eq!(t.metrics.counter("messages_dropped"), 1);
-        assert_eq!(t.metrics.counter("retransmits"), 2);
-        assert_eq!(t.metrics.counter("bytes_sent"), 4096);
-        assert_eq!(t.rank_spans(1).count(), 1);
+        let b = t.into_bundle("demo");
+        assert_eq!(b.spans.len(), 2);
+        assert_eq!(b.profile.ranks.len(), 2);
+        assert_eq!(b.metrics.counter("messages_sent"), 1);
+        assert_eq!(b.metrics.counter("messages_dropped"), 1);
+        assert_eq!(b.metrics.counter("retransmits"), 2);
+        assert_eq!(b.metrics.counter("bytes_sent"), 4096);
+        assert_eq!(b.metrics.histogram("recv_wait_seconds").unwrap().count(), 1);
     }
 
     #[test]
@@ -435,14 +498,82 @@ mod tests {
             wire_time: 1.5e-5,
             fault_delay: 0.0,
         });
-        assert_eq!(t.rank_nodes, vec![0, 0, 1]);
-        assert_eq!(t.edges.len(), 1);
-        assert_eq!(t.n_ranks(), 3);
         let bundle = t.into_bundle("demo");
         assert_eq!(bundle.edges.len(), 1);
         assert_eq!(bundle.rank_nodes, vec![0, 0, 1]);
+        assert_eq!(bundle.profile.ranks.len(), 3);
         assert_eq!(bundle.edges[0].kind.name(), "message");
         assert_eq!(EdgeKind::Collective.name(), "collective");
+    }
+
+    #[test]
+    fn a_bundle_covers_every_rank_an_event_names() {
+        // No topology: the receiver of rank 0's message is the highest
+        // rank named.
+        let mut t = RecordingTracer::new();
+        t.span(0, SpanKind::Send, 0.0, 1e-6);
+        t.message(&msg(0, 3));
+        assert_eq!(t.into_bundle("demo").profile.ranks.len(), 4);
+    }
+
+    /// Scrambled events, the way one partition's worklist reports them:
+    /// ranks interleaved, each rank's own events in program order.
+    fn hook_scrambled<T: Tracer>(t: &mut T) {
+        t.span(2, SpanKind::Compute, 0.0, 1.0);
+        t.span(0, SpanKind::Compute, 0.0, 2.0);
+        t.message(&msg(1, 0));
+        t.edge(&edge(EdgeKind::Message, 1, 0)); // owner: src rank 1
+        t.edge(&edge(EdgeKind::Collective, 2, 0)); // owner: dst rank 0
+        t.span(0, SpanKind::Send, 2.0, 2.1);
+        t.span(2, SpanKind::RecvWait, 1.0, 1.5);
+    }
+
+    #[test]
+    fn events_come_out_rank_major_in_each_ranks_order() {
+        let mut t = RecordingTracer::new();
+        t.topology(&[0, 0, 1]);
+        hook_scrambled(&mut t);
+        let b = t.into_bundle("demo");
+        assert_eq!(b.rank_nodes, vec![0, 0, 1]);
+        // Rank 0's two spans in hook order, then rank 2's.
+        let got: Vec<(usize, SpanKind)> = b.spans.iter().map(|s| (s.rank, s.kind)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, SpanKind::Compute),
+                (0, SpanKind::Send),
+                (2, SpanKind::Compute),
+                (2, SpanKind::RecvWait),
+            ]
+        );
+        // Rank 0 owns the collective edge, rank 1 the message edge.
+        assert_eq!(b.edges[0].kind, EdgeKind::Collective);
+        assert_eq!(b.edges[1].kind, EdgeKind::Message);
+        assert_eq!(b.metrics.counter("messages_sent"), 1);
+    }
+
+    #[test]
+    fn partition_recorders_handed_over_give_the_same_bundle() {
+        let mut whole = RecordingTracer::new();
+        whole.topology(&[0, 0, 1]);
+        hook_scrambled(&mut whole);
+
+        // The same events split by owner over two partitions: ranks 0
+        // and 1 in one, rank 2 in the other.
+        let mut merged = RecordingTracer::new();
+        merged.topology(&[0, 0, 1]);
+        let (mut a, mut b) = (merged.partition(), merged.partition());
+        a.span(0, SpanKind::Compute, 0.0, 2.0);
+        b.span(2, SpanKind::Compute, 0.0, 1.0);
+        a.message(&msg(1, 0));
+        a.edge(&edge(EdgeKind::Message, 1, 0));
+        b.span(2, SpanKind::RecvWait, 1.0, 1.5);
+        a.edge(&edge(EdgeKind::Collective, 2, 0));
+        a.span(0, SpanKind::Send, 2.0, 2.1);
+        merged.take_rank(&mut a, 0);
+        merged.take_rank(&mut a, 1);
+        merged.take_rank(&mut b, 2);
+        assert_eq!(merged.into_bundle("demo"), whole.into_bundle("demo"));
     }
 
     #[test]

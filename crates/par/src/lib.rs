@@ -61,7 +61,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use columbia_obs::host::{HostCapture, HostTrack};
 use serde_json::Value;
@@ -102,7 +102,7 @@ impl std::fmt::Display for JobFailure {
     }
 }
 
-/// What one governed job produced, and what it cost.
+/// What one governed job produced, and how many attempts it took.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome<T> {
     /// The job's value, or its typed failure after every attempt was
@@ -110,9 +110,6 @@ pub struct JobOutcome<T> {
     pub result: Result<T, JobFailure>,
     /// Attempts made (1 = first try succeeded; retries = attempts - 1).
     pub attempts: u32,
-    /// Wall clock from first attempt start to settlement (includes
-    /// backoff sleeps between retries).
-    pub elapsed: Duration,
 }
 
 /// Per-job status of a governed run.
@@ -304,13 +301,12 @@ where
 /// Run one governed job to settlement: attempt (inline, or on a
 /// watchdog-supervised thread when a deadline is set), retry on panic
 /// or deadline overrun with deterministic backoff, and report the
-/// final result plus attempt count and wall clock.
+/// final result plus attempt count.
 fn settle_job<T, F>(job: &Arc<F>, index: usize, opts: &RunOptions) -> JobOutcome<T>
 where
     T: Send + 'static,
     F: Fn() -> T + Send + Sync + 'static,
 {
-    let start = Instant::now();
     let mut attempts = 0u32;
     loop {
         attempts += 1;
@@ -325,7 +321,6 @@ where
                 return JobOutcome {
                     result: Ok(t),
                     attempts,
-                    elapsed: start.elapsed(),
                 }
             }
             Err(failure) => {
@@ -350,7 +345,6 @@ where
                 return JobOutcome {
                     result: Err(failure),
                     attempts,
-                    elapsed: start.elapsed(),
                 };
             }
         }
@@ -409,7 +403,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
     use std::sync::Barrier;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// Each job's result in index order, from a run with default
     /// options (without fail-fast every job settles).
@@ -544,7 +538,7 @@ mod tests {
     fn parallelism_is_real() {
         // With 4 workers, 4 sleeping jobs overlap: total wall clock is
         // well under the serial sum. (Generous bound for slow CI.)
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         values(
             4,
             (0..4)

@@ -26,20 +26,19 @@
 //! [`crate::pdes`]: it runs ranks in one partition per worker, in
 //! whole-node blocks, and its outcomes and traces are bit-identical at
 //! every thread count. This module holds the entry point and the
-//! per-op helpers the loop applies. It is generic over the
-//! tracer, the fabric and the program representation, so under the
-//! [`NullTracer`] the instrumentation compiles away, per-message cost
-//! calls inline (pair the fabric with [`crate::fabric::CachedFabric`]
-//! for table lookups), and SPMD workloads share one
+//! per-op helpers the loop applies. It is generic over the tracer,
+//! the fabric and the program representation, so under the
+//! [`NullTracer`](columbia_obs::NullTracer) the instrumentation
+//! compiles away, per-message cost calls inline (pair the fabric with
+//! [`crate::fabric::CachedFabric`] for table lookups), and SPMD
+//! workloads share one
 //! [`crate::program::ProgramSet`] template. [`simulate_on`] and
 //! [`crate::pdes::simulate_parallel_on`] are its untraced shorthands.
 
 use std::collections::HashMap;
 
 use columbia_machine::cluster::CpuId;
-use columbia_obs::{
-    CausalEdge, EdgeKind, EventBuffer, MessageRecord, NullTracer, RunContext, SpanKind, Tracer,
-};
+use columbia_obs::{CausalEdge, EdgeKind, MessageRecord, RunContext, SpanKind, Tracer};
 
 use crate::collectives;
 use crate::error::SimError;
@@ -487,16 +486,15 @@ where
             })
             .collect()
     };
-    let host = ctx.host();
-    if tracer.enabled() {
-        run_partitioned::<T, IndexedMailbox, P, F, EventBuffer>(
-            programs, cpus, fabric, plan, tracer, &part_of, host,
-        )
-    } else {
-        run_partitioned::<T, IndexedMailbox, P, F, NullTracer>(
-            programs, cpus, fabric, plan, tracer, &part_of, host,
-        )
-    }
+    run_partitioned::<T, IndexedMailbox, P, F>(
+        programs,
+        cpus,
+        fabric,
+        plan,
+        tracer,
+        &part_of,
+        ctx.host(),
+    )
 }
 
 /// [`simulate`] on one thread, untraced.
@@ -866,12 +864,12 @@ mod tests {
         let progs = mixed_progs(8);
         for plan in [FaultPlan::none(), FaultPlan::with_drops(7, 0.3)] {
             let indexed = simulate_on(&progs, &place(8), &fabric(), &plan).unwrap();
-            let reference = run_partitioned::<_, ReferenceMailbox, _, _, NullTracer>(
+            let reference = run_partitioned::<_, ReferenceMailbox, _, _>(
                 &progs,
                 &place(8),
                 &fabric(),
                 &plan,
-                &mut NullTracer,
+                &mut columbia_obs::NullTracer,
                 &[0; 8],
                 None,
             )
@@ -1098,8 +1096,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plain, traced);
-        assert!(!tracer.spans.is_empty());
-        assert_eq!(tracer.n_ranks(), 8);
+        let bundle = tracer.into_bundle("test");
+        assert!(!bundle.spans.is_empty());
+        assert_eq!(bundle.profile.ranks.len(), 8);
     }
 
     #[test]
@@ -1115,12 +1114,14 @@ mod tests {
             &RunContext::new(1),
         )
         .unwrap();
+        let bundle = tracer.into_bundle("test");
         for (r, rank) in out.ranks.iter().enumerate() {
             let mut cursor = 0.0;
             let mut sum = 0.0;
-            for s in tracer
-                .rank_spans(r)
-                .filter(|s| s.kind.track() == Track::Cpu)
+            for s in bundle
+                .spans
+                .iter()
+                .filter(|s| s.rank == r && s.kind.track() == Track::Cpu)
             {
                 assert!(
                     s.start >= cursor - 1e-12,
@@ -1153,19 +1154,20 @@ mod tests {
             &RunContext::new(1),
         )
         .unwrap();
+        let bundle = tracer.into_bundle("join test");
         // Placement is recorded for every rank.
-        assert_eq!(tracer.rank_nodes.len(), 8);
+        assert_eq!(bundle.rank_nodes.len(), 8);
         // Every blocking span's end is the arrival/release time of
         // exactly the edge that caused it — the analyzer joins on the
         // raw f64 bits, so the match must be exact, not approximate.
-        for s in &tracer.spans {
+        for s in &bundle.spans {
             let want = match s.kind {
                 SpanKind::RecvWait => EdgeKind::Message,
                 SpanKind::Collective => EdgeKind::Collective,
                 _ => continue,
             };
             assert!(
-                tracer.edges.iter().any(|e| e.kind == want
+                bundle.edges.iter().any(|e| e.kind == want
                     && e.dst_rank == s.rank
                     && e.dst_time.to_bits() == s.end.to_bits()),
                 "no {want:?} edge arriving at rank {} t={} (bits) for span {s:?}",
@@ -1175,14 +1177,14 @@ mod tests {
         }
         // One message edge per delivered message, each carrying its
         // payload and a nonnegative fault tail bounded by the hop.
-        let messages: Vec<_> = tracer
+        let messages: Vec<_> = bundle
             .edges
             .iter()
             .filter(|e| e.kind == EdgeKind::Message)
             .collect();
         assert_eq!(
             messages.len() as u64,
-            tracer.metrics.counter("messages_sent")
+            bundle.metrics.counter("messages_sent")
         );
         for e in &messages {
             assert!(e.bytes > 0);
@@ -1196,7 +1198,7 @@ mod tests {
         );
         // And the analyzer closes the loop: the extracted critical
         // path accounts for the whole makespan.
-        let analysis = columbia_obs::analyze(&tracer.into_bundle("join test"));
+        let analysis = columbia_obs::analyze(&bundle);
         let cp = &analysis.critical_path;
         assert!(!cp.truncated);
         assert!(
@@ -1223,23 +1225,24 @@ mod tests {
         )
         .unwrap();
         assert!(out.faults.dropped_messages > 0);
-        let backoffs = tracer
+        let bundle = tracer.into_bundle("test");
+        let backoffs = bundle
             .spans
             .iter()
             .filter(|s| s.kind == SpanKind::RetransmitBackoff)
             .count() as u64;
         assert_eq!(backoffs, out.faults.dropped_messages);
-        assert_eq!(tracer.metrics.counter("messages_sent"), 16);
+        assert_eq!(bundle.metrics.counter("messages_sent"), 16);
         assert_eq!(
-            tracer.metrics.counter("messages_dropped"),
+            bundle.metrics.counter("messages_dropped"),
             out.faults.dropped_messages
         );
         assert_eq!(
-            tracer.metrics.counter("retransmits"),
+            bundle.metrics.counter("retransmits"),
             out.faults.drop_events
         );
-        assert_eq!(tracer.metrics.counter("bytes_sent"), 16 * (1 << 16));
-        let lat = tracer.metrics.histogram("message_latency_seconds").unwrap();
+        assert_eq!(bundle.metrics.counter("bytes_sent"), 16 * (1 << 16));
+        let lat = bundle.metrics.histogram("message_latency_seconds").unwrap();
         assert_eq!(lat.count(), 16);
     }
 
@@ -1257,16 +1260,17 @@ mod tests {
         let mut tracer = RecordingTracer::new();
         let out = simulate(&progs, &cpus, &f, &plan, &mut tracer, &RunContext::new(1)).unwrap();
         assert!(out.faults.multiplexed_messages > 0);
-        let mux_spans = tracer
+        let bundle = tracer.into_bundle("test");
+        let mux_spans = bundle
             .spans
             .iter()
             .filter(|s| s.kind == SpanKind::MultiplexQueue)
             .count() as u64;
         assert_eq!(mux_spans, out.faults.multiplexed_messages);
-        let occ = tracer.metrics.gauge_value("connection_occupancy").unwrap();
+        let occ = bundle.metrics.gauge_value("connection_occupancy").unwrap();
         assert!((occ - out.faults.oversubscription).abs() < 1e-12);
         // Cross-node traffic shows up in the per-link byte ledger.
-        assert!(tracer
+        assert!(bundle
             .metrics
             .links_by_bytes()
             .iter()
@@ -1286,7 +1290,7 @@ mod tests {
             &RunContext::new(1),
         )
         .unwrap();
-        let profile = tracer.profile();
+        let profile = tracer.into_bundle("test").profile;
         assert!((profile.makespan - out.makespan).abs() < 1e-9);
         for (r, rank) in out.ranks.iter().enumerate() {
             let p = &profile.ranks[r];

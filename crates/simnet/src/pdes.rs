@@ -44,9 +44,13 @@
 //! * *Faults*: drop sampling keys off `(from, to, tag, seq)` and the
 //!   per-channel `seq` lives with the sender's partition; `f64` fault
 //!   sums accumulate per rank and fold in rank order.
-//! * *Traces*: each event has one owner rank, and every partition
-//!   stages each rank's stream in program order; the streams are
-//!   replayed in rank order (see `columbia_obs::canon`).
+//! * *Traces*: each partition records into a recorder of the caller's
+//!   tracer type ([`Tracer::partition`]), which keeps each event in a
+//!   list of its owner rank, in that rank's program order. When the
+//!   rounds stop, on success or on any error, each rank's lists move
+//!   from the partition that owns the rank to the caller's recorder
+//!   ([`Tracer::take_rank`]), which lays them out in canonical order
+//!   (see `columbia_obs::RecordingTracer`).
 //!
 //! The one schedule-dependent quantity is the scheduler-event *count*
 //! (`FaultStats::events`, re-examinations of blocked ops). Within a
@@ -107,7 +111,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, Thread};
 
 use columbia_machine::cluster::CpuId;
-use columbia_obs::{EventBuffer, HostCapture, NullTracer, RunContext, Tracer};
+use columbia_obs::{HostCapture, NullTracer, RunContext, Tracer};
 
 use crate::engine::{
     apply_collective_release, apply_compute, charge_send, collective_cost, collective_mismatch,
@@ -151,33 +155,9 @@ struct Staged {
     arrival: f64,
 }
 
-/// Per-partition staging sink for trace events: the real
-/// [`EventBuffer`] when tracing, the [`NullTracer`] (all hooks
-/// compile away) when not.
-pub(crate) trait StageSink: Tracer + Send {
-    fn for_ranks(n: usize) -> Self;
-    fn replay_rank_to<T: Tracer + ?Sized>(&self, r: usize, out: &mut T);
-}
-
-impl StageSink for NullTracer {
-    fn for_ranks(_n: usize) -> Self {
-        NullTracer
-    }
-    fn replay_rank_to<T: Tracer + ?Sized>(&self, _r: usize, _out: &mut T) {}
-}
-
-impl StageSink for EventBuffer {
-    fn for_ranks(n: usize) -> Self {
-        EventBuffer::new(n)
-    }
-    fn replay_rank_to<T: Tracer + ?Sized>(&self, r: usize, out: &mut T) {
-        self.replay_rank(r, out);
-    }
-}
-
 /// One partition's ranks plus everything needed to run them
 /// independently between round barriers.
-struct Partition<B, M> {
+struct Partition<T, M> {
     /// The states of the global ranks owned, ascending; a rank's local
     /// index is its position here.
     states: Vec<RankState>,
@@ -205,14 +185,14 @@ struct Partition<B, M> {
     outbox: Vec<Vec<Staged>>,
     events: u64,
     over_budget: bool,
-    /// Per-rank trace staging, merged canonically at the end.
-    buf: B,
+    /// This partition's recorder, of the caller's tracer type.
+    trace: T,
 }
 
-impl<B: StageSink, M: MailboxOps> Partition<B, M> {
+impl<T: Tracer, M: MailboxOps> Partition<T, M> {
     /// A partition owning the ranks of `states`, all runnable, out of
-    /// `n` ranks in `n_parts` partitions.
-    fn new(states: Vec<RankState>, n: usize, n_parts: usize) -> Self {
+    /// `n` ranks in `n_parts` partitions, recording into `trace`.
+    fn new(states: Vec<RankState>, n: usize, n_parts: usize, trace: T) -> Self {
         let k = states.len();
         Partition {
             states,
@@ -227,7 +207,7 @@ impl<B: StageSink, M: MailboxOps> Partition<B, M> {
             outbox: (0..n_parts).map(|_| Vec::new()).collect(),
             events: 0,
             over_budget: false,
-            buf: B::for_ranks(n),
+            trace,
         }
     }
 }
@@ -282,34 +262,19 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Rank `r`'s state, read from its owner partition.
-fn state_of<G, B, M>(parts: &[G], slot_of: &[(u32, u32)], r: usize) -> RankState
+fn state_of<G, T, M>(parts: &[G], slot_of: &[(u32, u32)], r: usize) -> RankState
 where
-    G: Deref<Target = Partition<B, M>>,
+    G: Deref<Target = Partition<T, M>>,
 {
     let (p, li) = slot_of[r];
     parts[p as usize].states[li as usize]
 }
 
-/// Replay every rank's staged trace events into `tracer` in rank order:
-/// per-rank streams are in program order in their owner partition's
-/// buffer, so this yields the canonical stream for any partition map.
-fn replay<T: Tracer, B: StageSink, M>(
-    parts: &[&mut Partition<B, M>],
-    part_of: &[u32],
-    tracer: &mut T,
-) {
-    if tracer.enabled() {
-        for (r, &p) in part_of.iter().enumerate() {
-            parts[p as usize].buf.replay_rank_to(r, tracer);
-        }
-    }
-}
-
 /// The rounds of [`simulate`] over the partitions `part_of` assigns
 /// (numbered from 0 without gaps), one worker each; a multi-partition
-/// run records its rounds into `host` if given. The drained trace
-/// stream is the same for every partition map.
-pub(crate) fn run_partitioned<T, M, P, F, B>(
+/// run records its rounds into `host` if given. The events handed to
+/// `tracer` are the same for every partition map.
+pub(crate) fn run_partitioned<T, M, P, F>(
     programs: &P,
     cpus: &[CpuId],
     base_fabric: &F,
@@ -323,7 +288,6 @@ where
     M: MailboxOps + Send,
     P: Programs + ?Sized + Sync,
     F: Fabric + ?Sized + Sync,
-    B: StageSink,
 {
     let n = cpus.len();
     let n_parts = part_of.iter().max().map_or(1, |&p| p as usize + 1);
@@ -348,9 +312,9 @@ where
             ..RankState::default()
         });
     }
-    let mut partitions: Vec<Mutex<Partition<B, M>>> = members
+    let mut partitions: Vec<Mutex<Partition<T, M>>> = members
         .into_iter()
-        .map(|states| Mutex::new(Partition::new(states, n, n_parts)))
+        .map(|states| Mutex::new(Partition::new(states, n, n_parts, tracer.partition())))
         .collect();
     let world = World {
         programs,
@@ -392,13 +356,20 @@ where
         })
     };
 
-    let parts: Vec<&mut Partition<B, M>> = partitions
+    let mut parts: Vec<&mut Partition<T, M>> = partitions
         .iter_mut()
         .map(|m| {
             m.get_mut()
                 .expect("the scope re-raises a panicked round before this")
         })
         .collect();
+    // Every way the rounds stop hands the recorded events over, so a
+    // failed run leaves its partial timeline too.
+    if traced {
+        for (r, &p) in part_of.iter().enumerate() {
+            tracer.take_rank(&mut parts[p as usize].trace, r);
+        }
+    }
     let slot_of = &world.slot_of[..];
     match stop {
         Stop::Quiescent => {}
@@ -407,14 +378,12 @@ where
             // that whenever the summed count crosses the budget, so the
             // error is the same for every partition map (the trace
             // prefix on this path is not).
-            replay(&parts, part_of, tracer);
             return Err(SimError::WatchdogTimeout {
                 events: world.event_budget + 1,
                 budget: world.event_budget,
             });
         }
         Stop::Mismatch => {
-            replay(&parts, part_of, tracer);
             let seq = state_of(&parts, slot_of, 0).coll_seq;
             return Err(collective_mismatch(n, seq, |r| {
                 programs
@@ -423,8 +392,6 @@ where
             }));
         }
     }
-
-    replay(&parts, part_of, tracer);
 
     let mut ranks = vec![RankResult::default(); n];
     let mut stuck: Vec<PendingOp> = Vec::new();
@@ -555,13 +522,13 @@ impl Drop for Finish<'_> {
 
 /// A helper thread: run partition `own` once per round the leader
 /// starts, until the leader quits.
-fn help<B, M, P, F>(
-    part: &Mutex<Partition<B, M>>,
+fn help<T, M, P, F>(
+    part: &Mutex<Partition<T, M>>,
     own: u32,
     world: &World<'_, P, F>,
     handoff: &Handoff,
 ) where
-    B: StageSink,
+    T: Tracer,
     M: MailboxOps,
     P: Programs + ?Sized,
     F: Fabric + ?Sized,
@@ -584,14 +551,14 @@ fn help<B, M, P, F>(
 /// The calling thread's side of a run: partition 0's rounds, each
 /// followed by the leader phase, until the rounds stop. `crew` is the
 /// helpers running the other partitions, if any.
-fn lead<B, M, P, F>(
-    partitions: &[Mutex<Partition<B, M>>],
+fn lead<T, M, P, F>(
+    partitions: &[Mutex<Partition<T, M>>],
     world: &World<'_, P, F>,
     crew: Option<&Crew<'_>>,
     traced: bool,
 ) -> Stop
 where
-    B: StageSink,
+    T: Tracer,
     M: MailboxOps,
     P: Programs + ?Sized,
     F: Fabric + ?Sized,
@@ -622,13 +589,13 @@ where
 
 /// Run partition `own`'s round `round` and, in a multi-partition run
 /// under host capture, record it on the partition's lane.
-fn run_round<B, M, P, F>(
-    part: &mut Partition<B, M>,
+fn run_round<T, M, P, F>(
+    part: &mut Partition<T, M>,
     own: u32,
     round: usize,
     world: &World<'_, P, F>,
 ) where
-    B: StageSink,
+    T: Tracer,
     M: MailboxOps,
     P: Programs + ?Sized,
     F: Fabric + ?Sized,
@@ -646,14 +613,14 @@ fn run_round<B, M, P, F>(
 /// the canonical lane drain, the collective release and the quiescence
 /// test. Returns why the rounds stop, if they do, and how many
 /// cross-partition messages it delivered.
-fn leader_phase<G, B, M, P, F>(
+fn leader_phase<G, T, M, P, F>(
     parts: &mut [G],
     world: &World<'_, P, F>,
     traced: bool,
 ) -> (Option<Stop>, u64)
 where
-    G: DerefMut<Target = Partition<B, M>>,
-    B: StageSink,
+    G: DerefMut<Target = Partition<T, M>>,
+    T: Tracer,
     M: MailboxOps,
     P: Programs + ?Sized,
     F: Fabric + ?Sized,
@@ -727,7 +694,7 @@ where
             for (li, state) in part.states.iter_mut().enumerate() {
                 let r = state.rank;
                 apply_collective_release(
-                    &mut part.buf,
+                    &mut part.trace,
                     state,
                     r,
                     start,
@@ -758,12 +725,12 @@ where
 /// remote input (an empty channel or a collective) or finished — the
 /// worker half of a round.
 #[inline]
-fn run_until_blocked<M, P, F, B>(part: &mut Partition<B, M>, own: u32, world: &World<'_, P, F>)
+fn run_until_blocked<M, P, F, T>(part: &mut Partition<T, M>, own: u32, world: &World<'_, P, F>)
 where
     M: MailboxOps,
     P: Programs + ?Sized,
     F: Fabric + ?Sized,
-    B: StageSink,
+    T: Tracer,
 {
     let (programs, cpus, plan) = (world.programs, world.cpus, world.plan);
     // Each pop executes at least one op or blocks; total ops bound the
@@ -784,7 +751,7 @@ where
             match op {
                 Op::Compute(secs) => {
                     apply_compute(
-                        &mut part.buf,
+                        &mut part.trace,
                         &mut part.states[li],
                         r,
                         secs * plan.compute_factor(cpus[r]),
@@ -795,7 +762,7 @@ where
                     part.states[li].pc += 1;
                 }
                 Op::Recv { from, tag } => match part.mailbox.pop(from, r, tag) {
-                    Some(arrival) => finish_recv(&mut part.buf, &mut part.states[li], r, arrival),
+                    Some(arrival) => finish_recv(&mut part.trace, &mut part.states[li], r, arrival),
                     None => break, // blocked: the send is remote or future
                 },
                 Op::Exchange { with, bytes, tag } => {
@@ -810,7 +777,7 @@ where
                     match part.mailbox.pop(with, r, tag) {
                         Some(arrival) => {
                             state.half_sent = false;
-                            finish_recv(&mut part.buf, state, r, arrival);
+                            finish_recv(&mut part.trace, state, r, arrival);
                         }
                         None => {
                             state.half_sent = true;
@@ -844,8 +811,8 @@ where
 /// `(from, to, tag, seq)` identities under every partition map.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn post_send_partitioned<M, P, F, B>(
-    part: &mut Partition<B, M>,
+fn post_send_partitioned<M, P, F, T>(
+    part: &mut Partition<T, M>,
     world: &World<'_, P, F>,
     own: u32,
     li: usize,
@@ -857,11 +824,11 @@ fn post_send_partitioned<M, P, F, B>(
     M: MailboxOps,
     P: ?Sized,
     F: Fabric + ?Sized,
-    B: StageSink,
+    T: Tracer,
 {
     let seq = part.mailbox.next_seq(r, to, tag);
     let arrival = charge_send(
-        &mut part.buf,
+        &mut part.trace,
         &world.fabric,
         world.plan,
         world.cpus,
@@ -1017,10 +984,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.makespan.to_bits(), p.makespan.to_bits());
-        assert_eq!(serial.spans, parallel.spans);
-        assert_eq!(serial.edges, parallel.edges);
-        assert_eq!(serial.rank_nodes, parallel.rank_nodes);
-        assert_eq!(serial.metrics, parallel.metrics);
+        assert_eq!(serial.into_bundle("run"), parallel.into_bundle("run"));
     }
 
     #[test]

@@ -207,10 +207,11 @@ proptest! {
         // Tracing never perturbs the simulation.
         let plain = simulate_on(&programs, &cpus, &fabric(), &plan).unwrap();
         prop_assert_eq!(&plain, &traced);
+        let bundle = tracer.into_bundle("run");
         for (r, rank) in traced.ranks.iter().enumerate() {
             let mut cursor = 0.0f64;
             let mut sum = 0.0f64;
-            for s in tracer.rank_spans(r).filter(|s| s.kind.track() == Track::Cpu) {
+            for s in bundle.spans.iter().filter(|s| s.rank == r && s.kind.track() == Track::Cpu) {
                 prop_assert!(s.end >= s.start, "negative span {s:?}");
                 prop_assert!(
                     s.start >= cursor - 1e-12,

@@ -16,7 +16,6 @@ use columbia::obs::{
     analyze, write_chrome_trace, Analysis, CommProfile, CriticalPath, Metrics, RunContext,
     SpanEvent, SpanKind, TraceBundle,
 };
-use columbia::sweep::{PointOutput, ResilienceOptions, SweepPlan};
 use serde_json::Value;
 
 /// Capture every simulation experiment `name` runs at the given
@@ -75,56 +74,6 @@ fn critical_path_accounts_for_every_captured_makespan() {
         assert!(a.imbalance.max_busy <= cp.makespan * (1.0 + 1e-9));
         assert!((0.0..=1.0).contains(&a.imbalance.idle_fraction));
     }
-}
-
-/// The sweep-resilience summary bundle reports its point-latency
-/// distribution as p50/p95/p99 gauges derived from
-/// `Histogram::percentile`, not just raw decade buckets.
-#[test]
-fn sweep_resilience_summary_carries_latency_percentile_gauges() {
-    let ctx = RunContext::new(1).with_traces();
-    let mut plan = SweepPlan::new("percentiles", "resilience summary", &["x"]);
-    for i in 0..8u64 {
-        plan.point_ok(move |_| {
-            // Spread of real (tiny) wall-clock work so the histogram
-            // has a distribution to summarize.
-            std::thread::sleep(std::time::Duration::from_micros(50 * (i + 1)));
-            PointOutput::default()
-        });
-    }
-    let outcome = plan.run_resilient(&ctx, 2, ResilienceOptions::default());
-    assert_eq!(outcome.stats.failed, 0);
-    let bundles = ctx.take_traces();
-    let summary = bundles
-        .iter()
-        .find(|b| b.label.contains("sweep resilience:"))
-        .expect("resilience summary bundle");
-    let hist = summary
-        .metrics
-        .histogram("sweep.point_seconds")
-        .expect("latency histogram");
-    assert_eq!(hist.count(), 8);
-    let p50 = summary
-        .metrics
-        .gauge_value("sweep.point_seconds_p50")
-        .expect("p50 gauge");
-    let p95 = summary
-        .metrics
-        .gauge_value("sweep.point_seconds_p95")
-        .expect("p95 gauge");
-    let p99 = summary
-        .metrics
-        .gauge_value("sweep.point_seconds_p99")
-        .expect("p99 gauge");
-    assert!(p50 > 0.0);
-    assert!(p50 <= p95 && p95 <= p99, "percentiles are monotone");
-    assert_eq!(
-        p50,
-        hist.percentile(50.0),
-        "gauges derive from the histogram"
-    );
-    assert_eq!(p95, hist.percentile(95.0));
-    assert_eq!(p99, hist.percentile(99.0));
 }
 
 // ---- chrome trace golden ----

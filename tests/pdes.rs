@@ -234,6 +234,7 @@ proptest! {
         let mut serial_trace = RecordingTracer::default();
         let serial = simulate(&programs, &cpus, &fabric, &plan, &mut serial_trace, &RunContext::new(1))
             .expect("generated workloads never deadlock");
+        let serial_trace = serial_trace.into_bundle("run");
         let mut per_node_events = None;
         for threads in [2usize, 3, 7] {
             let parallel = simulate_parallel_on(&programs, &cpus, &fabric, &plan, threads)
@@ -253,10 +254,8 @@ proptest! {
                 "traced, threads = {}",
                 threads
             );
-            prop_assert_eq!(&serial_trace.spans, &parallel_trace.spans);
-            prop_assert_eq!(&serial_trace.edges, &parallel_trace.edges);
-            prop_assert_eq!(&serial_trace.rank_nodes, &parallel_trace.rank_nodes);
-            prop_assert_eq!(&serial_trace.metrics, &parallel_trace.metrics);
+            // Spans, edges, placement, metrics and profile.
+            prop_assert_eq!(&serial_trace, &parallel_trace.into_bundle("run"));
         }
     }
 
@@ -290,6 +289,63 @@ proptest! {
     }
 }
 
+/// A failed run hands over what its ranks recorded before it stopped,
+/// on every path the rounds stop by. A deadlock and a collective
+/// mismatch stop at the fixpoint every partition map reaches, so they
+/// leave the same partial bundle at one and three threads. A watchdog
+/// stop cuts the rounds where the summed event count crosses the
+/// budget, which depends on the partition map, so its prefix may
+/// differ; it is never empty.
+#[test]
+fn failed_runs_leave_the_same_partial_bundle() {
+    let (fabric, cpus) = placement(&[NodeKind::Bx2b; 4], 2);
+    let n = cpus.len();
+    let phases = [
+        Phase::Compute(1e-5),
+        Phase::Ring {
+            bytes: 4096,
+            tag: 1,
+        },
+        Phase::AllReduce { bytes: 64 },
+    ];
+    let base = programs_for(&phases, n, 0);
+    let traced = |programs: &Vec<Vec<Op>>, plan: &FaultPlan, threads| {
+        let mut tracer = RecordingTracer::default();
+        let ctx = RunContext::new(threads);
+        let out = simulate(programs, &cpus, &fabric, plan, &mut tracer, &ctx);
+        (format!("{out:?}"), tracer.into_bundle("run"))
+    };
+    // Rank 0 first waits on a message nobody sends.
+    let mut deadlocked = base.clone();
+    deadlocked[0].insert(0, Op::Recv { from: 1, tag: 999 });
+    // The last rank reaches a barrier where the others allreduce.
+    let mut mismatched = base.clone();
+    mismatched[n - 1][3] = Op::Barrier;
+    for (what, programs, error) in [
+        ("deadlock", &deadlocked, "Deadlock"),
+        ("mismatch", &mismatched, "CollectiveMismatch"),
+    ] {
+        let (serial_out, serial) = traced(programs, &FaultPlan::none(), 1);
+        let (parallel_out, parallel) = traced(programs, &FaultPlan::none(), 3);
+        assert!(
+            serial_out.starts_with(&format!("Err({error}")),
+            "{serial_out}"
+        );
+        assert_eq!(serial_out, parallel_out, "{what}");
+        assert!(
+            !serial.spans.is_empty() && !serial.edges.is_empty(),
+            "{what}"
+        );
+        assert_eq!(serial, parallel, "{what}");
+    }
+    let plan = FaultPlan::none().with_event_budget(5);
+    for threads in [1, 3] {
+        let (out, bundle) = traced(&base, &plan, threads);
+        assert!(out.starts_with("Err(WatchdogTimeout"), "{out}");
+        assert!(!bundle.spans.is_empty(), "threads {threads}");
+    }
+}
+
 /// Every rank on one node: the partition map has a single partition at
 /// any thread count, so the run stays on the calling thread and agrees
 /// with the one-thread run.
@@ -314,8 +370,8 @@ fn single_partition_falls_back_to_serial() {
 
 /// A fabric that quotes nothing beyond latency and bandwidth runs like
 /// any other, including one whose cross-node latency is zero: no round
-/// depends on a latency bound. Outcomes, spans and edges are identical
-/// at one, two and four threads, with and without message drops.
+/// depends on a latency bound. Outcomes and bundles are identical at
+/// one, two and four threads, with and without message drops.
 #[test]
 fn fabric_without_lookahead_falls_back_to_serial() {
     struct TwoLevel {
@@ -359,6 +415,7 @@ fn fabric_without_lookahead_falls_back_to_serial() {
                 &RunContext::new(1),
             )
             .unwrap();
+            let one = one.into_bundle("run");
             for threads in [2usize, 4] {
                 let mut many = RecordingTracer::default();
                 let parallel = simulate(
@@ -371,8 +428,8 @@ fn fabric_without_lookahead_falls_back_to_serial() {
                 )
                 .unwrap();
                 assert_outcomes_identical(&serial, &parallel);
-                assert_eq!(one.spans, many.spans, "cross {cross}, threads {threads}");
-                assert_eq!(one.edges, many.edges, "cross {cross}, threads {threads}");
+                let many = many.into_bundle("run");
+                assert_eq!(one, many, "cross {cross}, threads {threads}");
             }
         }
     }
