@@ -1,7 +1,8 @@
 //! CLI-level regression tests for the `repro` binary: the experiment
 //! list and `--exp` against the goldens, unknown and repeated arguments
 //! and a closed stdout, an output file that cannot be written, an
-//! out-of-range spec value, `--exp` and `--spec` recording the same
+//! out-of-range spec value, a spec file in JSON, `--exp` and `--spec`
+//! recording the same
 //! manifest, stderr record ordering under degraded runs, and
 //! `--analyze` determinism (across `--jobs` and under
 //! `--checkpoint-dir`) and schema.
@@ -307,6 +308,62 @@ fn an_out_of_range_overset_count_exits_2_at_its_key() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.stdout.is_empty());
+}
+
+/// A fault-plan value outside the bound `simnet::fault` states for it
+/// is a spec error: a degraded link that would speed the link up exits
+/// 2 at its value before anything runs, where it used to panic inside
+/// `FaultPlan::degrade_link` and exit 101.
+#[test]
+fn an_out_of_range_fault_value_exits_2_at_its_value() {
+    let spec = repo_path("tests/spec_corpus/invalid/faults-degrade-link-range.toml");
+    let spec = spec.to_str().expect("UTF-8 path");
+    let out = repro(&["--spec", spec, "--jobs", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!(
+            "{spec}:18:60: 'latency_factor' must be at least 1, got 0.5"
+        )),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
+/// A spec is TOML text whatever its file's extension: JSON text in a
+/// `.json` file is a parse error at its first byte, exit 2.
+#[test]
+fn a_json_spec_file_exits_2_at_its_first_byte() {
+    let dir = temp_dir("json-spec");
+    let spec = dir.join("json-form.json");
+    std::fs::write(
+        &spec,
+        r#"{
+  "schema": "columbia-spec-v1",
+  "report": {
+    "id": "JSON",
+    "title": "the JSON alternate form",
+    "headers": ["node", "Gflop/s"]
+  },
+  "sweep": [
+    {
+      "kind": "dgemm",
+      "row": ["{node}", "{gflops}"],
+      "grid": { "node": ["3700", "BX2b"] }
+    }
+  ]
+}
+"#,
+    )
+    .unwrap();
+    let spec = spec.to_str().expect("UTF-8 path");
+    let out = repro(&["--spec", spec, "--jobs", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with(&format!("{spec}:1:1: ")), "{stderr}");
+    assert!(out.stdout.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A multi-zone point with more processes than its class has zones

@@ -29,7 +29,7 @@ use columbia_simnet::fault::DEFAULT_MULTIPLEX_QUEUE_PENALTY;
 use columbia_simnet::program::{ByteRule, Peer, ProgramSet, SpmdOp};
 use columbia_simnet::{simulate, ConnectionLimit, ConnectionPolicy, FaultPlan, SimError};
 
-use crate::obs_report::hotspot_report;
+use crate::obs_report::hotspot_rows;
 use crate::report::{secs, Report};
 use crate::spec::SpecJob;
 use crate::sweep::{PointOutput, SweepPlan};
@@ -88,7 +88,7 @@ pub fn job(name: &str) -> Option<SpecJob> {
         .map_or(name, |(_, canonical)| *canonical);
     let (name, text) = EXPERIMENTS.iter().find(|(n, _)| *n == name)?;
     Some(
-        SpecJob::from_text(name, text, false)
+        SpecJob::from_text(name, text)
             .unwrap_or_else(|e| panic!("embedded specs/{name}.toml: {e}")),
     )
 }
@@ -274,14 +274,9 @@ pub(crate) fn trace_output(ctx: &RunContext, p: &TraceParams) -> Result<PointOut
         "trace demo: {} ranks over {} nodes (IB)",
         p.ranks, p.nodes
     ));
-    // Only the rows and notes are kept: the spec's `[report]` names the table.
-    let r = hotspot_report("", "", &bundle.profile, &bundle.metrics, p.top);
+    let out = hotspot_rows(&bundle.profile, &bundle.metrics, p.top);
     ctx.record(bundle);
-    Ok(PointOutput {
-        rows: r.rows,
-        notes: r.notes,
-        values: Vec::new(),
-    })
+    Ok(out)
 }
 
 /// The SPMD template every Columbia point runs: ring rounds with a

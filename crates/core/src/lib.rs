@@ -52,7 +52,7 @@ pub mod sweep;
 
 pub use experiments::{run, run_with_jobs};
 pub use manifest::{ManifestBuilder, ResilienceSummary, RunManifest, Volatile};
-pub use obs_report::{analysis_report, hotspot_report};
+pub use obs_report::{analysis_report, hotspot_rows};
 pub use report::Report;
 pub use spec::{compile, spec_hash, Spec, SpecError, SpecJob, SPEC_SCHEMA};
 pub use store::{PointKey, PointStore, StoreError};

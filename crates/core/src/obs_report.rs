@@ -1,41 +1,32 @@
-//! Render observability data ([`CommProfile`], [`Metrics`]) as
-//! [`Report`] tables.
+//! Render observability data ([`CommProfile`], [`Metrics`],
+//! [`Analysis`]) as report rows.
 //!
 //! The tracer (see `columbia-obs`) captures where every simulated
 //! second went; this module turns that into the repo's standard
-//! human-readable output: a top-N hotspot table of the ranks that
-//! spent the most time waiting, annotated with the fabric counters
-//! that explain *why* they waited.
+//! human-readable output: the rows of a top-N hotspot table of the
+//! ranks that spent the most time waiting, annotated with the fabric
+//! counters that explain *why* they waited, and the critical-path
+//! [`Report`] of `repro --analyze`.
 
 use columbia_obs::{Analysis, CommProfile, Metrics};
 
 use crate::report::{secs, Report};
+use crate::sweep::PointOutput;
 
-/// Top-N hotspot table: the ranks losing the most time to waiting,
-/// with their compute/comm/wait attribution.
-///
-/// `id`/`title` name the report (e.g. the experiment that produced the
-/// trace); `top_n` bounds the table size. Counter totals that explain
-/// the waits (drops, retransmits, multiplexing) are appended as notes.
-pub fn hotspot_report(
-    id: &str,
-    title: &str,
-    profile: &CommProfile,
-    metrics: &Metrics,
-    top_n: usize,
-) -> Report {
-    let mut r = Report::new(
-        id,
-        title,
-        &["rank", "compute", "comm", "wait", "total", "wait %"],
-    );
+/// Top-N hotspot rows: the ranks losing the most time to waiting, one
+/// row each of rank, compute, comm, wait, total and wait %, at most
+/// `top_n` of them. Counter totals that explain the waits (drops,
+/// retransmits, multiplexing) come back as notes. The `trace` kind's
+/// points return them; the spec's `[report]` names the table.
+pub fn hotspot_rows(profile: &CommProfile, metrics: &Metrics, top_n: usize) -> PointOutput {
+    let mut out = PointOutput::default();
     for p in profile.hotspots(top_n) {
         let pct = if p.total > 0.0 {
             100.0 * p.wait / p.total
         } else {
             0.0
         };
-        r.push_row(vec![
+        out.rows.push(vec![
             p.rank.to_string(),
             secs(p.compute),
             secs(p.comm),
@@ -44,14 +35,14 @@ pub fn hotspot_report(
             format!("{pct:.1}%"),
         ]);
     }
-    r.note(format!(
+    out.notes.push(format!(
         "makespan {}; comm fraction {:.1}% across {} rank(s), {} phase(s)",
         secs(profile.makespan),
         100.0 * profile.comm_fraction(),
         profile.ranks.len(),
         profile.phases.len(),
     ));
-    r.note(format!(
+    out.notes.push(format!(
         "messages: {} sent, {} dropped, {} retransmit(s), {} multiplexed; {} bytes on the wire",
         metrics.counter("messages_sent"),
         metrics.counter("messages_dropped"),
@@ -60,11 +51,11 @@ pub fn hotspot_report(
         metrics.counter("bytes_sent"),
     ));
     if let Some(((from, to), bytes)) = metrics.links_by_bytes().into_iter().next() {
-        r.note(format!(
+        out.notes.push(format!(
             "heaviest link: node {from} -> node {to}, {bytes} bytes"
         ));
     }
-    r
+    out
 }
 
 /// Critical-path attribution table: one row per analyzed simulation,
@@ -171,7 +162,7 @@ mod tests {
         let mut m = Metrics::default();
         m.inc("messages_sent", 1);
         m.inc("bytes_sent", 1024);
-        let r = hotspot_report("Trace", "demo", &profile(), &m, 10);
+        let r = hotspot_rows(&profile(), &m, 10);
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0][0], "1"); // rank 1 waited 3s, rank 0 none
         assert!(r.rows[0][5].starts_with("75.0"));
@@ -181,7 +172,7 @@ mod tests {
     #[test]
     fn top_n_truncates() {
         let m = Metrics::default();
-        let r = hotspot_report("Trace", "demo", &profile(), &m, 1);
+        let r = hotspot_rows(&profile(), &m, 1);
         assert_eq!(r.rows.len(), 1);
     }
 
@@ -200,7 +191,9 @@ mod tests {
             dst_time: 1.2,
             bytes: 4096,
             wire_time: 0.2,
-            fault_delay: 0.0,
+            drops: 0,
+            retransmit_delay: 0.0,
+            multiplex_delay: 0.0,
         });
         t.span(1, SpanKind::Compute, 0.0, 0.1);
         t.span(1, SpanKind::RecvWait, 0.1, 1.2);

@@ -42,7 +42,10 @@ use columbia_runtime::compiler::CompilerVersion;
 use columbia_runtime::pinning::Pinning;
 use columbia_runtime::placement::NODE_CPUS;
 use columbia_simnet::fabric::MptVersion;
-use columbia_simnet::fault::DEFAULT_MULTIPLEX_QUEUE_PENALTY;
+use columbia_simnet::fault::{
+    Bound, BANDWIDTH_FACTOR, DEFAULT_MULTIPLEX_QUEUE_PENALTY, DROP_PROB, LATENCY_FACTOR,
+    NON_NEGATIVE, SLOWDOWN_FACTOR,
+};
 use columbia_simnet::patterns::MIN_PROCS;
 use columbia_simnet::{ConnectionLimit, ConnectionPolicy, FaultPlan, SimError};
 
@@ -52,7 +55,7 @@ use super::toml::{Node, Span, Table, Value};
 use super::{suggest, SpecError};
 use crate::experiments::{columbia_output, table1_output, trace_output, TraceParams};
 use crate::report::{gbs, gf, secs};
-use crate::sweep::{PointOutput, SweepPlan, SweepPoint};
+use crate::sweep::{PointOutput, RatioToFirst, SweepPlan, SweepPoint};
 
 /// Ceiling on points one spec may expand to — a guard against
 /// accidental (or fuzzed) combinatorial explosions.
@@ -75,6 +78,23 @@ fn above(span: Span, what: &str, max: impl Display, why: &str, got: impl Display
         span,
         format!("{what} must be at most {max} ({why}), got {got}"),
     )
+}
+
+/// `v`, the value of `what` at `span`, if it is between 0 and `max`.
+fn in_unsigned_range(span: Span, what: &str, v: i64, max: i64) -> Result<i64, SpecError> {
+    if v < 0 || v > max {
+        return Err(invalid(
+            span,
+            format!("{what} must be between 0 and {max}, got {v}"),
+        ));
+    }
+    Ok(v)
+}
+
+/// The integer literal at `n`, between 0 and `max`: the largest value
+/// of the field it sets, or `i64::MAX` for a `u64`.
+fn unsigned(n: &Node, what: &str, max: i64) -> Result<i64, SpecError> {
+    in_unsigned_range(n.span, what, as_int(n, what)?, max)
 }
 
 /// The entries of the list parameter `key` (a scalar is a one-entry
@@ -120,27 +140,10 @@ pub fn compile(spec: &Spec) -> Result<SweepPlan, SpecError> {
                 ),
             ));
         }
-        let (column, decimals, suffix) = (c.column, c.decimals, c.suffix.clone());
-        plan.collate_with(move |report, outputs| {
-            let base = outputs
-                .first()
-                .and_then(|o| o.values.first())
-                .copied()
-                .unwrap_or(f64::NAN);
-            for o in &outputs {
-                for row in &o.rows {
-                    let mut row = row.clone();
-                    if let Some(v) = o.values.first() {
-                        row[column] = format!("{:.*}{}", decimals, v / base, suffix);
-                    }
-                    report.push_row(row);
-                }
-            }
-            for o in outputs {
-                for note in o.notes {
-                    report.note(note);
-                }
-            }
+        plan.collate = Some(RatioToFirst {
+            column: c.column,
+            decimals: c.decimals,
+            suffix: c.suffix.clone(),
         });
     }
     for n in &spec.report.notes {
@@ -509,7 +512,7 @@ const KIND_TABLE: [Kind; 12] = [
                 return Err(above(ranks_span, "'ranks'", max, &why, ranks));
             }
             let drop_prob = match p.get("drop_prob") {
-                Some(n) => p.drop_prob_of(n)?,
+                Some(n) => p.bounded(n, "'drop_prob'", DROP_PROB)?,
                 None => d.drop_prob,
             };
             let params = TraceParams {
@@ -771,29 +774,24 @@ impl<'a> ParamCtx<'a> {
         Ok(v as i64)
     }
 
-    /// A message-drop probability, in `[0, 1)`.
-    fn drop_prob_of(&self, node: &Node) -> Result<f64, SpecError> {
-        let p = self.num_of(node)?;
-        if !(0.0..1.0).contains(&p) {
+    /// A number that must meet the fault plan's `bound`.
+    fn bounded(&self, node: &Node, what: &str, bound: Bound) -> Result<f64, SpecError> {
+        let v = self.num_of(node)?;
+        if !bound.holds(v) {
             return Err(invalid(
                 node.span,
-                format!("'drop_prob' must be in [0, 1), got {p}"),
+                format!("{what} must be {}, got {v}", bound.must),
             ));
         }
-        Ok(p)
+        Ok(v)
     }
 
     fn take_unsigned(&mut self, key: &'static str, max: i64) -> Result<Option<i64>, SpecError> {
         match self.get(key) {
             Some(n) => {
-                let v = self.int_of(n, &format!("'{key}'"))?;
-                if v < 0 || v > max {
-                    return Err(invalid(
-                        n.span,
-                        format!("'{key}' must be between 0 and {max}, got {v}"),
-                    ));
-                }
-                Ok(Some(v))
+                let what = format!("'{key}'");
+                let v = self.int_of(n, &what)?;
+                in_unsigned_range(n.span, &what, v, max).map(Some)
             }
             None => Ok(None),
         }
@@ -1139,39 +1137,41 @@ fn columbia_config(s: &str, span: Span) -> Result<(bool, &'static str), SpecErro
 // ---------------------------------------------------------------------------
 // Fault plans from data
 
+/// The fault plan of a `faults` table. Each value is checked at the
+/// value against the bound `simnet::fault` states for it, or against
+/// the type of the plan field it sets.
 fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecError> {
     let mut f = Fields::new(&table.entries);
     let mut plan = FaultPlan::none();
     if let Some(n) = f.take("seed") {
-        plan.seed = as_int(n, "'seed'")?.max(0) as u64;
+        plan.seed = unsigned(n, "'seed'", i64::MAX)? as u64;
     }
     if let Some(n) = f.take("drop_prob") {
-        plan.drop_prob = ctx.drop_prob_of(n)?;
+        plan.drop_prob = ctx.bounded(n, "'drop_prob'", DROP_PROB)?;
     }
     if let Some(n) = f.take("retransmit_timeout") {
-        plan.retransmit.timeout = ctx.num_of(n)?;
+        plan.retransmit.timeout = ctx.bounded(n, "'retransmit_timeout'", NON_NEGATIVE)?;
     }
     if let Some(n) = f.take("retransmit_backoff") {
-        plan.retransmit.backoff = ctx.num_of(n)?;
+        plan.retransmit.backoff = ctx.bounded(n, "'retransmit_backoff'", NON_NEGATIVE)?;
     }
     if let Some(n) = f.take("retransmit_max_retries") {
-        plan.retransmit.max_retries = as_int(n, "'retransmit_max_retries'")?.max(0) as u32;
+        let max = u32::MAX.into();
+        plan.retransmit.max_retries = unsigned(n, "'retransmit_max_retries'", max)? as u32;
     }
+    let factor_of = |g: &mut Fields<'_>, key: &'static str, bound: Bound| {
+        g.take(key)
+            .map(|x| ctx.bounded(x, &format!("'{key}'"), bound))
+            .transpose()
+            .map(|v| v.unwrap_or(1.0))
+    };
     if let Some(n) = f.take("degrade_link") {
         let t = as_table(n, "'degrade_link'")?;
         let mut g = Fields::new(&t.entries);
         let a = link_end(&mut g, n.span, "a")?;
         let b = link_end(&mut g, n.span, "b")?;
-        let lat = g
-            .take("latency_factor")
-            .map(|x| ctx.num_of(x))
-            .transpose()?
-            .unwrap_or(1.0);
-        let bw = g
-            .take("bandwidth_factor")
-            .map(|x| ctx.num_of(x))
-            .transpose()?
-            .unwrap_or(1.0);
+        let lat = factor_of(&mut g, "latency_factor", LATENCY_FACTOR)?;
+        let bw = factor_of(&mut g, "bandwidth_factor", BANDWIDTH_FACTOR)?;
         g.finish("'degrade_link'")?;
         plan = plan.degrade_link(a, b, lat, bw);
     }
@@ -1187,11 +1187,7 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
         let t = as_table(n, "'slow_node'")?;
         let mut g = Fields::new(&t.entries);
         let node = link_end(&mut g, n.span, "node")?;
-        let factor = g
-            .take("factor")
-            .map(|x| ctx.num_of(x))
-            .transpose()?
-            .unwrap_or(1.0);
+        let factor = factor_of(&mut g, "factor", SLOWDOWN_FACTOR)?;
         g.finish("'slow_node'")?;
         plan = plan.slow_node(node, factor);
     }
@@ -1199,19 +1195,15 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
         let t = as_table(n, "'connection_limit'")?;
         let mut g = Fields::new(&t.entries);
         let missing = |k: &str| invalid(n.span, format!("'connection_limit' requires '{k}'"));
-        let cards = as_int(g.take("cards").ok_or_else(|| missing("cards"))?, "'cards'")?;
-        let per_card = as_int(
-            g.take("per_card").ok_or_else(|| missing("per_card"))?,
-            "'per_card'",
-        )?;
-        if cards < 0 || per_card < 0 {
-            return Err(invalid(n.span, "connection budget must be non-negative"));
-        }
+        let cards = g.take("cards").ok_or_else(|| missing("cards"))?;
+        let cards = unsigned(cards, "'cards'", u32::MAX.into())? as u32;
+        let per_card = g.take("per_card").ok_or_else(|| missing("per_card"))?;
+        let per_card = unsigned(per_card, "'per_card'", i64::MAX)? as u64;
         let policy_node = g.take("policy").ok_or_else(|| missing("policy"))?;
         let policy_name = as_str(policy_node, "'policy'")?;
         let queue_penalty = g
             .take("queue_penalty")
-            .map(|x| ctx.num_of(x))
+            .map(|x| ctx.bounded(x, "'queue_penalty'", NON_NEGATIVE))
             .transpose()?
             .unwrap_or(DEFAULT_MULTIPLEX_QUEUE_PENALTY);
         let policy = match policy_name {
@@ -1228,13 +1220,13 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
         };
         g.finish("'connection_limit'")?;
         plan = plan.with_connection_limit(ConnectionLimit {
-            cards_per_node: cards as u32,
-            connections_per_card: per_card as u64,
+            cards_per_node: cards,
+            connections_per_card: per_card,
             policy,
         });
     }
     if let Some(n) = f.take("event_budget") {
-        plan.event_budget = Some(as_int(n, "'event_budget'")?.max(0) as u64);
+        plan.event_budget = Some(unsigned(n, "'event_budget'", i64::MAX)? as u64);
     }
     f.finish("[sweep] 'faults'")?;
     Ok(plan)
@@ -1830,6 +1822,104 @@ stride = [1, 2]
             ),
             ("trace", "ranks = 2", None),
         ];
+        check_counts(&cases);
+    }
+
+    /// Every fault-plan value is checked on either side of the bound
+    /// `simnet::fault` states for it, or of the range of the field it
+    /// sets, at the value.
+    #[test]
+    fn fault_values_are_checked_at_the_value() {
+        let cases = [
+            ("seed = -7", Some("'seed' must be between 0 and")),
+            ("seed = 0", None),
+            (
+                "drop_prob = 1.0",
+                Some("'drop_prob' must be in [0, 1), got 1"),
+            ),
+            ("drop_prob = 0.0", None),
+            (
+                "retransmit_timeout = -1.0",
+                Some("'retransmit_timeout' must be at least 0"),
+            ),
+            ("retransmit_timeout = 0.0", None),
+            (
+                "retransmit_backoff = -2.0",
+                Some("'retransmit_backoff' must be at least 0"),
+            ),
+            ("retransmit_backoff = 0.0", None),
+            (
+                "retransmit_max_retries = -3",
+                Some("'retransmit_max_retries' must be between 0"),
+            ),
+            (
+                "retransmit_max_retries = 4294967297",
+                Some("'retransmit_max_retries' must be between 0 and 4294967295"),
+            ),
+            ("retransmit_max_retries = 4294967295", None),
+            (
+                "event_budget = -1",
+                Some("'event_budget' must be between 0 and"),
+            ),
+            ("event_budget = 0", None),
+            (
+                "degrade_link = { a = 0, b = 1, latency_factor = 0.5 }",
+                Some("'latency_factor' must be at least 1, got 0.5"),
+            ),
+            (
+                "degrade_link = { a = 0, b = 1, latency_factor = 1.0 }",
+                None,
+            ),
+            (
+                "degrade_link = { a = 0, b = 1, bandwidth_factor = 0.0 }",
+                Some("'bandwidth_factor' must be in (0, 1], got 0"),
+            ),
+            (
+                "degrade_link = { a = 0, b = 1, bandwidth_factor = 1.5 }",
+                Some("'bandwidth_factor' must be in (0, 1]"),
+            ),
+            (
+                "degrade_link = { a = 0, b = 1, bandwidth_factor = 1.0 }",
+                None,
+            ),
+            (
+                "slow_node = { node = 0, factor = 0.5 }",
+                Some("'factor' must be at least 1, got 0.5"),
+            ),
+            ("slow_node = { node = 0, factor = 1.0 }", None),
+            (
+                "connection_limit = { cards = -1, per_card = 1, policy = \"fail\" }",
+                Some("'cards' must be between 0 and 4294967295, got -1"),
+            ),
+            (
+                "connection_limit = { cards = 4294967296, per_card = 1, policy = \"fail\" }",
+                Some("'cards' must be between 0 and 4294967295"),
+            ),
+            (
+                "connection_limit = { cards = 1, per_card = -1, policy = \"fail\" }",
+                Some("'per_card' must be between 0 and"),
+            ),
+            (
+                "connection_limit = { cards = 1, per_card = 1, policy = \"multiplex\", \
+                 queue_penalty = -1.0 }",
+                Some("'queue_penalty' must be at least 0"),
+            ),
+            (
+                "connection_limit = { cards = 4294967295, per_card = 1, policy = \"multiplex\", \
+                 queue_penalty = 0.0 }",
+                None,
+            ),
+            (
+                "connection_limit = { cards = 0, per_card = 0, policy = \"fail\" }",
+                None,
+            ),
+        ];
+        let cases = cases.map(|(faults, want)| {
+            let params = format!("procs = 16\nthreads = 1\nnodes = 2\nfaults = {{ {faults} }}");
+            ("mz", params, want)
+        });
+        let cases: Vec<(&str, &str, Option<&str>)> =
+            cases.iter().map(|(k, p, w)| (*k, p.as_str(), *w)).collect();
         check_counts(&cases);
     }
 

@@ -1,12 +1,14 @@
 //! `core::spec` — the declarative sweep-spec frontend.
 //!
-//! Every experiment is data: a spec file (TOML subset, or JSON via the
-//! vendored `serde_json`) declares a report shape plus a list of sweep
-//! blocks — parameter grids over node kind, fabric, compiler, pinning,
-//! fault plan, workload, class, and rank count, with cartesian
-//! products, explicit point lists, and simple derived parameters — and
+//! Every experiment is data: a spec file (a TOML subset, the one input
+//! form) declares a report shape plus a list of sweep blocks —
+//! parameter grids over node kind, fabric, compiler, pinning, fault
+//! plan, workload, class, and rank count, with cartesian products,
+//! explicit point lists, and simple derived parameters — and
 //! [`compile`] lowers it onto the existing [`crate::sweep::SweepPlan`]
-//! machinery. Everything downstream (parallel execution, resilience,
+//! machinery: one closure per point, and plain data for the rest (the
+//! report skeleton, the notes, and the ratio column `[collate]` asks
+//! for). Everything downstream (parallel execution, resilience,
 //! checkpointing, manifests, analysis) is unchanged.
 //!
 //! The pipeline:
@@ -39,7 +41,7 @@ mod toml;
 use std::path::Path;
 
 pub use compile::compile;
-pub use model::{decode, from_json, Spec};
+pub use model::{decode, Spec};
 pub use toml::{Span, Table, Value};
 
 use crate::store::Fnv128;
@@ -49,8 +51,8 @@ use crate::sweep::SweepPlan;
 pub const SPEC_SCHEMA: &str = "columbia-spec-v1";
 
 /// A typed spec failure: every way a spec file can be rejected, with
-/// the 1-based source position of the offending token. `0:0` means the
-/// input had no positions (the JSON alternate form).
+/// the 1-based source position of the offending token. `0:0` marks a
+/// value with no source position (a default the compiler supplies).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
     /// The file could not be read.
@@ -60,7 +62,7 @@ pub enum SpecError {
         /// OS error text.
         message: String,
     },
-    /// The text is not well-formed TOML-subset (or JSON).
+    /// The text is not well-formed TOML-subset.
     Parse {
         /// 1-based line.
         line: u32,
@@ -187,14 +189,9 @@ pub fn spec_hash(bytes: &[u8]) -> String {
     format!("{:032x}", h.finish())
 }
 
-/// Parse and validate spec text in the TOML form.
+/// Parse and validate spec text.
 pub fn load_str(text: &str) -> Result<Spec, SpecError> {
     decode(&toml::parse(text)?)
-}
-
-/// Parse and validate spec text in the JSON alternate form.
-pub fn load_json_str(text: &str) -> Result<Spec, SpecError> {
-    from_json(text)
 }
 
 /// One named, compiled spec: what `repro` runs for each `--spec` file
@@ -213,24 +210,19 @@ pub struct SpecJob {
 }
 
 impl SpecJob {
-    /// Compile spec `text` (the JSON alternate form when `json`, else
-    /// the TOML subset) as the experiment `name`, hashing exactly the
-    /// bytes compiled.
-    pub fn from_text(name: &str, text: &str, json: bool) -> Result<SpecJob, SpecError> {
-        let spec = if json {
-            load_json_str(text)?
-        } else {
-            load_str(text)?
-        };
+    /// Compile spec `text` as the experiment `name`, hashing exactly
+    /// the bytes compiled.
+    pub fn from_text(name: &str, text: &str) -> Result<SpecJob, SpecError> {
         Ok(SpecJob {
             name: name.to_string(),
-            plan: compile(&spec)?,
+            plan: compile(&load_str(text)?)?,
             content_hash: spec_hash(text.as_bytes()),
         })
     }
 
     /// Read a spec file once and compile it, named by its file stem —
-    /// the `repro --spec` entry point. `.json` selects the JSON form.
+    /// the `repro --spec` entry point. Any extension is read as the
+    /// TOML subset.
     pub fn load(path: &Path) -> Result<SpecJob, SpecError> {
         let text = std::fs::read_to_string(path).map_err(|e| SpecError::Io {
             path: path.display().to_string(),
@@ -240,8 +232,7 @@ impl SpecJob {
             || path.display().to_string(),
             |s| s.to_string_lossy().into_owned(),
         );
-        let json = path.extension().is_some_and(|e| e == "json");
-        SpecJob::from_text(&name, &text, json)
+        SpecJob::from_text(&name, &text)
     }
 }
 

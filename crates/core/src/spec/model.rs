@@ -1,17 +1,10 @@
-//! The typed spec document: decode a parsed [`Table`] into a [`Spec`],
-//! convert the JSON alternate form, and re-emit the canonical TOML
-//! text.
+//! The typed spec document: decode a parsed [`Table`] into a [`Spec`].
 //!
 //! Decoding validates document *structure* — required sections, value
 //! types, unknown keys (with suggestions). Sweep-block parameters stay
 //! raw [`Node`]s here; [`crate::spec::compile`] validates them against
 //! the selected measurement kind, because only the kind knows which
 //! parameters exist.
-//!
-//! [`Spec::to_toml`] emits a canonical rendering (defaults merged,
-//! fixed key order per section). The property suite holds the fixed
-//! point `emit(parse(emit(s))) == emit(s)` and that re-parsing an
-//! emitted spec compiles to the same plan fingerprint.
 
 use super::toml::{Entry, Node, Span, Table, Value};
 use super::{SpecError, SPEC_SCHEMA};
@@ -91,12 +84,10 @@ pub struct Derived {
 }
 
 /// The `[collate]` section: a cross-point reduction applied at report
-/// time.
+/// time. Its one mode, `"ratio-to-first"`, divides each point's scalar
+/// value by the first point's and writes it into `column`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollateSpec {
-    /// Reduction mode; `"ratio-to-first"` divides each point's scalar
-    /// value by the first point's and writes it into `column`.
-    pub mode: String,
     /// Target column index.
     pub column: usize,
     /// Decimal places of the rendered ratio.
@@ -434,7 +425,7 @@ fn decode_collate(t: &Table, span: Span) -> Result<CollateSpec, SpecError> {
     let mode_node = f
         .take("mode")
         .ok_or_else(|| invalid(span, "[collate] is missing required key 'mode'"))?;
-    let mode = as_str(mode_node, "'mode'")?.to_string();
+    let mode = as_str(mode_node, "'mode'")?;
     if mode != "ratio-to-first" {
         return Err(invalid(
             mode_node.span,
@@ -464,181 +455,11 @@ fn decode_collate(t: &Table, span: Span) -> Result<CollateSpec, SpecError> {
     };
     f.finish("[collate]")?;
     Ok(CollateSpec {
-        mode,
         column: column as usize,
         decimals,
         suffix,
         span,
     })
-}
-
-/// Parse the JSON alternate form (vendored `serde_json`) and decode
-/// it. JSON carries no line/column information, so diagnostics from
-/// this path report position `0:0`.
-pub fn from_json(text: &str) -> Result<Spec, SpecError> {
-    let value = serde_json::from_str(text).map_err(|e| SpecError::Parse {
-        line: 0,
-        col: 0,
-        message: format!("JSON: {} (at byte offset {})", e.message, e.offset),
-    })?;
-    let node = json_to_node(&value)?;
-    let table = match node.value {
-        Value::Table(t) => t,
-        v => {
-            return Err(SpecError::Parse {
-                line: 0,
-                col: 0,
-                message: format!("JSON spec must be an object, found {}", v.type_name()),
-            })
-        }
-    };
-    decode(&table)
-}
-
-fn json_to_node(v: &serde_json::Value) -> Result<Node, SpecError> {
-    let value = match v {
-        serde_json::Value::Null => {
-            return Err(SpecError::Parse {
-                line: 0,
-                col: 0,
-                message: "JSON null is not a spec value".into(),
-            })
-        }
-        serde_json::Value::Bool(b) => Value::Bool(*b),
-        serde_json::Value::Number(n) => {
-            if n.fract() == 0.0 && n.abs() <= 9.007_199_254_740_992e15 {
-                Value::Int(*n as i64)
-            } else {
-                Value::Float(*n)
-            }
-        }
-        serde_json::Value::String(s) => Value::Str(s.clone()),
-        serde_json::Value::Array(items) => {
-            Value::Array(items.iter().map(json_to_node).collect::<Result<_, _>>()?)
-        }
-        serde_json::Value::Object(entries) => {
-            let mut t = Table::default();
-            for (k, v) in entries {
-                t.entries.push(Entry {
-                    key: k.clone(),
-                    key_span: Span::NONE,
-                    node: json_to_node(v)?,
-                });
-            }
-            Value::Table(t)
-        }
-    };
-    Ok(Node {
-        value,
-        span: Span::NONE,
-    })
-}
-
-impl Spec {
-    /// Emit the canonical TOML rendering: defaults merged into each
-    /// block, sections in fixed order. Re-parsing the emission yields
-    /// an equal spec (the round-trip fixed point the property suite
-    /// holds).
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("schema = {}\n", quote(SPEC_SCHEMA)));
-        out.push_str("\n[report]\n");
-        out.push_str(&format!("id = {}\n", quote(&self.report.id)));
-        out.push_str(&format!("title = {}\n", quote(&self.report.title)));
-        out.push_str(&format!(
-            "headers = [{}]\n",
-            self.report
-                .headers
-                .iter()
-                .map(|h| quote(h))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        if !self.report.notes.is_empty() {
-            out.push_str(&format!(
-                "notes = [{}]\n",
-                self.report
-                    .notes
-                    .iter()
-                    .map(|n| quote(n))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-        if let Some(n) = self.sim_threads {
-            out.push_str("\n[defaults]\n");
-            out.push_str(&format!("sim_threads = {n}\n"));
-        }
-        for s in &self.sweeps {
-            out.push_str("\n[[sweep]]\n");
-            out.push_str(&format!("kind = {}\n", quote(&s.kind)));
-            for e in &s.params {
-                out.push_str(&format!("{} = {}\n", e.key, render(&e.node)));
-            }
-            if !s.grid.is_empty() {
-                out.push_str("\n[sweep.grid]\n");
-                for a in &s.grid {
-                    out.push_str(&format!(
-                        "{} = [{}]\n",
-                        a.name,
-                        a.values.iter().map(render).collect::<Vec<_>>().join(", ")
-                    ));
-                }
-            }
-            if !s.derived.is_empty() {
-                out.push_str("\n[sweep.derived]\n");
-                for d in &s.derived {
-                    out.push_str(&format!("{} = {}\n", d.name, quote(&d.expr)));
-                }
-            }
-        }
-        if let Some(c) = &self.collate {
-            out.push_str("\n[collate]\n");
-            out.push_str(&format!("mode = {}\n", quote(&c.mode)));
-            out.push_str(&format!("column = {}\n", c.column));
-            out.push_str(&format!("decimals = {}\n", c.decimals));
-            out.push_str(&format!("suffix = {}\n", quote(&c.suffix)));
-        }
-        out
-    }
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn render(node: &Node) -> String {
-    match &node.value {
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => format!("{f:?}"),
-        Value::Str(s) => quote(s),
-        Value::Bool(b) => b.to_string(),
-        Value::Array(items) => format!(
-            "[{}]",
-            items.iter().map(render).collect::<Vec<_>>().join(", ")
-        ),
-        Value::Table(t) => format!(
-            "{{ {} }}",
-            t.entries
-                .iter()
-                .map(|e| format!("{} = {}", e.key, render(&e.node)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    }
 }
 
 #[cfg(test)]
@@ -702,27 +523,5 @@ node = ["3700", "BX2a", "BX2b"]
         let text = MINI.replace("columbia-spec-v1", "columbia-spec-v9");
         let err = decode(&parse_table(&text).unwrap()).unwrap_err();
         assert!(err.to_string().contains("unsupported schema"), "{err}");
-    }
-
-    #[test]
-    fn emit_reparse_is_a_fixed_point() {
-        let spec = decode(&parse_table(MINI).unwrap()).unwrap();
-        let emitted = spec.to_toml();
-        let spec2 = decode(&parse_table(&emitted).unwrap()).unwrap();
-        assert_eq!(emitted, spec2.to_toml());
-    }
-
-    #[test]
-    fn json_alternate_form_decodes() {
-        let json = r#"{
-            "schema": "columbia-spec-v1",
-            "report": {"id": "T", "title": "t", "headers": ["a"]},
-            "sweep": [{"kind": "dgemm", "stride": 1,
-                       "row": ["DGEMM", "{node}", "{gflops}"],
-                       "grid": {"node": ["3700"]}}]
-        }"#;
-        let spec = from_json(json).unwrap();
-        assert_eq!(spec.sweeps[0].kind, "dgemm");
-        assert_eq!(spec.sweeps[0].grid[0].values.len(), 1);
     }
 }

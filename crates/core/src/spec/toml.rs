@@ -24,8 +24,8 @@ pub struct Span {
 }
 
 impl Span {
-    /// A span for values with no source position (the JSON alternate
-    /// form, synthesized defaults); renders as `0:0`.
+    /// A span for values with no source position (synthesized
+    /// defaults); renders as `0:0`.
     pub const NONE: Span = Span { line: 0, col: 0 };
 }
 
@@ -81,8 +81,7 @@ pub struct Entry {
 }
 
 /// An insertion-ordered table. Order is load-bearing: sweep blocks and
-/// grid axes expand in declaration order, and the canonical emitter
-/// preserves it.
+/// grid axes expand in declaration order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
     /// Entries in declaration order.
@@ -93,11 +92,6 @@ impl Table {
     /// Look up a key.
     pub fn get(&self, key: &str) -> Option<&Node> {
         self.entries.iter().find(|e| e.key == key).map(|e| &e.node)
-    }
-
-    /// Key names in declaration order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|e| e.key.as_str())
     }
 }
 

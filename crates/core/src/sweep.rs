@@ -4,11 +4,11 @@
 //! discrete-event simulation each — a CPU count, a fabric, a fault
 //! scenario) whose results are collated into a [`Report`] in a fixed,
 //! paper-given order. A [`SweepPlan`] makes that structure explicit:
-//! the report skeleton, the ordered list of [`SweepPoint`] jobs, and a
-//! collation step. [`SweepPlan::run`] executes the points on the
-//! `columbia-par` pool, in the caller's [`RunContext`] — points may
-//! finish in any order, but every
-//! [`PointOutput`] is keyed by its sweep index and reduced in canonical
+//! the report skeleton, the ordered list of [`SweepPoint`] jobs, and an
+//! optional `RatioToFirst` column that collation fills.
+//! [`SweepPlan::run`] executes the points on the `columbia-par` pool,
+//! in the caller's [`RunContext`] — points may finish in any order, but
+//! every [`PointOutput`] is keyed by its sweep index and reduced in canonical
 //! order, so the resulting report is **bit-identical** to a serial run
 //! regardless of scheduling (property-tested, and enforced by the CI
 //! determinism gate diffing `repro --jobs 2` against `--jobs 1`).
@@ -51,18 +51,17 @@
 //!
 //! Both run through one body, so a resilient run in which every point
 //! succeeds produces a report **byte-identical** to the strict one's —
-//! and because collation is deterministic in sweep-index order, a run
-//! killed mid-sweep and resumed from its checkpoint directory is
-//! byte-identical to an uninterrupted one (gated by the CI resume smoke
-//! test).
+//! and because collation is a pure function of the outputs in
+//! sweep-index order, a run killed mid-sweep and resumed from its
+//! checkpoint directory is byte-identical to an uninterrupted one
+//! (gated by the CI resume smoke test).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use columbia_obs::{RunContext, TraceBundle};
-use columbia_par::{panic_message, JobFailure, JobStatus, RunOptions};
+use columbia_par::{JobFailure, JobStatus, RunOptions};
 use columbia_simnet::SimError;
 
 use crate::report::Report;
@@ -75,9 +74,9 @@ pub struct PointOutput {
     pub rows: Vec<Vec<String>>,
     /// Notes this point appends (after all rows, in point order).
     pub notes: Vec<String>,
-    /// Experiment-specific scalars for custom collation (e.g. the
-    /// degraded sweep's per-scenario seconds-per-step, from which the
-    /// collator derives the slowdown column).
+    /// The point's scalars; a `RatioToFirst` column divides the
+    /// first by point 0's (e.g. the degraded sweep's seconds-per-step,
+    /// from which its slowdown column is derived).
     pub values: Vec<f64>,
 }
 
@@ -130,10 +129,19 @@ type Captured = (Result<PointOutput, SimError>, Vec<TraceBundle>);
 /// its own child context.
 type CapturedPoint = Box<dyn Fn() -> Captured + Send + Sync>;
 
-/// Collation hook: builds the report body from the index-ordered point
-/// outputs. The default appends every point's rows, then every point's
-/// notes, in sweep order.
-pub type Collate = Box<dyn FnOnce(&mut Report, Vec<PointOutput>)>;
+/// A column collation fills: in each row of a point that carries a
+/// scalar, the cell at `column` becomes that point's first scalar
+/// divided by point 0's, with `decimals` places and then `suffix`. What
+/// a spec's `[collate]` section compiles to.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RatioToFirst {
+    /// The column the ratio replaces.
+    pub(crate) column: usize,
+    /// Decimal places of the rendered ratio.
+    pub(crate) decimals: usize,
+    /// Text after the ratio (e.g. `"x"`).
+    pub(crate) suffix: String,
+}
 
 /// Why one sweep point produced no usable output. Ordered by sweep
 /// index in [`SweepOutcome::failures`], so the first element is the
@@ -317,7 +325,8 @@ pub struct SweepPlan {
     points: Vec<SweepPoint>,
     /// Plan-level notes, appended after all point notes.
     notes: Vec<String>,
-    collate: Option<Collate>,
+    /// The ratio column collation fills, if any.
+    pub(crate) collate: Option<RatioToFirst>,
     /// Per-simulation PDES thread count requested by the spec's
     /// `[defaults] sim_threads` key (`None` = runner decides; the CLI
     /// flag overrides either way). Purely an execution hint: it cannot
@@ -361,12 +370,6 @@ impl SweepPlan {
     pub fn note(&mut self, s: impl Into<String>) -> &mut Self {
         self.notes.push(s.into());
         self
-    }
-
-    /// Replace the default collation with a custom reduction over the
-    /// index-ordered point outputs.
-    pub fn collate_with(&mut self, f: impl FnOnce(&mut Report, Vec<PointOutput>) + 'static) {
-        self.collate = Some(Box::new(f));
     }
 
     /// Number of sweep points.
@@ -593,43 +596,14 @@ impl SweepPlan {
             ctx.record(bundle);
         }
 
-        let mut report = if failures.is_empty() {
-            build_report(
-                &self.id,
-                &self.title,
-                &self.headers,
-                self.collate,
-                self.notes,
-                outputs,
-            )
-        } else {
-            // A custom collator may assume well-formed outputs (e.g.
-            // divide by a point's collation scalar); failed points hand
-            // it empty placeholders, so collation itself is isolated.
-            let (id, title, headers) = (self.id, self.title, self.headers);
-            let plan_notes = self.notes;
-            let collate = self.collate;
-            match catch_unwind(AssertUnwindSafe(|| {
-                build_report(&id, &title, &headers, collate, plan_notes.clone(), outputs)
-            })) {
-                Ok(report) => report,
-                Err(payload) => {
-                    let mut report = Report::new(
-                        &id,
-                        &title,
-                        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-                    );
-                    report.note(format!(
-                        "collation degraded: collator panicked over failed points ({})",
-                        panic_message(payload)
-                    ));
-                    for note in plan_notes {
-                        report.note(note);
-                    }
-                    report
-                }
-            }
-        };
+        let mut report = build_report(
+            &self.id,
+            &self.title,
+            &self.headers,
+            self.collate.as_ref(),
+            self.notes,
+            outputs,
+        );
 
         // Diagnostic rows: one per failed point, at exact header arity
         // so the renderer never flags them as malformed.
@@ -658,13 +632,16 @@ impl SweepPlan {
     }
 }
 
-/// The collation tail: report skeleton, default or custom body, then
-/// plan notes.
+/// Collation: the report skeleton, each point's rows (with the ratio
+/// column filled) and then its notes, in sweep order, then the plan
+/// notes. A failed point hands over no rows. A row too narrow for the
+/// ratio column (read back from a malformed checkpoint entry) keeps its
+/// cells, and [`Report::push_row`] notes it as malformed.
 fn build_report(
     id: &str,
     title: &str,
     headers: &[String],
-    collate: Option<Collate>,
+    collate: Option<&RatioToFirst>,
     plan_notes: Vec<String>,
     outputs: Vec<PointOutput>,
 ) -> Report {
@@ -673,19 +650,22 @@ fn build_report(
         title,
         &headers.iter().map(String::as_str).collect::<Vec<_>>(),
     );
-    match collate {
-        Some(collate) => collate(&mut report, outputs),
-        None => {
-            for o in &outputs {
-                for row in &o.rows {
-                    report.push_row(row.clone());
+    let base = outputs
+        .first()
+        .and_then(|o| o.values.first())
+        .copied()
+        .unwrap_or(f64::NAN);
+    for o in outputs {
+        for mut row in o.rows {
+            if let (Some(c), Some(v)) = (collate, o.values.first()) {
+                if let Some(cell) = row.get_mut(c.column) {
+                    *cell = format!("{:.*}{}", c.decimals, v / base, c.suffix);
                 }
             }
-            for o in outputs {
-                for note in o.notes {
-                    report.note(note);
-                }
-            }
+            report.push_row(row);
+        }
+        for note in o.notes {
+            report.note(note);
         }
     }
     for note in plan_notes {
@@ -699,7 +679,7 @@ impl std::fmt::Debug for SweepPlan {
         f.debug_struct("SweepPlan")
             .field("id", &self.id)
             .field("points", &self.points.len())
-            .field("custom_collate", &self.collate.is_some())
+            .field("collate", &self.collate)
             .finish()
     }
 }
@@ -708,6 +688,8 @@ impl std::fmt::Debug for SweepPlan {
 mod tests {
     use super::*;
     use crate::store::PointStore;
+    use columbia_par::panic_message;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicU32;
     use std::sync::{Barrier, Mutex};
 
@@ -849,19 +831,30 @@ mod tests {
         }
     }
 
+    fn ratio_column() -> Option<RatioToFirst> {
+        Some(RatioToFirst {
+            column: 1,
+            decimals: 1,
+            suffix: "x".into(),
+        })
+    }
+
     #[test]
     fn custom_collation_sees_outputs_in_index_order() {
-        let mut plan = demo_plan();
-        plan.collate_with(|report, outputs| {
-            let base = outputs[0].values[0].max(1.0);
-            for o in &outputs {
-                let mut row = o.rows[0].clone();
-                row[1] = format!("{:.1}", o.values[0] / base);
-                report.push_row(row);
-            }
-        });
+        // Point i's scalar is 2(i + 1), so its ratio to point 0's is
+        // i + 1.
+        let mut plan = SweepPlan::new("T", "ratio", &["i", "ratio"]);
+        for i in 0..10u64 {
+            plan.point_ok(move |_| {
+                PointOutput::row(vec![i.to_string(), String::new()])
+                    .with_value(2.0 * (i + 1) as f64)
+            });
+        }
+        plan.note("plan note");
+        plan.collate = ratio_column();
         let r = plan.run_with_jobs(3).unwrap();
-        assert_eq!(r.rows[5], vec!["5", "5.0"]);
+        assert_eq!(r.rows[0], vec!["0", "1.0x"]);
+        assert_eq!(r.rows[5], vec!["5", "6.0x"]);
         assert_eq!(r.notes, vec!["plan note"]);
     }
 
@@ -998,23 +991,43 @@ mod tests {
         assert!(out.report.to_text().contains("quick"));
     }
 
+    /// A failed point hands collation no rows and no scalar: the other
+    /// points keep their ratios to point 0, and the failure is one
+    /// diagnostic row.
     #[test]
-    fn failed_custom_collation_degrades_to_notes_not_a_crash() {
-        // The collator indexes into every point's values — a failed
-        // point's empty placeholder would panic it.
-        let mut plan = SweepPlan::new("T", "fragile", &["i", "rel"]);
-        plan.point_ok(|_| PointOutput::row(vec!["0".into(), "x".into()]).with_value(2.0));
-        plan.point_ok(|_| panic!("no value from me"));
-        plan.collate_with(|report, outputs| {
-            for o in &outputs {
-                report.push_row(vec!["r".into(), format!("{:.1}", o.values[0])]);
+    fn a_failed_point_leaves_the_other_ratios_standing() {
+        for jobs in [1, 3] {
+            let mut plan = SweepPlan::new("T", "ratios", &["i", "ratio"]);
+            for i in 0..4u64 {
+                plan.point_ok(move |_| {
+                    if i == 2 {
+                        panic!("no value from point 2");
+                    }
+                    PointOutput::row(vec![i.to_string(), String::new()]).with_value((i + 1) as f64)
+                });
             }
-        });
-        let out = plan.run_resilient_with_jobs(1, ResilienceOptions::default());
-        assert_eq!(out.stats.failed, 1);
-        let text = out.report.to_text();
-        assert!(text.contains("collation degraded"), "{text}");
-        assert!(text.contains("[point 1]"), "{text}");
+            plan.collate = ratio_column();
+            let out = plan.run_resilient_with_jobs(jobs, ResilienceOptions::default());
+            assert_eq!(out.stats.failed, 1, "jobs={jobs}");
+            assert_eq!(
+                out.report.rows,
+                vec![
+                    vec!["0", "1.0x"],
+                    vec!["1", "2.0x"],
+                    vec!["3", "4.0x"],
+                    vec![
+                        "[point 2]",
+                        "panicked after 1 attempt(s): no value from point 2"
+                    ],
+                ],
+                "jobs={jobs}"
+            );
+            assert_eq!(
+                out.report.notes,
+                vec!["point 2 failed: panicked after 1 attempt(s): no value from point 2"],
+                "jobs={jobs}"
+            );
+        }
     }
 
     #[test]

@@ -433,7 +433,7 @@ fn comm_matrix(bundle: &TraceBundle) -> Vec<CommPair> {
             });
         entry.messages += 1;
         entry.bytes += e.bytes;
-        entry.cost += e.wire_time + e.fault_delay;
+        entry.cost += e.wire_time + e.fault_delay();
     }
     pairs.into_values().collect()
 }
@@ -562,7 +562,7 @@ fn critical_path(bundle: &TraceBundle) -> CriticalPath {
                     Some(e) => {
                         // The delivery's fault delay sits at its tail;
                         // the rest of the hop is genuine message wait.
-                        let fault = e.fault_delay.clamp(0.0, t - e.src_time);
+                        let fault = e.fault_delay().clamp(0.0, t - e.src_time);
                         push(
                             &mut segments,
                             &mut cp,
@@ -655,7 +655,9 @@ mod tests {
             dst_time: 1.2,
             bytes: 4096,
             wire_time: 0.15,
-            fault_delay: 0.05,
+            drops: 1,
+            retransmit_delay: 0.05,
+            multiplex_delay: 0.0,
         });
         t.span(1, SpanKind::Compute, 0.0, 0.1);
         t.span(1, SpanKind::RecvWait, 0.1, 1.2);
@@ -735,7 +737,9 @@ mod tests {
                 dst_time: 2.5,
                 bytes: 0,
                 wire_time: 0.5,
-                fault_delay: 0.0,
+                drops: 0,
+                retransmit_delay: 0.0,
+                multiplex_delay: 0.0,
             });
         }
         let a = analyze(&bundle_from(t));

@@ -595,7 +595,9 @@ mod tests {
             dst_time: 1.2,
             bytes: 8,
             wire_time: 0.2,
-            fault_delay: 0.0,
+            drops: 0,
+            retransmit_delay: 0.0,
+            multiplex_delay: 0.0,
         });
         t.span(1, SpanKind::Compute, 0.0, 0.1);
         t.span(1, SpanKind::RecvWait, 0.1, 1.2);
@@ -985,7 +987,9 @@ mod tests {
                                 dst_time: src_time + seconds(rng),
                                 bytes: 8,
                                 wire_time: 0.0,
-                                fault_delay: 0.0,
+                                drops: 0,
+                                retransmit_delay: 0.0,
+                                multiplex_delay: 0.0,
                             }
                         })
                         .collect(),

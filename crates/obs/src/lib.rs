@@ -73,6 +73,5 @@ pub use metrics::{Histogram, Metrics};
 pub use profile::{CommProfile, PhaseProfile, RankProfile};
 pub use sink::TraceBundle;
 pub use tracer::{
-    CausalEdge, EdgeKind, MessageRecord, NullTracer, RecordingTracer, SpanEvent, SpanKind, Tracer,
-    Track,
+    CausalEdge, EdgeKind, NullTracer, RecordingTracer, SpanEvent, SpanKind, Tracer, Track,
 };

@@ -51,9 +51,7 @@ impl Histogram {
     /// the bucket *above* it. Zero and negative observations land in
     /// the lowest bucket (everything is `< 1e-9`). NaN observations
     /// are dropped — one poisoned sample must not turn `sum`/`mean`
-    /// into NaN for the whole registry — which makes NaN the identity
-    /// observation, mirroring how [`Histogram::merge`] treats an empty
-    /// histogram.
+    /// into NaN for the whole registry.
     pub fn record(&mut self, v: f64) {
         if v.is_nan() {
             return;
@@ -70,25 +68,6 @@ impl Histogram {
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Fold `other`'s observations into `self`, bucket by bucket.
-    ///
-    /// Merging an empty histogram is the identity (and merging into an
-    /// empty one copies `other`): the executor merges per-worker
-    /// histograms into one registry, and idle workers contribute
-    /// nothing.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -436,50 +415,6 @@ mod tests {
         for p in [0.0, 50.0, 95.0, 100.0] {
             assert_eq!(one.percentile(p), 42.0);
         }
-    }
-
-    #[test]
-    fn merge_of_empty_histogram_is_the_identity() {
-        let mut h = Histogram::default();
-        for v in [1e-6, 5e-3, 40.0, -1.0] {
-            h.record(v);
-        }
-        let before = h.clone();
-        h.merge(&Histogram::default());
-        assert_eq!(h, before, "merging an empty histogram changes nothing");
-
-        // The mirror image: merging into an empty histogram copies.
-        let mut empty = Histogram::default();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-
-        // And two empties stay empty (min/max sentinels untouched).
-        let mut a = Histogram::default();
-        a.merge(&Histogram::default());
-        assert_eq!(a, Histogram::default());
-        assert_eq!(a.min(), 0.0);
-        assert_eq!(a.max(), 0.0);
-    }
-
-    #[test]
-    fn merge_combines_counts_sums_and_extrema() {
-        let mut a = Histogram::default();
-        a.record(1e-6);
-        a.record(2.0);
-        let mut b = Histogram::default();
-        b.record(1e-8);
-        b.record(500.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert!((a.sum() - (1e-6 + 2.0 + 1e-8 + 500.0)).abs() < 1e-12);
-        assert_eq!(a.min(), 1e-8);
-        assert_eq!(a.max(), 500.0);
-        // Equivalent to recording everything into one histogram.
-        let mut all = Histogram::default();
-        for v in [1e-6, 2.0, 1e-8, 500.0] {
-            all.record(v);
-        }
-        assert_eq!(a, all);
     }
 
     #[test]

@@ -101,36 +101,6 @@ impl SpanEvent {
     }
 }
 
-/// Everything known about one point-to-point message at post time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MessageRecord {
-    /// Sending rank.
-    pub from_rank: usize,
-    /// Receiving rank.
-    pub to_rank: usize,
-    /// Sender's node.
-    pub from_node: u32,
-    /// Receiver's node.
-    pub to_node: u32,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// Wire latency + serialization cost (fault-free part).
-    pub wire_time: f64,
-    /// Times the message was dropped before getting through.
-    pub drops: u32,
-    /// Total retransmission-backoff delay added.
-    pub retransmit_delay: f64,
-    /// Connection-multiplexing queue delay added.
-    pub multiplex_delay: f64,
-}
-
-impl MessageRecord {
-    /// Post-to-arrival latency including fault delays.
-    pub fn latency(&self) -> f64 {
-        self.wire_time + self.retransmit_delay + self.multiplex_delay
-    }
-}
-
 /// What kind of happens-before dependency a [`CausalEdge`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
@@ -152,7 +122,9 @@ impl EdgeKind {
     }
 }
 
-/// One happens-before edge of the causal event graph.
+/// One happens-before edge of the causal event graph. A message edge
+/// is the engine's one record of a point-to-point message: the metrics
+/// a bundle carries for messages are folded from these edges.
 ///
 /// `dst_time` is bit-exact with the end of the CPU span the dependency
 /// produced on the destination rank (both are the same computed `f64`),
@@ -177,9 +149,23 @@ pub struct CausalEdge {
     pub bytes: u64,
     /// Fault-free wire/operation cost inside `dst_time - src_time`.
     pub wire_time: f64,
-    /// Fault-injected delay (retransmit backoff + multiplex queuing)
-    /// inside `dst_time - src_time`, always at its tail.
-    pub fault_delay: f64,
+    /// Times a message was dropped before getting through (0 for a
+    /// collective).
+    pub drops: u32,
+    /// Retransmission-backoff delay inside `dst_time - src_time`,
+    /// right after the wire time.
+    pub retransmit_delay: f64,
+    /// Connection-multiplexing queue delay inside `dst_time -
+    /// src_time`, at its tail.
+    pub multiplex_delay: f64,
+}
+
+impl CausalEdge {
+    /// The fault-injected delay inside `dst_time - src_time`
+    /// (retransmit backoff, then multiplex queuing), always at its tail.
+    pub fn fault_delay(&self) -> f64 {
+        self.retransmit_delay + self.multiplex_delay
+    }
 }
 
 /// Instrumentation hooks the simulation engine calls.
@@ -203,12 +189,6 @@ pub trait Tracer: Send {
     #[inline]
     fn span(&mut self, rank: usize, kind: SpanKind, start: f64, end: f64) {
         let _ = (rank, kind, start, end);
-    }
-
-    /// A point-to-point message was posted.
-    #[inline]
-    fn message(&mut self, msg: &MessageRecord) {
-        let _ = msg;
     }
 
     /// A scalar observation (e.g. connection-table occupancy).
@@ -253,9 +233,6 @@ impl Tracer for NullTracer {
     fn span(&mut self, _: usize, _: SpanKind, _: f64, _: f64) {}
 
     #[inline(always)]
-    fn message(&mut self, _: &MessageRecord) {}
-
-    #[inline(always)]
     fn gauge(&mut self, _: &'static str, _: f64) {}
 
     #[inline(always)]
@@ -279,8 +256,8 @@ impl Tracer for NullTracer {
 /// which it reports events does: its worklist interleaves ranks as they
 /// become runnable, and that changes with the partition map. So each
 /// event is kept in a list of its *owner* rank, in the order it
-/// arrives: a span belongs to its rank, a message and a message edge
-/// to the sender, and a collective edge to the receiver. Every
+/// arrives: a span belongs to its rank, a message edge to the sender,
+/// and a collective edge to the receiver. Every
 /// partition reports each rank's events in that rank's program order,
 /// so the lists do not depend on the partition map, and
 /// [`RecordingTracer::into_bundle`] lays them out rank by rank and
@@ -302,7 +279,6 @@ pub struct RecordingTracer {
 #[derive(Debug, Clone, Default)]
 struct RankEvents {
     spans: Vec<SpanEvent>,
-    messages: Vec<MessageRecord>,
     edges: Vec<CausalEdge>,
 }
 
@@ -335,12 +311,15 @@ impl RecordingTracer {
 
     /// Package the recording as a [`TraceBundle`] in canonical order:
     /// the spans and edges of rank 0, then of rank 1, and so on, with
-    /// the metrics folded in that order too.
+    /// the metrics folded in that order too. A message's link is the
+    /// pair of its ranks' nodes in the recorded topology; a message
+    /// between ranks the topology does not place adds no link bytes.
     pub fn into_bundle(self, label: impl Into<String>) -> TraceBundle {
         let n_ranks = self.ranks.len().max(self.rank_nodes.len());
         let mut metrics = self.metrics;
         let mut spans = Vec::with_capacity(self.ranks.iter().map(|r| r.spans.len()).sum());
         let mut edges = Vec::with_capacity(self.ranks.iter().map(|r| r.edges.len()).sum());
+        let nodes = &self.rank_nodes;
         for rank in self.ranks {
             for s in &rank.spans {
                 match s.kind {
@@ -349,7 +328,7 @@ impl RecordingTracer {
                     _ => {}
                 }
             }
-            for msg in &rank.messages {
+            for msg in rank.edges.iter().filter(|e| e.kind == EdgeKind::Message) {
                 metrics.inc("messages_sent", 1);
                 metrics.inc("bytes_sent", msg.bytes);
                 if msg.drops > 0 {
@@ -359,8 +338,12 @@ impl RecordingTracer {
                 if msg.multiplex_delay > 0.0 {
                     metrics.inc("messages_multiplexed", 1);
                 }
-                metrics.link_bytes(msg.from_node, msg.to_node, msg.bytes);
-                metrics.observe("message_latency_seconds", msg.latency());
+                let link = (nodes.get(msg.src_rank), nodes.get(msg.dst_rank));
+                if let (Some(&from), Some(&to)) = link {
+                    metrics.link_bytes(from, to, msg.bytes);
+                }
+                let latency = msg.wire_time + msg.retransmit_delay + msg.multiplex_delay;
+                metrics.observe("message_latency_seconds", latency);
             }
             spans.extend(rank.spans);
             edges.extend(rank.edges);
@@ -385,10 +368,6 @@ impl Tracer for RecordingTracer {
             start,
             end,
         });
-    }
-
-    fn message(&mut self, msg: &MessageRecord) {
-        self.lists(msg.from_rank, msg.to_rank).messages.push(*msg);
     }
 
     fn gauge(&mut self, name: &'static str, value: f64) {
@@ -417,7 +396,6 @@ impl Tracer for RecordingTracer {
         };
         let to = self.lists(rank, rank);
         move_onto(&mut to.spans, &mut from.spans);
-        move_onto(&mut to.messages, &mut from.messages);
         move_onto(&mut to.edges, &mut from.edges);
     }
 }
@@ -425,20 +403,6 @@ impl Tracer for RecordingTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn msg(from: usize, to: usize) -> MessageRecord {
-        MessageRecord {
-            from_rank: from,
-            to_rank: to,
-            from_node: 0,
-            to_node: 0,
-            bytes: 8,
-            wire_time: 1e-6,
-            drops: 0,
-            retransmit_delay: 0.0,
-            multiplex_delay: 0.0,
-        }
-    }
 
     fn edge(kind: EdgeKind, src: usize, dst: usize) -> CausalEdge {
         CausalEdge {
@@ -449,7 +413,9 @@ mod tests {
             dst_time: 1e-6,
             bytes: 8,
             wire_time: 1e-6,
-            fault_delay: 0.0,
+            drops: 0,
+            retransmit_delay: 0.0,
+            multiplex_delay: 0.0,
         }
     }
 
@@ -461,26 +427,32 @@ mod tests {
     #[test]
     fn recording_tracer_captures_spans_and_counts() {
         let mut t = RecordingTracer::new();
+        t.topology(&[0, 1]);
         t.span(0, SpanKind::Compute, 0.0, 1.0);
         t.span(1, SpanKind::RecvWait, 0.0, 0.5);
-        t.message(&MessageRecord {
-            from_rank: 0,
-            to_rank: 1,
-            from_node: 0,
-            to_node: 1,
+        let dropped = CausalEdge {
             bytes: 4096,
             wire_time: 1e-5,
             drops: 2,
             retransmit_delay: 3e-4,
-            multiplex_delay: 0.0,
-        });
+            multiplex_delay: 2e-6,
+            ..edge(EdgeKind::Message, 0, 1)
+        };
+        t.edge(&dropped);
+        // A collective edge is no message.
+        t.edge(&edge(EdgeKind::Collective, 1, 0));
         let b = t.into_bundle("demo");
         assert_eq!(b.spans.len(), 2);
         assert_eq!(b.profile.ranks.len(), 2);
         assert_eq!(b.metrics.counter("messages_sent"), 1);
         assert_eq!(b.metrics.counter("messages_dropped"), 1);
         assert_eq!(b.metrics.counter("retransmits"), 2);
+        assert_eq!(b.metrics.counter("messages_multiplexed"), 1);
         assert_eq!(b.metrics.counter("bytes_sent"), 4096);
+        assert_eq!(b.metrics.links_by_bytes(), vec![((0, 1), 4096)]);
+        let latency = b.metrics.histogram("message_latency_seconds").unwrap();
+        assert_eq!(latency.sum(), 1e-5 + 3e-4 + 2e-6);
+        assert_eq!(dropped.fault_delay(), 3e-4 + 2e-6);
         assert_eq!(b.metrics.histogram("recv_wait_seconds").unwrap().count(), 1);
     }
 
@@ -496,7 +468,9 @@ mod tests {
             dst_time: 1.5e-5,
             bytes: 4096,
             wire_time: 1.5e-5,
-            fault_delay: 0.0,
+            drops: 0,
+            retransmit_delay: 0.0,
+            multiplex_delay: 0.0,
         });
         let bundle = t.into_bundle("demo");
         assert_eq!(bundle.edges.len(), 1);
@@ -512,7 +486,7 @@ mod tests {
         // rank named.
         let mut t = RecordingTracer::new();
         t.span(0, SpanKind::Send, 0.0, 1e-6);
-        t.message(&msg(0, 3));
+        t.edge(&edge(EdgeKind::Message, 0, 3));
         assert_eq!(t.into_bundle("demo").profile.ranks.len(), 4);
     }
 
@@ -521,7 +495,6 @@ mod tests {
     fn hook_scrambled<T: Tracer>(t: &mut T) {
         t.span(2, SpanKind::Compute, 0.0, 1.0);
         t.span(0, SpanKind::Compute, 0.0, 2.0);
-        t.message(&msg(1, 0));
         t.edge(&edge(EdgeKind::Message, 1, 0)); // owner: src rank 1
         t.edge(&edge(EdgeKind::Collective, 2, 0)); // owner: dst rank 0
         t.span(0, SpanKind::Send, 2.0, 2.1);
@@ -565,7 +538,6 @@ mod tests {
         let (mut a, mut b) = (merged.partition(), merged.partition());
         a.span(0, SpanKind::Compute, 0.0, 2.0);
         b.span(2, SpanKind::Compute, 0.0, 1.0);
-        a.message(&msg(1, 0));
         a.edge(&edge(EdgeKind::Message, 1, 0));
         b.span(2, SpanKind::RecvWait, 1.0, 1.5);
         a.edge(&edge(EdgeKind::Collective, 2, 0));

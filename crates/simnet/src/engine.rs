@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 
 use columbia_machine::cluster::CpuId;
-use columbia_obs::{CausalEdge, EdgeKind, MessageRecord, RunContext, SpanKind, Tracer};
+use columbia_obs::{CausalEdge, EdgeKind, RunContext, SpanKind, Tracer};
 
 use crate::collectives;
 use crate::error::SimError;
@@ -225,17 +225,6 @@ pub(crate) fn charge_send<T: Tracer, F: Fabric + ?Sized>(
         if muxed {
             tracer.span(r, SpanKind::MultiplexQueue, arrival - mux_delay, arrival);
         }
-        tracer.message(&MessageRecord {
-            from_rank: r,
-            to_rank: to,
-            from_node: cpus[r].node.0,
-            to_node: cpus[to].node.0,
-            bytes,
-            wire_time: cost,
-            drops,
-            retransmit_delay,
-            multiplex_delay: if muxed { mux_delay } else { 0.0 },
-        });
         // `arrival` here and the receiver's RecvWait span end are
         // the same computed f64, so the analyzer joins them
         // bit-exactly.
@@ -247,7 +236,9 @@ pub(crate) fn charge_send<T: Tracer, F: Fabric + ?Sized>(
             dst_time: arrival,
             bytes,
             wire_time: cost,
-            fault_delay: retransmit_delay + if muxed { mux_delay } else { 0.0 },
+            drops,
+            retransmit_delay,
+            multiplex_delay: if muxed { mux_delay } else { 0.0 },
         });
     }
     arrival
@@ -327,8 +318,10 @@ pub(crate) fn collective_source(op: Op, clocks: impl Iterator<Item = f64>) -> us
 }
 
 /// The error for collective number `seq` once two arrivals issued
-/// different ops (each engine compares every arrival with the first):
-/// the lowest rank whose current op, `op_of(r)`, differs from rank 0's.
+/// different ops (each partition compares its arrivals with its first,
+/// and the leader compares the partitions' first ops): the lowest rank
+/// whose current op, `op_of(r)`, differs from rank 0's, whatever the
+/// partition map.
 pub(crate) fn collective_mismatch(n: usize, seq: usize, op_of: impl Fn(usize) -> Op) -> SimError {
     let expected = op_of(0);
     let rank = (1..n)
@@ -369,7 +362,9 @@ pub(crate) fn apply_collective_release<T: Tracer>(
             dst_time: done,
             bytes: coll_bytes,
             wire_time: cost,
-            fault_delay: 0.0,
+            drops: 0,
+            retransmit_delay: 0.0,
+            multiplex_delay: 0.0,
         });
     }
     state.comm += done - state.clock;
@@ -516,7 +511,7 @@ mod tests {
     use super::*;
     use crate::fabric::ClusterFabric;
     use crate::fault::{ConnectionLimit, ConnectionPolicy};
-    use crate::mailbox::ReferenceMailbox;
+    use crate::mailbox::tests::ReferenceMailbox;
     use columbia_machine::cluster::{ClusterConfig, InterNodeFabric, NodeId};
     use columbia_machine::node::NodeKind;
 
@@ -1189,11 +1184,11 @@ mod tests {
         for e in &messages {
             assert!(e.bytes > 0);
             assert!(e.wire_time > 0.0);
-            assert!(e.fault_delay >= 0.0);
+            assert!(e.fault_delay() >= 0.0);
             assert!(e.src_time < e.dst_time);
         }
         assert!(
-            messages.iter().any(|e| e.fault_delay > 0.0),
+            messages.iter().any(|e| e.fault_delay() > 0.0),
             "the drop plan must surface as fault delay on some edge"
         );
         // And the analyzer closes the loop: the extracted critical

@@ -21,6 +21,11 @@
 //!   a livelocked run into a structured
 //!   [`crate::error::SimError::WatchdogTimeout`].
 //!
+//! Each real-valued setting of a plan (a probability, a factor, a
+//! delay) has one [`Bound`] here: the builders assert it, and the spec
+//! compiler rejects a value outside it where the spec sets it, before
+//! anything runs.
+//!
 //! Everything is a pure function of the plan (including its `seed`):
 //! the same plan over the same programs yields bit-identical timelines,
 //! and the all-defaults plan ([`FaultPlan::none`]) is bit-identical to
@@ -39,14 +44,67 @@ pub const DOWN_LINK_LATENCY_FACTOR: f64 = 4.0;
 /// Bandwidth fraction surviving a downed link's detour.
 pub const DOWN_LINK_BANDWIDTH_FACTOR: f64 = 0.25;
 
+/// A bound a fault-plan value must meet.
+#[derive(Debug, Clone, Copy)]
+pub struct Bound {
+    /// What a value must be, as a diagnostic says it (`"at least 1"`).
+    pub must: &'static str,
+    test: fn(f64) -> bool,
+}
+
+impl Bound {
+    /// Whether `v` meets the bound.
+    pub fn holds(&self, v: f64) -> bool {
+        (self.test)(v)
+    }
+
+    /// Panic unless `v`, the value of `what`, meets the bound.
+    fn assert(&self, what: &str, v: f64) {
+        assert!(self.holds(v), "{what} must be {}, got {v}", self.must);
+    }
+}
+
+/// [`FaultPlan::drop_prob`]: every message must get through eventually.
+pub const DROP_PROB: Bound = Bound {
+    must: "in [0, 1)",
+    test: |p| (0.0..1.0).contains(&p),
+};
+
+/// A degraded link's latency multiplier: a fault never speeds a link up.
+pub const LATENCY_FACTOR: Bound = Bound {
+    must: "at least 1",
+    test: |f| f >= 1.0,
+};
+
+/// A degraded link's bandwidth multiplier: some bandwidth survives, and
+/// none is gained.
+pub const BANDWIDTH_FACTOR: Bound = Bound {
+    must: "in (0, 1]",
+    test: |f| f > 0.0 && f <= 1.0,
+};
+
+/// A CPU or node slowdown's compute multiplier.
+pub const SLOWDOWN_FACTOR: Bound = Bound {
+    must: "at least 1",
+    test: |f| f >= 1.0,
+};
+
+/// A [`RetransmitPolicy`]'s timeout and backoff, and a multiplex
+/// `queue_penalty`: no delay may be negative, or a message would arrive
+/// before it was sent.
+pub const NON_NEGATIVE: Bound = Bound {
+    must: "at least 0",
+    test: |v| v >= 0.0,
+};
+
 /// Health of one inter-node link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkState {
     /// The link works but slower: latency multiplied, bandwidth scaled.
     Degraded {
-        /// Latency multiplier (≥ 1).
+        /// Latency multiplier ([`LATENCY_FACTOR`]).
         latency_factor: f64,
-        /// Bandwidth multiplier (0 < f ≤ 1).
+        /// Bandwidth multiplier ([`BANDWIDTH_FACTOR`]).
         bandwidth_factor: f64,
     },
     /// The link is out; traffic reroutes with fixed penalty factors.
@@ -91,11 +149,12 @@ pub struct CpuSlowdown {
     pub node: NodeId,
     /// Specific CPU, or `None` for the whole node (brick-level fault).
     pub cpu: Option<u32>,
-    /// Compute-time multiplier (≥ 1).
+    /// Compute-time multiplier ([`SLOWDOWN_FACTOR`]).
     pub factor: f64,
 }
 
-/// Timeout-and-retransmit behaviour for dropped messages.
+/// Timeout-and-retransmit behaviour for dropped messages. The timeout
+/// and backoff are [`NON_NEGATIVE`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetransmitPolicy {
     /// Seconds before the first retransmission.
@@ -125,7 +184,7 @@ pub enum ConnectionPolicy {
     Fail,
     /// Multiplex connections: every inter-node message queues behind
     /// the shared contexts, paying `queue_penalty × (oversubscription
-    /// − 1)` seconds.
+    /// − 1)` seconds (`queue_penalty` is [`NON_NEGATIVE`]).
     Multiplex {
         /// Seconds of queuing per unit of oversubscription.
         queue_penalty: f64,
@@ -161,7 +220,7 @@ pub const DEFAULT_MULTIPLEX_QUEUE_PENALTY: f64 = 2.0e-6;
 pub struct FaultPlan {
     /// Seed for every sampled decision (message drops).
     pub seed: u64,
-    /// Per-message drop probability in `[0, 1)`.
+    /// Per-message drop probability ([`DROP_PROB`]).
     pub drop_prob: f64,
     /// Timeout/backoff behaviour for dropped messages.
     pub retransmit: RetransmitPolicy,
@@ -199,10 +258,7 @@ impl FaultPlan {
 
     /// A plan that only drops messages, with the given seed.
     pub fn with_drops(seed: u64, drop_prob: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&drop_prob),
-            "drop_prob must be in [0,1)"
-        );
+        DROP_PROB.assert("drop_prob", drop_prob);
         FaultPlan {
             seed,
             drop_prob,
@@ -218,7 +274,8 @@ impl FaultPlan {
         latency_factor: f64,
         bandwidth_factor: f64,
     ) -> Self {
-        assert!(latency_factor >= 1.0 && bandwidth_factor > 0.0 && bandwidth_factor <= 1.0);
+        LATENCY_FACTOR.assert("latency_factor", latency_factor);
+        BANDWIDTH_FACTOR.assert("bandwidth_factor", bandwidth_factor);
         self.link_faults.push(LinkFault {
             a,
             b,
@@ -242,7 +299,7 @@ impl FaultPlan {
 
     /// Slow one CPU by `factor`.
     pub fn slow_cpu(mut self, cpu: CpuId, factor: f64) -> Self {
-        assert!(factor >= 1.0);
+        SLOWDOWN_FACTOR.assert("factor", factor);
         self.cpu_slowdowns.push(CpuSlowdown {
             node: cpu.node,
             cpu: Some(cpu.cpu),
@@ -253,7 +310,7 @@ impl FaultPlan {
 
     /// Slow every CPU of `node` by `factor` (a brick-level fault).
     pub fn slow_node(mut self, node: NodeId, factor: f64) -> Self {
-        assert!(factor >= 1.0);
+        SLOWDOWN_FACTOR.assert("factor", factor);
         self.cpu_slowdowns.push(CpuSlowdown {
             node,
             cpu: None,

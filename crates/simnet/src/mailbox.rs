@@ -23,14 +23,9 @@
 //!   next push reuses it.
 //!
 //! The engine is generic over [`MailboxOps`]. A `HashMap` keyed by
-//! `(from, to, tag)` survives only in tests, as `ReferenceMailbox`: the
-//! oracle that the flat mailbox is checked against, here and at the
-//! engine level.
-
-#[cfg(test)]
-use std::collections::HashMap;
-#[cfg(test)]
-use std::collections::VecDeque;
+//! `(from, to, tag)` survives only in this module's tests, as
+//! `tests::ReferenceMailbox`: the oracle that the flat mailbox is
+//! checked against, here and at the engine level.
 
 /// The mailbox operations the engine needs. `push`/`pop` must be FIFO
 /// per `(from, to, tag)` channel (MPI ordering); `next_seq` returns a
@@ -195,53 +190,51 @@ impl MailboxOps for IndexedMailbox {
 }
 
 #[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct MsgKey {
-    from: usize,
-    to: usize,
-    tag: u64,
-}
-
-/// The original `HashMap`-keyed mailbox: the test oracle for
-/// [`IndexedMailbox`]. Semantically identical; only the storage
-/// differs.
-#[cfg(test)]
-#[derive(Debug, Default)]
-pub(crate) struct ReferenceMailbox {
-    queues: HashMap<MsgKey, VecDeque<f64>>,
-    send_seq: HashMap<MsgKey, u64>,
-}
-
-#[cfg(test)]
-impl MailboxOps for ReferenceMailbox {
-    fn with_ranks(_n: usize) -> Self {
-        ReferenceMailbox::default()
-    }
-
-    fn push(&mut self, from: usize, to: usize, tag: u64, arrival: f64) {
-        self.queues
-            .entry(MsgKey { from, to, tag })
-            .or_default()
-            .push_back(arrival);
-    }
-
-    fn pop(&mut self, from: usize, to: usize, tag: u64) -> Option<f64> {
-        self.queues.get_mut(&MsgKey { from, to, tag })?.pop_front()
-    }
-
-    fn next_seq(&mut self, from: usize, to: usize, tag: u64) -> u64 {
-        let seq = self.send_seq.entry(MsgKey { from, to, tag }).or_insert(0);
-        let s = *seq;
-        *seq += 1;
-        s
-    }
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use proptest::TestRng;
+    use std::collections::{HashMap, VecDeque};
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    struct MsgKey {
+        from: usize,
+        to: usize,
+        tag: u64,
+    }
+
+    /// The original `HashMap`-keyed mailbox: the test oracle for
+    /// [`IndexedMailbox`]. Semantically identical; only the storage
+    /// differs.
+    #[derive(Debug, Default)]
+    pub(crate) struct ReferenceMailbox {
+        queues: HashMap<MsgKey, VecDeque<f64>>,
+        send_seq: HashMap<MsgKey, u64>,
+    }
+
+    impl MailboxOps for ReferenceMailbox {
+        fn with_ranks(_n: usize) -> Self {
+            ReferenceMailbox::default()
+        }
+
+        fn push(&mut self, from: usize, to: usize, tag: u64, arrival: f64) {
+            self.queues
+                .entry(MsgKey { from, to, tag })
+                .or_default()
+                .push_back(arrival);
+        }
+
+        fn pop(&mut self, from: usize, to: usize, tag: u64) -> Option<f64> {
+            self.queues.get_mut(&MsgKey { from, to, tag })?.pop_front()
+        }
+
+        fn next_seq(&mut self, from: usize, to: usize, tag: u64) -> u64 {
+            let seq = self.send_seq.entry(MsgKey { from, to, tag }).or_insert(0);
+            let s = *seq;
+            *seq += 1;
+            s
+        }
+    }
 
     fn exercise<M: MailboxOps>() -> Vec<(Option<f64>, u64)> {
         let mut m = M::with_ranks(4);

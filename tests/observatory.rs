@@ -88,7 +88,7 @@ fn spec_manifest_entries_pin_spec_hash_and_points_in_the_stable_part() {
     .expect("shipped spec readable");
 
     let manifest_of = |spec_text: &str, wall: f64| -> RunManifest {
-        let job = SpecJob::from_text("table1", spec_text, false).expect("spec compiles");
+        let job = SpecJob::from_text("table1", spec_text).expect("spec compiles");
         let (fingerprint, points) = (job.plan.fingerprint(), job.plan.len());
         let report = job
             .plan

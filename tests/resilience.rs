@@ -12,6 +12,8 @@
 //!   entries, and resumed produces a report byte-identical to the
 //!   uninterrupted golden fixture in `tests/golden/`. CI runs the same
 //!   scenario through the `repro` binary as a smoke gate.
+//!   A checkpoint entry whose row is too narrow for a `[collate]`
+//!   column resumes as a malformed row, not a crash.
 //! * **Deadline + retry policy** — a hung point is abandoned at its
 //!   wall-clock deadline and a transiently panicking point is rescued
 //!   by bounded retries, with the attempt counts surfaced in
@@ -23,7 +25,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use columbia::experiments::plan;
-use columbia::{PointError, PointOutput, PointStore, ResilienceOptions, SweepPlan, SweepStats};
+use columbia::{
+    PointError, PointKey, PointOutput, PointStore, ResilienceOptions, SpecJob, SweepPlan,
+    SweepStats,
+};
 use proptest::prelude::*;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -168,6 +173,54 @@ fn killed_and_resumed_table2_matches_the_uninterrupted_golden() {
     // ones; only the intact survivors were served from the store.
     assert_eq!(resumed.stats.resumed, keep.saturating_sub(1));
     assert_eq!(resumed.stats.points, total);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint entry is input from outside the program, and the store
+/// reads back rows of any width. A `[collate]` plan resumed from an
+/// entry whose row is one cell, narrower than the ratio column, keeps
+/// that row as it came, widened and flagged by the report's
+/// malformed-row note, and every other row as the uninterrupted run
+/// rendered it.
+#[test]
+fn a_collate_plan_resumes_a_too_narrow_checkpoint_row_as_a_malformed_row() {
+    let spec = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/spec_corpus/valid/collate-ratio.toml");
+    let plan = || SpecJob::load(&spec).expect("fixture compiles").plan;
+    let dir = temp_dir("narrow-row");
+    let opts = |resume| ResilienceOptions {
+        store: Some(PointStore::open(dir.clone()).unwrap()),
+        resume,
+        ..ResilienceOptions::default()
+    };
+    let full = plan().run_resilient_with_jobs(2, opts(false));
+    assert!(full.is_clean(), "{:?}", full.failures);
+
+    let first = plan();
+    let key = PointKey {
+        experiment: first.id.clone(),
+        fingerprint: first.fingerprint(),
+        index: 1,
+    };
+    let store = PointStore::open(dir.clone()).unwrap();
+    let mut entry = store.load(&key).expect("point 1 was checkpointed");
+    assert!(
+        !entry.values.is_empty(),
+        "point 1 carries its ratio's scalar"
+    );
+    entry.rows = vec![vec!["BX2a".into()]];
+    store.save(&key, &entry).unwrap();
+
+    let resumed = plan().run_resilient_with_jobs(2, opts(true));
+    assert!(resumed.is_clean(), "{:?}", resumed.failures);
+    assert_eq!(resumed.stats.resumed, resumed.stats.points);
+    let mut rows = full.report.rows.clone();
+    rows[1] = vec!["BX2a".into(), String::new(), String::new()];
+    assert_eq!(resumed.report.rows, rows);
+    let mut notes =
+        vec!["malformed row (row width 1 does not match 3 header(s)): BX2a".to_string()];
+    notes.extend(full.report.notes.iter().cloned());
+    assert_eq!(resumed.report.notes, notes);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -38,7 +38,7 @@ fn spec_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap_or_else(|e| panic!("missing corpus directory {}: {e}", dir.display()))
         .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "toml" || x == "json"))
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
         .collect();
     files.sort();
     files
@@ -90,7 +90,7 @@ fn assert_no_orphans(dir: &Path) {
     for entry in std::fs::read_dir(dir).unwrap() {
         let p = entry.unwrap().path();
         if p.extension().is_some_and(|x| x == "golden") {
-            let has_spec = p.with_extension("toml").exists() || p.with_extension("json").exists();
+            let has_spec = p.with_extension("toml").exists();
             assert!(has_spec, "orphaned corpus sidecar {}", p.display());
         }
     }
