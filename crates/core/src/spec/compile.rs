@@ -411,7 +411,7 @@ const KIND_TABLE: [Kind; 12] = [
             let (mptv, mpt_name) = p.enum_param("mpt", mpt, Some("beta"))?;
             let pinnings = p.enum_list("pinning", pinning, "pinned")?;
             let faults = match p.get("faults") {
-                Some(n) => build_faults(p, as_table(n, "'faults'")?)?,
+                Some(n) => build_faults(p, as_table(n, "'faults'")?, nodes)?,
                 None => FaultPlan::none(),
             };
             let base = MzRunConfig {
@@ -1137,10 +1137,11 @@ fn columbia_config(s: &str, span: Span) -> Result<(bool, &'static str), SpecErro
 // ---------------------------------------------------------------------------
 // Fault plans from data
 
-/// The fault plan of a `faults` table. Each value is checked at the
-/// value against the bound `simnet::fault` states for it, or against
-/// the type of the plan field it sets.
-fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecError> {
+/// The fault plan of a `faults` table for a point on `nodes` nodes.
+/// Each value is checked at the value against the bound
+/// `simnet::fault` states for it, or against the type of the plan
+/// field it sets; a node index must name one of the point's nodes.
+fn build_faults(ctx: &ParamCtx<'_>, table: &Table, nodes: u32) -> Result<FaultPlan, SpecError> {
     let mut f = Fields::new(&table.entries);
     let mut plan = FaultPlan::none();
     if let Some(n) = f.take("seed") {
@@ -1168,8 +1169,8 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
     if let Some(n) = f.take("degrade_link") {
         let t = as_table(n, "'degrade_link'")?;
         let mut g = Fields::new(&t.entries);
-        let a = link_end(&mut g, n.span, "a")?;
-        let b = link_end(&mut g, n.span, "b")?;
+        let a = link_end(&mut g, n.span, "a", nodes)?;
+        let b = link_end(&mut g, n.span, "b", nodes)?;
         let lat = factor_of(&mut g, "latency_factor", LATENCY_FACTOR)?;
         let bw = factor_of(&mut g, "bandwidth_factor", BANDWIDTH_FACTOR)?;
         g.finish("'degrade_link'")?;
@@ -1178,15 +1179,15 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
     if let Some(n) = f.take("fail_link") {
         let t = as_table(n, "'fail_link'")?;
         let mut g = Fields::new(&t.entries);
-        let a = link_end(&mut g, n.span, "a")?;
-        let b = link_end(&mut g, n.span, "b")?;
+        let a = link_end(&mut g, n.span, "a", nodes)?;
+        let b = link_end(&mut g, n.span, "b", nodes)?;
         g.finish("'fail_link'")?;
         plan = plan.fail_link(a, b);
     }
     if let Some(n) = f.take("slow_node") {
         let t = as_table(n, "'slow_node'")?;
         let mut g = Fields::new(&t.entries);
-        let node = link_end(&mut g, n.span, "node")?;
+        let node = link_end(&mut g, n.span, "node", nodes)?;
         let factor = factor_of(&mut g, "factor", SLOWDOWN_FACTOR)?;
         g.finish("'slow_node'")?;
         plan = plan.slow_node(node, factor);
@@ -1195,10 +1196,10 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
         let t = as_table(n, "'connection_limit'")?;
         let mut g = Fields::new(&t.entries);
         let missing = |k: &str| invalid(n.span, format!("'connection_limit' requires '{k}'"));
-        let cards = g.take("cards").ok_or_else(|| missing("cards"))?;
-        let cards = unsigned(cards, "'cards'", u32::MAX.into())? as u32;
-        let per_card = g.take("per_card").ok_or_else(|| missing("per_card"))?;
-        let per_card = unsigned(per_card, "'per_card'", i64::MAX)? as u64;
+        let cards_node = g.take("cards").ok_or_else(|| missing("cards"))?;
+        let cards = unsigned(cards_node, "'cards'", u32::MAX.into())? as u32;
+        let per_card_node = g.take("per_card").ok_or_else(|| missing("per_card"))?;
+        let per_card = unsigned(per_card_node, "'per_card'", i64::MAX)? as u64;
         let policy_node = g.take("policy").ok_or_else(|| missing("policy"))?;
         let policy_name = as_str(policy_node, "'policy'")?;
         let queue_penalty = g
@@ -1208,7 +1209,22 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
             .unwrap_or(DEFAULT_MULTIPLEX_QUEUE_PENALTY);
         let policy = match policy_name {
             "fail" => ConnectionPolicy::Fail,
-            "multiplex" => ConnectionPolicy::Multiplex { queue_penalty },
+            "multiplex" => {
+                // Multiplexing divides by the budget: a node needs at
+                // least one connection to queue behind.
+                for (node, v, key) in [
+                    (cards_node, cards.into(), "cards"),
+                    (per_card_node, per_card, "per_card"),
+                ] {
+                    if v == 0 {
+                        return Err(invalid(
+                            node.span,
+                            format!("'{key}' must be at least 1 under policy \"multiplex\", got 0"),
+                        ));
+                    }
+                }
+                ConnectionPolicy::Multiplex { queue_penalty }
+            }
             other => {
                 return Err(bad_enum(
                     policy_node.span,
@@ -1232,15 +1248,21 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table) -> Result<FaultPlan, SpecErro
     Ok(plan)
 }
 
-fn link_end(g: &mut Fields<'_>, span: Span, key: &'static str) -> Result<NodeId, SpecError> {
+/// The node index `key`, one of the point's `nodes` nodes.
+fn link_end(
+    g: &mut Fields<'_>,
+    span: Span,
+    key: &'static str,
+    nodes: u32,
+) -> Result<NodeId, SpecError> {
     let n = g
         .take(key)
         .ok_or_else(|| invalid(span, format!("missing '{key}' (a node index)")))?;
     let v = as_int(n, key)?;
-    if !(0..=i64::from(u32::MAX)).contains(&v) {
+    if !(0..i64::from(nodes)).contains(&v) {
         return Err(invalid(
             n.span,
-            format!("'{key}' must be a node index, got {v}"),
+            format!("'{key}' must be a node index below 'nodes' = {nodes}, got {v}"),
         ));
     }
     Ok(NodeId(v as u32))
@@ -1888,6 +1910,20 @@ stride = [1, 2]
             ),
             ("slow_node = { node = 0, factor = 1.0 }", None),
             (
+                "slow_node = { node = 7, factor = 2.0 }",
+                Some("'node' must be a node index below 'nodes' = 2, got 7"),
+            ),
+            ("slow_node = { node = 1, factor = 2.0 }", None),
+            (
+                "degrade_link = { a = 0, b = 9, latency_factor = 2.0 }",
+                Some("'b' must be a node index below 'nodes' = 2, got 9"),
+            ),
+            (
+                "fail_link = { a = 2, b = 0 }",
+                Some("'a' must be a node index below 'nodes' = 2, got 2"),
+            ),
+            ("fail_link = { a = 1, b = 0 }", None),
+            (
                 "connection_limit = { cards = -1, per_card = 1, policy = \"fail\" }",
                 Some("'cards' must be between 0 and 4294967295, got -1"),
             ),
@@ -1912,6 +1948,14 @@ stride = [1, 2]
             (
                 "connection_limit = { cards = 0, per_card = 0, policy = \"fail\" }",
                 None,
+            ),
+            (
+                "connection_limit = { cards = 0, per_card = 8192, policy = \"multiplex\" }",
+                Some("'cards' must be at least 1 under policy \"multiplex\", got 0"),
+            ),
+            (
+                "connection_limit = { cards = 8, per_card = 0, policy = \"multiplex\" }",
+                Some("'per_card' must be at least 1 under policy \"multiplex\", got 0"),
             ),
         ];
         let cases = cases.map(|(faults, want)| {

@@ -7,6 +7,9 @@
 //! rank counts (Fig. 9) and the SP-MZ dips at non-divisor counts
 //! (Fig. 11).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::zones::Zone;
 
 /// Assignment of zones to ranks.
@@ -37,6 +40,11 @@ impl Assignment {
 }
 
 /// Greedy bin-packing: largest zone first onto the lightest rank.
+///
+/// Zones of equal size keep their input order, and of equally light
+/// ranks the lowest index takes the zone, so rank 0 gets the largest.
+/// The ranks sit in a min-heap keyed by `(load, rank)`, updated in
+/// place once per zone: O(zones · log ranks) after the sort.
 pub fn bin_pack(zones: &[Zone], ranks: usize) -> Assignment {
     assert!(ranks >= 1);
     assert!(
@@ -45,13 +53,17 @@ pub fn bin_pack(zones: &[Zone], ranks: usize) -> Assignment {
         zones.len()
     );
     let mut order: Vec<&Zone> = zones.iter().collect();
-    order.sort_by_key(|z| std::cmp::Reverse(z.points()));
+    order.sort_by_key(|z| Reverse(z.points()));
     let mut zone_ids = vec![Vec::new(); ranks];
     let mut load = vec![0u64; ranks];
+    let mut lightest: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..ranks).map(|r| Reverse((0, r))).collect();
     for z in order {
-        let lightest = (0..ranks).min_by_key(|&r| load[r]).unwrap();
-        zone_ids[lightest].push(z.id);
-        load[lightest] += z.points();
+        let mut top = lightest.peek_mut().expect("at least one rank");
+        let Reverse((_, r)) = *top;
+        zone_ids[r].push(z.id);
+        load[r] += z.points();
+        *top = Reverse((load[r], r));
     }
     Assignment { zone_ids, load }
 }
@@ -73,6 +85,69 @@ pub fn round_robin(zones: &[Zone], ranks: usize) -> Assignment {
 mod tests {
     use super::*;
     use crate::zones::{even_zones, uneven_zones, MzClass};
+    use proptest::prelude::*;
+
+    /// The oracle: the same greedy order, with the lightest rank found
+    /// by scanning every rank (the first of equal loads wins).
+    fn lpt_by_scan(zones: &[Zone], ranks: usize) -> Assignment {
+        let mut order: Vec<&Zone> = zones.iter().collect();
+        order.sort_by_key(|z| Reverse(z.points()));
+        let mut zone_ids = vec![Vec::new(); ranks];
+        let mut load = vec![0u64; ranks];
+        for z in order {
+            let lightest = (0..ranks).min_by_key(|&r| load[r]).unwrap();
+            zone_ids[lightest].push(z.id);
+            load[lightest] += z.points();
+        }
+        Assignment { zone_ids, load }
+    }
+
+    #[test]
+    fn heap_matches_the_scan_on_the_specs_points() {
+        let points = [
+            (MzClass::E, [256, 512, 768, 1024].as_slice()),
+            (MzClass::C, &[16, 64, 256]),
+        ];
+        for (class, rank_counts) in points {
+            for zones in [even_zones(class), uneven_zones(class)] {
+                for &ranks in rank_counts {
+                    let (heap, scan) = (bin_pack(&zones, ranks), lpt_by_scan(&zones, ranks));
+                    assert_eq!(
+                        (heap.zone_ids, heap.load),
+                        (scan.zone_ids, scan.load),
+                        "class {class}, {} zones, {ranks} ranks",
+                        zones.len()
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Zone sizes come from five values, so equal zones and equally
+        /// loaded ranks are common and the tie rule decides most moves.
+        #[test]
+        fn heap_matches_the_scan(
+            sizes in prop::collection::vec(prop::sample::select(vec![1usize, 2, 3, 5, 8]), 1..301),
+            pick in 0usize..300,
+        ) {
+            let zones: Vec<Zone> = sizes
+                .iter()
+                .enumerate()
+                .map(|(id, &ni)| Zone { id, ni, nj: 2, nk: 3 })
+                .collect();
+            let ranks = 1 + pick % zones.len();
+            let (heap, scan) = (bin_pack(&zones, ranks), lpt_by_scan(&zones, ranks));
+            prop_assert_eq!(
+                (heap.zone_ids, heap.load),
+                (scan.zone_ids, scan.load),
+                "{} ranks",
+                ranks
+            );
+        }
+    }
 
     #[test]
     fn every_zone_assigned_exactly_once() {

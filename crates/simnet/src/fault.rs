@@ -205,9 +205,10 @@ pub struct ConnectionLimit {
 }
 
 impl ConnectionLimit {
-    /// Total connections a node's cards provide.
+    /// Total connections a node's cards provide (saturating at
+    /// `u64::MAX`, which no placement can exceed).
     pub fn budget(&self) -> u64 {
-        self.cards_per_node as u64 * self.connections_per_card
+        u64::from(self.cards_per_node).saturating_mul(self.connections_per_card)
     }
 }
 
@@ -319,8 +320,16 @@ impl FaultPlan {
         self
     }
 
-    /// Enforce a connection budget.
+    /// Enforce a connection budget. Under
+    /// [`ConnectionPolicy::Multiplex`] the budget must not be zero: the
+    /// queuing penalty scales with required connections over it.
     pub fn with_connection_limit(mut self, limit: ConnectionLimit) -> Self {
+        if let ConnectionPolicy::Multiplex { .. } = limit.policy {
+            assert!(
+                limit.budget() > 0,
+                "a multiplexed connection budget must be at least 1, got 0"
+            );
+        }
         self.connection_limit = Some(limit);
         self
     }
@@ -648,5 +657,24 @@ mod tests {
             policy: ConnectionPolicy::Fail,
         };
         assert_eq!(limit.budget(), 524_288);
+        // 2^31 × 2^33 = 2^64 saturates instead of wrapping to zero.
+        let limit = ConnectionLimit {
+            cards_per_node: 1 << 31,
+            connections_per_card: 1 << 33,
+            ..limit
+        };
+        assert_eq!(limit.budget(), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiplexed connection budget must be at least 1")]
+    fn a_zero_multiplexed_budget_is_refused() {
+        let _ = FaultPlan::none().with_connection_limit(ConnectionLimit {
+            cards_per_node: 0,
+            connections_per_card: 8192,
+            policy: ConnectionPolicy::Multiplex {
+                queue_penalty: DEFAULT_MULTIPLEX_QUEUE_PENALTY,
+            },
+        });
     }
 }
