@@ -1169,8 +1169,8 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table, nodes: u32) -> Result<FaultPl
     if let Some(n) = f.take("degrade_link") {
         let t = as_table(n, "'degrade_link'")?;
         let mut g = Fields::new(&t.entries);
-        let a = link_end(&mut g, n.span, "a", nodes)?;
-        let b = link_end(&mut g, n.span, "b", nodes)?;
+        let a = link_end(&mut g, n.span, "a", nodes, None)?;
+        let b = link_end(&mut g, n.span, "b", nodes, Some(a))?;
         let lat = factor_of(&mut g, "latency_factor", LATENCY_FACTOR)?;
         let bw = factor_of(&mut g, "bandwidth_factor", BANDWIDTH_FACTOR)?;
         g.finish("'degrade_link'")?;
@@ -1179,15 +1179,15 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table, nodes: u32) -> Result<FaultPl
     if let Some(n) = f.take("fail_link") {
         let t = as_table(n, "'fail_link'")?;
         let mut g = Fields::new(&t.entries);
-        let a = link_end(&mut g, n.span, "a", nodes)?;
-        let b = link_end(&mut g, n.span, "b", nodes)?;
+        let a = link_end(&mut g, n.span, "a", nodes, None)?;
+        let b = link_end(&mut g, n.span, "b", nodes, Some(a))?;
         g.finish("'fail_link'")?;
         plan = plan.fail_link(a, b);
     }
     if let Some(n) = f.take("slow_node") {
         let t = as_table(n, "'slow_node'")?;
         let mut g = Fields::new(&t.entries);
-        let node = link_end(&mut g, n.span, "node", nodes)?;
+        let node = link_end(&mut g, n.span, "node", nodes, None)?;
         let factor = factor_of(&mut g, "factor", SLOWDOWN_FACTOR)?;
         g.finish("'slow_node'")?;
         plan = plan.slow_node(node, factor);
@@ -1248,12 +1248,15 @@ fn build_faults(ctx: &ParamCtx<'_>, table: &Table, nodes: u32) -> Result<FaultPl
     Ok(plan)
 }
 
-/// The node index `key`, one of the point's `nodes` nodes.
+/// The node index `key`, one of the point's `nodes` nodes, and not
+/// `a`, the link end read before it: traffic inside a node never takes
+/// a link, so a link from a node to itself would fault nothing.
 fn link_end(
     g: &mut Fields<'_>,
     span: Span,
     key: &'static str,
     nodes: u32,
+    a: Option<NodeId>,
 ) -> Result<NodeId, SpecError> {
     let n = g
         .take(key)
@@ -1263,6 +1266,12 @@ fn link_end(
         return Err(invalid(
             n.span,
             format!("'{key}' must be a node index below 'nodes' = {nodes}, got {v}"),
+        ));
+    }
+    if a == Some(NodeId(v as u32)) {
+        return Err(invalid(
+            n.span,
+            format!("'{key}' must name a node other than 'a' = {v}: a link joins two nodes"),
         ));
     }
     Ok(NodeId(v as u32))
@@ -1923,6 +1932,18 @@ stride = [1, 2]
                 Some("'a' must be a node index below 'nodes' = 2, got 2"),
             ),
             ("fail_link = { a = 1, b = 0 }", None),
+            (
+                "fail_link = { a = 1, b = 1 }",
+                Some("'b' must name a node other than 'a' = 1: a link joins two nodes"),
+            ),
+            (
+                "degrade_link = { a = 0, b = 0, latency_factor = 4.0, bandwidth_factor = 0.25 }",
+                Some("'b' must name a node other than 'a' = 0"),
+            ),
+            (
+                "degrade_link = { a = 0, b = 1, latency_factor = 4.0, bandwidth_factor = 0.25 }",
+                None,
+            ),
             (
                 "connection_limit = { cards = -1, per_card = 1, policy = \"fail\" }",
                 Some("'cards' must be between 0 and 4294967295, got -1"),

@@ -29,13 +29,15 @@
 //! per-op helpers the loop applies. It is generic over the tracer,
 //! the fabric and the program representation, so under the
 //! [`NullTracer`](columbia_obs::NullTracer) the instrumentation
-//! compiles away, per-message cost calls inline (pair the fabric with
-//! [`crate::fabric::CachedFabric`] for table lookups), and SPMD
-//! workloads share one
-//! [`crate::program::ProgramSet`] template. [`simulate_on`] and
-//! [`crate::pdes::simulate_parallel_on`] are its untraced shorthands.
-
-use std::collections::HashMap;
+//! compiles away, and SPMD workloads share one
+//! [`crate::program::ProgramSet`] template. The loop is instantiated in
+//! the caller's crate, so every non-generic helper it calls per op
+//! (here, in `program`, `fabric`, `fault` and `mailbox`) carries
+//! `#[inline]` or `#[inline(always)]`, and per-message cost calls
+//! inline (pair the fabric with [`crate::fabric::CachedFabric`] for
+//! table lookups); `ci/hot_loop.sh` fails when one is out of line.
+//! [`simulate_on`] and [`crate::pdes::simulate_parallel_on`] are its
+//! untraced shorthands.
 
 use columbia_machine::cluster::CpuId;
 use columbia_obs::{CausalEdge, EdgeKind, RunContext, SpanKind, Tracer};
@@ -173,8 +175,10 @@ impl FaultLedger {
 /// retransmit sampling, multiplex delay, the sender's CPU overhead, and
 /// all sender-side trace events. Returns the arrival time; the caller
 /// deposits it (directly into a mailbox, or into a cross-partition
-/// lane). Shared by the `Send` op and the send half of `Exchange`.
+/// lane). Shared by the `Send` op and the send half of `Exchange`, and
+/// forced inline: hinted, it stayed out of line in the event loop.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub(crate) fn charge_send<T: Tracer, F: Fabric + ?Sized>(
     tracer: &mut T,
     fabric: &F,
@@ -386,19 +390,30 @@ pub(crate) fn connection_check(cpus: &[CpuId], plan: &FaultPlan) -> Result<(f64,
     let Some(limit) = &plan.connection_limit else {
         return Ok((0.0, 0.0));
     };
-    let mut per_node: HashMap<u32, usize> = HashMap::new();
+    // Ranks per node: one count per run of equal node ids (a node-major
+    // placement has one run per node), sorted by node with the runs of
+    // one node merged, so the lowest-numbered exhausted node is reported.
+    let mut nodes: Vec<(u32, usize)> = Vec::new();
     for c in cpus {
-        *per_node.entry(c.node.0).or_insert(0) += 1;
+        match nodes.last_mut() {
+            Some((node, procs)) if *node == c.node.0 => *procs += 1,
+            _ => nodes.push((c.node.0, 1)),
+        }
     }
-    let n_nodes = per_node.len();
+    nodes.sort_unstable_by_key(|&(node, _)| node);
+    nodes.dedup_by(|run, kept| {
+        let same = run.0 == kept.0;
+        if same {
+            kept.1 += run.1;
+        }
+        same
+    });
+    let n_nodes = nodes.len();
     if n_nodes < 2 {
         return Ok((0.0, 0.0));
     }
     let available = limit.budget();
     let mut worst_ratio = 0.0f64;
-    // Deterministic iteration: report the lowest-numbered exhausted node.
-    let mut nodes: Vec<(u32, usize)> = per_node.into_iter().collect();
-    nodes.sort_unstable();
     for (node, procs) in nodes {
         let required = connections_required(procs, n_nodes);
         let ratio = required as f64 / available as f64;
@@ -1315,5 +1330,88 @@ mod tests {
         assert_eq!(out.faults.multiplexed_messages, 0);
         assert!(out.faults.oversubscription <= 1.0);
         assert!(out.faults.oversubscription > 0.0);
+    }
+
+    /// The `HashMap` fold `connection_check` counted ranks per node with:
+    /// the oracle for its run-length count.
+    fn connection_check_by_hash_map(
+        cpus: &[CpuId],
+        plan: &FaultPlan,
+    ) -> Result<(f64, f64), SimError> {
+        let Some(limit) = &plan.connection_limit else {
+            return Ok((0.0, 0.0));
+        };
+        let mut per_node: std::collections::HashMap<u32, usize> = Default::default();
+        for c in cpus {
+            *per_node.entry(c.node.0).or_insert(0) += 1;
+        }
+        let n_nodes = per_node.len();
+        if n_nodes < 2 {
+            return Ok((0.0, 0.0));
+        }
+        let available = limit.budget();
+        let mut worst_ratio = 0.0f64;
+        let mut nodes: Vec<(u32, usize)> = per_node.into_iter().collect();
+        nodes.sort_unstable();
+        for (node, procs) in nodes {
+            let required = connections_required(procs, n_nodes);
+            let ratio = required as f64 / available as f64;
+            if required > available {
+                if let ConnectionPolicy::Fail = limit.policy {
+                    return Err(SimError::ConnectionsExhausted {
+                        node,
+                        procs_on_node: procs,
+                        required,
+                        available,
+                    });
+                }
+            }
+            worst_ratio = worst_ratio.max(ratio);
+        }
+        let delay = match limit.policy {
+            ConnectionPolicy::Multiplex { queue_penalty } if worst_ratio > 1.0 => {
+                queue_penalty * (worst_ratio - 1.0)
+            }
+            _ => 0.0,
+        };
+        Ok((delay, worst_ratio))
+    }
+
+    /// Interleaved placements (rank `r` on node `r % 4`, or `3 - r % 4`,
+    /// so the heaviest node is not the first one met) and a node-major
+    /// one, at budgets below, at and above the need, under both
+    /// policies: the same node, counts, delay and ratio as the oracle.
+    #[test]
+    fn connection_check_matches_the_hash_map_fold() {
+        for ranks in [1u32, 2, 5, 8, 13, 64, 1021] {
+            let placements: [Vec<CpuId>; 3] = [
+                (0..ranks).map(|r| CpuId::new(r % 4, r / 4)).collect(),
+                (0..ranks).map(|r| CpuId::new(3 - r % 4, r / 4)).collect(),
+                (0..ranks).map(|r| CpuId::new(r * 4 / ranks, r)).collect(),
+            ];
+            for cpus in &placements {
+                // A budget of 12 is the need of 8 ranks (2 per node) and
+                // 196,608 that of the heaviest node of 1,021 (256 ranks).
+                for per_card in [1u64, 4, 27, 192, 65_536, 1 << 20] {
+                    for policy in [
+                        ConnectionPolicy::Fail,
+                        ConnectionPolicy::Multiplex {
+                            queue_penalty: 2.0e-6,
+                        },
+                    ] {
+                        let plan = FaultPlan::none().with_connection_limit(ConnectionLimit {
+                            cards_per_node: 3,
+                            connections_per_card: per_card,
+                            policy,
+                        });
+                        assert_eq!(
+                            connection_check(cpus, &plan),
+                            connection_check_by_hash_map(cpus, &plan),
+                            "{ranks} ranks, {per_card} per card, {policy:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

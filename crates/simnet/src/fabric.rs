@@ -7,6 +7,7 @@
 //! implementation: NUMAlink inside each node, and either NUMAlink4 or
 //! InfiniBand between nodes.
 
+use columbia_machine::brick::CBrick;
 use columbia_machine::calib;
 use columbia_machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia_machine::topology::NodeTopology;
@@ -284,14 +285,27 @@ impl CachedFabric {
     pub fn new(inner: ClusterFabric) -> Self {
         let n = inner.config().nodes.len();
         let mut nodes = Vec::with_capacity(n);
+        // Hop classes depend only on the brick and the CPU count: one
+        // enumeration per distinct pair (two on Columbia's 20 nodes).
+        let mut keys: Vec<(CBrick, u32)> = Vec::new();
+        let mut known: Vec<Vec<(u32, u32)>> = Vec::new();
         for node in 0..n as u32 {
             let model = inner.config().node_model(NodeId(node));
             let topo = NodeTopology::new(model.brick);
-            let classes = topo.hop_classes(model.cpus);
+            let key = (model.brick, model.cpus);
+            let i = match keys.iter().position(|&k| k == key) {
+                Some(i) => i,
+                None => {
+                    keys.push(key);
+                    known.push(topo.hop_classes(model.cpus));
+                    keys.len() - 1
+                }
+            };
+            let classes = &known[i];
             let max_hops = classes.last().map_or(0, |&(h, _)| h) as usize;
             let mut lat_by_hops = vec![f64::NAN; max_hops + 1];
             let mut bw_by_hops = vec![f64::NAN; max_hops + 1];
-            for &(h, rep) in &classes {
+            for &(h, rep) in classes {
                 let (a, b) = (CpuId::new(node, 0), CpuId::new(node, rep));
                 lat_by_hops[h as usize] = inner.latency(a, b);
                 bw_by_hops[h as usize] = inner.bandwidth(a, b);
@@ -328,7 +342,9 @@ impl CachedFabric {
     }
 
     /// `(latency, bandwidth)` of `src → dst` from the tables, or `None`
-    /// on a node or hop count they do not cover.
+    /// on a node or hop count they do not cover. Forced inline, like
+    /// `pt2pt_time`: hinted, both stayed out of line in the event loop.
+    #[inline(always)]
     fn costs(&self, src: CpuId, dst: CpuId) -> Option<(f64, f64)> {
         let n = self.nodes.len();
         let (s, d) = (src.node.0 as usize, dst.node.0 as usize);
@@ -360,6 +376,7 @@ impl Fabric for CachedFabric {
         }
     }
 
+    #[inline(always)]
     fn pt2pt_time(&self, src: CpuId, dst: CpuId, bytes: u64) -> f64 {
         match self.costs(src, dst) {
             Some((lat, bw)) => lat + bytes as f64 / bw,
@@ -540,6 +557,27 @@ mod tests {
                     direct.internode_contention(512),
                     cached.internode_contention(512)
                 );
+                // Every CPU against every seventh, in a 3700 node (11)
+                // and a BX2 node (19) that reuse the hop classes of the
+                // first node of their brick kind (0 and 12).
+                for node in [11u32, 19] {
+                    let cpus = direct.config().node_model(NodeId(node)).cpus;
+                    for a in 0..cpus {
+                        for b in (0..cpus).step_by(7) {
+                            let (x, y) = (cpu(node, a), cpu(node, b));
+                            assert_eq!(
+                                direct.pt2pt_time(x, y, 8192).to_bits(),
+                                cached.pt2pt_time(x, y, 8192).to_bits(),
+                                "pt2pt node {node}, CPUs {a}->{b}"
+                            );
+                            assert_eq!(
+                                direct.latency(x, y).to_bits(),
+                                cached.latency(x, y).to_bits(),
+                                "lat node {node}, CPUs {a}->{b}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -277,25 +277,29 @@ impl FaultPlan {
     ) -> Self {
         LATENCY_FACTOR.assert("latency_factor", latency_factor);
         BANDWIDTH_FACTOR.assert("bandwidth_factor", bandwidth_factor);
-        self.link_faults.push(LinkFault {
+        self.push_link(
             a,
             b,
-            state: LinkState::Degraded {
+            LinkState::Degraded {
                 latency_factor,
                 bandwidth_factor,
             },
-        });
+        );
         self
     }
 
     /// Take the link between `a` and `b` down entirely.
     pub fn fail_link(mut self, a: NodeId, b: NodeId) -> Self {
-        self.link_faults.push(LinkFault {
-            a,
-            b,
-            state: LinkState::Down,
-        });
+        self.push_link(a, b, LinkState::Down);
         self
+    }
+
+    /// Add the link fault `a`–`b`. A link joins two different nodes:
+    /// traffic inside a node never takes one, so `a == b` would fault
+    /// nothing.
+    fn push_link(&mut self, a: NodeId, b: NodeId, state: LinkState) {
+        assert!(a != b, "a link joins two different nodes, got {a:?} twice");
+        self.link_faults.push(LinkFault { a, b, state });
     }
 
     /// Slow one CPU by `factor`.
@@ -368,6 +372,7 @@ impl FaultPlan {
     /// suffers before getting through — a pure function of the plan,
     /// independent of scheduling. Monotone in [`FaultPlan::drop_prob`]:
     /// raising the probability can only lengthen the drop prefix.
+    #[inline]
     pub fn drops_for_message(&self, from: usize, to: usize, tag: u64, seq: u64) -> u32 {
         if self.drop_prob <= 0.0 {
             return 0;
@@ -485,6 +490,8 @@ impl<F: Fabric + ?Sized> Fabric for FaultyFabric<'_, F> {
         }
     }
 
+    // Forced: hinted, it stayed out of line in the event loop.
+    #[inline(always)]
     fn pt2pt_time(&self, src: CpuId, dst: CpuId, bytes: u64) -> f64 {
         // Without link faults `latency` and `bandwidth` are the inner
         // fabric's: let it price the message with its own lookup.
@@ -664,6 +671,21 @@ mod tests {
             ..limit
         };
         assert_eq!(limit.budget(), u64::MAX);
+    }
+
+    #[test]
+    fn a_link_from_a_node_to_itself_is_refused() {
+        let plans: [(fn() -> FaultPlan, bool); 3] = [
+            (|| FaultPlan::none().fail_link(NodeId(1), NodeId(1)), true),
+            (
+                || FaultPlan::none().degrade_link(NodeId(0), NodeId(0), 4.0, 0.25),
+                true,
+            ),
+            (|| FaultPlan::none().fail_link(NodeId(1), NodeId(0)), false),
+        ];
+        for (i, (plan, refused)) in plans.into_iter().enumerate() {
+            assert_eq!(std::panic::catch_unwind(plan).is_err(), refused, "plan {i}");
+        }
     }
 
     #[test]

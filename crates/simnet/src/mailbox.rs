@@ -80,6 +80,7 @@ pub struct IndexedMailbox {
 }
 
 /// `len` as the index of the next element pushed.
+#[inline]
 fn next_index(len: usize) -> u32 {
     match u32::try_from(len) {
         Ok(i) if i != NIL => i,

@@ -38,9 +38,10 @@
 //!   slot) order, which preserves per-channel FIFO.
 //! * *Clocks*: a receive completes at `max(receiver clock, arrival)`
 //!   and arrival is computed at post time from the sender's clock —
-//!   both pure functions of program state. Collective start times are
-//!   `max` folds over all clocks (order-independent) or the root's
-//!   clock, evaluated by the leader.
+//!   both pure functions of program state. A collective starts at the
+//!   root's clock or at the latest arrival clock: each partition keeps
+//!   the `max` of its ranks' clocks as they arrive, and the leader folds
+//!   those (order-independent).
 //! * *Faults*: drop sampling keys off `(from, to, tag, seq)` and the
 //!   per-channel `seq` lives with the sender's partition; `f64` fault
 //!   sums accumulate per rank and fold in rank order.
@@ -173,8 +174,11 @@ struct Partition<T, M> {
     /// Last collective sequence each local rank joined: an O(1)
     /// arrival dedup for a rank re-examined at the same collective.
     coll_gen: Vec<usize>,
-    /// Local ranks arrived at the current collective frontier.
+    /// Local ranks arrived at the current collective frontier, and the
+    /// latest clock among them (from 0.0): a rank's clock stays put
+    /// while it waits at a collective.
     coll_arrived: usize,
+    coll_latest: f64,
     /// The first local arrival's op at the frontier, and whether a later
     /// local arrival issued a different one.
     coll_first: Option<Op>,
@@ -202,6 +206,7 @@ impl<T: Tracer, M: MailboxOps> Partition<T, M> {
             in_queue: vec![true; k],
             coll_gen: vec![usize::MAX; k],
             coll_arrived: 0,
+            coll_latest: 0.0,
             coll_first: None,
             coll_mismatch: false,
             outbox: (0..n_parts).map(|_| Vec::new()).collect(),
@@ -673,11 +678,7 @@ where
         }
         let start = match op {
             Op::Bcast { root, .. } => state_of(parts, slot_of, root).clock,
-            _ => parts
-                .iter()
-                .flat_map(|p| &p.states)
-                .map(|s| s.clock)
-                .fold(0.0, f64::max),
+            _ => parts.iter().map(|p| p.coll_latest).fold(0.0, f64::max),
         };
         let cost = collective_cost(op, &world.fabric, world.cpus);
         let end = start + cost;
@@ -709,6 +710,7 @@ where
                 }
             }
             part.coll_arrived = 0;
+            part.coll_latest = 0.0;
             part.coll_first = None;
             part.coll_mismatch = false;
         }
@@ -790,6 +792,7 @@ where
                     if part.coll_gen[li] != seq {
                         part.coll_gen[li] = seq;
                         part.coll_arrived += 1;
+                        part.coll_latest = part.coll_latest.max(part.states[li].clock);
                         part.coll_mismatch |= *part.coll_first.get_or_insert(op) != op;
                     }
                     // Always blocks here; the leader resolves the

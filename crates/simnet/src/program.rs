@@ -82,10 +82,29 @@ pub enum Peer {
 
 impl Peer {
     /// The concrete peer for `rank` in a `ranks`-wide communicator.
+    #[inline]
     pub fn resolve(self, rank: usize, ranks: usize) -> usize {
         match self {
             Peer::Fixed(p) => p,
-            Peer::RingOffset(d) => (rank as isize + d).rem_euclid(ranks.max(1) as isize) as usize,
+            Peer::RingOffset(d) => {
+                let n = ranks.max(1) as isize;
+                let p = rank as isize + d;
+                // Within one width of `[0, n)` one add or subtract wraps
+                // the sum (every shipped template steps by ±1); only a
+                // larger offset pays for the division.
+                let near = if p < 0 {
+                    p + n
+                } else if p >= n {
+                    p - n
+                } else {
+                    p
+                };
+                if (0..n).contains(&near) {
+                    near as usize
+                } else {
+                    p.rem_euclid(n) as usize
+                }
+            }
             Peer::Xor(mask) => rank ^ mask,
         }
     }
@@ -138,6 +157,9 @@ pub enum SpmdOp {
 
 impl SpmdOp {
     /// The concrete [`Op`] this template instruction becomes on `rank`.
+    /// Forced inline, like `ProgramSet`'s `op`: the event loop calls
+    /// both once per op, and hinted they stayed out of line there.
+    #[inline(always)]
     pub fn resolve(self, rank: usize, ranks: usize) -> Op {
         match self {
             SpmdOp::Compute(secs) => Op::Compute(secs),
@@ -196,6 +218,7 @@ impl Programs for ProgramSet {
         self.ranks
     }
 
+    #[inline(always)]
     fn op(&self, rank: usize, pc: usize) -> Option<Op> {
         self.template.get(pc).map(|op| op.resolve(rank, self.ranks))
     }
@@ -212,6 +235,54 @@ impl Programs for ProgramSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The ring peer the wrap without division must reproduce.
+    fn ring_by_division(rank: usize, d: isize, ranks: usize) -> usize {
+        (rank as isize + d).rem_euclid(ranks as isize) as usize
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Widths 1 to 20,000, offsets within three widths either side,
+        /// and at each width the edges ±1, ±ranks and ±(ranks + 1) from
+        /// the first rank, the last and a random one.
+        #[test]
+        fn ring_offset_matches_rem_euclid(
+            ranks in 1usize..20_001,
+            rank_pick in 0usize..20_000,
+            offset_pick in 0u64..u64::MAX,
+        ) {
+            let n = ranks as isize;
+            let d = (offset_pick % (6 * n + 1) as u64) as isize - 3 * n;
+            for rank in [0, rank_pick % ranks, ranks - 1] {
+                for d in [d, 1, -1, n, -n, n + 1, -(n + 1)] {
+                    prop_assert_eq!(
+                        Peer::RingOffset(d).resolve(rank, ranks),
+                        ring_by_division(rank, d, ranks),
+                        "rank {rank}, offset {d}, width {ranks}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_offset_matches_rem_euclid_on_small_widths() {
+        for ranks in 1..=8usize {
+            let n = ranks as isize;
+            for rank in 0..ranks {
+                for d in -3 * n..=3 * n {
+                    assert_eq!(
+                        Peer::RingOffset(d).resolve(rank, ranks),
+                        ring_by_division(rank, d, ranks),
+                        "rank {rank}, offset {d}, width {ranks}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn peer_resolution() {
